@@ -86,7 +86,7 @@ def _cmd_train(args) -> int:
         f"{task} {sorted(m)[0]}={m[sorted(m)[0]]:.4f}" if isinstance(m, dict) else task
         for task, m in final.items()
     )
-    print(f"run complete: {manifest['steps']} steps -> {args.out or 'config out_dir'}")
+    print(f"run complete: {manifest['steps']} steps -> {manifest['config']['out_dir']}")
     if line:
         print(f"held-out: {line}")
     return 0

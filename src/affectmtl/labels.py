@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +54,6 @@ class HeterogeneousSample:
                     f"sample {self.id!r}: au_weights must be defined exactly where au is annotated"
                 )
 
-    @property
-    def au_mask(self) -> np.ndarray | None:
-        return None if self.au is None else ~np.isnan(self.au)
-
 
 @dataclass(frozen=True)
 class EmotionSoftLabel:
@@ -68,9 +64,25 @@ class EmotionSoftLabel:
 
     @classmethod
     def from_indicators(cls, scores) -> "EmotionSoftLabel":
+        """Softmax over the last axis, so a matrix of scores gives one label per row."""
         scores = np.asarray(scores, dtype=float)
-        e = np.exp(scores - scores.max())
-        return cls(indicator_scores=scores, q=e / e.sum())
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        return cls(indicator_scores=scores, q=e / e.sum(axis=-1, keepdims=True))
+
+
+def indicator_scores(au, r, reweight_observational: bool = True) -> np.ndarray:
+    """Per-emotion indicator scores for AU rows, one row of ``au`` per sample.
+
+    ``r`` is the table's ``weight_matrix(reweight_observational)``. Per
+    emotion, the indicator is the weighted fraction of its required AUs that
+    are active (unannotated AUs count as 0); weights are the table weights, or
+    all 1 when ``reweight_observational`` is off. Emotions with an empty
+    relatedness entry get indicator 0.
+    """
+    w = r if reweight_observational else (r > 0).astype(float)
+    need = w.sum(axis=1)
+    active = np.nan_to_num(np.asarray(au, dtype=float), nan=0.0) @ w.T
+    return np.divide(active, need, out=np.zeros_like(active), where=need > 0)
 
 
 def co_annotate_emotion_to_aus(
@@ -135,25 +147,12 @@ def soft_co_annotate(
     table: RelatednessTable,
     reweight_observational: bool = True,
 ) -> EmotionSoftLabel:
-    """Convert AU ground truth into a soft 7-way emotion distribution.
-
-    Per emotion, the indicator is the weighted fraction of its required AUs
-    that are active (unannotated AUs count as 0); weights are the table
-    weights, or all 1 when ``reweight_observational`` is off. Emotions with an
-    empty relatedness entry get indicator 0 and still join the softmax.
-    """
+    """Convert AU ground truth into a soft 7-way emotion distribution: the
+    softmax of the :func:`indicator_scores`, over every emotion."""
     if sample.au is None:
         raise DataError(f"sample {sample.id!r} has no AU annotations")
-    y = np.nan_to_num(sample.au, nan=0.0)
-    scores = np.zeros(len(table.class_names))
-    for k in range(len(table.class_names)):
-        entries = table.lookup(k)
-        if not entries:
-            continue
-        weights = np.array([e.weight if reweight_observational else 1.0 for e in entries])
-        active = np.array([y[e.index] for e in entries])
-        scores[k] = float(weights @ active / weights.sum())
-    return EmotionSoftLabel.from_indicators(scores)
+    r = table.weight_matrix(reweight_observational)
+    return EmotionSoftLabel.from_indicators(indicator_scores(sample.au, r, reweight_observational))
 
 
 # Index sets for the valence/arousal consistency rules.
@@ -278,35 +277,47 @@ def read_samples_csv(path) -> list[HeterogeneousSample]:
         npy_cache: dict[str, np.ndarray] = {}
         samples = []
         for row in reader:
-            if use_files:
-                ref = row["feature_file"]
-                fname, _, idx = ref.rpartition(":")
-                if not fname:
-                    raise DataError(f"{path}: malformed feature_file reference {ref!r}")
-                fpath = str(path.parent / fname)
-                if fpath not in npy_cache:
-                    npy_cache[fpath] = np.load(fpath)
-                features = npy_cache[fpath][int(idx)]
-            else:
-                features = np.array([float(row[c]) for c in fcols])
-            va = None
-            if row.get("valence", "") != "" and row.get("arousal", "") != "":
-                va = (float(row["valence"]), float(row["arousal"]))
-            expr = int(row["expr"]) if row.get("expr", "") != "" else None
-            au = None
-            if any(row.get(c, "") != "" for c in au_cols):
-                au = np.array(
-                    [float(row[c]) if row.get(c, "") != "" else np.nan for c in au_cols]
-                )
-            seq = None
-            if row.get("video_id", "") != "" and row.get("frame_idx", "") != "":
-                seq = (row["video_id"], int(row["frame_idx"]))
-            samples.append(
-                HeterogeneousSample(
-                    id=row["id"], features=features, va=va, expr=expr, au=au,
-                    sequence_key=seq,
-                )
-            )
+            try:
+                samples.append(_parse_row(row, path, fcols, au_cols, use_files, npy_cache))
+            # ValueError/TypeError: a non-numeric or missing cell; OSError/EOFError: a bad .npy
+            except (DataError, ValueError, TypeError, OSError, EOFError) as e:
+                raise DataError(f"{path}, line {reader.line_num}: {e}") from e
         if not samples:
             raise DataError(f"no samples in {path}")
         return samples
+
+
+def _parse_row(row, path, fcols, au_cols, use_files, npy_cache) -> HeterogeneousSample:
+    if use_files:
+        ref = row["feature_file"] or ""  # None when the row is short
+        fname, _, idx = ref.rpartition(":")
+        if not fname:
+            raise ValueError(f"malformed feature_file reference {ref!r}")
+        fpath = str(path.parent / fname)
+        if fpath not in npy_cache:
+            npy_cache[fpath] = np.asarray(np.load(fpath))  # an .npz loads as 0-d
+        rows, i = npy_cache[fpath], int(idx)
+        if rows.ndim != 2 or not 0 <= i < len(rows):
+            raise ValueError(f"{ref!r} names no row of a 2-D feature matrix")
+        features = rows[i]
+    else:
+        features = np.array([float(row[c]) for c in fcols])
+    if not np.isfinite(features).all():
+        raise ValueError("non-finite feature value")
+    va = None
+    if row.get("valence", "") != "" and row.get("arousal", "") != "":
+        va = (float(row["valence"]), float(row["arousal"]))
+    expr = int(row["expr"]) if row.get("expr", "") != "" else None
+    if expr is not None and not 0 <= expr < len(EMOTIONS):
+        raise ValueError(f"expression index {expr} outside 0..{len(EMOTIONS) - 1}")
+    au = None
+    if any(row.get(c, "") != "" for c in au_cols):
+        au = [float(row[c]) if row.get(c, "") != "" else np.nan for c in au_cols]
+        if not all(v in (0.0, 1.0) or v != v for v in au):  # v != v: NaN, unannotated
+            raise ValueError("AU labels must be 0 or 1")
+    seq = None
+    if row.get("video_id", "") != "" and row.get("frame_idx", "") != "":
+        seq = (row["video_id"], int(row["frame_idx"]))
+    return HeterogeneousSample(
+        id=row["id"], features=features, va=va, expr=expr, au=au, sequence_key=seq
+    )

@@ -2,7 +2,9 @@
 
 Every gradient here is taken with respect to the model's post-activation
 outputs (probabilities, VA values); chaining through the output nonlinearities
-and trunk is the model's job. ``*_grad`` variants return (value, gradient).
+and trunk is the model's job. The cross-entropy family works on row matrices,
+one row per sample; a 1-D input is a single row. ``*_grad`` variants return
+the batch-mean value and its gradient, which has the shape of the input.
 """
 
 from __future__ import annotations
@@ -42,18 +44,12 @@ class LossWeights:
 
 @dataclass
 class SoftTargets:
-    """Soft targets: per-binary-label marginals or a categorical distribution."""
+    """Soft per-binary-label targets, one row per sample."""
 
-    q_binary: np.ndarray | None = None
-    q_categorical: np.ndarray | None = None
+    q_binary: np.ndarray
 
     def __post_init__(self):
-        if self.q_binary is not None:
-            self.q_binary = np.asarray(self.q_binary, dtype=float)
-        if self.q_categorical is not None:
-            self.q_categorical = np.asarray(self.q_categorical, dtype=float)
-            if abs(self.q_categorical.sum() - 1.0) > 1e-9:
-                raise DataError("categorical soft target does not sum to 1")
+        self.q_binary = np.asarray(self.q_binary, dtype=float)
 
 
 @dataclass
@@ -133,59 +129,62 @@ def ccc_loss_grad(y_va, y_hat_va, eps: float = CCC_EPS):
 # -- cross-entropy family ------------------------------------------------
 
 
+def _rows(x) -> np.ndarray:
+    """``x`` as a float row matrix; a 1-D input becomes one row."""
+    return np.atleast_2d(np.asarray(x, float))
+
+
 def masked_bce(p_au, y_au, weights=None, eps: float = DEFAULT_EPS) -> float:
-    """Binary cross entropy over annotated AUs, normalized by total mask weight."""
+    """Binary cross entropy over annotated AUs, normalized by each row's mask weight."""
     return masked_bce_grad(p_au, y_au, weights, eps)[0]
 
 
 def masked_bce_grad(p_au, y_au, weights=None, eps: float = DEFAULT_EPS):
-    p = np.asarray(p_au, float)
-    y = np.asarray(y_au, float)
+    p = _rows(p_au)
+    y = _rows(y_au)
     mask = ~np.isnan(y)
-    if not mask.any():
+    if not mask.any(axis=1).all():
         raise DataError("masked_bce: no annotated AUs")
     if weights is None:
         w = mask.astype(float)
     else:
-        w = np.where(mask, np.nan_to_num(np.asarray(weights, float), nan=0.0), 0.0)
+        w = np.where(mask, np.nan_to_num(_rows(weights), nan=0.0), 0.0)
     pc = np.clip(p, eps, 1.0 - eps)
     ys = np.where(mask, y, 0.0)
     terms = ys * np.log(pc) + (1.0 - ys) * np.log(1.0 - pc)
-    wsum = w.sum()
-    val = -float((w * np.where(mask, terms, 0.0)).sum() / wsum)
+    wsum = w.sum(axis=1, keepdims=True) * len(p)
+    val = -float(((w * np.where(mask, terms, 0.0)).sum(axis=1, keepdims=True) / wsum).sum())
     grad = np.where(
         mask & (p == pc), -w * (ys / pc - (1.0 - ys) / (1.0 - pc)) / wsum, 0.0
     )
-    return val, grad
+    return val, grad.reshape(np.shape(p_au))
 
 
 def softmax_ce(p, y, eps: float = DEFAULT_EPS) -> float:
-    """Cross entropy of a probability vector against a hard or soft label."""
+    """Mean cross entropy of probability rows against hard or soft labels."""
     return softmax_ce_grad(p, y, eps)[0]
 
 
 def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
-    p = np.asarray(p, float)
-    if abs(p.sum() - 1.0) > 1e-6:
+    """Hard labels are one class index per row; soft labels have ``p``'s shape."""
+    P = _rows(p)
+    if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-6):
         raise DataError("softmax_ce: prediction does not sum to 1")
-    pc = np.clip(p, eps, None)
-    grad = np.zeros_like(p)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        y = int(y)
-        if not 0 <= y < p.size:
-            raise DataError(f"softmax_ce: label index {y} out of range")
-        val = -float(np.log(pc[y]))
-        if p[y] == pc[y]:
-            grad[y] = -1.0 / pc[y]
+    if np.ndim(y) == np.ndim(p) - 1:
+        labels = np.asarray(y).astype(int).reshape(-1)
+        if np.any((labels < 0) | (labels >= P.shape[1])):
+            raise DataError("softmax_ce: label index out of range")
+        q = np.eye(P.shape[1])[labels]
     else:
-        q = np.asarray(y, float)
-        if q.shape != p.shape:
+        if np.shape(y) != np.shape(p):
             raise DataError("softmax_ce: soft label shape mismatch")
-        if abs(q.sum() - 1.0) > 1e-6:
+        q = _rows(y)
+        if np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-6):
             raise DataError("softmax_ce: soft label does not sum to 1")
-        val = -float(q @ np.log(pc))
-        grad = np.where(p == pc, -q / pc, 0.0)
-    return val, grad
+    pc = np.clip(P, eps, None)
+    val = -float((q * np.log(pc)).sum() / len(P))
+    grad = np.where(P == pc, -q / pc / len(P), 0.0)
+    return val, grad.reshape(np.shape(p))
 
 
 # -- distribution matching ----------------------------------------------
@@ -194,9 +193,9 @@ def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
 def dm_targets(p_cat, table: RelatednessTable, reweight: bool = False) -> SoftTargets:
     """Soft binary-label targets as a relatedness mixture over class predictions."""
     p = np.asarray(p_cat, float)
-    if p.size != len(table.class_names):
+    if p.shape[-1] != len(table.class_names):
         raise DataError(
-            f"dm_targets: {p.size} classes vs table with {len(table.class_names)}"
+            f"dm_targets: {p.shape[-1]} classes vs table with {len(table.class_names)}"
         )
     r = table.weight_matrix(reweight)
     return SoftTargets(q_binary=p @ r)
@@ -211,13 +210,14 @@ def dm_loss_grad(p_bin, q: SoftTargets, eps: float = DEFAULT_EPS):
     """Value plus gradients with respect to predictions and targets."""
     p = np.asarray(p_bin, float)
     qb = q.q_binary
-    if qb is None or qb.shape != p.shape:
+    if qb.shape != p.shape:
         raise DataError("dm_loss: prediction/target length mismatch")
+    n = len(_rows(p))
     qc = np.clip(qb, eps, None)
     logq = np.log(qc)
-    val = -float(np.sum(np.where(p == 0.0, 0.0, p * logq)))
-    grad_p = -logq
-    grad_q = np.where(qb == qc, -p / qc, 0.0)
+    val = -float(np.sum(np.where(p == 0.0, 0.0, p * logq)) / n)
+    grad_p = -logq / n
+    grad_q = np.where(qb == qc, -p / qc / n, 0.0)
     return val, grad_p, grad_q
 
 
@@ -232,8 +232,9 @@ def sca_loss_grad(p_emo, q_emo, eps: float = DEFAULT_EPS):
     q = q_emo.q if hasattr(q_emo, "q") else np.asarray(q_emo, float)
     if p.shape != q.shape:
         raise DataError("sca_loss: dimensionality mismatch")
+    n = len(_rows(p))
     logq = np.log(np.clip(q, eps, None))
-    return -float(p @ logq), -logq
+    return -float((p * logq).sum() / n), -logq / n
 
 
 # -- aggregation ---------------------------------------------------------

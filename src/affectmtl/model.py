@@ -9,6 +9,7 @@ Everything is float64 numpy; all randomness flows from explicit seeds.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -78,9 +79,6 @@ class MultiHeadModel:
         for name in sorted(self.heads):
             yield f"{name}.W", self.heads[name]["W"]
             yield f"{name}.b", self.heads[name]["b"]
-
-    def num_params(self) -> int:
-        return sum(p.size for _, p in self.named_params())
 
     # -- forward / backward ---------------------------------------------
 
@@ -212,6 +210,8 @@ class MultiHeadModel:
         try:
             with open(path, "rb") as f:
                 (hlen,) = struct.unpack("<Q", f.read(8))
+                if hlen > os.fstat(f.fileno()).st_size:
+                    raise DataError(f"truncated checkpoint: {path}")
                 spec = json.loads(f.read(hlen).decode())
                 model = cls(
                     spec["input_dim"],
@@ -225,8 +225,11 @@ class MultiHeadModel:
                     if len(buf) != p.size * 8:
                         raise DataError(f"truncated checkpoint: {path}")
                     p[...] = np.frombuffer(buf, dtype="<f8").reshape(p.shape)
-        except (OSError, struct.error, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read checkpoint {path}: {e}") from e
+                if f.read(1):
+                    raise DataError(f"trailing bytes after the parameters in checkpoint {path}")
+        # KeyError/TypeError/ValueError: a header with missing keys or wrong types
+        except (OSError, struct.error, KeyError, TypeError, ValueError) as e:
+            raise DataError(f"cannot read checkpoint {path}: {e!r}") from e
         return model
 
 
@@ -248,11 +251,6 @@ class SGDMomentum:
             v *= self.momentum
             v += grads[name]
             p -= self.lr * v
-
-
-def sgd_momentum_step(model, grads, optimizer: SGDMomentum) -> None:
-    """Functional alias for one optimizer step (mutates the model in place)."""
-    optimizer.step(model, grads)
 
 
 def gradient_check(model, value_fn, grad_fn, n_per_layer=20, h=1e-5, rng=None):

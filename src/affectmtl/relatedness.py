@@ -87,12 +87,6 @@ class RelatednessTable:
             for i, (w, proto) in sorted(row.items())
         )
 
-    def class_entries(self, class_index: int) -> dict[int, tuple[float, bool]]:
-        """Raw {label index -> (weight, prototypical)} view for one class."""
-        if not 0 <= class_index < len(self.class_names):
-            raise DataError(f"class index {class_index} out of range")
-        return dict(self._entries.get(self.class_names[class_index], {}))
-
     def weight_matrix(self, reweight: bool = False) -> np.ndarray:
         """(n_classes, n_labels) matrix r with r[k, b] the mixing coefficient.
 
@@ -264,8 +258,3 @@ def infer_empirical(corpus: CoAnnotatedCorpus, threshold: float = 0.1) -> Relate
     if not kept_classes:
         raise DataError("no class in the corpus has annotated binary labels")
     return RelatednessTable(kept_classes, corpus.label_names, entries, KIND_EMPIRICAL)
-
-
-def lookup(table: RelatednessTable, class_index: int) -> tuple[TableEntry, ...]:
-    """Module-level alias for :meth:`RelatednessTable.lookup`."""
-    return table.lookup(class_index)

@@ -3,6 +3,7 @@
 The coupling mode is pure configuration: co-annotation rewrites labels before
 training, soft co-annotation precomputes soft emotion targets for AU-labeled
 samples, and distribution matching adds a prediction-alignment term each step.
+:func:`build_objective` does all of that once per run.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import csv
 import hashlib
 import json
 import platform
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from . import labels as lab
 from . import relatedness as rel
 from .errors import ConfigError, DataError, NumericalError
 from .losses import (
+    LossReport,
     LossWeights,
     SoftTargets,
     ccc_loss_grad,
@@ -35,6 +36,8 @@ from .model import MultiHeadModel, SGDMomentum, gradient_check, median_filter
 from .scheduler import next_joint_batch, plan_epoch
 
 COUPLING_MODES = ("none", "co_annotation", "soft_co_annotation", "distr_matching", "soft_plus_dm")
+SCA_MODES = ("soft_co_annotation", "soft_plus_dm")
+DM_MODES = ("distr_matching", "soft_plus_dm")
 SET_NAMES = ("va", "au", "expr")
 TASK_NAMES = ("expr", "au", "va")
 COUPLING_NAMES = ("sca", "dm")
@@ -96,7 +99,7 @@ class ExperimentConfig:
                 seed=int(d.get("seed", 0)),
                 out_dir=str(d.get("out_dir", "runs/run")),
             )
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, DataError) as e:  # DataError: LossWeights' range checks
             raise ConfigError(f"malformed config: {e}") from e
 
     @classmethod
@@ -140,13 +143,16 @@ def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
     if src == "domain":
         return rel.domain_table()
     if src == "file":
+        if "path" not in config.relatedness:
+            raise ConfigError("file relatedness needs a 'path'")
         path = Path(config.relatedness["path"])
-        d = json.loads(path.read_text()) if path.exists() else None
-        if d is None:
-            raise DataError(f"relatedness file not found: {path}")
-        if "entries" in d:
-            return rel.RelatednessTable.from_dict(d)
-        return rel.load_domain_table(path)
+        try:
+            d = json.loads(path.read_text())
+            if "entries" in d:
+                return rel.RelatednessTable.from_dict(d)
+            return rel.load_domain_table(path)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise DataError(f"cannot read relatedness file {path}: {e!r}") from e
     if src == "empirical":
         corpus_path = config.relatedness.get("corpus")
         if corpus_path is None:
@@ -160,83 +166,119 @@ def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
     raise ConfigError(f"unknown relatedness source {src!r}")
 
 
-# -- joint batch loss ----------------------------------------------------
+# -- joint objective -----------------------------------------------------
 
 
-def joint_loss_and_grads(model, batch, weights, mode, table, reweight, sca_targets):
+@dataclass(frozen=True)
+class Objective:
+    """The joint training loss of one run, built once by :func:`build_objective`.
+
+    ``dm_matrix`` is the (classes, AUs) relatedness mixing matrix when
+    distribution matching is on. ``sca_targets`` holds one soft emotion label
+    per row of the AU set when soft co-annotation is on.
+    """
+
+    weights: LossWeights
+    dm_matrix: np.ndarray | None = None
+    sca_targets: np.ndarray | None = None
+
+
+def build_objective(model, sets: dict, table, mode: str, weights: LossWeights,
+                    reweight: bool = True) -> tuple[dict, Objective]:
+    """Prepare a run's coupling: returns the label-rewritten sets and the objective.
+
+    ``sets`` maps set name to its training samples. Co-annotation rewrites the
+    expr and AU sets' labels; the soft modes compute every AU-set row's SCA
+    target; the DM modes keep the mixing matrix.
+    """
+    if mode == "none":
+        return sets, Objective(weights)
+    heads = (model.head_spec["expr"][1], model.head_spec["au"][1])
+    shape = (len(table.class_names), len(table.binary_label_names))
+    if heads != shape:
+        raise DataError(f"relatedness table shape {shape} does not match the expr/au heads {heads}")
+    sets = dict(sets)
+    if mode == "co_annotation":
+        if "expr" in sets:
+            sets["expr"] = [lab.co_annotate_emotion_to_aus(s, table) for s in sets["expr"]]
+        if "au" in sets:
+            sets["au"] = [lab.co_annotate_aus_to_emotion(s, table) for s in sets["au"]]
+        return sets, Objective(weights)
+    r = table.weight_matrix(reweight)
+    sca = None
+    if mode in SCA_MODES and "au" in sets:
+        scores = lab.indicator_scores(np.stack([s.au for s in sets["au"]]), r, reweight)
+        sca = lab.EmotionSoftLabel.from_indicators(scores).q
+    return sets, Objective(weights, r if mode in DM_MODES else None, sca)
+
+
+def joint_loss_and_grads(model, batch, objective: Objective):
     """Compute all loss terms on one tagged joint batch.
 
-    ``batch`` is a list of (set name, sample). Returns (LossReport,
-    parameter-gradient dict); the gradients correspond to the weighted total.
+    ``batch`` is a list of (set name, row, sample), with ``row`` the sample's
+    index in its training set. Returns (LossReport, parameter-gradient dict);
+    the gradients correspond to the weighted total.
     """
-    report, out_grads, cache = _joint_loss(model, batch, weights, mode, table, reweight, sca_targets)
+    report, out_grads, cache = _joint_loss(model, batch, objective)
     return report, model.backward(cache, out_grads)
 
 
-def joint_loss_value(model, batch, weights, mode, table, reweight, sca_targets) -> float:
-    return _joint_loss(model, batch, weights, mode, table, reweight, sca_targets)[0].total
+def joint_loss_value(model, batch, objective: Objective) -> float:
+    return _joint_loss(model, batch, objective)[0].total
 
 
-def _joint_loss(model, batch, weights, mode, table, reweight, sca_targets):
-    X = np.stack([s.features for _, s in batch])
+def _columns(samples):
+    """Stacked features, then (rows, labels) for the expr, AU and VA labels of
+    ``samples``; the AU labels come with their loss weights."""
+    def labelled(name):
+        rows = [i for i, s in enumerate(samples) if getattr(s, name) is not None]
+        return np.array(rows, dtype=int), np.array([getattr(samples[i], name) for i in rows])
+
+    au_rows, au = labelled("au")
+    au_weights = np.array([
+        np.ones(rel.NUM_AUS) if samples[i].au_weights is None else samples[i].au_weights
+        for i in au_rows
+    ])
+    X = np.stack([s.features for s in samples])
+    return X, labelled("expr"), (au_rows, au, au_weights), labelled("va")
+
+
+def _joint_loss(model, batch, objective: Objective):
+    names, set_rows, samples = zip(*batch)
+    X, (expr_rows, expr), (au_rows, au, au_weights), (va_rows, va) = _columns(samples)
     out, cache = model.forward(X)
-    eps = weights.epsilon
-    n = len(batch)
+    w = objective.weights
+    eps = w.epsilon
     g = {h: np.zeros_like(out[h]) for h in out}
     task_losses: dict = {}
     coupling_losses: dict = {}
 
-    expr_rows = [i for i, (_, s) in enumerate(batch) if s.expr is not None]
-    if expr_rows and "expr" in out:
-        acc = 0.0
-        for i in expr_rows:
-            v, grad = softmax_ce_grad(out["expr"][i], batch[i][1].expr, eps)
-            acc += v
-            g["expr"][i] += weights.task("expr") * grad / len(expr_rows)
-        task_losses["expr"] = acc / len(expr_rows)
+    if expr_rows.size and "expr" in out:
+        task_losses["expr"], grad = softmax_ce_grad(out["expr"][expr_rows], expr, eps)
+        g["expr"][expr_rows] += w.task("expr") * grad
 
-    au_rows = [i for i, (_, s) in enumerate(batch) if s.au is not None]
-    if au_rows and "au" in out:
-        acc = 0.0
-        for i in au_rows:
-            s = batch[i][1]
-            v, grad = masked_bce_grad(out["au"][i], s.au, s.au_weights, eps)
-            acc += v
-            g["au"][i] += weights.task("au") * grad / len(au_rows)
-        task_losses["au"] = acc / len(au_rows)
+    if au_rows.size and "au" in out:
+        task_losses["au"], grad = masked_bce_grad(out["au"][au_rows], au, au_weights, eps)
+        g["au"][au_rows] += w.task("au") * grad
 
-    va_rows = [i for i, (_, s) in enumerate(batch) if s.va is not None]
-    if len(va_rows) >= 2 and "va" in out:
-        y = np.array([batch[i][1].va for i in va_rows])
-        v, grad = ccc_loss_grad(y, out["va"][va_rows])
-        task_losses["va"] = v
-        g["va"][va_rows] += weights.task("va") * grad
+    if va_rows.size >= 2 and "va" in out:
+        task_losses["va"], grad = ccc_loss_grad(va, out["va"][va_rows])
+        g["va"][va_rows] += w.task("va") * grad
 
-    if mode in ("soft_co_annotation", "soft_plus_dm") and "expr" in out:
-        sca_rows = [
-            i for i, (name, s) in enumerate(batch)
-            if name == "au" and s.id in sca_targets
-        ]
-        if sca_rows:
-            acc = 0.0
-            for i in sca_rows:
-                v, grad = sca_loss_grad(out["expr"][i], sca_targets[batch[i][1].id], eps)
-                acc += v
-                g["expr"][i] += weights.coupling("sca") * grad / len(sca_rows)
-            coupling_losses["sca"] = acc / len(sca_rows)
+    rows = np.flatnonzero(np.array(names) == "au")
+    if objective.sca_targets is not None and rows.size and "expr" in out:
+        q = objective.sca_targets[np.array(set_rows)[rows]]
+        coupling_losses["sca"], grad = sca_loss_grad(out["expr"][rows], q, eps)
+        g["expr"][rows] += w.coupling("sca") * grad
 
-    if mode in ("distr_matching", "soft_plus_dm") and "expr" in out and "au" in out:
-        r = table.weight_matrix(reweight)
-        acc = 0.0
-        for i in range(n):
-            q = SoftTargets(q_binary=out["expr"][i] @ r)
-            v, grad_p, grad_q = dm_loss_grad(out["au"][i], q, eps)
-            acc += v
-            g["au"][i] += weights.coupling("dm") * grad_p / n
-            g["expr"][i] += weights.coupling("dm") * (r @ grad_q) / n
-        coupling_losses["dm"] = acc / n
+    r = objective.dm_matrix
+    if r is not None and "expr" in out and "au" in out:
+        q = SoftTargets(q_binary=out["expr"] @ r)
+        coupling_losses["dm"], grad_p, grad_q = dm_loss_grad(out["au"], q, eps)
+        g["au"] += w.coupling("dm") * grad_p
+        g["expr"] += w.coupling("dm") * (grad_q @ r.T)
 
-    report = total_mt_loss(task_losses, coupling_losses, weights)
+    report = total_mt_loss(task_losses, coupling_losses, w)
     return report, g, cache
 
 
@@ -287,23 +329,15 @@ def run_train(config: ExperimentConfig) -> dict:
         raise DataError(f"inconsistent feature dimensions across sets: {sorted(dims)}")
     input_dim = dims.pop()
 
-    if config.coupling == "co_annotation":
-        if "expr" in sets:
-            sets["expr"] = [lab.co_annotate_emotion_to_aus(s, table) for s in sets["expr"]]
-        if "au" in sets:
-            sets["au"] = [lab.co_annotate_aus_to_emotion(s, table) for s in sets["au"]]
-    sca_targets = {}
-    if config.coupling in ("soft_co_annotation", "soft_plus_dm") and "au" in sets:
-        sca_targets = {
-            s.id: lab.soft_co_annotate(s, table, config.reweight_observational)
-            for s in sets["au"]
-        }
-
     model = MultiHeadModel(input_dim, hidden=config.hidden, seed=config.seed)
     opt = SGDMomentum(model, lr=config.lr, momentum=config.momentum)
+    sets, objective = build_objective(
+        model, sets, table, config.coupling, config.loss_weights,
+        config.reweight_observational,
+    )
 
     set_names = [n for n in SET_NAMES if n in sets]
-    set_lists = [sets[n] for n in set_names]
+    set_lists = [list(enumerate(sets[n])) for n in set_names]
     sizes = [len(s) for s in set_lists]
     plan_summaries = []
     loss_csv = out_dir / "losses.csv"
@@ -311,7 +345,7 @@ def run_train(config: ExperimentConfig) -> dict:
     with open(loss_csv, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "epoch", "iteration"]
-                   + list(TASK_NAMES) + list(COUPLING_NAMES) + ["total"])
+                   + LossReport.csv_header(TASK_NAMES, COUPLING_NAMES))
         for epoch in range(config.epochs):
             plan = plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * epoch)
             if "va" in set_names:
@@ -319,14 +353,11 @@ def run_train(config: ExperimentConfig) -> dict:
             if epoch == 0:
                 plan_summaries.append(plan.summary())
             for it in range(plan.iteration_count):
-                tagged = [
-                    (set_names[si], s)
-                    for si, s in next_joint_batch(plan, it, set_lists)
+                batch = [
+                    (set_names[si], row, s)
+                    for si, (row, s) in next_joint_batch(plan, it, set_lists)
                 ]
-                report, grads = joint_loss_and_grads(
-                    model, tagged, config.loss_weights, config.coupling,
-                    table, config.reweight_observational, sca_targets,
-                )
+                report, grads = joint_loss_and_grads(model, batch, objective)
                 opt.step(model, grads)
                 w.writerow([step, epoch, it]
                            + report.csv_row(TASK_NAMES, COUPLING_NAMES))
@@ -373,34 +404,28 @@ def evaluate_model(model, samples, median_window: int = 5) -> dict:
     when sequence keys are present."""
     if not samples:
         raise DataError("nothing to evaluate")
-    X = np.stack([s.features for s in samples])
+    X, (expr_rows, expr), (au_rows, au, _), (va_rows, va) = _columns(samples)
     out, _ = model.forward(X)
     results: dict = {}
 
-    expr_rows = [i for i, s in enumerate(samples) if s.expr is not None]
-    if expr_rows and "expr" in out:
-        truth = [samples[i].expr for i in expr_rows]
-        pred = [int(np.argmax(out["expr"][i])) for i in expr_rows]
-        cm = ConfusionMatrix.from_labels(truth, pred, out["expr"].shape[1])
+    if expr_rows.size and "expr" in out:
+        pred = np.argmax(out["expr"][expr_rows], axis=1)
+        cm = ConfusionMatrix.from_labels(expr, pred, out["expr"].shape[1])
         results["expr"] = classification_metrics(cm)
         results["expr"]["confusion"] = cm.counts.tolist()
 
-    au_rows = [i for i, s in enumerate(samples) if s.au is not None]
-    if au_rows and "au" in out:
-        truth = np.stack([samples[i].au for i in au_rows])
-        results["au"] = au_metrics(out["au"][au_rows], truth)
+    if au_rows.size and "au" in out:
+        results["au"] = au_metrics(out["au"][au_rows], au)
 
-    va_rows = [i for i, s in enumerate(samples) if s.va is not None]
-    if len(va_rows) >= 2 and "va" in out:
-        truth = np.array([samples[i].va for i in va_rows])
+    if va_rows.size >= 2 and "va" in out:
         pred = out["va"][va_rows]
-        results["va"] = va_metrics(truth, pred)
+        results["va"] = va_metrics(va, pred)
         keyed = [i for i in va_rows if samples[i].sequence_key is not None]
         if len(keyed) == len(va_rows):
             filtered = _median_filter_by_video(
                 [samples[i] for i in va_rows], pred, median_window
             )
-            results["va_filtered"] = va_metrics(truth, filtered)
+            results["va_filtered"] = va_metrics(va, filtered)
     return results
 
 
@@ -445,36 +470,18 @@ def run_gradcheck(
     spec = GeneratorSpec(relatedness=table, feature_dim=input_dim, seed=seed)
     per = max(2, batch_size // 3)
     va_set, au_set, expr_set = generate(spec, 3 * per)
-    tagged = (
-        [("va", s) for s in va_set[:per]]
-        + [("au", s) for s in au_set[:per]]
-        + [("expr", s) for s in expr_set[:per]]
-    )
-    weights = LossWeights()
+    sets = {"va": va_set[:per], "au": au_set[:per], "expr": expr_set[:per]}
     report = {}
     for mode in modes:
-        batch = [(name, s) for name, s in tagged]
-        if mode == "co_annotation":
-            batch = [
-                (name, lab.co_annotate_emotion_to_aus(s, table) if name == "expr" else s)
-                for name, s in batch
-            ]
-            batch = [
-                (name, lab.co_annotate_aus_to_emotion(s, table) if name == "au" else s)
-                for name, s in batch
-            ]
-        sca = {}
-        if mode in ("soft_co_annotation", "soft_plus_dm"):
-            sca = {
-                s.id: lab.soft_co_annotate(s, table, True)
-                for name, s in batch
-                if name == "au"
-            }
         model = MultiHeadModel(input_dim, hidden=hidden, seed=seed)
+        mode_sets, objective = build_objective(model, sets, table, mode, LossWeights())
+        batch = [
+            (name, row, s) for name in SET_NAMES for row, s in enumerate(mode_sets[name])
+        ]
         err = gradient_check(
             model,
-            value_fn=lambda m: joint_loss_value(m, batch, weights, mode, table, True, sca),
-            grad_fn=lambda m: joint_loss_and_grads(m, batch, weights, mode, table, True, sca)[1],
+            value_fn=lambda m: joint_loss_value(m, batch, objective),
+            grad_fn=lambda m: joint_loss_and_grads(m, batch, objective)[1],
             rng=np.random.default_rng(seed),
         )
         report[mode] = float(err)

@@ -160,3 +160,80 @@ def test_gradcheck_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli, "run_gradcheck", boom)
     assert main(["gradcheck"]) == 3
+
+
+def test_train_prints_the_output_directory(workspace, tmp_path, capsys):
+    config = json.loads((workspace / "config.json").read_text())
+    config["out_dir"] = str(tmp_path / "printed")
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "c.json")]) == 0
+    assert f"-> {tmp_path / 'printed'}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("loss_weights", [{"tasks": {"au": -0.5}}, {"epsilon": 1.0}])
+def test_train_bad_loss_weights_exit_code(workspace, tmp_path, loss_weights):
+    config = json.loads((workspace / "config.json").read_text())
+    config["loss_weights"] = loss_weights
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "c.json")]) == 1
+
+
+def _eval(workspace, data, checkpoint=None):
+    checkpoint = checkpoint or workspace / "run" / "model.bin"
+    return main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)])
+
+
+@pytest.mark.parametrize("damage", ["trailing", "missing_key"])
+def test_eval_malformed_checkpoint_exit_code(workspace, tmp_path, damage):
+    blob = (workspace / "run" / "model.bin").read_bytes()
+    if damage == "trailing":
+        blob += b"\0"
+    else:
+        hlen = int.from_bytes(blob[:8], "little")
+        header = json.loads(blob[8 : 8 + hlen])
+        del header["input_dim"]
+        raw = json.dumps(header).encode()
+        blob = len(raw).to_bytes(8, "little") + raw + blob[8 + hlen :]
+    (tmp_path / "model.bin").write_bytes(blob)
+    assert _eval(workspace, workspace / "data" / "full.csv", tmp_path / "model.bin") == 2
+
+
+def _rewrite_first_row(src, dst, **cells):
+    with open(src, newline="") as f:
+        rows = list(csv.DictReader(f))
+    rows[0].update(cells)
+    with open(dst, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
+
+
+@pytest.mark.parametrize("cells", [
+    {"f0": "abc"},
+    {"valence": "high", "arousal": "0.1"},
+    {"expr": "happy"},
+    {"expr": "9"},
+    {"au_12": "yes"},
+    {"au_12": "2"},
+    {"video_id": "v0", "frame_idx": "first"},
+    {"f3": "nan"},
+    {"f3": "inf"},
+])
+def test_eval_malformed_csv_cell_exit_code(workspace, tmp_path, capsys, cells):
+    data = tmp_path / "bad.csv"
+    _rewrite_first_row(workspace / "data" / "full.csv", data, **cells)
+    assert _eval(workspace, data) == 2
+    assert f"{data}, line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ref",
+    ["missing.npy:0", "empty.npy:0", "feats.npy:7", "feats.npy:-1", "feats.npy:x", "feats.npy"],
+)
+def test_eval_bad_feature_file_reference_exit_code(workspace, tmp_path, capsys, ref):
+    np.save(tmp_path / "feats.npy", np.zeros((2, 10)))
+    (tmp_path / "empty.npy").write_bytes(b"")
+    data = tmp_path / "npy.csv"
+    data.write_text(f"id,feature_file,expr\na,feats.npy:0,1\nb,{ref},2\n")
+    assert _eval(workspace, data) == 2
+    assert f"{data}, line 3" in capsys.readouterr().err

@@ -4,10 +4,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affectmtl import ConfigError, DataError, ExperimentConfig, domain_table
-from affectmtl.labels import write_samples_csv
-from affectmtl.synthdata import GeneratorSpec, generate
-from affectmtl.training import run_eval, run_gradcheck, run_train
+from affectmtl import (
+    EMOTIONS,
+    ConfigError,
+    DataError,
+    ExperimentConfig,
+    LossWeights,
+    MultiHeadModel,
+    domain_table,
+)
+from affectmtl.labels import HeterogeneousSample, soft_co_annotate, write_samples_csv
+from affectmtl.losses import (
+    SoftTargets,
+    ccc_loss_grad,
+    dm_loss_grad,
+    masked_bce_grad,
+    sca_loss_grad,
+    softmax_ce_grad,
+)
+from affectmtl.synthdata import GeneratorSpec, generate, generate_full
+from affectmtl.training import _joint_loss, build_objective, run_eval, run_gradcheck, run_train
 
 TABLE = domain_table()
 
@@ -161,3 +177,129 @@ def test_run_gradcheck_passes_all_modes():
     report = run_gradcheck(batch_size=9, hidden=(8,), input_dim=8)
     assert set(report) == {"none", "co_annotation", "soft_co_annotation", "distr_matching", "soft_plus_dm"}
     assert max(report.values()) < 1e-5
+
+
+# -- batch-form objective --------------------------------------------------
+
+
+def _reference_loss(model, batch, mode, table, weights):
+    """Per-row loop over the batch: every loss term sample by sample, SCA
+    targets from ``soft_co_annotate``, DM targets from one row at a time."""
+    out, _ = model.forward(np.stack([s.features for _, _, s in batch]))
+    eps = weights.epsilon
+    g = {h: np.zeros_like(v) for h, v in out.items()}
+    losses = {}
+
+    def mean_over(rows, term, head, weight):
+        acc = 0.0
+        for i in rows:
+            v, grad = term(i, batch[i][2])
+            acc += v
+            g[head][i] += weight * grad / len(rows)
+        return acc / len(rows)
+
+    rows = [i for i, (_, _, s) in enumerate(batch) if s.expr is not None]
+    losses["expr"] = mean_over(
+        rows, lambda i, s: softmax_ce_grad(out["expr"][i], s.expr, eps),
+        "expr", weights.task("expr"),
+    )
+    rows = [i for i, (_, _, s) in enumerate(batch) if s.au is not None]
+    losses["au"] = mean_over(
+        rows, lambda i, s: masked_bce_grad(out["au"][i], s.au, s.au_weights, eps),
+        "au", weights.task("au"),
+    )
+    rows = [i for i, (_, _, s) in enumerate(batch) if s.va is not None]
+    losses["va"], grad = ccc_loss_grad(np.array([batch[i][2].va for i in rows]), out["va"][rows])
+    g["va"][rows] += weights.task("va") * grad
+    if mode in ("soft_co_annotation", "soft_plus_dm"):
+        rows = [i for i, (name, _, _) in enumerate(batch) if name == "au"]
+        losses["sca"] = mean_over(
+            rows, lambda i, s: sca_loss_grad(out["expr"][i], soft_co_annotate(s, table), eps),
+            "expr", weights.coupling("sca"),
+        )
+    if mode in ("distr_matching", "soft_plus_dm"):
+        r = table.weight_matrix(True)
+        acc = 0.0
+        for i in range(len(batch)):
+            q = SoftTargets(q_binary=out["expr"][i] @ r)
+            v, grad_p, grad_q = dm_loss_grad(out["au"][i], q, eps)
+            acc += v
+            g["au"][i] += weights.coupling("dm") * grad_p / len(batch)
+            g["expr"][i] += weights.coupling("dm") * (r @ grad_q) / len(batch)
+        losses["dm"] = acc / len(batch)
+    return losses, g
+
+
+@pytest.mark.parametrize(
+    "mode", ["none", "co_annotation", "soft_co_annotation", "distr_matching", "soft_plus_dm"]
+)
+def test_batch_objective_matches_per_row_loop(mode):
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
+    va_set, au_set, expr_set = generate(spec, 180)
+    sets = {"va": va_set[:40], "au": au_set[:50], "expr": expr_set[:45]}
+    weights = LossWeights({"expr": 0.7, "va": 1.3}, {"sca": 0.6, "dm": 1.7})
+    model = MultiHeadModel(8, hidden=(16,), seed=1)
+    sets, objective = build_objective(model, sets, TABLE, mode, weights)
+    # rows in a shuffled order, as the epoch plan draws them
+    rng = np.random.default_rng(0)
+    batch = [
+        (name, int(row), sets[name][row])
+        for name in ("va", "au", "expr") for row in rng.permutation(len(sets[name]))
+    ]
+    if mode == "co_annotation":
+        assert any(s.au_weights is not None for _, _, s in batch)
+    report, g, _ = _joint_loss(model, batch, objective)
+    losses, g_ref = _reference_loss(model, batch, mode, TABLE, weights)
+    assert set(report.task_losses) | set(report.coupling_losses) == set(losses)
+    for name, v in {**report.task_losses, **report.coupling_losses}.items():
+        assert abs(v - losses[name]) <= 1e-12, name
+    for head in g_ref:
+        assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
+
+
+def test_sca_targets_follow_rows_not_ids():
+    happy, sad = np.zeros(17), np.zeros(17)
+    happy[[4, 9, 15]] = 1.0  # AU6, AU12, AU25
+    sad[[2, 10]] = 1.0  # AU4, AU15
+    au_set = [HeterogeneousSample("dup", np.zeros(8), au=a) for a in (happy, sad)]
+    model = MultiHeadModel(8, hidden=(4,))
+    _, objective = build_objective(
+        model, {"au": au_set}, TABLE, "soft_co_annotation", LossWeights()
+    )
+    for s, q in zip(au_set, objective.sca_targets):
+        assert np.allclose(q, soft_co_annotate(s, TABLE).q, atol=1e-15)
+    assert not np.allclose(objective.sca_targets[0], objective.sca_targets[1])
+
+
+def test_table_head_mismatch_is_a_data_error(tmp_path):
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=3)
+    anger = EMOTIONS.index("anger")
+    corpus = [s for s in generate_full(spec, 400) if s.expr != anger]
+    write_samples_csv(tmp_path / "corpus.csv", corpus)
+    for name, group in zip(("va", "au", "expr"), generate(spec, 120)):
+        write_samples_csv(tmp_path / f"{name}.csv", group)
+    config = make_config(
+        tmp_path, tmp_path / "run", epochs=1, coupling="distr_matching",
+        relatedness={"source": "empirical", "corpus": str(tmp_path / "corpus.csv")},
+    )
+    with pytest.raises(DataError, match="relatedness table shape"):
+        run_train(config)
+
+
+@pytest.mark.parametrize("relatedness, error", [
+    ({"source": "file"}, ConfigError),
+    ({"source": "file", "path": "broken.json"}, DataError),
+])
+def test_relatedness_file_errors_are_typed(dataset_dir, tmp_path, relatedness, error):
+    (tmp_path / "broken.json").write_text("{not json")
+    if "path" in relatedness:
+        relatedness = {**relatedness, "path": str(tmp_path / relatedness["path"])}
+    config = make_config(dataset_dir, tmp_path / "run", relatedness=relatedness)
+    with pytest.raises(error, match="relatedness"):
+        run_train(config)
+
+
+@pytest.mark.parametrize("loss_weights", [{"tasks": {"expr": -1.0}}, {"epsilon": 0.5}])
+def test_loss_weight_errors_are_config_errors(dataset_dir, tmp_path, loss_weights):
+    with pytest.raises(ConfigError):
+        make_config(dataset_dir, tmp_path / "run", loss_weights=loss_weights)
