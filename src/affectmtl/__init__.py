@@ -32,7 +32,6 @@ from .losses import (
 )
 from .model import (
     MultiHeadModel,
-    PredictionBundle,
     SGDMomentum,
     gradient_check,
     median_filter,
@@ -51,10 +50,9 @@ from .scheduler import EpochPlan, next_joint_batch, plan_epoch
 from .training import ExperimentConfig, run_eval, run_gradcheck, run_train
 from .zeroshot import (
     CompoundClass,
-    CompoundScore,
+    CompoundScores,
     compound_scores,
     default_compound_classes,
     load_compound_profiles,
-    predict_compound,
     save_compound_profiles,
 )

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import labels as lab
 from . import relatedness as rel
-from .errors import AffectMTLError, ConfigError
+from .errors import AffectMTLError, ConfigError, DataError
 from .model import MultiHeadModel
 from .synthdata import GeneratorSpec, generate, generate_full
 from .training import ExperimentConfig, run_eval, run_gradcheck, run_train, _versions
-from .zeroshot import compound_scores, load_compound_profiles, predict_compound
+from .zeroshot import compound_scores, load_compound_profiles
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, extra: dict | None = None):
@@ -102,28 +102,28 @@ def _cmd_zero_shot(args) -> int:
     model = MultiHeadModel.load(args.checkpoint)
     classes = load_compound_profiles(args.profiles)
     samples = lab.read_samples_csv(args.data)
-    bundles = model.predict(np.stack([s.features for s in samples]))
-    truth = _read_compound_column(args.data)
-    rows = []
-    correct = total_scored = 0
-    for s, b in zip(samples, bundles):
-        scores = compound_scores(b, classes)
-        pred = predict_compound(scores)
-        for ci, (c, sc) in enumerate(zip(classes, scores)):
-            rows.append([s.id, c.name, repr(sc.i_au), repr(sc.f_emo),
-                         repr(sc.d_va), repr(sc.total), int(ci == pred)])
-        if truth is not None and truth.get(s.id):
-            total_scored += 1
-            correct += int(classes[pred].name == truth[s.id])
+    heads, _ = model.forward(np.stack([s.features for s in samples]))
+    try:
+        scores = compound_scores(heads, classes)
+    except DataError as e:
+        raise DataError(f"checkpoint {args.checkpoint}: {e}") from e
+    # one CSV row per (sample, class); the csv module writes floats with repr
+    n, n_classes = scores.total.shape
+    picked = np.arange(n_classes) == scores.predicted[:, None]
+    terms = [a.ravel().tolist() for a in (scores.i_au, scores.f_emo, scores.d_va, scores.total)]
+    columns = [[s.id for s in samples for _ in classes], [c.name for c in classes] * n, *terms,
+               picked.ravel().astype(int).tolist()]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "compound_scores.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"])
-        w.writerows(rows)
+        w.writerows(zip(*columns))
     extra = {}
-    if total_scored:
-        extra["compound_accuracy"] = correct / total_scored
+    truth = _read_compound_column(args.data)
+    hits = [classes[p].name == t for p, t in zip(scores.predicted.tolist(), truth or []) if t]
+    if hits:
+        extra["compound_accuracy"] = sum(hits) / len(hits)
         (out / "metrics.json").write_text(json.dumps(extra, indent=2, sort_keys=True))
     _write_manifest(out, "zero-shot",
                     {"checkpoint": args.checkpoint, "profiles": args.profiles,
@@ -132,12 +132,13 @@ def _cmd_zero_shot(args) -> int:
     return 0
 
 
-def _read_compound_column(path) -> dict | None:
+def _read_compound_column(path) -> list | None:
+    """The optional ``compound`` truth column, one entry per data row in file order."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None or "compound" not in reader.fieldnames:
             return None
-        return {row["id"]: row["compound"] for row in reader}
+        return [row["compound"] for row in reader]
 
 
 def _cmd_gradcheck(args) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +20,6 @@ HEAD_KINDS = ("tanh", "softmax", "sigmoid")
 
 # Case-I default head layout: VA pair, 7 expressions, 17 AUs.
 DEFAULT_HEADS = {"va": ("tanh", 2), "expr": ("softmax", 7), "au": ("sigmoid", 17)}
-
-
-@dataclass
-class PredictionBundle:
-    """Per-sample task outputs."""
-
-    va: tuple[float, float] | None = None
-    expr_probs: np.ndarray | None = None
-    au_probs: np.ndarray | None = None
-    extra: dict | None = None
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -109,25 +98,6 @@ class MultiHeadModel:
                 e = np.exp(z - z.max(axis=1, keepdims=True))
                 out[name] = e / e.sum(axis=1, keepdims=True)
         return out, {"acts": acts, "out": out}
-
-    def predict(self, X) -> list[PredictionBundle]:
-        """Forward pass returning one PredictionBundle per input row."""
-        out, _ = self.forward(X)
-        n = next(iter(out.values())).shape[0]
-        bundles = []
-        for i in range(n):
-            b = PredictionBundle(extra={})
-            for name, vals in out.items():
-                if name == "va":
-                    b.va = (float(vals[i, 0]), float(vals[i, 1]))
-                elif name == "expr":
-                    b.expr_probs = vals[i]
-                elif name == "au":
-                    b.au_probs = vals[i]
-                else:
-                    b.extra[name] = vals[i]
-            bundles.append(b)
-        return bundles
 
     def backward(self, cache, out_grads: dict):
         """Backprop loss gradients on head outputs to parameter gradients.

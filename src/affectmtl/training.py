@@ -42,6 +42,30 @@ SET_NAMES = ("va", "au", "expr")
 TASK_NAMES = ("expr", "au", "va")
 COUPLING_NAMES = ("sca", "dm")
 
+# The keys a config may hold, section by section; a dict value is a section
+# whose own keys are checked too. The top level matches ``to_dict``.
+CONFIG_KEYS = {
+    **dict.fromkeys(("data", "coupling", "reweight_observational", "max_batch", "epochs",
+                     "holdout_fraction", "median_filter_window", "seed", "out_dir")),
+    "relatedness": dict.fromkeys(("source", "path", "corpus", "threshold")),
+    "loss_weights": {"tasks": dict.fromkeys(TASK_NAMES),
+                     "couplings": dict.fromkeys(COUPLING_NAMES), "epsilon": None},
+    "model": {"hidden": None},
+    "optimizer": dict.fromkeys(("lr", "momentum")),
+}
+
+
+def _check_keys(d, allowed: dict, where: str = "config") -> None:
+    """Reject keys that no setting reads, so a typo cannot fall back to a default."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    for key, section in allowed.items():
+        if section is not None and key in d:
+            _check_keys(d[key], section, f"{where}.{key}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -77,6 +101,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        _check_keys(d, CONFIG_KEYS)
         lw = d.get("loss_weights", {})
         try:
             return cls(

@@ -3,6 +3,7 @@
 Each compound class blends two basic emotions and carries an AU profile. The
 candidate score sums an AU agreement term, the two constituent emotion
 probabilities, and a valence-sign bonus restricted to positive-valence blends.
+Every (sample, class) pair is scored at once, as matrix operations over a batch.
 """
 
 from __future__ import annotations
@@ -14,10 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .model import PredictionBundle
+from .model import DEFAULT_HEADS
 from .relatedness import CANONICAL_AUS, EMOTIONS, RelatednessTable
 
 _AU_TO_INDEX = {au: i for i, au in enumerate(CANONICAL_AUS)}
+
+
+def _is(value, kinds) -> bool:
+    """``isinstance`` that does not let a bool pass for a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -34,49 +40,58 @@ class CompoundClass:
     requires_positive_valence: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"compound name {self.name!r} is not a string")
+        for emo in (self.emo1, self.emo2):
+            if not _is(emo, (int, np.integer)) or not 0 <= emo < len(EMOTIONS):
+                raise DataError(f"compound {self.name!r}: emotion index {emo!r} outside 0..6")
         if self.emo1 == self.emo2:
             raise DataError(f"compound {self.name!r}: constituent emotions must differ")
+        if not isinstance(self.requires_positive_valence, bool):
+            raise DataError(f"compound {self.name!r}: positive valence flag must be true or false")
         if not self.au_profile:
             raise DataError(f"compound {self.name!r}: empty AU profile")
         for au, w in self.au_profile.items():
             if au not in _AU_TO_INDEX:
                 raise DataError(f"compound {self.name!r}: AU{au} outside the canonical set")
-            if not 0.0 < w <= 1.0:
-                raise DataError(f"compound {self.name!r}: weight {w} outside (0, 1]")
+            if not _is(w, (int, float)) or not 0.0 < w <= 1.0:
+                raise DataError(f"compound {self.name!r}: weight {w!r} outside (0, 1]")
 
 
 @dataclass(frozen=True)
-class CompoundScore:
-    """Candidate-score decomposition for one compound class."""
+class CompoundScores:
+    """Score terms of every (sample, compound class) pair as (n, C) arrays.
 
-    i_au: float
-    f_emo: float
-    d_va: float
-    total: float
+    ``predicted`` is each row's argmax of ``total``; ties go to the lowest index.
+    """
 
-
-def compound_scores(bundle: PredictionBundle, classes) -> list[CompoundScore]:
-    """Score every compound class from one sample's prediction bundle."""
-    if bundle.au_probs is None or bundle.expr_probs is None or bundle.va is None:
-        raise DataError("compound scoring needs AU, expression, and VA outputs")
-    scores = []
-    for c in classes:
-        w = np.array(list(c.au_profile.values()))
-        idx = np.array([_AU_TO_INDEX[au] for au in c.au_profile])
-        i_au = float(w @ bundle.au_probs[idx] / w.sum())
-        f_emo = float(bundle.expr_probs[c.emo1] + bundle.expr_probs[c.emo2])
-        d_va = 1.0 if c.requires_positive_valence and bundle.va[0] > 0 else 0.0
-        scores.append(CompoundScore(i_au, f_emo, d_va, i_au + f_emo + d_va))
-    return scores
+    i_au: np.ndarray
+    f_emo: np.ndarray
+    d_va: np.ndarray
+    total: np.ndarray
+    predicted: np.ndarray
 
 
-def predict_compound(scores) -> int:
-    """Index of the maximum candidate score; ties break to the lowest index."""
-    scores = list(scores)
-    if not scores:
-        raise DataError("no compound scores to rank")
-    totals = [s.total for s in scores]
-    return int(np.argmax(totals))
+def compound_scores(out: dict, classes) -> CompoundScores:
+    """Score every compound class for every row of ``MultiHeadModel.forward`` outputs.
+
+    ``out`` maps head name to its (n, width) outputs and needs the ``va``,
+    ``expr`` and ``au`` heads of the default layout.
+    """
+    for name, (_, width) in DEFAULT_HEADS.items():
+        if name not in out or np.shape(out[name])[1:] != (width,):
+            raise DataError(f"compound scoring needs a {width}-wide {name!r} head output")
+    classes = list(classes)
+    if not classes:
+        raise DataError("no compound classes to score")
+    profiles = np.array([[c.au_profile.get(au, 0.0) for au in CANONICAL_AUS] for c in classes])
+    pairs = np.array([(c.emo1, c.emo2) for c in classes])
+    positive = np.array([c.requires_positive_valence for c in classes])
+    i_au = out["au"] @ profiles.T / profiles.sum(axis=1)
+    f_emo = out["expr"][:, pairs[:, 0]] + out["expr"][:, pairs[:, 1]]
+    d_va = ((out["va"][:, :1] > 0) & positive).astype(float)
+    total = i_au + f_emo + d_va
+    return CompoundScores(i_au, f_emo, d_va, total, total.argmax(axis=1))
 
 
 def compound_class_from_emotions(
@@ -90,11 +105,11 @@ def compound_class_from_emotions(
 
     AUs present in both constituents take the larger weight.
     """
-    profile: dict[int, float] = {}
-    for emo in (emo1, emo2):
-        for e in table.lookup(emo):
-            au = CANONICAL_AUS[e.index]
-            profile[au] = max(profile.get(au, 0.0), e.weight)
+    r = table.weight_matrix(reweight=True)
+    if not {emo1, emo2} <= set(range(len(r))):
+        raise DataError(f"compound {name!r}: emotion index outside the table's {len(r)} classes")
+    row = np.maximum(r[emo1], r[emo2])
+    profile = {CANONICAL_AUS[i]: float(row[i]) for i in np.flatnonzero(row)}
     return CompoundClass(name, emo1, emo2, profile, positive_valence)
 
 
@@ -139,19 +154,26 @@ def save_compound_profiles(path, classes) -> None:
 
 
 def load_compound_profiles(path) -> list[CompoundClass]:
+    """Read a profile file as written by :func:`save_compound_profiles`."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: invalid JSON or UTF-8
         raise DataError(f"cannot read compound profiles {path}: {e}") from e
-    if not payload:
-        raise DataError(f"empty compound profile file: {path}")
-    return [
-        CompoundClass(
-            name=d["name"],
-            emo1=int(d["emo1"]),
-            emo2=int(d["emo2"]),
-            au_profile={int(au): float(w) for au, w in d["aus"].items()},
-            requires_positive_valence=bool(d.get("positive_valence", False)),
-        )
-        for d in payload
-    ]
+    if not isinstance(payload, list) or not payload:
+        raise DataError(f"compound profile file {path} must hold a non-empty JSON list")
+    try:
+        return [_profile_from_dict(d) for d in payload]
+    except DataError as e:
+        raise DataError(f"compound profile file {path}: {e}") from e
+
+
+def _profile_from_dict(d) -> CompoundClass:
+    if not isinstance(d, dict) or not d.keys() >= {"name", "emo1", "emo2", "aus"}:
+        raise DataError(f"entry {d!r} is not an object with name, emo1, emo2 and aus")
+    if not isinstance(d["aus"], dict):
+        raise DataError(f"entry {d['name']!r}: aus {d['aus']!r} is not an object")
+    profile = {int(au): w for au, w in d["aus"].items() if au.isdecimal()}
+    if len(profile) != len(d["aus"]):
+        raise DataError(f"entry {d['name']!r}: AU keys {list(d['aus'])} are not distinct numbers")
+    return CompoundClass(d["name"], d["emo1"], d["emo2"], profile,
+                         d.get("positive_valence", False))

@@ -15,7 +15,6 @@ from affectmtl import (
     EMOTIONS,
     ExperimentConfig,
     HeterogeneousSample,
-    PredictionBundle,
     ccc,
     clean_va_expr,
     compound_scores,
@@ -195,28 +194,22 @@ def test_criterion_7_coupling_benefit_trend(benefit_dataset):
             f"vs single-task {margin_single:+.4f}")
 
 
-def test_criterion_8_zero_shot_mechanics():
+def test_criterion_8_zero_shot_mechanics(reference_compound_scores):
     classes = default_compound_classes(TABLE)
     rng = np.random.default_rng(8)
-    ok = True
-    for _ in range(10_000):
-        bundle = PredictionBundle(
-            va=tuple(rng.uniform(-1, 1, 2)),
-            expr_probs=rng.dirichlet(np.ones(7)),
-            au_probs=rng.random(17),
-        )
-        for s in compound_scores(bundle, classes):
-            ok = ok and 0.0 <= s.i_au <= 1.0 and 0.0 <= s.f_emo <= 1.0
-            ok = ok and s.d_va in (0.0, 1.0) and s.total == s.i_au + s.f_emo + s.d_va
+    n = 10_000
+    out = {"va": rng.uniform(-1, 1, (n, 2)), "expr": rng.dirichlet(np.ones(7), n),
+           "au": rng.random((n, 17))}
+    s = compound_scores(out, classes)
+    ok = bool(((0.0 <= s.i_au) & (s.i_au <= 1.0) & (0.0 <= s.f_emo) & (s.f_emo <= 1.0)).all())
+    ok = ok and np.isin(s.d_va, (0.0, 1.0)).all()
+    ok = ok and np.array_equal(s.total, s.i_au + s.f_emo + s.d_va)
+    terms = np.stack([s.i_au, s.f_emo, s.d_va, s.total], axis=2)
+    ok = ok and np.abs(terms - reference_compound_scores(out, classes)).max() <= 1e-12
     flagged = next(c for c in classes if c.requires_positive_valence)
-    flips = []
-    for v in (-1e-9, 0.0, 1e-9):
-        bundle = PredictionBundle(
-            va=(v, 0.0), expr_probs=np.full(7, 1 / 7), au_probs=np.full(17, 0.5)
-        )
-        (score,) = compound_scores(bundle, [flagged])
-        flips.append(score.d_va)
-    ok = ok and flips == [0.0, 0.0, 1.0]
+    va = np.array([[-1e-9, 0.0], [0.0, 0.0], [1e-9, 0.0]])
+    flat = {"va": va, "expr": np.full((3, 7), 1 / 7), "au": np.full((3, 17), 0.5)}
+    ok = ok and compound_scores(flat, [flagged]).d_va[:, 0].tolist() == [0.0, 0.0, 1.0]
     verdict(8, "compound score ranges and valence-sign flip at zero", ok)
 
 

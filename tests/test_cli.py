@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affectmtl import domain_table, save_compound_profiles, default_compound_classes
+from affectmtl import MultiHeadModel, domain_table, save_compound_profiles, default_compound_classes
 from affectmtl.cli import main
 from affectmtl.labels import write_samples_csv
 from affectmtl.synthdata import GeneratorSpec, generate_full
@@ -142,6 +144,101 @@ def test_zero_shot_with_compound_truth(workspace, tmp_path):
     ]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert 0.0 <= metrics["compound_accuracy"] <= 1.0
+
+
+def _zero_shot(workspace, profiles, data, out, checkpoint=None):
+    checkpoint = checkpoint or workspace / "run" / "model.bin"
+    return main(["zero-shot", "--checkpoint", str(checkpoint), "--profiles", str(profiles),
+                 "--data", str(data), "--out", str(out)])
+
+
+def test_zero_shot_accuracy_lines_up_truth_by_row(workspace, tmp_path):
+    # two rows share an id and features but carry different compound labels
+    header, row = (workspace / "data" / "expr.csv").read_text().splitlines()[:2]
+    profiles = tmp_path / "profiles.json"
+    save_compound_profiles(profiles, default_compound_classes(TABLE))
+    (tmp_path / "one.csv").write_text(f"{header}\n{row}\n")
+    assert _zero_shot(workspace, profiles, tmp_path / "one.csv", tmp_path / "probe") == 0
+    with open(tmp_path / "probe" / "compound_scores.csv") as f:
+        picked = next(r["class"] for r in csv.DictReader(f) if r["predicted"] == "1")
+    other = next(c.name for c in default_compound_classes(TABLE) if c.name != picked)
+    data = tmp_path / "twice.csv"
+    data.write_text(f"{header},compound\n{row},{picked}\n{row},{other}\n")
+    assert _zero_shot(workspace, profiles, data, tmp_path / "zs") == 0
+    metrics = json.loads((tmp_path / "zs" / "metrics.json").read_text())
+    assert metrics["compound_accuracy"] == 0.5
+
+
+@pytest.mark.parametrize("key, value", [
+    ("emo1", -1), ("emo2", 7), ("positive_valence", "false"), ("aus", {"12": "x"}),
+    ("aus", {"twelve": 1.0}), ("aus", [12]),
+])
+def test_zero_shot_malformed_profile_exit_code(workspace, tmp_path, capsys, key, value):
+    profiles = tmp_path / "profiles.json"
+    save_compound_profiles(profiles, default_compound_classes(TABLE))
+    payload = json.loads(profiles.read_text())
+    payload[0][key] = value
+    profiles.write_text(json.dumps(payload))
+    assert _zero_shot(workspace, profiles, workspace / "data" / "expr.csv", tmp_path / "zs") == 2
+    assert str(profiles) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("heads", [
+    {"va": ("tanh", 2), "expr": ("softmax", 7), "au": ("sigmoid", 5)},
+    {"expr": ("softmax", 7), "au": ("sigmoid", 17)},
+])
+def test_zero_shot_checkpoint_heads_exit_code(workspace, tmp_path, capsys, heads):
+    checkpoint = tmp_path / "model.bin"
+    MultiHeadModel(10, hidden=(4,), heads=heads).save(checkpoint)
+    profiles = tmp_path / "profiles.json"
+    save_compound_profiles(profiles, default_compound_classes(TABLE))
+    data = workspace / "data" / "expr.csv"
+    assert _zero_shot(workspace, profiles, data, tmp_path / "zs", checkpoint) == 2
+    assert str(checkpoint) in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_profile_files(draw, payload):
+    """The bytes of a valid profile ``payload`` after one structural or textual mutation."""
+    entry = draw(st.sampled_from(payload))
+    au = draw(st.sampled_from(sorted(entry["aus"])))
+    kinds = ["value", "drop", "entry", "au_key", "au_weight", "payload", "bytes"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "value":
+        entry[draw(st.sampled_from(sorted(entry)))] = draw(JSON_VALUES)
+    elif kind == "drop":
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    elif kind == "entry":
+        payload[payload.index(entry)] = draw(JSON_VALUES)
+    elif kind == "au_key":
+        entry["aus"][draw(st.text(max_size=4))] = entry["aus"].pop(au)
+    elif kind == "au_weight":
+        entry["aus"][au] = draw(JSON_VALUES)
+    elif kind == "payload":
+        payload = draw(JSON_VALUES)
+    blob = json.dumps(payload).encode()
+    if kind == "bytes":
+        cut = draw(st.integers(0, len(blob)))
+        blob = blob[:cut] + draw(st.binary(max_size=3)) + blob[cut + draw(st.integers(0, 3)):]
+    return blob
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_shot_mutated_profile_file_exit_code(workspace, data):
+    profiles = workspace / "mutated.json"
+    save_compound_profiles(profiles, default_compound_classes(TABLE))
+    profiles.write_bytes(data.draw(mutated_profile_files(json.loads(profiles.read_text()))))
+    data_csv, out = workspace / "data" / "expr.csv", workspace / "zs_mutated"
+    assert _zero_shot(workspace, profiles, data_csv, out) in (0, 2)
 
 
 def test_gradcheck_command(capsys):

@@ -204,11 +204,3 @@ def test_checkpoint_round_trip(tmp_path):
     o2, _ = m2.forward(X)
     for k in o1:
         assert np.array_equal(o1[k], o2[k])
-
-
-def test_predict_bundles():
-    m = small_model(seed=14)
-    bundles = m.predict(np.random.default_rng(14).normal(size=(4, 5)))
-    assert len(bundles) == 4
-    b = bundles[0]
-    assert len(b.va) == 2 and b.expr_probs.shape == (7,) and b.au_probs.shape == (17,)

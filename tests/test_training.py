@@ -303,3 +303,27 @@ def test_relatedness_file_errors_are_typed(dataset_dir, tmp_path, relatedness, e
 def test_loss_weight_errors_are_config_errors(dataset_dir, tmp_path, loss_weights):
     with pytest.raises(ConfigError):
         make_config(dataset_dir, tmp_path / "run", loss_weights=loss_weights)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"epochz": 50},
+    {"model": {"hidden": [8], "dropout": 0.1}},
+    {"model": [16]},
+    {"optimizer": {"learning_rate": 0.1}},
+    {"loss_weights": {"tasks": {"expresion": 0.0}}},
+    {"loss_weights": {"couplings": {"dms": 0.5}}},
+    {"loss_weights": {"eps": 1e-6}},
+    {"relatedness": {"source": "file", "file": "table.json"}},
+])
+def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides):
+    with pytest.raises(ConfigError, match="config"):
+        make_config(dataset_dir, tmp_path / "run", **overrides)
+
+
+def test_config_keys_round_trip(dataset_dir, tmp_path):
+    config = make_config(dataset_dir, tmp_path / "run", relatedness={
+        "source": "empirical", "corpus": "c.csv", "threshold": 0.2, "path": "t.json"},
+        loss_weights={"tasks": {"expr": 0.5}, "couplings": {"dm": 2.0}, "epsilon": 1e-6})
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(["not", "an", "object"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,23 +8,33 @@ from affectmtl import (
     EMOTIONS,
     CompoundClass,
     DataError,
-    PredictionBundle,
     compound_scores,
     default_compound_classes,
     domain_table,
     load_compound_profiles,
-    predict_compound,
     save_compound_profiles,
 )
+from affectmtl.zeroshot import compound_class_from_emotions
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
 
 
-def bundle(expr=None, au=None, va=(0.0, 0.0)):
-    expr_probs = np.full(7, 1 / 7) if expr is None else np.asarray(expr, float)
-    au_probs = np.full(17, 0.5) if au is None else np.asarray(au, float)
-    return PredictionBundle(va=va, expr_probs=expr_probs, au_probs=au_probs)
+def heads(expr=None, au=None, va=(0.0, 0.0)):
+    """One row of head outputs, as ``MultiHeadModel.forward`` returns them."""
+    return {
+        "va": np.asarray([va], float),
+        "expr": np.full((1, 7), 1 / 7) if expr is None else np.asarray([expr], float),
+        "au": np.full((1, 17), 0.5) if au is None else np.asarray([au], float),
+    }
+
+
+def random_heads(rng, n):
+    return {
+        "va": rng.uniform(-1, 1, (n, 2)),
+        "expr": rng.dirichlet(np.ones(7), n),
+        "au": rng.random((n, 17)),
+    }
 
 
 def test_compound_class_validation():
@@ -34,14 +46,24 @@ def test_compound_class_validation():
         CompoundClass("x", 1, 2, {3: 1.0})  # AU3 outside the canonical set
     with pytest.raises(DataError):
         CompoundClass("x", 1, 2, {12: 1.5})
+    for emo in (-1, 7, 1.0, True, "1"):
+        with pytest.raises(DataError, match="emotion index"):
+            CompoundClass("x", emo, 2, {12: 1.0})
+    with pytest.raises(DataError):
+        CompoundClass("x", 1, 2, {12: 1.0}, requires_positive_valence="false")
+    for w in ("0.5", True, None):
+        with pytest.raises(DataError):
+            CompoundClass("x", 1, 2, {12: w})
+    with pytest.raises(DataError):
+        CompoundClass(None, 1, 2, {12: 1.0})
 
 
 def test_i_au_perfect_match():
     c = CompoundClass("hs", 4, 6, {12: 1.0, 25: 1.0})
     au = np.zeros(17)
     au[AU_IDX[12]] = au[AU_IDX[25]] = 1.0
-    (score,) = compound_scores(bundle(au=au), [c])
-    assert score.i_au == pytest.approx(1.0)
+    score = compound_scores(heads(au=au), [c])
+    assert score.i_au[0, 0] == pytest.approx(1.0)
 
 
 def test_f_emo_sum():
@@ -50,57 +72,97 @@ def test_f_emo_sum():
     expr[happy], expr[surprised] = 0.5, 0.3
     expr[0] = 0.2
     c = CompoundClass("happily_surprised", happy, surprised, {12: 1.0})
-    (score,) = compound_scores(bundle(expr=expr), [c])
-    assert score.f_emo == pytest.approx(0.8)
+    score = compound_scores(heads(expr=expr), [c])
+    assert score.f_emo[0, 0] == pytest.approx(0.8)
 
 
 def test_valence_sign_rule():
     c = CompoundClass("hs", 4, 6, {12: 1.0}, requires_positive_valence=True)
-    (neg,) = compound_scores(bundle(va=(-0.2, 0.0)), [c])
-    (pos,) = compound_scores(bundle(va=(0.2, 0.0)), [c])
-    assert neg.d_va == 0.0 and pos.d_va == 1.0
+    neg = compound_scores(heads(va=(-0.2, 0.0)), [c])
+    pos = compound_scores(heads(va=(0.2, 0.0)), [c])
+    assert neg.d_va[0, 0] == 0.0 and pos.d_va[0, 0] == 1.0
     unflagged = CompoundClass("sf", 3, 5, {4: 1.0})
-    (s,) = compound_scores(bundle(va=(0.9, 0.0)), [unflagged])
-    assert s.d_va == 0.0
+    s = compound_scores(heads(va=(0.9, 0.0)), [unflagged])
+    assert s.d_va[0, 0] == 0.0
 
 
 def test_predict_compound_argmax_and_ties():
-    from affectmtl.zeroshot import CompoundScore
-
-    scores = [CompoundScore(0.2, 1.0, 0, 1.2), CompoundScore(0.4, 1.0, 1, 2.4), CompoundScore(0.1, 0.2, 0, 0.3)]
-    assert predict_compound(scores) == 1
-    tied = [CompoundScore(0, 0, 0, 1.0), CompoundScore(0, 0, 0, 1.0)]
-    assert predict_compound(tied) == 0
+    # totals 1.2, 2.4 and 0.3 with no valence bonus
+    au = np.zeros(17)
+    au[AU_IDX[12]], au[AU_IDX[4]] = 0.2, 0.4
+    expr = np.zeros(7)
+    expr[[0, 1, 2, 4]] = 0.5, 0.5, 0.2, 0.1
+    classes = [CompoundClass("a", 0, 1, {12: 1.0}), CompoundClass("b", 0, 1, {4: 1.0}, True),
+               CompoundClass("c", 2, 4, {1: 1.0})]
+    s = compound_scores(heads(expr=expr, au=au, va=(0.5, 0.0)), classes)
+    assert s.total[0] == pytest.approx([1.2, 2.4, 0.3])
+    assert s.predicted.tolist() == [1]
+    tied = [CompoundClass("x", 0, 1, {12: 1.0}), CompoundClass("y", 0, 1, {12: 1.0})]
+    assert compound_scores(heads(expr=expr, au=au), tied).predicted.tolist() == [0]
     with pytest.raises(DataError):
-        predict_compound([])
+        compound_scores(heads(), [])
+
+
+def random_classes(rng, k):
+    """``k`` random compound classes; about a third duplicate an earlier one."""
+    classes = []
+    for _ in range(k):
+        if classes and rng.random() < 0.3:
+            classes.append(classes[int(rng.integers(len(classes)))])
+            continue
+        e1, e2 = rng.choice(7, size=2, replace=False)
+        aus = rng.choice(CANONICAL_AUS, size=int(rng.integers(1, 6)), replace=False)
+        profile = {int(au): float(w) for au, w in zip(aus, rng.uniform(0.05, 1.0, len(aus)))}
+        classes.append(CompoundClass("c", int(e1), int(e2), profile, bool(rng.random() < 0.5)))
+    return classes
 
 
 def test_predict_compound_brute_force_oracle():
-    from affectmtl.zeroshot import CompoundScore
-
     rng = np.random.default_rng(0)
     for _ in range(100):
-        totals = rng.uniform(0, 3, size=rng.integers(1, 12))
-        scores = [CompoundScore(0, 0, 0, t) for t in totals]
-        best = max(range(len(totals)), key=lambda i: (totals[i], -i))
-        assert predict_compound(scores) == best
+        classes = random_classes(rng, int(rng.integers(1, 12)))
+        s = compound_scores(random_heads(rng, 5), classes)
+        for totals, pred in zip(s.total.tolist(), s.predicted.tolist()):
+            best = max(range(len(totals)), key=lambda i: (totals[i], -i))
+            assert pred == best
 
 
-def test_score_component_invariants():
+def test_score_component_invariants(reference_compound_scores):
     classes = default_compound_classes(TABLE)
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        b = bundle(
-            expr=rng.dirichlet(np.ones(7)),
-            au=rng.random(17),
-            va=tuple(rng.uniform(-1, 1, 2)),
-        )
-        for s in compound_scores(b, classes):
-            assert 0.0 <= s.i_au <= 1.0
-            assert 0.0 <= s.f_emo <= 1.0
-            assert s.d_va in (0.0, 1.0)
-            assert s.total == s.i_au + s.f_emo + s.d_va
-            assert 0.0 <= s.total <= 3.0
+    out = random_heads(np.random.default_rng(1), 200)
+    s = compound_scores(out, classes)
+    assert s.total.shape == (200, len(classes))
+    assert ((0.0 <= s.i_au) & (s.i_au <= 1.0)).all()
+    assert ((0.0 <= s.f_emo) & (s.f_emo <= 1.0)).all()
+    assert np.isin(s.d_va, (0.0, 1.0)).all()
+    assert np.array_equal(s.total, s.i_au + s.f_emo + s.d_va)
+    assert ((0.0 <= s.total) & (s.total <= 3.0)).all()
+    ref = reference_compound_scores(out, classes)
+    assert np.abs(np.stack([s.i_au, s.f_emo, s.d_va, s.total], axis=2) - ref).max() <= 1e-12
+
+
+def test_compound_scores_match_reference(reference_compound_scores):
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        classes = random_classes(rng, int(rng.integers(1, 12)))
+        out = random_heads(rng, int(rng.integers(1, 60)))
+        s = compound_scores(out, classes)
+        ref = reference_compound_scores(out, classes)
+        assert np.abs(np.stack([s.i_au, s.f_emo, s.d_va, s.total], axis=2) - ref).max() <= 1e-12
+        assert np.array_equal(s.total, s.i_au + s.f_emo + s.d_va)
+        assert np.array_equal(s.predicted, s.total.argmax(axis=1))
+
+
+@pytest.mark.parametrize("drop, width", [("au", None), ("expr", None), ("va", None),
+                                         ("au", 5), ("expr", 6), ("va", 1)])
+def test_compound_scores_needs_default_heads(drop, width):
+    out = random_heads(np.random.default_rng(4), 3)
+    if width is None:
+        del out[drop]
+    else:
+        out[drop] = out[drop][:, :width]
+    with pytest.raises(DataError, match=drop):
+        compound_scores(out, default_compound_classes(TABLE))
 
 
 def test_i_au_monotonicity():
@@ -110,11 +172,11 @@ def test_i_au_monotonicity():
         au = rng.random(17)
         c = classes[int(rng.integers(len(classes)))]
         target_au = list(c.au_profile)[int(rng.integers(len(c.au_profile)))]
-        (before,) = compound_scores(bundle(au=au), [c])
+        before = compound_scores(heads(au=au), [c])
         au2 = au.copy()
         au2[AU_IDX[target_au]] = min(1.0, au2[AU_IDX[target_au]] + rng.uniform(0, 0.5))
-        (after,) = compound_scores(bundle(au=au2), [c])
-        assert after.i_au >= before.i_au - 1e-12
+        after = compound_scores(heads(au=au2), [c])
+        assert after.i_au[0, 0] >= before.i_au[0, 0] - 1e-12
 
 
 def test_default_profiles_from_table():
@@ -125,6 +187,19 @@ def test_default_profiles_from_table():
     assert hs.au_profile[5] == 0.66  # observational for surprise
     assert hs.au_profile[25] == 1.0  # prototypical for both constituents
     assert not classes["sadly_fearful"].requires_positive_valence
+
+
+def test_profile_union_matches_table_lookup():
+    # the union of the two emotions' table entries, larger weight on overlap
+    for c in default_compound_classes(TABLE):
+        union = {}
+        for emo in (c.emo1, c.emo2):
+            for e in TABLE.lookup(emo):
+                au = CANONICAL_AUS[e.index]
+                union[au] = max(union.get(au, 0.0), e.weight)
+        assert c.au_profile == union
+    with pytest.raises(DataError):
+        compound_class_from_emotions("x", 1, 7, TABLE)
 
 
 def test_profile_file_round_trip(tmp_path):
@@ -138,3 +213,24 @@ def test_profile_file_round_trip(tmp_path):
     empty.write_text("[]")
     with pytest.raises(DataError):
         load_compound_profiles(empty)
+
+
+@pytest.mark.parametrize("payload", [
+    {"name": "x"},
+    ["not an object"],
+    [{"name": "x", "emo1": 1, "emo2": 2}],
+    [{"name": "x", "emo1": 1, "emo2": 2, "aus": [12]}],
+    [{"name": "x", "emo1": 1, "emo2": 2, "aus": {"AU12": 1.0}}],
+    [{"name": "x", "emo1": 1, "emo2": 2, "aus": {"1_2": 1.0}}],
+    [{"name": "x", "emo1": 1, "emo2": 2, "aus": {"12": 0.2, "012": 1.0}}],
+    [{"name": "x", "emo1": 1, "emo2": 2, "aus": {"12": "high"}}],
+    [{"name": "x", "emo1": 1, "emo2": 7, "aus": {"12": 1.0}}],
+    [{"name": "x", "emo1": -1, "emo2": 2, "aus": {"12": 1.0}}],
+    [{"name": "x", "emo1": "1", "emo2": 2, "aus": {"12": 1.0}}],
+    [{"name": "x", "emo1": 1, "emo2": 2, "aus": {"12": 1.0}, "positive_valence": "false"}],
+])
+def test_malformed_profile_file_is_a_data_error(tmp_path, payload):
+    p = tmp_path / "profiles.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="profiles.json"):
+        load_compound_profiles(p)
