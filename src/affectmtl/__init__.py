@@ -11,7 +11,9 @@ from .errors import AffectMTLError, ConfigError, DataError, NumericalError
 from .labels import (
     EmotionSoftLabel,
     HeterogeneousSample,
+    SampleSet,
     clean_va_expr,
+    co_annotate,
     co_annotate_aus_to_emotion,
     co_annotate_emotion_to_aus,
     soft_co_annotate,

@@ -59,10 +59,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_infer_relatedness(args) -> int:
-    samples = lab.read_samples_csv(args.corpus)
-    pairs = [(s.expr, s.au) for s in samples if s.expr is not None and s.au is not None]
-    if not pairs:
+    data = lab.read_samples_csv(args.corpus)
+    rows = np.intersect1d(data.expr_rows, data.au_rows)
+    if not rows.size:
         raise ConfigError(f"corpus {args.corpus} has no co-annotated samples")
+    pairs = list(zip(data.expr[rows].tolist(), data.au[rows]))
     corpus = rel.CoAnnotatedCorpus(rel.EMOTIONS, rel.AU_LABELS, pairs)
     table = rel.infer_empirical(corpus, args.threshold)
     table.save(args.out)
@@ -101,8 +102,8 @@ def _cmd_eval(args) -> int:
 def _cmd_zero_shot(args) -> int:
     model = MultiHeadModel.load(args.checkpoint)
     classes = load_compound_profiles(args.profiles)
-    samples = lab.read_samples_csv(args.data)
-    heads, _ = model.forward(np.stack([s.features for s in samples]))
+    data = lab.read_samples_csv(args.data)
+    heads, _ = model.forward(data.features)
     try:
         scores = compound_scores(heads, classes)
     except DataError as e:
@@ -111,7 +112,7 @@ def _cmd_zero_shot(args) -> int:
     n, n_classes = scores.total.shape
     picked = np.arange(n_classes) == scores.predicted[:, None]
     terms = [a.ravel().tolist() for a in (scores.i_au, scores.f_emo, scores.d_va, scores.total)]
-    columns = [[s.id for s in samples for _ in classes], [c.name for c in classes] * n, *terms,
+    columns = [np.repeat(data.ids, n_classes).tolist(), [c.name for c in classes] * n, *terms,
                picked.ravel().astype(int).tolist()]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -128,7 +129,7 @@ def _cmd_zero_shot(args) -> int:
     _write_manifest(out, "zero-shot",
                     {"checkpoint": args.checkpoint, "profiles": args.profiles,
                      "data": args.data}, extra)
-    print(f"scored {len(samples)} samples over {len(classes)} compound classes -> {out}")
+    print(f"scored {len(data)} samples over {len(classes)} compound classes -> {out}")
     return 0
 
 

@@ -2,14 +2,19 @@
 
 A sample carries a feature vector plus any subset of the three label types:
 valence/arousal, a basic-expression index, and a partially-annotated AU vector
-(NaN marks unannotated AUs). All operations here are pure functions.
+(NaN marks unannotated AUs). A data set is held as a :class:`SampleSet`, one
+array per field; :class:`HeterogeneousSample` is the record of one sample that
+the generator makes and the CSV writer writes. All operations here are pure
+functions.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +23,7 @@ from .errors import DataError
 from .relatedness import AU_LABELS, EMOTIONS, NUM_AUS, KIND_DOMAIN, RelatednessTable
 
 UNANNOTATED = float("nan")
+AU_COLUMNS = tuple(lab.lower().replace("au", "au_") for lab in AU_LABELS)
 
 
 @dataclass
@@ -55,6 +61,80 @@ class HeterogeneousSample:
                 )
 
 
+@dataclass(frozen=True, eq=False)  # no field-wise ==: the fields are arrays
+class SampleSet:
+    """A data set held column by column: row ``i`` of every field is sample ``i``.
+
+    ``expr`` holds class indices with -1 for "none"; ``va`` (n, 2) and ``au``
+    (n, 17) hold NaN where a sample carries no such label, and ``au_weights``
+    holds the per-AU loss weights, NaN exactly where ``au`` is. ``video`` is
+    "" and ``frame`` -1 for a sample without a sequence key.
+    """
+
+    ids: np.ndarray
+    features: np.ndarray
+    expr: np.ndarray
+    au: np.ndarray
+    au_weights: np.ndarray
+    va: np.ndarray
+    video: np.ndarray
+    frame: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def expr_rows(self) -> np.ndarray:
+        """Indices of the rows that carry an expression label."""
+        return np.flatnonzero(self.expr >= 0)
+
+    @property
+    def au_rows(self) -> np.ndarray:
+        """Indices of the rows with at least one annotated AU."""
+        return np.flatnonzero(~np.isnan(self.au).all(axis=1))
+
+    @property
+    def va_rows(self) -> np.ndarray:
+        """Indices of the rows that carry a valence/arousal label."""
+        return np.flatnonzero(~np.isnan(self.va[:, 0]))
+
+    def take(self, rows) -> "SampleSet":
+        """The rows ``rows`` (an index array), in that order."""
+        rows = np.asarray(rows, dtype=int)
+        return SampleSet(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, sets) -> "SampleSet":
+        """The rows of every set in ``sets``, one set after another."""
+        return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
+
+    @classmethod
+    def from_samples(cls, samples) -> "SampleSet":
+        """The columns of a list of :class:`HeterogeneousSample` records."""
+        samples = list(samples)
+        au = np.full((len(samples), NUM_AUS), np.nan)
+        au_weights = np.ones_like(au)
+        va = np.full((len(samples), 2), np.nan)
+        for i, s in enumerate(samples):
+            if s.au is not None:
+                au[i] = s.au
+            if s.au_weights is not None:
+                au_weights[i] = s.au_weights
+            if s.va is not None:
+                va[i] = s.va
+        keys = [s.sequence_key or ("", -1) for s in samples]
+        return cls(
+            ids=np.array([s.id for s in samples], dtype=object),
+            features=np.stack([s.features for s in samples]),
+            expr=np.array([-1 if s.expr is None else s.expr for s in samples], dtype=int),
+            au=au,
+            au_weights=np.where(np.isnan(au), np.nan, au_weights),
+            va=va,
+            video=np.array([k[0] for k in keys], dtype=object),
+            frame=np.array([k[1] for k in keys], dtype=int),
+        )
+
+
 @dataclass(frozen=True)
 class EmotionSoftLabel:
     """Indicator scores per basic emotion and their softmax distribution."""
@@ -85,61 +165,60 @@ def indicator_scores(au, r, reweight_observational: bool = True) -> np.ndarray:
     return np.divide(active, need, out=np.zeros_like(active), where=need > 0)
 
 
+def co_annotate(data: SampleSet, table: RelatednessTable) -> SampleSet:
+    """Both co-annotation rules over every row of ``data`` at once.
+
+    Emotion to AUs: a row with an expression gets its unannotated
+    prototypical and observational AUs set active, with loss weight 1.0
+    (prototypical) or the table weight (observational); annotated AUs keep
+    their label and weight. AUs to emotion: a row without an expression gets
+    the emotion whose every prototypical and observational AU is annotated
+    active; among qualifying emotions the one with the largest requirement
+    wins, ties breaking to the lowest class index.
+    """
+    if table.kind != KIND_DOMAIN:
+        raise DataError("co-annotation requires a prototypical/observational table")
+    r = table.weight_matrix(reweight=True)
+    has_expr = data.expr >= 0
+    row_r = np.where(has_expr[:, None], r[data.expr], 0.0)  # expr -1 picks a row, masked here
+    fill = np.isnan(data.au) & (row_r > 0)
+    au = np.where(fill, 1.0, data.au)
+    au_weights = np.where(fill, row_r, data.au_weights)
+    need = (r > 0).astype(float)
+    size = need.sum(axis=1)
+    qualifies = ((au == 1.0) @ need.T == size) & (size > 0)
+    best = np.where(qualifies, size, -1).argmax(axis=1)
+    expr = np.where(~has_expr & qualifies.any(axis=1), best, data.expr)
+    return replace(data, expr=expr, au=au, au_weights=au_weights)
+
+
 def co_annotate_emotion_to_aus(
     sample: HeterogeneousSample, table: RelatednessTable
 ) -> HeterogeneousSample:
-    """Fill unannotated AUs from the sample's ground-truth expression.
+    """The emotion-to-AUs rule of :func:`co_annotate` on one sample.
 
-    Prototypical and observational AUs of the expression are set active, with
-    loss weight 1.0 (prototypical) or the table weight (observational).
-    Pre-existing AU annotations are never overwritten; they keep weight 1.0.
+    Returns ``sample`` itself when no AU is filled.
     """
     if sample.expr is None:
         raise DataError(f"sample {sample.id!r} has no expression label")
-    if table.kind != KIND_DOMAIN:
-        raise DataError("co-annotation requires a prototypical/observational table")
-    entries = table.lookup(sample.expr)
-    if not entries:
+    before = SampleSet.from_samples([sample])
+    after = co_annotate(before, table)
+    if np.array_equal(after.au, before.au, equal_nan=True):
         return sample
-    au = np.full(NUM_AUS, np.nan) if sample.au is None else sample.au.copy()
-    if sample.au_weights is not None:
-        w = sample.au_weights.copy()
-    else:
-        w = np.where(np.isnan(au), np.nan, 1.0)
-    for e in entries:
-        if np.isnan(au[e.index]):
-            au[e.index] = 1.0
-            w[e.index] = e.weight
-    return replace(sample, au=au, au_weights=w)
+    return replace(sample, au=after.au[0], au_weights=after.au_weights[0])
 
 
 def co_annotate_aus_to_emotion(
     sample: HeterogeneousSample, table: RelatednessTable
 ) -> HeterogeneousSample:
-    """Assign an expression when some emotion's full AU requirement is active.
+    """The AUs-to-emotion rule of :func:`co_annotate` on one sample.
 
-    An emotion qualifies when every one of its prototypical and observational
-    AUs is annotated active. Among qualifying emotions the one with the largest
-    requirement wins; ties break to the lowest class index.
+    Returns ``sample`` itself when no expression is assigned.
     """
     if sample.au is None:
         raise DataError(f"sample {sample.id!r} has no AU annotations")
-    if table.kind != KIND_DOMAIN:
-        raise DataError("co-annotation requires a prototypical/observational table")
-    if sample.expr is not None:
-        return sample
-    best = None  # (requirement size, -class index) maximized
-    for k in range(len(table.class_names)):
-        entries = table.lookup(k)
-        if not entries:
-            continue
-        if all(sample.au[e.index] == 1.0 for e in entries):
-            key = (len(entries), -k)
-            if best is None or key > best[0]:
-                best = (key, k)
-    if best is None:
-        return sample
-    return replace(sample, expr=best[1])
+    expr = int(co_annotate(SampleSet.from_samples([sample]), table).expr[0])
+    return sample if sample.expr is not None or expr < 0 else replace(sample, expr=expr)
 
 
 def soft_co_annotate(
@@ -234,7 +313,7 @@ def write_samples_csv(path, samples) -> None:
         ["id", "video_id", "frame_idx"]
         + [f"f{i}" for i in range(dim)]
         + ["valence", "arousal", "expr"]
-        + [lab.lower().replace("au", "au_") for lab in AU_LABELS]
+        + list(AU_COLUMNS)
     )
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -252,72 +331,191 @@ def write_samples_csv(path, samples) -> None:
             w.writerow(row)
 
 
-def read_samples_csv(path) -> list[HeterogeneousSample]:
-    """Read the annotation CSV format back into samples.
+def read_samples_csv(path) -> SampleSet:
+    """Read the annotation CSV format into a :class:`SampleSet`.
 
     Feature values come either from ``f0..f{d-1}`` columns or, when a
     ``feature_file`` column is present, from rows of .npy files referenced as
-    ``path:row`` (paths resolved relative to the CSV).
+    ``path:row`` (paths resolved relative to the CSV). Every malformed row is
+    a :class:`DataError` naming the file and its line.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
-            raise DataError(f"empty dataset file: {path}")
-        fcols = sorted(
-            (c for c in reader.fieldnames if c.startswith("f") and c[1:].isdigit()),
-            key=lambda c: int(c[1:]),
-        )
-        au_cols = [lab.lower().replace("au", "au_") for lab in AU_LABELS]
-        use_files = "feature_file" in reader.fieldnames
-        if not fcols and not use_files:
-            raise DataError(f"{path}: no feature columns and no feature_file column")
-        npy_cache: dict[str, np.ndarray] = {}
-        samples = []
-        for row in reader:
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
             try:
-                samples.append(_parse_row(row, path, fcols, au_cols, use_files, npy_cache))
-            # ValueError/TypeError: a non-numeric or missing cell; OSError/EOFError: a bad .npy
-            except (DataError, ValueError, TypeError, OSError, EOFError) as e:
+                return _read_rows(reader, path)
+            except csv.Error as e:
                 raise DataError(f"{path}, line {reader.line_num}: {e}") from e
-        if not samples:
-            raise DataError(f"no samples in {path}")
-        return samples
+    except _RowError as e:
+        raise DataError(f"{path}, line {_line_of(path, e.row)}: {e.error}") from e.error
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read dataset {path}: {e}") from e
 
 
-def _parse_row(row, path, fcols, au_cols, use_files, npy_cache) -> HeterogeneousSample:
-    if use_files:
-        ref = row["feature_file"] or ""  # None when the row is short
-        fname, _, idx = ref.rpartition(":")
-        if not fname:
-            raise ValueError(f"malformed feature_file reference {ref!r}")
-        fpath = str(path.parent / fname)
-        if fpath not in npy_cache:
-            npy_cache[fpath] = np.asarray(np.load(fpath))  # an .npz loads as 0-d
-        rows, i = npy_cache[fpath], int(idx)
-        if rows.ndim != 2 or not 0 <= i < len(rows):
-            raise ValueError(f"{ref!r} names no row of a 2-D feature matrix")
-        features = rows[i]
-    else:
-        features = np.array([float(row[c]) for c in fcols])
-    if not np.isfinite(features).all():
-        raise ValueError("non-finite feature value")
-    va = None
-    if row.get("valence", "") != "" and row.get("arousal", "") != "":
-        va = (float(row["valence"]), float(row["arousal"]))
-    expr = int(row["expr"]) if row.get("expr", "") != "" else None
-    if expr is not None and not 0 <= expr < len(EMOTIONS):
-        raise ValueError(f"expression index {expr} outside 0..{len(EMOTIONS) - 1}")
-    au = None
-    if any(row.get(c, "") != "" for c in au_cols):
-        au = [float(row[c]) if row.get(c, "") != "" else np.nan for c in au_cols]
-        if not all(v in (0.0, 1.0) or v != v for v in au):  # v != v: NaN, unannotated
+# Rows converted at a time: bounds the cell text held while a file is read.
+_BLOCK_ROWS = 256
+# Label columns as the converter lays them out; the VA and AU columns are floats.
+_LABEL_COLUMNS = ("valence", "arousal", *AU_COLUMNS, "expr", "video_id", "frame_idx")
+_FLOATS = 2 + NUM_AUS
+_EXPR, _VIDEO, _FRAME = (_LABEL_COLUMNS.index(c) for c in ("expr", "video_id", "frame_idx"))
+# What converting a malformed cell or .npy reference raises.
+_CELL_ERRORS = (DataError, ValueError, TypeError, OverflowError, OSError, EOFError)
+
+
+class _RowError(Exception):
+    """Data row ``row`` (0-based, blank lines skipped) failed with ``error``."""
+
+    def __init__(self, row: int, error: Exception):
+        super().__init__(row, error)
+        self.row, self.error = row, error
+
+
+def _read_rows(reader, path) -> SampleSet:
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"empty dataset file: {path}")
+    layout = _Layout(header, path)
+    blocks, done = [], 0
+    while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
+        rows = [r for r in chunk if r]  # a blank line holds no row
+        if rows:
+            blocks.append(layout.convert_block(rows, done))
+            done += len(rows)
+    if not blocks:
+        raise DataError(f"no samples in {path}")
+    return layout.assemble(blocks)
+
+
+def _line_of(path, row: int) -> int:
+    """The file line on which data row ``row`` ends."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        next(itertools.islice((r for r in reader if r), row, None))
+        return reader.line_num
+
+
+class _Layout:
+    """Where one CSV header keeps each column, and the conversion of row blocks."""
+
+    def __init__(self, header, path: Path):
+        col = {name: i for i, name in enumerate(header)}
+        if "id" not in col:
+            raise DataError(f"{path}: no id column")
+        fcols = sorted((c for c in col if c[:1] == "f" and c[1:].isdigit()),
+                       key=lambda c: int(c[1:]))
+        self.use_files = "feature_file" in col
+        if not fcols and not self.use_files:
+            raise DataError(f"{path}: no feature columns and no feature_file column")
+        feature_idx = [col["feature_file"]] if self.use_files else [col[c] for c in fcols]
+        present = [c for c in _LABEL_COLUMNS if c in col]
+        self.path = path
+        self.id = operator.itemgetter(col["id"])
+        self.features = operator.itemgetter(*feature_idx)
+        self.label_pos = [_LABEL_COLUMNS.index(c) for c in present]
+        self.labels = operator.itemgetter(*(col[c] for c in present)) if present else None
+        self.width = 1 + max(col["id"], *feature_idx, *(col[c] for c in present))
+        self.npy: dict[str, np.ndarray] = {}  # feature_file name -> its matrix
+        self.finite: dict[str, np.ndarray] = {}  # and which of its rows are finite
+
+    def convert_block(self, rows, start: int) -> dict:
+        """Arrays for ``rows``; a bad row raises :class:`_RowError` for the
+        earliest one, numbered from ``start``."""
+        try:
+            return self._convert(rows)
+        except _CELL_ERRORS:
+            for i in range(len(rows)):  # find the row, and the first check it fails
+                try:
+                    self._convert(rows[i : i + 1])
+                except _CELL_ERRORS as e:
+                    raise _RowError(start + i, e) from e
+            raise
+
+    def _convert(self, rows) -> dict:
+        n = len(rows)
+        short = min(map(len, rows))
+        if short < self.width:
+            raise DataError(f"row has {short} cells where the header needs {self.width}")
+        if self.use_files:
+            features = self._references(list(map(self.features, rows)))
+        else:
+            features = np.array(list(map(self.features, rows)), dtype=float).reshape(n, -1)
+            if not np.isfinite(features).all():
+                raise ValueError("non-finite feature value")
+        cells = np.full((n, len(_LABEL_COLUMNS)), "", dtype=object)
+        if self.labels is not None:
+            cells[:, self.label_pos] = np.array(
+                list(map(self.labels, rows)), dtype=object).reshape(n, -1)
+        filled = cells != ""  # only filled cells are converted
+        va_au = np.full((n, _FLOATS), np.nan)
+        va_au[filled[:, :_FLOATS]] = cells[:, :_FLOATS][filled[:, :_FLOATS]].astype(float)
+        va, au = va_au[:, :2], va_au[:, 2:]
+        if (filled[:, 0] != filled[:, 1]).any():
+            raise ValueError("valence and arousal must both be filled or both be empty")
+        if not np.isfinite(va[filled[:, 0]]).all():
+            raise ValueError("non-finite valence or arousal value")
+        expr = np.full(n, -1)
+        expr[filled[:, _EXPR]] = cells[filled[:, _EXPR], _EXPR].astype(np.int64)
+        bad = filled[:, _EXPR] & ((expr < 0) | (expr >= len(EMOTIONS)))
+        if bad.any():
+            raise ValueError(f"expression index {expr[bad][0]} outside 0..{len(EMOTIONS) - 1}")
+        if not (np.isnan(au) | (au == 0.0) | (au == 1.0)).all():
             raise ValueError("AU labels must be 0 or 1")
-    seq = None
-    if row.get("video_id", "") != "" and row.get("frame_idx", "") != "":
-        seq = (row["video_id"], int(row["frame_idx"]))
-    return HeterogeneousSample(
-        id=row["id"], features=features, va=va, expr=expr, au=au, sequence_key=seq
-    )
+        keyed = filled[:, _VIDEO] & filled[:, _FRAME]
+        frame = np.full(n, -1)
+        frame[keyed] = cells[keyed, _FRAME].astype(np.int64)
+        ids = np.array(list(map(self.id, rows)), dtype=object)
+        unlabelled = np.isnan(va[:, 0]) & (expr < 0) & np.isnan(au).all(axis=1)
+        if unlabelled.any():
+            raise DataError(f"sample {ids[unlabelled.argmax()]!r} carries no label")
+        return {"ids": ids, "features": features, "expr": expr, "au": au, "va": va,
+                "video": np.where(keyed, cells[:, _VIDEO], ""), "frame": frame}
+
+    def _references(self, refs) -> tuple:
+        """Check ``path:row`` references; returns their (file names, rows)."""
+        names, rows = [], []
+        for ref in refs:
+            name, _, row = ref.rpartition(":")
+            if not name:
+                raise ValueError(f"malformed feature_file reference {ref!r}")
+            names.append(name)
+            rows.append(int(row))
+        names, rows = np.array(names, dtype=object), np.array(rows)
+        for name in dict.fromkeys(names):
+            m = self._matrix(name)
+            picked = rows[names == name]
+            if ((picked < 0) | (picked >= len(m))).any():
+                raise ValueError(f"{name!r} has no row {picked.max()} (or a negative one)")
+            if not self.finite[name][picked].all():
+                raise ValueError("non-finite feature value")
+        return names, rows
+
+    def _matrix(self, name: str) -> np.ndarray:
+        if name not in self.npy:
+            m = np.load(self.path.parent / name)  # an .npz loads as an NpzFile
+            if not isinstance(m, np.ndarray) or m.ndim != 2 or not len(m):
+                raise ValueError(f"{name!r} holds no 2-D feature matrix")
+            m = m.astype(float, copy=False)
+            widths = {x.shape[1] for x in self.npy.values()}
+            if widths and m.shape[1] not in widths:
+                raise ValueError(f"{name!r} has {m.shape[1]} features, earlier rows {widths.pop()}")
+            self.npy[name], self.finite[name] = m, np.isfinite(m).all(axis=1)
+        return self.npy[name]
+
+    def assemble(self, blocks) -> SampleSet:
+        """One :class:`SampleSet` from the converted blocks, in file order."""
+        parts = [b.pop("features") for b in blocks]
+        col = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+        if self.use_files:  # gather each matrix's rows once
+            names, rows = (np.concatenate(x) for x in zip(*parts))
+            features = np.empty((len(rows), next(iter(self.npy.values())).shape[1]))
+            for name, m in self.npy.items():
+                picked = names == name
+                features[picked] = m[rows[picked]]
+        else:
+            features = np.concatenate(parts)
+        return SampleSet(features=features, au_weights=np.where(np.isnan(col["au"]), np.nan, 1.0),
+                         **col)

@@ -222,7 +222,8 @@ def infer_empirical(corpus: CoAnnotatedCorpus, threshold: float = 0.1) -> Relate
 
     For each class c and binary label b the weight is the fraction of c-samples
     annotated for b in which b is active. Entries below ``threshold`` are
-    dropped; classes with no annotated samples at all are omitted (warning).
+    dropped. Every class of the corpus keeps its index: one without annotated
+    samples gets an empty row (warning).
     """
     if not corpus.samples:
         raise DataError("empty corpus")
@@ -231,22 +232,17 @@ def infer_empirical(corpus: CoAnnotatedCorpus, threshold: float = 0.1) -> Relate
     n_labels = len(corpus.label_names)
     active = np.zeros((len(corpus.class_names), n_labels))
     annotated = np.zeros((len(corpus.class_names), n_labels))
-    seen_class = np.zeros(len(corpus.class_names), dtype=bool)
     for cls_idx, vec in corpus.samples:
         vec = np.asarray(vec, dtype=float)
         mask = ~np.isnan(vec)
         annotated[cls_idx] += mask
         active[cls_idx] += np.where(mask, vec, 0.0)
-        seen_class[cls_idx] = True
+    if not annotated.any():
+        raise DataError("no class in the corpus has annotated binary labels")
     entries: dict[str, dict[int, tuple[float, bool]]] = {}
-    kept_classes = []
     for k, cname in enumerate(corpus.class_names):
-        if not seen_class[k]:
-            continue
-        if annotated[k].sum() == 0:
-            log.warning("class %r has no annotated binary labels; omitted", cname)
-            continue
-        kept_classes.append(cname)
+        if not annotated[k].any():
+            log.warning("class %r has no annotated binary labels; its row is empty", cname)
         row = {}
         for b in range(n_labels):
             if annotated[k, b] == 0:
@@ -255,6 +251,4 @@ def infer_empirical(corpus: CoAnnotatedCorpus, threshold: float = 0.1) -> Relate
             if w >= threshold and w > 0.0:
                 row[b] = (float(w), False)
         entries[cname] = row
-    if not kept_classes:
-        raise DataError("no class in the corpus has annotated binary labels")
-    return RelatednessTable(kept_classes, corpus.label_names, entries, KIND_EMPIRICAL)
+    return RelatednessTable(corpus.class_names, corpus.label_names, entries, KIND_EMPIRICAL)

@@ -56,19 +56,10 @@ def plan_epoch(set_sizes, max_batch: int, seed: int = 0) -> EpochPlan:
     return EpochPlan(sizes, batch_sizes, iters, orders, int(seed))
 
 
-def next_joint_batch(plan: EpochPlan, iteration: int, sets) -> list:
-    """Concatenate one batch per set, tagging samples with their set index.
-
-    ``sets`` is a sequence of per-set sample lists matching the plan's sizes.
-    Returns a list of (set_index, sample) pairs.
-    """
-    if len(sets) != len(plan.set_sizes):
-        raise DataError("set count does not match the plan")
-    for s, samples in zip(plan.set_sizes, sets):
-        if len(samples) != s:
-            raise DataError("set size does not match the plan")
-    batch = []
-    for si, samples in enumerate(sets):
-        for idx in plan.slice_indices(si, iteration):
-            batch.append((si, samples[idx]))
-    return batch
+def next_joint_batch(plan: EpochPlan, iteration: int) -> tuple[np.ndarray, ...]:
+    """The rows of every set that make up one joint batch: one index array per
+    set, in the plan's set order."""
+    return tuple(
+        np.array(plan.slice_indices(si, iteration), dtype=int)
+        for si in range(len(plan.set_sizes))
+    )

@@ -182,10 +182,11 @@ def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
         corpus_path = config.relatedness.get("corpus")
         if corpus_path is None:
             raise ConfigError("empirical relatedness needs a 'corpus' path")
-        samples = lab.read_samples_csv(corpus_path)
-        pairs = [(s.expr, s.au) for s in samples if s.expr is not None and s.au is not None]
-        if not pairs:
+        data = lab.read_samples_csv(corpus_path)
+        rows = np.intersect1d(data.expr_rows, data.au_rows)
+        if not rows.size:
             raise DataError(f"corpus {corpus_path} has no co-annotated samples")
+        pairs = list(zip(data.expr[rows].tolist(), data.au[rows]))
         corpus = rel.CoAnnotatedCorpus(rel.EMOTIONS, rel.AU_LABELS, pairs)
         return rel.infer_empirical(corpus, float(config.relatedness.get("threshold", 0.1)))
     raise ConfigError(f"unknown relatedness source {src!r}")
@@ -212,9 +213,9 @@ def build_objective(model, sets: dict, table, mode: str, weights: LossWeights,
                     reweight: bool = True) -> tuple[dict, Objective]:
     """Prepare a run's coupling: returns the label-rewritten sets and the objective.
 
-    ``sets`` maps set name to its training samples. Co-annotation rewrites the
-    expr and AU sets' labels; the soft modes compute every AU-set row's SCA
-    target; the DM modes keep the mixing matrix.
+    ``sets`` maps set name to its training :class:`~affectmtl.labels.SampleSet`.
+    Co-annotation rewrites every set's labels; the soft modes compute every
+    AU-set row's SCA target; the DM modes keep the mixing matrix.
     """
     if mode == "none":
         return sets, Objective(weights)
@@ -222,56 +223,37 @@ def build_objective(model, sets: dict, table, mode: str, weights: LossWeights,
     shape = (len(table.class_names), len(table.binary_label_names))
     if heads != shape:
         raise DataError(f"relatedness table shape {shape} does not match the expr/au heads {heads}")
-    sets = dict(sets)
     if mode == "co_annotation":
-        if "expr" in sets:
-            sets["expr"] = [lab.co_annotate_emotion_to_aus(s, table) for s in sets["expr"]]
-        if "au" in sets:
-            sets["au"] = [lab.co_annotate_aus_to_emotion(s, table) for s in sets["au"]]
+        sets = {name: lab.co_annotate(data, table) for name, data in sets.items()}
         return sets, Objective(weights)
     r = table.weight_matrix(reweight)
     sca = None
     if mode in SCA_MODES and "au" in sets:
-        scores = lab.indicator_scores(np.stack([s.au for s in sets["au"]]), r, reweight)
+        scores = lab.indicator_scores(sets["au"].au, r, reweight)
         sca = lab.EmotionSoftLabel.from_indicators(scores).q
     return sets, Objective(weights, r if mode in DM_MODES else None, sca)
 
 
-def joint_loss_and_grads(model, batch, objective: Objective):
-    """Compute all loss terms on one tagged joint batch.
+def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
+    """Compute all loss terms on one joint batch.
 
-    ``batch`` is a list of (set name, row, sample), with ``row`` the sample's
-    index in its training set. Returns (LossReport, parameter-gradient dict);
-    the gradients correspond to the weighted total.
+    ``batch`` maps set name to the rows of ``sets[name]`` in the batch, as
+    :func:`~affectmtl.scheduler.next_joint_batch` draws them. Returns
+    (LossReport, parameter-gradient dict); the gradients correspond to the
+    weighted total.
     """
-    report, out_grads, cache = _joint_loss(model, batch, objective)
+    report, out_grads, cache = _joint_loss(model, sets, batch, objective)
     return report, model.backward(cache, out_grads)
 
 
-def joint_loss_value(model, batch, objective: Objective) -> float:
-    return _joint_loss(model, batch, objective)[0].total
+def joint_loss_value(model, sets: dict, batch: dict, objective: Objective) -> float:
+    return _joint_loss(model, sets, batch, objective)[0].total
 
 
-def _columns(samples):
-    """Stacked features, then (rows, labels) for the expr, AU and VA labels of
-    ``samples``; the AU labels come with their loss weights."""
-    def labelled(name):
-        rows = [i for i, s in enumerate(samples) if getattr(s, name) is not None]
-        return np.array(rows, dtype=int), np.array([getattr(samples[i], name) for i in rows])
-
-    au_rows, au = labelled("au")
-    au_weights = np.array([
-        np.ones(rel.NUM_AUS) if samples[i].au_weights is None else samples[i].au_weights
-        for i in au_rows
-    ])
-    X = np.stack([s.features for s in samples])
-    return X, labelled("expr"), (au_rows, au, au_weights), labelled("va")
-
-
-def _joint_loss(model, batch, objective: Objective):
-    names, set_rows, samples = zip(*batch)
-    X, (expr_rows, expr), (au_rows, au, au_weights), (va_rows, va) = _columns(samples)
-    out, cache = model.forward(X)
+def _joint_loss(model, sets, batch, objective: Objective):
+    data = lab.SampleSet.concat([sets[name].take(rows) for name, rows in batch.items()])
+    expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
+    out, cache = model.forward(data.features)
     w = objective.weights
     eps = w.epsilon
     g = {h: np.zeros_like(out[h]) for h in out}
@@ -279,20 +261,24 @@ def _joint_loss(model, batch, objective: Objective):
     coupling_losses: dict = {}
 
     if expr_rows.size and "expr" in out:
-        task_losses["expr"], grad = softmax_ce_grad(out["expr"][expr_rows], expr, eps)
+        task_losses["expr"], grad = softmax_ce_grad(
+            out["expr"][expr_rows], data.expr[expr_rows], eps)
         g["expr"][expr_rows] += w.task("expr") * grad
 
     if au_rows.size and "au" in out:
-        task_losses["au"], grad = masked_bce_grad(out["au"][au_rows], au, au_weights, eps)
+        task_losses["au"], grad = masked_bce_grad(
+            out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows], eps)
         g["au"][au_rows] += w.task("au") * grad
 
     if va_rows.size >= 2 and "va" in out:
-        task_losses["va"], grad = ccc_loss_grad(va, out["va"][va_rows])
+        task_losses["va"], grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
         g["va"][va_rows] += w.task("va") * grad
 
-    rows = np.flatnonzero(np.array(names) == "au")
-    if objective.sca_targets is not None and rows.size and "expr" in out:
-        q = objective.sca_targets[np.array(set_rows)[rows]]
+    if objective.sca_targets is not None and len(batch.get("au", ())) and "expr" in out:
+        names = list(batch)  # the AU set's rows follow those of the sets before it
+        start = sum(len(batch[name]) for name in names[: names.index("au")])
+        rows = np.arange(start, start + len(batch["au"]))
+        q = objective.sca_targets[batch["au"]]
         coupling_losses["sca"], grad = sca_loss_grad(out["expr"][rows], q, eps)
         g["expr"][rows] += w.coupling("sca") * grad
 
@@ -310,16 +296,13 @@ def _joint_loss(model, batch, objective: Objective):
 # -- training ------------------------------------------------------------
 
 
-def _holdout_split(samples, fraction, seed):
-    if fraction == 0.0:
-        return list(samples), []
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(samples))
-    n_eval = int(round(len(samples) * fraction))
-    eval_idx = set(int(i) for i in idx[:n_eval])
-    train = [s for i, s in enumerate(samples) if i not in eval_idx]
-    heldout = [s for i, s in enumerate(samples) if i in eval_idx]
-    return train, heldout
+def _holdout_split(data, fraction, seed):
+    """(training rows, held-out rows) of ``data``, each in file order."""
+    held = np.zeros(len(data), dtype=bool)
+    if fraction:
+        n_eval = int(round(len(data) * fraction))
+        held[np.random.default_rng(seed).permutation(len(data))[:n_eval]] = True
+    return data.take(np.flatnonzero(~held)), data.take(np.flatnonzero(held))
 
 
 def _validate_va_plan(plan, va_set_index):
@@ -338,18 +321,15 @@ def run_train(config: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     table = load_relatedness(config)
 
-    sets: dict[str, list] = {}
-    heldout: dict[str, list] = {}
+    sets, heldout = {}, {}
     for si, name in enumerate(SET_NAMES):
-        if name not in config.data:
-            continue
-        samples = lab.read_samples_csv(config.data[name])
-        train, ho = _holdout_split(samples, config.holdout_fraction, config.seed + 7919 * si)
-        sets[name] = train
-        heldout[name] = ho
+        if name in config.data:
+            sets[name], heldout[name] = _holdout_split(
+                lab.read_samples_csv(config.data[name]), config.holdout_fraction,
+                config.seed + 7919 * si)
     if not sets:
         raise ConfigError("no datasets configured")
-    dims = {s.features.size for group in sets.values() for s in group}
+    dims = {data.features.shape[1] for data in sets.values()}
     if len(dims) != 1:
         raise DataError(f"inconsistent feature dimensions across sets: {sorted(dims)}")
     input_dim = dims.pop()
@@ -361,9 +341,8 @@ def run_train(config: ExperimentConfig) -> dict:
         config.reweight_observational,
     )
 
-    set_names = [n for n in SET_NAMES if n in sets]
-    set_lists = [list(enumerate(sets[n])) for n in set_names]
-    sizes = [len(s) for s in set_lists]
+    set_names = list(sets)
+    sizes = [len(sets[n]) for n in set_names]
     plan_summaries = []
     loss_csv = out_dir / "losses.csv"
     step = 0
@@ -378,11 +357,8 @@ def run_train(config: ExperimentConfig) -> dict:
             if epoch == 0:
                 plan_summaries.append(plan.summary())
             for it in range(plan.iteration_count):
-                batch = [
-                    (set_names[si], row, s)
-                    for si, (row, s) in next_joint_batch(plan, it, set_lists)
-                ]
-                report, grads = joint_loss_and_grads(model, batch, objective)
+                batch = dict(zip(set_names, next_joint_batch(plan, it)))
+                report, grads = joint_loss_and_grads(model, sets, batch, objective)
                 opt.step(model, grads)
                 w.writerow([step, epoch, it]
                            + report.csv_row(TASK_NAMES, COUPLING_NAMES))
@@ -392,11 +368,9 @@ def run_train(config: ExperimentConfig) -> dict:
     model.save(ckpt)
     table.save(out_dir / "relatedness.json")
 
-    eval_samples = [s for group in heldout.values() for s in group]
+    eval_set = lab.SampleSet.concat(list(heldout.values()))
     final_metrics = (
-        evaluate_model(model, eval_samples, config.median_filter_window)
-        if eval_samples
-        else {}
+        evaluate_model(model, eval_set, config.median_filter_window) if len(eval_set) else {}
     )
     manifest = {
         "config": config.to_dict(),
@@ -424,44 +398,39 @@ def _versions() -> dict:
 # -- evaluation ----------------------------------------------------------
 
 
-def evaluate_model(model, samples, median_window: int = 5) -> dict:
-    """All applicable metrics on a sample list; VA gets a median-filtered variant
-    when sequence keys are present."""
-    if not samples:
+def evaluate_model(model, data, median_window: int = 5) -> dict:
+    """All applicable metrics on a :class:`~affectmtl.labels.SampleSet`; VA gets
+    a median-filtered variant when every VA row has a sequence key."""
+    if not len(data):
         raise DataError("nothing to evaluate")
-    X, (expr_rows, expr), (au_rows, au, _), (va_rows, va) = _columns(samples)
-    out, _ = model.forward(X)
+    out, _ = model.forward(data.features)
+    expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
     results: dict = {}
 
     if expr_rows.size and "expr" in out:
         pred = np.argmax(out["expr"][expr_rows], axis=1)
-        cm = ConfusionMatrix.from_labels(expr, pred, out["expr"].shape[1])
+        cm = ConfusionMatrix.from_labels(data.expr[expr_rows], pred, out["expr"].shape[1])
         results["expr"] = classification_metrics(cm)
         results["expr"]["confusion"] = cm.counts.tolist()
 
     if au_rows.size and "au" in out:
-        results["au"] = au_metrics(out["au"][au_rows], au)
+        results["au"] = au_metrics(out["au"][au_rows], data.au[au_rows])
 
     if va_rows.size >= 2 and "va" in out:
-        pred = out["va"][va_rows]
+        pred, va, video = out["va"][va_rows], data.va[va_rows], data.video[va_rows]
         results["va"] = va_metrics(va, pred)
-        keyed = [i for i in va_rows if samples[i].sequence_key is not None]
-        if len(keyed) == len(va_rows):
-            filtered = _median_filter_by_video(
-                [samples[i] for i in va_rows], pred, median_window
-            )
+        if (video != "").all():
+            filtered = _median_filter_by_video(video, data.frame[va_rows], pred, median_window)
             results["va_filtered"] = va_metrics(va, filtered)
     return results
 
 
-def _median_filter_by_video(samples, predictions, window):
-    """Apply per-video median filtering, preserving the input row order."""
-    by_video: dict[str, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_video.setdefault(s.sequence_key[0], []).append(i)
-    out = np.array(predictions, dtype=float, copy=True)
-    for rows in by_video.values():
-        rows = sorted(rows, key=lambda i: samples[i].sequence_key[1])
+def _median_filter_by_video(video, frame, predictions, window):
+    """Median-filter each video's predictions in frame order; rows keep their order."""
+    _, code = np.unique(video, return_inverse=True)
+    order = np.lexsort((frame, code))  # stable: equal frames keep their row order
+    out = np.empty_like(predictions, dtype=float)
+    for rows in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
         out[rows] = median_filter(predictions[rows], window)
     return out
 
@@ -469,8 +438,7 @@ def _median_filter_by_video(samples, predictions, window):
 def run_eval(checkpoint, dataset, out_path=None, median_window: int = 5) -> dict:
     """Evaluate a checkpoint on a dataset CSV; optionally write the JSON report."""
     model = MultiHeadModel.load(checkpoint)
-    samples = lab.read_samples_csv(dataset)
-    results = evaluate_model(model, samples, median_window)
+    results = evaluate_model(model, lab.read_samples_csv(dataset), median_window)
     if out_path is not None:
         Path(out_path).write_text(json.dumps(results, indent=2, sort_keys=True))
     return results
@@ -495,18 +463,17 @@ def run_gradcheck(
     spec = GeneratorSpec(relatedness=table, feature_dim=input_dim, seed=seed)
     per = max(2, batch_size // 3)
     va_set, au_set, expr_set = generate(spec, 3 * per)
-    sets = {"va": va_set[:per], "au": au_set[:per], "expr": expr_set[:per]}
+    sets = {name: lab.SampleSet.from_samples(group[:per])
+            for name, group in zip(SET_NAMES, (va_set, au_set, expr_set))}
+    batch = {name: np.arange(len(data)) for name, data in sets.items()}
     report = {}
     for mode in modes:
         model = MultiHeadModel(input_dim, hidden=hidden, seed=seed)
         mode_sets, objective = build_objective(model, sets, table, mode, LossWeights())
-        batch = [
-            (name, row, s) for name in SET_NAMES for row, s in enumerate(mode_sets[name])
-        ]
         err = gradient_check(
             model,
-            value_fn=lambda m: joint_loss_value(m, batch, objective),
-            grad_fn=lambda m: joint_loss_and_grads(m, batch, objective)[1],
+            value_fn=lambda m: joint_loss_value(m, mode_sets, batch, objective),
+            grad_fn=lambda m: joint_loss_and_grads(m, mode_sets, batch, objective)[1],
             rng=np.random.default_rng(seed),
         )
         report[mode] = float(err)

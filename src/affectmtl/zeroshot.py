@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .model import DEFAULT_HEADS
-from .relatedness import CANONICAL_AUS, EMOTIONS, RelatednessTable
+from .relatedness import AU_LABELS, CANONICAL_AUS, EMOTIONS, RelatednessTable
 
 _AU_TO_INDEX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 
@@ -103,8 +103,12 @@ def compound_class_from_emotions(
 ) -> CompoundClass:
     """Build a compound profile as the union of two emotions' table entries.
 
-    AUs present in both constituents take the larger weight.
+    AUs present in both constituents take the larger weight. The table's
+    binary labels must be the canonical AUs in order.
     """
+    if table.binary_label_names != AU_LABELS:
+        raise DataError(f"compound {name!r}: table labels {list(table.binary_label_names)} "
+                        f"are not the canonical AUs {list(AU_LABELS)}")
     r = table.weight_matrix(reweight=True)
     if not {emo1, emo2} <= set(range(len(r))):
         raise DataError(f"compound {name!r}: emotion index outside the table's {len(r)} classes")

@@ -1,7 +1,11 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from affectmtl import CANONICAL_AUS
+from affectmtl.labels import AU_COLUMNS
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 
@@ -27,3 +31,40 @@ def _reference_compound_scores(out, classes):
 def reference_compound_scores():
     """The per-row reference scorer that ``compound_scores`` must match."""
     return _reference_compound_scores
+
+
+def _reference_read_samples_csv(path):
+    """Per-row reader of a valid annotation CSV, one cell at a time with
+    ``float`` and ``int``. Returns the ``SampleSet`` fields as a dict."""
+    path = Path(path)
+    cols = {k: [] for k in ("ids", "features", "expr", "au", "va", "video", "frame")}
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        fcols = sorted((c for c in reader.fieldnames if c[:1] == "f" and c[1:].isdigit()),
+                       key=lambda c: int(c[1:]))
+        for row in reader:
+            def cell(name):
+                return row.get(name) or ""
+
+            if "feature_file" in row:
+                name, _, i = row["feature_file"].rpartition(":")
+                cols["features"].append(np.load(path.parent / name)[int(i)])
+            else:
+                cols["features"].append([float(row[c]) for c in fcols])
+            cols["ids"].append(row["id"])
+            cols["expr"].append(int(cell("expr") or -1))
+            cols["au"].append([float(cell(c) or "nan") for c in AU_COLUMNS])
+            cols["va"].append([float(cell("valence") or "nan"), float(cell("arousal") or "nan")])
+            keyed = cell("video_id") != "" and cell("frame_idx") != ""
+            cols["video"].append(row["video_id"] if keyed else "")
+            cols["frame"].append(int(row["frame_idx"]) if keyed else -1)
+    out = {k: np.array(v, dtype=object if k in ("ids", "video") else None) for k, v in cols.items()}
+    out["features"] = out["features"].astype(float)
+    out["au_weights"] = np.where(np.isnan(out["au"]), np.nan, 1.0)
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_read_samples_csv():
+    """The per-row reference reader that ``read_samples_csv`` must match."""
+    return _reference_read_samples_csv

@@ -135,7 +135,8 @@ def test_criterion_6_scheduler_coverage():
         sets = [[(s, i) for i in range(n)] for s, n in enumerate(sizes)]
         seen = Counter()
         for it in range(plan.iteration_count):
-            seen.update(sample for _, sample in next_joint_batch(plan, it, sets))
+            batch = next_joint_batch(plan, it)
+            seen.update(sets[si][i] for si, rows in enumerate(batch) for i in rows)
         expected = Counter(x for group in sets for x in group)
         ok = ok and seen == expected
     ratio = plan_epoch((1000, 620, 260), max_batch=200, seed=0)

@@ -315,6 +315,11 @@ def _rewrite_first_row(src, dst, **cells):
     {"video_id": "v0", "frame_idx": "first"},
     {"f3": "nan"},
     {"f3": "inf"},
+    {"valence": "0.5", "arousal": ""},
+    {"valence": "", "arousal": "0.1"},
+    {"valence": "nan"},
+    {"arousal": "-inf"},
+    {"video_id": "v0", "frame_idx": "99999999999999999999"},
 ])
 def test_eval_malformed_csv_cell_exit_code(workspace, tmp_path, capsys, cells):
     data = tmp_path / "bad.csv"
@@ -325,12 +330,61 @@ def test_eval_malformed_csv_cell_exit_code(workspace, tmp_path, capsys, cells):
 
 @pytest.mark.parametrize(
     "ref",
-    ["missing.npy:0", "empty.npy:0", "feats.npy:7", "feats.npy:-1", "feats.npy:x", "feats.npy"],
+    ["missing.npy:0", "empty.npy:0", "feats.npy:7", "feats.npy:-1", "feats.npy:x", "feats.npy",
+     "wide.npy:0", "feats.npz:0", "inf.npy:1"],
 )
 def test_eval_bad_feature_file_reference_exit_code(workspace, tmp_path, capsys, ref):
     np.save(tmp_path / "feats.npy", np.zeros((2, 10)))
+    np.save(tmp_path / "inf.npy", np.array([[0.0] * 10, [np.inf] * 10]))
+    np.save(tmp_path / "wide.npy", np.zeros((2, 11)))
+    np.savez(tmp_path / "feats.npz", x=np.zeros((2, 10)))
     (tmp_path / "empty.npy").write_bytes(b"")
     data = tmp_path / "npy.csv"
     data.write_text(f"id,feature_file,expr\na,feats.npy:0,1\nb,{ref},2\n")
     assert _eval(workspace, data) == 2
     assert f"{data}, line 3" in capsys.readouterr().err
+
+
+@st.composite
+def mutated_csv_files(draw, text: str) -> bytes:
+    """The bytes of a valid annotation CSV after one textual mutation."""
+    lines = [line.split(",") for line in text.splitlines()]
+    kind = draw(st.sampled_from(["cell", "drop_cell", "add_cell", "line", "bytes", "truncate"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    j = draw(st.integers(0, len(lines[i]) - 1))
+    if kind == "cell":
+        lines[i][j] = draw(st.text(max_size=6) | st.sampled_from(
+            ["", "nan", "inf", "-1", "7", "2", "1e999", "99999999999999999999", "x.npy:0"]))
+    elif kind == "drop_cell":
+        del lines[i][j]
+    elif kind == "add_cell":
+        lines[i].insert(j, draw(st.text(max_size=3)))
+    elif kind == "line":
+        lines[i:i + 1] = [] if draw(st.booleans()) else [lines[i]] * 2
+    blob = "".join(",".join(line) + "\n" for line in lines).encode()
+    cut = draw(st.integers(0, len(blob)))
+    if kind == "bytes":
+        blob = blob[:cut] + draw(st.binary(min_size=1, max_size=3)) + blob[cut:]
+    elif kind == "truncate":
+        blob = blob[:cut]
+    return blob
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_eval_mutated_csv_exit_code(workspace, data):
+    """Whatever one mutation does to a valid CSV, in either feature form, eval
+    succeeds or fails with a data error."""
+    rows = (workspace / "data" / "full.csv").read_text().splitlines()[:30]
+    if data.draw(st.booleans(), label="feature_file"):
+        header = rows[0].split(",")
+        fcols = [k for k, c in enumerate(header) if c[:1] == "f" and c[1:].isdigit()]
+        cells = [row.split(",") for row in rows]
+        features = [[float(r[k]) for k in fcols] for r in cells[1:]]
+        np.save(workspace / "mutated.npy", np.array(features))
+        refs = ["feature_file", *(f"mutated.npy:{i}" for i in range(len(rows) - 1))]
+        rows = [",".join([c for k, c in enumerate(r) if k not in fcols] + [ref])
+                for r, ref in zip(cells, refs)]
+    path = workspace / "mutated.csv"
+    path.write_bytes(data.draw(mutated_csv_files("\n".join(rows))))
+    assert _eval(workspace, path) in (0, 2)

@@ -1,7 +1,12 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectmtl import (
     CANONICAL_AUS,
@@ -15,7 +20,7 @@ from affectmtl import (
     soft_co_annotate,
     subsample_frames,
 )
-from affectmtl.labels import read_samples_csv, write_samples_csv
+from affectmtl.labels import AU_COLUMNS, read_samples_csv, write_samples_csv
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
@@ -188,15 +193,15 @@ def test_csv_round_trip(tmp_path):
     write_samples_csv(p, samples)
     back = read_samples_csv(p)
     assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert a.id == b.id
-        assert np.allclose(a.features, b.features)
-        assert (a.va is None) == (b.va is None)
+    for i, a in enumerate(samples):
+        assert a.id == back.ids[i]
+        assert np.allclose(a.features, back.features[i])
+        assert (a.va is None) == np.isnan(back.va[i]).all()
         if a.va:
-            assert a.va == pytest.approx(b.va)
-        assert a.expr == b.expr
-        assert np.array_equal(a.au, b.au, equal_nan=True)
-        assert a.sequence_key == b.sequence_key
+            assert a.va == pytest.approx(tuple(back.va[i]))
+        assert (-1 if a.expr is None else a.expr) == back.expr[i]
+        assert np.array_equal(a.au, back.au[i], equal_nan=True)
+        assert (a.sequence_key or ("", -1)) == (back.video[i], back.frame[i])
 
 
 def test_csv_feature_file_reference(tmp_path):
@@ -208,5 +213,98 @@ def test_csv_feature_file_reference(tmp_path):
     p = tmp_path / "ref.csv"
     p.write_text(csv_text + "\n")
     back = read_samples_csv(p)
-    assert np.allclose(back[1].features, feats[1])
-    assert back[2].expr == 2
+    assert np.allclose(back.features[1], feats[1])
+    assert back.expr[2] == 2
+
+
+def test_csv_errors_name_the_line(tmp_path):
+    p = tmp_path / "d.csv"
+    # a quoted cell spans lines 2-3 and line 4 is blank, so row s1 ends on line 5
+    p.write_text('id,f0,note,expr\ns0,0.5,"two\nlines",1\n\ns1,0.5,,9\n')
+    with pytest.raises(DataError, match=r"d\.csv, line 5: expression index 9 outside"):
+        read_samples_csv(p)
+    # the first bad row of a later block, after an earlier check of another kind
+    rows = [f"s{i},0.5,,1" for i in range(300)]
+    rows[280], rows[290] = "s280,0.5,,", "s290,x,,1"
+    p.write_text("id,f0,note,expr\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r"line 282: sample 's280' carries no label"):
+        read_samples_csv(p)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"", "empty dataset file"),
+    (b"id,f0,expr\n", "no samples"),
+    (b"f0,expr\n0.5,1\n", "no id column"),
+    (b"id,expr\ns0,1\n", "no feature columns"),
+    (b"id,f0,expr\ns0,0.5,1\ns1,0.5\n", "line 3: row has 2 cells"),
+    (b"id,f0,expr\ns0,0.5,1\x00\n", "line 2"),
+    (b"id,f0,expr\ns0,0.5,\xff\n", "cannot read dataset"),
+])
+def test_csv_structure_errors(tmp_path, blob, message):
+    p = tmp_path / "d.csv"
+    p.write_bytes(blob)
+    with pytest.raises(DataError, match=message):
+        read_samples_csv(p)
+
+
+def _number(rng, x) -> str:
+    """``x`` in one of the spellings a CSV may hold."""
+    return [repr(float(x)), f"{x:.3e}", str(int(x * 100)), f" {x:.4f}"][rng.integers(4)]
+
+
+@st.composite
+def annotation_csvs(draw, directory: Path) -> Path:
+    """A valid annotation CSV, with any subset of the label columns, inline
+    features or ``path:row`` references, and sometimes more than one block of
+    rows; returns its path."""
+    n = draw(st.one_of(st.integers(1, 20), st.integers(250, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 5))
+    use_files = draw(st.booleans())
+    labels = draw(st.lists(st.sampled_from(
+        ["va", "expr", "video_id", "frame_idx", "note", *AU_COLUMNS]), unique=True))
+    if not {"va", "expr", *AU_COLUMNS} & set(labels):
+        labels.append("expr")
+    fcols = ["feature_file"] if use_files else [f"f{i}" for i in range(dim)]
+    header = draw(st.permutations(["id", *fcols, *labels]))
+    header = [c for h in header for c in (("valence", "arousal") if h == "va" else (h,))]
+    matrices = [rng.normal(size=(int(rng.integers(1, 40)), dim)) for _ in range(2)]
+    (directory / "sub").mkdir(exist_ok=True)
+    for k, m in enumerate(matrices):
+        np.save(directory / "sub" / f"m{k}.npy", m)
+    rows = []
+    for i in range(n):
+        k = int(rng.integers(2))
+        row = {"id": f"s{i % 50}", "note": 'a,"b"\nc' if rng.random() < 0.2 else "",
+               "feature_file": f"sub/m{k}.npy:{rng.integers(len(matrices[k]))}",
+               **{f"f{j}": _number(rng, x) for j, x in enumerate(rng.normal(size=dim) * 10)}}
+        va = [_number(rng, x) for x in rng.uniform(-1, 1, 2)] if rng.random() < 0.5 else ["", ""]
+        row["valence"], row["arousal"] = va
+        row["expr"] = str(rng.integers(7)) if rng.random() < 0.5 else ""
+        row.update({c: ["", "0", "1", "1.0"][rng.integers(4)] for c in AU_COLUMNS})
+        row["video_id"] = f"v{rng.integers(3)}" if rng.random() < 0.8 else ""
+        row["frame_idx"] = str(rng.integers(50)) if rng.random() < 0.8 else ""
+        labelled = [c for c in header if c in ("valence", "arousal", "expr", *AU_COLUMNS)]
+        if not any(row[c] for c in labelled):  # give the row a label it can carry
+            row.update({c: "1" for c in labelled})
+        rows.append([row.get(c, "") for c in header])
+    path = directory / "data.csv"
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csv_reader_matches_per_row_reference(reference_read_samples_csv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = data.draw(annotation_csvs(Path(tmp)))
+        got, want = read_samples_csv(path), reference_read_samples_csv(path)
+    assert len(got) == len(want["ids"])
+    for name, value in want.items():
+        have = getattr(got, name)
+        assert have.dtype == value.dtype and have.shape == value.shape, name
+        if value.dtype == float:
+            assert have.tobytes() == value.tobytes(), name
+        else:
+            assert (have == value).all(), name

@@ -127,7 +127,7 @@ def test_infer_empirical_threshold_and_saturation():
         au[AU_IDX[6]] = 1.0 if i == 0 else 0.0  # 5% < threshold -> dropped
         samples.append((happy, au))
     table = infer_empirical(_corpus(samples), threshold=0.1)
-    got = {CANONICAL_AUS[e.index]: e.weight for e in table.lookup(0)}
+    got = {CANONICAL_AUS[e.index]: e.weight for e in table.lookup(happy)}
     assert got == {12: 1.0}
 
 
@@ -147,15 +147,18 @@ def test_infer_empirical_permutation_invariant():
     assert t1.to_json() == t2.to_json()
 
 
-def test_infer_empirical_omits_unannotated_class():
+def test_infer_empirical_keeps_every_class():
     happy = EMOTIONS.index("happiness")
     sad = EMOTIONS.index("sadness")
     au = np.zeros(17)
     au[0] = 1.0
     samples = [(happy, au), (sad, np.full(17, np.nan))]
     table = infer_empirical(_corpus(samples))
-    assert "sadness" not in table.class_names
-    assert "happiness" in table.class_names
+    # sadness has no annotated AU and anger no sample: both keep an empty row
+    assert table.class_names == EMOTIONS
+    assert table.lookup(sad) == () and table.lookup(EMOTIONS.index("anger")) == ()
+    assert [e.index for e in table.lookup(happy)] == [0]
+    assert RelatednessTable.from_dict(table.to_dict()) == table
 
 
 def test_serialization_round_trip(tmp_path):

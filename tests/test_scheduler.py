@@ -35,17 +35,16 @@ def test_empty_set_rejected():
 def test_joint_batch_sizes_and_tags():
     sets = [[f"a{i}" for i in range(1000)], [f"b{i}" for i in range(620)], [f"c{i}" for i in range(260)]]
     plan = plan_epoch([len(s) for s in sets], max_batch=200, seed=1)
-    batch = next_joint_batch(plan, 0, sets)
-    assert len(batch) == 376
-    tags = Counter(si for si, _ in batch)
+    batch = next_joint_batch(plan, 0)
+    assert sum(len(rows) for rows in batch) == 376
+    tags = Counter({si: len(rows) for si, rows in enumerate(batch)})
     assert tags == {0: 200, 1: 124, 2: 52}
 
 
 def test_iteration_out_of_range():
-    sets = [list(range(4))]
     plan = plan_epoch([4], max_batch=2)
     with pytest.raises(DataError):
-        next_joint_batch(plan, 2, sets)
+        next_joint_batch(plan, 2)
 
 
 def test_epoch_coverage_exact_once():
@@ -57,8 +56,8 @@ def test_epoch_coverage_exact_once():
         plan = plan_epoch(sizes, max_batch, seed=int(rng.integers(1 << 30)))
         seen = Counter()
         for it in range(plan.iteration_count):
-            for si, s in next_joint_batch(plan, it, sets):
-                seen[s] += 1
+            for si, rows in enumerate(next_joint_batch(plan, it)):
+                seen.update(sets[si][i] for i in rows)
         expected = Counter(s for group in sets for s in group)
         assert seen == expected
 
@@ -80,7 +79,6 @@ def test_reproducible_with_seed():
 
 
 def test_degenerate_single_set():
-    sets = [list(range(5))]
     plan = plan_epoch([5], max_batch=2, seed=0)
-    batch = next_joint_batch(plan, 0, sets)
-    assert [si for si, _ in batch] == [0, 0]
+    batch = next_joint_batch(plan, 0)
+    assert [si for si, rows in enumerate(batch) for _ in rows] == [0, 0]

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from affectmtl import (
+    AU_LABELS,
     EMOTIONS,
     ConfigError,
     DataError,
     ExperimentConfig,
     LossWeights,
     MultiHeadModel,
+    RelatednessTable,
+    SampleSet,
     domain_table,
 )
 from affectmtl.labels import HeterogeneousSample, soft_co_annotate, write_samples_csv
@@ -182,51 +185,56 @@ def test_run_gradcheck_passes_all_modes():
 # -- batch-form objective --------------------------------------------------
 
 
-def _reference_loss(model, batch, mode, table, weights):
+def _reference_loss(model, sets, batch, mode, table, weights):
     """Per-row loop over the batch: every loss term sample by sample, SCA
     targets from ``soft_co_annotate``, DM targets from one row at a time."""
-    out, _ = model.forward(np.stack([s.features for _, _, s in batch]))
+    picked = [(name, sets[name], i) for name, rows in batch.items() for i in rows]
+    out, _ = model.forward(np.stack([d.features[i] for _, d, i in picked]))
     eps = weights.epsilon
     g = {h: np.zeros_like(v) for h, v in out.items()}
     losses = {}
 
     def mean_over(rows, term, head, weight):
         acc = 0.0
-        for i in rows:
-            v, grad = term(i, batch[i][2])
+        for j in rows:
+            v, grad = term(j, *picked[j][1:])
             acc += v
-            g[head][i] += weight * grad / len(rows)
+            g[head][j] += weight * grad / len(rows)
         return acc / len(rows)
 
-    rows = [i for i, (_, _, s) in enumerate(batch) if s.expr is not None]
+    rows = [j for j, (_, d, i) in enumerate(picked) if d.expr[i] >= 0]
     losses["expr"] = mean_over(
-        rows, lambda i, s: softmax_ce_grad(out["expr"][i], s.expr, eps),
+        rows, lambda j, d, i: softmax_ce_grad(out["expr"][j], d.expr[i], eps),
         "expr", weights.task("expr"),
     )
-    rows = [i for i, (_, _, s) in enumerate(batch) if s.au is not None]
+    rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.au[i]).all()]
     losses["au"] = mean_over(
-        rows, lambda i, s: masked_bce_grad(out["au"][i], s.au, s.au_weights, eps),
+        rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], d.au_weights[i], eps),
         "au", weights.task("au"),
     )
-    rows = [i for i, (_, _, s) in enumerate(batch) if s.va is not None]
-    losses["va"], grad = ccc_loss_grad(np.array([batch[i][2].va for i in rows]), out["va"][rows])
+    rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.va[i]).any()]
+    va = np.array([picked[j][1].va[picked[j][2]] for j in rows])
+    losses["va"], grad = ccc_loss_grad(va, out["va"][rows])
     g["va"][rows] += weights.task("va") * grad
     if mode in ("soft_co_annotation", "soft_plus_dm"):
-        rows = [i for i, (name, _, _) in enumerate(batch) if name == "au"]
+        rows = [j for j, (name, _, _) in enumerate(picked) if name == "au"]
         losses["sca"] = mean_over(
-            rows, lambda i, s: sca_loss_grad(out["expr"][i], soft_co_annotate(s, table), eps),
+            rows, lambda j, d, i: sca_loss_grad(
+                out["expr"][j],
+                soft_co_annotate(HeterogeneousSample(d.ids[i], d.features[i], au=d.au[i]), table),
+                eps),
             "expr", weights.coupling("sca"),
         )
     if mode in ("distr_matching", "soft_plus_dm"):
         r = table.weight_matrix(True)
         acc = 0.0
-        for i in range(len(batch)):
-            q = SoftTargets(q_binary=out["expr"][i] @ r)
-            v, grad_p, grad_q = dm_loss_grad(out["au"][i], q, eps)
+        for j in range(len(picked)):
+            q = SoftTargets(q_binary=out["expr"][j] @ r)
+            v, grad_p, grad_q = dm_loss_grad(out["au"][j], q, eps)
             acc += v
-            g["au"][i] += weights.coupling("dm") * grad_p / len(batch)
-            g["expr"][i] += weights.coupling("dm") * (r @ grad_q) / len(batch)
-        losses["dm"] = acc / len(batch)
+            g["au"][j] += weights.coupling("dm") * grad_p / len(picked)
+            g["expr"][j] += weights.coupling("dm") * (r @ grad_q) / len(picked)
+        losses["dm"] = acc / len(picked)
     return losses, g
 
 
@@ -236,20 +244,18 @@ def _reference_loss(model, batch, mode, table, weights):
 def test_batch_objective_matches_per_row_loop(mode):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
     va_set, au_set, expr_set = generate(spec, 180)
-    sets = {"va": va_set[:40], "au": au_set[:50], "expr": expr_set[:45]}
+    sets = {name: SampleSet.from_samples(group)
+            for name, group in (("va", va_set[:40]), ("au", au_set[:50]), ("expr", expr_set[:45]))}
     weights = LossWeights({"expr": 0.7, "va": 1.3}, {"sca": 0.6, "dm": 1.7})
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     sets, objective = build_objective(model, sets, TABLE, mode, weights)
     # rows in a shuffled order, as the epoch plan draws them
     rng = np.random.default_rng(0)
-    batch = [
-        (name, int(row), sets[name][row])
-        for name in ("va", "au", "expr") for row in rng.permutation(len(sets[name]))
-    ]
+    batch = {name: rng.permutation(len(sets[name])) for name in ("va", "au", "expr")}
     if mode == "co_annotation":
-        assert any(s.au_weights is not None for _, _, s in batch)
-    report, g, _ = _joint_loss(model, batch, objective)
-    losses, g_ref = _reference_loss(model, batch, mode, TABLE, weights)
+        assert sets["expr"].au_rows.size  # the expr set gained AU labels
+    report, g, _ = _joint_loss(model, sets, batch, objective)
+    losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, weights)
     assert set(report.task_losses) | set(report.coupling_losses) == set(losses)
     for name, v in {**report.task_losses, **report.coupling_losses}.items():
         assert abs(v - losses[name]) <= 1e-12, name
@@ -264,14 +270,28 @@ def test_sca_targets_follow_rows_not_ids():
     au_set = [HeterogeneousSample("dup", np.zeros(8), au=a) for a in (happy, sad)]
     model = MultiHeadModel(8, hidden=(4,))
     _, objective = build_objective(
-        model, {"au": au_set}, TABLE, "soft_co_annotation", LossWeights()
+        model, {"au": SampleSet.from_samples(au_set)}, TABLE, "soft_co_annotation", LossWeights()
     )
     for s, q in zip(au_set, objective.sca_targets):
         assert np.allclose(q, soft_co_annotate(s, TABLE).q, atol=1e-15)
     assert not np.allclose(objective.sca_targets[0], objective.sca_targets[1])
 
 
-def test_table_head_mismatch_is_a_data_error(tmp_path):
+def test_table_head_mismatch_is_a_data_error(dataset_dir, tmp_path):
+    six = [c for c in EMOTIONS if c != "anger"]
+    (tmp_path / "six.json").write_text(json.dumps({
+        "classes": six, "labels": list(AU_LABELS), "kind": "empirical",
+        "entries": {"happiness": {"AU12": {"w": 0.9, "proto": False}}},
+    }))
+    config = make_config(
+        dataset_dir, tmp_path / "run", epochs=1, coupling="distr_matching",
+        relatedness={"source": "file", "path": str(tmp_path / "six.json")},
+    )
+    with pytest.raises(DataError, match="relatedness table shape"):
+        run_train(config)
+
+
+def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=3)
     anger = EMOTIONS.index("anger")
     corpus = [s for s in generate_full(spec, 400) if s.expr != anger]
@@ -279,11 +299,14 @@ def test_table_head_mismatch_is_a_data_error(tmp_path):
     for name, group in zip(("va", "au", "expr"), generate(spec, 120)):
         write_samples_csv(tmp_path / f"{name}.csv", group)
     config = make_config(
-        tmp_path, tmp_path / "run", epochs=1, coupling="distr_matching",
+        tmp_path, tmp_path / "run", epochs=1, coupling="soft_plus_dm",
         relatedness={"source": "empirical", "corpus": str(tmp_path / "corpus.csv")},
     )
-    with pytest.raises(DataError, match="relatedness table shape"):
-        run_train(config)
+    manifest = run_train(config)
+    table = RelatednessTable.load(tmp_path / "run" / "relatedness.json")
+    assert table.class_names == EMOTIONS
+    assert table.lookup(anger) == ()
+    assert manifest["steps"] == manifest["epoch_plans"][0]["iteration_count"]
 
 
 @pytest.mark.parametrize("relatedness, error", [

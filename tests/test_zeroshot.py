@@ -8,12 +8,14 @@ from affectmtl import (
     EMOTIONS,
     CompoundClass,
     DataError,
+    RelatednessTable,
     compound_scores,
     default_compound_classes,
     domain_table,
     load_compound_profiles,
     save_compound_profiles,
 )
+from affectmtl.relatedness import KIND_DOMAIN
 from affectmtl.zeroshot import compound_class_from_emotions
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -200,6 +202,14 @@ def test_profile_union_matches_table_lookup():
         assert c.au_profile == union
     with pytest.raises(DataError):
         compound_class_from_emotions("x", 1, 7, TABLE)
+
+
+def test_profile_needs_the_canonical_au_labels():
+    happy, surprise = EMOTIONS.index("happiness"), EMOTIONS.index("surprise")
+    two = RelatednessTable(EMOTIONS, ["AU12", "AU25"],
+                           {"happiness": {0: (1.0, True), 1: (1.0, True)}}, KIND_DOMAIN)
+    with pytest.raises(DataError, match="canonical AUs"):
+        compound_class_from_emotions("happily_surprised", happy, surprise, two)
 
 
 def test_profile_file_round_trip(tmp_path):
