@@ -16,10 +16,12 @@ import numpy as np
 
 from . import labels as lab
 from . import relatedness as rel
-from .errors import AffectMTLError, ConfigError, DataError
+from .errors import AffectMTLError, DataError
 from .model import MultiHeadModel
 from .synthdata import GeneratorSpec, generate, generate_full
-from .training import ExperimentConfig, run_eval, run_gradcheck, run_train, _versions
+from .training import (
+    ExperimentConfig, empirical_table, run_eval, run_gradcheck, run_train, _versions,
+)
 from .zeroshot import compound_scores, load_compound_profiles
 
 
@@ -59,13 +61,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_infer_relatedness(args) -> int:
-    data = lab.read_samples_csv(args.corpus)
-    rows = np.intersect1d(data.expr_rows, data.au_rows)
-    if not rows.size:
-        raise ConfigError(f"corpus {args.corpus} has no co-annotated samples")
-    pairs = list(zip(data.expr[rows].tolist(), data.au[rows]))
-    corpus = rel.CoAnnotatedCorpus(rel.EMOTIONS, rel.AU_LABELS, pairs)
-    table = rel.infer_empirical(corpus, args.threshold)
+    table = empirical_table(args.corpus, args.threshold)
     table.save(args.out)
     print(f"inferred empirical table over {len(table.class_names)} classes -> {args.out}")
     return 0

@@ -71,6 +71,22 @@ class MultiHeadModel:
 
     # -- forward / backward ---------------------------------------------
 
+    def _fused_heads(self):
+        """Every head's weights side by side: (W, b, [(name, kind, columns)]).
+
+        The parameters stay one contiguous pair of arrays per head (see
+        ``named_params``); this copy lets one product evaluate all heads.
+        """
+        width = sum(head["b"].size for head in self.heads.values())
+        W, b = np.empty((self.feature_dim, width)), np.empty(width)
+        blocks, start = [], 0
+        for name, head in self.heads.items():
+            cols = slice(start, start + head["b"].size)
+            W[:, cols], b[cols] = head["W"], head["b"]
+            blocks.append((name, head["kind"], cols))
+            start = cols.stop
+        return W, b, blocks
+
     def forward(self, X):
         """Batch forward pass. Returns (outputs dict, cache for backward).
 
@@ -85,58 +101,73 @@ class MultiHeadModel:
         acts = [X]
         h = X
         for layer in self.trunk:
-            h = np.tanh(h @ layer["W"] + layer["b"])
+            h = h @ layer["W"]
+            h += layer["b"]
+            np.tanh(h, out=h)
             acts.append(h)
+        W, b, blocks = self._fused_heads()
+        z = h @ W
+        z += b
         out = {}
-        for name, head in self.heads.items():
-            z = h @ head["W"] + head["b"]
-            if head["kind"] == "tanh":
-                out[name] = np.tanh(z)
-            elif head["kind"] == "sigmoid":
-                out[name] = 1.0 / (1.0 + np.exp(-z))
+        for name, kind, cols in blocks:
+            zc = z[:, cols]
+            if kind == "tanh":
+                out[name] = np.tanh(zc)
+            elif kind == "sigmoid":
+                out[name] = 1.0 / (1.0 + np.exp(-zc))
             else:
-                e = np.exp(z - z.max(axis=1, keepdims=True))
-                out[name] = e / e.sum(axis=1, keepdims=True)
-        return out, {"acts": acts, "out": out}
+                e = np.exp(zc - zc.max(axis=1, keepdims=True))
+                e /= e.sum(axis=1, keepdims=True)
+                out[name] = e
+        return out, {"acts": acts, "out": out, "heads": (W, blocks)}
 
     def backward(self, cache, out_grads: dict):
         """Backprop loss gradients on head outputs to parameter gradients.
 
         ``out_grads`` maps head name -> array of d(loss)/d(output); missing
-        heads contribute nothing. Returns {param name -> gradient array}.
+        heads contribute nothing. Returns {param name -> gradient array}. No
+        gradient with respect to the input is formed, and a frozen trunk gets
+        zero gradients without being backpropagated through.
         """
-        acts = cache["acts"]
-        out = cache["out"]
-        h = acts[-1]
-        grads = {name: np.zeros_like(p) for name, p in self.named_params()}
-        gh = np.zeros_like(h)
-        for name, g in out_grads.items():
+        acts, out = cache["acts"], cache["out"]
+        W_heads, blocks = cache["heads"]
+        for name in out_grads:
             if name not in self.heads:
                 raise DataError(f"gradient for unknown head {name!r}")
-            head = self.heads[name]
+        h = acts[-1]
+        gz = np.zeros((len(h), W_heads.shape[1]))
+        for name, kind, cols in blocks:
+            if name not in out_grads:
+                continue
             y = out[name]
-            g = np.asarray(g, dtype=float)
-            if head["kind"] == "tanh":
-                gz = g * (1.0 - y**2)
-            elif head["kind"] == "sigmoid":
-                gz = g * y * (1.0 - y)
+            g = np.asarray(out_grads[name], dtype=float)
+            if kind == "tanh":
+                gz[:, cols] = g * (1.0 - y**2)
+            elif kind == "sigmoid":
+                gz[:, cols] = g * y * (1.0 - y)
             else:  # softmax Jacobian applied row-wise
-                gz = y * (g - (g * y).sum(axis=1, keepdims=True))
-            grads[f"{name}.W"] += h.T @ gz
-            grads[f"{name}.b"] += gz.sum(axis=0)
-            gh += gz @ head["W"].T
-        for i in range(len(self.trunk) - 1, -1, -1):
-            a_out, a_in = acts[i + 1], acts[i]
-            gz = gh * (1.0 - a_out**2)
-            if not self.trunk_frozen:
-                grads[f"trunk{i}.W"] += a_in.T @ gz
-                grads[f"trunk{i}.b"] += gz.sum(axis=0)
-            gh = gz @ self.trunk[i]["W"].T
-        if self.trunk_frozen:
-            for i in range(len(self.trunk)):
-                grads[f"trunk{i}.W"][:] = 0.0
-                grads[f"trunk{i}.b"][:] = 0.0
-        return grads
+                gz[:, cols] = y * (g - (g * y).sum(axis=1, keepdims=True))
+        grads = {}
+        if self.trunk_frozen or not self.trunk:
+            for i, layer in enumerate(self.trunk):
+                grads[f"trunk{i}.W"] = np.zeros_like(layer["W"])
+                grads[f"trunk{i}.b"] = np.zeros_like(layer["b"])
+        else:
+            gh = gz @ W_heads.T
+            for i in range(len(self.trunk) - 1, -1, -1):
+                d = acts[i + 1] * acts[i + 1]
+                np.subtract(1.0, d, out=d)
+                d *= gh  # the gradient at layer i's pre-activation
+                grads[f"trunk{i}.W"] = acts[i].T @ d
+                grads[f"trunk{i}.b"] = d.sum(axis=0)
+                if i:
+                    gh = d @ self.trunk[i]["W"].T
+        gW = h.T @ gz
+        gb = gz.sum(axis=0)
+        for name, _, cols in blocks:
+            grads[f"{name}.W"] = np.ascontiguousarray(gW[:, cols])
+            grads[f"{name}.b"] = gb[cols]
+        return {name: grads[name] for name, _ in self.named_params()}
 
     # -- surgery ---------------------------------------------------------
 
@@ -179,28 +210,66 @@ class MultiHeadModel:
     def load(cls, path) -> "MultiHeadModel":
         try:
             with open(path, "rb") as f:
+                size = os.fstat(f.fileno()).st_size
                 (hlen,) = struct.unpack("<Q", f.read(8))
-                if hlen > os.fstat(f.fileno()).st_size:
+                if hlen > size:
                     raise DataError(f"truncated checkpoint: {path}")
                 spec = json.loads(f.read(hlen).decode())
-                model = cls(
-                    spec["input_dim"],
-                    hidden=spec["hidden"],
-                    heads={n: tuple(s) for n, s in spec["heads"].items()},
-                    seed=spec["seed"],
-                )
-                model.trunk_frozen = spec.get("trunk_frozen", False)
-                for _, p in model.named_params():
+                input_dim, hidden, heads, seed, frozen = _header_fields(spec, path)
+                # the parameter bytes the header implies, checked before anything is allocated
+                dims = (input_dim, *hidden)
+                n_params = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+                n_params += sum((dims[-1] + 1) * n for _, n in heads.values())
+                left = size - f.tell()
+                if left != 8 * n_params:
+                    raise DataError(
+                        f"checkpoint {path} holds {left} parameter bytes, "
+                        f"its header declares {8 * n_params}"
+                    )
+                model = cls(input_dim, hidden=hidden, heads=heads, seed=seed)
+                model.trunk_frozen = frozen
+                for name, p in model.named_params():
                     buf = f.read(p.size * 8)
                     if len(buf) != p.size * 8:
                         raise DataError(f"truncated checkpoint: {path}")
                     p[...] = np.frombuffer(buf, dtype="<f8").reshape(p.shape)
+                    if not np.isfinite(p).all():
+                        raise DataError(f"non-finite parameter {name} in checkpoint {path}")
                 if f.read(1):
                     raise DataError(f"trailing bytes after the parameters in checkpoint {path}")
-        # KeyError/TypeError/ValueError: a header with missing keys or wrong types
-        except (OSError, struct.error, KeyError, TypeError, ValueError) as e:
+        # ValueError: a header that is not UTF-8 JSON
+        except (OSError, struct.error, ValueError) as e:
             raise DataError(f"cannot read checkpoint {path}: {e!r}") from e
         return model
+
+
+def _header_fields(spec, path):
+    """(input_dim, hidden, heads, seed, trunk_frozen) of a checkpoint header,
+    each checked for its type; sizes are positive ints."""
+
+    def positive(v):
+        return type(v) is int and v > 0
+
+    if not isinstance(spec, dict):
+        raise DataError(f"checkpoint {path}: the header is not a JSON object")
+    missing = sorted({"input_dim", "hidden", "heads", "seed"} - set(spec))
+    if missing:
+        raise DataError(f"checkpoint {path}: the header lacks {', '.join(missing)}")
+    input_dim, hidden, heads, seed = (spec[k] for k in ("input_dim", "hidden", "heads", "seed"))
+    frozen = spec.get("trunk_frozen", False)
+    if not positive(input_dim):
+        raise DataError(f"checkpoint {path}: input_dim {input_dim!r} is not a positive int")
+    if not (isinstance(hidden, list) and all(positive(h) for h in hidden)):
+        raise DataError(f"checkpoint {path}: hidden {hidden!r} is not a list of positive ints")
+    if not (isinstance(heads, dict) and all(
+            isinstance(s, list) and len(s) == 2 and s[0] in HEAD_KINDS and positive(s[1])
+            for s in heads.values())):
+        raise DataError(f"checkpoint {path}: heads {heads!r} are not [kind, size] pairs")
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"checkpoint {path}: seed {seed!r} is not a non-negative int")
+    if type(frozen) is not bool:
+        raise DataError(f"checkpoint {path}: trunk_frozen {frozen!r} is not a boolean")
+    return input_dim, hidden, {n: tuple(s) for n, s in heads.items()}, seed, frozen
 
 
 class SGDMomentum:
@@ -241,6 +310,9 @@ def gradient_check(model, value_fn, grad_fn, n_per_layer=20, h=1e-5, rng=None):
             max_err = max(max_err, float(np.abs(analytic[name]).max()))
             continue
         flat = p.reshape(-1)
+        if not np.shares_memory(flat, p):
+            # a copy would be perturbed and the loss would never move
+            raise NumericalError(f"parameter {name} is not contiguous; cannot perturb it in place")
         k = min(n_per_layer, flat.size)
         idxs = rng.choice(flat.size, size=k, replace=False)
         for i in idxs:

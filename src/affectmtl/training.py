@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,6 +99,22 @@ class ExperimentConfig:
             raise ConfigError("holdout_fraction must be in [0, 1)")
         if self.epochs < 1 or self.max_batch < 1:
             raise ConfigError("epochs and max_batch must be >= 1")
+        paths = [*self.data.values(), *(self.relatedness.get(k, "") for k in ("path", "corpus"))]
+        if not all(isinstance(p, str) for p in paths):
+            raise ConfigError("data and relatedness paths must be strings")
+        if type(self.reweight_observational) is not bool:
+            raise ConfigError("reweight_observational must be true or false")
+        threshold = self.relatedness.get("threshold", 0.1)
+        if type(threshold) not in (int, float):
+            raise ConfigError(f"relatedness.threshold must be a number, got {threshold!r}")
+        if not all(type(h) is int and h > 0 for h in self.hidden):
+            raise ConfigError(f"model.hidden must list positive ints, got {list(self.hidden)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.median_filter_window < 1 or self.median_filter_window % 2 == 0:
+            raise ConfigError("median_filter_window must be odd and >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0 and 0.0 <= self.momentum < 1.0):
+            raise ConfigError("optimizer needs a finite lr > 0 and a momentum in [0, 1)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -108,7 +125,7 @@ class ExperimentConfig:
                 data=dict(d.get("data", {})),
                 relatedness=dict(d.get("relatedness", {"source": "domain"})),
                 coupling=d.get("coupling", "none"),
-                reweight_observational=bool(d.get("reweight_observational", True)),
+                reweight_observational=d.get("reweight_observational", True),
                 loss_weights=LossWeights(
                     lambda_per_task=dict(lw.get("tasks", {})),
                     coupling_weights=dict(lw.get("couplings", {})),
@@ -124,7 +141,8 @@ class ExperimentConfig:
                 seed=int(d.get("seed", 0)),
                 out_dir=str(d.get("out_dir", "runs/run")),
             )
-        except (TypeError, ValueError, DataError) as e:  # DataError: LossWeights' range checks
+        # OverflowError: int() of an infinite number; DataError: LossWeights' range checks
+        except (TypeError, ValueError, OverflowError, DataError) as e:
             raise ConfigError(f"malformed config: {e}") from e
 
     @classmethod
@@ -133,7 +151,7 @@ class ExperimentConfig:
             d = json.loads(Path(path).read_text())
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
         return cls.from_dict(d)
 
@@ -182,14 +200,20 @@ def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
         corpus_path = config.relatedness.get("corpus")
         if corpus_path is None:
             raise ConfigError("empirical relatedness needs a 'corpus' path")
-        data = lab.read_samples_csv(corpus_path)
-        rows = np.intersect1d(data.expr_rows, data.au_rows)
-        if not rows.size:
-            raise DataError(f"corpus {corpus_path} has no co-annotated samples")
-        pairs = list(zip(data.expr[rows].tolist(), data.au[rows]))
-        corpus = rel.CoAnnotatedCorpus(rel.EMOTIONS, rel.AU_LABELS, pairs)
-        return rel.infer_empirical(corpus, float(config.relatedness.get("threshold", 0.1)))
+        return empirical_table(corpus_path, float(config.relatedness.get("threshold", 0.1)))
     raise ConfigError(f"unknown relatedness source {src!r}")
+
+
+def empirical_table(corpus_path, threshold: float = 0.1) -> rel.RelatednessTable:
+    """Infer a relatedness table from the rows of an annotation CSV that carry
+    both an expression and AU labels."""
+    data = lab.read_samples_csv(corpus_path)
+    rows = np.intersect1d(data.expr_rows, data.au_rows)
+    if not rows.size:
+        raise DataError(f"corpus {corpus_path} has no co-annotated samples")
+    pairs = list(zip(data.expr[rows].tolist(), data.au[rows]))
+    corpus = rel.CoAnnotatedCorpus(rel.EMOTIONS, rel.AU_LABELS, pairs)
+    return rel.infer_empirical(corpus, threshold)
 
 
 # -- joint objective -----------------------------------------------------

@@ -68,3 +68,51 @@ def _reference_read_samples_csv(path):
 def reference_read_samples_csv():
     """The per-row reference reader that ``read_samples_csv`` must match."""
     return _reference_read_samples_csv
+
+
+def _reference_forward_backward(model, X, out_grads):
+    """Forward and backward pass with one product per head and the full trunk
+    backward, frozen layers zeroed afterwards. Returns (outputs, gradients)."""
+    acts = [X]
+    for layer in model.trunk:
+        acts.append(np.tanh(acts[-1] @ layer["W"] + layer["b"]))
+    h = acts[-1]
+    out = {}
+    for name, head in model.heads.items():
+        z = h @ head["W"] + head["b"]
+        if head["kind"] == "tanh":
+            out[name] = np.tanh(z)
+        elif head["kind"] == "sigmoid":
+            out[name] = 1.0 / (1.0 + np.exp(-z))
+        else:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            out[name] = e / e.sum(axis=1, keepdims=True)
+    grads = {name: np.zeros_like(p) for name, p in model.named_params()}
+    gh = np.zeros_like(h)
+    for name, g in out_grads.items():
+        head, y = model.heads[name], out[name]
+        if head["kind"] == "tanh":
+            gz = g * (1.0 - y**2)
+        elif head["kind"] == "sigmoid":
+            gz = g * y * (1.0 - y)
+        else:
+            gz = y * (g - (g * y).sum(axis=1, keepdims=True))
+        grads[f"{name}.W"] += h.T @ gz
+        grads[f"{name}.b"] += gz.sum(axis=0)
+        gh += gz @ head["W"].T
+    for i in range(len(model.trunk) - 1, -1, -1):
+        gz = gh * (1.0 - acts[i + 1] ** 2)
+        grads[f"trunk{i}.W"] += acts[i].T @ gz
+        grads[f"trunk{i}.b"] += gz.sum(axis=0)
+        gh = gz @ model.trunk[i]["W"].T
+    if model.trunk_frozen:
+        for i in range(len(model.trunk)):
+            grads[f"trunk{i}.W"][:] = 0.0
+            grads[f"trunk{i}.b"][:] = 0.0
+    return out, grads
+
+
+@pytest.fixture
+def reference_forward_backward():
+    """The per-head reference pass that ``MultiHeadModel.forward``/``backward`` must match."""
+    return _reference_forward_backward

@@ -88,11 +88,24 @@ def test_infer_relatedness_command(workspace, tmp_path):
 
 
 def test_infer_relatedness_without_coannotation(workspace, tmp_path):
-    # the VA-only set has no (expr, au) pairs
+    # the VA-only set has no (expr, au) pairs: a data error, as in train
     assert main([
         "infer-relatedness", "--corpus", str(workspace / "data" / "va.csv"),
         "--out", str(tmp_path / "x.json"),
-    ]) == 1
+    ]) == 2
+
+
+@pytest.mark.parametrize("corpus, code", [("full.csv", 0), ("va.csv", 2)])
+def test_train_empirical_relatedness_matches_infer_relatedness(workspace, tmp_path, corpus, code):
+    corpus = workspace / "data" / corpus
+    inferred = tmp_path / "inferred.json"
+    assert main(["infer-relatedness", "--corpus", str(corpus), "--out", str(inferred)]) == code
+    config = json.loads((workspace / "config.json").read_text())
+    config["relatedness"] = {"source": "empirical", "corpus": str(corpus)}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == code
+    if code == 0:
+        assert (tmp_path / "run" / "relatedness.json").read_text() == inferred.read_text()
 
 
 def test_zero_shot_command(workspace, tmp_path):
@@ -280,19 +293,177 @@ def _eval(workspace, data, checkpoint=None):
     return main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)])
 
 
-@pytest.mark.parametrize("damage", ["trailing", "missing_key"])
-def test_eval_malformed_checkpoint_exit_code(workspace, tmp_path, damage):
-    blob = (workspace / "run" / "model.bin").read_bytes()
+def _split_checkpoint(blob):
+    hlen = int.from_bytes(blob[:8], "little")
+    return json.loads(blob[8 : 8 + hlen]), blob[8 + hlen :]
+
+
+def _join_checkpoint(header, params):
+    raw = json.dumps(header).encode()
+    return len(raw).to_bytes(8, "little") + raw + params
+
+
+@pytest.mark.parametrize("damage", [
+    "trailing", "missing_key", "short", ("hidden", [400000, 400000]), ("hidden", [16.0]),
+    ("hidden", 16), ("input_dim", True), ("input_dim", -10), ("input_dim", "10"),
+    ("heads", {"expr": ["softmax"]}), ("heads", {"expr": ["relu", 7]}), ("heads", []),
+    ("heads", {"expr": ["softmax", 10**12]}), ("seed", -1), ("seed", 0.5),
+    ("trunk_frozen", "no"), ("header", [1, 2]),
+], ids=str)
+def test_eval_malformed_checkpoint_exit_code(workspace, tmp_path, capsys, damage):
+    header, params = _split_checkpoint((workspace / "run" / "model.bin").read_bytes())
     if damage == "trailing":
-        blob += b"\0"
-    else:
-        hlen = int.from_bytes(blob[:8], "little")
-        header = json.loads(blob[8 : 8 + hlen])
+        params += b"\0"
+    elif damage == "missing_key":
         del header["input_dim"]
-        raw = json.dumps(header).encode()
-        blob = len(raw).to_bytes(8, "little") + raw + blob[8 + hlen :]
-    (tmp_path / "model.bin").write_bytes(blob)
+    elif damage == "short":
+        params = params[:-8]
+    elif damage[0] == "header":
+        header = damage[1]
+    else:
+        header[damage[0]] = damage[1]
+    (tmp_path / "model.bin").write_bytes(_join_checkpoint(header, params))
     assert _eval(workspace, workspace / "data" / "full.csv", tmp_path / "model.bin") == 2
+    assert str(tmp_path / "model.bin") in capsys.readouterr().err
+
+
+def test_eval_huge_declared_checkpoint_is_a_data_error(tmp_path, capsys):
+    # a small file declaring a ~1 TiB trunk must fail before anything is allocated
+    header = {"input_dim": 10, "hidden": [400000, 400000], "seed": 0,
+              "heads": {"va": ["tanh", 2], "expr": ["softmax", 7], "au": ["sigmoid", 17]}}
+    blob = _join_checkpoint(header, bytes(300 - 8 - len(json.dumps(header))))
+    assert len(blob) == 300
+    (tmp_path / "model.bin").write_bytes(blob)
+    assert _eval(None, tmp_path / "unused.csv", tmp_path / "model.bin") == 2
+    assert "parameter bytes" in capsys.readouterr().err
+
+
+def test_eval_non_finite_checkpoint_parameter_is_a_data_error(workspace, tmp_path):
+    header, params = _split_checkpoint((workspace / "run" / "model.bin").read_bytes())
+    params = np.frombuffer(params, "<f8").copy()
+    params[3] = np.nan
+    (tmp_path / "model.bin").write_bytes(_join_checkpoint(header, params.tobytes()))
+    assert _eval(workspace, workspace / "data" / "full.csv", tmp_path / "model.bin") == 2
+
+
+@st.composite
+def mutated_checkpoints(draw, blob):
+    """The bytes of a valid checkpoint after one header or byte-level mutation.
+
+    Declared sizes may be huge: the loader must reject them by the file size
+    before it allocates anything."""
+    header, params = _split_checkpoint(blob)
+    sizes = st.integers(-2, 40) | st.integers(0, 2**64)
+    kinds = ["value", "drop", "key", "dims", "head", "flip", "truncate", "append", "length"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "value":
+        header[draw(st.sampled_from(sorted(header)))] = draw(JSON_VALUES)
+    elif kind == "drop":
+        del header[draw(st.sampled_from(sorted(header)))]
+    elif kind == "key":
+        header[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+    elif kind == "dims":
+        header["input_dim"] = draw(sizes)
+        header["hidden"] = draw(st.lists(sizes, max_size=3))
+    elif kind == "head":
+        name = draw(st.sampled_from(sorted(header["heads"])) | st.text(max_size=3))
+        header["heads"][name] = [draw(st.sampled_from(["tanh", "softmax", "sigmoid", "relu"])),
+                                 draw(sizes)]
+    blob = bytearray(_join_checkpoint(header, params))
+    if kind == "flip":
+        blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    elif kind == "append":
+        blob += draw(st.binary(min_size=1, max_size=16))
+    elif kind == "length":
+        blob[:8] = draw(st.integers(0, 2**64 - 1)).to_bytes(8, "little")
+    return bytes(blob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_eval_mutated_checkpoint_exit_code(workspace, data):
+    """Whatever one mutation does to a valid checkpoint, eval succeeds or fails
+    with a data error."""
+    checkpoint = workspace / "mutated.bin"
+    checkpoint.write_bytes(data.draw(mutated_checkpoints((workspace / "run" / "model.bin").read_bytes())))
+    rows = workspace / "rows.csv"
+    if not rows.exists():
+        rows.write_text("\n".join((workspace / "data" / "full.csv").read_text().splitlines()[:30]) + "\n")
+    assert _eval(workspace, rows, checkpoint) in (0, 2)
+
+
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-2.0, 30.0)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e-7, "none", "soft_plus_dm",
+                       "domain", "file", "empirical"])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3) | st.sampled_from(["va", "expr", "au", "dm", "sca"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_configs(draw, config):
+    """The bytes of a valid config after one value, key, section or byte mutation.
+
+    Drawn numbers stay small, so a config that parses trains a few small epochs."""
+    sections = sorted(k for k, v in config.items() if isinstance(v, dict))
+    kind = draw(st.sampled_from(["value", "drop", "key", "section_value", "section_key", "bytes"]))
+    if kind in ("section_value", "section_key"):
+        target = config[draw(st.sampled_from(sections))]
+        if "tasks" in target and draw(st.booleans()):
+            target = target["tasks"]
+    else:
+        target = config
+    if kind in ("value", "section_value"):
+        target[draw(st.sampled_from(sorted(target)))] = draw(CONFIG_VALUES)
+    elif kind == "drop":
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif kind in ("key", "section_key"):
+        target[draw(st.text(max_size=6))] = draw(CONFIG_VALUES)
+    blob = json.dumps(config).encode()
+    if kind == "bytes":
+        cut = draw(st.integers(0, len(blob)))
+        blob = blob[:cut] + draw(st.binary(max_size=3)) + blob[cut + draw(st.integers(0, 3)):]
+    return blob
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_train_mutated_config_exit_code(workspace, tmp_path_factory, data):
+    """Whatever one mutation does to a valid config, train succeeds or fails
+    with a config or data error."""
+    small = workspace / "small"
+    if not small.exists():
+        small.mkdir()
+        for name in ("va", "au", "expr", "full"):
+            lines = (workspace / "data" / f"{name}.csv").read_text().splitlines()[:41]
+            (small / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    config = {
+        "data": {name: str(small / f"{name}.csv") for name in ("va", "au", "expr")},
+        "relatedness": {"source": "empirical", "corpus": str(small / "full.csv"),
+                        "threshold": 0.1},
+        "coupling": "soft_plus_dm",
+        "reweight_observational": True,
+        "loss_weights": {"tasks": {"expr": 1.0, "au": 1.0, "va": 1.0},
+                         "couplings": {"sca": 1.0, "dm": 1.0}, "epsilon": 1e-7},
+        "model": {"hidden": [8]},
+        "max_batch": 20,
+        "epochs": 1,
+        "optimizer": {"lr": 0.01, "momentum": 0.9},
+        "holdout_fraction": 0.2,
+        "median_filter_window": 5,
+        "seed": 0,
+        "out_dir": "unused",
+    }
+    path = workspace / "mutated_config.json"
+    path.write_bytes(data.draw(mutated_configs(config)))
+    out = tmp_path_factory.mktemp("mutated_run")
+    assert main(["train", "--config", str(path), "--out", str(out)]) in (0, 1, 2)
 
 
 def _rewrite_first_row(src, dst, **cells):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from affectmtl import DataError, MultiHeadModel, SGDMomentum, gradient_check, median_filter
+from affectmtl import (
+    DataError, MultiHeadModel, NumericalError, SGDMomentum, gradient_check, median_filter,
+)
 from affectmtl.losses import softmax_ce, softmax_ce_grad
 
 
@@ -204,3 +206,52 @@ def test_checkpoint_round_trip(tmp_path):
     o2, _ = m2.forward(X)
     for k in o1:
         assert np.array_equal(o1[k], o2[k])
+
+
+def _replaced(m):
+    m.replace_head("compound", 11, "softmax")
+    return m
+
+
+def _frozen(m):
+    m.trunk_frozen = True
+    return m
+
+
+@pytest.mark.parametrize("build, heads", [
+    (lambda: small_model(seed=14, hidden=(8, 6)), None),
+    (lambda: small_model(seed=15, hidden=()), None),
+    (lambda: _replaced(small_model(seed=16)), None),
+    (lambda: _frozen(small_model(seed=17, hidden=(8, 6))), None),
+    (lambda: small_model(seed=18, hidden=(8, 6)), ("expr",)),
+    (lambda: small_model(seed=19), ("va", "au")),
+])
+def test_forward_backward_match_per_head_reference(reference_forward_backward, build, heads):
+    m = build()
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(9, 5), scale=2.0)
+    out, cache = m.forward(X)
+    out_grads = {k: rng.normal(size=v.shape) for k, v in out.items() if heads is None or k in heads}
+    grads = m.backward(cache, out_grads)
+    ref_out, ref_grads = reference_forward_backward(m, X, out_grads)
+    assert out.keys() == ref_out.keys()
+    for k in out:
+        np.testing.assert_allclose(out[k], ref_out[k], rtol=0, atol=1e-12)
+    assert list(grads) == [name for name, _ in m.named_params()]
+    for name, p in m.named_params():
+        assert grads[name].shape == p.shape
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+
+def test_named_params_are_contiguous():
+    m = _replaced(small_model(seed=21, hidden=(8, 6)))
+    assert all(p.flags.c_contiguous for _, p in m.named_params())
+
+
+def test_gradient_check_rejects_a_non_contiguous_parameter():
+    m = small_model(seed=22)
+    m.heads["expr"]["W"] = np.asfortranarray(m.heads["expr"]["W"])
+    rng = np.random.default_rng(22)
+    value, grad = _ce_loss_fns(rng.normal(size=(6, 5)), rng.integers(0, 7, size=6))
+    with pytest.raises(NumericalError, match="expr.W"):
+        gradient_check(m, value, grad)

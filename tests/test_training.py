@@ -343,6 +343,25 @@ def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides)
         make_config(dataset_dir, tmp_path / "run", **overrides)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"model": {"hidden": [16.5]}},
+    {"model": {"hidden": "ab"}},
+    {"model": {"hidden": [0]}},
+    {"seed": -1},
+    {"epochs": float("inf")},
+    {"median_filter_window": 4},
+    {"optimizer": {"lr": float("nan")}},
+    {"optimizer": {"momentum": 1.0}},
+    {"data": {"va": 5}},
+    {"relatedness": {"source": "empirical", "corpus": None}},
+    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": "high"}},
+    {"reweight_observational": "false"},
+])
+def test_malformed_config_values_are_config_errors(dataset_dir, tmp_path, overrides):
+    with pytest.raises(ConfigError):
+        make_config(dataset_dir, tmp_path / "run", **overrides)
+
+
 def test_config_keys_round_trip(dataset_dir, tmp_path):
     config = make_config(dataset_dir, tmp_path / "run", relatedness={
         "source": "empirical", "corpus": "c.csv", "threshold": 0.2, "path": "t.json"},
