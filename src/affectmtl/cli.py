@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -44,11 +43,11 @@ def _cmd_gen_data(args) -> int:
     )
     fractions = tuple(float(x) for x in args.partition.split(","))
     va_set, au_set, expr_set = generate(spec, args.n, fractions)
-    lab.write_samples_csv(out / "va.csv", va_set)
-    lab.write_samples_csv(out / "au.csv", au_set)
-    lab.write_samples_csv(out / "expr.csv", expr_set)
+    sets = {"va": va_set, "au": au_set, "expr": expr_set}
     if args.full:
-        lab.write_samples_csv(out / "full.csv", generate_full(spec, args.n))
+        sets["full"] = generate_full(spec, args.n)
+    for name, samples in sets.items():
+        lab.write_samples_csv(out / f"{name}.csv", lab.SampleSet.from_samples(samples))
     _write_manifest(
         out, "gen-data",
         {"n": args.n, "feature_dim": args.feature_dim, "noise": args.noise,
@@ -104,21 +103,19 @@ def _cmd_zero_shot(args) -> int:
         scores = compound_scores(heads, classes)
     except DataError as e:
         raise DataError(f"checkpoint {args.checkpoint}: {e}") from e
-    # one CSV row per (sample, class); the csv module writes floats with repr
-    n, n_classes = scores.total.shape
-    picked = np.arange(n_classes) == scores.predicted[:, None]
-    terms = [a.ravel().tolist() for a in (scores.i_au, scores.f_emo, scores.d_va, scores.total)]
-    columns = [np.repeat(data.ids, n_classes).tolist(), [c.name for c in classes] * n, *terms,
-               picked.ravel().astype(int).tolist()]
+    # one CSV row per (sample, class); d_va is 0.0 or 1.0
+    picked = np.arange(len(classes)) == scores.predicted[:, None]
+    columns = [np.repeat(lab.text_cells(data.ids), len(classes)),
+               np.tile(lab.text_cells([c.name for c in classes]), len(data)),
+               scores.i_au.ravel(), scores.f_emo.ravel(),
+               np.where(scores.d_va.ravel() > 0, "1.0", "0.0"), scores.total.ravel(),
+               np.where(picked.ravel(), "1", "0")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "compound_scores.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"])
-        w.writerows(zip(*columns))
+    lab.write_csv_columns(out / "compound_scores.csv",
+                          ["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"], columns)
     extra = {}
-    truth = _read_compound_column(args.data)
-    hits = [classes[p].name == t for p, t in zip(scores.predicted.tolist(), truth or []) if t]
+    hits = [classes[p].name == t for p, t in zip(scores.predicted.tolist(), data.compound) if t]
     if hits:
         extra["compound_accuracy"] = sum(hits) / len(hits)
         (out / "metrics.json").write_text(json.dumps(extra, indent=2, sort_keys=True))
@@ -127,15 +124,6 @@ def _cmd_zero_shot(args) -> int:
                      "data": args.data}, extra)
     print(f"scored {len(data)} samples over {len(classes)} compound classes -> {out}")
     return 0
-
-
-def _read_compound_column(path) -> list | None:
-    """The optional ``compound`` truth column, one entry per data row in file order."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or "compound" not in reader.fieldnames:
-            return None
-        return [row["compound"] for row in reader]
 
 
 def _cmd_gradcheck(args) -> int:

@@ -3,9 +3,9 @@
 A sample carries a feature vector plus any subset of the three label types:
 valence/arousal, a basic-expression index, and a partially-annotated AU vector
 (NaN marks unannotated AUs). A data set is held as a :class:`SampleSet`, one
-array per field; :class:`HeterogeneousSample` is the record of one sample that
-the generator makes and the CSV writer writes. All operations here are pure
-functions.
+array per field, which the CSV reader returns and the writer takes;
+:class:`HeterogeneousSample` is the record of one sample that the generator
+makes. All operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,8 +68,9 @@ class SampleSet:
 
     ``expr`` holds class indices with -1 for "none"; ``va`` (n, 2) and ``au``
     (n, 17) hold NaN where a sample carries no such label, and ``au_weights``
-    holds the per-AU loss weights, NaN exactly where ``au`` is. ``video`` is
-    "" and ``frame`` -1 for a sample without a sequence key.
+    holds the per-AU loss weights, NaN exactly where ``au`` is. ``video`` and
+    ``compound`` (a CSV's optional compound-expression truth) hold "" and
+    ``frame`` -1 where a sample has no such value.
     """
 
     ids: np.ndarray
@@ -79,6 +81,7 @@ class SampleSet:
     va: np.ndarray
     video: np.ndarray
     frame: np.ndarray
+    compound: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -132,6 +135,7 @@ class SampleSet:
             va=va,
             video=np.array([k[0] for k in keys], dtype=object),
             frame=np.array([k[1] for k in keys], dtype=int),
+            compound=np.full(len(samples), "", dtype=object),
         )
 
 
@@ -299,36 +303,44 @@ def subsample_frames(samples) -> list:
 # -- annotation CSV ------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
+def text_cells(values) -> np.ndarray:
+    """Each of ``values`` as ``csv.writer`` writes it in a row of cells; each is quoted once."""
+    distinct, rows = dict.fromkeys(values), []
+    csv.writer(SimpleNamespace(write=rows.append)).writerows(("", v) for v in distinct)
+    cell = dict(zip(distinct, (row[1:-2] for row in rows)))  # each row is ",<cell>\r\n"
+    return np.array(list(map(cell.__getitem__, values)), dtype=object)
 
 
-def write_samples_csv(path, samples) -> None:
-    """Write samples to the annotation CSV format (one row per sample)."""
-    samples = list(samples)
-    if not samples:
-        raise DataError("no samples to write")
-    dim = samples[0].features.size
-    header = (
-        ["id", "video_id", "frame_idx"]
-        + [f"f{i}" for i in range(dim)]
-        + ["valence", "arousal", "expr"]
-        + list(AU_COLUMNS)
-    )
+def write_csv_columns(path, header, columns) -> None:
+    """Write ``header`` and the rows of ``columns`` as ``csv.writer`` would. Each
+    column is an array: of floats, written as their ``repr``, or of finished cells."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for s in samples:
-            vid, fidx = ("", "") if s.sequence_key is None else s.sequence_key
-            row = [s.id, vid, fidx]
-            row += [repr(float(x)) for x in s.features]
-            row += [_fmt(s.va[0]) if s.va else "", _fmt(s.va[1]) if s.va else ""]
-            row += ["" if s.expr is None else str(s.expr)]
-            if s.au is None:
-                row += [""] * NUM_AUS
-            else:
-                row += ["" if np.isnan(x) else str(int(x)) for x in s.au]
-            w.writerow(row)
+        f.write(",".join(text_cells(header)) + "\r\n")
+        for i in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [(c[i : i + _BLOCK_ROWS].tolist(), c.dtype.kind == "f") for c in columns]
+            block = [list(map(repr, cells)) if floats else cells for cells, floats in block]
+            f.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+
+
+def write_samples_csv(path, data: SampleSet) -> None:
+    """Write a :class:`SampleSet` in the annotation CSV format, one row per
+    sample; a missing label or sequence key is an empty cell."""
+    if not len(data):
+        raise DataError("no samples to write")
+    if not (np.isnan(data.au) | (data.au == 0.0) | (data.au == 1.0)).all():
+        raise DataError("AU labels must be 0 or 1")
+    header = ["id", "video_id", "frame_idx", *(f"f{i}" for i in range(data.features.shape[1])),
+              "valence", "arousal", "expr", *AU_COLUMNS]
+    va = np.array(list(map(repr, data.va.ravel().tolist())), dtype=object).reshape(-1, 2)
+    columns = [
+        text_cells(data.ids), text_cells(data.video),
+        np.where(data.frame < 0, "", data.frame.astype(str)),
+        *data.features.T,
+        *np.where(np.isnan(data.va), "", va).T,
+        np.where(data.expr < 0, "", data.expr.astype(str)),
+        *np.array(["0", "1", ""], dtype=object)[np.nan_to_num(data.au, nan=2).astype(int)].T,
+    ]
+    write_csv_columns(path, header, columns)
 
 
 def read_samples_csv(path) -> SampleSet:
@@ -355,10 +367,10 @@ def read_samples_csv(path) -> SampleSet:
         raise DataError(f"cannot read dataset {path}: {e}") from e
 
 
-# Rows converted at a time: bounds the cell text held while a file is read.
+# Rows converted at a time: bounds the cell text held while a file is read or written.
 _BLOCK_ROWS = 256
 # Label columns as the converter lays them out; the VA and AU columns are floats.
-_LABEL_COLUMNS = ("valence", "arousal", *AU_COLUMNS, "expr", "video_id", "frame_idx")
+_LABEL_COLUMNS = ("valence", "arousal", *AU_COLUMNS, "expr", "video_id", "frame_idx", "compound")
 _FLOATS = 2 + NUM_AUS
 _EXPR, _VIDEO, _FRAME = (_LABEL_COLUMNS.index(c) for c in ("expr", "video_id", "frame_idx"))
 # What converting a malformed cell or .npy reference raises.
@@ -471,8 +483,8 @@ class _Layout:
         unlabelled = np.isnan(va[:, 0]) & (expr < 0) & np.isnan(au).all(axis=1)
         if unlabelled.any():
             raise DataError(f"sample {ids[unlabelled.argmax()]!r} carries no label")
-        return {"ids": ids, "features": features, "expr": expr, "au": au, "va": va,
-                "video": np.where(keyed, cells[:, _VIDEO], ""), "frame": frame}
+        return {"ids": ids, "features": features, "expr": expr, "au": au, "va": va, "frame": frame,
+                "video": np.where(keyed, cells[:, _VIDEO], ""), "compound": cells[:, -1]}
 
     def _references(self, refs) -> tuple:
         """Check ``path:row`` references; returns their (file names, rows)."""

@@ -31,6 +31,11 @@ class MultiHeadModel:
     """Shared trunk plus named output heads, with analytic gradients."""
 
     def __init__(self, input_dim, hidden=(64, 64), heads=None, seed=0):
+        rng = np.random.default_rng(seed)
+        self._allocate(input_dim, hidden, heads, seed, lambda a, b: _glorot(rng, a, b))
+
+    def _allocate(self, input_dim, hidden, heads, seed, weights):
+        """Check the head spec; weights are ``weights(fan_in, fan_out)`` in declaration order."""
         heads = dict(DEFAULT_HEADS if heads is None else heads)
         for name, (kind, size) in heads.items():
             if kind not in HEAD_KINDS:
@@ -42,18 +47,17 @@ class MultiHeadModel:
         self.head_spec = heads
         self.seed = int(seed)
         self.trunk_frozen = False
-        rng = np.random.default_rng(seed)
         self.trunk = []
         d = self.input_dim
         for h in self.hidden:
-            self.trunk.append({"W": _glorot(rng, d, h), "b": np.zeros(h)})
+            self.trunk.append({"W": weights(d, h), "b": np.zeros(h)})
             d = h
         self.feature_dim = d
         self.heads = {}
         for name in sorted(heads):
             kind, size = heads[name]
             self.heads[name] = {
-                "W": _glorot(rng, d, size),
+                "W": weights(d, size),
                 "b": np.zeros(size),
                 "kind": kind,
             }
@@ -226,7 +230,8 @@ class MultiHeadModel:
                         f"checkpoint {path} holds {left} parameter bytes, "
                         f"its header declares {8 * n_params}"
                     )
-                model = cls(input_dim, hidden=hidden, heads=heads, seed=seed)
+                model = cls.__new__(cls)  # every parameter is read below: no random init
+                model._allocate(input_dim, hidden, heads, seed, lambda a, b: np.empty((a, b)))
                 model.trunk_frozen = frozen
                 for name, p in model.named_params():
                     buf = f.read(p.size * 8)
@@ -332,18 +337,14 @@ def gradient_check(model, value_fn, grad_fn, n_per_layer=20, h=1e-5, rng=None):
     return max_err
 
 
-def median_filter(predictions, window: int = 5) -> np.ndarray:
-    """Per-component sliding median with edge replication padding."""
+def median_filter(predictions, window: int = 5, first=0, last=-1) -> np.ndarray:
+    """Per-component sliding median with edge replication padding. Each window is
+    clipped to rows ``first..last`` (indices, per row or for all rows; by default
+    all rows), so the rows of each sequence must be adjacent and in order."""
     if window % 2 == 0 or window < 1:
         raise DataError(f"median filter window must be odd and >= 1, got {window}")
-    arr = np.asarray(predictions, dtype=float)
-    squeeze = arr.ndim == 1
-    x = arr.reshape(-1, 1) if squeeze else arr
-    if window == 1:
-        out = x.copy()
-    else:
-        half = window // 2
-        padded = np.pad(x, ((half, half), (0, 0)), mode="edge")
-        windows = np.lib.stride_tricks.sliding_window_view(padded, window, axis=0)
-        out = np.median(windows, axis=2)
-    return out[:, 0] if squeeze else out
+    x = np.asarray(predictions, dtype=float)
+    index = np.arange(len(x))
+    rows = index[:, None] + np.arange(-(window // 2), window // 2 + 1)
+    rows = np.clip(rows, np.reshape(index[first], (-1, 1)), np.reshape(index[last], (-1, 1)))
+    return np.median(x[rows], axis=1)

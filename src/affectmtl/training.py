@@ -68,6 +68,14 @@ def _check_keys(d, allowed: dict, where: str = "config") -> None:
             _check_keys(d[key], section, f"{where}.{key}")
 
 
+def _exact(d: dict, key: str, default, kind: type):
+    """``d[key]`` (``default`` when absent), which must be a ``kind`` itself: no
+    float or bool is truncated to an int, and nothing is made a string."""
+    if type(value := d.get(key, default)) is not kind:
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one training run."""
@@ -132,16 +140,16 @@ class ExperimentConfig:
                     epsilon=float(lw.get("epsilon", 1e-7)),
                 ),
                 hidden=tuple(d.get("model", {}).get("hidden", (64, 64))),
-                max_batch=int(d.get("max_batch", 200)),
-                epochs=int(d.get("epochs", 10)),
+                max_batch=_exact(d, "max_batch", 200, int),
+                epochs=_exact(d, "epochs", 10, int),
                 lr=float(d.get("optimizer", {}).get("lr", 1e-4)),
                 momentum=float(d.get("optimizer", {}).get("momentum", 0.9)),
                 holdout_fraction=float(d.get("holdout_fraction", 0.2)),
-                median_filter_window=int(d.get("median_filter_window", 5)),
-                seed=int(d.get("seed", 0)),
-                out_dir=str(d.get("out_dir", "runs/run")),
+                median_filter_window=_exact(d, "median_filter_window", 5, int),
+                seed=_exact(d, "seed", 0, int),
+                out_dir=_exact(d, "out_dir", "runs/run", str),
             )
-        # OverflowError: int() of an infinite number; DataError: LossWeights' range checks
+        # OverflowError: float() of a huge int; DataError: LossWeights' range checks
         except (TypeError, ValueError, OverflowError, DataError) as e:
             raise ConfigError(f"malformed config: {e}") from e
 
@@ -453,10 +461,9 @@ def _median_filter_by_video(video, frame, predictions, window):
     """Median-filter each video's predictions in frame order; rows keep their order."""
     _, code = np.unique(video, return_inverse=True)
     order = np.lexsort((frame, code))  # stable: equal frames keep their row order
-    out = np.empty_like(predictions, dtype=float)
-    for rows in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
-        out[rows] = median_filter(predictions[rows], window)
-    return out
+    code = code[order]
+    first, last = np.searchsorted(code, code), np.searchsorted(code, code, side="right") - 1
+    return median_filter(predictions[order], window, first, last)[np.argsort(order)]
 
 
 def run_eval(checkpoint, dataset, out_path=None, median_window: int = 5) -> dict:

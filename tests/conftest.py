@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from affectmtl import CANONICAL_AUS
-from affectmtl.labels import AU_COLUMNS
+from affectmtl.labels import AU_COLUMNS, NUM_AUS
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 
@@ -37,7 +38,7 @@ def _reference_read_samples_csv(path):
     """Per-row reader of a valid annotation CSV, one cell at a time with
     ``float`` and ``int``. Returns the ``SampleSet`` fields as a dict."""
     path = Path(path)
-    cols = {k: [] for k in ("ids", "features", "expr", "au", "va", "video", "frame")}
+    cols = {k: [] for k in ("ids", "features", "expr", "au", "va", "video", "frame", "compound")}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         fcols = sorted((c for c in reader.fieldnames if c[:1] == "f" and c[1:].isdigit()),
@@ -58,7 +59,9 @@ def _reference_read_samples_csv(path):
             keyed = cell("video_id") != "" and cell("frame_idx") != ""
             cols["video"].append(row["video_id"] if keyed else "")
             cols["frame"].append(int(row["frame_idx"]) if keyed else -1)
-    out = {k: np.array(v, dtype=object if k in ("ids", "video") else None) for k, v in cols.items()}
+            cols["compound"].append(cell("compound"))
+    out = {k: np.array(v, dtype=object if k in ("ids", "video", "compound") else None)
+           for k, v in cols.items()}
     out["features"] = out["features"].astype(float)
     out["au_weights"] = np.where(np.isnan(out["au"]), np.nan, 1.0)
     return out
@@ -116,3 +119,85 @@ def _reference_forward_backward(model, X, out_grads):
 def reference_forward_backward():
     """The per-head reference pass that ``MultiHeadModel.forward``/``backward`` must match."""
     return _reference_forward_backward
+
+
+def _reference_write_samples_csv(path, samples):
+    """Row-by-row ``csv.writer`` code that writes ``HeterogeneousSample`` records
+    in the annotation CSV format; ``write_samples_csv`` must match it byte for byte."""
+    samples = list(samples)
+    dim = samples[0].features.size
+    header = (["id", "video_id", "frame_idx"] + [f"f{i}" for i in range(dim)]
+              + ["valence", "arousal", "expr"] + list(AU_COLUMNS))
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for s in samples:
+            vid, fidx = ("", "") if s.sequence_key is None else s.sequence_key
+            row = [s.id, vid, fidx]
+            row += [repr(float(x)) for x in s.features]
+            row += [repr(float(s.va[0])), repr(float(s.va[1]))] if s.va else ["", ""]
+            row += ["" if s.expr is None else str(s.expr)]
+            if s.au is None:
+                row += [""] * NUM_AUS
+            else:
+                row += ["" if np.isnan(x) else str(int(x)) for x in s.au]
+            w.writerow(row)
+
+
+@pytest.fixture(scope="session")
+def reference_write_samples_csv():
+    """The row-by-row writer that ``write_samples_csv`` must match."""
+    return _reference_write_samples_csv
+
+
+def _reference_write_compound_scores(path, ids, class_names, scores):
+    """Row-by-row ``csv.writer`` code that writes ``compound_scores.csv`` for the
+    data-row ``ids``, the profiles' ``class_names`` and a ``CompoundScores``."""
+    n, n_classes = scores.total.shape
+    picked = np.arange(n_classes) == scores.predicted[:, None]
+    terms = [a.ravel().tolist() for a in (scores.i_au, scores.f_emo, scores.d_va, scores.total)]
+    columns = [np.repeat(np.array(ids, dtype=object), n_classes).tolist(),
+               list(class_names) * n, *terms, picked.ravel().astype(int).tolist()]
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"])
+        w.writerows(zip(*columns))
+
+
+@pytest.fixture(scope="session")
+def reference_write_compound_scores():
+    """The row-by-row writer that ``zero-shot`` must match for its ``compound_scores.csv``."""
+    return _reference_write_compound_scores
+
+
+def _reference_median_filter_by_video(video, frame, predictions, window):
+    """One edge-padded sliding median per video, in frame order (equal frames
+    keep their row order); rows keep their order."""
+    out = np.empty_like(predictions, dtype=float)
+    for v in dict.fromkeys(video):
+        rows = np.flatnonzero(video == v)
+        rows = rows[np.argsort(frame[rows], kind="stable")]
+        half = window // 2
+        padded = np.pad(predictions[rows], ((half, half), (0, 0)), mode="edge")
+        windows = np.lib.stride_tricks.sliding_window_view(padded, window, axis=0)
+        out[rows] = np.median(windows, axis=2)
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_median_filter_by_video():
+    """The per-video loop that ``_median_filter_by_video`` must match."""
+    return _reference_median_filter_by_video
+
+
+@pytest.fixture(scope="session")
+def csv_cells():
+    """Hypothesis strategies for (cell text, floats) that a CSV writer gets wrong
+    most easily: text with separators, quotes, line breaks, spaces or nothing at
+    all; floats whose shortest repr is subtle."""
+    text = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "7", "é"]),
+                   max_size=6)
+    floats = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5,
+                              0.30000000000000004, -1.5, 123456789.125]) | st.floats(
+        allow_nan=False, allow_infinity=False)
+    return text, floats

@@ -27,7 +27,7 @@ from affectmtl import (
     plan_epoch,
     subsample_frames,
 )
-from affectmtl.labels import write_samples_csv
+from affectmtl.labels import SampleSet, write_samples_csv
 from affectmtl.synthdata import GeneratorSpec, generate, generate_corpus
 from affectmtl.training import run_gradcheck, run_train
 
@@ -150,7 +150,7 @@ def benefit_dataset(tmp_path_factory):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=32, noise_scale=0.3, seed=0)
     va, au, expr = generate(spec, 6000, partition=(0.49, 0.49, 0.02))
     for name, group in [("va", va), ("au", au), ("expr", expr)]:
-        write_samples_csv(root / f"{name}.csv", group)
+        write_samples_csv(root / f"{name}.csv", SampleSet.from_samples(group))
     return root
 
 

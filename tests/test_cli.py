@@ -1,6 +1,9 @@
 import csv
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectmtl import MultiHeadModel, domain_table, save_compound_profiles, default_compound_classes
+from affectmtl import cli
 from affectmtl.cli import main
+from affectmtl.zeroshot import CompoundScores
 from affectmtl.labels import write_samples_csv
 from affectmtl.synthdata import GeneratorSpec, generate_full
 
@@ -180,6 +185,64 @@ def test_zero_shot_accuracy_lines_up_truth_by_row(workspace, tmp_path):
     assert _zero_shot(workspace, profiles, data, tmp_path / "zs") == 0
     metrics = json.loads((tmp_path / "zs" / "metrics.json").read_text())
     assert metrics["compound_accuracy"] == 0.5
+
+
+def test_zero_shot_compound_truth_after_a_multi_line_cell(workspace, tmp_path):
+    # a quoted cell with a line break and a comma comes before the compound column
+    header, *rows = (workspace / "data" / "expr.csv").read_text().splitlines()[:4]
+    profiles = tmp_path / "profiles.json"
+    save_compound_profiles(profiles, default_compound_classes(TABLE))
+    (tmp_path / "probe.csv").write_text("\n".join([header, *rows]) + "\n")
+    assert _zero_shot(workspace, profiles, tmp_path / "probe.csv", tmp_path / "probe") == 0
+    with open(tmp_path / "probe" / "compound_scores.csv", newline="") as f:
+        picked = [r["class"] for r in csv.DictReader(f) if r["predicted"] == "1"]
+    other = next(c.name for c in default_compound_classes(TABLE) if c.name != picked[2])
+    truth = [picked[0], picked[1], other]
+    note = '"two\nlines, one ""quoted"""'
+    data = tmp_path / "noted.csv"
+    data.write_text("\n".join([f"{header},note,compound", f"{rows[0]},{note},{truth[0]}",
+                               f"{rows[1]},{note},{truth[1]}", f"{rows[2]},,{truth[2]}",
+                               f"{rows[0]},{note},"]) + "\n")
+    assert _zero_shot(workspace, profiles, data, tmp_path / "zs") == 0
+    metrics = json.loads((tmp_path / "zs" / "metrics.json").read_text())
+    assert metrics["compound_accuracy"] == 2 / 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zero_shot_scores_csv_matches_row_by_row_writer(
+        workspace, reference_write_compound_scores, csv_cells, data):
+    """``compound_scores.csv`` holds what the row-by-row csv.writer code writes,
+    for any ids and class names, and for data CSVs in either feature form."""
+    text, floats = csv_cells
+    ids = data.draw(st.lists(text, min_size=1, max_size=6), label="ids")
+    names = data.draw(st.lists(text, min_size=1, max_size=4), label="class names")
+    n, k = len(ids), len(names)
+
+    def matrix(values):
+        return np.array(data.draw(st.lists(values, min_size=n * k, max_size=n * k))).reshape(n, k)
+
+    total = matrix(floats)
+    scores = CompoundScores(matrix(floats), matrix(floats), matrix(st.sampled_from([0.0, 1.0])),
+                            total, total.argmax(axis=1))
+    classes = [replace(c, name=name) for c, name in zip(default_compound_classes(TABLE), names)]
+    features = np.random.default_rng(0).normal(size=(n, 10))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_compound_profiles(tmp / "profiles.json", classes)
+        with open(tmp / "data.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            if data.draw(st.booleans(), label="feature_file"):
+                np.save(tmp / "x.npy", features)
+                w.writerow(["id", "feature_file", "expr"])
+                w.writerows((i, f"x.npy:{row}", 1) for row, i in enumerate(ids))
+            else:
+                w.writerow(["id", *(f"f{j}" for j in range(10)), "expr"])
+                w.writerows((i, *x, 1) for i, x in zip(ids, features.tolist()))
+        with patch.object(cli, "compound_scores", lambda heads, profiles: scores):
+            assert _zero_shot(workspace, tmp / "profiles.json", tmp / "data.csv", tmp / "zs") == 0
+        reference_write_compound_scores(tmp / "want.csv", ids, names, scores)
+        assert (tmp / "zs" / "compound_scores.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -396,8 +459,8 @@ def test_eval_mutated_checkpoint_exit_code(workspace, data):
 
 CONFIG_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-2.0, 30.0)
-    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e-7, "none", "soft_plus_dm",
-                       "domain", "file", "empirical"])
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e-7, 2.7, 20.9, 2.0, "none",
+                       "soft_plus_dm", "domain", "file", "empirical"])
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3) | st.sampled_from(["va", "expr", "au", "dm", "sca"]),
@@ -461,9 +524,27 @@ def test_train_mutated_config_exit_code(workspace, tmp_path_factory, data):
         "out_dir": "unused",
     }
     path = workspace / "mutated_config.json"
-    path.write_bytes(data.draw(mutated_configs(config)))
+    blob = data.draw(mutated_configs(config))
+    path.write_bytes(blob)
     out = tmp_path_factory.mktemp("mutated_run")
-    assert main(["train", "--config", str(path), "--out", str(out)]) in (0, 1, 2)
+    code = main(["train", "--config", str(path), "--out", str(out)])
+    assert code in (0, 1, 2)
+    if _inexact_setting(blob):
+        assert code == 1
+
+
+def _inexact_setting(blob: bytes) -> bool:
+    """Whether a config holds a non-int where an int belongs (a float, even a
+    whole one, or a bool) or a non-string ``out_dir``: values that must not be
+    truncated or stringified."""
+    try:
+        d = json.loads(blob)
+    except ValueError:
+        return False
+    if not isinstance(d, dict):
+        return False
+    ints = [d[k] for k in ("epochs", "max_batch", "median_filter_window", "seed") if k in d]
+    return any(type(v) is not int for v in ints) or type(d.get("out_dir", "")) is not str
 
 
 def _rewrite_first_row(src, dst, **cells):

@@ -20,7 +20,7 @@ from affectmtl import (
     soft_co_annotate,
     subsample_frames,
 )
-from affectmtl.labels import AU_COLUMNS, read_samples_csv, write_samples_csv
+from affectmtl.labels import AU_COLUMNS, SampleSet, read_samples_csv, write_samples_csv
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
@@ -190,7 +190,7 @@ def test_csv_round_trip(tmp_path):
             )
         )
     p = tmp_path / "data.csv"
-    write_samples_csv(p, samples)
+    write_samples_csv(p, SampleSet.from_samples(samples))
     back = read_samples_csv(p)
     assert len(back) == len(samples)
     for i, a in enumerate(samples):
@@ -262,7 +262,7 @@ def annotation_csvs(draw, directory: Path) -> Path:
     dim = draw(st.integers(1, 5))
     use_files = draw(st.booleans())
     labels = draw(st.lists(st.sampled_from(
-        ["va", "expr", "video_id", "frame_idx", "note", *AU_COLUMNS]), unique=True))
+        ["va", "expr", "video_id", "frame_idx", "note", "compound", *AU_COLUMNS]), unique=True))
     if not {"va", "expr", *AU_COLUMNS} & set(labels):
         labels.append("expr")
     fcols = ["feature_file"] if use_files else [f"f{i}" for i in range(dim)]
@@ -282,6 +282,7 @@ def annotation_csvs(draw, directory: Path) -> Path:
         row["valence"], row["arousal"] = va
         row["expr"] = str(rng.integers(7)) if rng.random() < 0.5 else ""
         row.update({c: ["", "0", "1", "1.0"][rng.integers(4)] for c in AU_COLUMNS})
+        row["compound"] = ["", "sadly_angry", 'a "b",\nc'][rng.integers(3)]
         row["video_id"] = f"v{rng.integers(3)}" if rng.random() < 0.8 else ""
         row["frame_idx"] = str(rng.integers(50)) if rng.random() < 0.8 else ""
         labelled = [c for c in header if c in ("valence", "arousal", "expr", *AU_COLUMNS)]
@@ -308,3 +309,47 @@ def test_csv_reader_matches_per_row_reference(reference_read_samples_csv, data):
             assert have.tobytes() == value.tobytes(), name
         else:
             assert (have == value).all(), name
+
+
+@st.composite
+def sample_records(draw, dim: int, cells):
+    """A ``HeterogeneousSample`` with any subset of VA, expression, AU labels
+    (at least one) and a sequence key, its text and floats drawn from ``cells``."""
+    text, floats = cells
+    has = draw(st.lists(st.sampled_from(["va", "expr", "au"]), min_size=1, unique=True))
+    au = None
+    if "au" in has:
+        au = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, np.nan]),
+                                    min_size=17, max_size=17)))
+    return HeterogeneousSample(
+        id=draw(text),
+        features=np.array(draw(st.lists(floats, min_size=dim, max_size=dim))),
+        va=(draw(floats), draw(floats)) if "va" in has else None,
+        expr=draw(st.integers(0, 6)) if "expr" in has else None,
+        au=au,
+        sequence_key=draw(st.none() | st.tuples(text, st.integers(0, 10**6))),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_write_samples_csv_matches_row_by_row_writer(reference_write_samples_csv, csv_cells, data):
+    dim = data.draw(st.integers(1, 4))
+    samples = data.draw(st.lists(sample_records(dim, csv_cells), min_size=1, max_size=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_samples_csv(got, SampleSet.from_samples(samples))
+        reference_write_samples_csv(want, samples)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("au, message", [(None, "no samples"), (0.5, "0 or 1"), (2.0, "0 or 1")])
+def test_write_samples_csv_rejects_what_it_cannot_write(tmp_path, au, message):
+    data = SampleSet.from_samples([sample(expr=1, au_active=[12])])
+    if au is None:
+        data = data.take([])
+    else:
+        data.au[0, 0] = au  # the row-by-row writer wrote str(int(au)): 0.5 became "0"
+    with pytest.raises(DataError, match=message):
+        write_samples_csv(tmp_path / "out.csv", data)
+    assert not (tmp_path / "out.csv").exists()

@@ -208,6 +208,30 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(o1[k], o2[k])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MultiHeadModel(5, seed=23),
+    lambda: MultiHeadModel(5, hidden=(), seed=24),
+    lambda: _frozen(MultiHeadModel(5, hidden=(8, 6), seed=25)),
+])
+def test_checkpoint_loads_bit_identical(tmp_path, build):
+    m = build()
+    m.save(tmp_path / "model.bin")
+    loaded = MultiHeadModel.load(tmp_path / "model.bin")
+    assert (loaded.input_dim, loaded.hidden, loaded.head_spec, loaded.seed, loaded.trunk_frozen) \
+        == (m.input_dim, m.hidden, m.head_spec, m.seed, m.trunk_frozen)
+    assert [k for k, _ in loaded.named_params()] == [k for k, _ in m.named_params()]
+    for (_, p), (_, q) in zip(m.named_params(), loaded.named_params()):
+        assert p.tobytes() == q.tobytes() and q.flags.c_contiguous
+    X = np.random.default_rng(26).normal(size=(7, 5))
+    out, cache = m.forward(X)
+    loaded_out, loaded_cache = loaded.forward(X)
+    for name in out:
+        assert out[name].tobytes() == loaded_out[name].tobytes()
+    grads = m.backward(cache, out)
+    for name, g in loaded.backward(loaded_cache, loaded_out).items():
+        assert g.tobytes() == grads[name].tobytes()
+
+
 def _replaced(m):
     m.replace_head("compound", 11, "softmax")
     return m

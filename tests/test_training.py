@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectmtl import (
     AU_LABELS,
@@ -26,7 +28,9 @@ from affectmtl.losses import (
     softmax_ce_grad,
 )
 from affectmtl.synthdata import GeneratorSpec, generate, generate_full
-from affectmtl.training import _joint_loss, build_objective, run_eval, run_gradcheck, run_train
+from affectmtl.training import (
+    _joint_loss, _median_filter_by_video, build_objective, run_eval, run_gradcheck, run_train,
+)
 
 TABLE = domain_table()
 
@@ -36,9 +40,9 @@ def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=12, noise_scale=0.3, seed=0)
     va_set, au_set, expr_set = generate(spec, 360)
-    write_samples_csv(out / "va.csv", va_set)
-    write_samples_csv(out / "au.csv", au_set)
-    write_samples_csv(out / "expr.csv", expr_set)
+    write_samples_csv(out / "va.csv", SampleSet.from_samples(va_set))
+    write_samples_csv(out / "au.csv", SampleSet.from_samples(au_set))
+    write_samples_csv(out / "expr.csv", SampleSet.from_samples(expr_set))
     return out
 
 
@@ -121,9 +125,9 @@ def test_va_batch_of_one_rejected(tmp_path):
     va_set, au_set, expr_set = generate(spec, 90, partition=(0.1, 0.6, 0.3))
     out = tmp_path / "data"
     out.mkdir()
-    write_samples_csv(out / "va.csv", va_set)
-    write_samples_csv(out / "au.csv", au_set)
-    write_samples_csv(out / "expr.csv", expr_set)
+    write_samples_csv(out / "va.csv", SampleSet.from_samples(va_set))
+    write_samples_csv(out / "au.csv", SampleSet.from_samples(au_set))
+    write_samples_csv(out / "expr.csv", SampleSet.from_samples(expr_set))
     # 9 VA training samples (holdout 0), 54 AU -> max_batch 6 gives 9 iterations
     # and VA batches of size 1
     config = make_config(out, tmp_path / "run", max_batch=6, holdout_fraction=0.0)
@@ -142,9 +146,10 @@ def test_run_eval_with_and_without_sequence_keys(tmp_path):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=2, frames_per_video=20)
     samples = [s for s in generate(spec, 120)[0]]
     keyed = tmp_path / "keyed.csv"
-    write_samples_csv(keyed, samples)
+    write_samples_csv(keyed, SampleSet.from_samples(samples))
     unkeyed = tmp_path / "unkeyed.csv"
-    write_samples_csv(unkeyed, [type(s)(id=s.id, features=s.features, va=s.va) for s in samples])
+    unkeyed_samples = [type(s)(id=s.id, features=s.features, va=s.va) for s in samples]
+    write_samples_csv(unkeyed, SampleSet.from_samples(unkeyed_samples))
     config = make_config(tmp_path, tmp_path / "run", epochs=1)
     config.data = {"va": str(keyed)}
     run_train(config)
@@ -161,10 +166,10 @@ def test_empirical_relatedness_source(tmp_path):
 
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=3)
     corpus_csv = tmp_path / "corpus.csv"
-    write_samples_csv(corpus_csv, generate_full(spec, 400))
+    write_samples_csv(corpus_csv, SampleSet.from_samples(generate_full(spec, 400)))
     va_set, au_set, expr_set = generate(spec, 120)
     for name, group in [("va", va_set), ("au", au_set), ("expr", expr_set)]:
-        write_samples_csv(tmp_path / f"{name}.csv", group)
+        write_samples_csv(tmp_path / f"{name}.csv", SampleSet.from_samples(group))
     config = make_config(
         tmp_path, tmp_path / "run", epochs=1,
         relatedness={"source": "empirical", "corpus": str(corpus_csv), "threshold": 0.1},
@@ -295,9 +300,9 @@ def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=3)
     anger = EMOTIONS.index("anger")
     corpus = [s for s in generate_full(spec, 400) if s.expr != anger]
-    write_samples_csv(tmp_path / "corpus.csv", corpus)
+    write_samples_csv(tmp_path / "corpus.csv", SampleSet.from_samples(corpus))
     for name, group in zip(("va", "au", "expr"), generate(spec, 120)):
-        write_samples_csv(tmp_path / f"{name}.csv", group)
+        write_samples_csv(tmp_path / f"{name}.csv", SampleSet.from_samples(group))
     config = make_config(
         tmp_path, tmp_path / "run", epochs=1, coupling="soft_plus_dm",
         relatedness={"source": "empirical", "corpus": str(tmp_path / "corpus.csv")},
@@ -356,6 +361,10 @@ def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides)
     {"relatedness": {"source": "empirical", "corpus": None}},
     {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": "high"}},
     {"reweight_observational": "false"},
+    {"epochs": 2.7},
+    {"max_batch": 20.9},
+    {"seed": True},
+    {"median_filter_window": 5.0},
 ])
 def test_malformed_config_values_are_config_errors(dataset_dir, tmp_path, overrides):
     with pytest.raises(ConfigError):
@@ -369,3 +378,35 @@ def test_config_keys_round_trip(dataset_dir, tmp_path):
     assert ExperimentConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(["not", "an", "object"])
+    with pytest.raises(ConfigError, match="out_dir must be of type str"):
+        ExperimentConfig.from_dict({**config.to_dict(), "out_dir": 5})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_video_median_filter_matches_per_video_loop(reference_median_filter_by_video, data):
+    """Any videos (single frames too), duplicate frame numbers, rows in any order."""
+    n = data.draw(st.integers(1, 40))
+    video = np.array(data.draw(st.lists(st.sampled_from(["a", "b", "vid", ""]),
+                                        min_size=n, max_size=n)), dtype=object)
+    frame = np.array(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+    predictions = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=(n, 2))
+    window = data.draw(st.sampled_from([1, 3, 5]))
+    got = _median_filter_by_video(video, frame, predictions, window)
+    want = reference_median_filter_by_video(video, frame, predictions, window)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_video_median_filter_cases(reference_median_filter_by_video):
+    video = np.array(["b", "a", "b", "c", "a", "b", "a", "b"], dtype=object)
+    frame = np.array([2, 0, 0, 5, 1, 1, 1, 3])  # "c" is one frame; "a" repeats frame 1
+    predictions = np.array([[3.0, 9.0], [0.0, 1.0], [1.0, 7.0], [4.0, 4.0],
+                            [10.0, 2.0], [2.0, 8.0], [-5.0, 3.0], [9.0, 6.0]])
+    got = _median_filter_by_video(video, frame, predictions, 3)
+    assert got.tolist() == [[3.0, 8.0], [0.0, 1.0], [1.0, 7.0], [4.0, 4.0],
+                            [0.0, 2.0], [2.0, 8.0], [-5.0, 3.0], [9.0, 6.0]]
+    for window in (1, 3, 5):
+        want = reference_median_filter_by_video(video, frame, predictions, window)
+        assert _median_filter_by_video(video, frame, predictions, window).tobytes() == want.tobytes()
+    with pytest.raises(DataError, match="odd"):
+        _median_filter_by_video(video, frame, predictions, 4)
