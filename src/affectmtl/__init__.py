@@ -10,13 +10,9 @@ __version__ = "0.1.0"
 from .errors import AffectMTLError, ConfigError, DataError, NumericalError
 from .labels import (
     EmotionSoftLabel,
-    HeterogeneousSample,
     SampleSet,
     clean_va_expr,
     co_annotate,
-    co_annotate_aus_to_emotion,
-    co_annotate_emotion_to_aus,
-    soft_co_annotate,
     subsample_frames,
 )
 from .losses import (
@@ -42,7 +38,6 @@ from .relatedness import (
     AU_LABELS,
     CANONICAL_AUS,
     EMOTIONS,
-    CoAnnotatedCorpus,
     RelatednessTable,
     domain_table,
     infer_empirical,

@@ -17,7 +17,7 @@ from . import labels as lab
 from . import relatedness as rel
 from .errors import AffectMTLError, DataError
 from .model import MultiHeadModel
-from .synthdata import GeneratorSpec, generate, generate_full
+from .synthdata import GeneratorSpec, draw, split
 from .training import (
     ExperimentConfig, empirical_table, run_eval, run_gradcheck, run_train, _versions,
 )
@@ -42,12 +42,11 @@ def _cmd_gen_data(args) -> int:
         frames_per_video=args.frames_per_video,
     )
     fractions = tuple(float(x) for x in args.partition.split(","))
-    va_set, au_set, expr_set = generate(spec, args.n, fractions)
-    sets = {"va": va_set, "au": au_set, "expr": expr_set}
-    if args.full:
-        sets["full"] = generate_full(spec, args.n)
-    for name, samples in sets.items():
-        lab.write_samples_csv(out / f"{name}.csv", lab.SampleSet.from_samples(samples))
+    full = draw(spec, args.n)
+    va_set, au_set, expr_set = split(full, fractions)
+    sets = {"va": va_set, "au": au_set, "expr": expr_set, **({"full": full} if args.full else {})}
+    for name, data in sets.items():
+        lab.write_samples_csv(out / f"{name}.csv", data)
     _write_manifest(
         out, "gen-data",
         {"n": args.n, "feature_dim": args.feature_dim, "noise": args.noise,

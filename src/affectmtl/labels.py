@@ -1,18 +1,19 @@
-"""Heterogeneous samples, co-annotation, soft labels, cleaning, subsampling, CSV I/O.
+"""Data sets, co-annotation, soft labels, cleaning, subsampling and CSV I/O.
 
 A sample carries a feature vector plus any subset of the three label types:
 valence/arousal, a basic-expression index, and a partially-annotated AU vector
-(NaN marks unannotated AUs). A data set is held as a :class:`SampleSet`, one
-array per field, which the CSV reader returns and the writer takes;
-:class:`HeterogeneousSample` is the record of one sample that the generator
-makes. All operations here are pure functions.
+(NaN marks unannotated AUs). A data set, however its labels overlap, is one
+:class:`SampleSet`: one array per field, a missing label held as -1 or NaN.
+The CSV reader and the synthetic generator make one, the CSV writer takes
+one, and every operation here works on its columns: co-annotation rewrites
+them, and cleaning and frame subsampling return row masks for
+:meth:`SampleSet.take`. All operations are pure functions.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import math
 import operator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -23,43 +24,7 @@ import numpy as np
 from .errors import DataError
 from .relatedness import AU_LABELS, EMOTIONS, NUM_AUS, KIND_DOMAIN, RelatednessTable
 
-UNANNOTATED = float("nan")
 AU_COLUMNS = tuple(lab.lower().replace("au", "au_") for lab in AU_LABELS)
-
-
-@dataclass
-class HeterogeneousSample:
-    """One sample with optional labels per task.
-
-    ``au`` is a float vector over the 17 canonical AUs with values in {0, 1}
-    and NaN for unannotated positions. ``au_weights`` holds per-AU loss weights
-    and is defined exactly where ``au`` is annotated (used for co-annotation).
-    """
-
-    id: str
-    features: np.ndarray
-    va: tuple[float, float] | None = None
-    expr: int | None = None
-    au: np.ndarray | None = None
-    au_weights: np.ndarray | None = None
-    sequence_key: tuple[str, int] | None = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.va is None and self.expr is None and self.au is None:
-            raise DataError(f"sample {self.id!r} carries no label")
-        if self.au is not None:
-            self.au = np.asarray(self.au, dtype=float)
-            if self.au.shape != (NUM_AUS,):
-                raise DataError(f"sample {self.id!r}: AU vector must have length {NUM_AUS}")
-        if self.au_weights is not None:
-            if self.au is None:
-                raise DataError(f"sample {self.id!r}: au_weights without au")
-            self.au_weights = np.asarray(self.au_weights, dtype=float)
-            if np.any(np.isnan(self.au_weights) != np.isnan(self.au)):
-                raise DataError(
-                    f"sample {self.id!r}: au_weights must be defined exactly where au is annotated"
-                )
 
 
 @dataclass(frozen=True, eq=False)  # no field-wise ==: the fields are arrays
@@ -102,41 +67,15 @@ class SampleSet:
         return np.flatnonzero(~np.isnan(self.va[:, 0]))
 
     def take(self, rows) -> "SampleSet":
-        """The rows ``rows`` (an index array), in that order."""
-        rows = np.asarray(rows, dtype=int)
+        """The rows ``rows`` (an index array, in that order, or a row mask)."""
+        rows = np.asarray(rows)
+        rows = rows if rows.dtype == bool else rows.astype(int)
         return SampleSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @classmethod
     def concat(cls, sets) -> "SampleSet":
         """The rows of every set in ``sets``, one set after another."""
         return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
-
-    @classmethod
-    def from_samples(cls, samples) -> "SampleSet":
-        """The columns of a list of :class:`HeterogeneousSample` records."""
-        samples = list(samples)
-        au = np.full((len(samples), NUM_AUS), np.nan)
-        au_weights = np.ones_like(au)
-        va = np.full((len(samples), 2), np.nan)
-        for i, s in enumerate(samples):
-            if s.au is not None:
-                au[i] = s.au
-            if s.au_weights is not None:
-                au_weights[i] = s.au_weights
-            if s.va is not None:
-                va[i] = s.va
-        keys = [s.sequence_key or ("", -1) for s in samples]
-        return cls(
-            ids=np.array([s.id for s in samples], dtype=object),
-            features=np.stack([s.features for s in samples]),
-            expr=np.array([-1 if s.expr is None else s.expr for s in samples], dtype=int),
-            au=au,
-            au_weights=np.where(np.isnan(au), np.nan, au_weights),
-            va=va,
-            video=np.array([k[0] for k in keys], dtype=object),
-            frame=np.array([k[1] for k in keys], dtype=int),
-            compound=np.full(len(samples), "", dtype=object),
-        )
 
 
 @dataclass(frozen=True)
@@ -196,108 +135,44 @@ def co_annotate(data: SampleSet, table: RelatednessTable) -> SampleSet:
     return replace(data, expr=expr, au=au, au_weights=au_weights)
 
 
-def co_annotate_emotion_to_aus(
-    sample: HeterogeneousSample, table: RelatednessTable
-) -> HeterogeneousSample:
-    """The emotion-to-AUs rule of :func:`co_annotate` on one sample.
-
-    Returns ``sample`` itself when no AU is filled.
-    """
-    if sample.expr is None:
-        raise DataError(f"sample {sample.id!r} has no expression label")
-    before = SampleSet.from_samples([sample])
-    after = co_annotate(before, table)
-    if np.array_equal(after.au, before.au, equal_nan=True):
-        return sample
-    return replace(sample, au=after.au[0], au_weights=after.au_weights[0])
-
-
-def co_annotate_aus_to_emotion(
-    sample: HeterogeneousSample, table: RelatednessTable
-) -> HeterogeneousSample:
-    """The AUs-to-emotion rule of :func:`co_annotate` on one sample.
-
-    Returns ``sample`` itself when no expression is assigned.
-    """
-    if sample.au is None:
-        raise DataError(f"sample {sample.id!r} has no AU annotations")
-    expr = int(co_annotate(SampleSet.from_samples([sample]), table).expr[0])
-    return sample if sample.expr is not None or expr < 0 else replace(sample, expr=expr)
-
-
-def soft_co_annotate(
-    sample: HeterogeneousSample,
-    table: RelatednessTable,
-    reweight_observational: bool = True,
-) -> EmotionSoftLabel:
-    """Convert AU ground truth into a soft 7-way emotion distribution: the
-    softmax of the :func:`indicator_scores`, over every emotion."""
-    if sample.au is None:
-        raise DataError(f"sample {sample.id!r} has no AU annotations")
-    r = table.weight_matrix(reweight_observational)
-    return EmotionSoftLabel.from_indicators(indicator_scores(sample.au, r, reweight_observational))
-
-
-# Index sets for the valence/arousal consistency rules.
-_NEUTRAL = EMOTIONS.index("neutral")
-_NEG_VALENCE = {EMOTIONS.index(e) for e in ("sadness", "disgust", "fear")}
-_ANGER = EMOTIONS.index("anger")
-_HAPPY = EMOTIONS.index("happiness")
+# Emotion indices for the valence/arousal consistency rules.
+_NEUTRAL, _ANGER, _HAPPY = (EMOTIONS.index(e) for e in ("neutral", "anger", "happiness"))
+_NEG_VALENCE = [EMOTIONS.index(e) for e in ("anger", "disgust", "fear", "sadness")]
 
 NEUTRAL_RADIUS = 0.15
 
 
-def _va_consistent(expr: int, v: float, a: float) -> bool:
-    if expr == _NEUTRAL:
-        return math.hypot(v, a) < NEUTRAL_RADIUS
-    if expr in _NEG_VALENCE:
-        return v < 0
-    if expr == _ANGER:
-        return v < 0 and a > 0
-    if expr == _HAPPY:
-        return v > 0
-    return True
+def clean_va_expr(expr, va) -> np.ndarray:
+    """Row mask of the rows that the VA/expression consistency rules keep.
 
-
-def clean_va_expr(samples) -> tuple[list, list]:
-    """Split samples into (kept, removed) by the VA/expression consistency rules.
-
-    Only samples carrying both VA and an expression are candidates for removal:
-    neutral needs VA radius < 0.15; sad/disgusted/fearful need negative
-    valence; angry needs negative valence and positive arousal; happy needs
-    positive valence.
+    ``expr`` and ``va`` are a :class:`SampleSet`'s columns. Only rows carrying
+    both VA and an expression can be removed: neutral needs VA radius < 0.15;
+    angry, disgusted, fearful and sad need negative valence; angry also needs
+    positive arousal; happy needs positive valence.
     """
-    kept, removed = [], []
-    for s in samples:
-        if s.va is not None and s.expr is not None and not _va_consistent(s.expr, *s.va):
-            removed.append(s)
-        else:
-            kept.append(s)
-    return kept, removed
+    expr, (v, a) = np.asarray(expr), np.asarray(va, dtype=float).T
+    ok = (expr != _NEUTRAL) | (np.hypot(v, a) < NEUTRAL_RADIUS)
+    ok &= ~np.isin(expr, _NEG_VALENCE) | (v < 0)
+    ok &= ((expr != _ANGER) | (a > 0)) & ((expr != _HAPPY) | (v > 0))
+    return ok | (expr < 0) | np.isnan(v)
 
 
-def subsample_frames(samples) -> list:
-    """Keep every fifth frame per video (positions 0, 5, 10, ... by frame index).
+def frame_order(video, frame) -> tuple[np.ndarray, np.ndarray]:
+    """The rows sorted by video, then by frame (equal frames keep their row
+    order), and the video code of each sorted row."""
+    _, code = np.unique(video, return_inverse=True)
+    order = np.lexsort((frame, code))
+    return order, code[order]
 
-    Samples without a sequence key are kept as-is.
-    """
-    by_video: dict[str, list] = {}
-    unkeyed = []
-    order = []
-    for s in samples:
-        if s.sequence_key is None:
-            unkeyed.append(s)
-            continue
-        vid = s.sequence_key[0]
-        if vid not in by_video:
-            by_video[vid] = []
-            order.append(vid)
-        by_video[vid].append(s)
-    out = list(unkeyed)
-    for vid in order:
-        frames = sorted(by_video[vid], key=lambda s: s.sequence_key[1])
-        out.extend(frames[::5])
-    return out
+
+def subsample_frames(video, frame) -> np.ndarray:
+    """Row mask keeping every fifth frame of each video: positions 0, 5, 10, ...
+    in frame order. ``video`` and ``frame`` are a :class:`SampleSet`'s sequence
+    keys; rows without one (video "") are kept."""
+    order, code = frame_order(video, frame)
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = (np.arange(len(code)) - np.searchsorted(code, code)) % 5 == 0
+    return keep | (np.asarray(video) == "")
 
 
 # -- annotation CSV ------------------------------------------------------

@@ -118,7 +118,8 @@ class MultiHeadModel:
             if kind == "tanh":
                 out[name] = np.tanh(zc)
             elif kind == "sigmoid":
-                out[name] = 1.0 / (1.0 + np.exp(-zc))
+                # z is clipped where exp(-z) would overflow (exp(709) < max float)
+                out[name] = 1.0 / (1.0 + np.exp(-np.maximum(zc, -709.0)))
             else:
                 e = np.exp(zc - zc.max(axis=1, keepdims=True))
                 e /= e.sum(axis=1, keepdims=True)

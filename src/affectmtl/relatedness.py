@@ -2,8 +2,8 @@
 
 Two kinds of table exist. Domain-knowledge tables distinguish prototypical
 entries (weight exactly 1.0) from observational entries (weight = annotator
-agreement fraction). Empirical tables are inferred from a co-annotated corpus
-as per-class activation frequencies.
+agreement fraction). Empirical tables are inferred from the co-annotated rows
+of a corpus as per-class activation frequencies.
 """
 
 from __future__ import annotations
@@ -158,19 +158,6 @@ class RelatednessTable:
         )
 
 
-@dataclass
-class CoAnnotatedCorpus:
-    """Samples carrying both a class label and (possibly partial) binary labels.
-
-    ``samples`` is a list of (class index, binary-label vector) pairs, with the
-    vector holding 0.0, 1.0, or NaN for unannotated positions.
-    """
-
-    class_names: tuple[str, ...]
-    label_names: tuple[str, ...]
-    samples: list[tuple[int, np.ndarray]]
-
-
 def load_domain_table(source) -> RelatednessTable:
     """Load a prototypical/observational table from its source-format JSON file.
 
@@ -217,38 +204,30 @@ def domain_table() -> RelatednessTable:
         return _domain_table_from_source(json.load(f))
 
 
-def infer_empirical(corpus: CoAnnotatedCorpus, threshold: float = 0.1) -> RelatednessTable:
-    """Infer a relatedness table from activation frequencies in a corpus.
+def infer_empirical(expr, au, threshold: float = 0.1) -> RelatednessTable:
+    """Infer an emotion -> AU table from activation frequencies in a corpus.
 
-    For each class c and binary label b the weight is the fraction of c-samples
-    annotated for b in which b is active. Entries below ``threshold`` are
-    dropped. Every class of the corpus keeps its index: one without annotated
-    samples gets an empty row (warning).
+    ``expr`` holds one emotion index per row (-1 counts for no emotion) and
+    ``au`` the row's AU labels, NaN where unannotated. For each emotion c and
+    AU b the weight is the fraction of c-rows annotated for b in which b is
+    active. Entries below ``threshold`` are dropped. Every emotion keeps its
+    index: one without annotated rows gets an empty row (warning).
     """
-    if not corpus.samples:
+    expr, au = np.asarray(expr), np.asarray(au, dtype=float)
+    if not len(expr):
         raise DataError("empty corpus")
     if not 0.0 <= threshold <= 1.0:
         raise DataError(f"threshold {threshold} outside [0, 1]")
-    n_labels = len(corpus.label_names)
-    active = np.zeros((len(corpus.class_names), n_labels))
-    annotated = np.zeros((len(corpus.class_names), n_labels))
-    for cls_idx, vec in corpus.samples:
-        vec = np.asarray(vec, dtype=float)
-        mask = ~np.isnan(vec)
-        annotated[cls_idx] += mask
-        active[cls_idx] += np.where(mask, vec, 0.0)
+    onehot = (expr[:, None] == np.arange(len(EMOTIONS))).astype(float)
+    annotated = onehot.T @ (~np.isnan(au)).astype(float)  # counts: exact in float64
+    active = onehot.T @ np.nan_to_num(au, nan=0.0)
     if not annotated.any():
         raise DataError("no class in the corpus has annotated binary labels")
+    weights = np.divide(active, annotated, out=np.zeros_like(active), where=annotated > 0)
+    keep = (annotated > 0) & (weights >= threshold) & (weights > 0.0)
     entries: dict[str, dict[int, tuple[float, bool]]] = {}
-    for k, cname in enumerate(corpus.class_names):
+    for k, cname in enumerate(EMOTIONS):
         if not annotated[k].any():
             log.warning("class %r has no annotated binary labels; its row is empty", cname)
-        row = {}
-        for b in range(n_labels):
-            if annotated[k, b] == 0:
-                continue
-            w = active[k, b] / annotated[k, b]
-            if w >= threshold and w > 0.0:
-                row[b] = (float(w), False)
-        entries[cname] = row
-    return RelatednessTable(corpus.class_names, corpus.label_names, entries, KIND_EMPIRICAL)
+        entries[cname] = {b: (float(weights[k, b]), False) for b in np.flatnonzero(keep[k])}
+    return RelatednessTable(EMOTIONS, AU_LABELS, entries, KIND_EMPIRICAL)

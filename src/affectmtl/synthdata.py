@@ -1,9 +1,12 @@
-"""Synthetic heterogeneous datasets with known generative relatedness.
+"""Synthetic heterogeneous data sets with known generative relatedness.
 
-Emotion drawn from a prior; AUs Bernoulli with the relatedness weight; VA from
-per-emotion means plus bounded uniform noise (so the cleaning rules always
-hold); features are a fixed random linear map of the full label signal plus
-Gaussian noise. Labels are then stripped so each partition keeps one type.
+:func:`draw` makes one :class:`~affectmtl.labels.SampleSet` whose rows carry
+every label type: the emotion is drawn from a prior, the AUs are Bernoulli
+with the relatedness weights, VA is the emotion's mean plus bounded uniform
+noise (so the cleaning rules always hold), and the features are a fixed
+random linear map of the full label signal plus Gaussian noise.
+:func:`split` then strips its rows into three disjoint sets that keep only
+VA, only AU and only expression labels.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .labels import HeterogeneousSample, _va_consistent
-from .relatedness import CoAnnotatedCorpus, EMOTIONS, NUM_AUS, RelatednessTable
+from .labels import SampleSet, clean_va_expr
+from .relatedness import EMOTIONS, NUM_AUS, RelatednessTable
 
 # Per-emotion (valence, arousal) means; signs chosen so the cleaning rules of
 # clean_va_expr hold with margin for noise up to the component magnitude.
@@ -55,10 +58,11 @@ class GeneratorSpec:
         if self.class_prior.sum() <= 0:
             raise DataError("degenerate class prior")
         self.class_prior = self.class_prior / self.class_prior.sum()
-        for name, (v, a) in self.va_means.items():
-            e = EMOTIONS.index(name)
-            if not _va_consistent(e, v, a):
-                raise DataError(f"va mean for {name!r} violates the cleaning rules")
+        names = list(self.va_means)
+        means = np.array([self.va_means[name] for name in names], dtype=float).reshape(-1, 2)
+        bad = ~clean_va_expr([EMOTIONS.index(name) for name in names], means)
+        if bad.any():
+            raise DataError(f"va mean for {names[bad.argmax()]!r} violates the cleaning rules")
         signal_dim = k + NUM_AUS + 2
         if self.feature_map == "identity" and self.feature_dim != signal_dim:
             raise DataError(f"identity feature map needs feature_dim == {signal_dim}")
@@ -79,7 +83,9 @@ def _va_noise_caps(emotion_index: int, mean_v, mean_a, noise_scale):
     return cap_v, cap_a
 
 
-def _draw_full_samples(spec: GeneratorSpec, n: int) -> list[HeterogeneousSample]:
+def draw(spec: GeneratorSpec, n: int) -> SampleSet:
+    """``n`` samples carrying all three label types, drawn row by row from
+    ``spec.seed`` (the row order of the draws fixes every generated byte)."""
     rng = np.random.default_rng(spec.seed)
     k = len(EMOTIONS)
     r = spec.relatedness.weight_matrix(reweight=True)
@@ -91,54 +97,42 @@ def _draw_full_samples(spec: GeneratorSpec, n: int) -> list[HeterogeneousSample]
     else:
         map_rng = np.random.default_rng(spec.seed + 104729)
         w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)
-    samples = []
+    expr = np.empty(n, dtype=int)
+    au, va = np.empty((n, NUM_AUS)), np.empty((n, 2))
+    features = np.empty((n, w.shape[0]))
     for i in range(n):
-        emo = int(rng.choice(k, p=spec.class_prior))
-        au = (rng.random(NUM_AUS) < r[emo]).astype(float)
+        emo = expr[i] = int(rng.choice(k, p=spec.class_prior))
+        au[i] = rng.random(NUM_AUS) < r[emo]
         mv, ma = spec.va_means[EMOTIONS[emo]]
         cap_v, cap_a = _va_noise_caps(emo, mv, ma, spec.noise_scale)
-        v = float(np.clip(mv + rng.uniform(-cap_v, cap_v), -1.0, 1.0))
-        a = float(np.clip(ma + rng.uniform(-cap_a, cap_a), -1.0, 1.0))
+        va[i, 0] = np.clip(mv + rng.uniform(-cap_v, cap_v), -1.0, 1.0)
+        va[i, 1] = np.clip(ma + rng.uniform(-cap_a, cap_a), -1.0, 1.0)
         onehot = np.zeros(k)
         onehot[emo] = 1.0
-        signal = np.concatenate([onehot, au, [v, a]])
-        x = w @ signal + spec.noise_scale * rng.normal(size=w.shape[0])
-        seq = None
-        if spec.frames_per_video:
-            seq = (f"vid{i // spec.frames_per_video:05d}", i % spec.frames_per_video)
-        samples.append(
-            HeterogeneousSample(
-                id=f"s{i:06d}", features=x, va=(v, a), expr=emo, au=au,
-                sequence_key=seq,
-            )
-        )
-    return samples
+        signal = np.concatenate([onehot, au[i], va[i]])
+        # one product per row: a batched w @ signals differs in the last bit
+        features[i] = w @ signal + spec.noise_scale * rng.normal(size=w.shape[0])
+    fpv = spec.frames_per_video
+    return SampleSet(
+        ids=np.array([f"s{i:06d}" for i in range(n)], dtype=object),
+        features=features, expr=expr, au=au, au_weights=np.ones_like(au), va=va,
+        video=np.array([f"vid{i // fpv:05d}" if fpv else "" for i in range(n)], dtype=object),
+        frame=np.arange(n) % fpv if fpv else np.full(n, -1),
+        compound=np.full(n, "", dtype=object),
+    )
 
 
-def generate_full(spec: GeneratorSpec, n: int) -> list[HeterogeneousSample]:
-    """Samples carrying all three label types (no stripping)."""
-    return _draw_full_samples(spec, n)
-
-
-def generate(spec: GeneratorSpec, n: int, partition=(1 / 3, 1 / 3, 1 / 3)):
-    """Three disjoint sets keeping only VA, only AU, and only expression labels."""
+def split(full: SampleSet, partition=(1 / 3, 1 / 3, 1 / 3)):
+    """Three disjoint runs of ``full``'s rows, in order and sized by the
+    ``partition`` fractions, keeping only VA, only AU and only expression labels."""
     fr = np.asarray(partition, dtype=float)
     if fr.size != 3 or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
         raise DataError("partition fractions must be 3 nonnegative values summing to 1")
-    full = _draw_full_samples(spec, n)
-    n_va = int(round(n * fr[0]))
-    n_au = int(round(n * (fr[0] + fr[1]))) - n_va
-    va_set = [replace(s, expr=None, au=None) for s in full[:n_va]]
-    au_set = [replace(s, va=None, expr=None) for s in full[n_va : n_va + n_au]]
-    expr_set = [replace(s, va=None, au=None) for s in full[n_va + n_au :]]
-    return va_set, au_set, expr_set
-
-
-def generate_corpus(spec: GeneratorSpec, n: int) -> CoAnnotatedCorpus:
-    """Unstripped co-annotated corpus for empirical-relatedness inference."""
-    full = _draw_full_samples(spec, n)
-    return CoAnnotatedCorpus(
-        class_names=EMOTIONS,
-        label_names=spec.relatedness.binary_label_names,
-        samples=[(s.expr, s.au) for s in full],
-    )
+    n = len(full)
+    cuts = [0, int(round(n * fr[0])), int(round(n * (fr[0] + fr[1]))), n]
+    no_expr = np.full_like(full.expr, -1)
+    no_va, no_au = np.full_like(full.va, np.nan), np.full_like(full.au, np.nan)
+    stripped = (replace(full, expr=no_expr, au=no_au, au_weights=no_au),
+                replace(full, expr=no_expr, va=no_va),
+                replace(full, va=no_va, au=no_au, au_weights=no_au))
+    return tuple(s.take(np.arange(a, b)) for s, a, b in zip(stripped, cuts, cuts[1:]))

@@ -68,12 +68,17 @@ def _check_keys(d, allowed: dict, where: str = "config") -> None:
             _check_keys(d[key], section, f"{where}.{key}")
 
 
-def _exact(d: dict, key: str, default, kind: type):
-    """``d[key]`` (``default`` when absent), which must be a ``kind`` itself: no
-    float or bool is truncated to an int, and nothing is made a string."""
-    if type(value := d.get(key, default)) is not kind:
-        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+def _exact(d: dict, key: str, default, *kinds: type):
+    """``d[key]`` (``default`` when absent), whose own type must be one of
+    ``kinds``: no float or bool is truncated to an int, no string or bool is
+    read as a number, and nothing is made a string."""
+    if type(value := d.get(key, default)) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ConfigError(f"{key} must be of type {names}, got {value!r}")
     return value
+
+
+_NUMBER = (int, float)  # a JSON number
 
 
 @dataclass
@@ -113,7 +118,7 @@ class ExperimentConfig:
         if type(self.reweight_observational) is not bool:
             raise ConfigError("reweight_observational must be true or false")
         threshold = self.relatedness.get("threshold", 0.1)
-        if type(threshold) not in (int, float):
+        if type(threshold) not in _NUMBER:
             raise ConfigError(f"relatedness.threshold must be a number, got {threshold!r}")
         if not all(type(h) is int and h > 0 for h in self.hidden):
             raise ConfigError(f"model.hidden must list positive ints, got {list(self.hidden)}")
@@ -127,7 +132,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _check_keys(d, CONFIG_KEYS)
-        lw = d.get("loss_weights", {})
+        lw, opt = d.get("loss_weights", {}), d.get("optimizer", {})
+        tasks, couplings = lw.get("tasks", {}), lw.get("couplings", {})
         try:
             return cls(
                 data=dict(d.get("data", {})),
@@ -135,16 +141,16 @@ class ExperimentConfig:
                 coupling=d.get("coupling", "none"),
                 reweight_observational=d.get("reweight_observational", True),
                 loss_weights=LossWeights(
-                    lambda_per_task=dict(lw.get("tasks", {})),
-                    coupling_weights=dict(lw.get("couplings", {})),
-                    epsilon=float(lw.get("epsilon", 1e-7)),
+                    lambda_per_task={k: _exact(tasks, k, None, *_NUMBER) for k in tasks},
+                    coupling_weights={k: _exact(couplings, k, None, *_NUMBER) for k in couplings},
+                    epsilon=float(_exact(lw, "epsilon", 1e-7, *_NUMBER)),
                 ),
                 hidden=tuple(d.get("model", {}).get("hidden", (64, 64))),
                 max_batch=_exact(d, "max_batch", 200, int),
                 epochs=_exact(d, "epochs", 10, int),
-                lr=float(d.get("optimizer", {}).get("lr", 1e-4)),
-                momentum=float(d.get("optimizer", {}).get("momentum", 0.9)),
-                holdout_fraction=float(d.get("holdout_fraction", 0.2)),
+                lr=float(_exact(opt, "lr", 1e-4, *_NUMBER)),
+                momentum=float(_exact(opt, "momentum", 0.9, *_NUMBER)),
+                holdout_fraction=float(_exact(d, "holdout_fraction", 0.2, *_NUMBER)),
                 median_filter_window=_exact(d, "median_filter_window", 5, int),
                 seed=_exact(d, "seed", 0, int),
                 out_dir=_exact(d, "out_dir", "runs/run", str),
@@ -219,9 +225,7 @@ def empirical_table(corpus_path, threshold: float = 0.1) -> rel.RelatednessTable
     rows = np.intersect1d(data.expr_rows, data.au_rows)
     if not rows.size:
         raise DataError(f"corpus {corpus_path} has no co-annotated samples")
-    pairs = list(zip(data.expr[rows].tolist(), data.au[rows]))
-    corpus = rel.CoAnnotatedCorpus(rel.EMOTIONS, rel.AU_LABELS, pairs)
-    return rel.infer_empirical(corpus, threshold)
+    return rel.infer_empirical(data.expr[rows], data.au[rows], threshold)
 
 
 # -- joint objective -----------------------------------------------------
@@ -459,15 +463,15 @@ def evaluate_model(model, data, median_window: int = 5) -> dict:
 
 def _median_filter_by_video(video, frame, predictions, window):
     """Median-filter each video's predictions in frame order; rows keep their order."""
-    _, code = np.unique(video, return_inverse=True)
-    order = np.lexsort((frame, code))  # stable: equal frames keep their row order
-    code = code[order]
+    order, code = lab.frame_order(video, frame)
     first, last = np.searchsorted(code, code), np.searchsorted(code, code, side="right") - 1
     return median_filter(predictions[order], window, first, last)[np.argsort(order)]
 
 
 def run_eval(checkpoint, dataset, out_path=None, median_window: int = 5) -> dict:
     """Evaluate a checkpoint on a dataset CSV; optionally write the JSON report."""
+    if median_window < 1 or median_window % 2 == 0:
+        raise ConfigError(f"median window must be odd and >= 1, got {median_window}")
     model = MultiHeadModel.load(checkpoint)
     results = evaluate_model(model, lab.read_samples_csv(dataset), median_window)
     if out_path is not None:
@@ -488,14 +492,11 @@ def run_gradcheck(
     analytic parameter gradients, and compares against central differences.
     Raises NumericalError if any mode exceeds the tolerance.
     """
-    from .synthdata import GeneratorSpec, generate
+    from .synthdata import GeneratorSpec, draw, split
 
     table = rel.domain_table()
     spec = GeneratorSpec(relatedness=table, feature_dim=input_dim, seed=seed)
-    per = max(2, batch_size // 3)
-    va_set, au_set, expr_set = generate(spec, 3 * per)
-    sets = {name: lab.SampleSet.from_samples(group[:per])
-            for name, group in zip(SET_NAMES, (va_set, au_set, expr_set))}
+    sets = dict(zip(SET_NAMES, split(draw(spec, 3 * max(2, batch_size // 3)))))
     batch = {name: np.arange(len(data)) for name, data in sets.items()}
     report = {}
     for mode in modes:

@@ -6,9 +6,31 @@ import pytest
 from hypothesis import strategies as st
 
 from affectmtl import CANONICAL_AUS
-from affectmtl.labels import AU_COLUMNS, NUM_AUS
+from affectmtl.labels import AU_COLUMNS, NUM_AUS, SampleSet
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
+
+
+def _one_row(id="s0", features=(0.0, 0.0, 0.0, 0.0), va=None, expr=None, au=None,
+             sequence_key=None) -> SampleSet:
+    """A one-row ``SampleSet``; a label left at None is absent (-1 or NaN), and
+    each annotated AU has loss weight 1, as the CSV reader gives it."""
+    au = np.full(NUM_AUS, np.nan) if au is None else np.asarray(au, dtype=float)
+    video, frame = sequence_key or ("", -1)
+    return SampleSet(
+        ids=np.array([id], dtype=object), features=np.array([features], dtype=float),
+        expr=np.array([-1 if expr is None else expr]), au=au[None, :],
+        au_weights=np.where(np.isnan(au), np.nan, 1.0)[None, :],
+        va=np.array([(np.nan, np.nan) if va is None else va], dtype=float),
+        video=np.array([video], dtype=object), frame=np.array([frame]),
+        compound=np.array([""], dtype=object),
+    )
+
+
+@pytest.fixture(scope="session")
+def one_row():
+    """Builder of one-row ``SampleSet``s from per-sample keyword labels."""
+    return _one_row
 
 
 def _reference_compound_scores(out, classes):
@@ -121,26 +143,21 @@ def reference_forward_backward():
     return _reference_forward_backward
 
 
-def _reference_write_samples_csv(path, samples):
-    """Row-by-row ``csv.writer`` code that writes ``HeterogeneousSample`` records
-    in the annotation CSV format; ``write_samples_csv`` must match it byte for byte."""
-    samples = list(samples)
-    dim = samples[0].features.size
-    header = (["id", "video_id", "frame_idx"] + [f"f{i}" for i in range(dim)]
+def _reference_write_samples_csv(path, data):
+    """Row-by-row ``csv.writer`` code that writes the rows of a ``SampleSet`` in
+    the annotation CSV format; ``write_samples_csv`` must match it byte for byte."""
+    header = (["id", "video_id", "frame_idx"] + [f"f{i}" for i in range(data.features.shape[1])]
               + ["valence", "arousal", "expr"] + list(AU_COLUMNS))
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for s in samples:
-            vid, fidx = ("", "") if s.sequence_key is None else s.sequence_key
-            row = [s.id, vid, fidx]
-            row += [repr(float(x)) for x in s.features]
-            row += [repr(float(s.va[0])), repr(float(s.va[1]))] if s.va else ["", ""]
-            row += ["" if s.expr is None else str(s.expr)]
-            if s.au is None:
-                row += [""] * NUM_AUS
-            else:
-                row += ["" if np.isnan(x) else str(int(x)) for x in s.au]
+        for i in range(len(data)):
+            row = [data.ids[i], data.video[i], "" if data.frame[i] < 0 else int(data.frame[i])]
+            row += [repr(float(x)) for x in data.features[i]]
+            va = data.va[i]
+            row += ["", ""] if np.isnan(va).all() else [repr(float(va[0])), repr(float(va[1]))]
+            row += ["" if data.expr[i] < 0 else str(int(data.expr[i]))]
+            row += ["" if np.isnan(x) else str(int(x)) for x in data.au[i]]
             w.writerow(row)
 
 

@@ -14,7 +14,6 @@ from affectmtl import (
     CANONICAL_AUS,
     EMOTIONS,
     ExperimentConfig,
-    HeterogeneousSample,
     ccc,
     clean_va_expr,
     compound_scores,
@@ -28,7 +27,7 @@ from affectmtl import (
     subsample_frames,
 )
 from affectmtl.labels import SampleSet, write_samples_csv
-from affectmtl.synthdata import GeneratorSpec, generate, generate_corpus
+from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import run_gradcheck, run_train
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -110,8 +109,8 @@ def test_criterion_4_ccc_correctness():
 
 
 def test_criterion_5_empirical_relatedness_recovery():
-    corpus = generate_corpus(GeneratorSpec(relatedness=TABLE, seed=0), 10_000)
-    inferred = infer_empirical(corpus, threshold=0.05)
+    corpus = draw(GeneratorSpec(relatedness=TABLE, seed=0), 10_000)
+    inferred = infer_empirical(corpus.expr, corpus.au, threshold=0.05)
     r_true = TABLE.weight_matrix(reweight=True)
     worst = 0.0
     for cname in TABLE.class_names:
@@ -148,9 +147,9 @@ def test_criterion_6_scheduler_coverage():
 def benefit_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("benefit")
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=32, noise_scale=0.3, seed=0)
-    va, au, expr = generate(spec, 6000, partition=(0.49, 0.49, 0.02))
+    va, au, expr = split(draw(spec, 6000), partition=(0.49, 0.49, 0.02))
     for name, group in [("va", va), ("au", au), ("expr", expr)]:
-        write_samples_csv(root / f"{name}.csv", SampleSet.from_samples(group))
+        write_samples_csv(root / f"{name}.csv", group)
     return root
 
 
@@ -214,13 +213,10 @@ def test_criterion_8_zero_shot_mechanics(reference_compound_scores):
     verdict(8, "compound score ranges and valence-sign flip at zero", ok)
 
 
-def test_criterion_9_cleaning_rules():
+def test_criterion_9_cleaning_rules(one_row):
     def kept(emotion, v, a):
-        s = HeterogeneousSample(
-            id="x", features=np.zeros(4), va=(v, a), expr=EMOTIONS.index(emotion)
-        )
-        kept_list, _ = clean_va_expr([s])
-        return bool(kept_list)
+        s = one_row(id="x", features=np.zeros(4), va=(v, a), expr=EMOTIONS.index(emotion))
+        return bool(clean_va_expr(s.expr, s.va)[0])
 
     cases = [
         ("neutral", 0.149, 0.0, True),
@@ -242,12 +238,12 @@ def test_criterion_9_cleaning_rules():
     ]
     ok = all(kept(e, v, a) == want for e, v, a, want in cases)
 
-    frames = [
-        HeterogeneousSample(id=f"f{i}", features=np.zeros(2), va=(0.0, 0.0),
-                            sequence_key=("vid", i))
+    frames = SampleSet.concat([
+        one_row(id=f"f{i}", features=np.zeros(2), va=(0.0, 0.0), sequence_key=("vid", i))
         for i in range(12)
-    ]
-    ok = ok and [s.sequence_key[1] for s in subsample_frames(frames)] == [0, 5, 10]
+    ])
+    kept_frames = frames.take(subsample_frames(frames.video, frames.frame))
+    ok = ok and kept_frames.frame.tolist() == [0, 5, 10]
 
     spike = median_filter(np.array([0.0, 0.0, 10.0, 0.0, 0.0]), window=3)
     ok = ok and np.array_equal(spike, np.zeros(5))

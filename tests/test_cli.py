@@ -14,8 +14,7 @@ from affectmtl import MultiHeadModel, domain_table, save_compound_profiles, defa
 from affectmtl import cli
 from affectmtl.cli import main
 from affectmtl.zeroshot import CompoundScores
-from affectmtl.labels import write_samples_csv
-from affectmtl.synthdata import GeneratorSpec, generate_full
+from affectmtl.labels import read_samples_csv
 
 TABLE = domain_table()
 
@@ -51,6 +50,22 @@ def test_gen_data_outputs(workspace):
         assert (workspace / "data" / name).exists()
 
 
+def test_gen_data_full_rows_carry_the_unstripped_labels(workspace):
+    """``full.csv`` holds each sample of ``va.csv``, ``au.csv`` and ``expr.csv``
+    once, with the same features and that set's label, plus the other two."""
+    full = read_samples_csv(workspace / "data" / "full.csv")
+    assert len(full.expr_rows) == len(full.au_rows) == len(full.va_rows) == len(full)
+    index = {sid: i for i, sid in enumerate(full.ids)}
+    seen = []
+    for name in ("va", "au", "expr"):
+        part = read_samples_csv(workspace / "data" / f"{name}.csv")
+        rows = [index[sid] for sid in part.ids]
+        assert part.features.tobytes() == full.features[rows].tobytes()
+        assert np.array_equal(getattr(part, name), getattr(full, name)[rows])
+        seen += rows
+    assert sorted(seen) == list(range(len(full)))
+
+
 def test_train_artifacts_and_manifest(workspace):
     manifest = json.loads((workspace / "run" / "manifest.json").read_text())
     assert manifest["config"]["coupling"] == "soft_plus_dm"
@@ -80,6 +95,23 @@ def test_eval_command(workspace, tmp_path):
     ]) == 0
     metrics = json.loads(out.read_text())
     assert "expr" in metrics and "accuracy" in metrics["expr"]
+
+
+@pytest.mark.parametrize("window", [4, 0, -3])
+@pytest.mark.parametrize("keyed", [False, True])
+def test_eval_bad_median_window_is_a_usage_error(workspace, tmp_path, capsys, window, keyed):
+    """An even window or one below 1 fails before any data is read, whether
+    the CSV has sequence keys (the filter would run) or not."""
+    data = workspace / "data" / "va.csv"
+    if keyed:
+        assert main(["gen-data", "--out", str(tmp_path), "--n", "60", "--feature-dim", "10",
+                     "--full", "--frames-per-video", "20"]) == 0
+        data = tmp_path / "full.csv"
+    args = ["eval", "--checkpoint", str(workspace / "run" / "model.bin"), "--data", str(data)]
+    assert main(args + ["--median-window", "3"]) == 0
+    capsys.readouterr()
+    assert main(args + ["--median-window", str(window)]) == 1
+    assert "median window" in capsys.readouterr().err
 
 
 def test_infer_relatedness_command(workspace, tmp_path):
@@ -535,16 +567,27 @@ def test_train_mutated_config_exit_code(workspace, tmp_path_factory, data):
 
 def _inexact_setting(blob: bytes) -> bool:
     """Whether a config holds a non-int where an int belongs (a float, even a
-    whole one, or a bool) or a non-string ``out_dir``: values that must not be
-    truncated or stringified."""
+    whole one, or a bool), a non-number where a float belongs (a string or a
+    bool) or a non-string ``out_dir``: values that must not be truncated,
+    converted or stringified."""
     try:
         d = json.loads(blob)
     except ValueError:
         return False
     if not isinstance(d, dict):
         return False
+
+    def section(d, key):
+        return d[key] if isinstance(d.get(key), dict) else {}
+
+    lw = section(d, "loss_weights")
     ints = [d[k] for k in ("epochs", "max_batch", "median_filter_window", "seed") if k in d]
-    return any(type(v) is not int for v in ints) or type(d.get("out_dir", "")) is not str
+    floats = [*(d[k] for k in ("holdout_fraction",) if k in d),
+              *(v for k, v in section(d, "optimizer").items() if k in ("lr", "momentum")),
+              *(v for k, v in lw.items() if k == "epsilon"),
+              *section(lw, "tasks").values(), *section(lw, "couplings").values()]
+    return (any(type(v) is not int for v in ints) or type(d.get("out_dir", "")) is not str
+            or any(type(v) not in (int, float) for v in floats))
 
 
 def _rewrite_first_row(src, dst, **cells):

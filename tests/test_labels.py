@@ -2,6 +2,7 @@ import csv
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,108 +13,131 @@ from affectmtl import (
     CANONICAL_AUS,
     EMOTIONS,
     DataError,
-    HeterogeneousSample,
     clean_va_expr,
-    co_annotate_aus_to_emotion,
-    co_annotate_emotion_to_aus,
+    co_annotate,
     domain_table,
-    soft_co_annotate,
     subsample_frames,
 )
-from affectmtl.labels import AU_COLUMNS, SampleSet, read_samples_csv, write_samples_csv
+from affectmtl.labels import (
+    AU_COLUMNS,
+    EmotionSoftLabel,
+    SampleSet,
+    indicator_scores,
+    read_samples_csv,
+    write_samples_csv,
+)
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
 
 
-def sample(expr=None, va=None, au_active=(), au_annotated=None, sid="s0", seq=None):
-    au = None
-    if au_active or au_annotated is not None:
-        au = np.full(17, np.nan)
-        for n in au_annotated or []:
-            au[AU_IDX[n]] = 0.0
-        for n in au_active:
-            au[AU_IDX[n]] = 1.0
-    return HeterogeneousSample(
-        id=sid, features=np.zeros(4), expr=expr, va=va, au=au, sequence_key=seq
-    )
+@pytest.fixture(scope="session")
+def sample(one_row):
+    """A one-row set with the given labels; ``au_active`` and ``au_annotated``
+    name the AUs annotated 1 and 0, every other AU is unannotated."""
+    def build(expr=None, va=None, au_active=(), au_annotated=None, sid="s0", seq=None):
+        au = None
+        if au_active or au_annotated is not None:
+            au = np.full(17, np.nan)
+            for n in au_annotated or []:
+                au[AU_IDX[n]] = 0.0
+            for n in au_active:
+                au[AU_IDX[n]] = 1.0
+        return one_row(id=sid, expr=expr, va=va, au=au, sequence_key=seq)
+    return build
 
 
-def test_sample_requires_some_label():
-    with pytest.raises(DataError):
-        HeterogeneousSample(id="x", features=np.zeros(3))
+def soft_label(s, reweight_observational=True):
+    """The soft emotion label of a one-row set's AUs, as soft co-annotation makes it."""
+    r = TABLE.weight_matrix(reweight_observational)
+    return EmotionSoftLabel.from_indicators(indicator_scores(s.au[0], r, reweight_observational))
 
 
-def test_co_annotate_happiness():
-    s = co_annotate_emotion_to_aus(sample(expr=EMOTIONS.index("happiness")), TABLE)
-    assert s.au[AU_IDX[12]] == 1.0 and s.au_weights[AU_IDX[12]] == 1.0
-    assert s.au[AU_IDX[25]] == 1.0 and s.au_weights[AU_IDX[25]] == 1.0
-    assert s.au[AU_IDX[6]] == 1.0 and s.au_weights[AU_IDX[6]] == 0.51
+def subsample(data):
+    return data.take(subsample_frames(data.video, data.frame))
+
+
+def test_sample_requires_some_label(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("id,f0,expr\nx,0.5,\n")
+    with pytest.raises(DataError, match="carries no label"):
+        read_samples_csv(p)
+
+
+def test_co_annotate_happiness(sample):
+    s = co_annotate(sample(expr=EMOTIONS.index("happiness")), TABLE)
+    au, w = s.au[0], s.au_weights[0]
+    assert au[AU_IDX[12]] == 1.0 and w[AU_IDX[12]] == 1.0
+    assert au[AU_IDX[25]] == 1.0 and w[AU_IDX[25]] == 1.0
+    assert au[AU_IDX[6]] == 1.0 and w[AU_IDX[6]] == 0.51
     others = [i for i in range(17) if i not in (AU_IDX[12], AU_IDX[25], AU_IDX[6])]
-    assert np.all(np.isnan(s.au[others]))
+    assert np.all(np.isnan(au[others]))
 
 
-def test_co_annotate_disgust():
-    s = co_annotate_emotion_to_aus(sample(expr=EMOTIONS.index("disgust")), TABLE)
-    weights = {n: s.au_weights[AU_IDX[n]] for n in (9, 10, 17, 4, 24)}
+def test_co_annotate_disgust(sample):
+    s = co_annotate(sample(expr=EMOTIONS.index("disgust")), TABLE)
+    weights = {n: s.au_weights[0, AU_IDX[n]] for n in (9, 10, 17, 4, 24)}
     assert weights == {9: 1.0, 10: 1.0, 17: 1.0, 4: 0.31, 24: 0.26}
 
 
-def test_co_annotate_neutral_unchanged():
+def test_co_annotate_neutral_unchanged(sample):
     s = sample(expr=EMOTIONS.index("neutral"))
-    assert co_annotate_emotion_to_aus(s, TABLE) is s
+    out = co_annotate(s, TABLE)
+    assert np.array_equal(out.au, s.au, equal_nan=True)
+    assert np.array_equal(out.au_weights, s.au_weights, equal_nan=True)
+    assert np.array_equal(out.expr, s.expr)
 
 
-def test_co_annotate_never_overwrites_and_is_idempotent():
+def test_co_annotate_never_overwrites_and_is_idempotent(sample):
     s = sample(expr=EMOTIONS.index("happiness"), au_annotated=[12])  # AU12 annotated 0
-    out = co_annotate_emotion_to_aus(s, TABLE)
-    assert out.au[AU_IDX[12]] == 0.0  # pre-existing label wins
-    assert out.au[AU_IDX[25]] == 1.0
-    again = co_annotate_emotion_to_aus(out, TABLE)
+    out = co_annotate(s, TABLE)
+    assert out.au[0, AU_IDX[12]] == 0.0  # pre-existing label wins
+    assert out.au[0, AU_IDX[25]] == 1.0
+    again = co_annotate(out, TABLE)
     assert np.array_equal(again.au, out.au, equal_nan=True)
     assert np.array_equal(again.au_weights, out.au_weights, equal_nan=True)
 
 
-def test_aus_to_emotion_surprise():
-    s = co_annotate_aus_to_emotion(sample(au_active=[1, 2, 5, 25, 26]), TABLE)
-    assert s.expr == EMOTIONS.index("surprise")
+def test_aus_to_emotion_surprise(sample):
+    s = co_annotate(sample(au_active=[1, 2, 5, 25, 26]), TABLE)
+    assert s.expr[0] == EMOTIONS.index("surprise")
 
 
-def test_aus_to_emotion_happiness():
-    s = co_annotate_aus_to_emotion(sample(au_active=[12, 25, 6]), TABLE)
-    assert s.expr == EMOTIONS.index("happiness")
+def test_aus_to_emotion_happiness(sample):
+    s = co_annotate(sample(au_active=[12, 25, 6]), TABLE)
+    assert s.expr[0] == EMOTIONS.index("happiness")
 
 
-def test_aus_to_emotion_no_full_requirement():
+def test_aus_to_emotion_no_full_requirement(sample):
     s = sample(au_active=[4])
-    assert co_annotate_aus_to_emotion(s, TABLE).expr is None
+    assert co_annotate(s, TABLE).expr[0] == -1
 
 
-def test_soft_co_annotate_worked_example():
+def test_soft_co_annotate_worked_example(sample):
     s = sample(au_active=[12, 25], au_annotated=[6])
-    soft = soft_co_annotate(s, TABLE, reweight_observational=True)
+    soft = soft_label(s, reweight_observational=True)
     assert soft.indicator_scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 2.51)
     assert soft.q.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(soft.q > 0)
 
 
-def test_soft_co_annotate_all_zero_uniform():
+def test_soft_co_annotate_all_zero_uniform(sample):
     s = sample(au_annotated=list(CANONICAL_AUS))
-    soft = soft_co_annotate(s, TABLE)
+    soft = soft_label(s)
     assert np.allclose(soft.indicator_scores, 0.0)
     assert np.allclose(soft.q, 1 / 7, atol=1e-12)
 
 
-def test_soft_co_annotate_full_happiness():
+def test_soft_co_annotate_full_happiness(sample):
     s = sample(au_active=[12, 25, 6])
-    soft = soft_co_annotate(s, TABLE)
+    soft = soft_label(s)
     assert soft.indicator_scores[EMOTIONS.index("happiness")] == pytest.approx(1.0)
     assert np.argmax(soft.q) == EMOTIONS.index("happiness")
 
 
-def test_soft_co_annotate_without_reweighting():
+def test_soft_co_annotate_without_reweighting(sample):
     s = sample(au_active=[12, 25], au_annotated=[6])
-    soft = soft_co_annotate(s, TABLE, reweight_observational=False)
+    soft = soft_label(s, reweight_observational=False)
     assert soft.indicator_scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 3)
 
 
@@ -133,37 +157,38 @@ def test_soft_co_annotate_without_reweighting():
         ("surprise", 0.9, -0.9, True),
     ],
 )
-def test_clean_va_expr_rules(emotion, v, a, kept):
+def test_clean_va_expr_rules(sample, emotion, v, a, kept):
     s = sample(expr=EMOTIONS.index(emotion), va=(v, a))
-    kept_list, removed = clean_va_expr([s])
-    assert (s in kept_list) == kept
-    assert (s in removed) != kept
+    keep = clean_va_expr(s.expr, s.va)
+    assert keep.tolist() == [kept]  # kept, or else removed
 
 
-def test_clean_va_expr_fixpoint_and_untouched():
+def test_clean_va_expr_fixpoint_and_untouched(sample):
     rng = np.random.default_rng(0)
-    samples = [
+    rows = [
         sample(expr=int(rng.integers(0, 7)), va=tuple(rng.uniform(-1, 1, 2)), sid=f"s{i}")
         for i in range(100)
     ]
-    samples.append(sample(va=(0.9, 0.9), sid="va_only"))  # no expr: never removed
-    kept, removed = clean_va_expr(samples)
+    rows.append(sample(va=(0.9, 0.9), sid="va_only"))  # no expr: never removed
+    samples = SampleSet.concat(rows)
+    keep = clean_va_expr(samples.expr, samples.va)
+    kept, removed = samples.take(keep), samples.take(~keep)
     assert len(kept) + len(removed) == len(samples)
-    assert any(s.id == "va_only" for s in kept)
-    kept2, removed2 = clean_va_expr(kept)
-    assert kept2 == kept and removed2 == []
+    assert "va_only" in kept.ids
+    assert clean_va_expr(kept.expr, kept.va).all()  # a second pass removes nothing
 
 
-def test_subsample_frames():
-    vid = [sample(va=(0, 0), sid=f"a{i}", seq=("v0", i)) for i in range(12)]
-    out = subsample_frames(vid)
-    assert [s.sequence_key[1] for s in out] == [0, 5, 10]
-    assert len(subsample_frames(vid[:1])) == 1
-    two = [sample(va=(0, 0), sid=f"b{i}", seq=(f"v{i % 2}", i // 2)) for i in range(12)]
-    assert len(subsample_frames(two)) == 4
+def test_subsample_frames(sample):
+    vid = SampleSet.concat([sample(va=(0, 0), sid=f"a{i}", seq=("v0", i)) for i in range(12)])
+    out = subsample(vid)
+    assert out.frame.tolist() == [0, 5, 10]
+    assert len(subsample(vid.take([0]))) == 1
+    two = SampleSet.concat(
+        [sample(va=(0, 0), sid=f"b{i}", seq=(f"v{i % 2}", i // 2)) for i in range(12)])
+    assert len(subsample(two)) == 4
 
 
-def test_subsample_size_property():
+def test_subsample_size_property(sample):
     rng = np.random.default_rng(1)
     samples = []
     expected = 0
@@ -171,16 +196,16 @@ def test_subsample_size_property():
         n = int(rng.integers(1, 23))
         expected += math.ceil(n / 5)
         samples += [sample(va=(0, 0), sid=f"v{v}f{i}", seq=(f"v{v}", i)) for i in range(n)]
-    assert len(subsample_frames(samples)) == expected
+    assert len(subsample(SampleSet.concat(samples))) == expected
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip(tmp_path, one_row):
     rng = np.random.default_rng(5)
-    samples = []
+    records = []
     for i in range(20):
         au = np.where(rng.random(17) < 0.5, (rng.random(17) < 0.5).astype(float), np.nan)
-        samples.append(
-            HeterogeneousSample(
+        records.append(
+            dict(
                 id=f"s{i}",
                 features=rng.normal(size=6),
                 va=(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) if i % 2 else None,
@@ -190,8 +215,9 @@ def test_csv_round_trip(tmp_path):
             )
         )
     p = tmp_path / "data.csv"
-    write_samples_csv(p, SampleSet.from_samples(samples))
+    write_samples_csv(p, SampleSet.concat([one_row(**r) for r in records]))
     back = read_samples_csv(p)
+    samples = [SimpleNamespace(**r) for r in records]
     assert len(back) == len(samples)
     for i, a in enumerate(samples):
         assert a.id == back.ids[i]
@@ -313,15 +339,16 @@ def test_csv_reader_matches_per_row_reference(reference_read_samples_csv, data):
 
 @st.composite
 def sample_records(draw, dim: int, cells):
-    """A ``HeterogeneousSample`` with any subset of VA, expression, AU labels
-    (at least one) and a sequence key, its text and floats drawn from ``cells``."""
+    """The labels of one sample, as keywords of the one-row builder: any subset
+    of VA, expression and AU labels (at least one) and a sequence key, its text
+    and floats drawn from ``cells``."""
     text, floats = cells
     has = draw(st.lists(st.sampled_from(["va", "expr", "au"]), min_size=1, unique=True))
     au = None
     if "au" in has:
         au = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, np.nan]),
                                     min_size=17, max_size=17)))
-    return HeterogeneousSample(
+    return dict(
         id=draw(text),
         features=np.array(draw(st.lists(floats, min_size=dim, max_size=dim))),
         va=(draw(floats), draw(floats)) if "va" in has else None,
@@ -333,19 +360,21 @@ def sample_records(draw, dim: int, cells):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_write_samples_csv_matches_row_by_row_writer(reference_write_samples_csv, csv_cells, data):
+def test_write_samples_csv_matches_row_by_row_writer(
+        reference_write_samples_csv, csv_cells, one_row, data):
     dim = data.draw(st.integers(1, 4))
-    samples = data.draw(st.lists(sample_records(dim, csv_cells), min_size=1, max_size=8))
+    records = data.draw(st.lists(sample_records(dim, csv_cells), min_size=1, max_size=8))
+    samples = SampleSet.concat([one_row(**r) for r in records])
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        write_samples_csv(got, SampleSet.from_samples(samples))
+        write_samples_csv(got, samples)
         reference_write_samples_csv(want, samples)
         assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("au, message", [(None, "no samples"), (0.5, "0 or 1"), (2.0, "0 or 1")])
-def test_write_samples_csv_rejects_what_it_cannot_write(tmp_path, au, message):
-    data = SampleSet.from_samples([sample(expr=1, au_active=[12])])
+def test_write_samples_csv_rejects_what_it_cannot_write(tmp_path, sample, au, message):
+    data = sample(expr=1, au_active=[12])
     if au is None:
         data = data.take([])
     else:

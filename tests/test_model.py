@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,21 @@ def test_output_ranges():
     assert np.allclose(out["expr"].sum(axis=1), 1.0, atol=1e-9)
     assert np.all((out["au"] > 0) & (out["au"] < 1))
     assert np.all((out["va"] > -1) & (out["va"] < 1))
+
+
+def test_sigmoid_head_does_not_overflow():
+    m = small_model()
+    m.heads["au"]["W"][:] = 0.0
+    m.heads["au"]["b"][:] = -1e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, _ = m.forward(np.zeros((2, 5)))
+    assert np.all(np.isfinite(out["au"]) & (out["au"] > 0) & (out["au"] < 1e-300))
+    # from z = -709 up, every bit is that of 1 / (1 + exp(-z))
+    z = np.array([-709.0, -708.5, -30.0, 0.0, 2.5, 40.0])
+    m.heads["au"]["b"][:6] = z
+    out, _ = m.forward(np.zeros((1, 5)))
+    assert out["au"][0, :6].tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
 
 
 def test_shape_mismatch():

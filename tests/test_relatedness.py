@@ -7,7 +7,6 @@ from affectmtl import (
     AU_LABELS,
     CANONICAL_AUS,
     EMOTIONS,
-    CoAnnotatedCorpus,
     DataError,
     RelatednessTable,
     domain_table,
@@ -101,7 +100,8 @@ def test_load_domain_table_rejects_bad_weight_and_duplicates(tmp_path):
 
 
 def _corpus(samples):
-    return CoAnnotatedCorpus(EMOTIONS, AU_LABELS, samples)
+    """The expression and AU columns of (class index, AU vector) pairs."""
+    return np.array([k for k, _ in samples]), np.array([au for _, au in samples])
 
 
 def test_infer_empirical_counting():
@@ -111,7 +111,7 @@ def test_infer_empirical_counting():
         au = np.zeros(17)
         au[AU_IDX[12]] = 1.0 if i < 8 else 0.0
         samples.append((happy, au))
-    table = infer_empirical(_corpus(samples), threshold=0.1)
+    table = infer_empirical(*_corpus(samples), threshold=0.1)
     got = {CANONICAL_AUS[e.index]: e.weight for e in table.lookup(table.class_names.index("happiness"))}
     assert got[12] == pytest.approx(0.8)
     # every other AU was annotated inactive -> weight 0 < threshold -> absent
@@ -126,7 +126,7 @@ def test_infer_empirical_threshold_and_saturation():
         au[AU_IDX[12]] = 1.0  # always active -> weight exactly 1.0
         au[AU_IDX[6]] = 1.0 if i == 0 else 0.0  # 5% < threshold -> dropped
         samples.append((happy, au))
-    table = infer_empirical(_corpus(samples), threshold=0.1)
+    table = infer_empirical(*_corpus(samples), threshold=0.1)
     got = {CANONICAL_AUS[e.index]: e.weight for e in table.lookup(happy)}
     assert got == {12: 1.0}
 
@@ -140,10 +140,10 @@ def test_infer_empirical_permutation_invariant():
         if np.all(np.isnan(au)):
             au[0] = 1.0
         samples.append((emo, au))
-    t1 = infer_empirical(_corpus(samples))
+    t1 = infer_empirical(*_corpus(samples))
     shuffled = list(samples)
     rng.shuffle(shuffled)
-    t2 = infer_empirical(_corpus(shuffled))
+    t2 = infer_empirical(*_corpus(shuffled))
     assert t1.to_json() == t2.to_json()
 
 
@@ -153,7 +153,7 @@ def test_infer_empirical_keeps_every_class():
     au = np.zeros(17)
     au[0] = 1.0
     samples = [(happy, au), (sad, np.full(17, np.nan))]
-    table = infer_empirical(_corpus(samples))
+    table = infer_empirical(*_corpus(samples))
     # sadness has no annotated AU and anger no sample: both keep an empty row
     assert table.class_names == EMOTIONS
     assert table.lookup(sad) == () and table.lookup(EMOTIONS.index("anger")) == ()

@@ -3,7 +3,7 @@ import pytest
 
 from affectmtl import CANONICAL_AUS, EMOTIONS, DataError, domain_table, infer_empirical
 from affectmtl.labels import clean_va_expr
-from affectmtl.synthdata import GeneratorSpec, generate, generate_corpus, generate_full
+from affectmtl.synthdata import GeneratorSpec, draw, split
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
@@ -11,44 +11,46 @@ TABLE = domain_table()
 
 def test_generated_va_passes_cleaning():
     spec = GeneratorSpec(relatedness=TABLE, noise_scale=0.3, seed=1)
-    samples = generate_full(spec, 500)
-    kept, removed = clean_va_expr(samples)
-    assert removed == []
+    samples = draw(spec, 500)
+    assert clean_va_expr(samples.expr, samples.va).all()  # none removed
 
 
 def test_partition_disjoint_and_label_stripping():
     spec = GeneratorSpec(relatedness=TABLE, seed=2)
-    va_set, au_set, expr_set = generate(spec, 300)
-    ids = [s.id for group in (va_set, au_set, expr_set) for s in group]
+    va_set, au_set, expr_set = split(draw(spec, 300))
+    ids = [i for group in (va_set, au_set, expr_set) for i in group.ids]
     assert len(ids) == len(set(ids)) == 300
-    assert all(s.va is not None and s.expr is None and s.au is None for s in va_set)
-    assert all(s.au is not None and s.va is None and s.expr is None for s in au_set)
-    assert all(s.expr is not None and s.va is None and s.au is None for s in expr_set)
+    assert len(va_set.va_rows) == len(va_set) and not va_set.expr_rows.size
+    assert not va_set.au_rows.size
+    assert len(au_set.au_rows) == len(au_set) and not au_set.va_rows.size
+    assert not au_set.expr_rows.size
+    assert len(expr_set.expr_rows) == len(expr_set) and not expr_set.va_rows.size
+    assert not expr_set.au_rows.size
 
 
 def test_prototypical_au_always_active():
     spec = GeneratorSpec(relatedness=TABLE, seed=3)
     happy = EMOTIONS.index("happiness")
-    samples = [s for s in generate_full(spec, 800) if s.expr == happy]
-    assert samples
-    for s in samples:
-        assert s.au[AU_IDX[12]] == 1.0  # Bernoulli(1)
+    samples = draw(spec, 800)
+    au = samples.au[samples.expr == happy]
+    assert len(au)
+    assert (au[:, AU_IDX[12]] == 1.0).all()  # Bernoulli(1)
 
 
 def test_identity_map_embeds_labels():
     spec = GeneratorSpec(
         relatedness=TABLE, noise_scale=0.0, feature_dim=26, feature_map="identity", seed=4
     )
-    samples = generate_full(spec, 200)
+    samples = draw(spec, 200)
     # emotion is readable straight off the first 7 feature coordinates
-    correct = sum(int(np.argmax(s.features[:7])) == s.expr for s in samples)
+    correct = (np.argmax(samples.features[:, :7], axis=1) == samples.expr).sum()
     assert correct == len(samples)
 
 
 def test_empirical_recovery():
     spec = GeneratorSpec(relatedness=TABLE, seed=0)
-    corpus = generate_corpus(spec, 10_000)
-    inferred = infer_empirical(corpus, threshold=0.05)
+    corpus = draw(spec, 10_000)
+    inferred = infer_empirical(corpus.expr, corpus.au, threshold=0.05)
     r_true = TABLE.weight_matrix(reweight=True)
     for cname in inferred.class_names:
         k_true = EMOTIONS.index(cname)
@@ -61,19 +63,18 @@ def test_empirical_recovery():
 
 def test_determinism():
     spec = GeneratorSpec(relatedness=TABLE, seed=6)
-    a = generate_full(spec, 50)
-    b = generate_full(GeneratorSpec(relatedness=TABLE, seed=6), 50)
-    for s1, s2 in zip(a, b):
-        assert np.array_equal(s1.features, s2.features)
-        assert s1.va == s2.va and s1.expr == s2.expr
-        assert np.array_equal(s1.au, s2.au)
+    a = draw(spec, 50)
+    b = draw(GeneratorSpec(relatedness=TABLE, seed=6), 50)
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.va, b.va) and np.array_equal(a.expr, b.expr)
+    assert np.array_equal(a.au, b.au)
 
 
 def test_frames_per_video():
     spec = GeneratorSpec(relatedness=TABLE, seed=7, frames_per_video=10)
-    samples = generate_full(spec, 25)
-    assert samples[0].sequence_key == ("vid00000", 0)
-    assert samples[24].sequence_key == ("vid00002", 4)
+    samples = draw(spec, 25)
+    assert (samples.video[0], samples.frame[0]) == ("vid00000", 0)
+    assert (samples.video[24], samples.frame[24]) == ("vid00002", 4)
 
 
 def test_bad_specs_rejected():
@@ -89,4 +90,4 @@ def test_bad_specs_rejected():
     with pytest.raises(DataError):
         GeneratorSpec(relatedness=TABLE, feature_map="identity", feature_dim=10)
     with pytest.raises(DataError):
-        generate(GeneratorSpec(relatedness=TABLE), 30, partition=(0.5, 0.5, 0.5))
+        split(draw(GeneratorSpec(relatedness=TABLE), 30), partition=(0.5, 0.5, 0.5))

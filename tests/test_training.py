@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from affectmtl import (
     SampleSet,
     domain_table,
 )
-from affectmtl.labels import HeterogeneousSample, soft_co_annotate, write_samples_csv
+from affectmtl.labels import EmotionSoftLabel, indicator_scores, write_samples_csv
 from affectmtl.losses import (
     SoftTargets,
     ccc_loss_grad,
@@ -27,7 +28,7 @@ from affectmtl.losses import (
     sca_loss_grad,
     softmax_ce_grad,
 )
-from affectmtl.synthdata import GeneratorSpec, generate, generate_full
+from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import (
     _joint_loss, _median_filter_by_video, build_objective, run_eval, run_gradcheck, run_train,
 )
@@ -39,10 +40,10 @@ TABLE = domain_table()
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=12, noise_scale=0.3, seed=0)
-    va_set, au_set, expr_set = generate(spec, 360)
-    write_samples_csv(out / "va.csv", SampleSet.from_samples(va_set))
-    write_samples_csv(out / "au.csv", SampleSet.from_samples(au_set))
-    write_samples_csv(out / "expr.csv", SampleSet.from_samples(expr_set))
+    va_set, au_set, expr_set = split(draw(spec, 360))
+    write_samples_csv(out / "va.csv", va_set)
+    write_samples_csv(out / "au.csv", au_set)
+    write_samples_csv(out / "expr.csv", expr_set)
     return out
 
 
@@ -122,12 +123,12 @@ def test_invalid_coupling_mode(dataset_dir, tmp_path):
 
 def test_va_batch_of_one_rejected(tmp_path):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=1)
-    va_set, au_set, expr_set = generate(spec, 90, partition=(0.1, 0.6, 0.3))
+    va_set, au_set, expr_set = split(draw(spec, 90), partition=(0.1, 0.6, 0.3))
     out = tmp_path / "data"
     out.mkdir()
-    write_samples_csv(out / "va.csv", SampleSet.from_samples(va_set))
-    write_samples_csv(out / "au.csv", SampleSet.from_samples(au_set))
-    write_samples_csv(out / "expr.csv", SampleSet.from_samples(expr_set))
+    write_samples_csv(out / "va.csv", va_set)
+    write_samples_csv(out / "au.csv", au_set)
+    write_samples_csv(out / "expr.csv", expr_set)
     # 9 VA training samples (holdout 0), 54 AU -> max_batch 6 gives 9 iterations
     # and VA batches of size 1
     config = make_config(out, tmp_path / "run", max_batch=6, holdout_fraction=0.0)
@@ -144,12 +145,13 @@ def test_single_set_training(dataset_dir, tmp_path):
 
 def test_run_eval_with_and_without_sequence_keys(tmp_path):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=2, frames_per_video=20)
-    samples = [s for s in generate(spec, 120)[0]]
+    samples = split(draw(spec, 120))[0]
     keyed = tmp_path / "keyed.csv"
-    write_samples_csv(keyed, SampleSet.from_samples(samples))
+    write_samples_csv(keyed, samples)
     unkeyed = tmp_path / "unkeyed.csv"
-    unkeyed_samples = [type(s)(id=s.id, features=s.features, va=s.va) for s in samples]
-    write_samples_csv(unkeyed, SampleSet.from_samples(unkeyed_samples))
+    unkeyed_samples = replace(samples, video=np.full(len(samples), "", dtype=object),
+                              frame=np.full(len(samples), -1))
+    write_samples_csv(unkeyed, unkeyed_samples)
     config = make_config(tmp_path, tmp_path / "run", epochs=1)
     config.data = {"va": str(keyed)}
     run_train(config)
@@ -162,14 +164,12 @@ def test_run_eval_with_and_without_sequence_keys(tmp_path):
 
 
 def test_empirical_relatedness_source(tmp_path):
-    from affectmtl.synthdata import generate_full
-
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=3)
     corpus_csv = tmp_path / "corpus.csv"
-    write_samples_csv(corpus_csv, SampleSet.from_samples(generate_full(spec, 400)))
-    va_set, au_set, expr_set = generate(spec, 120)
+    write_samples_csv(corpus_csv, draw(spec, 400))
+    va_set, au_set, expr_set = split(draw(spec, 120))
     for name, group in [("va", va_set), ("au", au_set), ("expr", expr_set)]:
-        write_samples_csv(tmp_path / f"{name}.csv", SampleSet.from_samples(group))
+        write_samples_csv(tmp_path / f"{name}.csv", group)
     config = make_config(
         tmp_path, tmp_path / "run", epochs=1,
         relatedness={"source": "empirical", "corpus": str(corpus_csv), "threshold": 0.1},
@@ -192,7 +192,7 @@ def test_run_gradcheck_passes_all_modes():
 
 def _reference_loss(model, sets, batch, mode, table, weights):
     """Per-row loop over the batch: every loss term sample by sample, SCA
-    targets from ``soft_co_annotate``, DM targets from one row at a time."""
+    targets from one row's soft label, DM targets from one row at a time."""
     picked = [(name, sets[name], i) for name, rows in batch.items() for i in rows]
     out, _ = model.forward(np.stack([d.features[i] for _, d, i in picked]))
     eps = weights.epsilon
@@ -226,7 +226,8 @@ def _reference_loss(model, sets, batch, mode, table, weights):
         losses["sca"] = mean_over(
             rows, lambda j, d, i: sca_loss_grad(
                 out["expr"][j],
-                soft_co_annotate(HeterogeneousSample(d.ids[i], d.features[i], au=d.au[i]), table),
+                EmotionSoftLabel.from_indicators(
+                    indicator_scores(d.au[i], table.weight_matrix(True))),
                 eps),
             "expr", weights.coupling("sca"),
         )
@@ -248,9 +249,9 @@ def _reference_loss(model, sets, batch, mode, table, weights):
 )
 def test_batch_objective_matches_per_row_loop(mode):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
-    va_set, au_set, expr_set = generate(spec, 180)
-    sets = {name: SampleSet.from_samples(group)
-            for name, group in (("va", va_set[:40]), ("au", au_set[:50]), ("expr", expr_set[:45]))}
+    va_set, au_set, expr_set = split(draw(spec, 180))
+    sets = {name: group.take(np.arange(size))
+            for name, group, size in (("va", va_set, 40), ("au", au_set, 50), ("expr", expr_set, 45))}
     weights = LossWeights({"expr": 0.7, "va": 1.3}, {"sca": 0.6, "dm": 1.7})
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     sets, objective = build_objective(model, sets, TABLE, mode, weights)
@@ -268,17 +269,19 @@ def test_batch_objective_matches_per_row_loop(mode):
         assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
 
 
-def test_sca_targets_follow_rows_not_ids():
+def test_sca_targets_follow_rows_not_ids(one_row):
     happy, sad = np.zeros(17), np.zeros(17)
     happy[[4, 9, 15]] = 1.0  # AU6, AU12, AU25
     sad[[2, 10]] = 1.0  # AU4, AU15
-    au_set = [HeterogeneousSample("dup", np.zeros(8), au=a) for a in (happy, sad)]
+    au_set = SampleSet.concat([one_row("dup", np.zeros(8), au=a) for a in (happy, sad)])
     model = MultiHeadModel(8, hidden=(4,))
     _, objective = build_objective(
-        model, {"au": SampleSet.from_samples(au_set)}, TABLE, "soft_co_annotation", LossWeights()
+        model, {"au": au_set}, TABLE, "soft_co_annotation", LossWeights()
     )
-    for s, q in zip(au_set, objective.sca_targets):
-        assert np.allclose(q, soft_co_annotate(s, TABLE).q, atol=1e-15)
+    r = TABLE.weight_matrix(True)
+    for au, q in zip(au_set.au, objective.sca_targets):
+        assert np.allclose(q, EmotionSoftLabel.from_indicators(indicator_scores(au, r)).q,
+                           atol=1e-15)
     assert not np.allclose(objective.sca_targets[0], objective.sca_targets[1])
 
 
@@ -299,10 +302,11 @@ def test_table_head_mismatch_is_a_data_error(dataset_dir, tmp_path):
 def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=3)
     anger = EMOTIONS.index("anger")
-    corpus = [s for s in generate_full(spec, 400) if s.expr != anger]
-    write_samples_csv(tmp_path / "corpus.csv", SampleSet.from_samples(corpus))
-    for name, group in zip(("va", "au", "expr"), generate(spec, 120)):
-        write_samples_csv(tmp_path / f"{name}.csv", SampleSet.from_samples(group))
+    full = draw(spec, 400)
+    corpus = full.take(full.expr != anger)
+    write_samples_csv(tmp_path / "corpus.csv", corpus)
+    for name, group in zip(("va", "au", "expr"), split(draw(spec, 120))):
+        write_samples_csv(tmp_path / f"{name}.csv", group)
     config = make_config(
         tmp_path, tmp_path / "run", epochs=1, coupling="soft_plus_dm",
         relatedness={"source": "empirical", "corpus": str(tmp_path / "corpus.csv")},
@@ -365,10 +369,22 @@ def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides)
     {"max_batch": 20.9},
     {"seed": True},
     {"median_filter_window": 5.0},
+    {"optimizer": {"lr": "0.01"}},
+    {"optimizer": {"momentum": False}},
+    {"holdout_fraction": False},
+    {"loss_weights": {"couplings": {"dm": True}}},
+    {"loss_weights": {"epsilon": "1e-7"}},
 ])
 def test_malformed_config_values_are_config_errors(dataset_dir, tmp_path, overrides):
     with pytest.raises(ConfigError):
         make_config(dataset_dir, tmp_path / "run", **overrides)
+
+
+def test_float_settings_take_json_ints(dataset_dir, tmp_path):
+    config = make_config(dataset_dir, tmp_path / "run", optimizer={"lr": 1, "momentum": 0},
+                         holdout_fraction=0, loss_weights={"tasks": {"expr": 2}})
+    assert (config.lr, config.momentum, config.holdout_fraction) == (1.0, 0.0, 0.0)
+    assert config.loss_weights.task("expr") == 2.0
 
 
 def test_config_keys_round_trip(dataset_dir, tmp_path):
