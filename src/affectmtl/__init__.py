@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .errors import AffectMTLError, ConfigError, DataError, NumericalError
 from .labels import (
-    EmotionSoftLabel,
     SampleSet,
     clean_va_expr,
     co_annotate,
@@ -18,11 +17,9 @@ from .labels import (
 from .losses import (
     LossReport,
     LossWeights,
-    SoftTargets,
     ccc,
     ccc_loss,
     dm_loss,
-    dm_targets,
     masked_bce,
     sca_loss,
     softmax_ce,
@@ -41,7 +38,6 @@ from .relatedness import (
     RelatednessTable,
     domain_table,
     infer_empirical,
-    load_domain_table,
 )
 from .scheduler import EpochPlan, next_joint_batch, plan_epoch
 from .training import ExperimentConfig, run_eval, run_gradcheck, run_train

@@ -32,8 +32,6 @@ def _write_manifest(out_dir: Path, command: str, args: dict, extra: dict | None 
 
 
 def _cmd_gen_data(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = GeneratorSpec(
         relatedness=rel.domain_table(),
         feature_dim=args.feature_dim,
@@ -41,10 +39,15 @@ def _cmd_gen_data(args) -> int:
         seed=args.seed,
         frames_per_video=args.frames_per_video,
     )
-    fractions = tuple(float(x) for x in args.partition.split(","))
+    try:
+        fractions = tuple(float(x) for x in args.partition.split(","))
+    except ValueError as e:
+        raise DataError(f"--partition must list three numbers, got {args.partition!r}") from e
     full = draw(spec, args.n)
     va_set, au_set, expr_set = split(full, fractions)
     sets = {"va": va_set, "au": au_set, "expr": expr_set, **({"full": full} if args.full else {})}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, data in sets.items():
         lab.write_samples_csv(out / f"{name}.csv", data)
     _write_manifest(

@@ -78,19 +78,11 @@ class SampleSet:
         return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
 
 
-@dataclass(frozen=True)
-class EmotionSoftLabel:
-    """Indicator scores per basic emotion and their softmax distribution."""
-
-    indicator_scores: np.ndarray
-    q: np.ndarray
-
-    @classmethod
-    def from_indicators(cls, scores) -> "EmotionSoftLabel":
-        """Softmax over the last axis, so a matrix of scores gives one label per row."""
-        scores = np.asarray(scores, dtype=float)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        return cls(indicator_scores=scores, q=e / e.sum(axis=-1, keepdims=True))
+def soft_label(scores) -> np.ndarray:
+    """Softmax of indicator scores over the last axis: one soft emotion label per row."""
+    scores = np.asarray(scores, dtype=float)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def indicator_scores(au, r, reweight_observational: bool = True) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .relatedness import RelatednessTable
 
 DEFAULT_EPS = 1e-7
 CCC_EPS = 1e-8
@@ -40,16 +39,6 @@ class LossWeights:
 
     def coupling(self, name: str) -> float:
         return float(self.coupling_weights.get(name, 1.0))
-
-
-@dataclass
-class SoftTargets:
-    """Soft per-binary-label targets, one row per sample."""
-
-    q_binary: np.ndarray
-
-    def __post_init__(self):
-        self.q_binary = np.asarray(self.q_binary, dtype=float)
 
 
 @dataclass
@@ -190,26 +179,19 @@ def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
 # -- distribution matching ----------------------------------------------
 
 
-def dm_targets(p_cat, table: RelatednessTable, reweight: bool = False) -> SoftTargets:
-    """Soft binary-label targets as a relatedness mixture over class predictions."""
-    p = np.asarray(p_cat, float)
-    if p.shape[-1] != len(table.class_names):
-        raise DataError(
-            f"dm_targets: {p.shape[-1]} classes vs table with {len(table.class_names)}"
-        )
-    r = table.weight_matrix(reweight)
-    return SoftTargets(q_binary=p @ r)
+def dm_loss(p_bin, q_bin, eps: float = DEFAULT_EPS) -> float:
+    """Cross entropy with soft targets: sum_i -p_i log q_i, q clamped at eps.
+
+    ``q_bin`` holds the DM targets, one row per row of ``p_bin``: the class
+    predictions times the relatedness weight matrix.
+    """
+    return dm_loss_grad(p_bin, q_bin, eps)[0]
 
 
-def dm_loss(p_bin, q: SoftTargets, eps: float = DEFAULT_EPS) -> float:
-    """Cross entropy with soft targets: sum_i -p_i log q_i, q clamped at eps."""
-    return dm_loss_grad(p_bin, q, eps)[0]
-
-
-def dm_loss_grad(p_bin, q: SoftTargets, eps: float = DEFAULT_EPS):
+def dm_loss_grad(p_bin, q_bin, eps: float = DEFAULT_EPS):
     """Value plus gradients with respect to predictions and targets."""
     p = np.asarray(p_bin, float)
-    qb = q.q_binary
+    qb = np.asarray(q_bin, float)
     if qb.shape != p.shape:
         raise DataError("dm_loss: prediction/target length mismatch")
     n = len(_rows(p))
@@ -229,7 +211,7 @@ def sca_loss(p_emo, q_emo, eps: float = DEFAULT_EPS) -> float:
 def sca_loss_grad(p_emo, q_emo, eps: float = DEFAULT_EPS):
     """Value and gradient with respect to the predicted emotion distribution."""
     p = np.asarray(p_emo, float)
-    q = q_emo.q if hasattr(q_emo, "q") else np.asarray(q_emo, float)
+    q = np.asarray(q_emo, float)
     if p.shape != q.shape:
         raise DataError("sca_loss: dimensionality mismatch")
     n = len(_rows(p))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -32,60 +31,36 @@ KIND_DOMAIN = "prototypical_observational"
 KIND_EMPIRICAL = "empirical"
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    """One (binary label, weight) association for a class."""
-
-    label: str
-    index: int
-    weight: float
-    prototypical: bool
-
-
 class RelatednessTable:
     """Immutable mapping from categorical classes to weighted binary labels.
 
-    ``entries`` maps class name -> {binary label index -> (weight, prototypical)}.
-    Weights lie in (0, 1]; prototypical entries always carry weight 1.0.
+    ``weights`` is a (classes, labels) array: the weight, in (0, 1], of each
+    (class, label) entry, and 0 where a class has no entry for a label.
+    ``prototypical`` marks the prototypical entries; in a domain table they
+    carry weight 1.0. Both arrays are read-only.
     """
 
-    def __init__(self, class_names, binary_label_names, entries, kind):
+    def __init__(self, class_names, binary_label_names, weights, prototypical, kind):
         if kind not in (KIND_DOMAIN, KIND_EMPIRICAL):
             raise DataError(f"unknown table kind: {kind!r}")
         self.class_names = tuple(class_names)
         self.binary_label_names = tuple(binary_label_names)
         self.kind = kind
-        checked = {}
-        n_labels = len(self.binary_label_names)
-        for cls, row in entries.items():
-            if cls not in self.class_names:
-                raise DataError(f"entry for unknown class {cls!r}")
-            crow = {}
-            for idx, (w, proto) in row.items():
-                idx = int(idx)
-                if not 0 <= idx < n_labels:
-                    raise DataError(f"label index {idx} out of range for class {cls!r}")
-                w = float(w)
-                if not 0.0 < w <= 1.0:
-                    raise DataError(f"weight {w} outside (0, 1] for class {cls!r}")
-                if proto and kind == KIND_DOMAIN and w != 1.0:
-                    raise DataError(f"prototypical entry must have weight 1.0 (class {cls!r})")
-                crow[idx] = (w, bool(proto))
-            checked[cls] = crow
-        self._entries = checked
-
-    # -- queries ---------------------------------------------------------
-
-    def lookup(self, class_index: int) -> tuple[TableEntry, ...]:
-        """Entries for one class, ordered by binary-label index. May be empty."""
-        if not 0 <= class_index < len(self.class_names):
-            raise DataError(f"class index {class_index} out of range")
-        cls = self.class_names[class_index]
-        row = self._entries.get(cls, {})
-        return tuple(
-            TableEntry(self.binary_label_names[i], i, w, proto)
-            for i, (w, proto) in sorted(row.items())
-        )
+        for names in (self.class_names, self.binary_label_names):
+            if len(set(names)) != len(names):
+                raise DataError(f"names {list(names)} are not distinct")
+        self.weights = np.array(weights, dtype=float)
+        self.prototypical = np.array(prototypical, dtype=bool)
+        shape = (len(self.class_names), len(self.binary_label_names))
+        if self.weights.shape != shape or self.prototypical.shape != shape:
+            raise DataError(f"weights and prototypical mask must have shape {shape}")
+        if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
+            raise DataError("weights outside [0, 1] (0 is no entry)")
+        if (self.prototypical & (self.weights == 0.0)).any():
+            raise DataError("prototypical mark on a missing entry")
+        if kind == KIND_DOMAIN and (self.prototypical & (self.weights != 1.0)).any():
+            raise DataError("prototypical entry must have weight 1.0")
+        self.weights.flags.writeable = self.prototypical.flags.writeable = False
 
     def weight_matrix(self, reweight: bool = False) -> np.ndarray:
         """(n_classes, n_labels) matrix r with r[k, b] the mixing coefficient.
@@ -94,26 +69,21 @@ class RelatednessTable:
         unless ``reweight`` is set, in which case observational entries use
         their table weight. Empirical tables always use their weights.
         """
-        r = np.zeros((len(self.class_names), len(self.binary_label_names)))
-        use_weights = reweight or self.kind == KIND_EMPIRICAL
-        for k, cls in enumerate(self.class_names):
-            for i, (w, _proto) in self._entries.get(cls, {}).items():
-                r[k, i] = w if use_weights else 1.0
-        return r
+        return np.where(reweight or self.kind == KIND_EMPIRICAL, self.weights, self.weights > 0.0)
 
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The saved form: every entry by class and label name; empty classes are left out."""
+        labels = self.binary_label_names
         return {
             "classes": list(self.class_names),
-            "labels": list(self.binary_label_names),
+            "labels": list(labels),
             "entries": {
-                cls: {
-                    self.binary_label_names[i]: {"w": w, "proto": proto}
-                    for i, (w, proto) in sorted(row.items())
-                }
-                for cls, row in sorted(self._entries.items())
-                if row
+                cls: {label: {"w": w, "proto": p} for label, w, p in zip(labels, ws, ps) if w}
+                for cls, ws, ps in zip(self.class_names, self.weights.tolist(),
+                                       self.prototypical.tolist())
+                if any(ws)
             },
             "kind": self.kind,
         }
@@ -122,29 +92,55 @@ class RelatednessTable:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RelatednessTable":
-        labels = list(d["labels"])
-        label_idx = {name: i for i, name in enumerate(labels)}
-        entries = {}
-        for cname, row in d.get("entries", {}).items():
-            crow = {}
-            for lname, e in row.items():
-                if lname not in label_idx:
-                    raise DataError(f"unknown binary label {lname!r}")
-                crow[label_idx[lname]] = (e["w"], e["proto"])
-            entries[cname] = crow
-        return cls(d["classes"], labels, entries, d["kind"])
+    def from_dict(cls, d) -> "RelatednessTable":
+        """A table from the saved form (``entries`` and ``kind``, as :meth:`to_dict`
+        writes it) or the source form (``table``, as the bundled file holds it).
+
+        A source row lists a class's prototypical label names and its
+        observational (label, weight) pairs; a class without a row (neutral)
+        has no entries. Anything malformed is a :class:`DataError`.
+        """
+        d = _typed(d, dict, "a relatedness table")
+        keys = {"classes", "labels", "table"} if "table" in d else {"classes", "labels", "entries",
+                                                                    "kind"}
+        if set(d) != keys:
+            raise DataError(f"a relatedness table holds the keys {sorted(keys)}, got {sorted(d)}")
+        classes, labels = _names(d, "classes"), _names(d, "labels")
+        weights = np.zeros((len(classes), len(labels)))
+        proto = np.zeros(weights.shape, dtype=bool)
+        if "table" in d:
+            for k, row in _source_rows(d["table"], classes):
+                for name in _typed(row.get("prototypical", []), list, "prototypical"):
+                    b = _index(labels, name, "label")
+                    weights[k, b], proto[k, b] = 1.0, True
+                for name, w in _typed(row.get("observational", {}), dict, "observational").items():
+                    b = _index(labels, name, "label")
+                    weights[k, b], proto[k, b] = _weight(w), False
+            return cls(classes, labels, weights, proto, KIND_DOMAIN)
+        for cname, row in _typed(d["entries"], dict, "entries").items():
+            k = _index(classes, cname, "class")
+            for name, e in _typed(row, dict, f"entries of {cname!r}").items():
+                b = _index(labels, name, "label")
+                if set(_typed(e, dict, f"entry {cname!r}/{name}")) != {"w", "proto"}:
+                    raise DataError(f"entry {cname!r}/{name} must hold exactly w and proto")
+                weights[k, b] = _weight(e["w"])
+                proto[k, b] = _typed(e["proto"], bool, f"proto of {cname!r}/{name}")
+        return cls(classes, labels, weights, proto, d["kind"])
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path) -> "RelatednessTable":
+        """Read a table file in either form of :meth:`from_dict`."""
         try:
             d = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: invalid JSON or UTF-8
             raise DataError(f"cannot read relatedness table {path}: {e}") from e
-        return cls.from_dict(d)
+        try:
+            return cls.from_dict(d)
+        except DataError as e:
+            raise DataError(f"relatedness table {path}: {e}") from e
 
     def __eq__(self, other):
         if not isinstance(other, RelatednessTable):
@@ -158,50 +154,54 @@ class RelatednessTable:
         )
 
 
-def load_domain_table(source) -> RelatednessTable:
-    """Load a prototypical/observational table from its source-format JSON file.
-
-    The source file lists, per class, the prototypical label names and the
-    observational (label, weight) pairs. Classes declared but absent from the
-    per-class list (e.g. neutral) get empty entries.
-    """
-    try:
-        d = json.loads(Path(source).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read domain table {source}: {e}") from e
-    return _domain_table_from_source(d)
+def _typed(value, kind: type, what: str):
+    """``value``, whose own type must be ``kind``."""
+    if type(value) is not kind:
+        raise DataError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
-def _domain_table_from_source(d: dict) -> RelatednessTable:
-    classes = list(d["classes"])
-    labels = list(d["labels"])
-    label_idx = {name: i for i, name in enumerate(labels)}
-    entries: dict[str, dict[int, tuple[float, bool]]] = {c: {} for c in classes}
+_JSON_TYPES = {dict: "object", list: "list", bool: "boolean"}
+
+
+def _names(d: dict, key: str) -> list:
+    names = _typed(d[key], list, key)
+    if not all(type(name) is str for name in names):
+        raise DataError(f"{key} must list names, got {names!r}")
+    return names
+
+
+def _index(names: list, name, what: str) -> int:
+    if name not in names:
+        raise DataError(f"unknown {what} {name!r}")
+    return names.index(name)
+
+
+def _weight(w) -> float:
+    """A table weight: a JSON number (not a boolean) in (0, 1]."""
+    if type(w) not in (int, float) or not 0.0 < w <= 1.0:
+        raise DataError(f"weight {w!r} is not a number in (0, 1]")
+    return w
+
+
+def _source_rows(table, classes):
+    """(class index, row) of each row of a source-form ``table``, each class once."""
     seen = set()
-    for row in d["table"]:
-        cls = row["class"]
-        if cls not in entries:
-            raise DataError(f"class {cls!r} not in the declared class list")
-        if cls in seen:
-            raise DataError(f"duplicate class {cls!r}")
-        seen.add(cls)
-        for lname in row.get("prototypical", []):
-            if lname not in label_idx:
-                raise DataError(f"unknown label name {lname!r}")
-            entries[cls][label_idx[lname]] = (1.0, True)
-        for lname, w in row.get("observational", {}).items():
-            if lname not in label_idx:
-                raise DataError(f"unknown label name {lname!r}")
-            if not 0.0 < float(w) <= 1.0:
-                raise DataError(f"weight {w} outside (0, 1] for {cls!r}/{lname}")
-            entries[cls][label_idx[lname]] = (float(w), False)
-    return RelatednessTable(classes, labels, entries, KIND_DOMAIN)
+    for row in _typed(table, list, "table"):
+        row = _typed(row, dict, "a table row")
+        if "class" not in row or not set(row) <= {"class", "prototypical", "observational"}:
+            raise DataError(f"table row {row!r} must hold a class and its label lists only")
+        k = _index(classes, row["class"], "class")
+        if k in seen:
+            raise DataError(f"duplicate class {row['class']!r}")
+        seen.add(k)
+        yield k, row
 
 
 def domain_table() -> RelatednessTable:
     """The bundled emotion -> AU table (six basic emotions plus empty neutral)."""
-    with resources.files("affectmtl.data").joinpath("emotion_au_relatedness.json").open() as f:
-        return _domain_table_from_source(json.load(f))
+    source = resources.files("affectmtl.data").joinpath("emotion_au_relatedness.json")
+    return RelatednessTable.from_dict(json.loads(source.read_text()))
 
 
 def infer_empirical(expr, au, threshold: float = 0.1) -> RelatednessTable:
@@ -225,9 +225,7 @@ def infer_empirical(expr, au, threshold: float = 0.1) -> RelatednessTable:
         raise DataError("no class in the corpus has annotated binary labels")
     weights = np.divide(active, annotated, out=np.zeros_like(active), where=annotated > 0)
     keep = (annotated > 0) & (weights >= threshold) & (weights > 0.0)
-    entries: dict[str, dict[int, tuple[float, bool]]] = {}
-    for k, cname in enumerate(EMOTIONS):
-        if not annotated[k].any():
-            log.warning("class %r has no annotated binary labels; its row is empty", cname)
-        entries[cname] = {b: (float(weights[k, b]), False) for b in np.flatnonzero(keep[k])}
-    return RelatednessTable(EMOTIONS, AU_LABELS, entries, KIND_EMPIRICAL)
+    for k in np.flatnonzero(~annotated.any(axis=1)):
+        log.warning("class %r has no annotated binary labels; its row is empty", EMOTIONS[k])
+    return RelatednessTable(EMOTIONS, AU_LABELS, np.where(keep, weights, 0.0),
+                            np.zeros_like(keep), KIND_EMPIRICAL)

@@ -11,6 +11,7 @@ VA, only AU and only expression labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,6 +50,13 @@ class GeneratorSpec:
     frames_per_video: int | None = None
 
     def __post_init__(self):
+        if self.feature_dim < 1 or self.seed < 0:
+            raise DataError(f"feature_dim must be >= 1 and seed >= 0, got {self.feature_dim} "
+                            f"and {self.seed}")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise DataError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
+        if self.frames_per_video is not None and self.frames_per_video < 1:
+            raise DataError(f"frames per video must be >= 1, got {self.frames_per_video}")
         k = len(EMOTIONS)
         if self.class_prior is None:
             self.class_prior = np.full(k, 1.0 / k)
@@ -86,6 +94,8 @@ def _va_noise_caps(emotion_index: int, mean_v, mean_a, noise_scale):
 def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     """``n`` samples carrying all three label types, drawn row by row from
     ``spec.seed`` (the row order of the draws fixes every generated byte)."""
+    if n < 1:
+        raise DataError(f"cannot draw {n} samples")
     rng = np.random.default_rng(spec.seed)
     k = len(EMOTIONS)
     r = spec.relatedness.weight_matrix(reweight=True)
@@ -126,7 +136,7 @@ def split(full: SampleSet, partition=(1 / 3, 1 / 3, 1 / 3)):
     """Three disjoint runs of ``full``'s rows, in order and sized by the
     ``partition`` fractions, keeping only VA, only AU and only expression labels."""
     fr = np.asarray(partition, dtype=float)
-    if fr.size != 3 or np.any(fr < 0) or abs(fr.sum() - 1.0) > 1e-9:
+    if fr.size != 3 or not (fr >= 0).all() or not abs(fr.sum() - 1.0) <= 1e-9:  # NaN fails
         raise DataError("partition fractions must be 3 nonnegative values summing to 1")
     n = len(full)
     cuts = [0, int(round(n * fr[0])), int(round(n * (fr[0] + fr[1]))), n]

@@ -24,7 +24,6 @@ from .errors import ConfigError, DataError, NumericalError
 from .losses import (
     LossReport,
     LossWeights,
-    SoftTargets,
     ccc_loss_grad,
     dm_loss_grad,
     masked_bce_grad,
@@ -202,14 +201,7 @@ def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
     if src == "file":
         if "path" not in config.relatedness:
             raise ConfigError("file relatedness needs a 'path'")
-        path = Path(config.relatedness["path"])
-        try:
-            d = json.loads(path.read_text())
-            if "entries" in d:
-                return rel.RelatednessTable.from_dict(d)
-            return rel.load_domain_table(path)
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            raise DataError(f"cannot read relatedness file {path}: {e!r}") from e
+        return rel.RelatednessTable.load(config.relatedness["path"])
     if src == "empirical":
         corpus_path = config.relatedness.get("corpus")
         if corpus_path is None:
@@ -259,14 +251,16 @@ def build_objective(model, sets: dict, table, mode: str, weights: LossWeights,
     shape = (len(table.class_names), len(table.binary_label_names))
     if heads != shape:
         raise DataError(f"relatedness table shape {shape} does not match the expr/au heads {heads}")
+    if table.class_names != rel.EMOTIONS or table.binary_label_names != rel.AU_LABELS:
+        raise DataError(f"relatedness table must list the classes {list(rel.EMOTIONS)} and the "
+                        f"labels {list(rel.AU_LABELS)} in that order")
     if mode == "co_annotation":
         sets = {name: lab.co_annotate(data, table) for name, data in sets.items()}
         return sets, Objective(weights)
     r = table.weight_matrix(reweight)
     sca = None
     if mode in SCA_MODES and "au" in sets:
-        scores = lab.indicator_scores(sets["au"].au, r, reweight)
-        sca = lab.EmotionSoftLabel.from_indicators(scores).q
+        sca = lab.soft_label(lab.indicator_scores(sets["au"].au, r, reweight))
     return sets, Objective(weights, r if mode in DM_MODES else None, sca)
 
 
@@ -320,8 +314,7 @@ def _joint_loss(model, sets, batch, objective: Objective):
 
     r = objective.dm_matrix
     if r is not None and "expr" in out and "au" in out:
-        q = SoftTargets(q_binary=out["expr"] @ r)
-        coupling_losses["dm"], grad_p, grad_q = dm_loss_grad(out["au"], q, eps)
+        coupling_losses["dm"], grad_p, grad_q = dm_loss_grad(out["au"], out["expr"] @ r, eps)
         g["au"] += w.coupling("dm") * grad_p
         g["expr"] += w.coupling("dm") * (grad_q @ r.T)
 

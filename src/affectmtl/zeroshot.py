@@ -104,11 +104,12 @@ def compound_class_from_emotions(
     """Build a compound profile as the union of two emotions' table entries.
 
     AUs present in both constituents take the larger weight. The table's
-    binary labels must be the canonical AUs in order.
+    classes must be the canonical emotions, and its binary labels the
+    canonical AUs, in order.
     """
-    if table.binary_label_names != AU_LABELS:
-        raise DataError(f"compound {name!r}: table labels {list(table.binary_label_names)} "
-                        f"are not the canonical AUs {list(AU_LABELS)}")
+    if (table.class_names, table.binary_label_names) != (EMOTIONS, AU_LABELS):
+        raise DataError(f"compound {name!r}: the table's classes and labels are not the "
+                        "canonical emotions and the canonical AUs, in order")
     r = table.weight_matrix(reweight=True)
     if not {emo1, emo2} <= set(range(len(r))):
         raise DataError(f"compound {name!r}: emotion index outside the table's {len(r)} classes")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from affectmtl import (
+    AU_LABELS,
     CANONICAL_AUS,
     EMOTIONS,
     ExperimentConfig,
@@ -18,7 +19,6 @@ from affectmtl import (
     clean_va_expr,
     compound_scores,
     default_compound_classes,
-    dm_targets,
     domain_table,
     infer_empirical,
     median_filter,
@@ -63,37 +63,40 @@ def test_criterion_1_gradient_fidelity():
 
 def test_criterion_2_domain_table_fidelity():
     ok = list(TABLE.class_names) == list(EMOTIONS)
+    w = TABLE.weight_matrix(reweight=True)
     for emotion, (proto, obs) in TABLE_1.items():
-        entries = TABLE.lookup(EMOTIONS.index(emotion))
-        got_proto = {CANONICAL_AUS[e.index] for e in entries if e.prototypical}
-        got_obs = {CANONICAL_AUS[e.index]: e.weight for e in entries if not e.prototypical}
+        k = EMOTIONS.index(emotion)
+        is_proto = TABLE.prototypical[k]
+        got_proto = {CANONICAL_AUS[b] for b in np.flatnonzero(is_proto)}
+        got_obs = {CANONICAL_AUS[b]: w[k, b] for b in np.flatnonzero((w[k] > 0) & ~is_proto)}
         ok = ok and got_proto == proto and got_obs == obs
-        ok = ok and all(e.weight == 1.0 for e in entries if e.prototypical)
+        ok = ok and bool((w[k, is_proto] == 1.0).all())
     verdict(2, "bundled relatedness table matches every published entry", ok)
 
 
 def test_criterion_3_distribution_matching_oracle():
     rng = np.random.default_rng(3)
     worst = 0.0
+    entries = TABLE.to_dict()["entries"]  # the oracle walks the saved form, not weight_matrix
     for _ in range(100):
         p = rng.dirichlet(np.ones(7))
         for reweight in (False, True):
-            q = dm_targets(p, TABLE, reweight=reweight).q_binary
+            q = p @ TABLE.weight_matrix(reweight)
             brute = np.zeros(17)
-            for k in range(7):
-                for e in TABLE.lookup(k):
-                    brute[e.index] += p[k] * (e.weight if reweight else 1.0)
+            for k, cname in enumerate(EMOTIONS):
+                for label, e in entries.get(cname, {}).items():
+                    brute[AU_LABELS.index(label)] += p[k] * (e["w"] if reweight else 1.0)
             worst = max(worst, float(np.abs(q - brute).max()))
     happy = np.zeros(7)
     happy[EMOTIONS.index("happiness")] = 1.0
-    qh = dm_targets(happy, TABLE).q_binary
+    qh = happy @ TABLE.weight_matrix()
     identities = all(abs(qh[AU_IDX[au]] - 1.0) <= 1e-12 for au in (12, 25, 6))
     p = rng.dirichlet(np.ones(7))
-    q2 = dm_targets(p, TABLE).q_binary[AU_IDX[2]]
+    q2 = (p @ TABLE.weight_matrix())[AU_IDX[2]]
     expected = p[EMOTIONS.index("surprise")] + p[EMOTIONS.index("fear")]
     identities = identities and abs(q2 - expected) <= 1e-12
     ok = worst <= 1e-12 and identities
-    verdict(3, "dm_targets matches brute force and worked identities", ok,
+    verdict(3, "DM targets match brute force and worked identities", ok,
             f"max dev {worst:.1e}")
 
 
@@ -117,7 +120,7 @@ def test_criterion_5_empirical_relatedness_recovery():
         k = EMOTIONS.index(cname)
         got = {}
         if cname in inferred.class_names:
-            got = {e.index: e.weight for e in inferred.lookup(inferred.class_names.index(cname))}
+            got = dict(enumerate(inferred.weight_matrix()[inferred.class_names.index(cname)]))
         for b in range(17):
             if r_true[k, b] >= 0.1:
                 worst = max(worst, abs(got.get(b, 0.0) - r_true[k, b]))

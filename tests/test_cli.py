@@ -66,6 +66,18 @@ def test_gen_data_full_rows_carry_the_unstripped_labels(workspace):
     assert sorted(seen) == list(range(len(full)))
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "-5"), ("--n", "0"), ("--noise", "-1"), ("--noise", "nan"), ("--feature-dim", "0"),
+    ("--frames-per-video", "-2"), ("--frames-per-video", "0"), ("--seed", "-1"),
+    ("--partition", "a,b,c"), ("--partition", "nan,0,1"), ("--partition", "0.5,0.5"),
+])
+def test_gen_data_bad_number_exit_code(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--n", "60", flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_artifacts_and_manifest(workspace):
     manifest = json.loads((workspace / "run" / "manifest.json").read_text())
     assert manifest["config"]["coupling"] == "soft_plus_dm"
@@ -143,6 +155,19 @@ def test_train_empirical_relatedness_matches_infer_relatedness(workspace, tmp_pa
     assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == code
     if code == 0:
         assert (tmp_path / "run" / "relatedness.json").read_text() == inferred.read_text()
+
+
+def test_train_table_in_another_class_order_exit_code(workspace, tmp_path, capsys):
+    """A table file whose classes are not in the canonical order is a data
+    error, though its shape matches the heads: index 0 would be surprise."""
+    d = TABLE.to_dict()
+    d["classes"] = d["classes"][::-1]
+    (tmp_path / "reversed.json").write_text(json.dumps(d))
+    config = json.loads((workspace / "config.json").read_text())
+    config["relatedness"] = {"source": "file", "path": str(tmp_path / "reversed.json")}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 2
+    assert "in that order" in capsys.readouterr().err
 
 
 def test_zero_shot_command(workspace, tmp_path):

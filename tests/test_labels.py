@@ -20,10 +20,10 @@ from affectmtl import (
 )
 from affectmtl.labels import (
     AU_COLUMNS,
-    EmotionSoftLabel,
     SampleSet,
     indicator_scores,
     read_samples_csv,
+    soft_label,
     write_samples_csv,
 )
 
@@ -47,10 +47,12 @@ def sample(one_row):
     return build
 
 
-def soft_label(s, reweight_observational=True):
-    """The soft emotion label of a one-row set's AUs, as soft co-annotation makes it."""
+def soft_co_annotate(s, reweight_observational=True):
+    """The indicator scores and the soft emotion label of a one-row set's AUs,
+    as soft co-annotation makes them."""
     r = TABLE.weight_matrix(reweight_observational)
-    return EmotionSoftLabel.from_indicators(indicator_scores(s.au[0], r, reweight_observational))
+    scores = indicator_scores(s.au[0], r, reweight_observational)
+    return scores, soft_label(scores)
 
 
 def subsample(data):
@@ -115,30 +117,30 @@ def test_aus_to_emotion_no_full_requirement(sample):
 
 def test_soft_co_annotate_worked_example(sample):
     s = sample(au_active=[12, 25], au_annotated=[6])
-    soft = soft_label(s, reweight_observational=True)
-    assert soft.indicator_scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 2.51)
-    assert soft.q.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(soft.q > 0)
+    scores, q = soft_co_annotate(s, reweight_observational=True)
+    assert scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 2.51)
+    assert q.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(q > 0)
 
 
 def test_soft_co_annotate_all_zero_uniform(sample):
     s = sample(au_annotated=list(CANONICAL_AUS))
-    soft = soft_label(s)
-    assert np.allclose(soft.indicator_scores, 0.0)
-    assert np.allclose(soft.q, 1 / 7, atol=1e-12)
+    scores, q = soft_co_annotate(s)
+    assert np.allclose(scores, 0.0)
+    assert np.allclose(q, 1 / 7, atol=1e-12)
 
 
 def test_soft_co_annotate_full_happiness(sample):
     s = sample(au_active=[12, 25, 6])
-    soft = soft_label(s)
-    assert soft.indicator_scores[EMOTIONS.index("happiness")] == pytest.approx(1.0)
-    assert np.argmax(soft.q) == EMOTIONS.index("happiness")
+    scores, q = soft_co_annotate(s)
+    assert scores[EMOTIONS.index("happiness")] == pytest.approx(1.0)
+    assert np.argmax(q) == EMOTIONS.index("happiness")
 
 
 def test_soft_co_annotate_without_reweighting(sample):
     s = sample(au_active=[12, 25], au_annotated=[6])
-    soft = soft_label(s, reweight_observational=False)
-    assert soft.indicator_scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 3)
+    scores, _ = soft_co_annotate(s, reweight_observational=False)
+    assert scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 3)
 
 
 @pytest.mark.parametrize(

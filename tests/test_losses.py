@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from affectmtl import (
+    AU_LABELS,
     CANONICAL_AUS,
     EMOTIONS,
     DataError,
     LossWeights,
+    MultiHeadModel,
+    RelatednessTable,
     ccc,
     ccc_loss,
     dm_loss,
-    dm_targets,
     domain_table,
     masked_bce,
     sca_loss,
     softmax_ce,
     total_mt_loss,
 )
-from affectmtl.labels import EmotionSoftLabel
+from affectmtl.labels import soft_label
 from affectmtl.losses import (
-    SoftTargets,
     ccc_grad,
     ccc_loss_grad,
     dm_loss_grad,
@@ -28,6 +29,8 @@ from affectmtl.losses import (
     sca_loss_grad,
     softmax_ce_grad,
 )
+from affectmtl.relatedness import KIND_DOMAIN
+from affectmtl.training import build_objective
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
@@ -148,8 +151,13 @@ def one_hot(emotion):
     return p
 
 
+def targets(p, reweight=False):
+    """The DM targets of class predictions ``p``: the relatedness mixture of their AUs."""
+    return p @ TABLE.weight_matrix(reweight)
+
+
 def test_dm_targets_one_hot_happiness():
-    q = dm_targets(one_hot("happiness"), TABLE).q_binary
+    q = targets(one_hot("happiness"))
     for au in (12, 25, 6):
         assert q[AU_IDX[au]] == pytest.approx(1.0)
     others = [i for i in range(17) if CANONICAL_AUS[i] not in (12, 25, 6)]
@@ -158,20 +166,22 @@ def test_dm_targets_one_hot_happiness():
 
 def test_dm_targets_surprise_fear_mixture():
     p = 0.6 * one_hot("surprise") + 0.4 * one_hot("fear")
-    q = dm_targets(p, TABLE).q_binary
+    q = targets(p)
     assert q[AU_IDX[2]] == pytest.approx(1.0)  # AU2: prototypical surprise + observational fear
 
 
 def test_dm_targets_uniform_au25():
-    q = dm_targets(np.full(7, 1 / 7), TABLE).q_binary
+    q = targets(np.full(7, 1 / 7))
     assert q[AU_IDX[25]] == pytest.approx(3 / 7)
 
 
 def brute_force_dm(p, table, reweight):
+    """The DM targets summed entry by entry over the table's saved form."""
     q = np.zeros(len(table.binary_label_names))
-    for k in range(len(table.class_names)):
-        for e in table.lookup(k):
-            q[e.index] += p[k] * (e.weight if reweight else 1.0)
+    entries = table.to_dict()["entries"]
+    for k, cname in enumerate(table.class_names):
+        for label, e in entries.get(cname, {}).items():
+            q[table.binary_label_names.index(label)] += p[k] * (e["w"] if reweight else 1.0)
     return q
 
 
@@ -180,39 +190,41 @@ def test_dm_targets_brute_force_oracle(reweight):
     rng = np.random.default_rng(7)
     for _ in range(100):
         p = rng.dirichlet(np.ones(7))
-        q = dm_targets(p, TABLE, reweight).q_binary
+        q = targets(p, reweight)
         assert np.allclose(q, brute_force_dm(p, TABLE, reweight), atol=1e-12)
         assert np.all(q >= 0) and np.all(q <= 1 + 1e-12)
 
 
 def test_dm_targets_class_mismatch():
+    six = RelatednessTable(EMOTIONS[1:], AU_LABELS, TABLE.weights[1:], TABLE.prototypical[1:],
+                           KIND_DOMAIN)
     with pytest.raises(DataError):
-        dm_targets(np.full(6, 1 / 6), TABLE)
+        build_objective(MultiHeadModel(4, hidden=(4,)), {}, six, "distr_matching", LossWeights())
 
 
 def test_dm_loss_cases():
-    q = dm_targets(one_hot("happiness"), TABLE)
+    q = targets(one_hot("happiness"))
     p = np.zeros(17)
     for au in (12, 25, 6):
         p[AU_IDX[au]] = 1.0
     assert dm_loss(p, q) == pytest.approx(0.0)
     p2 = np.zeros(17)
     p2[0] = 1.0
-    assert dm_loss(p2, SoftTargets(q_binary=np.where(np.arange(17) == 0, 0.5, 0.0))) == pytest.approx(math.log(2))
+    assert dm_loss(p2, np.where(np.arange(17) == 0, 0.5, 0.0)) == pytest.approx(math.log(2))
     # q = 0 clamped at eps
-    assert dm_loss(p2, SoftTargets(q_binary=np.zeros(17)), eps=1e-7) == pytest.approx(-math.log(1e-7), rel=1e-3)
+    assert dm_loss(p2, np.zeros(17), eps=1e-7) == pytest.approx(-math.log(1e-7), rel=1e-3)
 
 
 # -- soft co-annotation loss ---------------------------------------------
 
 
 def test_sca_loss_entropy_bound():
-    q = EmotionSoftLabel.from_indicators([0.5, 0.1, 0.9, 0.0, 0.3, 0.2, 0.7])
-    assert sca_loss(q.q, q) == pytest.approx(-np.sum(q.q * np.log(q.q)))
+    q = soft_label([0.5, 0.1, 0.9, 0.0, 0.3, 0.2, 0.7])
+    assert sca_loss(q, q) == pytest.approx(-np.sum(q * np.log(q)))
 
 
 def test_sca_loss_uniform_target():
-    q = EmotionSoftLabel.from_indicators(np.zeros(7))
+    q = soft_label(np.zeros(7))
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = rng.dirichlet(np.ones(7))
@@ -220,14 +232,14 @@ def test_sca_loss_uniform_target():
 
 
 def test_sca_loss_one_hot_prediction():
-    q = EmotionSoftLabel.from_indicators([1.0, 0.2, 0.0, 0.1, 0.6, 0.0, 0.0])
+    q = soft_label([1.0, 0.2, 0.0, 0.1, 0.6, 0.0, 0.0])
     p = np.zeros(7)
-    p[np.argmax(q.q)] = 1.0
-    assert sca_loss(p, q) == pytest.approx(-math.log(q.q.max()))
+    p[np.argmax(q)] = 1.0
+    assert sca_loss(p, q) == pytest.approx(-math.log(q.max()))
 
 
 def test_sca_loss_dim_mismatch():
-    q = EmotionSoftLabel.from_indicators(np.zeros(7))
+    q = soft_label(np.zeros(7))
     with pytest.raises(DataError):
         sca_loss(np.full(6, 1 / 6), q)
 
@@ -324,15 +336,15 @@ def test_dm_loss_grad_matches_fd():
     for _ in range(20):
         p = rng.uniform(0.05, 0.95, 17)
         qb = rng.uniform(0.05, 1.0, 17)
-        _, gp, gq = dm_loss_grad(p, SoftTargets(q_binary=qb))
-        assert rel_err(gp, fd_grad(lambda x: dm_loss(x, SoftTargets(q_binary=qb)), p)) < 1e-5
-        assert rel_err(gq, fd_grad(lambda x: dm_loss(p, SoftTargets(q_binary=x)), qb)) < 1e-5
+        _, gp, gq = dm_loss_grad(p, qb)
+        assert rel_err(gp, fd_grad(lambda x: dm_loss(x, qb), p)) < 1e-5
+        assert rel_err(gq, fd_grad(lambda x: dm_loss(p, x), qb)) < 1e-5
 
 
 def test_sca_loss_grad_matches_fd():
     rng = np.random.default_rng(16)
     for _ in range(20):
         p = rng.dirichlet(np.ones(7))
-        q = EmotionSoftLabel.from_indicators(rng.uniform(0, 1, 7))
+        q = soft_label(rng.uniform(0, 1, 7))
         _, g = sca_loss_grad(p, q)
         assert rel_err(g, fd_grad(lambda x: sca_loss(x, q), p)) < 1e-5

@@ -1,7 +1,11 @@
+import copy
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectmtl import (
     AU_LABELS,
@@ -11,17 +15,21 @@ from affectmtl import (
     RelatednessTable,
     domain_table,
     infer_empirical,
-    load_domain_table,
 )
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 
 
 def entries_by_au(table, emotion):
-    return {
-        CANONICAL_AUS[e.index]: (e.weight, e.prototypical)
-        for e in table.lookup(EMOTIONS.index(emotion))
-    }
+    k = EMOTIONS.index(emotion)
+    w = table.weight_matrix(reweight=True)[k]
+    return {CANONICAL_AUS[b]: (w[b], table.prototypical[k, b]) for b in np.flatnonzero(w)}
+
+
+def weights_by_au(table, k):
+    """AU number -> weight of each entry of class ``k``."""
+    w = table.weight_matrix(reweight=True)[k]
+    return {CANONICAL_AUS[b]: w[b] for b in np.flatnonzero(w)}
 
 
 def test_canonical_au_set_has_17_members():
@@ -54,14 +62,10 @@ def test_domain_table_surprise_and_fear():
 
 
 def test_neutral_has_empty_entry():
-    assert domain_table().lookup(EMOTIONS.index("neutral")) == ()
-
-
-def test_lookup_invalid_index():
-    with pytest.raises(DataError):
-        domain_table().lookup(7)
-    with pytest.raises(DataError):
-        domain_table().lookup(-1)
+    table = domain_table()
+    neutral = EMOTIONS.index("neutral")
+    assert not table.weight_matrix(reweight=True)[neutral].any()
+    assert not table.prototypical[neutral].any()
 
 
 def test_load_domain_table_rejects_unknown_class(tmp_path):
@@ -73,7 +77,7 @@ def test_load_domain_table_rejects_unknown_class(tmp_path):
     p = tmp_path / "t.json"
     p.write_text(json.dumps(src))
     with pytest.raises(DataError):
-        load_domain_table(p)
+        RelatednessTable.load(p)
 
 
 def test_load_domain_table_rejects_bad_weight_and_duplicates(tmp_path):
@@ -85,18 +89,18 @@ def test_load_domain_table_rejects_bad_weight_and_duplicates(tmp_path):
     p = tmp_path / "t.json"
     p.write_text(json.dumps(base))
     with pytest.raises(DataError):
-        load_domain_table(p)
+        RelatednessTable.load(p)
     base["table"] = [
         {"class": "happiness", "prototypical": ["AU12"], "observational": {}},
         {"class": "happiness", "prototypical": ["AU25"], "observational": {}},
     ]
     p.write_text(json.dumps(base))
     with pytest.raises(DataError):
-        load_domain_table(p)
+        RelatednessTable.load(p)
     base["table"] = [{"class": "happiness", "prototypical": ["AU99"], "observational": {}}]
     p.write_text(json.dumps(base))
     with pytest.raises(DataError):
-        load_domain_table(p)
+        RelatednessTable.load(p)
 
 
 def _corpus(samples):
@@ -112,7 +116,7 @@ def test_infer_empirical_counting():
         au[AU_IDX[12]] = 1.0 if i < 8 else 0.0
         samples.append((happy, au))
     table = infer_empirical(*_corpus(samples), threshold=0.1)
-    got = {CANONICAL_AUS[e.index]: e.weight for e in table.lookup(table.class_names.index("happiness"))}
+    got = weights_by_au(table, table.class_names.index("happiness"))
     assert got[12] == pytest.approx(0.8)
     # every other AU was annotated inactive -> weight 0 < threshold -> absent
     assert set(got) == {12}
@@ -127,7 +131,7 @@ def test_infer_empirical_threshold_and_saturation():
         au[AU_IDX[6]] = 1.0 if i == 0 else 0.0  # 5% < threshold -> dropped
         samples.append((happy, au))
     table = infer_empirical(*_corpus(samples), threshold=0.1)
-    got = {CANONICAL_AUS[e.index]: e.weight for e in table.lookup(happy)}
+    got = weights_by_au(table, happy)
     assert got == {12: 1.0}
 
 
@@ -156,8 +160,8 @@ def test_infer_empirical_keeps_every_class():
     table = infer_empirical(*_corpus(samples))
     # sadness has no annotated AU and anger no sample: both keep an empty row
     assert table.class_names == EMOTIONS
-    assert table.lookup(sad) == () and table.lookup(EMOTIONS.index("anger")) == ()
-    assert [e.index for e in table.lookup(happy)] == [0]
+    assert weights_by_au(table, sad) == {} and weights_by_au(table, EMOTIONS.index("anger")) == {}
+    assert list(weights_by_au(table, happy)) == [CANONICAL_AUS[0]]
     assert RelatednessTable.from_dict(table.to_dict()) == table
 
 
@@ -179,3 +183,100 @@ def test_weight_matrix_modes():
     assert r_w[happy, AU_IDX[6]] == 0.51
     assert r_w[happy, AU_IDX[12]] == 1.0
     assert r_unit[EMOTIONS.index("neutral")].sum() == 0.0
+
+
+# The two file forms that ``RelatednessTable.load`` reads.
+SOURCE = json.loads(
+    resources.files("affectmtl.data").joinpath("emotion_au_relatedness.json").read_text())
+SAVED = domain_table().to_dict()
+
+
+def test_load_reads_both_file_forms(tmp_path):
+    for name, form in (("source.json", SOURCE), ("saved.json", SAVED)):
+        (tmp_path / name).write_text(json.dumps(form))
+        assert RelatednessTable.load(tmp_path / name) == domain_table()
+
+
+def test_array_form_matches_the_table_entries():
+    table = domain_table()
+    assert table.weights.shape == table.prototypical.shape == (7, 17)
+    assert np.array_equal(table.weight_matrix(reweight=False), table.weights > 0)
+    with pytest.raises(ValueError):
+        table.weights[0, 0] = 1.0  # the arrays are read-only
+
+
+def _set(form: dict, path: tuple, value) -> dict:
+    """A copy of ``form`` with the value at ``path`` (keys and list indices)
+    replaced; the empty path replaces the whole document."""
+    if not path:
+        return value
+    d = copy.deepcopy(form)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return d
+
+
+@pytest.mark.parametrize("form, path, value", [
+    (SAVED, (), {"entries": []}),
+    (SAVED, ("entries",), []),
+    (SAVED, ("entries", "happiness"), []),
+    (SAVED, ("entries", "happiness", "AU12", "w"), True),
+    (SAVED, ("entries", "happiness", "AU12", "w"), "0.5"),
+    (SAVED, ("entries", "happiness", "AU6", "w"), 0.0),
+    (SAVED, ("entries", "happiness", "AU12", "proto"), "no"),
+    (SAVED, ("entries", "happiness", "AU6", "proto"), True),  # a prototypical weight below 1
+    (SAVED, ("entries", "joy"), {}),
+    (SAVED, ("kind",), "expert"),
+    (SAVED, ("classes",), ["neutral", "neutral"]),
+    (SAVED, ("extra",), 1),
+    (SOURCE, ("table", 0, "observational"), ["AU6"]),
+    (SOURCE, ("table", 0, "observational", "AU6"), False),
+    (SOURCE, ("table", 0, "prototypical"), "AU12"),
+    (SOURCE, ("table", 0), ["happiness"]),
+    (SOURCE, ("labels",), "AU1"),
+    (SOURCE, ("labels", 0), 1),
+    ([], (), "not a table"),
+])
+def test_load_rejects_a_malformed_value(tmp_path, form, path, value):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(_set(form, path, value)))
+    with pytest.raises(DataError, match=str(p)):
+        RelatednessTable.load(p)
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document, the document's own first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=5)
+    | st.sampled_from(["AU6", "AU12", "happiness", "empirical"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_mutated_file(tmp_path_factory, data):
+    """Whatever one value of a valid file of either form is replaced by,
+    ``load`` returns a table that round-trips, or raises a DataError naming
+    the file."""
+    form = data.draw(st.sampled_from([SOURCE, SAVED]))
+    path = data.draw(st.sampled_from(list(_paths(form))))
+    p = tmp_path_factory.getbasetemp() / "mutated_table.json"
+    p.write_text(json.dumps(_set(form, path, data.draw(JSON_VALUES))))
+    try:
+        table = RelatednessTable.load(p)
+    except DataError as e:
+        assert str(p) in str(e)
+    else:
+        assert RelatednessTable.from_dict(table.to_dict()) == table

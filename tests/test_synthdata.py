@@ -55,7 +55,7 @@ def test_empirical_recovery():
     for cname in inferred.class_names:
         k_true = EMOTIONS.index(cname)
         k_inf = inferred.class_names.index(cname)
-        got = {e.index: e.weight for e in inferred.lookup(k_inf)}
+        got = dict(enumerate(inferred.weight_matrix()[k_inf]))
         for b in range(17):
             if r_true[k_true, b] >= 0.1:
                 assert got.get(b, 0.0) == pytest.approx(r_true[k_true, b], abs=0.03)

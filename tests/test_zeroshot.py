@@ -196,9 +196,10 @@ def test_profile_union_matches_table_lookup():
     for c in default_compound_classes(TABLE):
         union = {}
         for emo in (c.emo1, c.emo2):
-            for e in TABLE.lookup(emo):
-                au = CANONICAL_AUS[e.index]
-                union[au] = max(union.get(au, 0.0), e.weight)
+            w = TABLE.weight_matrix(reweight=True)[emo]
+            for b in np.flatnonzero(w):
+                au = CANONICAL_AUS[b]
+                union[au] = max(union.get(au, 0.0), w[b])
         assert c.au_profile == union
     with pytest.raises(DataError):
         compound_class_from_emotions("x", 1, 7, TABLE)
@@ -206,10 +207,20 @@ def test_profile_union_matches_table_lookup():
 
 def test_profile_needs_the_canonical_au_labels():
     happy, surprise = EMOTIONS.index("happiness"), EMOTIONS.index("surprise")
-    two = RelatednessTable(EMOTIONS, ["AU12", "AU25"],
-                           {"happiness": {0: (1.0, True), 1: (1.0, True)}}, KIND_DOMAIN)
+    entries = np.zeros((7, 2))
+    entries[happy] = 1.0
+    two = RelatednessTable(EMOTIONS, ["AU12", "AU25"], entries, entries > 0, KIND_DOMAIN)
     with pytest.raises(DataError, match="canonical AUs"):
         compound_class_from_emotions("happily_surprised", happy, surprise, two)
+
+
+def test_profile_needs_the_canonical_emotion_order():
+    # the same entries under the classes listed in reverse: index 0 would be surprise
+    d = TABLE.to_dict()
+    d["classes"] = d["classes"][::-1]
+    reversed_table = RelatednessTable.from_dict(d)
+    with pytest.raises(DataError, match="canonical emotions"):
+        compound_class_from_emotions("happily_surprised", 4, 6, reversed_table)
 
 
 def test_profile_file_round_trip(tmp_path):
