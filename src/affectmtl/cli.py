@@ -17,7 +17,7 @@ from . import labels as lab
 from . import relatedness as rel
 from .errors import AffectMTLError, DataError
 from .model import MultiHeadModel
-from .synthdata import GeneratorSpec, draw, split
+from .synthdata import GeneratorSpec, draw, partition_fractions, split
 from .training import (
     ExperimentConfig, empirical_table, run_eval, run_gradcheck, run_train, _versions,
 )
@@ -43,6 +43,7 @@ def _cmd_gen_data(args) -> int:
         fractions = tuple(float(x) for x in args.partition.split(","))
     except ValueError as e:
         raise DataError(f"--partition must list three numbers, got {args.partition!r}") from e
+    partition_fractions(fractions)  # before the draw, which takes long for a large --n
     full = draw(spec, args.n)
     va_set, au_set, expr_set = split(full, fractions)
     sets = {"va": va_set, "au": au_set, "expr": expr_set, **({"full": full} if args.full else {})}

@@ -7,14 +7,23 @@ valence/arousal, a basic-expression index, and a partially-annotated AU vector
 The CSV reader and the synthetic generator make one, the CSV writer takes
 one, and every operation here works on its columns: co-annotation rewrites
 them, and cleaning and frame subsampling return row masks for
-:meth:`SampleSet.take`. All operations are pure functions.
+:meth:`SampleSet.take`. All operations but the CSV I/O are pure functions;
+the CSV reader also keeps each file's parsed columns in a sibling file, so
+that a later read of the same bytes skips the parse.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import itertools
+import locale
+import math
 import operator
+import os
+import stat
+import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -217,21 +226,151 @@ def read_samples_csv(path) -> SampleSet:
     ``feature_file`` column is present, from rows of .npy files referenced as
     ``path:row`` (paths resolved relative to the CSV). Every malformed row is
     a :class:`DataError` naming the file and its line.
+
+    A file with ``f`` columns is parsed once per content: the parsed columns
+    go to the sibling file ``.<name>.affectmtl`` (see :func:`_save_parsed`),
+    and a later read of the same bytes loads them from there.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
     try:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            try:
-                return _read_rows(reader, path)
-            except csv.Error as e:
-                raise DataError(f"{path}, line {reader.line_num}: {e}") from e
-    except _RowError as e:
-        raise DataError(f"{path}, line {_line_of(path, e.row)}: {e.error}") from e.error
-    except (OSError, UnicodeDecodeError) as e:
+        raw = path.read_bytes()
+    except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
+    key = _parse_key(raw)
+    data = _load_parsed(path, key)
+    if data is None:
+        data, use_files = _parse(raw, path)
+        if not use_files:  # the key does not cover the .npy files
+            _save_parsed(path, key, data)
+    return data
+
+
+def _parse(raw: bytes, path: Path) -> tuple[SampleSet, bool]:
+    """The set that the CSV bytes ``raw`` of ``path`` hold, and whether its
+    features come from .npy files."""
+    def text():  # decoded and split into lines as ``open(path, newline="")`` would
+        return io.TextIOWrapper(io.BytesIO(raw), newline="")
+
+    try:
+        reader = csv.reader(text())
+        try:
+            return _read_rows(reader, path)
+        except csv.Error as e:
+            raise DataError(f"{path}, line {reader.line_num}: {e}") from e
+    except _RowError as e:
+        raise DataError(f"{path}, line {_line_of(text(), e.row)}: {e.error}") from e.error
+    except UnicodeDecodeError as e:
+        raise DataError(f"cannot read dataset {path}: {e}") from e
+
+
+def _parse_key(raw: bytes) -> bytes:
+    """What a parse of the CSV bytes ``raw`` depends on: those bytes, the text
+    encoding that decodes them and the source of this module, hashed."""
+    h = hashlib.sha256(Path(__file__).read_bytes())
+    h.update(locale.getpreferredencoding(False).encode() + b"\0")
+    h.update(raw)
+    return h.digest()
+
+
+def _sibling(path: Path) -> Path:
+    """The file that keeps the parsed set of the CSV ``path``."""
+    return path.with_name(f".{path.name}.affectmtl")
+
+
+# The numeric columns of a sibling file, in order, and their little-endian 8-byte types.
+_STORED = {"features": "<f8", "va": "<f8", "au": "<f8", "expr": "<i8", "frame": "<i8"}
+
+
+def _save_parsed(path: Path, key: bytes, data: SampleSet) -> None:
+    """Write ``data``, parsed from the CSV ``path``, to its :func:`_sibling`
+    for :func:`_load_parsed`; a failed write is ignored.
+
+    The file is the 32-byte ``key``, the sha256 of the payload, then the
+    payload: the row count and the feature dimension as two little-endian
+    int64, the bytes of each :data:`_STORED` column, and the UTF-8 bytes of
+    every ``ids``, ``video`` and ``compound`` string, each one preceded by a
+    separator: the first character that none of them holds. (A NumPy ``U``
+    array would drop trailing NULs.) The file holds no time, path or process
+    id, so the same inputs give the same bytes. It is written to a temporary
+    file, with the CSV's permissions, that then replaces the sibling, so a
+    reader sees the old file or the new one, never a part.
+    """
+    strings = [*data.ids, *data.video, *data.compound]
+    joined = "".join(strings)
+    sep = next(c for c in map(chr, itertools.count()) if c not in joined)
+    payload = [np.array(data.features.shape, dtype="<i8"),
+               *(np.ascontiguousarray(getattr(data, c), dtype=t) for c, t in _STORED.items()),
+               (sep + sep.join(strings)).encode("utf-8", "surrogatepass")]
+    digest = hashlib.sha256()
+    for part in payload:
+        digest.update(part)
+    sibling = _sibling(path)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=sibling.name + ".", dir=sibling.parent)
+    except OSError:
+        return  # a read-only directory, say
+    try:
+        with os.fdopen(fd, "wb") as out:
+            os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            out.writelines((key, digest.digest(), *payload))
+        os.replace(tmp, sibling)
+    except OSError:
+        Path(tmp).unlink(missing_ok=True)
+
+
+def _load_parsed(path: Path, key: bytes) -> SampleSet | None:
+    """The set that :func:`_save_parsed` wrote for the CSV ``path`` under
+    ``key``, or None when the sibling is missing, was written under another
+    key, is damaged, or holds columns that the CSV reader would not produce.
+    The numeric columns are views of the bytes read, so nothing is unpickled
+    or copied."""
+    try:
+        with open(_sibling(path), "rb") as f:  # a bytearray: the views are writable
+            blob = bytearray(os.fstat(f.fileno()).st_size)
+            if f.readinto(blob) != len(blob):
+                return None
+    except OSError:
+        return None
+    if (len(blob) < 80 or blob[:32] != key
+            or blob[32:64] != hashlib.sha256(memoryview(blob)[64:]).digest()):
+        return None
+    n, d = (int(x) for x in np.frombuffer(blob, "<i8", 2, 64))
+    shapes = {"features": (n, d), "va": (n, 2), "au": (n, NUM_AUS), "expr": (n,), "frame": (n,)}
+    if not (n > 0 and d > 0 and 80 + 8 * sum(map(math.prod, shapes.values())) <= len(blob)):
+        return None
+    columns, pos = {}, 80
+    for name, dtype in _STORED.items():
+        size = math.prod(shapes[name])
+        columns[name] = np.frombuffer(blob, dtype, size, pos).reshape(shapes[name])
+        pos += 8 * size
+    try:
+        text = blob[pos:].decode("utf-8", "surrogatepass")
+        cells = text[1:].split(text[:1])  # ValueError if there is no separator
+    except ValueError:  # not UTF-8, or no text at all
+        return None
+    if len(cells) != 3 * n:
+        return None
+    features, va, au, expr, frame = columns.values()
+    ids, video, compound = (np.array(cells[i * n : (i + 1) * n], dtype=object) for i in range(3))
+    no_va = np.isnan(va)
+    columns_ok = (
+        np.isfinite(features).all()
+        and ((expr >= -1) & (expr < len(EMOTIONS))).all()
+        and (np.isnan(au) | (au == 0.0) | (au == 1.0)).all()
+        and (no_va[:, 0] == no_va[:, 1]).all() and np.isfinite(va[~no_va[:, 0]]).all()
+        and ((video != "") | (frame == -1)).all()
+        and not (no_va[:, 0] & (expr < 0) & np.isnan(au).all(axis=1)).any()
+    )
+    if not columns_ok:
+        return None
+    return _sample_set(ids=ids, video=video, compound=compound, **columns)
+
+
+def _sample_set(**columns) -> SampleSet:
+    """The set of the CSV reader's columns, with the loss weight 1 on every annotated AU."""
+    return SampleSet(au_weights=np.where(np.isnan(columns["au"]), np.nan, 1.0), **columns)
 
 
 # Rows converted at a time: bounds the cell text held while a file is read or written.
@@ -252,7 +391,7 @@ class _RowError(Exception):
         self.row, self.error = row, error
 
 
-def _read_rows(reader, path) -> SampleSet:
+def _read_rows(reader, path) -> tuple[SampleSet, bool]:
     header = next(reader, None)
     if header is None:
         raise DataError(f"empty dataset file: {path}")
@@ -265,16 +404,15 @@ def _read_rows(reader, path) -> SampleSet:
             done += len(rows)
     if not blocks:
         raise DataError(f"no samples in {path}")
-    return layout.assemble(blocks)
+    return layout.assemble(blocks), layout.use_files
 
 
-def _line_of(path, row: int) -> int:
-    """The file line on which data row ``row`` ends."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        next(itertools.islice((r for r in reader if r), row, None))
-        return reader.line_num
+def _line_of(text, row: int) -> int:
+    """The line of the CSV ``text`` (a file object) on which data row ``row`` ends."""
+    reader = csv.reader(text)
+    next(reader)
+    next(itertools.islice((r for r in reader if r), row, None))
+    return reader.line_num
 
 
 class _Layout:
@@ -396,5 +534,4 @@ class _Layout:
                 features[picked] = m[rows[picked]]
         else:
             features = np.concatenate(parts)
-        return SampleSet(features=features, au_weights=np.where(np.isnan(col["au"]), np.nan, 1.0),
-                         **col)
+        return _sample_set(features=features, **col)

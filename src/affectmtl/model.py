@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, unique_keys
 
 HEAD_KINDS = ("tanh", "softmax", "sigmoid")
 
@@ -219,7 +219,7 @@ class MultiHeadModel:
                 (hlen,) = struct.unpack("<Q", f.read(8))
                 if hlen > size:
                     raise DataError(f"truncated checkpoint: {path}")
-                spec = json.loads(f.read(hlen).decode())
+                spec = json.loads(f.read(hlen).decode(), object_pairs_hook=unique_keys)
                 input_dim, hidden, heads, seed, frozen = _header_fields(spec, path)
                 # the parameter bytes the header implies, checked before anything is allocated
                 dims = (input_dim, *hidden)

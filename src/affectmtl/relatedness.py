@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, unique_keys
 
 log = logging.getLogger(__name__)
 
@@ -134,7 +134,7 @@ class RelatednessTable:
     def load(cls, path) -> "RelatednessTable":
         """Read a table file in either form of :meth:`from_dict`."""
         try:
-            d = json.loads(Path(path).read_text())
+            d = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
         except (OSError, ValueError) as e:  # ValueError: invalid JSON or UTF-8
             raise DataError(f"cannot read relatedness table {path}: {e}") from e
         try:
@@ -201,7 +201,7 @@ def _source_rows(table, classes):
 def domain_table() -> RelatednessTable:
     """The bundled emotion -> AU table (six basic emotions plus empty neutral)."""
     source = resources.files("affectmtl.data").joinpath("emotion_au_relatedness.json")
-    return RelatednessTable.from_dict(json.loads(source.read_text()))
+    return RelatednessTable.from_dict(json.loads(source.read_text(), object_pairs_hook=unique_keys))
 
 
 def infer_empirical(expr, au, threshold: float = 0.1) -> RelatednessTable:

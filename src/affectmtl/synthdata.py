@@ -132,12 +132,18 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     )
 
 
-def split(full: SampleSet, partition=(1 / 3, 1 / 3, 1 / 3)):
-    """Three disjoint runs of ``full``'s rows, in order and sized by the
-    ``partition`` fractions, keeping only VA, only AU and only expression labels."""
+def partition_fractions(partition) -> np.ndarray:
+    """``partition`` as an array, checked to hold three nonnegative fractions summing to 1."""
     fr = np.asarray(partition, dtype=float)
     if fr.size != 3 or not (fr >= 0).all() or not abs(fr.sum() - 1.0) <= 1e-9:  # NaN fails
         raise DataError("partition fractions must be 3 nonnegative values summing to 1")
+    return fr
+
+
+def split(full: SampleSet, partition=(1 / 3, 1 / 3, 1 / 3)):
+    """Three disjoint runs of ``full``'s rows, in order and sized by the
+    ``partition`` fractions, keeping only VA, only AU and only expression labels."""
+    fr = partition_fractions(partition)
     n = len(full)
     cuts = [0, int(round(n * fr[0])), int(round(n * (fr[0] + fr[1]))), n]
     no_expr = np.full_like(full.expr, -1)

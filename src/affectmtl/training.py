@@ -20,7 +20,7 @@ import numpy as np
 
 from . import labels as lab
 from . import relatedness as rel
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, unique_keys
 from .losses import (
     LossReport,
     LossWeights,
@@ -161,7 +161,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         try:
-            d = json.loads(Path(path).read_text())
+            d = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, unique_keys
 from .model import DEFAULT_HEADS
 from .relatedness import AU_LABELS, CANONICAL_AUS, EMOTIONS, RelatednessTable
 
@@ -161,7 +161,7 @@ def save_compound_profiles(path, classes) -> None:
 def load_compound_profiles(path) -> list[CompoundClass]:
     """Read a profile file as written by :func:`save_compound_profiles`."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except (OSError, ValueError) as e:  # ValueError: invalid JSON or UTF-8
         raise DataError(f"cannot read compound profiles {path}: {e}") from e
     if not isinstance(payload, list) or not payload:

@@ -99,6 +99,28 @@ def test_train_bad_config_exit_code(tmp_path):
     assert main(["train", "--config", str(p)]) == 1
 
 
+def test_train_config_with_a_repeated_key_exit_code(workspace, tmp_path, capsys):
+    # json.loads alone keeps the last value: this config would train 70 epochs
+    config = json.loads((workspace / "config.json").read_text())
+    p = tmp_path / "repeated.json"
+    p.write_text('{"epochs": 5, ' + json.dumps({**config, "epochs": 70})[1:])
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert "repeated key 'epochs'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_data_checks_the_partition_before_the_draw(tmp_path, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew samples for a partition that cannot be used")
+
+    monkeypatch.setattr(cli, "draw", no_draw)
+    out = tmp_path / "data"
+    for partition in ("0.5,0.5", "0.5,0.5,0.5", "-0.5,1,0.5"):
+        assert main(["gen-data", "--out", str(out), f"--partition={partition}"]) == 2
+        assert "partition fractions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_command(workspace, tmp_path):
     out = tmp_path / "metrics.json"
     assert main([
@@ -419,7 +441,7 @@ def _split_checkpoint(blob):
 
 
 def _join_checkpoint(header, params):
-    raw = json.dumps(header).encode()
+    raw = (header if isinstance(header, str) else json.dumps(header)).encode()
     return len(raw).to_bytes(8, "little") + raw + params
 
 
@@ -428,7 +450,7 @@ def _join_checkpoint(header, params):
     ("hidden", 16), ("input_dim", True), ("input_dim", -10), ("input_dim", "10"),
     ("heads", {"expr": ["softmax"]}), ("heads", {"expr": ["relu", 7]}), ("heads", []),
     ("heads", {"expr": ["softmax", 10**12]}), ("seed", -1), ("seed", 0.5),
-    ("trunk_frozen", "no"), ("header", [1, 2]),
+    ("trunk_frozen", "no"), ("header", [1, 2]), "repeated_key",
 ], ids=str)
 def test_eval_malformed_checkpoint_exit_code(workspace, tmp_path, capsys, damage):
     header, params = _split_checkpoint((workspace / "run" / "model.bin").read_bytes())
@@ -438,6 +460,8 @@ def test_eval_malformed_checkpoint_exit_code(workspace, tmp_path, capsys, damage
         del header["input_dim"]
     elif damage == "short":
         params = params[:-8]
+    elif damage == "repeated_key":  # the first seed would be dropped without a word
+        header = '{"seed": 1, ' + json.dumps(header)[1:]
     elif damage[0] == "header":
         header = damage[1]
     else:

@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import math
+import sys
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +21,7 @@ from affectmtl import (
     domain_table,
     subsample_frames,
 )
+from affectmtl import labels
 from affectmtl.labels import (
     AU_COLUMNS,
     SampleSet,
@@ -326,9 +330,21 @@ def annotation_csvs(draw, directory: Path) -> Path:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_csv_reader_matches_per_row_reference(reference_read_samples_csv, data):
+    """Both reads match: the first parses the file, and the second loads the
+    sibling that the first wrote (none for ``feature_file`` CSVs)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = data.draw(annotation_csvs(Path(tmp)))
+        first = read_samples_csv(path)
+        cached = (path.parent / ".data.csv.affectmtl").exists()
         got, want = read_samples_csv(path), reference_read_samples_csv(path)
+        assert cached == ("feature_file" not in path.read_text().partition("\n")[0])
+    for read in (first, got):
+        assert_matches(read, want)
+
+
+def assert_matches(got: SampleSet, want: dict) -> None:
+    """Every field of ``got`` equals ``want``'s, with the same dtype and shape,
+    floats bit for bit."""
     assert len(got) == len(want["ids"])
     for name, value in want.items():
         have = getattr(got, name)
@@ -384,3 +400,128 @@ def test_write_samples_csv_rejects_what_it_cannot_write(tmp_path, sample, au, me
     with pytest.raises(DataError, match=message):
         write_samples_csv(tmp_path / "out.csv", data)
     assert not (tmp_path / "out.csv").exists()
+
+
+# -- the parsed-set sibling file ----------------------------------------------
+
+
+def fields_of(data: SampleSet) -> dict:
+    return {f.name: getattr(data, f.name) for f in fields(data)}
+
+
+@pytest.fixture
+def cached_csv(tmp_path, one_row):
+    """A small annotation CSV read once, so that its sibling holds the parsed
+    set; returns the CSV path, the sibling path, its bytes and the set."""
+    rows = [one_row(id="a", features=(0.5, -1.0), expr=1, sequence_key=("v", 3)),
+            one_row(id="b", features=(2.0, 0.25), va=(0.1, -0.2)),
+            one_row(id="c", features=(0.0, 1e-300), au=[1.0, 0.0] + [np.nan] * 15)]
+    path = tmp_path / "d.csv"
+    write_samples_csv(path, SampleSet.concat(rows))
+    data = read_samples_csv(path)
+    sibling = tmp_path / ".d.csv.affectmtl"
+    return path, sibling, sibling.read_bytes(), data
+
+
+def test_csv_second_read_loads_the_sibling(cached_csv, monkeypatch):
+    path, sibling, blob, data = cached_csv
+    monkeypatch.setattr(labels, "_parse", None)  # a hit never parses
+    assert_matches(read_samples_csv(path), fields_of(data))
+    assert sibling.read_bytes() == blob
+
+
+def test_csv_changed_byte_is_a_miss(cached_csv):
+    path, sibling, blob, data = cached_csv
+    path.write_bytes(path.read_bytes().replace(b"a,v,3,0.5,", b"a,v,3,0.6,"))
+    changed = read_samples_csv(path)
+    assert changed.features[0, 0] == 0.6
+    assert_matches(changed, fields_of(replace(data, features=changed.features)))
+    assert sibling.read_bytes() != blob
+    assert_matches(read_samples_csv(path), fields_of(changed))
+
+
+def _resaved(path, data, **columns):
+    """Overwrite the sibling of ``path`` with a file whose key and payload
+    digest are valid for its bytes, holding ``data`` with ``columns`` replaced."""
+    labels._save_parsed(path, labels._parse_key(path.read_bytes()), replace(data, **columns))
+
+
+@pytest.mark.parametrize("damage", [
+    "truncated", "garbage", "payload digest", "empty", "no payload", "rows past the end",
+    "one string too many",
+    pytest.param({"expr": np.array([1, -1, 99])}, id="expr 99"),
+    pytest.param({"expr": np.array([1, -2, -1])}, id="expr -2"),
+    pytest.param({"au": np.full((3, 17), 0.5)}, id="AU 0.5"),
+    pytest.param({"va": np.array([[np.nan, np.nan], [0.1, np.nan], [np.nan, np.nan]])},
+                 id="half a VA label"),
+    pytest.param({"va": np.array([[np.nan, np.nan], [np.inf, 0.0], [np.nan, np.nan]])},
+                 id="infinite valence"),
+    pytest.param({"features": np.array([[0.5, -1.0], [np.nan, 0.25], [0.0, 1e-300]])},
+                 id="NaN feature"),
+    pytest.param({"features": np.zeros((3, 0))}, id="no features"),
+    pytest.param({"frame": np.array([3, 4, -1])}, id="a frame without a video"),
+    pytest.param({"expr": np.array([1, -1, -1]), "au": np.full((3, 17), np.nan)},
+                 id="a row without a label"),
+])
+def test_csv_damaged_sibling_falls_back_to_the_parse(cached_csv, damage):
+    path, sibling, blob, data = cached_csv
+    if damage == "truncated":
+        sibling.write_bytes(blob[: len(blob) // 2])
+    elif damage == "garbage":
+        sibling.write_bytes(b"garbage" * 40)
+    elif damage == "payload digest":
+        sibling.write_bytes(blob[:32] + bytes(32) + blob[64:])
+    elif damage == "empty":
+        sibling.write_bytes(b"")
+    elif damage in ("no payload", "rows past the end", "one string too many"):
+        payload = {"no payload": b"",  # each with a valid digest
+                   "rows past the end": (10**12).to_bytes(8, "little") + blob[72:],
+                   "one string too many": blob[64:] + b"\0x"}[damage]  # "\0" separates them
+        sibling.write_bytes(blob[:32] + hashlib.sha256(payload).digest() + payload)
+    else:
+        _resaved(path, data, **damage)
+    assert sibling.read_bytes() != blob
+    assert_matches(read_samples_csv(path), fields_of(data))
+    assert sibling.read_bytes() == blob  # rewritten, to the same bytes
+
+
+@pytest.mark.parametrize("fail", ["mkstemp", "replace"])
+def test_csv_read_succeeds_when_the_sibling_cannot_be_written(cached_csv, monkeypatch, fail):
+    """As in a read-only directory: the write fails, the read does not, and no
+    file is left behind."""
+    path, sibling, blob, data = cached_csv
+    sibling.unlink()
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only directory")
+
+    monkeypatch.setattr(labels.tempfile if fail == "mkstemp" else labels.os, fail, refuse)
+    assert_matches(read_samples_csv(path), fields_of(data))
+    assert sorted(p.name for p in path.parent.iterdir()) == ["d.csv"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before Python 3.11")
+def test_csv_strings_round_trip_through_the_sibling(tmp_path, monkeypatch):
+    """Ids, video keys and compound names come back exactly, trailing NULs too
+    (a NumPy ``U`` array drops them)."""
+    text = ('id,f0,expr,video_id,frame_idx,compound\r\n'
+            'a\0,0.5,1,v\0,0,x\0\r\n'
+            '"\n",0.5,2,,,\r\n'
+            ',0.5,3,é\0\0,7,\0\r\n'
+            '\0\x01,0.5,4,,3,"a,b"\r\n')
+    path = tmp_path / "s.csv"
+    path.write_text(text, newline="")
+    parsed = read_samples_csv(path)
+    assert list(parsed.ids) == ["a\0", "\n", "", "\0\x01"]
+    assert list(parsed.video) == ["v\0", "", "é\0\0", ""]
+    assert list(parsed.compound) == ["x\0", "", "\0", "a,b"]
+    monkeypatch.setattr(labels, "_parse", None)
+    assert_matches(read_samples_csv(path), fields_of(parsed))
+
+
+def test_csv_malformed_file_with_an_older_sibling_names_the_line(cached_csv):
+    path, sibling, blob, data = cached_csv
+    path.write_bytes(path.read_bytes().replace(b",1,,,", b",9,,,", 1))
+    with pytest.raises(DataError, match=r"d\.csv, line 2: expression index 9 outside"):
+        read_samples_csv(path)
+    assert sibling.read_bytes() == blob

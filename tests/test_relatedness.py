@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectmtl import relatedness as rel
 from affectmtl import (
     AU_LABELS,
     CANONICAL_AUS,
@@ -244,6 +245,19 @@ def test_load_rejects_a_malformed_value(tmp_path, form, path, value):
     p.write_text(json.dumps(_set(form, path, value)))
     with pytest.raises(DataError, match=str(p)):
         RelatednessTable.load(p)
+
+
+def test_a_repeated_key_is_rejected(tmp_path, monkeypatch):
+    # the first value of a repeated key would be dropped without a word
+    text = '{"kind": "domain", ' + json.dumps(SAVED)[1:]
+    p = tmp_path / "t.json"
+    p.write_text(text)
+    with pytest.raises(DataError, match="repeated key 'kind'"):
+        RelatednessTable.load(p)
+    (tmp_path / "emotion_au_relatedness.json").write_text(text)
+    monkeypatch.setattr(rel.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ValueError, match="repeated key 'kind'"):
+        domain_table()
 
 
 def _paths(node, path=()):

@@ -255,3 +255,10 @@ def test_malformed_profile_file_is_a_data_error(tmp_path, payload):
     p.write_text(json.dumps(payload))
     with pytest.raises(DataError, match="profiles.json"):
         load_compound_profiles(p)
+
+
+def test_profile_file_with_a_repeated_key_is_a_data_error(tmp_path):
+    p = tmp_path / "profiles.json"
+    p.write_text('[{"name": "x", "emo1": 1, "emo2": 2, "aus": {"12": 0.2, "12": 1.0}}]')
+    with pytest.raises(DataError, match="repeated key '12'"):
+        load_compound_profiles(p)
