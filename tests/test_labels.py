@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import os
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -485,19 +486,28 @@ def test_csv_damaged_sibling_falls_back_to_the_parse(cached_csv, damage):
     assert sibling.read_bytes() == blob  # rewritten, to the same bytes
 
 
-@pytest.mark.parametrize("fail", ["mkstemp", "replace"])
+@pytest.mark.parametrize("fail", ["read-only directory", "mkstemp", "replace"])
 def test_csv_read_succeeds_when_the_sibling_cannot_be_written(cached_csv, monkeypatch, fail):
-    """As in a read-only directory: the write fails, the read does not, and no
-    file is left behind."""
+    """The write fails, the read does not, and no file is left behind. Root
+    can write into a read-only directory, so the failing calls are faked too."""
     path, sibling, blob, data = cached_csv
     sibling.unlink()
 
     def refuse(*args, **kwargs):
         raise PermissionError("read-only directory")
 
-    monkeypatch.setattr(labels.tempfile if fail == "mkstemp" else labels.os, fail, refuse)
-    assert_matches(read_samples_csv(path), fields_of(data))
-    assert sorted(p.name for p in path.parent.iterdir()) == ["d.csv"]
+    if fail == "read-only directory":
+        path.parent.chmod(0o555)
+        try:
+            read = read_samples_csv(path)
+        finally:
+            path.parent.chmod(0o755)
+    else:
+        monkeypatch.setattr(labels.tempfile if fail == "mkstemp" else labels.os, fail, refuse)
+        read = read_samples_csv(path)
+    assert_matches(read, fields_of(data))
+    written = [".d.csv.affectmtl"] if fail == "read-only directory" and os.geteuid() == 0 else []
+    assert sorted(p.name for p in path.parent.iterdir()) == [*written, "d.csv"]
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before Python 3.11")
