@@ -128,10 +128,8 @@ def co_annotate(data: SampleSet, table: RelatednessTable) -> SampleSet:
     fill = np.isnan(data.au) & (row_r > 0)
     au = np.where(fill, 1.0, data.au)
     au_weights = np.where(fill, row_r, data.au_weights)
-    need = (r > 0).astype(float)
-    size = need.sum(axis=1)
-    qualifies = ((au == 1.0) @ need.T == size) & (size > 0)
-    best = np.where(qualifies, size, -1).argmax(axis=1)
+    qualifies = indicator_scores(au, r, reweight_observational=False) == 1.0
+    best = np.where(qualifies, (r > 0).sum(axis=1), -1).argmax(axis=1)
     expr = np.where(~has_expr & qualifies.any(axis=1), best, data.expr)
     return replace(data, expr=expr, au=au, au_weights=au_weights)
 
@@ -253,16 +251,25 @@ def _parse(raw: bytes, path: Path) -> tuple[SampleSet, bool]:
     def text():  # decoded and split into lines as ``open(path, newline="")`` would
         return io.TextIOWrapper(io.BytesIO(raw), newline="")
 
+    reader = csv.reader(text())
     try:
-        reader = csv.reader(text())
-        try:
-            return _read_rows(reader, path)
-        except csv.Error as e:
-            raise DataError(f"{path}, line {reader.line_num}: {e}") from e
-    except _RowError as e:
-        raise DataError(f"{path}, line {_line_of(text(), e.row)}: {e.error}") from e.error
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"empty dataset file: {path}")
+        layout = _Layout(header, path, text)
+        blocks, done = [], 0
+        while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
+            rows = [r for r in chunk if r]  # a blank line holds no row
+            if rows:
+                blocks.append(layout.convert_block(rows, done))
+                done += len(rows)
+    except csv.Error as e:
+        raise DataError(f"{path}, line {reader.line_num}: {e}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
+    if not blocks:
+        raise DataError(f"no samples in {path}")
+    return layout.assemble(blocks), layout.use_files
 
 
 def _parse_key(raw: bytes) -> bytes:
@@ -352,20 +359,38 @@ def _load_parsed(path: Path, key: bytes) -> SampleSet | None:
         return None
     if len(cells) != 3 * n:
         return None
-    features, va, au, expr, frame = columns.values()
-    ids, video, compound = (np.array(cells[i * n : (i + 1) * n], dtype=object) for i in range(3))
-    no_va = np.isnan(va)
-    columns_ok = (
-        np.isfinite(features).all()
-        and ((expr >= -1) & (expr < len(EMOTIONS))).all()
-        and (np.isnan(au) | (au == 0.0) | (au == 1.0)).all()
-        and (no_va[:, 0] == no_va[:, 1]).all() and np.isfinite(va[~no_va[:, 0]]).all()
-        and ((video != "") | (frame == -1)).all()
-        and not (no_va[:, 0] & (expr < 0) & np.isnan(au).all(axis=1)).any()
-    )
-    if not columns_ok:
+    for i, name in enumerate(("ids", "video", "compound")):
+        columns[name] = np.array(cells[i * n : (i + 1) * n], dtype=object)
+    try:  # a label is stored as -1 or NaN where a row has none
+        _check_columns(columns, ~np.isnan(columns["va"]), columns["expr"] != -1,
+                       ~np.isnan(columns["au"]))
+    except (ValueError, DataError):
         return None
-    return _sample_set(ids=ids, video=video, compound=compound, **columns)
+    return _sample_set(**columns)
+
+
+def _check_columns(col: dict, has_va, has_expr, has_au) -> None:
+    """Raise for the first rule of the annotation CSV format that the reader's
+    columns ``col`` break: a ValueError, or a DataError for a row without a
+    label. ``has_va`` (n, 2), ``has_expr`` (n,) and ``has_au`` (n, 17) mark
+    the label cells that each row fills."""
+    va, expr, au = col["va"], col["expr"], col["au"]
+    if not np.isfinite(col["features"]).all():
+        raise ValueError("non-finite feature value")
+    if (has_va[:, 0] != has_va[:, 1]).any():
+        raise ValueError("valence and arousal must both be filled or both be empty")
+    if not np.isfinite(va[has_va[:, 0]]).all():
+        raise ValueError("non-finite valence or arousal value")
+    bad = has_expr & ((expr < 0) | (expr >= len(EMOTIONS)))
+    if bad.any():
+        raise ValueError(f"expression index {expr[bad][0]} outside 0..{len(EMOTIONS) - 1}")
+    if not (~has_au | (au == 0.0) | (au == 1.0)).all():
+        raise ValueError("AU labels must be 0 or 1")
+    if ((col["video"] == "") & (col["frame"] != -1)).any():
+        raise ValueError("frame index without a video id")
+    unlabelled = ~(has_va[:, 0] | has_expr | has_au.any(axis=1))
+    if unlabelled.any():
+        raise DataError(f"sample {col['ids'][unlabelled.argmax()]!r} carries no label")
 
 
 def _sample_set(**columns) -> SampleSet:
@@ -383,30 +408,6 @@ _EXPR, _VIDEO, _FRAME = (_LABEL_COLUMNS.index(c) for c in ("expr", "video_id", "
 _CELL_ERRORS = (DataError, ValueError, TypeError, OverflowError, OSError, EOFError)
 
 
-class _RowError(Exception):
-    """Data row ``row`` (0-based, blank lines skipped) failed with ``error``."""
-
-    def __init__(self, row: int, error: Exception):
-        super().__init__(row, error)
-        self.row, self.error = row, error
-
-
-def _read_rows(reader, path) -> tuple[SampleSet, bool]:
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"empty dataset file: {path}")
-    layout = _Layout(header, path)
-    blocks, done = [], 0
-    while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
-        rows = [r for r in chunk if r]  # a blank line holds no row
-        if rows:
-            blocks.append(layout.convert_block(rows, done))
-            done += len(rows)
-    if not blocks:
-        raise DataError(f"no samples in {path}")
-    return layout.assemble(blocks), layout.use_files
-
-
 def _line_of(text, row: int) -> int:
     """The line of the CSV ``text`` (a file object) on which data row ``row`` ends."""
     reader = csv.reader(text)
@@ -418,7 +419,7 @@ def _line_of(text, row: int) -> int:
 class _Layout:
     """Where one CSV header keeps each column, and the conversion of row blocks."""
 
-    def __init__(self, header, path: Path):
+    def __init__(self, header, path: Path, text):
         col = {name: i for i, name in enumerate(header)}
         if "id" not in col:
             raise DataError(f"{path}: no id column")
@@ -429,7 +430,7 @@ class _Layout:
             raise DataError(f"{path}: no feature columns and no feature_file column")
         feature_idx = [col["feature_file"]] if self.use_files else [col[c] for c in fcols]
         present = [c for c in _LABEL_COLUMNS if c in col]
-        self.path = path
+        self.path, self.text = path, text  # text(): the CSV as a new file object
         self.id = operator.itemgetter(col["id"])
         self.features = operator.itemgetter(*feature_idx)
         self.label_pos = [_LABEL_COLUMNS.index(c) for c in present]
@@ -439,8 +440,8 @@ class _Layout:
         self.finite: dict[str, np.ndarray] = {}  # and which of its rows are finite
 
     def convert_block(self, rows, start: int) -> dict:
-        """Arrays for ``rows``; a bad row raises :class:`_RowError` for the
-        earliest one, numbered from ``start``."""
+        """Arrays for ``rows``, data rows ``start`` on; a bad row raises a
+        :class:`DataError` naming the line of the earliest one."""
         try:
             return self._convert(rows)
         except _CELL_ERRORS:
@@ -448,7 +449,8 @@ class _Layout:
                 try:
                     self._convert(rows[i : i + 1])
                 except _CELL_ERRORS as e:
-                    raise _RowError(start + i, e) from e
+                    line = _line_of(self.text(), start + i)
+                    raise DataError(f"{self.path}, line {line}: {e}") from e
             raise
 
     def _convert(self, rows) -> dict:
@@ -460,8 +462,6 @@ class _Layout:
             features = self._references(list(map(self.features, rows)))
         else:
             features = np.array(list(map(self.features, rows)), dtype=float).reshape(n, -1)
-            if not np.isfinite(features).all():
-                raise ValueError("non-finite feature value")
         cells = np.full((n, len(_LABEL_COLUMNS)), "", dtype=object)
         if self.labels is not None:
             cells[:, self.label_pos] = np.array(
@@ -469,27 +469,18 @@ class _Layout:
         filled = cells != ""  # only filled cells are converted
         va_au = np.full((n, _FLOATS), np.nan)
         va_au[filled[:, :_FLOATS]] = cells[:, :_FLOATS][filled[:, :_FLOATS]].astype(float)
-        va, au = va_au[:, :2], va_au[:, 2:]
-        if (filled[:, 0] != filled[:, 1]).any():
-            raise ValueError("valence and arousal must both be filled or both be empty")
-        if not np.isfinite(va[filled[:, 0]]).all():
-            raise ValueError("non-finite valence or arousal value")
         expr = np.full(n, -1)
         expr[filled[:, _EXPR]] = cells[filled[:, _EXPR], _EXPR].astype(np.int64)
-        bad = filled[:, _EXPR] & ((expr < 0) | (expr >= len(EMOTIONS)))
-        if bad.any():
-            raise ValueError(f"expression index {expr[bad][0]} outside 0..{len(EMOTIONS) - 1}")
-        if not (np.isnan(au) | (au == 0.0) | (au == 1.0)).all():
-            raise ValueError("AU labels must be 0 or 1")
         keyed = filled[:, _VIDEO] & filled[:, _FRAME]
         frame = np.full(n, -1)
         frame[keyed] = cells[keyed, _FRAME].astype(np.int64)
-        ids = np.array(list(map(self.id, rows)), dtype=object)
-        unlabelled = np.isnan(va[:, 0]) & (expr < 0) & np.isnan(au).all(axis=1)
-        if unlabelled.any():
-            raise DataError(f"sample {ids[unlabelled.argmax()]!r} carries no label")
-        return {"ids": ids, "features": features, "expr": expr, "au": au, "va": va, "frame": frame,
-                "video": np.where(keyed, cells[:, _VIDEO], ""), "compound": cells[:, -1]}
+        col = {"ids": np.array(list(map(self.id, rows)), dtype=object), "features": features,
+               "expr": expr, "au": va_au[:, 2:], "va": va_au[:, :2], "frame": frame,
+               "video": np.where(keyed, cells[:, _VIDEO], ""), "compound": cells[:, -1]}
+        # an AU cell reading nan is unannotated; .npy references are checked by _references
+        _check_columns(dict(col, features=np.empty((n, 0))) if self.use_files else col,
+                       filled[:, :2], filled[:, _EXPR], ~np.isnan(col["au"]))
+        return col
 
     def _references(self, refs) -> tuple:
         """Check ``path:row`` references; returns their (file names, rows)."""

@@ -28,10 +28,11 @@ class ConfusionMatrix:
 
     @classmethod
     def from_labels(cls, truth, pred, num_classes: int) -> "ConfusionMatrix":
-        counts = np.zeros((num_classes, num_classes), dtype=int)
-        for t, p in zip(truth, pred):
-            counts[int(t), int(p)] += 1
-        return cls(counts)
+        """Counts of each (truth, prediction) pair of two equally long label lists."""
+        truth, pred, k = np.asarray(truth, dtype=int), np.asarray(pred, dtype=int), num_classes
+        if ((np.minimum(truth, pred) < 0) | (np.maximum(truth, pred) >= k)).any():
+            raise DataError(f"a class label outside 0..{k - 1}")
+        return cls(np.bincount(truth * k + pred, minlength=k * k).reshape(k, k))
 
 
 def _f1(precision, recall):

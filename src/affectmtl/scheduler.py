@@ -52,7 +52,7 @@ def plan_epoch(set_sizes, max_batch: int, seed: int = 0) -> EpochPlan:
     iters = math.ceil(max(sizes) / max_batch)
     batch_sizes = tuple(math.ceil(n / iters) for n in sizes)
     rng = np.random.default_rng(seed)
-    orders = tuple(tuple(int(i) for i in rng.permutation(n)) for n in sizes)
+    orders = tuple(tuple(rng.permutation(n).tolist()) for n in sizes)
     return EpochPlan(sizes, batch_sizes, iters, orders, int(seed))
 
 

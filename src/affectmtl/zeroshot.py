@@ -175,6 +175,8 @@ def load_compound_profiles(path) -> list[CompoundClass]:
 def _profile_from_dict(d) -> CompoundClass:
     if not isinstance(d, dict) or not d.keys() >= {"name", "emo1", "emo2", "aus"}:
         raise DataError(f"entry {d!r} is not an object with name, emo1, emo2 and aus")
+    if unknown := d.keys() - {"name", "emo1", "emo2", "aus", "positive_valence"}:
+        raise DataError(f"entry {d['name']!r}: unknown keys {sorted(unknown)}")
     if not isinstance(d["aus"], dict):
         raise DataError(f"entry {d['name']!r}: aus {d['aus']!r} is not an object")
     profile = {int(au): w for au, w in d["aus"].items() if au.isdecimal()}

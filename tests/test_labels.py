@@ -66,9 +66,10 @@ def subsample(data):
 
 def test_sample_requires_some_label(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("id,f0,expr\nx,0.5,\n")
-    with pytest.raises(DataError, match="carries no label"):
-        read_samples_csv(p)
+    for text in ("id,f0,expr\nx,0.5,\n", "id,f0,expr,au_1\nx,0.5,,nan\n"):  # nan: unannotated
+        p.write_text(text)
+        with pytest.raises(DataError, match="carries no label"):
+            read_samples_csv(p)
 
 
 def test_co_annotate_happiness(sample):
@@ -271,6 +272,7 @@ def test_csv_errors_name_the_line(tmp_path):
     (b"id,expr\ns0,1\n", "no feature columns"),
     (b"id,f0,expr\ns0,0.5,1\ns1,0.5\n", "line 3: row has 2 cells"),
     (b"id,f0,expr\ns0,0.5,1\x00\n", "line 2"),
+    (b"id,f0,expr,valence,arousal\ns0,0.5,1,,0.1\n", "line 2: valence and arousal must both"),
     (b"id,f0,expr\ns0,0.5,\xff\n", "cannot read dataset"),
 ])
 def test_csv_structure_errors(tmp_path, blob, message):
@@ -289,7 +291,7 @@ def _number(rng, x) -> str:
 def annotation_csvs(draw, directory: Path) -> Path:
     """A valid annotation CSV, with any subset of the label columns, inline
     features or ``path:row`` references, and sometimes more than one block of
-    rows; returns its path."""
+    rows; an AU cell may read ``nan`` (unannotated). Returns its path."""
     n = draw(st.one_of(st.integers(1, 20), st.integers(250, 600)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 5))
@@ -314,12 +316,12 @@ def annotation_csvs(draw, directory: Path) -> Path:
         va = [_number(rng, x) for x in rng.uniform(-1, 1, 2)] if rng.random() < 0.5 else ["", ""]
         row["valence"], row["arousal"] = va
         row["expr"] = str(rng.integers(7)) if rng.random() < 0.5 else ""
-        row.update({c: ["", "0", "1", "1.0"][rng.integers(4)] for c in AU_COLUMNS})
+        row.update({c: ["", "0", "1", "1.0", "nan"][rng.integers(5)] for c in AU_COLUMNS})
         row["compound"] = ["", "sadly_angry", 'a "b",\nc'][rng.integers(3)]
         row["video_id"] = f"v{rng.integers(3)}" if rng.random() < 0.8 else ""
         row["frame_idx"] = str(rng.integers(50)) if rng.random() < 0.8 else ""
         labelled = [c for c in header if c in ("valence", "arousal", "expr", *AU_COLUMNS)]
-        if not any(row[c] for c in labelled):  # give the row a label it can carry
+        if not any(row[c] not in ("", "nan") for c in labelled):  # give it a label it can carry
             row.update({c: "1" for c in labelled})
         rows.append([row.get(c, "") for c in header])
     path = directory / "data.csv"

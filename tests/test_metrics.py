@@ -47,6 +47,23 @@ def test_uar_equals_accuracy_on_uniform_truth():
         assert m["uar"] == pytest.approx(m["accuracy"], abs=1e-9)
 
 
+def test_confusion_matrix_from_labels():
+    cm = ConfusionMatrix.from_labels([0, 2, 2, 1, 2], np.array([0, 1, 2, 1, 1]), 3)
+    assert cm.counts.tolist() == [[1, 0, 0], [0, 1, 0], [0, 2, 1]]
+    assert ConfusionMatrix.from_labels([], [], 2).counts.tolist() == [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("truth, pred", [
+    ([-1, 0], [0, 0]),  # a -1 must not wrap round to the last class
+    ([0, 2], [0, 0]),
+    ([0, 1], [-1, 0]),
+    ([0, 1], [0, 2]),
+])
+def test_confusion_matrix_from_labels_rejects_bad_labels(truth, pred):
+    with pytest.raises(DataError):
+        ConfusionMatrix.from_labels(truth, pred, 2)
+
+
 def test_empty_matrix_rejected():
     with pytest.raises(DataError):
         classification_metrics(ConfusionMatrix(np.zeros((3, 3), dtype=int)))
