@@ -18,11 +18,7 @@ from .losses import (
     LossReport,
     LossWeights,
     ccc,
-    ccc_loss,
     dm_loss,
-    masked_bce,
-    sca_loss,
-    softmax_ce,
     total_mt_loss,
 )
 from .model import (

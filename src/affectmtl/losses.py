@@ -3,8 +3,8 @@
 Every gradient here is taken with respect to the model's post-activation
 outputs (probabilities, VA values); chaining through the output nonlinearities
 and trunk is the model's job. The cross-entropy family works on row matrices,
-one row per sample; a 1-D input is a single row. ``*_grad`` variants return
-the batch-mean value and its gradient, which has the shape of the input.
+one row per sample; a 1-D input is a single row. The ``*_grad`` functions
+return the batch-mean value and its gradient, which has the shape of the input.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, w in {**self.lambda_per_task, **self.coupling_weights}.items():
-            if w < 0:
-                raise DataError(f"negative loss weight for {name!r}")
+            if not 0 <= w < np.inf:  # NaN fails too
+                raise DataError(f"loss weight {w!r} for {name!r} is not finite and >= 0")
         if not 0.0 < self.epsilon <= 1e-3:
             raise DataError(f"epsilon {self.epsilon} outside (0, 1e-3]")
 
@@ -98,17 +98,13 @@ def ccc_grad(y, y_hat, eps: float = CCC_EPS):
     return val, grad
 
 
-def ccc_loss(y_va, y_hat_va, eps: float = CCC_EPS) -> float:
-    """1 - mean of per-dimension CCC over a batch of (valence, arousal) pairs."""
-    return ccc_loss_grad(y_va, y_hat_va, eps)[0]
-
-
 def ccc_loss_grad(y_va, y_hat_va, eps: float = CCC_EPS):
-    """Loss value and gradient with respect to the predicted VA matrix."""
+    """1 - mean of per-dimension CCC over a batch of (valence, arousal) pairs,
+    and its gradient with respect to the predicted VA matrix."""
     y = np.asarray(y_va, float)
     yh = np.asarray(y_hat_va, float)
     if y.ndim != 2 or y.shape[1] != 2 or y.shape != yh.shape:
-        raise DataError("ccc_loss expects (n, 2) truth and prediction arrays")
+        raise DataError("ccc_loss_grad expects (n, 2) truth and prediction arrays")
     cv, gv = ccc_grad(y[:, 0], yh[:, 0], eps)
     ca, ga = ccc_grad(y[:, 1], yh[:, 1], eps)
     grad = np.stack([-gv / 2.0, -ga / 2.0], axis=1)
@@ -123,17 +119,14 @@ def _rows(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, float))
 
 
-def masked_bce(p_au, y_au, weights=None, eps: float = DEFAULT_EPS) -> float:
-    """Binary cross entropy over annotated AUs, normalized by each row's mask weight."""
-    return masked_bce_grad(p_au, y_au, weights, eps)[0]
-
-
 def masked_bce_grad(p_au, y_au, weights=None, eps: float = DEFAULT_EPS):
+    """Binary cross entropy over annotated AUs, normalized by each row's mask
+    weight, and its gradient."""
     p = _rows(p_au)
     y = _rows(y_au)
     mask = ~np.isnan(y)
     if not mask.any(axis=1).all():
-        raise DataError("masked_bce: no annotated AUs")
+        raise DataError("masked_bce_grad: no annotated AUs")
     if weights is None:
         w = mask.astype(float)
     else:
@@ -149,27 +142,24 @@ def masked_bce_grad(p_au, y_au, weights=None, eps: float = DEFAULT_EPS):
     return val, grad.reshape(np.shape(p_au))
 
 
-def softmax_ce(p, y, eps: float = DEFAULT_EPS) -> float:
-    """Mean cross entropy of probability rows against hard or soft labels."""
-    return softmax_ce_grad(p, y, eps)[0]
-
-
 def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
-    """Hard labels are one class index per row; soft labels have ``p``'s shape."""
+    """Mean cross entropy of probability rows against hard or soft labels, and
+    its gradient. Hard labels are one class index per row; soft labels have
+    ``p``'s shape."""
     P = _rows(p)
     if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-6):
-        raise DataError("softmax_ce: prediction does not sum to 1")
+        raise DataError("softmax_ce_grad: prediction does not sum to 1")
     if np.ndim(y) == np.ndim(p) - 1:
         labels = np.asarray(y).astype(int).reshape(-1)
         if np.any((labels < 0) | (labels >= P.shape[1])):
-            raise DataError("softmax_ce: label index out of range")
+            raise DataError("softmax_ce_grad: label index out of range")
         q = np.eye(P.shape[1])[labels]
     else:
         if np.shape(y) != np.shape(p):
-            raise DataError("softmax_ce: soft label shape mismatch")
+            raise DataError("softmax_ce_grad: soft label shape mismatch")
         q = _rows(y)
         if np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-6):
-            raise DataError("softmax_ce: soft label does not sum to 1")
+            raise DataError("softmax_ce_grad: soft label does not sum to 1")
     pc = np.clip(P, eps, None)
     val = -float((q * np.log(pc)).sum() / len(P))
     grad = np.where(P == pc, -q / pc / len(P), 0.0)
@@ -203,17 +193,13 @@ def dm_loss_grad(p_bin, q_bin, eps: float = DEFAULT_EPS):
     return val, grad_p, grad_q
 
 
-def sca_loss(p_emo, q_emo, eps: float = DEFAULT_EPS) -> float:
-    """Soft co-annotation loss: cross entropy of predictions against the soft label."""
-    return sca_loss_grad(p_emo, q_emo, eps)[0]
-
-
 def sca_loss_grad(p_emo, q_emo, eps: float = DEFAULT_EPS):
-    """Value and gradient with respect to the predicted emotion distribution."""
+    """Soft co-annotation loss, the cross entropy of predictions against the
+    soft label, and its gradient with respect to the predicted distribution."""
     p = np.asarray(p_emo, float)
     q = np.asarray(q_emo, float)
     if p.shape != q.shape:
-        raise DataError("sca_loss: dimensionality mismatch")
+        raise DataError("sca_loss_grad: dimensionality mismatch")
     n = len(_rows(p))
     logq = np.log(np.clip(q, eps, None))
     return -float((p * logq).sum() / n), -logq / n

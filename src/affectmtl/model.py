@@ -46,7 +46,6 @@ class MultiHeadModel:
         self.hidden = tuple(int(h) for h in hidden)
         self.head_spec = heads
         self.seed = int(seed)
-        self.trunk_frozen = False
         self.trunk = []
         d = self.input_dim
         for h in self.hidden:
@@ -131,8 +130,7 @@ class MultiHeadModel:
 
         ``out_grads`` maps head name -> array of d(loss)/d(output); missing
         heads contribute nothing. Returns {param name -> gradient array}. No
-        gradient with respect to the input is formed, and a frozen trunk gets
-        zero gradients without being backpropagated through.
+        gradient with respect to the input is formed.
         """
         acts, out = cache["acts"], cache["out"]
         W_heads, blocks = cache["heads"]
@@ -153,11 +151,7 @@ class MultiHeadModel:
             else:  # softmax Jacobian applied row-wise
                 gz[:, cols] = y * (g - (g * y).sum(axis=1, keepdims=True))
         grads = {}
-        if self.trunk_frozen or not self.trunk:
-            for i, layer in enumerate(self.trunk):
-                grads[f"trunk{i}.W"] = np.zeros_like(layer["W"])
-                grads[f"trunk{i}.b"] = np.zeros_like(layer["b"])
-        else:
+        if self.trunk:
             gh = gz @ W_heads.T
             for i in range(len(self.trunk) - 1, -1, -1):
                 d = acts[i + 1] * acts[i + 1]
@@ -174,23 +168,6 @@ class MultiHeadModel:
             grads[f"{name}.b"] = gb[cols]
         return {name: grads[name] for name, _ in self.named_params()}
 
-    # -- surgery ---------------------------------------------------------
-
-    def replace_head(self, name, size, kind="softmax", freeze_trunk=False, seed=None):
-        """Attach (or replace) a head with fresh parameters; optionally freeze the trunk."""
-        if kind == "softmax" and size < 2:
-            raise DataError(f"softmax head needs at least 2 classes, got {size}")
-        if kind not in HEAD_KINDS:
-            raise DataError(f"unknown head kind {kind!r}")
-        rng = np.random.default_rng(self.seed + 1 if seed is None else seed)
-        self.heads[name] = {
-            "W": _glorot(rng, self.feature_dim, size),
-            "b": np.zeros(size),
-            "kind": kind,
-        }
-        self.head_spec[name] = (kind, int(size))
-        self.trunk_frozen = bool(freeze_trunk)
-
     # -- checkpoints ------------------------------------------------------
 
     def save(self, path) -> None:
@@ -201,7 +178,6 @@ class MultiHeadModel:
                 "hidden": list(self.hidden),
                 "heads": {n: list(s) for n, s in self.head_spec.items()},
                 "seed": self.seed,
-                "trunk_frozen": self.trunk_frozen,
             },
             sort_keys=True,
         ).encode()
@@ -220,7 +196,7 @@ class MultiHeadModel:
                 if hlen > size:
                     raise DataError(f"truncated checkpoint: {path}")
                 spec = json.loads(f.read(hlen).decode(), object_pairs_hook=unique_keys)
-                input_dim, hidden, heads, seed, frozen = _header_fields(spec, path)
+                input_dim, hidden, heads, seed = _header_fields(spec, path)
                 # the parameter bytes the header implies, checked before anything is allocated
                 dims = (input_dim, *hidden)
                 n_params = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
@@ -233,7 +209,6 @@ class MultiHeadModel:
                     )
                 model = cls.__new__(cls)  # every parameter is read below: no random init
                 model._allocate(input_dim, hidden, heads, seed, lambda a, b: np.empty((a, b)))
-                model.trunk_frozen = frozen
                 for name, p in model.named_params():
                     buf = f.read(p.size * 8)
                     if len(buf) != p.size * 8:
@@ -250,19 +225,26 @@ class MultiHeadModel:
 
 
 def _header_fields(spec, path):
-    """(input_dim, hidden, heads, seed, trunk_frozen) of a checkpoint header,
-    each checked for its type; sizes are positive ints."""
+    """(input_dim, hidden, heads, seed) of a checkpoint header, each checked for
+    its type; sizes are positive ints. Older files also hold ``"trunk_frozen":
+    false``; any other key or value is an error."""
 
     def positive(v):
         return type(v) is int and v > 0
 
     if not isinstance(spec, dict):
         raise DataError(f"checkpoint {path}: the header is not a JSON object")
-    missing = sorted({"input_dim", "hidden", "heads", "seed"} - set(spec))
+    keys = ("input_dim", "hidden", "heads", "seed")
+    missing = sorted(set(keys) - set(spec))
     if missing:
         raise DataError(f"checkpoint {path}: the header lacks {', '.join(missing)}")
-    input_dim, hidden, heads, seed = (spec[k] for k in ("input_dim", "hidden", "heads", "seed"))
-    frozen = spec.get("trunk_frozen", False)
+    unknown = sorted(set(spec) - {*keys, "trunk_frozen"})
+    if unknown:
+        raise DataError(f"checkpoint {path}: unknown header key(s) {', '.join(map(repr, unknown))}")
+    if spec.get("trunk_frozen", False) is not False:
+        raise DataError(f"checkpoint {path}: trunk_frozen {spec['trunk_frozen']!r} is not "
+                        "supported (only false: the trunk is always trained)")
+    input_dim, hidden, heads, seed = (spec[k] for k in keys)
     if not positive(input_dim):
         raise DataError(f"checkpoint {path}: input_dim {input_dim!r} is not a positive int")
     if not (isinstance(hidden, list) and all(positive(h) for h in hidden)):
@@ -273,9 +255,7 @@ def _header_fields(spec, path):
         raise DataError(f"checkpoint {path}: heads {heads!r} are not [kind, size] pairs")
     if type(seed) is not int or seed < 0:
         raise DataError(f"checkpoint {path}: seed {seed!r} is not a non-negative int")
-    if type(frozen) is not bool:
-        raise DataError(f"checkpoint {path}: trunk_frozen {frozen!r} is not a boolean")
-    return input_dim, hidden, {n: tuple(s) for n, s in heads.items()}, seed, frozen
+    return input_dim, hidden, {n: tuple(s) for n, s in heads.items()}, seed
 
 
 class SGDMomentum:
@@ -311,10 +291,6 @@ def gradient_check(model, value_fn, grad_fn, n_per_layer=20, h=1e-5, rng=None):
     analytic = grad_fn(model)
     max_err = 0.0
     for name, p in model.named_params():
-        if model.trunk_frozen and name.startswith("trunk"):
-            # frozen parameters must report exactly zero analytic gradient
-            max_err = max(max_err, float(np.abs(analytic[name]).max()))
-            continue
         flat = p.reshape(-1)
         if not np.shares_memory(flat, p):
             # a copy would be perturbed and the loss would never move

@@ -16,18 +16,20 @@ import numpy as np
 from .errors import DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # no field-wise ==: the orders are arrays
 class EpochPlan:
-    """Shuffled per-set index orders plus the derived batch geometry."""
+    """Shuffled per-set index orders (read-only int arrays) plus the derived
+    batch geometry."""
 
     set_sizes: tuple[int, ...]
     batch_sizes: tuple[int, ...]
     iteration_count: int
-    orders: tuple[tuple[int, ...], ...]
+    orders: tuple[np.ndarray, ...]
     seed: int
 
-    def slice_indices(self, set_index: int, iteration: int) -> tuple[int, ...]:
-        """Sample indices for one set at one iteration (may be empty at the tail)."""
+    def slice_indices(self, set_index: int, iteration: int) -> np.ndarray:
+        """Sample indices for one set at one iteration, a view of its order (may
+        be empty at the tail)."""
         if not 0 <= iteration < self.iteration_count:
             raise DataError(f"iteration {iteration} out of range")
         bs = self.batch_sizes[set_index]
@@ -52,14 +54,13 @@ def plan_epoch(set_sizes, max_batch: int, seed: int = 0) -> EpochPlan:
     iters = math.ceil(max(sizes) / max_batch)
     batch_sizes = tuple(math.ceil(n / iters) for n in sizes)
     rng = np.random.default_rng(seed)
-    orders = tuple(tuple(rng.permutation(n).tolist()) for n in sizes)
+    orders = tuple(rng.permutation(n) for n in sizes)
+    for order in orders:
+        order.flags.writeable = False
     return EpochPlan(sizes, batch_sizes, iters, orders, int(seed))
 
 
 def next_joint_batch(plan: EpochPlan, iteration: int) -> tuple[np.ndarray, ...]:
-    """The rows of every set that make up one joint batch: one index array per
-    set, in the plan's set order."""
-    return tuple(
-        np.array(plan.slice_indices(si, iteration), dtype=int)
-        for si in range(len(plan.set_sizes))
-    )
+    """The rows of every set that make up one joint batch: one read-only index
+    array per set, in the plan's set order."""
+    return tuple(plan.slice_indices(si, iteration) for si in range(len(plan.set_sizes)))

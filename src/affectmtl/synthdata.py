@@ -1,10 +1,10 @@
 """Synthetic heterogeneous data sets with known generative relatedness.
 
 :func:`draw` makes one :class:`~affectmtl.labels.SampleSet` whose rows carry
-every label type: the emotion is drawn from a prior, the AUs are Bernoulli
-with the relatedness weights, VA is the emotion's mean plus bounded uniform
-noise (so the cleaning rules always hold), and the features are a fixed
-random linear map of the full label signal plus Gaussian noise.
+every label type: the emotion is drawn from a uniform prior, the AUs are
+Bernoulli with the relatedness weights, VA is the emotion's mean plus bounded
+uniform noise (so the cleaning rules always hold), and the features are a
+fixed random linear map of the full label signal plus Gaussian noise.
 :func:`split` then strips its rows into three disjoint sets that keep only
 VA, only AU and only expression labels.
 """
@@ -12,17 +12,17 @@ VA, only AU and only expression labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
-from .labels import SampleSet, clean_va_expr
+from .labels import SampleSet
 from .relatedness import EMOTIONS, NUM_AUS, RelatednessTable
 
 # Per-emotion (valence, arousal) means; signs chosen so the cleaning rules of
 # clean_va_expr hold with margin for noise up to the component magnitude.
-DEFAULT_VA_MEANS = {
+VA_MEANS = {
     "neutral": (0.0, 0.0),
     "anger": (-0.6, 0.6),
     "disgust": (-0.6, 0.3),
@@ -41,12 +41,9 @@ class GeneratorSpec:
     """Ground-truth generative configuration for one synthetic dataset."""
 
     relatedness: RelatednessTable
-    va_means: dict = field(default_factory=lambda: dict(DEFAULT_VA_MEANS))
     feature_dim: int = 32
     noise_scale: float = 0.3
-    class_prior: np.ndarray | None = None
     seed: int = 0
-    feature_map: str = "random"  # "random" | "identity"
     frames_per_video: int | None = None
 
     def __post_init__(self):
@@ -57,25 +54,6 @@ class GeneratorSpec:
             raise DataError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
         if self.frames_per_video is not None and self.frames_per_video < 1:
             raise DataError(f"frames per video must be >= 1, got {self.frames_per_video}")
-        k = len(EMOTIONS)
-        if self.class_prior is None:
-            self.class_prior = np.full(k, 1.0 / k)
-        self.class_prior = np.asarray(self.class_prior, dtype=float)
-        if self.class_prior.size != k or np.any(self.class_prior < 0):
-            raise DataError("class prior must be a nonnegative 7-vector")
-        if self.class_prior.sum() <= 0:
-            raise DataError("degenerate class prior")
-        self.class_prior = self.class_prior / self.class_prior.sum()
-        names = list(self.va_means)
-        means = np.array([self.va_means[name] for name in names], dtype=float).reshape(-1, 2)
-        bad = ~clean_va_expr([EMOTIONS.index(name) for name in names], means)
-        if bad.any():
-            raise DataError(f"va mean for {names[bad.argmax()]!r} violates the cleaning rules")
-        signal_dim = k + NUM_AUS + 2
-        if self.feature_map == "identity" and self.feature_dim != signal_dim:
-            raise DataError(f"identity feature map needs feature_dim == {signal_dim}")
-        if self.feature_map not in ("random", "identity"):
-            raise DataError(f"unknown feature map {self.feature_map!r}")
 
 
 def _va_noise_caps(emotion_index: int, mean_v, mean_a, noise_scale):
@@ -102,18 +80,17 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     if r.shape[0] != k:
         raise DataError("relatedness table must cover all 7 emotions")
     signal_dim = k + NUM_AUS + 2
-    if spec.feature_map == "identity":
-        w = np.eye(signal_dim)
-    else:
-        map_rng = np.random.default_rng(spec.seed + 104729)
-        w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)
+    map_rng = np.random.default_rng(spec.seed + 104729)
+    w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)
+    prior = np.full(k, 1.0 / k)
+    prior = prior / prior.sum()  # rng.choice's draws depend on these exact bits
     expr = np.empty(n, dtype=int)
     au, va = np.empty((n, NUM_AUS)), np.empty((n, 2))
     features = np.empty((n, w.shape[0]))
     for i in range(n):
-        emo = expr[i] = int(rng.choice(k, p=spec.class_prior))
+        emo = expr[i] = int(rng.choice(k, p=prior))
         au[i] = rng.random(NUM_AUS) < r[emo]
-        mv, ma = spec.va_means[EMOTIONS[emo]]
+        mv, ma = VA_MEANS[EMOTIONS[emo]]
         cap_v, cap_a = _va_noise_caps(emo, mv, ma, spec.noise_scale)
         va[i, 0] = np.clip(mv + rng.uniform(-cap_v, cap_v), -1.0, 1.0)
         va[i, 1] = np.clip(ma + rng.uniform(-cap_a, cap_a), -1.0, 1.0)

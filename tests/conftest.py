@@ -97,7 +97,7 @@ def reference_read_samples_csv():
 
 def _reference_forward_backward(model, X, out_grads):
     """Forward and backward pass with one product per head and the full trunk
-    backward, frozen layers zeroed afterwards. Returns (outputs, gradients)."""
+    backward. Returns (outputs, gradients)."""
     acts = [X]
     for layer in model.trunk:
         acts.append(np.tanh(acts[-1] @ layer["W"] + layer["b"]))
@@ -130,10 +130,6 @@ def _reference_forward_backward(model, X, out_grads):
         grads[f"trunk{i}.W"] += acts[i].T @ gz
         grads[f"trunk{i}.b"] += gz.sum(axis=0)
         gh = gz @ model.trunk[i]["W"].T
-    if model.trunk_frozen:
-        for i in range(len(model.trunk)):
-            grads[f"trunk{i}.W"][:] = 0.0
-            grads[f"trunk{i}.b"][:] = 0.0
     return out, grads
 
 

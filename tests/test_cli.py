@@ -422,7 +422,8 @@ def test_train_prints_the_output_directory(workspace, tmp_path, capsys):
     assert f"-> {tmp_path / 'printed'}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("loss_weights", [{"tasks": {"au": -0.5}}, {"epsilon": 1.0}])
+@pytest.mark.parametrize("loss_weights", [{"tasks": {"au": -0.5}}, {"epsilon": 1.0},
+                                          {"tasks": {"au": float("inf")}}])
 def test_train_bad_loss_weights_exit_code(workspace, tmp_path, loss_weights):
     config = json.loads((workspace / "config.json").read_text())
     config["loss_weights"] = loss_weights
@@ -450,7 +451,8 @@ def _join_checkpoint(header, params):
     ("hidden", 16), ("input_dim", True), ("input_dim", -10), ("input_dim", "10"),
     ("heads", {"expr": ["softmax"]}), ("heads", {"expr": ["relu", 7]}), ("heads", []),
     ("heads", {"expr": ["softmax", 10**12]}), ("seed", -1), ("seed", 0.5),
-    ("trunk_frozen", "no"), ("header", [1, 2]), "repeated_key",
+    ("trunk_frozen", "no"), ("header", [1, 2]), "repeated_key", ("dropout", 0.5),
+    ("trunk_frozen", True),
 ], ids=str)
 def test_eval_malformed_checkpoint_exit_code(workspace, tmp_path, capsys, damage):
     header, params = _split_checkpoint((workspace / "run" / "model.bin").read_bytes())

@@ -12,12 +12,8 @@ from affectmtl import (
     MultiHeadModel,
     RelatednessTable,
     ccc,
-    ccc_loss,
     dm_loss,
     domain_table,
-    masked_bce,
-    sca_loss,
-    softmax_ce,
     total_mt_loss,
 )
 from affectmtl.labels import soft_label
@@ -68,15 +64,15 @@ def test_ccc_rejects_short_input():
 
 def test_ccc_loss_cases():
     y = np.array([[0.1, -0.3], [0.5, 0.2], [-0.2, 0.9]])
-    assert ccc_loss(y, y) == pytest.approx(0.0, abs=1e-6)
+    assert ccc_loss_grad(y, y)[0] == pytest.approx(0.0, abs=1e-6)
     # valence ccc 1, arousal ccc -1 -> loss 1
     y = np.array([[0.3, -1.0], [-0.3, 1.0]])
     yh = np.array([[0.3, 1.0], [-0.3, -1.0]])
-    assert ccc_loss(y, yh) == pytest.approx(1.0, abs=1e-6)
+    assert ccc_loss_grad(y, yh)[0] == pytest.approx(1.0, abs=1e-6)
     # constant predictions: cov 0 -> loss ~ 1
     y = np.array([[0.1, 0.1], [0.9, 0.9], [-0.5, -0.5]])
     yh = np.zeros_like(y) + 0.2
-    assert ccc_loss(y, yh) == pytest.approx(1.0, abs=1e-6)
+    assert ccc_loss_grad(y, yh)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ccc_loss_range():
@@ -84,7 +80,7 @@ def test_ccc_loss_range():
     for _ in range(50):
         y = rng.uniform(-1, 1, size=(8, 2))
         yh = rng.uniform(-1, 1, size=(8, 2))
-        assert 0.0 <= ccc_loss(y, yh) <= 2.0
+        assert 0.0 <= ccc_loss_grad(y, yh)[0] <= 2.0
 
 
 # -- masked bce ----------------------------------------------------------
@@ -95,14 +91,14 @@ def test_masked_bce_perfect():
     y[[0, 3]] = [1.0, 0.0]
     p = np.zeros(17)
     p[0] = 1.0
-    assert masked_bce(p, y) == pytest.approx(0.0, abs=1e-6)
+    assert masked_bce_grad(p, y)[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_masked_bce_single_au():
     y = np.full(17, np.nan)
     y[5] = 1.0
     p = np.full(17, 0.5)
-    assert masked_bce(p, y) == pytest.approx(math.log(2))
+    assert masked_bce_grad(p, y)[0] == pytest.approx(math.log(2))
 
 
 def test_masked_bce_weighted_average():
@@ -115,12 +111,12 @@ def test_masked_bce_weighted_average():
     w = np.full(17, np.nan)
     w[0] = 1.0
     w[1] = 0.51
-    assert masked_bce(p, y, w) == pytest.approx(0.51 * math.log(2) / 1.51, abs=1e-6)
+    assert masked_bce_grad(p, y, w)[0] == pytest.approx(0.51 * math.log(2) / 1.51, abs=1e-6)
 
 
 def test_masked_bce_requires_annotation():
     with pytest.raises(DataError):
-        masked_bce(np.full(17, 0.5), np.full(17, np.nan))
+        masked_bce_grad(np.full(17, 0.5), np.full(17, np.nan))
 
 
 # -- softmax ce ----------------------------------------------------------
@@ -129,17 +125,17 @@ def test_masked_bce_requires_annotation():
 def test_softmax_ce_cases():
     p = np.zeros(7)
     p[3] = 1.0
-    assert softmax_ce(p, 3) == pytest.approx(0.0, abs=1e-6)
-    assert softmax_ce(np.full(7, 1 / 7), 2) == pytest.approx(math.log(7))
+    assert softmax_ce_grad(p, 3)[0] == pytest.approx(0.0, abs=1e-6)
+    assert softmax_ce_grad(np.full(7, 1 / 7), 2)[0] == pytest.approx(math.log(7))
     p = np.array([0.5, 0.3, 0.2])
-    assert softmax_ce(p, p) == pytest.approx(-np.sum(p * np.log(p)))
+    assert softmax_ce_grad(p, p)[0] == pytest.approx(-np.sum(p * np.log(p)))
 
 
 def test_softmax_ce_malformed():
     with pytest.raises(DataError):
-        softmax_ce(np.array([0.5, 0.6]), 0)
+        softmax_ce_grad(np.array([0.5, 0.6]), 0)
     with pytest.raises(DataError):
-        softmax_ce(np.array([0.5, 0.5]), 5)
+        softmax_ce_grad(np.array([0.5, 0.5]), 5)
 
 
 # -- distribution matching ----------------------------------------------
@@ -220,7 +216,7 @@ def test_dm_loss_cases():
 
 def test_sca_loss_entropy_bound():
     q = soft_label([0.5, 0.1, 0.9, 0.0, 0.3, 0.2, 0.7])
-    assert sca_loss(q, q) == pytest.approx(-np.sum(q * np.log(q)))
+    assert sca_loss_grad(q, q)[0] == pytest.approx(-np.sum(q * np.log(q)))
 
 
 def test_sca_loss_uniform_target():
@@ -228,20 +224,20 @@ def test_sca_loss_uniform_target():
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = rng.dirichlet(np.ones(7))
-        assert sca_loss(p, q) == pytest.approx(math.log(7))
+        assert sca_loss_grad(p, q)[0] == pytest.approx(math.log(7))
 
 
 def test_sca_loss_one_hot_prediction():
     q = soft_label([1.0, 0.2, 0.0, 0.1, 0.6, 0.0, 0.0])
     p = np.zeros(7)
     p[np.argmax(q)] = 1.0
-    assert sca_loss(p, q) == pytest.approx(-math.log(q.max()))
+    assert sca_loss_grad(p, q)[0] == pytest.approx(-math.log(q.max()))
 
 
 def test_sca_loss_dim_mismatch():
     q = soft_label(np.zeros(7))
     with pytest.raises(DataError):
-        sca_loss(np.full(6, 1 / 6), q)
+        sca_loss_grad(np.full(6, 1 / 6), q)
 
 
 # -- total ---------------------------------------------------------------
@@ -302,7 +298,8 @@ def test_ccc_loss_grad_matches_fd():
         y = rng.uniform(-1, 1, size=(6, 2))
         yh = rng.uniform(-0.9, 0.9, size=(6, 2))
         _, g = ccc_loss_grad(y, yh)
-        assert rel_err(g, fd_grad(lambda x: ccc_loss(y, x.reshape(6, 2)), yh.copy()).reshape(6, 2)) < 1e-5
+        fd = fd_grad(lambda x: ccc_loss_grad(y, x.reshape(6, 2))[0], yh.copy())
+        assert rel_err(g, fd.reshape(6, 2)) < 1e-5
 
 
 def test_masked_bce_grad_matches_fd():
@@ -314,7 +311,7 @@ def test_masked_bce_grad_matches_fd():
         w = np.where(np.isnan(y), np.nan, rng.uniform(0.2, 1.0, 17))
         p = rng.uniform(0.05, 0.95, 17)
         _, g = masked_bce_grad(p, y, w)
-        assert rel_err(g, fd_grad(lambda x: masked_bce(x, y, w), p)) < 1e-5
+        assert rel_err(g, fd_grad(lambda x: masked_bce_grad(x, y, w)[0], p)) < 1e-5
 
 
 def test_softmax_ce_grad_matches_fd():
@@ -347,4 +344,4 @@ def test_sca_loss_grad_matches_fd():
         p = rng.dirichlet(np.ones(7))
         q = soft_label(rng.uniform(0, 1, 7))
         _, g = sca_loss_grad(p, q)
-        assert rel_err(g, fd_grad(lambda x: sca_loss(x, q), p)) < 1e-5
+        assert rel_err(g, fd_grad(lambda x: sca_loss_grad(x, q)[0], p)) < 1e-5

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from affectmtl import (
     DataError, MultiHeadModel, NumericalError, SGDMomentum, gradient_check, median_filter,
 )
-from affectmtl.losses import softmax_ce, softmax_ce_grad
+from affectmtl.losses import softmax_ce_grad
+from affectmtl.model import DEFAULT_HEADS
 
 
 def small_model(seed=0, hidden=(8,)):
@@ -113,7 +115,7 @@ def test_sgd_rejects_bad_lr():
 def _ce_loss_fns(X, y):
     def value(m):
         out, _ = m.forward(X)
-        return float(np.mean([softmax_ce(out["expr"][i], y[i]) for i in range(len(y))]))
+        return float(np.mean([softmax_ce_grad(out["expr"][i], y[i])[0] for i in range(len(y))]))
 
     def grad(m):
         out, cache = m.forward(X)
@@ -147,18 +149,6 @@ def test_gradient_check_negative_control():
     assert gradient_check(small_model(seed=6), value, corrupted) > 1e-2
 
 
-def test_gradient_check_frozen_trunk_reports_zero():
-    m = small_model(seed=7)
-    m.trunk_frozen = True
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(6, 5))
-    y = rng.integers(0, 7, size=6)
-    value, grad = _ce_loss_fns(X, y)
-    assert gradient_check(m, value, grad) < 1e-5
-    g = grad(m)
-    assert np.all(g["trunk0.W"] == 0.0)
-
-
 def test_median_filter():
     assert np.allclose(median_filter([1, 5, 1], window=3), [1, 1, 1])
     x = np.random.default_rng(8).normal(size=(9, 2))
@@ -174,40 +164,6 @@ def test_median_filter_preserves_length():
     for n in (1, 2, 5, 20):
         x = rng.normal(size=(n, 2))
         assert median_filter(x, window=5).shape == x.shape
-
-
-def test_replace_head():
-    m = small_model(seed=10)
-    before = {k: p.copy() for k, p in m.named_params()}
-    m.replace_head("compound", 11, "softmax")
-    out, _ = m.forward(np.zeros((3, 5)))
-    assert np.allclose(out["compound"].sum(axis=1), 1.0)
-    # existing heads untouched
-    for k, p in m.named_params():
-        if not k.startswith("compound"):
-            assert np.array_equal(p, before[k])
-    m.replace_head("compound", 16, "softmax")
-    assert m.heads["compound"]["W"].shape[1] == 16
-    with pytest.raises(DataError):
-        m.replace_head("bad", 1, "softmax")
-
-
-def test_replace_head_freeze_trunk():
-    m = small_model(seed=11)
-    m.replace_head("compound", 4, "softmax", freeze_trunk=True)
-    trunk_before = {k: p.copy() for k, p in m.named_params() if k.startswith("trunk")}
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(5, 5))
-    y = rng.integers(0, 4, size=5)
-    out, cache = m.forward(X)
-    g = np.zeros_like(out["compound"])
-    for i in range(5):
-        g[i] = softmax_ce_grad(out["compound"][i], y[i])[1]
-    grads = m.backward(cache, {"compound": g})
-    SGDMomentum(m, lr=0.1).step(m, grads)
-    for k, p in m.named_params():
-        if k.startswith("trunk"):
-            assert np.array_equal(p, trunk_before[k])
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -228,14 +184,14 @@ def test_checkpoint_round_trip(tmp_path):
 @pytest.mark.parametrize("build", [
     lambda: MultiHeadModel(5, seed=23),
     lambda: MultiHeadModel(5, hidden=(), seed=24),
-    lambda: _frozen(MultiHeadModel(5, hidden=(8, 6), seed=25)),
+    lambda: MultiHeadModel(5, hidden=(8, 6), seed=25),
 ])
 def test_checkpoint_loads_bit_identical(tmp_path, build):
     m = build()
     m.save(tmp_path / "model.bin")
     loaded = MultiHeadModel.load(tmp_path / "model.bin")
-    assert (loaded.input_dim, loaded.hidden, loaded.head_spec, loaded.seed, loaded.trunk_frozen) \
-        == (m.input_dim, m.hidden, m.head_spec, m.seed, m.trunk_frozen)
+    assert (loaded.input_dim, loaded.hidden, loaded.head_spec, loaded.seed) \
+        == (m.input_dim, m.hidden, m.head_spec, m.seed)
     assert [k for k, _ in loaded.named_params()] == [k for k, _ in m.named_params()]
     for (_, p), (_, q) in zip(m.named_params(), loaded.named_params()):
         assert p.tobytes() == q.tobytes() and q.flags.c_contiguous
@@ -249,21 +205,38 @@ def test_checkpoint_loads_bit_identical(tmp_path, build):
         assert g.tobytes() == grads[name].tobytes()
 
 
-def _replaced(m):
-    m.replace_head("compound", 11, "softmax")
-    return m
+def test_checkpoint_with_a_legacy_trunk_frozen_false_loads(tmp_path):
+    # older files hold "trunk_frozen": false in the header; save no longer writes it
+    m = MultiHeadModel(5, hidden=(8, 6), seed=27)
+    m.save(tmp_path / "model.bin")
+    blob = (tmp_path / "model.bin").read_bytes()
+    hlen = int.from_bytes(blob[:8], "little")
+    header = json.loads(blob[8 : 8 + hlen])
+    assert sorted(header) == ["heads", "hidden", "input_dim", "seed"]
+    raw = json.dumps({**header, "trunk_frozen": False}, sort_keys=True).encode()
+    (tmp_path / "legacy.bin").write_bytes(len(raw).to_bytes(8, "little") + raw + blob[8 + hlen :])
+    loaded = MultiHeadModel.load(tmp_path / "legacy.bin")
+    assert [k for k, _ in loaded.named_params()] == [k for k, _ in m.named_params()]
+    for (_, p), (_, q) in zip(m.named_params(), loaded.named_params()):
+        assert p.tobytes() == q.tobytes()
+    X = np.random.default_rng(28).normal(size=(7, 5))
+    out, _ = m.forward(X)
+    loaded_out, _ = loaded.forward(X)
+    for name in out:
+        assert out[name].tobytes() == loaded_out[name].tobytes()
 
 
-def _frozen(m):
-    m.trunk_frozen = True
-    return m
+def _with_compound(seed, hidden=(8,)):
+    """A 4-head model: the default heads plus an 11-class softmax head."""
+    heads = {**DEFAULT_HEADS, "compound": ("softmax", 11)}
+    return MultiHeadModel(input_dim=5, hidden=hidden, heads=heads, seed=seed)
 
 
 @pytest.mark.parametrize("build, heads", [
     (lambda: small_model(seed=14, hidden=(8, 6)), None),
     (lambda: small_model(seed=15, hidden=()), None),
-    (lambda: _replaced(small_model(seed=16)), None),
-    (lambda: _frozen(small_model(seed=17, hidden=(8, 6))), None),
+    (lambda: _with_compound(seed=16), None),
+    (lambda: small_model(seed=17, hidden=(8, 6, 4)), None),
     (lambda: small_model(seed=18, hidden=(8, 6)), ("expr",)),
     (lambda: small_model(seed=19), ("va", "au")),
 ])
@@ -285,7 +258,7 @@ def test_forward_backward_match_per_head_reference(reference_forward_backward, b
 
 
 def test_named_params_are_contiguous():
-    m = _replaced(small_model(seed=21, hidden=(8, 6)))
+    m = _with_compound(seed=21, hidden=(8, 6))
     assert all(p.flags.c_contiguous for _, p in m.named_params())
 
 

@@ -37,16 +37,6 @@ def test_prototypical_au_always_active():
     assert (au[:, AU_IDX[12]] == 1.0).all()  # Bernoulli(1)
 
 
-def test_identity_map_embeds_labels():
-    spec = GeneratorSpec(
-        relatedness=TABLE, noise_scale=0.0, feature_dim=26, feature_map="identity", seed=4
-    )
-    samples = draw(spec, 200)
-    # emotion is readable straight off the first 7 feature coordinates
-    correct = (np.argmax(samples.features[:, :7], axis=1) == samples.expr).sum()
-    assert correct == len(samples)
-
-
 def test_empirical_recovery():
     spec = GeneratorSpec(relatedness=TABLE, seed=0)
     corpus = draw(spec, 10_000)
@@ -78,16 +68,5 @@ def test_frames_per_video():
 
 
 def test_bad_specs_rejected():
-    with pytest.raises(DataError):
-        GeneratorSpec(relatedness=TABLE, class_prior=np.zeros(7))
-    from affectmtl.synthdata import DEFAULT_VA_MEANS
-
-    with pytest.raises(DataError):
-        GeneratorSpec(
-            relatedness=TABLE,
-            va_means={**DEFAULT_VA_MEANS, "happiness": (-0.5, 0.0)},
-        )
-    with pytest.raises(DataError):
-        GeneratorSpec(relatedness=TABLE, feature_map="identity", feature_dim=10)
     with pytest.raises(DataError):
         split(draw(GeneratorSpec(relatedness=TABLE), 30), partition=(0.5, 0.5, 0.5))

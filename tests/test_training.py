@@ -370,6 +370,8 @@ def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides)
     {"holdout_fraction": False},
     {"loss_weights": {"couplings": {"dm": True}}},
     {"loss_weights": {"epsilon": "1e-7"}},
+    {"loss_weights": {"tasks": {"au": float("inf")}}},
+    {"loss_weights": {"couplings": {"dm": float("nan")}}},
 ])
 def test_malformed_config_values_are_config_errors(dataset_dir, tmp_path, overrides):
     with pytest.raises(ConfigError):
