@@ -14,13 +14,7 @@ from .labels import (
     co_annotate,
     subsample_frames,
 )
-from .losses import (
-    LossReport,
-    LossWeights,
-    ccc,
-    dm_loss,
-    total_mt_loss,
-)
+from .losses import LossWeights, ccc, dm_loss
 from .model import (
     MultiHeadModel,
     SGDMomentum,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 
 DEFAULT_EPS = 1e-7
 CCC_EPS = 1e-8
@@ -34,30 +34,10 @@ class LossWeights:
         if not 0.0 < self.epsilon <= 1e-3:
             raise DataError(f"epsilon {self.epsilon} outside (0, 1e-3]")
 
-    def task(self, name: str) -> float:
-        return float(self.lambda_per_task.get(name, 1.0))
-
-    def coupling(self, name: str) -> float:
-        return float(self.coupling_weights.get(name, 1.0))
-
-
-@dataclass
-class LossReport:
-    """Per-task and per-coupling loss values plus the weighted total."""
-
-    task_losses: dict
-    coupling_losses: dict
-    total: float
-
-    @staticmethod
-    def csv_header(task_names, coupling_names):
-        return list(task_names) + list(coupling_names) + ["total"]
-
-    def csv_row(self, task_names, coupling_names):
-        vals = [self.task_losses.get(t, 0.0) for t in task_names]
-        vals += [self.coupling_losses.get(c, 0.0) for c in coupling_names]
-        vals.append(self.total)
-        return [repr(float(v)) for v in vals]
+    def weight(self, name: str) -> float:
+        """The weight of a task or coupling term; task and coupling names are
+        disjoint."""
+        return float(self.lambda_per_task.get(name, self.coupling_weights.get(name, 1.0)))
 
 
 # -- concordance correlation --------------------------------------------
@@ -204,19 +184,3 @@ def sca_loss_grad(p_emo, q_emo, eps: float = DEFAULT_EPS):
     logq = np.log(np.clip(q, eps, None))
     return -float((p * logq).sum() / n), -logq / n
 
-
-# -- aggregation ---------------------------------------------------------
-
-
-def total_mt_loss(
-    task_losses: dict, coupling_losses: dict, weights: LossWeights
-) -> LossReport:
-    """Weighted sum of all components; missing tasks simply contribute nothing."""
-    total = 0.0
-    for name, v in task_losses.items():
-        total += weights.task(name) * v
-    for name, v in coupling_losses.items():
-        total += weights.coupling(name) * v
-    if not np.isfinite(total):
-        raise NumericalError("non-finite total loss")
-    return LossReport(dict(task_losses), dict(coupling_losses), float(total))

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import platform
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +22,13 @@ from . import labels as lab
 from . import relatedness as rel
 from .errors import ConfigError, DataError, NumericalError, unique_keys
 from .losses import (
-    LossReport,
+    DEFAULT_EPS,
     LossWeights,
     ccc_loss_grad,
     dm_loss_grad,
     masked_bce_grad,
     sca_loss_grad,
     softmax_ce_grad,
-    total_mt_loss,
 )
 from .metrics import ConfusionMatrix, au_metrics, classification_metrics, va_metrics
 from .model import MultiHeadModel, SGDMomentum, gradient_check, median_filter
@@ -41,6 +40,7 @@ DM_MODES = ("distr_matching", "soft_plus_dm")
 SET_NAMES = ("va", "au", "expr")
 TASK_NAMES = ("expr", "au", "va")
 COUPLING_NAMES = ("sca", "dm")
+LOSS_NAMES = TASK_NAMES + COUPLING_NAMES  # the loss columns of losses.csv, before "total"
 
 # The keys a config may hold, section by section; a dict value is a section
 # whose own keys are checked too. The top level matches ``to_dict``.
@@ -133,26 +133,31 @@ class ExperimentConfig:
         _check_keys(d, CONFIG_KEYS)
         lw, opt = d.get("loss_weights", {}), d.get("optimizer", {})
         tasks, couplings = lw.get("tasks", {}), lw.get("couplings", {})
+        default = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                   for f in fields(cls)}
         try:
             return cls(
-                data=dict(d.get("data", {})),
-                relatedness=dict(d.get("relatedness", {"source": "domain"})),
-                coupling=d.get("coupling", "none"),
-                reweight_observational=d.get("reweight_observational", True),
+                data=dict(d.get("data", default["data"])),
+                relatedness=dict(d.get("relatedness", default["relatedness"])),
+                coupling=d.get("coupling", default["coupling"]),
+                reweight_observational=d.get("reweight_observational",
+                                             default["reweight_observational"]),
                 loss_weights=LossWeights(
                     lambda_per_task={k: _exact(tasks, k, None, *_NUMBER) for k in tasks},
                     coupling_weights={k: _exact(couplings, k, None, *_NUMBER) for k in couplings},
-                    epsilon=float(_exact(lw, "epsilon", 1e-7, *_NUMBER)),
+                    epsilon=float(_exact(lw, "epsilon", DEFAULT_EPS, *_NUMBER)),
                 ),
-                hidden=tuple(d.get("model", {}).get("hidden", (64, 64))),
-                max_batch=_exact(d, "max_batch", 200, int),
-                epochs=_exact(d, "epochs", 10, int),
-                lr=float(_exact(opt, "lr", 1e-4, *_NUMBER)),
-                momentum=float(_exact(opt, "momentum", 0.9, *_NUMBER)),
-                holdout_fraction=float(_exact(d, "holdout_fraction", 0.2, *_NUMBER)),
-                median_filter_window=_exact(d, "median_filter_window", 5, int),
-                seed=_exact(d, "seed", 0, int),
-                out_dir=_exact(d, "out_dir", "runs/run", str),
+                hidden=tuple(d.get("model", {}).get("hidden", default["hidden"])),
+                max_batch=_exact(d, "max_batch", default["max_batch"], int),
+                epochs=_exact(d, "epochs", default["epochs"], int),
+                lr=float(_exact(opt, "lr", default["lr"], *_NUMBER)),
+                momentum=float(_exact(opt, "momentum", default["momentum"], *_NUMBER)),
+                holdout_fraction=float(_exact(d, "holdout_fraction", default["holdout_fraction"],
+                                              *_NUMBER)),
+                median_filter_window=_exact(d, "median_filter_window",
+                                            default["median_filter_window"], int),
+                seed=_exact(d, "seed", default["seed"], int),
+                out_dir=_exact(d, "out_dir", default["out_dir"], str),
             )
         # OverflowError: float() of a huge int; DataError: LossWeights' range checks
         except (TypeError, ValueError, OverflowError, DataError) as e:
@@ -268,58 +273,68 @@ def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
     """Compute all loss terms on one joint batch.
 
     ``batch`` maps set name to the rows of ``sets[name]`` in the batch, as
-    :func:`~affectmtl.scheduler.next_joint_batch` draws them. Returns
-    (LossReport, parameter-gradient dict); the gradients correspond to the
-    weighted total.
+    :func:`~affectmtl.scheduler.next_joint_batch` draws them. Returns the
+    weighted total, each present term's value by name, and the parameter
+    gradients of the total.
     """
-    report, out_grads, cache = _joint_loss(model, sets, batch, objective)
-    return report, model.backward(cache, out_grads)
+    total, terms, out_grads, cache = _joint_loss(model, sets, batch, objective)
+    losses = {name: value for name, (value, _) in terms.items()}
+    return total, losses, model.backward(cache, out_grads)
 
 
 def joint_loss_value(model, sets: dict, batch: dict, objective: Objective) -> float:
-    return _joint_loss(model, sets, batch, objective)[0].total
+    return _joint_loss(model, sets, batch, objective)[0]
 
 
 def _joint_loss(model, sets, batch, objective: Objective):
+    """(total, terms, output gradients, forward cache) of one joint batch.
+
+    ``terms`` maps each term present in the batch, in the order expr, au, va,
+    sca, dm, to its value and its gradient blocks ``(head, rows, grad)``. The
+    total is the sum of weight * value, and each block adds weight * grad
+    to its head's rows; each weight is read once.
+    """
     data = lab.SampleSet.concat([sets[name].take(rows) for name, rows in batch.items()])
     expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
     out, cache = model.forward(data.features)
-    w = objective.weights
-    eps = w.epsilon
-    g = {h: np.zeros_like(out[h]) for h in out}
-    task_losses: dict = {}
-    coupling_losses: dict = {}
+    eps = objective.weights.epsilon
+    terms: dict = {}
 
     if expr_rows.size and "expr" in out:
-        task_losses["expr"], grad = softmax_ce_grad(
-            out["expr"][expr_rows], data.expr[expr_rows], eps)
-        g["expr"][expr_rows] += w.task("expr") * grad
+        value, grad = softmax_ce_grad(out["expr"][expr_rows], data.expr[expr_rows], eps)
+        terms["expr"] = value, [("expr", expr_rows, grad)]
 
     if au_rows.size and "au" in out:
-        task_losses["au"], grad = masked_bce_grad(
+        value, grad = masked_bce_grad(
             out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows], eps)
-        g["au"][au_rows] += w.task("au") * grad
+        terms["au"] = value, [("au", au_rows, grad)]
 
     if va_rows.size >= 2 and "va" in out:
-        task_losses["va"], grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
-        g["va"][va_rows] += w.task("va") * grad
+        value, grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
+        terms["va"] = value, [("va", va_rows, grad)]
 
     if objective.sca_targets is not None and len(batch.get("au", ())) and "expr" in out:
         names = list(batch)  # the AU set's rows follow those of the sets before it
         start = sum(len(batch[name]) for name in names[: names.index("au")])
         rows = np.arange(start, start + len(batch["au"]))
-        q = objective.sca_targets[batch["au"]]
-        coupling_losses["sca"], grad = sca_loss_grad(out["expr"][rows], q, eps)
-        g["expr"][rows] += w.coupling("sca") * grad
+        value, grad = sca_loss_grad(out["expr"][rows], objective.sca_targets[batch["au"]], eps)
+        terms["sca"] = value, [("expr", rows, grad)]
 
     r = objective.dm_matrix
     if r is not None and "expr" in out and "au" in out:
-        coupling_losses["dm"], grad_p, grad_q = dm_loss_grad(out["au"], out["expr"] @ r, eps)
-        g["au"] += w.coupling("dm") * grad_p
-        g["expr"] += w.coupling("dm") * (grad_q @ r.T)
+        value, grad_p, grad_q = dm_loss_grad(out["au"], out["expr"] @ r, eps)
+        terms["dm"] = value, [("au", slice(None), grad_p), ("expr", slice(None), grad_q @ r.T)]
 
-    report = total_mt_loss(task_losses, coupling_losses, w)
-    return report, g, cache
+    total = 0.0
+    g = {h: np.zeros_like(out[h]) for h in out}
+    for name, (value, blocks) in terms.items():
+        weight = objective.weights.weight(name)
+        total += weight * value
+        for head, rows, grad in blocks:
+            g[head][rows] += weight * grad
+    if not np.isfinite(total):
+        raise NumericalError("non-finite total loss")
+    return float(total), terms, g, cache
 
 
 # -- training ------------------------------------------------------------
@@ -377,20 +392,20 @@ def run_train(config: ExperimentConfig) -> dict:
     step = 0
     with open(loss_csv, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["step", "epoch", "iteration"]
-                   + LossReport.csv_header(TASK_NAMES, COUPLING_NAMES))
+        w.writerow(["step", "epoch", "iteration", *LOSS_NAMES, "total"])
         for epoch in range(config.epochs):
             plan = plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * epoch)
-            if "va" in set_names:
-                _validate_va_plan(plan, set_names.index("va"))
             if epoch == 0:
+                # the batch sizes depend on the set sizes and max_batch alone
+                if "va" in set_names:
+                    _validate_va_plan(plan, set_names.index("va"))
                 plan_summaries.append(plan.summary())
             for it in range(plan.iteration_count):
                 batch = dict(zip(set_names, next_joint_batch(plan, it)))
-                report, grads = joint_loss_and_grads(model, sets, batch, objective)
+                total, losses, grads = joint_loss_and_grads(model, sets, batch, objective)
                 opt.step(model, grads)
-                w.writerow([step, epoch, it]
-                           + report.csv_row(TASK_NAMES, COUPLING_NAMES))
+                values = [losses.get(name, 0.0) for name in LOSS_NAMES] + [total]
+                w.writerow([step, epoch, it, *(repr(float(v)) for v in values)])
                 step += 1
 
     ckpt = out_dir / "model.bin"
@@ -467,6 +482,9 @@ def run_eval(checkpoint, dataset, out_path=None, median_window: int = 5) -> dict
         raise ConfigError(f"median window must be odd and >= 1, got {median_window}")
     model = MultiHeadModel.load(checkpoint)
     results = evaluate_model(model, lab.read_samples_csv(dataset), median_window)
+    if not results:
+        raise DataError(f"checkpoint {checkpoint} scores nothing on {dataset}: none of its "
+                        "expr, au or va heads has labeled rows there (va needs two)")
     if out_path is not None:
         Path(out_path).write_text(json.dumps(results, indent=2, sort_keys=True))
     return results
@@ -498,7 +516,7 @@ def run_gradcheck(
         err = gradient_check(
             model,
             value_fn=lambda m: joint_loss_value(m, mode_sets, batch, objective),
-            grad_fn=lambda m: joint_loss_and_grads(m, mode_sets, batch, objective)[1],
+            grad_fn=lambda m: joint_loss_and_grads(m, mode_sets, batch, objective)[2],
             rng=np.random.default_rng(seed),
         )
         report[mode] = float(err)

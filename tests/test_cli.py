@@ -484,6 +484,14 @@ def test_eval_huge_declared_checkpoint_is_a_data_error(tmp_path, capsys):
     assert "parameter bytes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("heads", [{}, {"expression": ("softmax", 7)}], ids=["none", "expression"])
+def test_eval_checkpoint_that_scores_nothing_exit_code(workspace, tmp_path, capsys, heads):
+    checkpoint = tmp_path / "model.bin"
+    MultiHeadModel(10, hidden=(4,), heads=heads).save(checkpoint)
+    assert _eval(workspace, workspace / "data" / "full.csv", checkpoint) == 2
+    assert str(checkpoint) in capsys.readouterr().err
+
+
 def test_eval_non_finite_checkpoint_parameter_is_a_data_error(workspace, tmp_path):
     header, params = _split_checkpoint((workspace / "run" / "model.bin").read_bytes())
     params = np.frombuffer(params, "<f8").copy()

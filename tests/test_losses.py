@@ -14,7 +14,6 @@ from affectmtl import (
     ccc,
     dm_loss,
     domain_table,
-    total_mt_loss,
 )
 from affectmtl.labels import soft_label
 from affectmtl.losses import (
@@ -240,17 +239,7 @@ def test_sca_loss_dim_mismatch():
         sca_loss_grad(np.full(6, 1 / 6), q)
 
 
-# -- total ---------------------------------------------------------------
-
-
-def test_total_mt_loss():
-    w = LossWeights()
-    rep = total_mt_loss({"expr": 0.5, "au": 0.3, "va": 0.2}, {}, w)
-    assert rep.total == pytest.approx(1.0)
-    assert total_mt_loss({"expr": 0.0, "au": 0.0}, {"dm": 0.0}, w).total == 0.0
-    w0 = LossWeights(coupling_weights={"dm": 0.0, "sca": 0.0})
-    rep0 = total_mt_loss({"expr": 0.5}, {"dm": 2.0, "sca": 3.0}, w0)
-    assert rep0.total == pytest.approx(0.5)
+# -- weights -------------------------------------------------------------
 
 
 def test_negative_weight_rejected():

@@ -15,6 +15,7 @@ from affectmtl import (
     ExperimentConfig,
     LossWeights,
     MultiHeadModel,
+    NumericalError,
     RelatednessTable,
     SampleSet,
     domain_table,
@@ -27,6 +28,7 @@ from affectmtl.losses import (
     sca_loss_grad,
     softmax_ce_grad,
 )
+from affectmtl import training
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import (
     _joint_loss, _median_filter_by_video, build_objective, run_eval, run_gradcheck, run_train,
@@ -209,17 +211,17 @@ def _reference_loss(model, sets, batch, mode, table, weights):
     rows = [j for j, (_, d, i) in enumerate(picked) if d.expr[i] >= 0]
     losses["expr"] = mean_over(
         rows, lambda j, d, i: softmax_ce_grad(out["expr"][j], d.expr[i], eps),
-        "expr", weights.task("expr"),
+        "expr", weights.weight("expr"),
     )
     rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.au[i]).all()]
     losses["au"] = mean_over(
         rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], d.au_weights[i], eps),
-        "au", weights.task("au"),
+        "au", weights.weight("au"),
     )
     rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.va[i]).any()]
     va = np.array([picked[j][1].va[picked[j][2]] for j in rows])
     losses["va"], grad = ccc_loss_grad(va, out["va"][rows])
-    g["va"][rows] += weights.task("va") * grad
+    g["va"][rows] += weights.weight("va") * grad
     if mode in ("soft_co_annotation", "soft_plus_dm"):
         rows = [j for j, (name, _, _) in enumerate(picked) if name == "au"]
         losses["sca"] = mean_over(
@@ -227,7 +229,7 @@ def _reference_loss(model, sets, batch, mode, table, weights):
                 out["expr"][j],
                 soft_label(indicator_scores(d.au[i], table.weight_matrix(True))),
                 eps),
-            "expr", weights.coupling("sca"),
+            "expr", weights.weight("sca"),
         )
     if mode in ("distr_matching", "soft_plus_dm"):
         r = table.weight_matrix(True)
@@ -235,8 +237,8 @@ def _reference_loss(model, sets, batch, mode, table, weights):
         for j in range(len(picked)):
             v, grad_p, grad_q = dm_loss_grad(out["au"][j], out["expr"][j] @ r, eps)
             acc += v
-            g["au"][j] += weights.coupling("dm") * grad_p / len(picked)
-            g["expr"][j] += weights.coupling("dm") * (r @ grad_q) / len(picked)
+            g["au"][j] += weights.weight("dm") * grad_p / len(picked)
+            g["expr"][j] += weights.weight("dm") * (r @ grad_q) / len(picked)
         losses["dm"] = acc / len(picked)
     return losses, g
 
@@ -257,13 +259,53 @@ def test_batch_objective_matches_per_row_loop(mode):
     batch = {name: rng.permutation(len(sets[name])) for name in ("va", "au", "expr")}
     if mode == "co_annotation":
         assert sets["expr"].au_rows.size  # the expr set gained AU labels
-    report, g, _ = _joint_loss(model, sets, batch, objective)
+    _, terms, g, _ = _joint_loss(model, sets, batch, objective)
     losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, weights)
-    assert set(report.task_losses) | set(report.coupling_losses) == set(losses)
-    for name, v in {**report.task_losses, **report.coupling_losses}.items():
+    assert set(terms) == set(losses)
+    for name, (v, _) in terms.items():
         assert abs(v - losses[name]) <= 1e-12, name
     for head in g_ref:
         assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
+
+
+def _whole_sets_batch(mode, weights):
+    """The arguments of ``_joint_loss`` for one batch of every row of three small sets."""
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
+    model = MultiHeadModel(8, hidden=(16,), seed=1)
+    sets, objective = build_objective(
+        model, dict(zip(("va", "au", "expr"), split(draw(spec, 90)))), TABLE, mode, weights)
+    return model, sets, {name: np.arange(len(data)) for name, data in sets.items()}, objective
+
+
+def test_joint_total_is_the_weighted_sum(monkeypatch):
+    reads, weight = [], LossWeights.weight
+
+    def counted(self, name):
+        reads.append(name)
+        return weight(self, name)
+
+    monkeypatch.setattr(LossWeights, "weight", counted)
+    weights = LossWeights({"expr": 0.7, "va": 1.3}, {"sca": 0.6, "dm": 1.7})
+    total, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", weights))
+    assert list(terms) == reads == ["expr", "au", "va", "sca", "dm"]  # each weight read once
+    assert total == pytest.approx(sum(weight(weights, n) * v for n, (v, _) in terms.items()))
+    total, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", LossWeights()))
+    assert total == pytest.approx(sum(v for v, _ in terms.values()))
+    # a coupling term of weight 0 adds 0 to the total and to every gradient
+    zero = LossWeights(coupling_weights={"dm": 0.0, "sca": 0.0})
+    total, terms, g, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", zero))
+    total_none, _, g_none, _ = _joint_loss(*_whole_sets_batch("none", zero))
+    assert terms["sca"][0] > 0 and terms["dm"][0] > 0
+    assert total == total_none
+    for head in g_none:
+        assert np.array_equal(g[head], g_none[head]), head
+
+
+def test_non_finite_joint_total_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(training, "ccc_loss_grad",
+                        lambda y, y_hat: (float("nan"), np.zeros_like(y_hat)))
+    with pytest.raises(NumericalError, match="non-finite total loss"):
+        _joint_loss(*_whole_sets_batch("none", LossWeights()))
 
 
 def test_sca_targets_follow_rows_not_ids(one_row):
@@ -382,7 +424,12 @@ def test_float_settings_take_json_ints(dataset_dir, tmp_path):
     config = make_config(dataset_dir, tmp_path / "run", optimizer={"lr": 1, "momentum": 0},
                          holdout_fraction=0, loss_weights={"tasks": {"expr": 2}})
     assert (config.lr, config.momentum, config.holdout_fraction) == (1.0, 0.0, 0.0)
-    assert config.loss_weights.task("expr") == 2.0
+    assert config.loss_weights.weight("expr") == 2.0
+
+
+def test_config_defaults_are_the_field_defaults(dataset_dir):
+    d = {"expr": str(dataset_dir / "expr.csv")}
+    assert ExperimentConfig.from_dict({"data": d}).to_dict() == ExperimentConfig(data=d).to_dict()
 
 
 def test_config_keys_round_trip(dataset_dir, tmp_path):
