@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,12 +71,10 @@ def _cmd_infer_relatedness(args) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
-    return config
+    """The config file, with ``--seed`` and ``--out`` applied and checked like it."""
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return replace(ExperimentConfig.from_json(args.config),
+                   **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _cmd_train(args) -> int:

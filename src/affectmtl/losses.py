@@ -123,23 +123,15 @@ def masked_bce_grad(p_au, y_au, weights=None, eps: float = DEFAULT_EPS):
 
 
 def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
-    """Mean cross entropy of probability rows against hard or soft labels, and
-    its gradient. Hard labels are one class index per row; soft labels have
-    ``p``'s shape."""
+    """Mean cross entropy of probability rows against hard labels, one class
+    index per row, and its gradient."""
     P = _rows(p)
     if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-6):
         raise DataError("softmax_ce_grad: prediction does not sum to 1")
-    if np.ndim(y) == np.ndim(p) - 1:
-        labels = np.asarray(y).astype(int).reshape(-1)
-        if np.any((labels < 0) | (labels >= P.shape[1])):
-            raise DataError("softmax_ce_grad: label index out of range")
-        q = np.eye(P.shape[1])[labels]
-    else:
-        if np.shape(y) != np.shape(p):
-            raise DataError("softmax_ce_grad: soft label shape mismatch")
-        q = _rows(y)
-        if np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-6):
-            raise DataError("softmax_ce_grad: soft label does not sum to 1")
+    labels = np.asarray(y).astype(int).reshape(-1)
+    if len(labels) != len(P) or np.any((labels < 0) | (labels >= P.shape[1])):
+        raise DataError("softmax_ce_grad: need one label index in range per row")
+    q = np.eye(P.shape[1])[labels]
     pc = np.clip(P, eps, None)
     val = -float((q * np.log(pc)).sum() / len(P))
     grad = np.where(P == pc, -q / pc / len(P), 0.0)

@@ -6,14 +6,12 @@ samples, and distribution matching adds a prediction-alignment term each step.
 :func:`build_objective` does all of that once per run.
 """
 
-from __future__ import annotations
-
 import csv
 import hashlib
 import json
 import math
 import platform
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,54 +40,51 @@ TASK_NAMES = ("expr", "au", "va")
 COUPLING_NAMES = ("sca", "dm")
 LOSS_NAMES = TASK_NAMES + COUPLING_NAMES  # the loss columns of losses.csv, before "total"
 
-# The keys a config may hold, section by section; a dict value is a section
-# whose own keys are checked too. The top level matches ``to_dict``.
-CONFIG_KEYS = {
-    **dict.fromkeys(("data", "coupling", "reweight_observational", "max_batch", "epochs",
-                     "holdout_fraction", "median_filter_window", "seed", "out_dir")),
-    "relatedness": dict.fromkeys(("source", "path", "corpus", "threshold")),
-    "loss_weights": {"tasks": dict.fromkeys(TASK_NAMES),
-                     "couplings": dict.fromkeys(COUPLING_NAMES), "epsilon": None},
-    "model": {"hidden": None},
-    "optimizer": dict.fromkeys(("lr", "momentum")),
-}
+# The JSON object that holds each nested setting; every other setting is a
+# top-level key of the config. A setting's JSON type is its field's annotation.
+SECTION = {"tasks": "loss_weights", "couplings": "loss_weights", "epsilon": "loss_weights",
+           "hidden": "model", "lr": "optimizer", "momentum": "optimizer"}
+# The keys allowed in each setting that is itself a JSON object
+OBJECT_KEYS = {"data": SET_NAMES, "relatedness": ("source", "path", "corpus", "threshold"),
+               "tasks": TASK_NAMES, "couplings": COUPLING_NAMES}
 
 
-def _check_keys(d, allowed: dict, where: str = "config") -> None:
+def _check_keys(d, allowed, where: str) -> None:
     """Reject keys that no setting reads, so a typo cannot fall back to a default."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
-    for key, section in allowed.items():
-        if section is not None and key in d:
-            _check_keys(d[key], section, f"{where}.{key}")
 
 
-def _exact(d: dict, key: str, default, *kinds: type):
-    """``d[key]`` (``default`` when absent), whose own type must be one of
-    ``kinds``: no float or bool is truncated to an int, no string or bool is
-    read as a number, and nothing is made a string."""
-    if type(value := d.get(key, default)) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ConfigError(f"{key} must be of type {names}, got {value!r}")
-    return value
-
-
-_NUMBER = (int, float)  # a JSON number
+def _typed(value, kind: type, where: str):
+    """``value``, whose own type must be ``kind``; a float setting also takes
+    an int, returned as a float. No float or bool is truncated to an int, no
+    string or bool is read as a number, and nothing is made a string."""
+    kinds = (int, float) if kind is float else (kind,)
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"{where} must be of type {names}, got {value!r}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError as e:
+        raise ConfigError(f"{where} is too large for a float") from e
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce one training run."""
+    """Everything needed to reproduce one training run: one field per setting
+    of the JSON config, placed by :data:`SECTION` and checked on construction."""
 
     data: dict = field(default_factory=dict)  # set name -> CSV path
     relatedness: dict = field(default_factory=lambda: {"source": "domain"})
     coupling: str = "none"
     reweight_observational: bool = True
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-    hidden: tuple = (64, 64)
+    tasks: dict = field(default_factory=dict)  # task name -> loss weight
+    couplings: dict = field(default_factory=dict)  # coupling name -> loss weight
+    epsilon: float = DEFAULT_EPS
+    hidden: list = field(default_factory=lambda: [64, 64])
     max_batch: int = 200
     epochs: int = 10
     lr: float = 1e-4
@@ -100,13 +95,17 @@ class ExperimentConfig:
     out_dir: str = "runs/run"
 
     def __post_init__(self):
+        for f in fields(self):
+            where = f"{SECTION[f.name]}.{f.name}" if f.name in SECTION else f.name
+            setattr(self, f.name, _typed(getattr(self, f.name), f.type, where))
+            if f.name in OBJECT_KEYS:
+                _check_keys(getattr(self, f.name), OBJECT_KEYS[f.name], f"config.{where}")
+        for name, w in {**self.tasks, **self.couplings}.items():
+            _typed(w, float, f"the loss weight of {name}")  # before LossWeights compares it
         if self.coupling not in COUPLING_MODES:
             raise ConfigError(f"invalid coupling mode {self.coupling!r}")
         if not self.data:
             raise ConfigError("no datasets configured")
-        for name in self.data:
-            if name not in SET_NAMES:
-                raise ConfigError(f"unknown dataset set {name!r}")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction must be in [0, 1)")
         if self.epochs < 1 or self.max_batch < 1:
@@ -114,54 +113,34 @@ class ExperimentConfig:
         paths = [*self.data.values(), *(self.relatedness.get(k, "") for k in ("path", "corpus"))]
         if not all(isinstance(p, str) for p in paths):
             raise ConfigError("data and relatedness paths must be strings")
-        if type(self.reweight_observational) is not bool:
-            raise ConfigError("reweight_observational must be true or false")
-        threshold = self.relatedness.get("threshold", 0.1)
-        if type(threshold) not in _NUMBER:
-            raise ConfigError(f"relatedness.threshold must be a number, got {threshold!r}")
+        _typed(self.relatedness.get("threshold", 0.1), float, "relatedness.threshold")
         if not all(type(h) is int and h > 0 for h in self.hidden):
-            raise ConfigError(f"model.hidden must list positive ints, got {list(self.hidden)}")
+            raise ConfigError(f"model.hidden must list positive ints, got {self.hidden}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.median_filter_window < 1 or self.median_filter_window % 2 == 0:
             raise ConfigError("median_filter_window must be odd and >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0 and 0.0 <= self.momentum < 1.0):
             raise ConfigError("optimizer needs a finite lr > 0 and a momentum in [0, 1)")
+        try:
+            self.loss_weights
+        except DataError as e:  # LossWeights' range checks
+            raise ConfigError(f"malformed config: {e}") from e
+
+    @property
+    def loss_weights(self) -> LossWeights:
+        return LossWeights(self.tasks, self.couplings, self.epsilon)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(d, CONFIG_KEYS)
-        lw, opt = d.get("loss_weights", {}), d.get("optimizer", {})
-        tasks, couplings = lw.get("tasks", {}), lw.get("couplings", {})
-        default = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
-                   for f in fields(cls)}
-        try:
-            return cls(
-                data=dict(d.get("data", default["data"])),
-                relatedness=dict(d.get("relatedness", default["relatedness"])),
-                coupling=d.get("coupling", default["coupling"]),
-                reweight_observational=d.get("reweight_observational",
-                                             default["reweight_observational"]),
-                loss_weights=LossWeights(
-                    lambda_per_task={k: _exact(tasks, k, None, *_NUMBER) for k in tasks},
-                    coupling_weights={k: _exact(couplings, k, None, *_NUMBER) for k in couplings},
-                    epsilon=float(_exact(lw, "epsilon", DEFAULT_EPS, *_NUMBER)),
-                ),
-                hidden=tuple(d.get("model", {}).get("hidden", default["hidden"])),
-                max_batch=_exact(d, "max_batch", default["max_batch"], int),
-                epochs=_exact(d, "epochs", default["epochs"], int),
-                lr=float(_exact(opt, "lr", default["lr"], *_NUMBER)),
-                momentum=float(_exact(opt, "momentum", default["momentum"], *_NUMBER)),
-                holdout_fraction=float(_exact(d, "holdout_fraction", default["holdout_fraction"],
-                                              *_NUMBER)),
-                median_filter_window=_exact(d, "median_filter_window",
-                                            default["median_filter_window"], int),
-                seed=_exact(d, "seed", default["seed"], int),
-                out_dir=_exact(d, "out_dir", default["out_dir"], str),
-            )
-        # OverflowError: float() of a huge int; DataError: LossWeights' range checks
-        except (TypeError, ValueError, OverflowError, DataError) as e:
-            raise ConfigError(f"malformed config: {e}") from e
+        names = [f.name for f in fields(cls)]
+        _check_keys(d, {SECTION.get(n, n) for n in names}, "config")
+        sections = {s: d.get(s, {}) for s in SECTION.values()}
+        for s, section in sections.items():
+            _check_keys(section, {n for n in names if SECTION.get(n) == s}, f"config.{s}")
+        # a nested setting is read from its section, any other from the top level
+        holder = {n: sections[SECTION[n]] if n in SECTION else d for n in names}
+        return cls(**{n: holder[n][n] for n in names if n in holder[n]})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -174,25 +153,10 @@ class ExperimentConfig:
         return cls.from_dict(d)
 
     def to_dict(self) -> dict:
-        return {
-            "data": dict(self.data),
-            "relatedness": dict(self.relatedness),
-            "coupling": self.coupling,
-            "reweight_observational": self.reweight_observational,
-            "loss_weights": {
-                "tasks": dict(self.loss_weights.lambda_per_task),
-                "couplings": dict(self.loss_weights.coupling_weights),
-                "epsilon": self.loss_weights.epsilon,
-            },
-            "model": {"hidden": list(self.hidden)},
-            "max_batch": self.max_batch,
-            "epochs": self.epochs,
-            "optimizer": {"lr": self.lr, "momentum": self.momentum},
-            "holdout_fraction": self.holdout_fraction,
-            "median_filter_window": self.median_filter_window,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        d: dict = {}
+        for name, value in asdict(self).items():
+            (d.setdefault(SECTION[name], {}) if name in SECTION else d)[name] = value
+        return d
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -501,8 +465,11 @@ def run_gradcheck(
 
     Builds a small synthetic joint batch (all three label types), computes the
     analytic parameter gradients, and compares against central differences.
-    Raises NumericalError if any mode exceeds the tolerance.
+    Raises NumericalError if any mode exceeds the tolerance, which must be
+    finite and > 0 for the check to mean anything.
     """
+    if not 0 < tolerance < math.inf:  # NaN fails too
+        raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
     from .synthdata import GeneratorSpec, draw, split
 
     table = rel.domain_table()

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -414,6 +417,15 @@ def test_gradcheck_failure_exit_code(monkeypatch):
     assert main(["gradcheck"]) == 3
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_gradcheck_tolerance_that_checks_nothing_exit_code(monkeypatch, capsys, tolerance):
+    import affectmtl.training as training
+
+    monkeypatch.setattr(training, "gradient_check", None)  # rejected before any work
+    assert main(["gradcheck", "--tolerance", tolerance]) == 1
+    assert "error: tolerance must be finite and > 0" in capsys.readouterr().err
+
+
 def test_train_prints_the_output_directory(workspace, tmp_path, capsys):
     config = json.loads((workspace / "config.json").read_text())
     config["out_dir"] = str(tmp_path / "printed")
@@ -429,6 +441,20 @@ def test_train_bad_loss_weights_exit_code(workspace, tmp_path, loss_weights):
     config["loss_weights"] = loss_weights
     (tmp_path / "c.json").write_text(json.dumps(config))
     assert main(["train", "--config", str(tmp_path / "c.json")]) == 1
+
+
+def test_train_seed_override_is_checked(workspace):
+    """``--seed`` is checked like the file's seed, in the console entry point."""
+    import affectmtl
+
+    env = {**os.environ, "PYTHONPATH": str(Path(affectmtl.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "affectmtl.cli", "train", "--config",
+         str(workspace / "config.json"), "--seed", "-3"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "error: seed must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _eval(workspace, data, checkpoint=None):

@@ -414,6 +414,8 @@ def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides)
     {"loss_weights": {"epsilon": "1e-7"}},
     {"loss_weights": {"tasks": {"au": float("inf")}}},
     {"loss_weights": {"couplings": {"dm": float("nan")}}},
+    {"data": [["va", "x.csv"]]},
+    {"model": {"hidden": ""}},
 ])
 def test_malformed_config_values_are_config_errors(dataset_dir, tmp_path, overrides):
     with pytest.raises(ConfigError):
@@ -441,6 +443,48 @@ def test_config_keys_round_trip(dataset_dir, tmp_path):
         ExperimentConfig.from_dict(["not", "an", "object"])
     with pytest.raises(ConfigError, match="out_dir must be of type str"):
         ExperimentConfig.from_dict({**config.to_dict(), "out_dir": 5})
+
+
+def test_direct_and_replaced_configs_are_checked(dataset_dir):
+    config = ExperimentConfig(data={"expr": str(dataset_dir / "expr.csv")}, tasks={"au": 2},
+                              lr=1)
+    assert (config.lr, config.loss_weights.weight("au")) == (1.0, 2.0)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        replace(config, seed=-3)
+    with pytest.raises(ConfigError, match="out_dir must be of type str"):
+        replace(config, out_dir=None)
+    with pytest.raises(ConfigError, match="model.hidden must be of type list"):
+        replace(config, hidden=(8,))
+    with pytest.raises(ConfigError, match="loss_weights.couplings"):
+        replace(config, couplings={"dms": 1.0})
+    with pytest.raises(ConfigError):
+        replace(config, couplings={"dm": "1.0"})
+
+
+def test_config_hash_is_pinned():
+    """The hash of a config, and so each manifest's, is that of earlier versions."""
+    readme = {
+        "data": {"va": "data/va.csv", "au": "data/au.csv", "expr": "data/expr.csv"},
+        "coupling": "soft_plus_dm", "model": {"hidden": [64, 64]}, "max_batch": 200,
+        "epochs": 10, "optimizer": {"lr": 0.01, "momentum": 0.9}, "holdout_fraction": 0.2,
+        "seed": 0, "out_dir": "runs/demo",
+    }
+    every_key = {
+        "data": {"va": "va.csv", "au": "au.csv", "expr": "expr.csv"},
+        "relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": 0.2,
+                        "path": "t.json"},
+        "coupling": "soft_plus_dm", "reweight_observational": False,
+        "loss_weights": {"tasks": {"expr": 0.5, "au": 2, "va": 1.0},
+                         "couplings": {"sca": 0.25, "dm": 2.0}, "epsilon": 1e-6},
+        "model": {"hidden": [8, 4]}, "max_batch": 20, "epochs": 3,
+        "optimizer": {"lr": 1, "momentum": 0}, "holdout_fraction": 0.1,
+        "median_filter_window": 3, "seed": 7, "out_dir": "o",
+    }
+    assert ExperimentConfig.from_dict(readme).config_hash() \
+        == "6a8e35661852d3772d93332c1b023dfc2feee3dc20c3fe4fcd4db673edf8b216"
+    assert ExperimentConfig.from_dict(every_key).config_hash() \
+        == "4a24ac6c6da9b0b57bc846a3399ef32d334205e291e494806ac68253e3a8c655"
+    assert ExperimentConfig.from_dict(every_key).to_dict() == every_key
 
 
 @settings(max_examples=80, deadline=None)
