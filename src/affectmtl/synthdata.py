@@ -56,22 +56,29 @@ class GeneratorSpec:
             raise DataError(f"frames per video must be >= 1, got {self.frames_per_video}")
 
 
-def _va_noise_caps(emotion_index: int, mean_v, mean_a, noise_scale):
+def _va_noise_caps(emotion: str, noise_scale: float):
     """Per-axis noise bounds keeping the sample inside its cleaning region."""
-    if emotion_index == EMOTIONS.index("neutral"):
+    if emotion == "neutral":
         return min(noise_scale, _NEUTRAL_CAP), min(noise_scale, _NEUTRAL_CAP)
+    mean_v, mean_a = VA_MEANS[emotion]
     cap_v = cap_a = noise_scale
-    neg_v = {EMOTIONS.index(e) for e in ("sadness", "disgust", "fear", "anger")}
-    if emotion_index in neg_v or emotion_index == EMOTIONS.index("happiness"):
+    if emotion in ("sadness", "disgust", "fear", "anger", "happiness"):
         cap_v = min(noise_scale, abs(mean_v) * 0.99)
-    if emotion_index == EMOTIONS.index("anger"):
+    if emotion == "anger":
         cap_a = min(noise_scale, abs(mean_a) * 0.99)
     return cap_v, cap_a
 
 
 def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     """``n`` samples carrying all three label types, drawn row by row from
-    ``spec.seed`` (the row order of the draws fixes every generated byte)."""
+    ``spec.seed``.
+
+    Each row makes these calls on one generator, in this order, and so fixes
+    every generated byte: ``random()`` for the emotion (what
+    ``choice(7, p=prior)`` draws), ``random(17)`` for the AUs, two
+    ``uniform(-cap, cap)`` calls for valence and arousal, and
+    ``normal(size=feature_dim)`` for the feature noise.
+    """
     if n < 1:
         raise DataError(f"cannot draw {n} samples")
     rng = np.random.default_rng(spec.seed)
@@ -83,20 +90,25 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     map_rng = np.random.default_rng(spec.seed + 104729)
     w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)
     prior = np.full(k, 1.0 / k)
-    prior = prior / prior.sum()  # rng.choice's draws depend on these exact bits
+    prior = prior / prior.sum()  # the emotion draws depend on these exact bits
+    cdf = prior.cumsum()  # as Generator.choice builds it for p=prior
+    cdf /= cdf[-1]
+    # per emotion: (valence mean, arousal mean, valence cap, arousal cap)
+    va_draw = [(*VA_MEANS[e], *_va_noise_caps(e, spec.noise_scale)) for e in EMOTIONS]
     expr = np.empty(n, dtype=int)
     au, va = np.empty((n, NUM_AUS)), np.empty((n, 2))
     features = np.empty((n, w.shape[0]))
+    signal = np.zeros(signal_dim)  # one-hot emotion, AUs, VA
     for i in range(n):
-        emo = expr[i] = int(rng.choice(k, p=prior))
+        emo = expr[i] = int(cdf.searchsorted(rng.random(), side="right"))
         au[i] = rng.random(NUM_AUS) < r[emo]
-        mv, ma = VA_MEANS[EMOTIONS[emo]]
-        cap_v, cap_a = _va_noise_caps(emo, mv, ma, spec.noise_scale)
-        va[i, 0] = np.clip(mv + rng.uniform(-cap_v, cap_v), -1.0, 1.0)
-        va[i, 1] = np.clip(ma + rng.uniform(-cap_a, cap_a), -1.0, 1.0)
-        onehot = np.zeros(k)
-        onehot[emo] = 1.0
-        signal = np.concatenate([onehot, au[i], va[i]])
+        mv, ma, cap_v, cap_a = va_draw[emo]
+        va[i, 0] = min(max(mv + rng.uniform(-cap_v, cap_v), -1.0), 1.0)
+        va[i, 1] = min(max(ma + rng.uniform(-cap_a, cap_a), -1.0), 1.0)
+        signal[:k] = 0.0
+        signal[emo] = 1.0
+        signal[k:k + NUM_AUS] = au[i]
+        signal[k + NUM_AUS:] = va[i]
         # one product per row: a batched w @ signals differs in the last bit
         features[i] = w @ signal + spec.noise_scale * rng.normal(size=w.shape[0])
     fpv = spec.frames_per_video

@@ -113,7 +113,8 @@ class ExperimentConfig:
         paths = [*self.data.values(), *(self.relatedness.get(k, "") for k in ("path", "corpus"))]
         if not all(isinstance(p, str) for p in paths):
             raise ConfigError("data and relatedness paths must be strings")
-        _typed(self.relatedness.get("threshold", 0.1), float, "relatedness.threshold")
+        _check_threshold(_typed(self.relatedness.get("threshold", 0.1), float,
+                                "relatedness.threshold"))
         if not all(type(h) is int and h > 0 for h in self.hidden):
             raise ConfigError(f"model.hidden must list positive ints, got {self.hidden}")
         if self.seed < 0:
@@ -179,9 +180,15 @@ def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
     raise ConfigError(f"unknown relatedness source {src!r}")
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise ConfigError(f"relatedness threshold must be in [0, 1], got {threshold}")
+
+
 def empirical_table(corpus_path, threshold: float = 0.1) -> rel.RelatednessTable:
     """Infer a relatedness table from the rows of an annotation CSV that carry
-    both an expression and AU labels."""
+    both an expression and AU labels; the threshold is checked before the read."""
+    _check_threshold(threshold)
     data = lab.read_samples_csv(corpus_path)
     rows = np.intersect1d(data.expr_rows, data.au_rows)
     if not rows.size:
@@ -324,9 +331,11 @@ def _validate_va_plan(plan, va_set_index):
 
 
 def run_train(config: ExperimentConfig) -> dict:
-    """Train per the config; write checkpoint, loss CSV, and manifest. Returns the manifest."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Train per the config; write checkpoint, loss CSV, and manifest. Returns the manifest.
+
+    ``out_dir`` is made only once the table, the data, the objective and the
+    first epoch's plan are built, so a run that fails its set-up leaves no
+    directory behind."""
     table = load_relatedness(config)
 
     sets, heldout = {}, {}
@@ -348,22 +357,23 @@ def run_train(config: ExperimentConfig) -> dict:
         model, sets, table, config.coupling, config.loss_weights,
         config.reweight_observational,
     )
-
     set_names = list(sets)
     sizes = [len(sets[n]) for n in set_names]
-    plan_summaries = []
+    plan = plan_epoch(sizes, config.max_batch, seed=config.seed)
+    if "va" in set_names:  # the batch sizes depend on the set sizes and max_batch alone
+        _validate_va_plan(plan, set_names.index("va"))
+    plan_summaries = [plan.summary()]
+
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     loss_csv = out_dir / "losses.csv"
     step = 0
     with open(loss_csv, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "epoch", "iteration", *LOSS_NAMES, "total"])
         for epoch in range(config.epochs):
-            plan = plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * epoch)
-            if epoch == 0:
-                # the batch sizes depend on the set sizes and max_batch alone
-                if "va" in set_names:
-                    _validate_va_plan(plan, set_names.index("va"))
-                plan_summaries.append(plan.summary())
+            if epoch:
+                plan = plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * epoch)
             for it in range(plan.iteration_count):
                 batch = dict(zip(set_names, next_joint_batch(plan, it)))
                 total, losses, grads = joint_loss_and_grads(model, sets, batch, objective)

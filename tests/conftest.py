@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from affectmtl import CANONICAL_AUS
+from affectmtl import CANONICAL_AUS, EMOTIONS
 from affectmtl.labels import AU_COLUMNS, NUM_AUS, SampleSet
+from affectmtl.synthdata import VA_MEANS
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 
@@ -214,3 +215,51 @@ def csv_cells():
                               0.30000000000000004, -1.5, 123456789.125]) | st.floats(
         allow_nan=False, allow_infinity=False)
     return text, floats
+
+
+def _reference_draw(spec, n):
+    """Row-by-row synthetic draw that rebuilds its per-row objects: ``rng.choice``
+    for the emotion, ``np.clip`` for VA and a one-hot plus ``np.concatenate``
+    for the label signal. Returns the ``SampleSet`` that ``draw`` must match."""
+    rng = np.random.default_rng(spec.seed)
+    k = len(EMOTIONS)
+    r = spec.relatedness.weight_matrix(reweight=True)
+    signal_dim = k + NUM_AUS + 2
+    map_rng = np.random.default_rng(spec.seed + 104729)
+    w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)
+    prior = np.full(k, 1.0 / k)
+    prior = prior / prior.sum()
+    expr = np.empty(n, dtype=int)
+    au, va = np.empty((n, NUM_AUS)), np.empty((n, 2))
+    features = np.empty((n, w.shape[0]))
+    for i in range(n):
+        emo = expr[i] = int(rng.choice(k, p=prior))
+        au[i] = rng.random(NUM_AUS) < r[emo]
+        mv, ma = VA_MEANS[EMOTIONS[emo]]
+        cap_v = cap_a = spec.noise_scale
+        if EMOTIONS[emo] == "neutral":
+            cap_v = cap_a = min(spec.noise_scale, 0.105)
+        if EMOTIONS[emo] in ("sadness", "disgust", "fear", "anger", "happiness"):
+            cap_v = min(spec.noise_scale, abs(mv) * 0.99)
+        if EMOTIONS[emo] == "anger":
+            cap_a = min(spec.noise_scale, abs(ma) * 0.99)
+        va[i, 0] = np.clip(mv + rng.uniform(-cap_v, cap_v), -1.0, 1.0)
+        va[i, 1] = np.clip(ma + rng.uniform(-cap_a, cap_a), -1.0, 1.0)
+        onehot = np.zeros(k)
+        onehot[emo] = 1.0
+        signal = np.concatenate([onehot, au[i], va[i]])
+        features[i] = w @ signal + spec.noise_scale * rng.normal(size=w.shape[0])
+    fpv = spec.frames_per_video
+    return SampleSet(
+        ids=np.array([f"s{i:06d}" for i in range(n)], dtype=object),
+        features=features, expr=expr, au=au, au_weights=np.ones_like(au), va=va,
+        video=np.array([f"vid{i // fpv:05d}" if fpv else "" for i in range(n)], dtype=object),
+        frame=np.arange(n) % fpv if fpv else np.full(n, -1),
+        compound=np.full(n, "", dtype=object),
+    )
+
+
+@pytest.fixture(scope="session")
+def reference_draw():
+    """The row-by-row reference draw that ``synthdata.draw`` must match."""
+    return _reference_draw

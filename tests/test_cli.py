@@ -17,7 +17,8 @@ from affectmtl import MultiHeadModel, domain_table, save_compound_profiles, defa
 from affectmtl import cli
 from affectmtl.cli import main
 from affectmtl.zeroshot import CompoundScores
-from affectmtl.labels import read_samples_csv
+from affectmtl.labels import read_samples_csv, write_samples_csv
+from affectmtl.synthdata import GeneratorSpec, split
 
 TABLE = domain_table()
 
@@ -81,6 +82,21 @@ def test_gen_data_bad_number_exit_code(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_gen_data_writes_the_reference_draw(tmp_path, reference_draw):
+    """Every CSV that ``gen-data`` writes holds the bytes of the row-by-row
+    reference draw, split and written by ``write_samples_csv``."""
+    assert main(["gen-data", "--out", str(tmp_path / "data"), "--n", "90", "--feature-dim", "6",
+                 "--noise", "0.05", "--seed", "4", "--partition", "0.3,0.05,0.65", "--full",
+                 "--frames-per-video", "20"]) == 0
+    full = reference_draw(GeneratorSpec(relatedness=TABLE, feature_dim=6, noise_scale=0.05,
+                                        seed=4, frames_per_video=20), 90)
+    want = dict(zip(("va", "au", "expr"), split(full, (0.3, 0.05, 0.65))), full=full)
+    for name, data in want.items():
+        write_samples_csv(tmp_path / f"{name}.csv", data)
+        assert (tmp_path / "data" / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}.csv").read_bytes(), name
+
+
 def test_train_artifacts_and_manifest(workspace):
     manifest = json.loads((workspace / "run" / "manifest.json").read_text())
     assert manifest["config"]["coupling"] == "soft_plus_dm"
@@ -94,6 +110,7 @@ def test_train_missing_dataset_exit_code(workspace, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
     assert main(["train", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_bad_config_exit_code(tmp_path):
@@ -167,6 +184,24 @@ def test_infer_relatedness_without_coannotation(workspace, tmp_path):
         "infer-relatedness", "--corpus", str(workspace / "data" / "va.csv"),
         "--out", str(tmp_path / "x.json"),
     ]) == 2
+
+
+@pytest.mark.parametrize("threshold", ["5", "-1", "NaN", "Infinity"])
+def test_relatedness_threshold_outside_0_1_exit_code(workspace, tmp_path, capsys, threshold):
+    """A bad threshold is a usage error before any corpus is read: the corpus
+    named here does not exist, and reading it would be a data error."""
+    missing = str(tmp_path / "missing.csv")
+    assert main(["infer-relatedness", "--corpus", missing, "--threshold", threshold,
+                 "--out", str(tmp_path / "t.json")]) == 1
+    assert "threshold must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+    config = json.loads((workspace / "config.json").read_text())
+    config["relatedness"] = {"source": "empirical", "corpus": missing,
+                             "threshold": json.loads(threshold)}
+    (tmp_path / "c.json").write_text(json.dumps(config))  # NaN and Infinity as written
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 1
+    assert "threshold must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("corpus, code", [("full.csv", 0), ("va.csv", 2)])

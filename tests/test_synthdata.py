@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,19 @@ def test_empirical_recovery():
         for b in range(17):
             if r_true[k_true, b] >= 0.1:
                 assert got.get(b, 0.0) == pytest.approx(r_true[k_true, b], abs=0.03)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("frames_per_video", [None, 10])
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3, 2.0])  # 2.0 reaches the +-1 VA clip
+def test_draw_matches_the_reference_draw(reference_draw, seed, n, frames_per_video, noise):
+    spec = GeneratorSpec(relatedness=TABLE, noise_scale=noise, seed=seed,
+                         frames_per_video=frames_per_video)
+    got, want = draw(spec, n), reference_draw(spec, n)
+    for f in fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
 def test_determinism():

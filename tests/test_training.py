@@ -115,6 +115,7 @@ def test_missing_dataset_path(dataset_dir, tmp_path):
     config.data["va"] = str(dataset_dir / "nope.csv")
     with pytest.raises(DataError, match="nope.csv"):
         run_train(config)
+    assert not (tmp_path / "x").exists()  # a failed set-up makes no run directory
 
 
 def test_invalid_coupling_mode(dataset_dir, tmp_path):
@@ -135,6 +136,7 @@ def test_va_batch_of_one_rejected(tmp_path):
     config = make_config(out, tmp_path / "run", max_batch=6, holdout_fraction=0.0)
     with pytest.raises(ConfigError, match="VA batch"):
         run_train(config)
+    assert not (tmp_path / "run").exists()
 
 
 def test_single_set_training(dataset_dir, tmp_path):
@@ -402,6 +404,10 @@ def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides)
     {"data": {"va": 5}},
     {"relatedness": {"source": "empirical", "corpus": None}},
     {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": "high"}},
+    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": 5}},
+    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": -1}},
+    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": float("nan")}},
+    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": float("inf")}},
     {"reweight_observational": "false"},
     {"epochs": 2.7},
     {"max_batch": 20.9},
