@@ -66,7 +66,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_infer_relatedness(args) -> int:
     table = empirical_table(args.corpus, args.threshold)
     table.save(args.out)
-    print(f"inferred empirical table over {len(table.class_names)} classes -> {args.out}")
+    print(f"inferred empirical table over {len(rel.EMOTIONS)} classes -> {args.out}")
     return 0
 
 
@@ -100,11 +100,7 @@ def _cmd_zero_shot(args) -> int:
     model = MultiHeadModel.load(args.checkpoint)
     classes = load_compound_profiles(args.profiles)
     data = lab.read_samples_csv(args.data)
-    heads, _ = model.forward(data.features)
-    try:
-        scores = compound_scores(heads, classes)
-    except DataError as e:
-        raise DataError(f"checkpoint {args.checkpoint}: {e}") from e
+    scores = compound_scores(model.forward(data.features)[0], classes)
     # one CSV row per (sample, class); d_va is 0.0 or 1.0
     picked = np.arange(len(classes)) == scores.predicted[:, None]
     columns = [np.repeat(lab.text_cells(data.ids), len(classes)),

@@ -487,7 +487,7 @@ class _Layout:
         names, rows = [], []
         for ref in refs:
             name, _, row = ref.rpartition(":")
-            if not name:
+            if not name or not (row.isascii() and row.isdigit()):  # int() takes " 2", "1_0", "٣"
                 raise ValueError(f"malformed feature_file reference {ref!r}")
             names.append(name)
             rows.append(int(row))
@@ -495,8 +495,8 @@ class _Layout:
         for name in dict.fromkeys(names):
             m = self._matrix(name)
             picked = rows[names == name]
-            if ((picked < 0) | (picked >= len(m))).any():
-                raise ValueError(f"{name!r} has no row {picked.max()} (or a negative one)")
+            if (picked >= len(m)).any():
+                raise ValueError(f"{name!r} has no row {picked.max()}")
             if not self.finite[name][picked].all():
                 raise ValueError("non-finite feature value")
         return names, rows

@@ -1,9 +1,10 @@
 """Small differentiable multi-head network with manual backprop.
 
-A fully-connected trunk (tanh) feeds one shared feature to every head. Heads
-are named and typed: "tanh" (bounded regression, e.g. valence/arousal),
-"softmax" (mutually exclusive classes), "sigmoid" (independent binary labels).
-Everything is float64 numpy; all randomness flows from explicit seeds.
+A fully-connected trunk (tanh) feeds one shared feature to three fixed heads:
+"va" (tanh, valence and arousal), "expr" (softmax over :data:`EMOTIONS`) and
+"au" (sigmoid, one per AU of :data:`AU_LABELS`), in the order of the
+relatedness tables. Everything is float64 numpy; all randomness flows from
+explicit seeds.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import struct
 import numpy as np
 
 from .errors import DataError, NumericalError, unique_keys
+from .relatedness import EMOTIONS, NUM_AUS
 
-HEAD_KINDS = ("tanh", "softmax", "sigmoid")
-
-# Case-I default head layout: VA pair, 7 expressions, 17 AUs.
-DEFAULT_HEADS = {"va": ("tanh", 2), "expr": ("softmax", 7), "au": ("sigmoid", 17)}
+# The one head layout, name -> (kind, width): VA pair, the expressions, the AUs.
+DEFAULT_HEADS = {"va": ("tanh", 2), "expr": ("softmax", len(EMOTIONS)), "au": ("sigmoid", NUM_AUS)}
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -28,23 +28,16 @@ def _glorot(rng, fan_in, fan_out):
 
 
 class MultiHeadModel:
-    """Shared trunk plus named output heads, with analytic gradients."""
+    """Shared trunk plus the :data:`DEFAULT_HEADS`, with analytic gradients."""
 
-    def __init__(self, input_dim, hidden=(64, 64), heads=None, seed=0):
+    def __init__(self, input_dim, hidden=(64, 64), seed=0):
         rng = np.random.default_rng(seed)
-        self._allocate(input_dim, hidden, heads, seed, lambda a, b: _glorot(rng, a, b))
+        self._allocate(input_dim, hidden, seed, lambda a, b: _glorot(rng, a, b))
 
-    def _allocate(self, input_dim, hidden, heads, seed, weights):
-        """Check the head spec; weights are ``weights(fan_in, fan_out)`` in declaration order."""
-        heads = dict(DEFAULT_HEADS if heads is None else heads)
-        for name, (kind, size) in heads.items():
-            if kind not in HEAD_KINDS:
-                raise DataError(f"unknown head kind {kind!r} for head {name!r}")
-            if size < 1 or (kind == "softmax" and size < 2):
-                raise DataError(f"head {name!r} size {size} too small")
+    def _allocate(self, input_dim, hidden, seed, weights):
+        """Weights are ``weights(fan_in, fan_out)``, in declaration order."""
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        self.head_spec = heads
         self.seed = int(seed)
         self.trunk = []
         d = self.input_dim
@@ -53,8 +46,8 @@ class MultiHeadModel:
             d = h
         self.feature_dim = d
         self.heads = {}
-        for name in sorted(heads):
-            kind, size = heads[name]
+        for name in sorted(DEFAULT_HEADS):
+            kind, size = DEFAULT_HEADS[name]
             self.heads[name] = {
                 "W": weights(d, size),
                 "b": np.zeros(size),
@@ -134,9 +127,6 @@ class MultiHeadModel:
         """
         acts, out = cache["acts"], cache["out"]
         W_heads, blocks = cache["heads"]
-        for name in out_grads:
-            if name not in self.heads:
-                raise DataError(f"gradient for unknown head {name!r}")
         h = acts[-1]
         gz = np.zeros((len(h), W_heads.shape[1]))
         for name, kind, cols in blocks:
@@ -176,7 +166,7 @@ class MultiHeadModel:
             {
                 "input_dim": self.input_dim,
                 "hidden": list(self.hidden),
-                "heads": {n: list(s) for n, s in self.head_spec.items()},
+                "heads": DEFAULT_HEADS,  # JSON writes each (kind, width) as a list
                 "seed": self.seed,
             },
             sort_keys=True,
@@ -196,11 +186,11 @@ class MultiHeadModel:
                 if hlen > size:
                     raise DataError(f"truncated checkpoint: {path}")
                 spec = json.loads(f.read(hlen).decode(), object_pairs_hook=unique_keys)
-                input_dim, hidden, heads, seed = _header_fields(spec, path)
+                input_dim, hidden, seed = _header_fields(spec, path)
                 # the parameter bytes the header implies, checked before anything is allocated
                 dims = (input_dim, *hidden)
                 n_params = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
-                n_params += sum((dims[-1] + 1) * n for _, n in heads.values())
+                n_params += sum((dims[-1] + 1) * n for _, n in DEFAULT_HEADS.values())
                 left = size - f.tell()
                 if left != 8 * n_params:
                     raise DataError(
@@ -208,7 +198,7 @@ class MultiHeadModel:
                         f"its header declares {8 * n_params}"
                     )
                 model = cls.__new__(cls)  # every parameter is read below: no random init
-                model._allocate(input_dim, hidden, heads, seed, lambda a, b: np.empty((a, b)))
+                model._allocate(input_dim, hidden, seed, lambda a, b: np.empty((a, b)))
                 for name, p in model.named_params():
                     buf = f.read(p.size * 8)
                     if len(buf) != p.size * 8:
@@ -225,9 +215,10 @@ class MultiHeadModel:
 
 
 def _header_fields(spec, path):
-    """(input_dim, hidden, heads, seed) of a checkpoint header, each checked for
-    its type; sizes are positive ints. Older files also hold ``"trunk_frozen":
-    false``; any other key or value is an error."""
+    """(input_dim, hidden, seed) of a checkpoint header, each checked for its
+    type; sizes are positive ints, and ``heads`` must be the one layout. Older
+    files also hold ``"trunk_frozen": false``; any other key or value is an
+    error."""
 
     def positive(v):
         return type(v) is int and v > 0
@@ -249,21 +240,21 @@ def _header_fields(spec, path):
         raise DataError(f"checkpoint {path}: input_dim {input_dim!r} is not a positive int")
     if not (isinstance(hidden, list) and all(positive(h) for h in hidden)):
         raise DataError(f"checkpoint {path}: hidden {hidden!r} is not a list of positive ints")
-    if not (isinstance(heads, dict) and all(
-            isinstance(s, list) and len(s) == 2 and s[0] in HEAD_KINDS and positive(s[1])
-            for s in heads.values())):
-        raise DataError(f"checkpoint {path}: heads {heads!r} are not [kind, size] pairs")
+    # compared as JSON text, so that 17.0 or true does not pass for 17 or 1
+    layout = json.dumps(DEFAULT_HEADS, sort_keys=True)
+    if json.dumps(heads, sort_keys=True) != layout:
+        raise DataError(f"checkpoint {path}: heads {heads!r} are not the layout {layout}")
     if type(seed) is not int or seed < 0:
         raise DataError(f"checkpoint {path}: seed {seed!r} is not a non-negative int")
-    return input_dim, hidden, {n: tuple(s) for n, s in heads.items()}, seed
+    return input_dim, hidden, seed
 
 
 class SGDMomentum:
     """Classic momentum update: v <- m*v + g; theta <- theta - lr*v."""
 
     def __init__(self, model: MultiHeadModel, lr: float = 1e-4, momentum: float = 0.9):
-        if lr <= 0:
-            raise DataError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < np.inf:  # NaN fails too
+            raise DataError(f"learning rate must be finite and > 0, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise DataError(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr

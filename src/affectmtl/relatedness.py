@@ -1,4 +1,4 @@
-"""Task-relatedness tables: categorical classes -> weighted sets of binary labels.
+"""Task-relatedness tables: the seven emotions -> weighted sets of the 17 AUs.
 
 Two kinds of table exist. Domain-knowledge tables distinguish prototypical
 entries (weight exactly 1.0) from observational entries (weight = annotator
@@ -32,26 +32,22 @@ KIND_EMPIRICAL = "empirical"
 
 
 class RelatednessTable:
-    """Immutable mapping from categorical classes to weighted binary labels.
+    """Immutable mapping from the emotions to weighted AUs.
 
-    ``weights`` is a (classes, labels) array: the weight, in (0, 1], of each
-    (class, label) entry, and 0 where a class has no entry for a label.
+    ``weights`` is a (len(EMOTIONS), NUM_AUS) array: the weight, in (0, 1], of
+    each (emotion, AU) entry, and 0 where an emotion has no entry for an AU.
+    Row k is ``EMOTIONS[k]`` and column b is ``AU_LABELS[b]``.
     ``prototypical`` marks the prototypical entries; in a domain table they
     carry weight 1.0. Both arrays are read-only.
     """
 
-    def __init__(self, class_names, binary_label_names, weights, prototypical, kind):
+    def __init__(self, weights, prototypical, kind):
         if kind not in (KIND_DOMAIN, KIND_EMPIRICAL):
             raise DataError(f"unknown table kind: {kind!r}")
-        self.class_names = tuple(class_names)
-        self.binary_label_names = tuple(binary_label_names)
         self.kind = kind
-        for names in (self.class_names, self.binary_label_names):
-            if len(set(names)) != len(names):
-                raise DataError(f"names {list(names)} are not distinct")
         self.weights = np.array(weights, dtype=float)
         self.prototypical = np.array(prototypical, dtype=bool)
-        shape = (len(self.class_names), len(self.binary_label_names))
+        shape = (len(EMOTIONS), NUM_AUS)
         if self.weights.shape != shape or self.prototypical.shape != shape:
             raise DataError(f"weights and prototypical mask must have shape {shape}")
         if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
@@ -63,7 +59,7 @@ class RelatednessTable:
         self.weights.flags.writeable = self.prototypical.flags.writeable = False
 
     def weight_matrix(self, reweight: bool = False) -> np.ndarray:
-        """(n_classes, n_labels) matrix r with r[k, b] the mixing coefficient.
+        """(emotions, AUs) matrix r with r[k, b] the mixing coefficient.
 
         For domain tables, r is 1 for every prototypical/observational entry
         unless ``reweight`` is set, in which case observational entries use
@@ -75,14 +71,12 @@ class RelatednessTable:
 
     def to_dict(self) -> dict:
         """The saved form: every entry by class and label name; empty classes are left out."""
-        labels = self.binary_label_names
         return {
-            "classes": list(self.class_names),
-            "labels": list(labels),
+            "classes": list(EMOTIONS),
+            "labels": list(AU_LABELS),
             "entries": {
-                cls: {label: {"w": w, "proto": p} for label, w, p in zip(labels, ws, ps) if w}
-                for cls, ws, ps in zip(self.class_names, self.weights.tolist(),
-                                       self.prototypical.tolist())
+                cls: {label: {"w": w, "proto": p} for label, w, p in zip(AU_LABELS, ws, ps) if w}
+                for cls, ws, ps in zip(EMOTIONS, self.weights.tolist(), self.prototypical.tolist())
                 if any(ws)
             },
             "kind": self.kind,
@@ -96,36 +90,40 @@ class RelatednessTable:
         """A table from the saved form (``entries`` and ``kind``, as :meth:`to_dict`
         writes it) or the source form (``table``, as the bundled file holds it).
 
-        A source row lists a class's prototypical label names and its
-        observational (label, weight) pairs; a class without a row (neutral)
-        has no entries. Anything malformed is a :class:`DataError`.
+        Both forms list ``classes`` and ``labels``, which must be
+        :data:`EMOTIONS` and :data:`AU_LABELS` in that order. A source row lists
+        a class's prototypical label names and its observational (label,
+        weight) pairs; a class without a row (neutral) has no entries. Anything
+        malformed is a :class:`DataError`.
         """
         d = _typed(d, dict, "a relatedness table")
         keys = {"classes", "labels", "table"} if "table" in d else {"classes", "labels", "entries",
                                                                     "kind"}
         if set(d) != keys:
             raise DataError(f"a relatedness table holds the keys {sorted(keys)}, got {sorted(d)}")
-        classes, labels = _names(d, "classes"), _names(d, "labels")
-        weights = np.zeros((len(classes), len(labels)))
+        for key, names in (("classes", EMOTIONS), ("labels", AU_LABELS)):
+            if d[key] != list(names):
+                raise DataError(f"{key} must be {list(names)}, in that order; got {d[key]!r}")
+        weights = np.zeros((len(EMOTIONS), NUM_AUS))
         proto = np.zeros(weights.shape, dtype=bool)
         if "table" in d:
-            for k, row in _source_rows(d["table"], classes):
+            for k, row in _source_rows(d["table"]):
                 for name in _typed(row.get("prototypical", []), list, "prototypical"):
-                    b = _index(labels, name, "label")
+                    b = _index(AU_LABELS, name, "label")
                     weights[k, b], proto[k, b] = 1.0, True
                 for name, w in _typed(row.get("observational", {}), dict, "observational").items():
-                    b = _index(labels, name, "label")
+                    b = _index(AU_LABELS, name, "label")
                     weights[k, b], proto[k, b] = _weight(w), False
-            return cls(classes, labels, weights, proto, KIND_DOMAIN)
+            return cls(weights, proto, KIND_DOMAIN)
         for cname, row in _typed(d["entries"], dict, "entries").items():
-            k = _index(classes, cname, "class")
+            k = _index(EMOTIONS, cname, "class")
             for name, e in _typed(row, dict, f"entries of {cname!r}").items():
-                b = _index(labels, name, "label")
+                b = _index(AU_LABELS, name, "label")
                 if set(_typed(e, dict, f"entry {cname!r}/{name}")) != {"w", "proto"}:
                     raise DataError(f"entry {cname!r}/{name} must hold exactly w and proto")
                 weights[k, b] = _weight(e["w"])
                 proto[k, b] = _typed(e["proto"], bool, f"proto of {cname!r}/{name}")
-        return cls(classes, labels, weights, proto, d["kind"])
+        return cls(weights, proto, d["kind"])
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
@@ -148,10 +146,7 @@ class RelatednessTable:
         return self.to_dict() == other.to_dict()
 
     def __repr__(self):
-        return (
-            f"RelatednessTable(kind={self.kind!r}, classes={len(self.class_names)}, "
-            f"labels={len(self.binary_label_names)})"
-        )
+        return f"RelatednessTable(kind={self.kind!r})"
 
 
 def _typed(value, kind: type, what: str):
@@ -164,14 +159,7 @@ def _typed(value, kind: type, what: str):
 _JSON_TYPES = {dict: "object", list: "list", bool: "boolean"}
 
 
-def _names(d: dict, key: str) -> list:
-    names = _typed(d[key], list, key)
-    if not all(type(name) is str for name in names):
-        raise DataError(f"{key} must list names, got {names!r}")
-    return names
-
-
-def _index(names: list, name, what: str) -> int:
+def _index(names: tuple, name, what: str) -> int:
     if name not in names:
         raise DataError(f"unknown {what} {name!r}")
     return names.index(name)
@@ -184,14 +172,14 @@ def _weight(w) -> float:
     return w
 
 
-def _source_rows(table, classes):
+def _source_rows(table):
     """(class index, row) of each row of a source-form ``table``, each class once."""
     seen = set()
     for row in _typed(table, list, "table"):
         row = _typed(row, dict, "a table row")
         if "class" not in row or not set(row) <= {"class", "prototypical", "observational"}:
             raise DataError(f"table row {row!r} must hold a class and its label lists only")
-        k = _index(classes, row["class"], "class")
+        k = _index(EMOTIONS, row["class"], "class")
         if k in seen:
             raise DataError(f"duplicate class {row['class']!r}")
         seen.add(k)
@@ -227,5 +215,4 @@ def infer_empirical(expr, au, threshold: float = 0.1) -> RelatednessTable:
     keep = (annotated > 0) & (weights >= threshold) & (weights > 0.0)
     for k in np.flatnonzero(~annotated.any(axis=1)):
         log.warning("class %r has no annotated binary labels; its row is empty", EMOTIONS[k])
-    return RelatednessTable(EMOTIONS, AU_LABELS, np.where(keep, weights, 0.0),
-                            np.zeros_like(keep), KIND_EMPIRICAL)
+    return RelatednessTable(np.where(keep, weights, 0.0), np.zeros_like(keep), KIND_EMPIRICAL)

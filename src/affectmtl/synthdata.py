@@ -84,8 +84,6 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     rng = np.random.default_rng(spec.seed)
     k = len(EMOTIONS)
     r = spec.relatedness.weight_matrix(reweight=True)
-    if r.shape[0] != k:
-        raise DataError("relatedness table must cover all 7 emotions")
     signal_dim = k + NUM_AUS + 2
     map_rng = np.random.default_rng(spec.seed + 104729)
     w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)

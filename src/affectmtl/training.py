@@ -213,7 +213,7 @@ class Objective:
     sca_targets: np.ndarray | None = None
 
 
-def build_objective(model, sets: dict, table, mode: str, weights: LossWeights,
+def build_objective(sets: dict, table, mode: str, weights: LossWeights,
                     reweight: bool = True) -> tuple[dict, Objective]:
     """Prepare a run's coupling: returns the label-rewritten sets and the objective.
 
@@ -223,13 +223,6 @@ def build_objective(model, sets: dict, table, mode: str, weights: LossWeights,
     """
     if mode == "none":
         return sets, Objective(weights)
-    heads = (model.head_spec["expr"][1], model.head_spec["au"][1])
-    shape = (len(table.class_names), len(table.binary_label_names))
-    if heads != shape:
-        raise DataError(f"relatedness table shape {shape} does not match the expr/au heads {heads}")
-    if table.class_names != rel.EMOTIONS or table.binary_label_names != rel.AU_LABELS:
-        raise DataError(f"relatedness table must list the classes {list(rel.EMOTIONS)} and the "
-                        f"labels {list(rel.AU_LABELS)} in that order")
     if mode == "co_annotation":
         sets = {name: lab.co_annotate(data, table) for name, data in sets.items()}
         return sets, Objective(weights)
@@ -271,20 +264,20 @@ def _joint_loss(model, sets, batch, objective: Objective):
     eps = objective.weights.epsilon
     terms: dict = {}
 
-    if expr_rows.size and "expr" in out:
+    if expr_rows.size:
         value, grad = softmax_ce_grad(out["expr"][expr_rows], data.expr[expr_rows], eps)
         terms["expr"] = value, [("expr", expr_rows, grad)]
 
-    if au_rows.size and "au" in out:
+    if au_rows.size:
         value, grad = masked_bce_grad(
             out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows], eps)
         terms["au"] = value, [("au", au_rows, grad)]
 
-    if va_rows.size >= 2 and "va" in out:
+    if va_rows.size >= 2:
         value, grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
         terms["va"] = value, [("va", va_rows, grad)]
 
-    if objective.sca_targets is not None and len(batch.get("au", ())) and "expr" in out:
+    if objective.sca_targets is not None and len(batch.get("au", ())):
         names = list(batch)  # the AU set's rows follow those of the sets before it
         start = sum(len(batch[name]) for name in names[: names.index("au")])
         rows = np.arange(start, start + len(batch["au"]))
@@ -292,7 +285,7 @@ def _joint_loss(model, sets, batch, objective: Objective):
         terms["sca"] = value, [("expr", rows, grad)]
 
     r = objective.dm_matrix
-    if r is not None and "expr" in out and "au" in out:
+    if r is not None:
         value, grad_p, grad_q = dm_loss_grad(out["au"], out["expr"] @ r, eps)
         terms["dm"] = value, [("au", slice(None), grad_p), ("expr", slice(None), grad_q @ r.T)]
 
@@ -354,9 +347,7 @@ def run_train(config: ExperimentConfig) -> dict:
     model = MultiHeadModel(input_dim, hidden=config.hidden, seed=config.seed)
     opt = SGDMomentum(model, lr=config.lr, momentum=config.momentum)
     sets, objective = build_objective(
-        model, sets, table, config.coupling, config.loss_weights,
-        config.reweight_observational,
-    )
+        sets, table, config.coupling, config.loss_weights, config.reweight_observational)
     set_names = list(sets)
     sizes = [len(sets[n]) for n in set_names]
     plan = plan_epoch(sizes, config.max_batch, seed=config.seed)
@@ -425,16 +416,16 @@ def evaluate_model(model, data, median_window: int = 5) -> dict:
     expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
     results: dict = {}
 
-    if expr_rows.size and "expr" in out:
+    if expr_rows.size:
         pred = np.argmax(out["expr"][expr_rows], axis=1)
         cm = ConfusionMatrix.from_labels(data.expr[expr_rows], pred, out["expr"].shape[1])
         results["expr"] = classification_metrics(cm)
         results["expr"]["confusion"] = cm.counts.tolist()
 
-    if au_rows.size and "au" in out:
+    if au_rows.size:
         results["au"] = au_metrics(out["au"][au_rows], data.au[au_rows])
 
-    if va_rows.size >= 2 and "va" in out:
+    if va_rows.size >= 2:
         pred, va, video = out["va"][va_rows], data.va[va_rows], data.video[va_rows]
         results["va"] = va_metrics(va, pred)
         if (video != "").all():
@@ -457,8 +448,8 @@ def run_eval(checkpoint, dataset, out_path=None, median_window: int = 5) -> dict
     model = MultiHeadModel.load(checkpoint)
     results = evaluate_model(model, lab.read_samples_csv(dataset), median_window)
     if not results:
-        raise DataError(f"checkpoint {checkpoint} scores nothing on {dataset}: none of its "
-                        "expr, au or va heads has labeled rows there (va needs two)")
+        raise DataError(f"checkpoint {checkpoint} scores nothing on {dataset}: it has no "
+                        "labeled rows (VA needs two)")
     if out_path is not None:
         Path(out_path).write_text(json.dumps(results, indent=2, sort_keys=True))
     return results
@@ -489,7 +480,7 @@ def run_gradcheck(
     report = {}
     for mode in modes:
         model = MultiHeadModel(input_dim, hidden=hidden, seed=seed)
-        mode_sets, objective = build_objective(model, sets, table, mode, LossWeights())
+        mode_sets, objective = build_objective(sets, table, mode, LossWeights())
         err = gradient_check(
             model,
             value_fn=lambda m: joint_loss_value(m, mode_sets, batch, objective),

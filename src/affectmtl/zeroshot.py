@@ -15,15 +15,21 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, unique_keys
-from .model import DEFAULT_HEADS
-from .relatedness import AU_LABELS, CANONICAL_AUS, EMOTIONS, RelatednessTable
+from .relatedness import CANONICAL_AUS, EMOTIONS, RelatednessTable
 
 _AU_TO_INDEX = {au: i for i, au in enumerate(CANONICAL_AUS)}
+# A profile file's AU keys, as save_compound_profiles writes them: "12" for AU12
+_AU_KEYS = {str(au): au for au in CANONICAL_AUS}
 
 
 def _is(value, kinds) -> bool:
     """``isinstance`` that does not let a bool pass for a number."""
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_emotion(name, emo) -> None:
+    if not _is(emo, (int, np.integer)) or not 0 <= emo < len(EMOTIONS):
+        raise DataError(f"compound {name!r}: emotion index {emo!r} outside 0..{len(EMOTIONS) - 1}")
 
 
 @dataclass
@@ -43,8 +49,7 @@ class CompoundClass:
         if not isinstance(self.name, str):
             raise DataError(f"compound name {self.name!r} is not a string")
         for emo in (self.emo1, self.emo2):
-            if not _is(emo, (int, np.integer)) or not 0 <= emo < len(EMOTIONS):
-                raise DataError(f"compound {self.name!r}: emotion index {emo!r} outside 0..6")
+            _check_emotion(self.name, emo)
         if self.emo1 == self.emo2:
             raise DataError(f"compound {self.name!r}: constituent emotions must differ")
         if not isinstance(self.requires_positive_valence, bool):
@@ -75,12 +80,8 @@ class CompoundScores:
 def compound_scores(out: dict, classes) -> CompoundScores:
     """Score every compound class for every row of ``MultiHeadModel.forward`` outputs.
 
-    ``out`` maps head name to its (n, width) outputs and needs the ``va``,
-    ``expr`` and ``au`` heads of the default layout.
+    ``out`` maps each head name to its (n, width) outputs.
     """
-    for name, (_, width) in DEFAULT_HEADS.items():
-        if name not in out or np.shape(out[name])[1:] != (width,):
-            raise DataError(f"compound scoring needs a {width}-wide {name!r} head output")
     classes = list(classes)
     if not classes:
         raise DataError("no compound classes to score")
@@ -103,16 +104,11 @@ def compound_class_from_emotions(
 ) -> CompoundClass:
     """Build a compound profile as the union of two emotions' table entries.
 
-    AUs present in both constituents take the larger weight. The table's
-    classes must be the canonical emotions, and its binary labels the
-    canonical AUs, in order.
+    AUs present in both constituents take the larger weight.
     """
-    if (table.class_names, table.binary_label_names) != (EMOTIONS, AU_LABELS):
-        raise DataError(f"compound {name!r}: the table's classes and labels are not the "
-                        "canonical emotions and the canonical AUs, in order")
+    for emo in (emo1, emo2):  # before r[emo]: a bool or a float would index r otherwise
+        _check_emotion(name, emo)
     r = table.weight_matrix(reweight=True)
-    if not {emo1, emo2} <= set(range(len(r))):
-        raise DataError(f"compound {name!r}: emotion index outside the table's {len(r)} classes")
     row = np.maximum(r[emo1], r[emo2])
     profile = {CANONICAL_AUS[i]: float(row[i]) for i in np.flatnonzero(row)}
     return CompoundClass(name, emo1, emo2, profile, positive_valence)
@@ -179,8 +175,9 @@ def _profile_from_dict(d) -> CompoundClass:
         raise DataError(f"entry {d['name']!r}: unknown keys {sorted(unknown)}")
     if not isinstance(d["aus"], dict):
         raise DataError(f"entry {d['name']!r}: aus {d['aus']!r} is not an object")
-    profile = {int(au): w for au, w in d["aus"].items() if au.isdecimal()}
-    if len(profile) != len(d["aus"]):
-        raise DataError(f"entry {d['name']!r}: AU keys {list(d['aus'])} are not distinct numbers")
+    if not d["aus"].keys() <= _AU_KEYS.keys():
+        raise DataError(f"entry {d['name']!r}: AU keys {list(d['aus'])} are not all canonical "
+                        "AU numbers in plain digits, like \"12\"")
+    profile = {_AU_KEYS[au]: w for au, w in d["aus"].items()}
     return CompoundClass(d["name"], d["emo1"], d["emo2"], profile,
                          d.get("positive_valence", False))

@@ -1,4 +1,5 @@
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,8 @@ def _reference_read_samples_csv(path):
 
             if "feature_file" in row:
                 name, _, i = row["feature_file"].rpartition(":")
+                if not re.fullmatch("[0-9]+", i):  # no sign, padding, "_" or non-ASCII digit
+                    raise ValueError(f"feature_file row {i!r} is not ASCII digits")
                 cols["features"].append(np.load(path.parent / name)[int(i)])
             else:
                 cols["features"].append([float(row[c]) for c in fcols])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectmtl import MultiHeadModel, domain_table, save_compound_profiles, default_compound_classes
+from affectmtl import domain_table, save_compound_profiles, default_compound_classes
 from affectmtl import cli
 from affectmtl.cli import main
 from affectmtl.zeroshot import CompoundScores
@@ -364,7 +364,7 @@ def test_zero_shot_scores_csv_matches_row_by_row_writer(
 
 @pytest.mark.parametrize("key, value", [
     ("emo1", -1), ("emo2", 7), ("positive_valence", "false"), ("aus", {"12": "x"}),
-    ("aus", {"twelve": 1.0}), ("aus", [12]),
+    ("aus", {"twelve": 1.0}), ("aus", [12]), ("aus", {"\u0661\u0662": 1.0}), ("aus", {"012": 1.0}),
 ])
 def test_zero_shot_malformed_profile_exit_code(workspace, tmp_path, capsys, key, value):
     profiles = tmp_path / "profiles.json"
@@ -377,17 +377,17 @@ def test_zero_shot_malformed_profile_exit_code(workspace, tmp_path, capsys, key,
 
 
 @pytest.mark.parametrize("heads", [
-    {"va": ("tanh", 2), "expr": ("softmax", 7), "au": ("sigmoid", 5)},
-    {"expr": ("softmax", 7), "au": ("sigmoid", 17)},
+    {"va": ["tanh", 2], "expr": ["softmax", 7], "au": ["sigmoid", 5]},
+    {"expr": ["softmax", 7], "au": ["sigmoid", 17]},
 ])
 def test_zero_shot_checkpoint_heads_exit_code(workspace, tmp_path, capsys, heads):
     checkpoint = tmp_path / "model.bin"
-    MultiHeadModel(10, hidden=(4,), heads=heads).save(checkpoint)
+    checkpoint.write_bytes(_checkpoint_with_heads(heads))
     profiles = tmp_path / "profiles.json"
     save_compound_profiles(profiles, default_compound_classes(TABLE))
     data = workspace / "data" / "expr.csv"
     assert _zero_shot(workspace, profiles, data, tmp_path / "zs", checkpoint) == 2
-    assert str(checkpoint) in capsys.readouterr().err
+    assert f"checkpoint {checkpoint}: heads" in capsys.readouterr().err
 
 
 JSON_VALUES = st.recursive(
@@ -545,12 +545,31 @@ def test_eval_huge_declared_checkpoint_is_a_data_error(tmp_path, capsys):
     assert "parameter bytes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("heads", [{}, {"expression": ("softmax", 7)}], ids=["none", "expression"])
-def test_eval_checkpoint_that_scores_nothing_exit_code(workspace, tmp_path, capsys, heads):
+def _checkpoint_with_heads(heads, input_dim=10, hidden=4):
+    """Checkpoint bytes whose header declares ``heads`` (name -> [kind, width]),
+    with as many zero parameters as that header implies."""
+    n = (input_dim + 1) * hidden + sum((hidden + 1) * width for _, width in heads.values())
+    header = {"input_dim": input_dim, "hidden": [hidden], "heads": heads, "seed": 0}
+    return _join_checkpoint(header, bytes(8 * n))
+
+
+@pytest.mark.parametrize("heads, rows", [
+    ({}, None), ({"expression": ["softmax", 7]}, None),
+    ({"va": ["tanh", 2], "expr": ["softmax", 7], "au": ["sigmoid", 17]}, 1),
+], ids=["none", "expression", "one_va_row"])
+def test_eval_checkpoint_that_scores_nothing_exit_code(workspace, tmp_path, capsys, heads, rows):
+    """A checkpoint without the va/expr/au heads is refused when it is read; one
+    with them scores nothing on a single VA row, since CCC needs two."""
     checkpoint = tmp_path / "model.bin"
-    MultiHeadModel(10, hidden=(4,), heads=heads).save(checkpoint)
-    assert _eval(workspace, workspace / "data" / "full.csv", checkpoint) == 2
-    assert str(checkpoint) in capsys.readouterr().err
+    checkpoint.write_bytes(_checkpoint_with_heads(heads))
+    data = workspace / "data" / "full.csv"
+    if rows:
+        data = tmp_path / "one_va_row.csv"
+        data.write_text("\n".join((workspace / "data" / "va.csv").read_text().splitlines()[:2]))
+    assert _eval(workspace, data, checkpoint) == 2
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err
+    assert ("scores nothing" if rows else "heads") in err
 
 
 def test_eval_non_finite_checkpoint_parameter_is_a_data_error(workspace, tmp_path):
@@ -746,7 +765,8 @@ def test_eval_malformed_csv_cell_exit_code(workspace, tmp_path, capsys, cells):
 @pytest.mark.parametrize(
     "ref",
     ["missing.npy:0", "empty.npy:0", "feats.npy:7", "feats.npy:-1", "feats.npy:x", "feats.npy",
-     "wide.npy:0", "feats.npz:0", "inf.npy:1"],
+     "wide.npy:0", "feats.npz:0", "inf.npy:1", "feats.npy:0_1", "feats.npy: 1",
+     "feats.npy:\u0661", "feats.npy:+1"],
 )
 def test_eval_bad_feature_file_reference_exit_code(workspace, tmp_path, capsys, ref):
     np.save(tmp_path / "feats.npy", np.zeros((2, 10)))

@@ -9,7 +9,6 @@ from affectmtl import (
     EMOTIONS,
     DataError,
     LossWeights,
-    MultiHeadModel,
     RelatednessTable,
     ccc,
     dm_loss,
@@ -25,7 +24,6 @@ from affectmtl.losses import (
     softmax_ce_grad,
 )
 from affectmtl.relatedness import KIND_DOMAIN
-from affectmtl.training import build_objective
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
@@ -172,11 +170,11 @@ def test_dm_targets_uniform_au25():
 
 def brute_force_dm(p, table, reweight):
     """The DM targets summed entry by entry over the table's saved form."""
-    q = np.zeros(len(table.binary_label_names))
+    q = np.zeros(len(AU_LABELS))
     entries = table.to_dict()["entries"]
-    for k, cname in enumerate(table.class_names):
+    for k, cname in enumerate(EMOTIONS):
         for label, e in entries.get(cname, {}).items():
-            q[table.binary_label_names.index(label)] += p[k] * (e["w"] if reweight else 1.0)
+            q[AU_LABELS.index(label)] += p[k] * (e["w"] if reweight else 1.0)
     return q
 
 
@@ -191,10 +189,12 @@ def test_dm_targets_brute_force_oracle(reweight):
 
 
 def test_dm_targets_class_mismatch():
-    six = RelatednessTable(EMOTIONS[1:], AU_LABELS, TABLE.weights[1:], TABLE.prototypical[1:],
-                           KIND_DOMAIN)
-    with pytest.raises(DataError):
-        build_objective(MultiHeadModel(4, hidden=(4,)), {}, six, "distr_matching", LossWeights())
+    # a six-class table never reaches the DM targets: it is refused as it is made or read
+    with pytest.raises(DataError, match="shape"):
+        RelatednessTable(TABLE.weights[1:], TABLE.prototypical[1:], KIND_DOMAIN)
+    six = {**TABLE.to_dict(), "classes": list(EMOTIONS[1:])}
+    with pytest.raises(DataError, match="in that order"):
+        RelatednessTable.from_dict(six)
 
 
 def test_dm_loss_cases():

@@ -71,36 +71,36 @@ def test_neutral_has_empty_entry():
 
 def test_load_domain_table_rejects_unknown_class(tmp_path):
     src = {
-        "classes": ["neutral", "happiness"],
+        "classes": list(EMOTIONS),
         "labels": list(AU_LABELS),
         "table": [{"class": "joy", "prototypical": ["AU12"], "observational": {}}],
     }
     p = tmp_path / "t.json"
     p.write_text(json.dumps(src))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="unknown class 'joy'"):
         RelatednessTable.load(p)
 
 
 def test_load_domain_table_rejects_bad_weight_and_duplicates(tmp_path):
     base = {
-        "classes": ["happiness"],
+        "classes": list(EMOTIONS),
         "labels": list(AU_LABELS),
         "table": [{"class": "happiness", "prototypical": [], "observational": {"AU6": 1.3}}],
     }
     p = tmp_path / "t.json"
     p.write_text(json.dumps(base))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="weight 1.3"):
         RelatednessTable.load(p)
     base["table"] = [
         {"class": "happiness", "prototypical": ["AU12"], "observational": {}},
         {"class": "happiness", "prototypical": ["AU25"], "observational": {}},
     ]
     p.write_text(json.dumps(base))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="duplicate class 'happiness'"):
         RelatednessTable.load(p)
     base["table"] = [{"class": "happiness", "prototypical": ["AU99"], "observational": {}}]
     p.write_text(json.dumps(base))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="unknown label 'AU99'"):
         RelatednessTable.load(p)
 
 
@@ -117,7 +117,7 @@ def test_infer_empirical_counting():
         au[AU_IDX[12]] = 1.0 if i < 8 else 0.0
         samples.append((happy, au))
     table = infer_empirical(*_corpus(samples), threshold=0.1)
-    got = weights_by_au(table, table.class_names.index("happiness"))
+    got = weights_by_au(table, EMOTIONS.index("happiness"))
     assert got[12] == pytest.approx(0.8)
     # every other AU was annotated inactive -> weight 0 < threshold -> absent
     assert set(got) == {12}
@@ -160,7 +160,8 @@ def test_infer_empirical_keeps_every_class():
     samples = [(happy, au), (sad, np.full(17, np.nan))]
     table = infer_empirical(*_corpus(samples))
     # sadness has no annotated AU and anger no sample: both keep an empty row
-    assert table.class_names == EMOTIONS
+    assert table.weights.shape == (len(EMOTIONS), len(CANONICAL_AUS))
+    assert table.to_dict()["classes"] == list(EMOTIONS)
     assert weights_by_au(table, sad) == {} and weights_by_au(table, EMOTIONS.index("anger")) == {}
     assert list(weights_by_au(table, happy)) == [CANONICAL_AUS[0]]
     assert RelatednessTable.from_dict(table.to_dict()) == table
@@ -244,6 +245,22 @@ def test_load_rejects_a_malformed_value(tmp_path, form, path, value):
     p = tmp_path / "t.json"
     p.write_text(json.dumps(_set(form, path, value)))
     with pytest.raises(DataError, match=str(p)):
+        RelatednessTable.load(p)
+
+
+@pytest.mark.parametrize("form", [SOURCE, SAVED], ids=["source", "saved"])
+@pytest.mark.parametrize("key, names", [
+    ("classes", list(EMOTIONS)[::-1]), ("classes", list(EMOTIONS)[1:]),
+    ("classes", [*EMOTIONS, "contempt"]), ("labels", list(AU_LABELS)[::-1]),
+    ("labels", ["AU12", "AU25"]), ("labels", [f"AU{n}" for n in range(1, 18)]),
+], ids=["reversed_classes", "six_classes", "eight_classes", "reversed_labels", "two_labels",
+        "other_labels"])
+def test_load_needs_the_canonical_classes_and_labels_in_order(tmp_path, form, key, names):
+    """Row k is EMOTIONS[k] and column b is AU_LABELS[b] in every table, so a
+    file listing other names, or the same ones in another order, is refused."""
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({**form, key: names}))
+    with pytest.raises(DataError, match=f"{p}: {key} must be .* in that order"):
         RelatednessTable.load(p)
 
 

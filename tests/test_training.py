@@ -255,7 +255,7 @@ def test_batch_objective_matches_per_row_loop(mode):
             for name, group, size in (("va", va_set, 40), ("au", au_set, 50), ("expr", expr_set, 45))}
     weights = LossWeights({"expr": 0.7, "va": 1.3}, {"sca": 0.6, "dm": 1.7})
     model = MultiHeadModel(8, hidden=(16,), seed=1)
-    sets, objective = build_objective(model, sets, TABLE, mode, weights)
+    sets, objective = build_objective(sets, TABLE, mode, weights)
     # rows in a shuffled order, as the epoch plan draws them
     rng = np.random.default_rng(0)
     batch = {name: rng.permutation(len(sets[name])) for name in ("va", "au", "expr")}
@@ -275,7 +275,7 @@ def _whole_sets_batch(mode, weights):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     sets, objective = build_objective(
-        model, dict(zip(("va", "au", "expr"), split(draw(spec, 90)))), TABLE, mode, weights)
+        dict(zip(("va", "au", "expr"), split(draw(spec, 90)))), TABLE, mode, weights)
     return model, sets, {name: np.arange(len(data)) for name, data in sets.items()}, objective
 
 
@@ -315,10 +315,7 @@ def test_sca_targets_follow_rows_not_ids(one_row):
     happy[[4, 9, 15]] = 1.0  # AU6, AU12, AU25
     sad[[2, 10]] = 1.0  # AU4, AU15
     au_set = SampleSet.concat([one_row("dup", np.zeros(8), au=a) for a in (happy, sad)])
-    model = MultiHeadModel(8, hidden=(4,))
-    _, objective = build_objective(
-        model, {"au": au_set}, TABLE, "soft_co_annotation", LossWeights()
-    )
+    _, objective = build_objective({"au": au_set}, TABLE, "soft_co_annotation", LossWeights())
     r = TABLE.weight_matrix(True)
     for au, q in zip(au_set.au, objective.sca_targets):
         assert np.allclose(q, soft_label(indicator_scores(au, r)), atol=1e-15)
@@ -335,8 +332,9 @@ def test_table_head_mismatch_is_a_data_error(dataset_dir, tmp_path):
         dataset_dir, tmp_path / "run", epochs=1, coupling="distr_matching",
         relatedness={"source": "file", "path": str(tmp_path / "six.json")},
     )
-    with pytest.raises(DataError, match="relatedness table shape"):
+    with pytest.raises(DataError, match=f"{tmp_path / 'six.json'}: classes .* in that order"):
         run_train(config)
+    assert not (tmp_path / "run").exists()
 
 
 def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
@@ -353,7 +351,7 @@ def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
     )
     manifest = run_train(config)
     table = RelatednessTable.load(tmp_path / "run" / "relatedness.json")
-    assert table.class_names == EMOTIONS
+    assert table.to_dict()["classes"] == list(EMOTIONS)
     assert not table.weight_matrix()[anger].any()
     assert manifest["steps"] == manifest["epoch_plans"][0]["iteration_count"]
 

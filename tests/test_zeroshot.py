@@ -8,6 +8,7 @@ from affectmtl import (
     EMOTIONS,
     CompoundClass,
     DataError,
+    MultiHeadModel,
     RelatednessTable,
     compound_scores,
     default_compound_classes,
@@ -157,14 +158,25 @@ def test_compound_scores_match_reference(reference_compound_scores):
 
 @pytest.mark.parametrize("drop, width", [("au", None), ("expr", None), ("va", None),
                                          ("au", 5), ("expr", 6), ("va", 1)])
-def test_compound_scores_needs_default_heads(drop, width):
-    out = random_heads(np.random.default_rng(4), 3)
+def test_compound_scores_needs_default_heads(tmp_path, drop, width):
+    """``compound_scores`` reads the va, expr and au heads at their default
+    widths; a checkpoint that lacks one, or has it at another width, is
+    refused when it is read, so it never reaches scoring."""
+    m = MultiHeadModel(5, hidden=(4,))
+    m.save(tmp_path / "model.bin")
+    blob = (tmp_path / "model.bin").read_bytes()
+    hlen = int.from_bytes(blob[:8], "little")
+    header = json.loads(blob[8 : 8 + hlen])
     if width is None:
-        del out[drop]
+        del header["heads"][drop]
     else:
-        out[drop] = out[drop][:, :width]
-    with pytest.raises(DataError, match=drop):
-        compound_scores(out, default_compound_classes(TABLE))
+        header["heads"][drop][1] = width
+    raw = json.dumps(header).encode()
+    (tmp_path / "bad.bin").write_bytes(len(raw).to_bytes(8, "little") + raw + blob[8 + hlen :])
+    with pytest.raises(DataError, match=f"{tmp_path / 'bad.bin'}: heads"):
+        MultiHeadModel.load(tmp_path / "bad.bin")
+    out, _ = m.forward(np.zeros((3, 5)))
+    assert compound_scores(out, default_compound_classes(TABLE)).total.shape == (3, 11)
 
 
 def test_i_au_monotonicity():
@@ -205,22 +217,28 @@ def test_profile_union_matches_table_lookup():
         compound_class_from_emotions("x", 1, 7, TABLE)
 
 
-def test_profile_needs_the_canonical_au_labels():
-    happy, surprise = EMOTIONS.index("happiness"), EMOTIONS.index("surprise")
-    entries = np.zeros((7, 2))
-    entries[happy] = 1.0
-    two = RelatednessTable(EMOTIONS, ["AU12", "AU25"], entries, entries > 0, KIND_DOMAIN)
-    with pytest.raises(DataError, match="canonical AUs"):
-        compound_class_from_emotions("happily_surprised", happy, surprise, two)
+def test_profile_needs_the_canonical_au_labels(tmp_path):
+    # a table of two AU columns would put AU12 and AU25 at the profile's AU1 and AU2;
+    # it is refused where it is read, so no profile is built from it
+    happy = EMOTIONS.index("happiness")
+    d = {**TABLE.to_dict(), "labels": ["AU12", "AU25"],
+         "entries": {"happiness": {"AU12": {"w": 1.0, "proto": True}}}}
+    (tmp_path / "two.json").write_text(json.dumps(d))
+    with pytest.raises(DataError, match="labels must be .* in that order"):
+        RelatednessTable.load(tmp_path / "two.json")
+    with pytest.raises(DataError, match="shape"):
+        RelatednessTable(np.eye(7, 2), np.eye(7, 2) > 0, KIND_DOMAIN)
+    profile = compound_class_from_emotions("x", happy, 6, TABLE).au_profile
+    assert {12, 25} <= profile.keys()
 
 
-def test_profile_needs_the_canonical_emotion_order():
+def test_profile_needs_the_canonical_emotion_order(tmp_path):
     # the same entries under the classes listed in reverse: index 0 would be surprise
     d = TABLE.to_dict()
     d["classes"] = d["classes"][::-1]
-    reversed_table = RelatednessTable.from_dict(d)
-    with pytest.raises(DataError, match="canonical emotions"):
-        compound_class_from_emotions("happily_surprised", 4, 6, reversed_table)
+    (tmp_path / "reversed.json").write_text(json.dumps(d))
+    with pytest.raises(DataError, match="classes must be .* in that order"):
+        RelatednessTable.load(tmp_path / "reversed.json")
 
 
 def test_profile_file_round_trip(tmp_path):
