@@ -1,5 +1,5 @@
-"""Exception hierarchy mapped to CLI exit codes, and the JSON key check that
-every reader of an input file shares."""
+"""Exception hierarchy mapped to CLI exit codes, and the JSON checks (repeated
+keys, exact types, exact key sets) that every reader of an input file shares."""
 
 
 class AffectMTLError(Exception):
@@ -35,4 +35,25 @@ def unique_keys(pairs) -> dict:
         if key in d:
             raise ValueError(f"repeated key {key!r}")
         d[key] = value
+    return d
+
+
+def exact_type(value, kinds, where: str, error):
+    """``value``, whose own type is one of ``kinds`` (so a bool is no int), or an ``error``."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise error(f"{where} must be of type {names}, got {value!r}")
+    return value
+
+
+def exact_keys(d, required, optional, where: str, error) -> dict:
+    """``d``, a dict with every ``required`` key and no key beyond ``optional``, or
+    an ``error`` that names each missing and each unknown key."""
+    exact_type(d, dict, where, error)
+    wrong = {"missing": [k for k in required if k not in d],
+             "unknown": [k for k in d if k not in required and k not in optional]}
+    if any(wrong.values()):
+        raise error(f"{where}: " + "; ".join(f"{kind} key(s) {', '.join(map(repr, keys))}"
+                                             for kind, keys in wrong.items() if keys))
     return d

@@ -22,6 +22,7 @@ import locale
 import math
 import operator
 import os
+import re
 import stat
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -256,7 +257,7 @@ def _parse(raw: bytes, path: Path) -> tuple[SampleSet, bool]:
         header = next(reader, None)
         if header is None:
             raise DataError(f"empty dataset file: {path}")
-        layout = _Layout(header, path, text)
+        layout = _Layout(header, path, text, re.split(rb"[\r\n]", raw, maxsplit=1)[-1])
         blocks, done = [], 0
         while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
             rows = [r for r in chunk if r]  # a blank line holds no row
@@ -406,6 +407,18 @@ _FLOATS = 2 + NUM_AUS
 _EXPR, _VIDEO, _FRAME = (_LABEL_COLUMNS.index(c) for c in ("expr", "video_id", "frame_idx"))
 # What converting a malformed cell or .npy reference raises.
 _CELL_ERRORS = (DataError, ValueError, TypeError, OverflowError, OSError, EOFError)
+# The characters of a number cell: ASCII digits; in a float also a sign, a point, an
+# exponent and nan, which only an AU cell may read (any other NaN is refused as not finite)
+_DIGITS, _FLOAT_CHARS = b"0123456789", b"0123456789+-.eEna"
+# float() and int() also take padding, "_" between digits, other digit scripts and (float)
+# inf and nan: a float cell so spelled needs a non-ASCII byte, one of these, or quotes.
+_NOT_PLAIN = b' \t\x0b\x0c\x1c\x1d\x1e\x1f_nN"'
+
+
+def _check_spelling(text: str, chars: bytes, what: str) -> None:
+    """Raise a ValueError unless ``text``, the cells of ``what`` joined, holds ``chars`` alone."""
+    if not text.isascii() or text.encode().translate(None, chars):
+        raise ValueError(f"a {what} cell holds a character other than {chars.decode()}")
 
 
 def _line_of(text, row: int) -> int:
@@ -419,7 +432,8 @@ def _line_of(text, row: int) -> int:
 class _Layout:
     """Where one CSV header keeps each column, and the conversion of row blocks."""
 
-    def __init__(self, header, path: Path, text):
+    def __init__(self, header, path: Path, text, body: bytes):
+        """``body`` is the CSV bytes from the first line break on."""
         col = {name: i for i, name in enumerate(header)}
         if "id" not in col:
             raise DataError(f"{path}: no id column")
@@ -429,13 +443,15 @@ class _Layout:
         if not fcols and not self.use_files:
             raise DataError(f"{path}: no feature columns and no feature_file column")
         feature_idx = [col["feature_file"]] if self.use_files else [col[c] for c in fcols]
-        present = [c for c in _LABEL_COLUMNS if c in col]
         self.path, self.text = path, text  # text(): the CSV as a new file object
+        # rows without a _NOT_PLAIN byte need no spelling check of their float cells
+        self.plain = body.isascii() and not any(b in body for b in _NOT_PLAIN)
         self.id = operator.itemgetter(col["id"])
         self.features = operator.itemgetter(*feature_idx)
-        self.label_pos = [_LABEL_COLUMNS.index(c) for c in present]
-        self.labels = operator.itemgetter(*(col[c] for c in present)) if present else None
-        self.width = 1 + max(col["id"], *feature_idx, *(col[c] for c in present))
+        # every label column, an absent one read from the id column and then blanked
+        self.labels = operator.itemgetter(*(col.get(c, col["id"]) for c in _LABEL_COLUMNS))
+        self.absent = [j for j, c in enumerate(_LABEL_COLUMNS) if c not in col]
+        self.width = 1 + max(col["id"], *feature_idx, *(col[c] for c in _LABEL_COLUMNS if c in col))
         self.npy: dict[str, np.ndarray] = {}  # feature_file name -> its matrix
         self.finite: dict[str, np.ndarray] = {}  # and which of its rows are finite
 
@@ -461,19 +477,26 @@ class _Layout:
         if self.use_files:
             features = self._references(list(map(self.features, rows)))
         else:
-            features = np.array(list(map(self.features, rows)), dtype=float).reshape(n, -1)
-        cells = np.full((n, len(_LABEL_COLUMNS)), "", dtype=object)
-        if self.labels is not None:
-            cells[:, self.label_pos] = np.array(
-                list(map(self.labels, rows)), dtype=object).reshape(n, -1)
+            features = list(map(self.features, rows))
+            if not self.plain:
+                _check_spelling("".join(map("".join, features)), _FLOAT_CHARS, "feature")
+            features = np.array(features, dtype=float).reshape(n, -1)
+        cells = np.fromiter(itertools.chain.from_iterable(map(self.labels, rows)), object,
+                            n * len(_LABEL_COLUMNS)).reshape(n, -1)
+        cells[:, self.absent] = ""
         filled = cells != ""  # only filled cells are converted
-        va_au = np.full((n, _FLOATS), np.nan)
-        va_au[filled[:, :_FLOATS]] = cells[:, :_FLOATS][filled[:, :_FLOATS]].astype(float)
-        expr = np.full(n, -1)
-        expr[filled[:, _EXPR]] = cells[filled[:, _EXPR], _EXPR].astype(np.int64)
         keyed = filled[:, _VIDEO] & filled[:, _FRAME]
+        floats, ints = cells[:, :_FLOATS][filled[:, :_FLOATS]], cells[filled[:, _EXPR], _EXPR]
+        frames = cells[keyed, _FRAME]
+        if not self.plain:
+            _check_spelling("".join(floats), _FLOAT_CHARS, "VA or AU")
+        _check_spelling("".join(ints) + "".join(frames), _DIGITS, "expr or frame_idx")
+        va_au = np.full((n, _FLOATS), np.nan)
+        va_au[filled[:, :_FLOATS]] = floats.astype(float)
+        expr = np.full(n, -1)
+        expr[filled[:, _EXPR]] = ints.astype(np.int64)
         frame = np.full(n, -1)
-        frame[keyed] = cells[keyed, _FRAME].astype(np.int64)
+        frame[keyed] = frames.astype(np.int64)
         col = {"ids": np.array(list(map(self.id, rows)), dtype=object), "features": features,
                "expr": expr, "au": va_au[:, 2:], "va": va_au[:, :2], "frame": frame,
                "video": np.where(keyed, cells[:, _VIDEO], ""), "compound": cells[:, -1]}

@@ -15,11 +15,13 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, NumericalError, unique_keys
+from .errors import DataError, NumericalError, exact_keys, exact_type, unique_keys
 from .relatedness import EMOTIONS, NUM_AUS
 
 # The one head layout, name -> (kind, width): VA pair, the expressions, the AUs.
 DEFAULT_HEADS = {"va": ("tanh", 2), "expr": ("softmax", len(EMOTIONS)), "au": ("sigmoid", NUM_AUS)}
+# The keys of a checkpoint header, as save writes them
+_HEADER = ("input_dim", "hidden", "heads", "seed")
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -215,37 +217,23 @@ class MultiHeadModel:
 
 
 def _header_fields(spec, path):
-    """(input_dim, hidden, seed) of a checkpoint header, each checked for its
-    type; sizes are positive ints, and ``heads`` must be the one layout. Older
-    files also hold ``"trunk_frozen": false``; any other key or value is an
-    error."""
-
-    def positive(v):
-        return type(v) is int and v > 0
-
-    if not isinstance(spec, dict):
-        raise DataError(f"checkpoint {path}: the header is not a JSON object")
-    keys = ("input_dim", "hidden", "heads", "seed")
-    missing = sorted(set(keys) - set(spec))
-    if missing:
-        raise DataError(f"checkpoint {path}: the header lacks {', '.join(missing)}")
-    unknown = sorted(set(spec) - {*keys, "trunk_frozen"})
-    if unknown:
-        raise DataError(f"checkpoint {path}: unknown header key(s) {', '.join(map(repr, unknown))}")
+    """(input_dim, hidden, seed) of a checkpoint header: sizes are positive ints, the seed
+    a non-negative int, and ``heads`` the one layout. Older files also hold
+    ``"trunk_frozen": false``; any other key or value is an error."""
+    where = f"checkpoint {path}"
+    exact_keys(spec, _HEADER, ("trunk_frozen",), where, DataError)
     if spec.get("trunk_frozen", False) is not False:
-        raise DataError(f"checkpoint {path}: trunk_frozen {spec['trunk_frozen']!r} is not "
-                        "supported (only false: the trunk is always trained)")
-    input_dim, hidden, heads, seed = (spec[k] for k in keys)
-    if not positive(input_dim):
-        raise DataError(f"checkpoint {path}: input_dim {input_dim!r} is not a positive int")
-    if not (isinstance(hidden, list) and all(positive(h) for h in hidden)):
-        raise DataError(f"checkpoint {path}: hidden {hidden!r} is not a list of positive ints")
+        raise DataError(f"{where}: trunk_frozen must be false, got {spec['trunk_frozen']!r}")
+    input_dim, hidden, heads, seed = (spec[k] for k in _HEADER)
+    sizes = [input_dim, *exact_type(hidden, list, f"{where}: hidden", DataError)]
+    if not all(exact_type(n, int, f"{where}: each size", DataError) > 0 for n in sizes):
+        raise DataError(f"{where}: input_dim and hidden {sizes} are not all positive")
     # compared as JSON text, so that 17.0 or true does not pass for 17 or 1
     layout = json.dumps(DEFAULT_HEADS, sort_keys=True)
     if json.dumps(heads, sort_keys=True) != layout:
-        raise DataError(f"checkpoint {path}: heads {heads!r} are not the layout {layout}")
-    if type(seed) is not int or seed < 0:
-        raise DataError(f"checkpoint {path}: seed {seed!r} is not a non-negative int")
+        raise DataError(f"{where}: heads {heads!r} are not the layout {layout}")
+    if exact_type(seed, int, f"{where}: seed", DataError) < 0:
+        raise DataError(f"{where}: seed {seed} is negative")
     return input_dim, hidden, seed
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, unique_keys
+from .errors import DataError, exact_keys, exact_type, unique_keys
 
 log = logging.getLogger(__name__)
 
@@ -96,11 +96,9 @@ class RelatednessTable:
         weight) pairs; a class without a row (neutral) has no entries. Anything
         malformed is a :class:`DataError`.
         """
-        d = _typed(d, dict, "a relatedness table")
-        keys = {"classes", "labels", "table"} if "table" in d else {"classes", "labels", "entries",
-                                                                    "kind"}
-        if set(d) != keys:
-            raise DataError(f"a relatedness table holds the keys {sorted(keys)}, got {sorted(d)}")
+        exact_type(d, dict, "a relatedness table", DataError)
+        form = ("table",) if "table" in d else ("entries", "kind")
+        exact_keys(d, ("classes", "labels", *form), (), "a relatedness table", DataError)
         for key, names in (("classes", EMOTIONS), ("labels", AU_LABELS)):
             if d[key] != list(names):
                 raise DataError(f"{key} must be {list(names)}, in that order; got {d[key]!r}")
@@ -108,21 +106,21 @@ class RelatednessTable:
         proto = np.zeros(weights.shape, dtype=bool)
         if "table" in d:
             for k, row in _source_rows(d["table"]):
-                for name in _typed(row.get("prototypical", []), list, "prototypical"):
+                protos = exact_type(row.get("prototypical", []), list, "prototypical", DataError)
+                obs = exact_type(row.get("observational", {}), dict, "observational", DataError)
+                for name, p in [*((n, True) for n in protos), *((n, False) for n in obs)]:
                     b = _index(AU_LABELS, name, "label")
-                    weights[k, b], proto[k, b] = 1.0, True
-                for name, w in _typed(row.get("observational", {}), dict, "observational").items():
-                    b = _index(AU_LABELS, name, "label")
-                    weights[k, b], proto[k, b] = _weight(w), False
+                    if weights[k, b]:  # an entry has a weight > 0
+                        raise DataError(f"class {row['class']!r} names {name} more than once")
+                    weights[k, b], proto[k, b] = 1.0 if p else _weight(obs[name]), p
             return cls(weights, proto, KIND_DOMAIN)
-        for cname, row in _typed(d["entries"], dict, "entries").items():
+        for cname, row in exact_type(d["entries"], dict, "entries", DataError).items():
             k = _index(EMOTIONS, cname, "class")
-            for name, e in _typed(row, dict, f"entries of {cname!r}").items():
+            for name, e in exact_type(row, dict, f"entries of {cname!r}", DataError).items():
                 b = _index(AU_LABELS, name, "label")
-                if set(_typed(e, dict, f"entry {cname!r}/{name}")) != {"w", "proto"}:
-                    raise DataError(f"entry {cname!r}/{name} must hold exactly w and proto")
+                exact_keys(e, ("w", "proto"), (), f"entry {cname!r}/{name}", DataError)
                 weights[k, b] = _weight(e["w"])
-                proto[k, b] = _typed(e["proto"], bool, f"proto of {cname!r}/{name}")
+                proto[k, b] = exact_type(e["proto"], bool, f"proto of {cname!r}/{name}", DataError)
         return cls(weights, proto, d["kind"])
 
     def save(self, path) -> None:
@@ -149,16 +147,6 @@ class RelatednessTable:
         return f"RelatednessTable(kind={self.kind!r})"
 
 
-def _typed(value, kind: type, what: str):
-    """``value``, whose own type must be ``kind``."""
-    if type(value) is not kind:
-        raise DataError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
-_JSON_TYPES = {dict: "object", list: "list", bool: "boolean"}
-
-
 def _index(names: tuple, name, what: str) -> int:
     if name not in names:
         raise DataError(f"unknown {what} {name!r}")
@@ -166,19 +154,17 @@ def _index(names: tuple, name, what: str) -> int:
 
 
 def _weight(w) -> float:
-    """A table weight: a JSON number (not a boolean) in (0, 1]."""
-    if type(w) not in (int, float) or not 0.0 < w <= 1.0:
-        raise DataError(f"weight {w!r} is not a number in (0, 1]")
+    """A table weight: a JSON number in (0, 1]."""
+    if not 0.0 < exact_type(w, (int, float), "a weight", DataError) <= 1.0:
+        raise DataError(f"weight {w!r} is not in (0, 1]")
     return w
 
 
 def _source_rows(table):
     """(class index, row) of each row of a source-form ``table``, each class once."""
     seen = set()
-    for row in _typed(table, list, "table"):
-        row = _typed(row, dict, "a table row")
-        if "class" not in row or not set(row) <= {"class", "prototypical", "observational"}:
-            raise DataError(f"table row {row!r} must hold a class and its label lists only")
+    for row in exact_type(table, list, "table", DataError):
+        exact_keys(row, ("class",), ("prototypical", "observational"), "a table row", DataError)
         k = _index(EMOTIONS, row["class"], "class")
         if k in seen:
             raise DataError(f"duplicate class {row['class']!r}")

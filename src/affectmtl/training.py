@@ -18,7 +18,7 @@ import numpy as np
 
 from . import labels as lab
 from . import relatedness as rel
-from .errors import ConfigError, DataError, NumericalError, unique_keys
+from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, unique_keys
 from .losses import (
     DEFAULT_EPS,
     LossWeights,
@@ -44,28 +44,18 @@ LOSS_NAMES = TASK_NAMES + COUPLING_NAMES  # the loss columns of losses.csv, befo
 # top-level key of the config. A setting's JSON type is its field's annotation.
 SECTION = {"tasks": "loss_weights", "couplings": "loss_weights", "epsilon": "loss_weights",
            "hidden": "model", "lr": "optimizer", "momentum": "optimizer"}
-# The keys allowed in each setting that is itself a JSON object
-OBJECT_KEYS = {"data": SET_NAMES, "relatedness": ("source", "path", "corpus", "threshold"),
-               "tasks": TASK_NAMES, "couplings": COUPLING_NAMES}
-
-
-def _check_keys(d, allowed, where: str) -> None:
-    """Reject keys that no setting reads, so a typo cannot fall back to a default."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+# The keys allowed in each setting that is itself a JSON object, and the type of each value
+OBJECT_KEYS = {"data": dict.fromkeys(SET_NAMES, str),
+               "relatedness": {"source": str, "path": str, "corpus": str, "threshold": float},
+               "tasks": dict.fromkeys(TASK_NAMES, float),
+               "couplings": dict.fromkeys(COUPLING_NAMES, float)}
 
 
 def _typed(value, kind: type, where: str):
-    """``value``, whose own type must be ``kind``; a float setting also takes
-    an int, returned as a float. No float or bool is truncated to an int, no
-    string or bool is read as a number, and nothing is made a string."""
-    kinds = (int, float) if kind is float else (kind,)
-    if type(value) not in kinds:
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ConfigError(f"{where} must be of type {names}, got {value!r}")
+    """``value``, whose own type must be ``kind`` (:func:`exact_type`); a float
+    setting also takes an int, returned as a float. Nothing is truncated,
+    converted from a string or bool, or made a string."""
+    exact_type(value, (int, float) if kind is float else kind, where, ConfigError)
     try:
         return float(value) if kind is float else value
     except OverflowError as e:
@@ -99,9 +89,10 @@ class ExperimentConfig:
             where = f"{SECTION[f.name]}.{f.name}" if f.name in SECTION else f.name
             setattr(self, f.name, _typed(getattr(self, f.name), f.type, where))
             if f.name in OBJECT_KEYS:
-                _check_keys(getattr(self, f.name), OBJECT_KEYS[f.name], f"config.{where}")
-        for name, w in {**self.tasks, **self.couplings}.items():
-            _typed(w, float, f"the loss weight of {name}")  # before LossWeights compares it
+                shape = OBJECT_KEYS[f.name]
+                d = exact_keys(getattr(self, f.name), (), shape, f"config.{where}", ConfigError)
+                for key, value in d.items():
+                    _typed(value, shape[key], f"{where}.{key}")
         if self.coupling not in COUPLING_MODES:
             raise ConfigError(f"invalid coupling mode {self.coupling!r}")
         if not self.data:
@@ -110,12 +101,8 @@ class ExperimentConfig:
             raise ConfigError("holdout_fraction must be in [0, 1)")
         if self.epochs < 1 or self.max_batch < 1:
             raise ConfigError("epochs and max_batch must be >= 1")
-        paths = [*self.data.values(), *(self.relatedness.get(k, "") for k in ("path", "corpus"))]
-        if not all(isinstance(p, str) for p in paths):
-            raise ConfigError("data and relatedness paths must be strings")
-        _check_threshold(_typed(self.relatedness.get("threshold", 0.1), float,
-                                "relatedness.threshold"))
-        if not all(type(h) is int and h > 0 for h in self.hidden):
+        _check_threshold(float(self.relatedness.get("threshold", 0.1)))
+        if not all(exact_type(h, int, "model.hidden", ConfigError) > 0 for h in self.hidden):
             raise ConfigError(f"model.hidden must list positive ints, got {self.hidden}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -135,10 +122,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         names = [f.name for f in fields(cls)]
-        _check_keys(d, {SECTION.get(n, n) for n in names}, "config")
+        exact_keys(d, (), {SECTION.get(n, n) for n in names}, "config", ConfigError)
         sections = {s: d.get(s, {}) for s in SECTION.values()}
-        for s, section in sections.items():
-            _check_keys(section, {n for n in names if SECTION.get(n) == s}, f"config.{s}")
+        for s, p in sections.items():
+            exact_keys(p, (), {n for n in names if SECTION.get(n) == s}, f"config.{s}", ConfigError)
         # a nested setting is read from its section, any other from the top level
         holder = {n: sections[SECTION[n]] if n in SECTION else d for n in names}
         return cls(**{n: holder[n][n] for n in names if n in holder[n]})

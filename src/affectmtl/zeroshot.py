@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, unique_keys
+from .errors import DataError, exact_keys, exact_type, unique_keys
 from .relatedness import CANONICAL_AUS, EMOTIONS, RelatednessTable
 
 _AU_TO_INDEX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -22,13 +22,10 @@ _AU_TO_INDEX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 _AU_KEYS = {str(au): au for au in CANONICAL_AUS}
 
 
-def _is(value, kinds) -> bool:
-    """``isinstance`` that does not let a bool pass for a number."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def _check_emotion(name, emo) -> None:
-    if not _is(emo, (int, np.integer)) or not 0 <= emo < len(EMOTIONS):
+    # built in Python, a profile may hold the NumPy scalars of an argmax or a table row
+    exact_type(emo, (int, np.int64), f"compound {name!r}: emotion index", DataError)
+    if not 0 <= emo < len(EMOTIONS):
         raise DataError(f"compound {name!r}: emotion index {emo!r} outside 0..{len(EMOTIONS) - 1}")
 
 
@@ -46,20 +43,20 @@ class CompoundClass:
     requires_positive_valence: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise DataError(f"compound name {self.name!r} is not a string")
+        exact_type(self.name, (str, np.str_), "a compound name", DataError)
         for emo in (self.emo1, self.emo2):
             _check_emotion(self.name, emo)
         if self.emo1 == self.emo2:
             raise DataError(f"compound {self.name!r}: constituent emotions must differ")
-        if not isinstance(self.requires_positive_valence, bool):
-            raise DataError(f"compound {self.name!r}: positive valence flag must be true or false")
+        exact_type(self.requires_positive_valence, bool,
+                   f"compound {self.name!r}: positive valence flag", DataError)
         if not self.au_profile:
             raise DataError(f"compound {self.name!r}: empty AU profile")
         for au, w in self.au_profile.items():
             if au not in _AU_TO_INDEX:
                 raise DataError(f"compound {self.name!r}: AU{au} outside the canonical set")
-            if not _is(w, (int, float)) or not 0.0 < w <= 1.0:
+            where = f"compound {self.name!r}: weight"
+            if not 0.0 < exact_type(w, (int, float, np.float64), where, DataError) <= 1.0:
                 raise DataError(f"compound {self.name!r}: weight {w!r} outside (0, 1]")
 
 
@@ -160,24 +157,17 @@ def load_compound_profiles(path) -> list[CompoundClass]:
         payload = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except (OSError, ValueError) as e:  # ValueError: invalid JSON or UTF-8
         raise DataError(f"cannot read compound profiles {path}: {e}") from e
-    if not isinstance(payload, list) or not payload:
-        raise DataError(f"compound profile file {path} must hold a non-empty JSON list")
     try:
-        return [_profile_from_dict(d) for d in payload]
+        if not exact_type(payload, list, "the payload", DataError):
+            raise DataError("no compound profiles")
+        return [_profile_from_dict(d, f"entry {i}") for i, d in enumerate(payload)]
     except DataError as e:
         raise DataError(f"compound profile file {path}: {e}") from e
 
 
-def _profile_from_dict(d) -> CompoundClass:
-    if not isinstance(d, dict) or not d.keys() >= {"name", "emo1", "emo2", "aus"}:
-        raise DataError(f"entry {d!r} is not an object with name, emo1, emo2 and aus")
-    if unknown := d.keys() - {"name", "emo1", "emo2", "aus", "positive_valence"}:
-        raise DataError(f"entry {d['name']!r}: unknown keys {sorted(unknown)}")
-    if not isinstance(d["aus"], dict):
-        raise DataError(f"entry {d['name']!r}: aus {d['aus']!r} is not an object")
-    if not d["aus"].keys() <= _AU_KEYS.keys():
-        raise DataError(f"entry {d['name']!r}: AU keys {list(d['aus'])} are not all canonical "
-                        "AU numbers in plain digits, like \"12\"")
+def _profile_from_dict(d, where: str) -> CompoundClass:
+    exact_keys(d, ("name", "emo1", "emo2", "aus"), ("positive_valence",), where, DataError)
+    exact_keys(d["aus"], (), _AU_KEYS, f"{where}: aus", DataError)
     profile = {_AU_KEYS[au]: w for au, w in d["aus"].items()}
     return CompoundClass(d["name"], d["emo1"], d["emo2"], profile,
                          d.get("positive_valence", False))

@@ -58,9 +58,28 @@ def reference_compound_scores():
     return _reference_compound_scores
 
 
+# The spelling of a number cell: a float in ASCII digits with an optional sign,
+# point and exponent, where an AU cell may read nan; an integer (expr,
+# frame_idx) in ASCII digits alone
+_FLOAT_CELL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_AU_CELL = re.compile(rf"{_FLOAT_CELL.pattern}|[+-]?nan")
+_INT_CELL = re.compile("[0-9]+")
+
+
+def _spelled(text, grammar, line):
+    """``text``, a number cell of the CSV line ``line`` that ``grammar`` must
+    match in full: ``float`` and ``int`` would also take padding, ``_``,
+    other digit scripts, ``inf`` and ``nan``."""
+    if not grammar.fullmatch(text):
+        raise ValueError(f"line {line}: {text!r} is not a number cell")
+    return text
+
+
 def _reference_read_samples_csv(path):
     """Per-row reader of a valid annotation CSV, one cell at a time with
-    ``float`` and ``int``. Returns the ``SampleSet`` fields as a dict."""
+    ``float`` and ``int`` after a match of each number cell against its
+    spelling. Returns the ``SampleSet`` fields as a dict; a cell spelled
+    otherwise raises a ValueError that begins with ``line <n>:``."""
     path = Path(path)
     cols = {k: [] for k in ("ids", "features", "expr", "au", "va", "video", "frame", "compound")}
     with open(path, newline="") as f:
@@ -71,20 +90,25 @@ def _reference_read_samples_csv(path):
             def cell(name):
                 return row.get(name) or ""
 
+            def number(name, grammar=_FLOAT_CELL, empty="nan"):
+                text = cell(name)
+                return empty if text == "" else _spelled(text, grammar, reader.line_num)
+
             if "feature_file" in row:
                 name, _, i = row["feature_file"].rpartition(":")
                 if not re.fullmatch("[0-9]+", i):  # no sign, padding, "_" or non-ASCII digit
                     raise ValueError(f"feature_file row {i!r} is not ASCII digits")
                 cols["features"].append(np.load(path.parent / name)[int(i)])
             else:
-                cols["features"].append([float(row[c]) for c in fcols])
+                cols["features"].append([float(_spelled(row[c], _FLOAT_CELL, reader.line_num))
+                                          for c in fcols])
             cols["ids"].append(row["id"])
-            cols["expr"].append(int(cell("expr") or -1))
-            cols["au"].append([float(cell(c) or "nan") for c in AU_COLUMNS])
-            cols["va"].append([float(cell("valence") or "nan"), float(cell("arousal") or "nan")])
+            cols["expr"].append(int(number("expr", _INT_CELL, "-1")))
+            cols["au"].append([float(number(c, _AU_CELL)) for c in AU_COLUMNS])
+            cols["va"].append([float(number("valence")), float(number("arousal"))])
             keyed = cell("video_id") != "" and cell("frame_idx") != ""
             cols["video"].append(row["video_id"] if keyed else "")
-            cols["frame"].append(int(row["frame_idx"]) if keyed else -1)
+            cols["frame"].append(int(number("frame_idx", _INT_CELL)) if keyed else -1)
             cols["compound"].append(cell("compound"))
     out = {k: np.array(v, dtype=object if k in ("ids", "video", "compound") else None)
            for k, v in cols.items()}

@@ -284,14 +284,20 @@ def test_csv_structure_errors(tmp_path, blob, message):
 
 def _number(rng, x) -> str:
     """``x`` in one of the spellings a CSV may hold."""
-    return [repr(float(x)), f"{x:.3e}", str(int(x * 100)), f" {x:.4f}"][rng.integers(4)]
+    return [repr(float(x)), f"{x:.3e}", str(int(x * 100)), f"{x:+.4f}"][rng.integers(4)]
+
+
+# Spellings of a number cell: outside the grammar (padding, "_", another digit
+# script, inf, a NaN other than an AU's "nan", a sign on an integer), then inside it
+SPELLINGS = [" 0.25", "4 ", "1_5", "\u0663", "inf", "NaN", "+1", "1.", "1e0", ".1E+1", "01"]
 
 
 @st.composite
 def annotation_csvs(draw, directory: Path) -> Path:
-    """A valid annotation CSV, with any subset of the label columns, inline
-    features or ``path:row`` references, and sometimes more than one block of
-    rows; an AU cell may read ``nan`` (unannotated). Returns its path."""
+    """An annotation CSV, with any subset of the label columns, inline features
+    or ``path:row`` references, and sometimes more than one block of rows; an
+    AU cell may read ``nan`` or ``-nan`` (unannotated). It is valid, but for one number
+    cell that may be drawn from :data:`SPELLINGS`. Returns its path."""
     n = draw(st.one_of(st.integers(1, 20), st.integers(250, 600)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 5))
@@ -316,14 +322,20 @@ def annotation_csvs(draw, directory: Path) -> Path:
         va = [_number(rng, x) for x in rng.uniform(-1, 1, 2)] if rng.random() < 0.5 else ["", ""]
         row["valence"], row["arousal"] = va
         row["expr"] = str(rng.integers(7)) if rng.random() < 0.5 else ""
-        row.update({c: ["", "0", "1", "1.0", "nan"][rng.integers(5)] for c in AU_COLUMNS})
+        row.update({c: ["", "0", "1", "1.0", "nan", "-nan"][rng.integers(6)] for c in AU_COLUMNS})
         row["compound"] = ["", "sadly_angry", 'a "b",\nc'][rng.integers(3)]
         row["video_id"] = f"v{rng.integers(3)}" if rng.random() < 0.8 else ""
         row["frame_idx"] = str(rng.integers(50)) if rng.random() < 0.8 else ""
         labelled = [c for c in header if c in ("valence", "arousal", "expr", *AU_COLUMNS)]
-        if not any(row[c] not in ("", "nan") for c in labelled):  # give it a label it can carry
+        if not any(row[c] not in ("", "nan", "-nan") for c in labelled):  # give it a label
             row.update({c: "1" for c in labelled})
         rows.append([row.get(c, "") for c in header])
+    spelling = draw(st.none() | st.sampled_from(SPELLINGS))
+    if spelling is not None:  # one filled number cell is spelled otherwise
+        row = rows[draw(st.integers(0, n - 1))]
+        numbers = [j for j, c in enumerate(header) if row[j] and c not in (
+            "id", "feature_file", "note", "compound", "video_id")]
+        row[draw(st.sampled_from(numbers))] = spelling
     path = directory / "data.csv"
     with open(path, "w", newline="") as f:
         csv.writer(f).writerows([header, *rows])
@@ -334,12 +346,19 @@ def annotation_csvs(draw, directory: Path) -> Path:
 @given(data=st.data())
 def test_csv_reader_matches_per_row_reference(reference_read_samples_csv, data):
     """Both reads match: the first parses the file, and the second loads the
-    sibling that the first wrote (none for ``feature_file`` CSVs)."""
+    sibling that the first wrote (none for ``feature_file`` CSVs). A number
+    cell that the reference refuses is a data error naming its line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = data.draw(annotation_csvs(Path(tmp)))
+        try:
+            want = reference_read_samples_csv(path)
+        except ValueError as e:
+            with pytest.raises(DataError, match=f"data.csv, {str(e).partition(':')[0]}:"):
+                read_samples_csv(path)
+            return
         first = read_samples_csv(path)
         cached = (path.parent / ".data.csv.affectmtl").exists()
-        got, want = read_samples_csv(path), reference_read_samples_csv(path)
+        got = read_samples_csv(path)
         assert cached == ("feature_file" not in path.read_text().partition("\n")[0])
     for read in (first, got):
         assert_matches(read, want)

@@ -104,6 +104,18 @@ def test_load_domain_table_rejects_bad_weight_and_duplicates(tmp_path):
         RelatednessTable.load(p)
 
 
+@pytest.mark.parametrize("row", [
+    {"class": "happiness", "prototypical": ["AU6", "AU12"], "observational": {"AU6": 0.5}},
+    {"class": "happiness", "prototypical": ["AU6", "AU6"], "observational": {}},
+])
+def test_load_domain_table_rejects_an_au_named_twice_in_a_row(tmp_path, row):
+    """A row names each AU once: else the later list would win without a word."""
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"classes": list(EMOTIONS), "labels": list(AU_LABELS), "table": [row]}))
+    with pytest.raises(DataError, match=f"{p}: class 'happiness' names AU6 more than once"):
+        RelatednessTable.load(p)
+
+
 def _corpus(samples):
     """The expression and AU columns of (class index, AU vector) pairs."""
     return np.array([k for k, _ in samples]), np.array([au for _, au in samples])

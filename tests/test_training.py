@@ -465,6 +465,13 @@ def test_direct_and_replaced_configs_are_checked(dataset_dir):
         replace(config, couplings={"dm": "1.0"})
 
 
+@pytest.mark.parametrize("overrides", [{"lr": np.float64(0.01)}, {"epochs": True}])
+def test_config_values_have_their_json_type_exactly(dataset_dir, overrides):
+    """A config takes the JSON types only: no NumPy float for a float, no bool for an int."""
+    with pytest.raises(ConfigError, match="must be of type"):
+        ExperimentConfig(data={"expr": str(dataset_dir / "expr.csv")}, **overrides)
+
+
 def test_config_hash_is_pinned():
     """The hash of a config, and so each manifest's, is that of earlier versions."""
     readme = {

@@ -61,6 +61,13 @@ def test_compound_class_validation():
         CompoundClass(None, 1, 2, {12: 1.0})
 
 
+def test_compound_class_takes_numpy_scalars():
+    """Built in Python, a profile may hold a NumPy float64 weight and a NumPy
+    int64 emotion index, as a table row or an argmax gives them."""
+    c = CompoundClass("x", np.int64(1), 2, {12: np.float64(0.5)})
+    assert (c.emo1, c.au_profile[12]) == (1, 0.5)
+
+
 def test_i_au_perfect_match():
     c = CompoundClass("hs", 4, 6, {12: 1.0, 25: 1.0})
     au = np.zeros(17)
