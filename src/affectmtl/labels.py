@@ -22,7 +22,6 @@ import locale
 import math
 import operator
 import os
-import re
 import stat
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -257,7 +256,7 @@ def _parse(raw: bytes, path: Path) -> tuple[SampleSet, bool]:
         header = next(reader, None)
         if header is None:
             raise DataError(f"empty dataset file: {path}")
-        layout = _Layout(header, path, text, re.split(rb"[\r\n]", raw, maxsplit=1)[-1])
+        layout = _Layout(header, path, text)
         blocks, done = [], 0
         while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
             rows = [r for r in chunk if r]  # a blank line holds no row
@@ -410,9 +409,6 @@ _CELL_ERRORS = (DataError, ValueError, TypeError, OverflowError, OSError, EOFErr
 # The characters of a number cell: ASCII digits; in a float also a sign, a point, an
 # exponent and nan, which only an AU cell may read (any other NaN is refused as not finite)
 _DIGITS, _FLOAT_CHARS = b"0123456789", b"0123456789+-.eEna"
-# float() and int() also take padding, "_" between digits, other digit scripts and (float)
-# inf and nan: a float cell so spelled needs a non-ASCII byte, one of these, or quotes.
-_NOT_PLAIN = b' \t\x0b\x0c\x1c\x1d\x1e\x1f_nN"'
 
 
 def _check_spelling(text: str, chars: bytes, what: str) -> None:
@@ -432,8 +428,7 @@ def _line_of(text, row: int) -> int:
 class _Layout:
     """Where one CSV header keeps each column, and the conversion of row blocks."""
 
-    def __init__(self, header, path: Path, text, body: bytes):
-        """``body`` is the CSV bytes from the first line break on."""
+    def __init__(self, header, path: Path, text):
         col = {name: i for i, name in enumerate(header)}
         if "id" not in col:
             raise DataError(f"{path}: no id column")
@@ -444,8 +439,6 @@ class _Layout:
             raise DataError(f"{path}: no feature columns and no feature_file column")
         feature_idx = [col["feature_file"]] if self.use_files else [col[c] for c in fcols]
         self.path, self.text = path, text  # text(): the CSV as a new file object
-        # rows without a _NOT_PLAIN byte need no spelling check of their float cells
-        self.plain = body.isascii() and not any(b in body for b in _NOT_PLAIN)
         self.id = operator.itemgetter(col["id"])
         self.features = operator.itemgetter(*feature_idx)
         # every label column, an absent one read from the id column and then blanked
@@ -478,8 +471,7 @@ class _Layout:
             features = self._references(list(map(self.features, rows)))
         else:
             features = list(map(self.features, rows))
-            if not self.plain:
-                _check_spelling("".join(map("".join, features)), _FLOAT_CHARS, "feature")
+            _check_spelling("".join(map("".join, features)), _FLOAT_CHARS, "feature")
             features = np.array(features, dtype=float).reshape(n, -1)
         cells = np.fromiter(itertools.chain.from_iterable(map(self.labels, rows)), object,
                             n * len(_LABEL_COLUMNS)).reshape(n, -1)
@@ -488,8 +480,7 @@ class _Layout:
         keyed = filled[:, _VIDEO] & filled[:, _FRAME]
         floats, ints = cells[:, :_FLOATS][filled[:, :_FLOATS]], cells[filled[:, _EXPR], _EXPR]
         frames = cells[keyed, _FRAME]
-        if not self.plain:
-            _check_spelling("".join(floats), _FLOAT_CHARS, "VA or AU")
+        _check_spelling("".join(floats), _FLOAT_CHARS, "VA or AU")
         _check_spelling("".join(ints) + "".join(frames), _DIGITS, "expr or frame_idx")
         va_au = np.full((n, _FLOATS), np.nan)
         va_au[filled[:, :_FLOATS]] = floats.astype(float)

@@ -20,8 +20,6 @@ from .relatedness import EMOTIONS, NUM_AUS
 
 # The one head layout, name -> (kind, width): VA pair, the expressions, the AUs.
 DEFAULT_HEADS = {"va": ("tanh", 2), "expr": ("softmax", len(EMOTIONS)), "au": ("sigmoid", NUM_AUS)}
-# The keys of a checkpoint header, as save writes them
-_HEADER = ("input_dim", "hidden", "heads", "seed")
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -220,11 +218,11 @@ def _header_fields(spec, path):
     """(input_dim, hidden, seed) of a checkpoint header: sizes are positive ints, the seed
     a non-negative int, and ``heads`` the one layout. Older files also hold
     ``"trunk_frozen": false``; any other key or value is an error."""
-    where = f"checkpoint {path}"
-    exact_keys(spec, _HEADER, ("trunk_frozen",), where, DataError)
+    where, keys = f"checkpoint {path}", ("input_dim", "hidden", "heads", "seed")
+    exact_keys(spec, keys, ("trunk_frozen",), where, DataError)
     if spec.get("trunk_frozen", False) is not False:
         raise DataError(f"{where}: trunk_frozen must be false, got {spec['trunk_frozen']!r}")
-    input_dim, hidden, heads, seed = (spec[k] for k in _HEADER)
+    input_dim, hidden, heads, seed = (spec[k] for k in keys)
     sizes = [input_dim, *exact_type(hidden, list, f"{where}: hidden", DataError)]
     if not all(exact_type(n, int, f"{where}: each size", DataError) > 0 for n in sizes):
         raise DataError(f"{where}: input_dim and hidden {sizes} are not all positive")

@@ -758,7 +758,7 @@ def _rewrite_first_row(src, dst, **cells):
     {"f0": "1_5"}, {"f0": "\u0663"}, {"valence": "0_5"}, {"valence": " 0.25"},
     {"expr": "\u0663"}, {"expr": " 4"}, {"expr": "+4"}, {"au_12": "0_0"}, {"au_12": "NaN"},
     {"video_id": "v0", "frame_idx": "1_0"}, {"video_id": "v0", "frame_idx": " 2"},
-    {"video_id": "v0", "frame_idx": "+2"},
+    {"video_id": "v0", "frame_idx": "+2"}, {"video_id": "v0", "frame_idx": "-1"},
 ])
 def test_eval_malformed_csv_cell_exit_code(workspace, tmp_path, capsys, cells):
     data = tmp_path / "bad.csv"
