@@ -47,11 +47,14 @@ def _cmd_gen_data(args) -> int:
     partition_fractions(fractions)  # before the draw, which takes long for a large --n
     full = draw(spec, args.n)
     va_set, au_set, expr_set = split(full, fractions)
-    sets = {"va": va_set, "au": au_set, "expr": expr_set, **({"full": full} if args.full else {})}
+    text = lab.feature_text(full.features)  # formatted once: split's sets are runs of full's rows
+    a, b = len(va_set), len(va_set) + len(au_set)
+    sets = {"va": (va_set, text[:a]), "au": (au_set, text[a:b]), "expr": (expr_set, text[b:]),
+            **({"full": (full, text)} if args.full else {})}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, data in sets.items():
-        lab.write_samples_csv(out / f"{name}.csv", data)
+    for name, (data, features_text) in sets.items():
+        lab.write_samples_csv(out / f"{name}.csv", data, features_text)
     _write_manifest(
         out, "gen-data",
         {"n": args.n, "feature_dim": args.feature_dim, "noise": args.noise,

@@ -8,8 +8,8 @@ The CSV reader and the synthetic generator make one, the CSV writer takes
 one, and every operation here works on its columns: co-annotation rewrites
 them, and cleaning and frame subsampling return row masks for
 :meth:`SampleSet.take`. All operations but the CSV I/O are pure functions;
-the CSV reader also keeps each file's parsed columns in a sibling file, so
-that a later read of the same bytes skips the parse.
+the CSV writer and reader also keep each file's parsed columns in a sibling
+file, so that a read of the same bytes skips the parse.
 """
 
 from __future__ import annotations
@@ -196,25 +196,56 @@ def write_csv_columns(path, header, columns) -> None:
             f.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
-def write_samples_csv(path, data: SampleSet) -> None:
+def feature_text(features) -> np.ndarray:
+    """Each row of ``features`` as the feature cells of an annotation CSV row:
+    the ``repr`` of every value, joined by commas."""
+    cells = map(repr, features.ravel().tolist())
+    return np.array(list(map(",".join, zip(*[cells] * features.shape[1]))), dtype=object)
+
+
+def write_samples_csv(path, data: SampleSet, features_text=None) -> None:
     """Write a :class:`SampleSet` in the annotation CSV format, one row per
-    sample; a missing label or sequence key is an empty cell."""
+    sample; a missing label or sequence key is an empty cell. ``features_text``
+    is :func:`feature_text` of ``data.features``, for a caller that has it.
+
+    The file's parsed sibling (see :func:`read_samples_csv`) is written too,
+    built from ``data`` as a parse of the written bytes would give it, so a
+    first read loads it. A file that the reader refuses gets no sibling.
+    """
+    path = Path(path)
     if not len(data):
         raise DataError("no samples to write")
+    if not data.features.shape[1]:
+        raise DataError("no feature columns to write")
     if not (np.isnan(data.au) | (data.au == 0.0) | (data.au == 1.0)).all():
         raise DataError("AU labels must be 0 or 1")
     header = ["id", "video_id", "frame_idx", *(f"f{i}" for i in range(data.features.shape[1])),
               "valence", "arousal", "expr", *AU_COLUMNS]
     va = np.array(list(map(repr, data.va.ravel().tolist())), dtype=object).reshape(-1, 2)
+    au = np.nan_to_num(data.au, nan=2).astype(int)  # the AU cells "0", "1" and ""
     columns = [
         text_cells(data.ids), text_cells(data.video),
         np.where(data.frame < 0, "", data.frame.astype(str)),
-        *data.features.T,
+        feature_text(data.features) if features_text is None else features_text,
         *np.where(np.isnan(data.va), "", va).T,
         np.where(data.expr < 0, "", data.expr.astype(str)),
-        *np.array(["0", "1", ""], dtype=object)[np.nan_to_num(data.au, nan=2).astype(int)].T,
+        *np.array(["0", "1", ""], dtype=object)[au].T,
     ]
     write_csv_columns(path, header, columns)
+    # the columns that a parse of the file gives: an empty cell reads NaN (its bits
+    # too), AU -0.0 reads 0.0, a sequence key needs both cells, and the file has
+    # no compound column
+    keyed = (data.video != "") & (data.frame >= 0)
+    col = {"ids": data.ids, "features": data.features, "expr": data.expr,
+           "au": np.array([0.0, 1.0, np.nan])[au],
+           "va": np.where(np.isnan(data.va), np.nan, data.va),
+           "video": np.where(keyed, data.video, ""), "frame": np.where(keyed, data.frame, -1),
+           "compound": np.full(len(data), "", dtype=object)}
+    try:
+        _check_columns(col, ~np.isnan(col["va"]), col["expr"] != -1, ~np.isnan(col["au"]))
+    except (ValueError, DataError):
+        return
+    _save_parsed(path, _parse_key(path.read_bytes()), _sample_set(**col))
 
 
 def read_samples_csv(path) -> SampleSet:

@@ -301,4 +301,8 @@ def median_filter(predictions, window: int = 5, first=0, last=-1) -> np.ndarray:
     index = np.arange(len(x))
     rows = index[:, None] + np.arange(-(window // 2), window // 2 + 1)
     rows = np.clip(rows, np.reshape(index[first], (-1, 1)), np.reshape(index[last], (-1, 1)))
-    return np.median(x[rows], axis=1)
+    # np.median's rule for an odd window, without the numpy.ma import of its NaN
+    # check: the middle of the same partition (its mean turns -0.0 into 0.0), or
+    # the window's last element where that is NaN
+    part = np.partition(x[rows], [window // 2, -1], axis=1)
+    return np.where(np.isnan(part[:, -1]), part[:, -1], part[:, window // 2] + 0.0)

@@ -49,6 +49,8 @@ OBJECT_KEYS = {"data": dict.fromkeys(SET_NAMES, str),
                "relatedness": {"source": str, "path": str, "corpus": str, "threshold": float},
                "tasks": dict.fromkeys(TASK_NAMES, float),
                "couplings": dict.fromkeys(COUPLING_NAMES, float)}
+# Each relatedness source, and the keys of the relatedness setting that it requires
+RELATEDNESS_SOURCES = {"domain": (), "file": ("path",), "empirical": ("corpus",)}
 
 
 def _typed(value, kind: type, where: str):
@@ -93,6 +95,11 @@ class ExperimentConfig:
                 d = exact_keys(getattr(self, f.name), (), shape, f"config.{where}", ConfigError)
                 for key, value in d.items():
                     _typed(value, shape[key], f"{where}.{key}")
+        source = self.relatedness.get("source", "domain")
+        if source not in RELATEDNESS_SOURCES:
+            raise ConfigError(f"unknown relatedness source {source!r}")
+        exact_keys(self.relatedness, RELATEDNESS_SOURCES[source], OBJECT_KEYS["relatedness"],
+                   f"config.relatedness with source {source!r}", ConfigError)
         if self.coupling not in COUPLING_MODES:
             raise ConfigError(f"invalid coupling mode {self.coupling!r}")
         if not self.data:
@@ -138,7 +145,10 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-        return cls.from_dict(d)
+        try:
+            return cls.from_dict(d)
+        except ConfigError as e:
+            raise ConfigError(f"config {path}: {e}") from e
 
     def to_dict(self) -> dict:
         d: dict = {}
@@ -152,19 +162,14 @@ class ExperimentConfig:
 
 
 def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
-    src = config.relatedness.get("source", "domain")
-    if src == "domain":
-        return rel.domain_table()
+    """The relatedness table of ``config``, whose source and keys its construction checked."""
+    r = config.relatedness
+    src = r.get("source", "domain")
     if src == "file":
-        if "path" not in config.relatedness:
-            raise ConfigError("file relatedness needs a 'path'")
-        return rel.RelatednessTable.load(config.relatedness["path"])
+        return rel.RelatednessTable.load(r["path"])
     if src == "empirical":
-        corpus_path = config.relatedness.get("corpus")
-        if corpus_path is None:
-            raise ConfigError("empirical relatedness needs a 'corpus' path")
-        return empirical_table(corpus_path, float(config.relatedness.get("threshold", 0.1)))
-    raise ConfigError(f"unknown relatedness source {src!r}")
+        return empirical_table(r["corpus"], float(r.get("threshold", 0.1)))
+    return rel.domain_table()
 
 
 def _check_threshold(threshold: float) -> None:

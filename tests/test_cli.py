@@ -129,6 +129,44 @@ def test_train_config_with_a_repeated_key_exit_code(workspace, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"epochs": True}, "epochs must be of type int, got True"),
+    ({"epochz": 5}, "unknown key(s) 'epochz'"),
+    ({"relatedness": {"source": "file"}}, "missing key(s) 'path'"),
+])
+def test_train_config_error_names_the_config_file(workspace, tmp_path, capsys, setting, message):
+    config = json.loads((workspace / "config.json").read_text())
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**config, **setting}))
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {p}: ") and message in err
+
+
+def test_gen_data_leaves_the_siblings_that_a_read_writes(tmp_path, monkeypatch):
+    """Every CSV that ``gen-data`` writes has its parsed sibling, with the bytes
+    that a cold read writes, so the commands that read the data parse nothing."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--n", "120", "--feature-dim", "5",
+                 "--seed", "2", "--full", "--frames-per-video", "10"]) == 0
+    siblings = {p.name: p.read_bytes() for p in data.glob(".*.affectmtl")}
+    assert sorted(siblings) == [f".{p.name}.affectmtl" for p in sorted(data.glob("*.csv"))]
+    config = {"data": {name: str(data / f"{name}.csv") for name in ("va", "au", "expr")},
+              "model": {"hidden": [8]}, "epochs": 1, "out_dir": str(tmp_path / "run")}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    with monkeypatch.context() as m:
+        m.setattr(cli.lab, "_parse", None)  # any parse fails
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == 0
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "model.bin"),
+                     "--data", str(data / "full.csv"), "--out", str(tmp_path / "eval.json")]) == 0
+        assert main(["infer-relatedness", "--corpus", str(data / "full.csv"),
+                     "--out", str(tmp_path / "table.json")]) == 0
+    for name, blob in siblings.items():
+        (data / name).unlink()
+        read_samples_csv(data / name[1 : -len(".affectmtl")])
+        assert (data / name).read_bytes() == blob, name
+
+
 def test_gen_data_checks_the_partition_before_the_draw(tmp_path, capsys, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew samples for a partition that cannot be used")
@@ -149,6 +187,24 @@ def test_eval_command(workspace, tmp_path):
     ]) == 0
     metrics = json.loads(out.read_text())
     assert "expr" in metrics and "accuracy" in metrics["expr"]
+
+
+def test_eval_median_filter_does_not_import_numpy_ma(workspace, tmp_path):
+    """The first ``np.median`` call of a process imports ``numpy.ma`` (19-35 ms
+    of an ``eval`` run); the median filter gives its values without it."""
+    import affectmtl
+
+    assert main(["gen-data", "--out", str(tmp_path), "--n", "60", "--feature-dim", "10",
+                 "--full", "--frames-per-video", "20"]) == 0
+    script = ("import sys\nfrom affectmtl.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\nsys.exit('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(affectmtl.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "eval", "--checkpoint", str(workspace / "run" / "model.bin"),
+         "--data", str(tmp_path / "full.csv"), "--out", str(tmp_path / "eval.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "va_filtered" in json.loads((tmp_path / "eval.json").read_text())
 
 
 @pytest.mark.parametrize("window", [4, 0, -3])

@@ -7,6 +7,7 @@ import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -378,16 +379,15 @@ def assert_matches(got: SampleSet, want: dict) -> None:
 
 
 @st.composite
-def sample_records(draw, dim: int, cells):
+def sample_records(draw, dim: int, cells, min_labels: int = 1, au_values=(0.0, 1.0, np.nan)):
     """The labels of one sample, as keywords of the one-row builder: any subset
-    of VA, expression and AU labels (at least one) and a sequence key, its text
-    and floats drawn from ``cells``."""
+    of VA, expression and AU labels (at least ``min_labels``) and a sequence
+    key, its text and floats drawn from ``cells`` and its AUs from ``au_values``."""
     text, floats = cells
-    has = draw(st.lists(st.sampled_from(["va", "expr", "au"]), min_size=1, unique=True))
+    has = draw(st.lists(st.sampled_from(["va", "expr", "au"]), min_size=min_labels, unique=True))
     au = None
     if "au" in has:
-        au = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, np.nan]),
-                                    min_size=17, max_size=17)))
+        au = np.array(draw(st.lists(st.sampled_from(au_values), min_size=17, max_size=17)))
     return dict(
         id=draw(text),
         features=np.array(draw(st.lists(floats, min_size=dim, max_size=dim))),
@@ -421,7 +421,48 @@ def test_write_samples_csv_rejects_what_it_cannot_write(tmp_path, sample, au, me
         data.au[0, 0] = au  # the row-by-row writer wrote str(int(au)): 0.5 became "0"
     with pytest.raises(DataError, match=message):
         write_samples_csv(tmp_path / "out.csv", data)
-    assert not (tmp_path / "out.csv").exists()
+    assert not any(tmp_path.iterdir())  # neither the CSV nor its sibling
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_write_samples_csv_sibling_is_what_a_cold_read_gives(csv_cells, one_row, data):
+    """For every set that the writer accepts, a read through the writer's
+    sibling and a read with the sibling deleted give the same arrays bit for
+    bit, or the same DataError, and the read writes the writer's sibling bytes.
+    The sets: those of the row-by-row writer test, plus rows without a label, a
+    frame without a video, NULs in ids and video keys, AU -0.0 and no features."""
+    text, floats = csv_cells
+    text = text | st.text(alphabet=st.sampled_from(["\0", '"', ",", "a"]), max_size=4)
+    dim = data.draw(st.integers(0, 3))
+    records = data.draw(st.lists(sample_records(dim, (text, floats), min_labels=0,
+                                                au_values=(0.0, -0.0, 1.0, np.nan)),
+                                 min_size=1, max_size=8))
+    samples = SampleSet.concat([one_row(**r) for r in records])
+    with tempfile.TemporaryDirectory() as tmp:
+        path, sibling = Path(tmp) / "d.csv", Path(tmp) / ".d.csv.affectmtl"
+        try:
+            write_samples_csv(path, samples)
+        except (DataError, csv.Error):  # csv.Error: a NUL, before Python 3.11
+            assert not any(Path(tmp).iterdir())
+            return
+
+        def read():
+            try:
+                return fields_of(read_samples_csv(path))
+            except DataError as e:
+                return str(e)
+
+        written = sibling.read_bytes() if sibling.exists() else None
+        with patch.object(labels, "_parse", None if written else labels._parse):
+            via_sibling = read()  # parses nothing when the writer left a sibling
+        sibling.unlink(missing_ok=True)
+        cold = read()
+        if isinstance(cold, str):  # the reader refuses the file: the writer wrote no sibling
+            assert via_sibling == cold and written is None and not sibling.exists()
+        else:
+            assert_matches(SampleSet(**via_sibling), cold)
+            assert sibling.read_bytes() == written
 
 
 # -- the parsed-set sibling file ----------------------------------------------

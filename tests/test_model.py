@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectmtl import (
     DataError, MultiHeadModel, NumericalError, SGDMomentum, gradient_check, median_filter,
@@ -157,6 +159,24 @@ def test_median_filter():
     assert np.array_equal(median_filter(const, window=5), const)
     with pytest.raises(DataError):
         median_filter([1, 2, 3], window=4)
+
+
+# NaNs of either sign and with a payload, zeros of either sign, and ties
+_MEDIAN_VALUES = [np.nan, -np.nan, *np.array([0x7FF8000000000123], dtype="<u8").view(float),
+                  0.0, -0.0, 1.0, -1.0, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_median_filter_matches_np_median_bit_for_bit(data):
+    n, width = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+    window = data.draw(st.sampled_from([1, 3, 5, 7, 9]))
+    values = st.sampled_from(_MEDIAN_VALUES) | st.floats(-2, 2, width=16)  # ties are likely
+    x = np.array(data.draw(st.lists(values, min_size=n * width, max_size=n * width)))
+    x = x.reshape(n, width) if data.draw(st.booleans()) else x[:n]
+    half = window // 2
+    rows = np.clip(np.arange(n)[:, None] + np.arange(-half, half + 1), 0, n - 1)
+    assert median_filter(x, window).tobytes() == np.median(x[rows], axis=1).tobytes()
 
 
 def test_median_filter_preserves_length():

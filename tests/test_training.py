@@ -359,13 +359,21 @@ def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
 @pytest.mark.parametrize("relatedness, error", [
     ({"source": "file"}, ConfigError),
     ({"source": "file", "path": "broken.json"}, DataError),
+    ({"source": "fiel", "path": "broken.json"}, ConfigError),
+    ({"source": "empirical", "path": "broken.json"}, ConfigError),
 ])
 def test_relatedness_file_errors_are_typed(dataset_dir, tmp_path, relatedness, error):
+    """A source that is unknown or lacks its key is refused where the config is
+    built; a file that is not a table, where the run reads it."""
     (tmp_path / "broken.json").write_text("{not json")
     if "path" in relatedness:
         relatedness = {**relatedness, "path": str(tmp_path / relatedness["path"])}
+    if error is ConfigError:
+        with pytest.raises(ConfigError, match="relatedness"):
+            make_config(dataset_dir, tmp_path / "run", relatedness=relatedness)
+        return
     config = make_config(dataset_dir, tmp_path / "run", relatedness=relatedness)
-    with pytest.raises(error, match="relatedness"):
+    with pytest.raises(DataError, match="relatedness"):
         run_train(config)
 
 
