@@ -14,7 +14,7 @@ from .labels import (
     co_annotate,
     subsample_frames,
 )
-from .losses import LossWeights, ccc, dm_loss
+from .losses import ccc, dm_loss
 from .model import (
     MultiHeadModel,
     SGDMomentum,

@@ -210,15 +210,26 @@ def write_samples_csv(path, data: SampleSet, features_text=None) -> None:
 
     The file's parsed sibling (see :func:`read_samples_csv`) is written too,
     built from ``data`` as a parse of the written bytes would give it, so a
-    first read loads it. A file that the reader refuses gets no sibling.
+    first read loads it. A set that the reader would refuse is a
+    :class:`DataError`, and nothing is written.
     """
     path = Path(path)
     if not len(data):
         raise DataError("no samples to write")
     if not data.features.shape[1]:
         raise DataError("no feature columns to write")
-    if not (np.isnan(data.au) | (data.au == 0.0) | (data.au == 1.0)).all():
-        raise DataError("AU labels must be 0 or 1")
+    # the columns that a parse of the file gives: an empty cell reads NaN (its bits
+    # too), a negative expr is an empty cell, a sequence key needs both cells, and
+    # the file has no compound column
+    keyed = (data.video != "") & (data.frame >= 0)
+    col = {"ids": data.ids, "features": data.features, "expr": np.maximum(data.expr, -1),
+           "au": data.au, "va": np.where(np.isnan(data.va), np.nan, data.va),
+           "video": np.where(keyed, data.video, ""), "frame": np.where(keyed, data.frame, -1),
+           "compound": np.full(len(data), "", dtype=object)}
+    try:
+        _check_columns(col, ~np.isnan(col["va"]), col["expr"] != -1, ~np.isnan(data.au))
+    except ValueError as e:
+        raise DataError(f"cannot write {path}: {e}") from e
     header = ["id", "video_id", "frame_idx", *(f"f{i}" for i in range(data.features.shape[1])),
               "valence", "arousal", "expr", *AU_COLUMNS]
     va = np.array(list(map(repr, data.va.ravel().tolist())), dtype=object).reshape(-1, 2)
@@ -232,19 +243,7 @@ def write_samples_csv(path, data: SampleSet, features_text=None) -> None:
         *np.array(["0", "1", ""], dtype=object)[au].T,
     ]
     write_csv_columns(path, header, columns)
-    # the columns that a parse of the file gives: an empty cell reads NaN (its bits
-    # too), AU -0.0 reads 0.0, a sequence key needs both cells, and the file has
-    # no compound column
-    keyed = (data.video != "") & (data.frame >= 0)
-    col = {"ids": data.ids, "features": data.features, "expr": data.expr,
-           "au": np.array([0.0, 1.0, np.nan])[au],
-           "va": np.where(np.isnan(data.va), np.nan, data.va),
-           "video": np.where(keyed, data.video, ""), "frame": np.where(keyed, data.frame, -1),
-           "compound": np.full(len(data), "", dtype=object)}
-    try:
-        _check_columns(col, ~np.isnan(col["va"]), col["expr"] != -1, ~np.isnan(col["au"]))
-    except (ValueError, DataError):
-        return
+    col["au"] = np.array([0.0, 1.0, np.nan])[au]  # AU -0.0 reads 0.0, and NaN its bits
     _save_parsed(path, _parse_key(path.read_bytes()), _sample_set(**col))
 
 

@@ -9,35 +9,12 @@ return the batch-mean value and its gradient, which has the shape of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DataError
 
 DEFAULT_EPS = 1e-7
 CCC_EPS = 1e-8
-
-
-@dataclass
-class LossWeights:
-    """Per-task lambdas and coupling-loss weights; unknown names default to 1."""
-
-    lambda_per_task: dict = field(default_factory=dict)
-    coupling_weights: dict = field(default_factory=dict)
-    epsilon: float = DEFAULT_EPS
-
-    def __post_init__(self):
-        for name, w in {**self.lambda_per_task, **self.coupling_weights}.items():
-            if not 0 <= w < np.inf:  # NaN fails too
-                raise DataError(f"loss weight {w!r} for {name!r} is not finite and >= 0")
-        if not 0.0 < self.epsilon <= 1e-3:
-            raise DataError(f"epsilon {self.epsilon} outside (0, 1e-3]")
-
-    def weight(self, name: str) -> float:
-        """The weight of a task or coupling term; task and coupling names are
-        disjoint."""
-        return float(self.lambda_per_task.get(name, self.coupling_weights.get(name, 1.0)))
 
 
 # -- concordance correlation --------------------------------------------

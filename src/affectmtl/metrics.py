@@ -35,8 +35,10 @@ class ConfusionMatrix:
         return cls(np.bincount(truth * k + pred, minlength=k * k).reshape(k, k))
 
 
-def _f1(precision, recall):
-    return 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+def _f1(precision, recall) -> np.ndarray:
+    """Element-wise F1 of precision and recall arrays; 0 where both are 0."""
+    both = precision + recall
+    return np.divide(2 * precision * recall, both, out=np.zeros(both.shape), where=both != 0)
 
 
 def classification_metrics(cm: ConfusionMatrix) -> dict:
@@ -55,13 +57,13 @@ def classification_metrics(cm: ConfusionMatrix) -> dict:
     diag = np.diag(c)
     recalls = np.divide(diag, row, out=np.zeros(k), where=row > 0)
     precisions = np.divide(diag, col, out=np.zeros(k), where=col > 0)
-    per_class_f1 = [_f1(precisions[i], recalls[i]) for i in range(k)]
+    per_class_f1 = _f1(precisions, recalls)
     present = row > 0
     uar = float(recalls[present].mean())
     return {
         "accuracy": float(diag.sum() / total),
-        "per_class_f1": [float(f) for f in per_class_f1],
-        "macro_f1": float(np.mean(per_class_f1)),
+        "per_class_f1": per_class_f1.tolist(),
+        "macro_f1": float(per_class_f1.mean()),
         "uar": uar,
         "mean_diag": uar,  # mean of the row-normalized diagonal == mean per-class recall
     }
@@ -78,29 +80,23 @@ def au_metrics(predictions, truth, threshold: float = 0.5) -> dict:
     t = np.atleast_2d(np.asarray(truth, dtype=float))
     if p.shape != t.shape:
         raise DataError("au_metrics: shape mismatch")
-    hard = (p >= threshold).astype(float)
-    n_aus = p.shape[1]
-    per_f1, per_acc, scored = [], [], []
-    for j in range(n_aus):
-        mask = ~np.isnan(t[:, j])
-        if not mask.any():
-            log.warning("AU column %d has no annotated entries; excluded", j)
-            per_f1.append(None)
-            per_acc.append(None)
-            continue
-        yj, hj = t[mask, j], hard[mask, j]
-        tp = float(np.sum((yj == 1) & (hj == 1)))
-        fp = float(np.sum((yj == 0) & (hj == 1)))
-        fn = float(np.sum((yj == 1) & (hj == 0)))
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        per_f1.append(_f1(precision, recall))
-        per_acc.append(float(np.mean(yj == hj)))
-        scored.append(j)
-    if not scored:
+    hard = p >= threshold
+    annotated = ~np.isnan(t)
+    scored = annotated.any(axis=0)
+    for j in np.flatnonzero(~scored):
+        log.warning("AU column %d has no annotated entries; excluded", j)
+    if not scored.any():
         raise DataError("au_metrics: no annotated entries in any AU")
-    mean_f1 = float(np.mean([per_f1[j] for j in scored]))
-    mean_acc = float(np.mean([per_acc[j] for j in scored]))
+    k = p.shape[1]
+    # a comparison with NaN is false: each count covers annotated entries alone
+    pos, neg = t == 1, t == 0
+    tp, fp, fn = (pos & hard).sum(axis=0), (neg & hard).sum(axis=0), (pos & ~hard).sum(axis=0)
+    precision = np.divide(tp, tp + fp, out=np.zeros(k), where=tp + fp > 0)
+    recall = np.divide(tp, tp + fn, out=np.zeros(k), where=tp + fn > 0)
+    f1 = _f1(precision, recall)
+    acc = np.divide((t == hard).sum(axis=0), annotated.sum(axis=0), out=np.zeros(k), where=scored)
+    mean_f1, mean_acc = float(f1[scored].mean()), float(acc[scored].mean())
+    per_f1, per_acc = (np.where(scored, a, None).tolist() for a in (f1, acc))
     return {
         "per_au_f1": per_f1,
         "mean_f1": mean_f1,

@@ -45,19 +45,24 @@ class MultiHeadModel:
             self.trunk.append({"W": weights(d, h), "b": np.zeros(h)})
             d = h
         self.feature_dim = d
-        self.heads = {}
-        for name in sorted(DEFAULT_HEADS):
+        # every head's weights side by side, in sorted name order, so that one
+        # product evaluates all heads; each head's W and b are column views
+        names = sorted(DEFAULT_HEADS)
+        self.head_W = np.concatenate([weights(d, DEFAULT_HEADS[n][1]) for n in names], axis=1)
+        self.head_b = np.zeros(self.head_W.shape[1])
+        self.heads, start = {}, 0
+        for name in names:
             kind, size = DEFAULT_HEADS[name]
-            self.heads[name] = {
-                "W": weights(d, size),
-                "b": np.zeros(size),
-                "kind": kind,
-            }
+            cols = slice(start, start + size)
+            self.heads[name] = {"W": self.head_W[:, cols], "b": self.head_b[cols],
+                                "kind": kind, "cols": cols}
+            start = cols.stop
 
     # -- parameter iteration --------------------------------------------
 
     def named_params(self):
-        """Yield (name, array) in a fixed declaration order."""
+        """Yield (name, array) in a fixed declaration order; a head's arrays are
+        views into ``head_W`` and ``head_b``."""
         for i, layer in enumerate(self.trunk):
             yield f"trunk{i}.W", layer["W"]
             yield f"trunk{i}.b", layer["b"]
@@ -66,22 +71,6 @@ class MultiHeadModel:
             yield f"{name}.b", self.heads[name]["b"]
 
     # -- forward / backward ---------------------------------------------
-
-    def _fused_heads(self):
-        """Every head's weights side by side: (W, b, [(name, kind, columns)]).
-
-        The parameters stay one contiguous pair of arrays per head (see
-        ``named_params``); this copy lets one product evaluate all heads.
-        """
-        width = sum(head["b"].size for head in self.heads.values())
-        W, b = np.empty((self.feature_dim, width)), np.empty(width)
-        blocks, start = [], 0
-        for name, head in self.heads.items():
-            cols = slice(start, start + head["b"].size)
-            W[:, cols], b[cols] = head["W"], head["b"]
-            blocks.append((name, head["kind"], cols))
-            start = cols.stop
-        return W, b, blocks
 
     def forward(self, X):
         """Batch forward pass. Returns (outputs dict, cache for backward).
@@ -101,12 +90,11 @@ class MultiHeadModel:
             h += layer["b"]
             np.tanh(h, out=h)
             acts.append(h)
-        W, b, blocks = self._fused_heads()
-        z = h @ W
-        z += b
+        z = h @ self.head_W
+        z += self.head_b
         out = {}
-        for name, kind, cols in blocks:
-            zc = z[:, cols]
+        for name, head in self.heads.items():
+            zc, kind = z[:, head["cols"]], head["kind"]
             if kind == "tanh":
                 out[name] = np.tanh(zc)
             elif kind == "sigmoid":
@@ -116,7 +104,7 @@ class MultiHeadModel:
                 e = np.exp(zc - zc.max(axis=1, keepdims=True))
                 e /= e.sum(axis=1, keepdims=True)
                 out[name] = e
-        return out, {"acts": acts, "out": out, "heads": (W, blocks)}
+        return out, {"acts": acts, "out": out}
 
     def backward(self, cache, out_grads: dict):
         """Backprop loss gradients on head outputs to parameter gradients.
@@ -126,13 +114,12 @@ class MultiHeadModel:
         gradient with respect to the input is formed.
         """
         acts, out = cache["acts"], cache["out"]
-        W_heads, blocks = cache["heads"]
         h = acts[-1]
-        gz = np.zeros((len(h), W_heads.shape[1]))
-        for name, kind, cols in blocks:
+        gz = np.zeros((len(h), self.head_W.shape[1]))
+        for name, head in self.heads.items():
             if name not in out_grads:
                 continue
-            y = out[name]
+            y, kind, cols = out[name], head["kind"], head["cols"]
             g = np.asarray(out_grads[name], dtype=float)
             if kind == "tanh":
                 gz[:, cols] = g * (1.0 - y**2)
@@ -142,7 +129,7 @@ class MultiHeadModel:
                 gz[:, cols] = y * (g - (g * y).sum(axis=1, keepdims=True))
         grads = {}
         if self.trunk:
-            gh = gz @ W_heads.T
+            gh = gz @ self.head_W.T
             for i in range(len(self.trunk) - 1, -1, -1):
                 d = acts[i + 1] * acts[i + 1]
                 np.subtract(1.0, d, out=d)
@@ -153,9 +140,8 @@ class MultiHeadModel:
                     gh = d @ self.trunk[i]["W"].T
         gW = h.T @ gz
         gb = gz.sum(axis=0)
-        for name, _, cols in blocks:
-            grads[f"{name}.W"] = np.ascontiguousarray(gW[:, cols])
-            grads[f"{name}.b"] = gb[cols]
+        for name, head in self.heads.items():
+            grads[f"{name}.W"], grads[f"{name}.b"] = gW[:, head["cols"]], gb[head["cols"]]
         return {name: grads[name] for name, _ in self.named_params()}
 
     # -- checkpoints ------------------------------------------------------
@@ -268,12 +254,9 @@ def gradient_check(model, value_fn, grad_fn, n_per_layer=20, h=1e-5, rng=None):
     analytic = grad_fn(model)
     max_err = 0.0
     for name, p in model.named_params():
-        flat = p.reshape(-1)
-        if not np.shares_memory(flat, p):
-            # a copy would be perturbed and the loss would never move
-            raise NumericalError(f"parameter {name} is not contiguous; cannot perturb it in place")
-        k = min(n_per_layer, flat.size)
-        idxs = rng.choice(flat.size, size=k, replace=False)
+        flat = p.flat  # writes through to p, a view or not
+        k = min(n_per_layer, p.size)
+        idxs = rng.choice(p.size, size=k, replace=False)
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + h
@@ -282,7 +265,7 @@ def gradient_check(model, value_fn, grad_fn, n_per_layer=20, h=1e-5, rng=None):
             down = value_fn(model)
             flat[i] = orig
             fd = (up - down) / (2.0 * h)
-            a = analytic[name].reshape(-1)[i]
+            a = analytic[name].flat[i]
             denom = max(abs(a), abs(fd))
             if denom > 1e-8:
                 max_err = max(max_err, abs(a - fd) / denom)

@@ -21,7 +21,6 @@ from . import relatedness as rel
 from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, unique_keys
 from .losses import (
     DEFAULT_EPS,
-    LossWeights,
     ccc_loss_grad,
     dm_loss_grad,
     masked_bce_grad,
@@ -117,14 +116,17 @@ class ExperimentConfig:
             raise ConfigError("median_filter_window must be odd and >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0 and 0.0 <= self.momentum < 1.0):
             raise ConfigError("optimizer needs a finite lr > 0 and a momentum in [0, 1)")
-        try:
-            self.loss_weights
-        except DataError as e:  # LossWeights' range checks
-            raise ConfigError(f"malformed config: {e}") from e
+        for name, w in {**self.tasks, **self.couplings}.items():
+            if not 0 <= w < math.inf:  # NaN fails too
+                raise ConfigError(f"loss weight {w!r} for {name!r} is not finite and >= 0")
+        if not 0.0 < self.epsilon <= 1e-3:
+            raise ConfigError(f"loss_weights.epsilon {self.epsilon} outside (0, 1e-3]")
 
     @property
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.tasks, self.couplings, self.epsilon)
+    def loss_weights(self) -> dict:
+        """The weight of each loss term, by name; a term not set weighs 1."""
+        set_weights = {**self.tasks, **self.couplings}
+        return {name: float(set_weights.get(name, 1.0)) for name in LOSS_NAMES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -195,17 +197,20 @@ def empirical_table(corpus_path, threshold: float = 0.1) -> rel.RelatednessTable
 class Objective:
     """The joint training loss of one run, built once by :func:`build_objective`.
 
+    ``weights`` maps each name of :data:`LOSS_NAMES` to its weight, and
+    ``epsilon`` clamps the probabilities of the cross-entropy terms.
     ``dm_matrix`` is the (classes, AUs) relatedness mixing matrix when
     distribution matching is on. ``sca_targets`` holds one soft emotion label
     per row of the AU set when soft co-annotation is on.
     """
 
-    weights: LossWeights
+    weights: dict
+    epsilon: float
     dm_matrix: np.ndarray | None = None
     sca_targets: np.ndarray | None = None
 
 
-def build_objective(sets: dict, table, mode: str, weights: LossWeights,
+def build_objective(sets: dict, table, mode: str, weights: dict, epsilon: float = DEFAULT_EPS,
                     reweight: bool = True) -> tuple[dict, Objective]:
     """Prepare a run's coupling: returns the label-rewritten sets and the objective.
 
@@ -214,15 +219,15 @@ def build_objective(sets: dict, table, mode: str, weights: LossWeights,
     AU-set row's SCA target; the DM modes keep the mixing matrix.
     """
     if mode == "none":
-        return sets, Objective(weights)
+        return sets, Objective(weights, epsilon)
     if mode == "co_annotation":
         sets = {name: lab.co_annotate(data, table) for name, data in sets.items()}
-        return sets, Objective(weights)
+        return sets, Objective(weights, epsilon)
     r = table.weight_matrix(reweight)
     sca = None
     if mode in SCA_MODES and "au" in sets:
         sca = lab.soft_label(lab.indicator_scores(sets["au"].au, r, reweight))
-    return sets, Objective(weights, r if mode in DM_MODES else None, sca)
+    return sets, Objective(weights, epsilon, r if mode in DM_MODES else None, sca)
 
 
 def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
@@ -239,6 +244,7 @@ def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
 
 
 def joint_loss_value(model, sets: dict, batch: dict, objective: Objective) -> float:
+    """The weighted total of :func:`joint_loss_and_grads` alone, with no backward pass."""
     return _joint_loss(model, sets, batch, objective)[0]
 
 
@@ -253,7 +259,7 @@ def _joint_loss(model, sets, batch, objective: Objective):
     data = lab.SampleSet.concat([sets[name].take(rows) for name, rows in batch.items()])
     expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
     out, cache = model.forward(data.features)
-    eps = objective.weights.epsilon
+    eps = objective.epsilon
     terms: dict = {}
 
     if expr_rows.size:
@@ -284,7 +290,7 @@ def _joint_loss(model, sets, batch, objective: Objective):
     total = 0.0
     g = {h: np.zeros_like(out[h]) for h in out}
     for name, (value, blocks) in terms.items():
-        weight = objective.weights.weight(name)
+        weight = objective.weights[name]
         total += weight * value
         for head, rows, grad in blocks:
             g[head][rows] += weight * grad
@@ -305,14 +311,14 @@ def _holdout_split(data, fraction, seed):
     return data.take(np.flatnonzero(~held)), data.take(np.flatnonzero(held))
 
 
-def _validate_va_plan(plan, va_set_index):
-    for it in range(plan.iteration_count):
-        k = len(plan.slice_indices(va_set_index, it))
-        if k == 1:
-            raise ConfigError(
-                "epoch plan produces a VA batch of size 1; CCC needs at least 2 "
-                "(adjust max_batch or the VA set size)"
-            )
+def _validate_va_plan(plan, va):
+    """Refuse a plan with a VA batch of one row. The VA set's batches hold its
+    batch size of rows, then the rest of the set, if any, in one short batch."""
+    if 1 in (plan.batch_sizes[va], plan.set_sizes[va] % plan.batch_sizes[va]):
+        raise ConfigError(
+            "epoch plan produces a VA batch of size 1; CCC needs at least 2 "
+            "(adjust max_batch or the VA set size)"
+        )
 
 
 def run_train(config: ExperimentConfig) -> dict:
@@ -338,8 +344,8 @@ def run_train(config: ExperimentConfig) -> dict:
 
     model = MultiHeadModel(input_dim, hidden=config.hidden, seed=config.seed)
     opt = SGDMomentum(model, lr=config.lr, momentum=config.momentum)
-    sets, objective = build_objective(
-        sets, table, config.coupling, config.loss_weights, config.reweight_observational)
+    sets, objective = build_objective(sets, table, config.coupling, config.loss_weights,
+                                      config.epsilon, config.reweight_observational)
     set_names = list(sets)
     sizes = [len(sets[n]) for n in set_names]
     plan = plan_epoch(sizes, config.max_batch, seed=config.seed)
@@ -472,7 +478,7 @@ def run_gradcheck(
     report = {}
     for mode in modes:
         model = MultiHeadModel(input_dim, hidden=hidden, seed=seed)
-        mode_sets, objective = build_objective(sets, table, mode, LossWeights())
+        mode_sets, objective = build_objective(sets, table, mode, dict.fromkeys(LOSS_NAMES, 1.0))
         err = gradient_check(
             model,
             value_fn=lambda m: joint_loss_value(m, mode_sets, batch, objective),

@@ -8,7 +8,6 @@ from affectmtl import (
     CANONICAL_AUS,
     EMOTIONS,
     DataError,
-    LossWeights,
     RelatednessTable,
     ccc,
     dm_loss,
@@ -237,21 +236,6 @@ def test_sca_loss_dim_mismatch():
     q = soft_label(np.zeros(7))
     with pytest.raises(DataError):
         sca_loss_grad(np.full(6, 1 / 6), q)
-
-
-# -- weights -------------------------------------------------------------
-
-
-def test_negative_weight_rejected():
-    with pytest.raises(DataError):
-        LossWeights(lambda_per_task={"expr": -1.0})
-
-
-def test_epsilon_bounds():
-    with pytest.raises(DataError):
-        LossWeights(epsilon=0.0)
-    with pytest.raises(DataError):
-        LossWeights(epsilon=0.1)
 
 
 # -- gradients vs central finite differences -----------------------------

@@ -1,7 +1,12 @@
+import json
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affectmtl import DataError, ccc
+from affectmtl import DataError, ccc, metrics
 from affectmtl.metrics import ConfusionMatrix, au_metrics, classification_metrics, va_metrics
 
 
@@ -116,6 +121,59 @@ def test_au_metrics_thresholding():
     truth = np.array([[1.0], [0.0]])
     pred = np.array([[0.51], [0.49]])
     assert au_metrics(pred, truth)["afa"] == 1.0
+
+
+def _reference_au_metrics(predictions, truth, threshold=0.5):
+    """One AU column at a time, with Python scalars: the per-AU loop that
+    ``au_metrics`` must match. Returns its result (None when no column is
+    annotated) and the unscored columns."""
+    p, t = np.atleast_2d(predictions), np.atleast_2d(truth)
+    hard = (p >= threshold).astype(float)
+    per_f1, per_acc, scored, skipped = [], [], [], []
+    for j in range(p.shape[1]):
+        mask = ~np.isnan(t[:, j])
+        if not mask.any():
+            skipped.append(j)
+            per_f1.append(None)
+            per_acc.append(None)
+            continue
+        yj, hj = t[mask, j], hard[mask, j]
+        tp = float(np.sum((yj == 1) & (hj == 1)))
+        fp = float(np.sum((yj == 0) & (hj == 1)))
+        fn = float(np.sum((yj == 1) & (hj == 0)))
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        both = precision + recall
+        per_f1.append(0.0 if both == 0 else 2 * precision * recall / both)
+        per_acc.append(float(np.mean(yj == hj)))
+        scored.append(j)
+    if not scored:
+        return None, skipped
+    mean_f1 = float(np.mean([per_f1[j] for j in scored]))
+    mean_acc = float(np.mean([per_acc[j] for j in scored]))
+    return {"per_au_f1": per_f1, "mean_f1": mean_f1, "per_au_accuracy": per_acc,
+            "mean_accuracy": mean_acc, "afa": (mean_f1 + mean_acc) / 2.0}, skipped
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_au_metrics_matches_per_au_loop(data):
+    """Bit for bit, warnings included, on labels of 0, 1, NaN and other values,
+    probabilities at and around the threshold, and columns with no annotation."""
+    n, k = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+    cells = st.lists(st.sampled_from([0.0, 1.0, np.nan, np.nan, 0.5]), min_size=n * k,
+                     max_size=n * k)
+    truth = np.array(data.draw(cells)).reshape(n, k)
+    pred = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.5 - 1e-17, 0.7, 1.0]),
+                                       min_size=n * k, max_size=n * k))).reshape(n, k)
+    want, skipped = _reference_au_metrics(pred, truth)
+    with patch.object(metrics.log, "warning") as warning:
+        if want is None:
+            with pytest.raises(DataError, match="no annotated entries"):
+                au_metrics(pred, truth)
+        else:
+            assert json.dumps(au_metrics(pred, truth)) == json.dumps(want)
+    assert [call.args[1] for call in warning.call_args_list] == skipped
 
 
 def test_va_metrics():

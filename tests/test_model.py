@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectmtl import (
-    DataError, MultiHeadModel, NumericalError, SGDMomentum, gradient_check, median_filter,
+    DataError, MultiHeadModel, SGDMomentum, gradient_check, median_filter,
 )
 from affectmtl.losses import softmax_ce_grad
 
@@ -215,7 +216,7 @@ def test_checkpoint_loads_bit_identical(tmp_path, build):
     assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "model.bin").read_bytes()
     assert [k for k, _ in loaded.named_params()] == [k for k, _ in m.named_params()]
     for (_, p), (_, q) in zip(m.named_params(), loaded.named_params()):
-        assert p.tobytes() == q.tobytes() and q.flags.c_contiguous
+        assert p.tobytes() == q.tobytes()
     X = np.random.default_rng(26).normal(size=(7, 5))
     out, cache = m.forward(X)
     loaded_out, loaded_cache = loaded.forward(X)
@@ -272,15 +273,60 @@ def test_forward_backward_match_per_head_reference(reference_forward_backward, b
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12)
 
 
-def test_named_params_are_contiguous():
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    """The checkpoint format: the sha256 of one saved model never changes."""
+    MultiHeadModel(5, hidden=(8, 6), seed=25).save(tmp_path / "model.bin")
+    digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
+    assert digest == "21a060ed4d5ff12839da0c28f740f6003c189ed183c6559d07502ee99d8aca8f"
+
+
+def test_head_params_are_views_of_the_fused_arrays(tmp_path):
+    """Each head's W and b are columns of ``head_W`` and ``head_b``, so every way
+    of writing a head parameter moves the forward pass: a write through
+    ``heads``, a load, an SGD step and a gradient-check perturbation."""
     m = small_model(seed=21, hidden=(8, 6))
-    assert all(p.flags.c_contiguous for _, p in m.named_params())
+    start = 0
+    for name in ("au", "expr", "va"):  # sorted head names, side by side
+        W, b = m.heads[name]["W"], m.heads[name]["b"]
+        cols = slice(start, start + b.size)
+        assert np.shares_memory(W, m.head_W) and np.shares_memory(b, m.head_b)
+        assert W.base is m.head_W and b.base is m.head_b
+        assert np.array_equal(W, m.head_W[:, cols]) and np.array_equal(b, m.head_b[cols])
+        start = cols.stop
+    assert m.head_W.shape == (6, start) and m.head_b.shape == (start,)
+    X = np.random.default_rng(21).normal(size=(4, 5))
 
+    def outputs(model):
+        return np.concatenate([v.ravel() for v in model.forward(X)[0].values()])
 
-def test_gradient_check_rejects_a_non_contiguous_parameter():
-    m = small_model(seed=22)
-    m.heads["expr"]["W"] = np.asfortranarray(m.heads["expr"]["W"])
-    rng = np.random.default_rng(22)
-    value, grad = _ce_loss_fns(rng.normal(size=(6, 5)), rng.integers(0, 7, size=6))
-    with pytest.raises(NumericalError, match="expr.W"):
-        gradient_check(m, value, grad)
+    before = outputs(m)
+    for name in m.heads:
+        m.heads[name]["W"][0, 0] += 0.5
+        after = outputs(m)
+        assert not np.array_equal(after, before), name
+        before = after
+
+    m.save(tmp_path / "model.bin")
+    loaded = MultiHeadModel.load(tmp_path / "model.bin")
+    assert outputs(loaded).tobytes() == before.tobytes()
+    assert all(np.shares_memory(loaded.heads[n]["W"], loaded.head_W) for n in loaded.heads)
+
+    opt = SGDMomentum(m, lr=0.1)
+    out, cache = m.forward(X)
+    opt.step(m, m.backward(cache, {name: np.ones_like(v) for name, v in out.items()}))
+    assert not np.array_equal(outputs(m), before)
+    assert all(np.shares_memory(m.heads[n]["W"], m.head_W) for n in m.heads)
+
+    # a loss on every head: if a perturbation missed head_W, the finite
+    # difference would read 0 against a non-zero analytic gradient
+    C = {name: np.random.default_rng(22).normal(size=v.shape) for name, v in out.items()}
+
+    def value(model):
+        return float(sum((model.forward(X)[0][name] * C[name]).sum() for name in C))
+
+    def grad(model):
+        return model.backward(model.forward(X)[1], C)
+
+    kept = m.head_W.copy()
+    assert gradient_check(m, value, grad) < 1e-6
+    assert np.array_equal(m.head_W, kept)  # every perturbation was undone

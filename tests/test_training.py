@@ -13,7 +13,6 @@ from affectmtl import (
     ConfigError,
     DataError,
     ExperimentConfig,
-    LossWeights,
     MultiHeadModel,
     NumericalError,
     RelatednessTable,
@@ -29,12 +28,17 @@ from affectmtl.losses import (
     softmax_ce_grad,
 )
 from affectmtl import training
+from affectmtl.scheduler import plan_epoch
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import (
-    _joint_loss, _median_filter_by_video, build_objective, run_eval, run_gradcheck, run_train,
+    LOSS_NAMES, _joint_loss, _median_filter_by_video, build_objective, run_eval, run_gradcheck,
+    run_train,
 )
 
 TABLE = domain_table()
+ONES = dict.fromkeys(LOSS_NAMES, 1.0)
+# every term weighted apart, so that a weight read under the wrong name shows
+WEIGHTS = {"expr": 0.7, "au": 1.0, "va": 1.3, "sca": 0.6, "dm": 1.7}
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,22 @@ def test_va_batch_of_one_rejected(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+       max_batch=st.integers(1, 300), va=st.integers(0, 2))
+def test_va_plan_check_matches_every_batch(sizes, max_batch, va):
+    """The arithmetic check refuses exactly the plans in which some VA batch,
+    drawn iteration by iteration, holds one row."""
+    plan = plan_epoch(sizes, max_batch)
+    va %= len(sizes)
+    one = any(len(plan.slice_indices(va, it)) == 1 for it in range(plan.iteration_count))
+    if one:
+        with pytest.raises(ConfigError, match="VA batch of size 1"):
+            training._validate_va_plan(plan, va)
+    else:
+        training._validate_va_plan(plan, va)
+
+
 def test_single_set_training(dataset_dir, tmp_path):
     config = make_config(dataset_dir, tmp_path / "expr_only")
     config.data = {"expr": str(dataset_dir / "expr.csv")}
@@ -193,12 +213,11 @@ def test_run_gradcheck_passes_all_modes():
 # -- batch-form objective --------------------------------------------------
 
 
-def _reference_loss(model, sets, batch, mode, table, weights):
+def _reference_loss(model, sets, batch, mode, table, weights, eps):
     """Per-row loop over the batch: every loss term sample by sample, SCA
     targets from one row's soft label, DM targets from one row at a time."""
     picked = [(name, sets[name], i) for name, rows in batch.items() for i in rows]
     out, _ = model.forward(np.stack([d.features[i] for _, d, i in picked]))
-    eps = weights.epsilon
     g = {h: np.zeros_like(v) for h, v in out.items()}
     losses = {}
 
@@ -213,17 +232,17 @@ def _reference_loss(model, sets, batch, mode, table, weights):
     rows = [j for j, (_, d, i) in enumerate(picked) if d.expr[i] >= 0]
     losses["expr"] = mean_over(
         rows, lambda j, d, i: softmax_ce_grad(out["expr"][j], d.expr[i], eps),
-        "expr", weights.weight("expr"),
+        "expr", weights["expr"],
     )
     rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.au[i]).all()]
     losses["au"] = mean_over(
         rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], d.au_weights[i], eps),
-        "au", weights.weight("au"),
+        "au", weights["au"],
     )
     rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.va[i]).any()]
     va = np.array([picked[j][1].va[picked[j][2]] for j in rows])
     losses["va"], grad = ccc_loss_grad(va, out["va"][rows])
-    g["va"][rows] += weights.weight("va") * grad
+    g["va"][rows] += weights["va"] * grad
     if mode in ("soft_co_annotation", "soft_plus_dm"):
         rows = [j for j, (name, _, _) in enumerate(picked) if name == "au"]
         losses["sca"] = mean_over(
@@ -231,7 +250,7 @@ def _reference_loss(model, sets, batch, mode, table, weights):
                 out["expr"][j],
                 soft_label(indicator_scores(d.au[i], table.weight_matrix(True))),
                 eps),
-            "expr", weights.weight("sca"),
+            "expr", weights["sca"],
         )
     if mode in ("distr_matching", "soft_plus_dm"):
         r = table.weight_matrix(True)
@@ -239,8 +258,8 @@ def _reference_loss(model, sets, batch, mode, table, weights):
         for j in range(len(picked)):
             v, grad_p, grad_q = dm_loss_grad(out["au"][j], out["expr"][j] @ r, eps)
             acc += v
-            g["au"][j] += weights.weight("dm") * grad_p / len(picked)
-            g["expr"][j] += weights.weight("dm") * (r @ grad_q) / len(picked)
+            g["au"][j] += weights["dm"] * grad_p / len(picked)
+            g["expr"][j] += weights["dm"] * (r @ grad_q) / len(picked)
         losses["dm"] = acc / len(picked)
     return losses, g
 
@@ -253,16 +272,15 @@ def test_batch_objective_matches_per_row_loop(mode):
     va_set, au_set, expr_set = split(draw(spec, 180))
     sets = {name: group.take(np.arange(size))
             for name, group, size in (("va", va_set, 40), ("au", au_set, 50), ("expr", expr_set, 45))}
-    weights = LossWeights({"expr": 0.7, "va": 1.3}, {"sca": 0.6, "dm": 1.7})
     model = MultiHeadModel(8, hidden=(16,), seed=1)
-    sets, objective = build_objective(sets, TABLE, mode, weights)
+    sets, objective = build_objective(sets, TABLE, mode, WEIGHTS, 1e-3)
     # rows in a shuffled order, as the epoch plan draws them
     rng = np.random.default_rng(0)
     batch = {name: rng.permutation(len(sets[name])) for name in ("va", "au", "expr")}
     if mode == "co_annotation":
         assert sets["expr"].au_rows.size  # the expr set gained AU labels
     _, terms, g, _ = _joint_loss(model, sets, batch, objective)
-    losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, weights)
+    losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, WEIGHTS, 1e-3)
     assert set(terms) == set(losses)
     for name, (v, _) in terms.items():
         assert abs(v - losses[name]) <= 1e-12, name
@@ -270,31 +288,30 @@ def test_batch_objective_matches_per_row_loop(mode):
         assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
 
 
-def _whole_sets_batch(mode, weights):
+def _whole_sets_batch(mode, weights, epsilon=1e-7):
     """The arguments of ``_joint_loss`` for one batch of every row of three small sets."""
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     sets, objective = build_objective(
-        dict(zip(("va", "au", "expr"), split(draw(spec, 90)))), TABLE, mode, weights)
+        dict(zip(("va", "au", "expr"), split(draw(spec, 90)))), TABLE, mode, weights, epsilon)
     return model, sets, {name: np.arange(len(data)) for name, data in sets.items()}, objective
 
 
-def test_joint_total_is_the_weighted_sum(monkeypatch):
-    reads, weight = [], LossWeights.weight
+def test_joint_total_is_the_weighted_sum():
+    reads = []
 
-    def counted(self, name):
-        reads.append(name)
-        return weight(self, name)
+    class Counted(dict):
+        def __getitem__(self, name):
+            reads.append(name)
+            return super().__getitem__(name)
 
-    monkeypatch.setattr(LossWeights, "weight", counted)
-    weights = LossWeights({"expr": 0.7, "va": 1.3}, {"sca": 0.6, "dm": 1.7})
-    total, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", weights))
+    total, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", Counted(WEIGHTS)))
     assert list(terms) == reads == ["expr", "au", "va", "sca", "dm"]  # each weight read once
-    assert total == pytest.approx(sum(weight(weights, n) * v for n, (v, _) in terms.items()))
-    total, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", LossWeights()))
+    assert total == pytest.approx(sum(WEIGHTS[n] * v for n, (v, _) in terms.items()))
+    total, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", ONES))
     assert total == pytest.approx(sum(v for v, _ in terms.values()))
     # a coupling term of weight 0 adds 0 to the total and to every gradient
-    zero = LossWeights(coupling_weights={"dm": 0.0, "sca": 0.0})
+    zero = {**ONES, "dm": 0.0, "sca": 0.0}
     total, terms, g, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", zero))
     total_none, _, g_none, _ = _joint_loss(*_whole_sets_batch("none", zero))
     assert terms["sca"][0] > 0 and terms["dm"][0] > 0
@@ -303,11 +320,23 @@ def test_joint_total_is_the_weighted_sum(monkeypatch):
         assert np.array_equal(g[head], g_none[head]), head
 
 
+def test_objective_epsilon_reaches_every_clamped_term(monkeypatch):
+    seen = []
+    for name in ("softmax_ce_grad", "masked_bce_grad", "sca_loss_grad", "dm_loss_grad"):
+        def spy(*args, loss=getattr(training, name), name=name):
+            seen.append((name, args[-1]))  # eps is the last argument of each call
+            return loss(*args)
+        monkeypatch.setattr(training, name, spy)
+    _joint_loss(*_whole_sets_batch("soft_plus_dm", ONES, 1e-4))
+    assert sorted(seen) == [("dm_loss_grad", 1e-4), ("masked_bce_grad", 1e-4),
+                            ("sca_loss_grad", 1e-4), ("softmax_ce_grad", 1e-4)]
+
+
 def test_non_finite_joint_total_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(training, "ccc_loss_grad",
                         lambda y, y_hat: (float("nan"), np.zeros_like(y_hat)))
     with pytest.raises(NumericalError, match="non-finite total loss"):
-        _joint_loss(*_whole_sets_batch("none", LossWeights()))
+        _joint_loss(*_whole_sets_batch("none", ONES))
 
 
 def test_sca_targets_follow_rows_not_ids(one_row):
@@ -315,7 +344,7 @@ def test_sca_targets_follow_rows_not_ids(one_row):
     happy[[4, 9, 15]] = 1.0  # AU6, AU12, AU25
     sad[[2, 10]] = 1.0  # AU4, AU15
     au_set = SampleSet.concat([one_row("dup", np.zeros(8), au=a) for a in (happy, sad)])
-    _, objective = build_objective({"au": au_set}, TABLE, "soft_co_annotation", LossWeights())
+    _, objective = build_objective({"au": au_set}, TABLE, "soft_co_annotation", ONES)
     r = TABLE.weight_matrix(True)
     for au, q in zip(au_set.au, objective.sca_targets):
         assert np.allclose(q, soft_label(indicator_scores(au, r)), atol=1e-15)
@@ -377,9 +406,12 @@ def test_relatedness_file_errors_are_typed(dataset_dir, tmp_path, relatedness, e
         run_train(config)
 
 
-@pytest.mark.parametrize("loss_weights", [{"tasks": {"expr": -1.0}}, {"epsilon": 0.5}])
+@pytest.mark.parametrize("loss_weights", [
+    {"tasks": {"expr": -1.0}}, {"epsilon": 0.5}, {"couplings": {"dm": -0.5}}, {"epsilon": 0.1},
+    {"epsilon": 0.0},
+])
 def test_loss_weight_errors_are_config_errors(dataset_dir, tmp_path, loss_weights):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"loss weight -\d\.\d for '\w+'|epsilon 0\.\d outside"):
         make_config(dataset_dir, tmp_path / "run", loss_weights=loss_weights)
 
 
@@ -438,7 +470,8 @@ def test_float_settings_take_json_ints(dataset_dir, tmp_path):
     config = make_config(dataset_dir, tmp_path / "run", optimizer={"lr": 1, "momentum": 0},
                          holdout_fraction=0, loss_weights={"tasks": {"expr": 2}})
     assert (config.lr, config.momentum, config.holdout_fraction) == (1.0, 0.0, 0.0)
-    assert config.loss_weights.weight("expr") == 2.0
+    assert config.loss_weights == {**ONES, "expr": 2.0}
+    assert type(config.loss_weights["expr"]) is float
 
 
 def test_config_defaults_are_the_field_defaults(dataset_dir):
@@ -460,7 +493,7 @@ def test_config_keys_round_trip(dataset_dir, tmp_path):
 def test_direct_and_replaced_configs_are_checked(dataset_dir):
     config = ExperimentConfig(data={"expr": str(dataset_dir / "expr.csv")}, tasks={"au": 2},
                               lr=1)
-    assert (config.lr, config.loss_weights.weight("au")) == (1.0, 2.0)
+    assert (config.lr, config.loss_weights["au"]) == (1.0, 2.0)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         replace(config, seed=-3)
     with pytest.raises(ConfigError, match="out_dir must be of type str"):
