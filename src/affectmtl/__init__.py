@@ -14,7 +14,7 @@ from .labels import (
     co_annotate,
     subsample_frames,
 )
-from .losses import ccc, dm_loss
+from .losses import ccc
 from .model import (
     MultiHeadModel,
     SGDMomentum,

@@ -103,6 +103,9 @@ def _cmd_zero_shot(args) -> int:
     model = MultiHeadModel.load(args.checkpoint)
     classes = load_compound_profiles(args.profiles)
     data = lab.read_samples_csv(args.data)
+    unknown = set(data.compound) - {"", *(c.name for c in classes)}
+    if unknown:
+        raise DataError(f"{args.data}: compound truth {min(unknown)!r} names no profile class")
     scores = compound_scores(model.forward(data.features)[0], classes)
     # one CSV row per (sample, class); d_va is 0.0 or 1.0
     picked = np.arange(len(classes)) == scores.predicted[:, None]

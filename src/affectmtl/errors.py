@@ -1,5 +1,9 @@
-"""Exception hierarchy mapped to CLI exit codes, and the JSON checks (repeated
-keys, exact types, exact key sets) that every reader of an input file shares."""
+"""Exception hierarchy mapped to CLI exit codes, and the JSON read and checks
+(repeated keys, exact types, exact key sets) that every reader of an input file
+shares."""
+
+import json
+from pathlib import Path
 
 
 class AffectMTLError(Exception):
@@ -57,3 +61,17 @@ def exact_keys(d, required, optional, where: str, error) -> dict:
         raise error(f"{where}: " + "; ".join(f"{kind} key(s) {', '.join(map(repr, keys))}"
                                              for kind, keys in wrong.items() if keys))
     return d
+
+
+def read_json(path, what: str, error, parse):
+    """``parse`` of the JSON in the file ``path``, a ``what`` such as "config". A file
+    that cannot be read, or is not JSON without a repeated key, is an ``error``
+    "cannot read <what> <path>: ..."; one from ``parse`` is raised as "<what> <path>: ..."."""
+    try:
+        d = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
+    except (OSError, ValueError) as e:  # ValueError: not text or not JSON, a repeated key
+        raise error(f"cannot read {what} {path}: {e}") from e
+    try:
+        return parse(d)
+    except error as e:
+        raise error(f"{what} {path}: {e}") from e

@@ -94,18 +94,16 @@ def soft_label(scores) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def indicator_scores(au, r, reweight_observational: bool = True) -> np.ndarray:
+def indicator_scores(au, r) -> np.ndarray:
     """Per-emotion indicator scores for AU rows, one row of ``au`` per sample.
 
-    ``r`` is the table's ``weight_matrix(reweight_observational)``. Per
-    emotion, the indicator is the weighted fraction of its required AUs that
-    are active (unannotated AUs count as 0); weights are the table weights, or
-    all 1 when ``reweight_observational`` is off. Emotions with an empty
+    ``r`` is a table's ``weight_matrix(reweight)``, used as given. Per
+    emotion, the indicator is the ``r``-weighted fraction of its required AUs
+    that are active (unannotated AUs count as 0). Emotions with an empty
     relatedness entry get indicator 0.
     """
-    w = r if reweight_observational else (r > 0).astype(float)
-    need = w.sum(axis=1)
-    active = np.nan_to_num(np.asarray(au, dtype=float), nan=0.0) @ w.T
+    need = r.sum(axis=1)
+    active = np.nan_to_num(np.asarray(au, dtype=float), nan=0.0) @ r.T
     return np.divide(active, need, out=np.zeros_like(active), where=need > 0)
 
 
@@ -122,14 +120,14 @@ def co_annotate(data: SampleSet, table: RelatednessTable) -> SampleSet:
     """
     if table.kind != KIND_DOMAIN:
         raise DataError("co-annotation requires a prototypical/observational table")
-    r = table.weight_matrix(reweight=True)
+    r, binary = table.weight_matrix(reweight=True), table.weight_matrix(reweight=False)
     has_expr = data.expr >= 0
     row_r = np.where(has_expr[:, None], r[data.expr], 0.0)  # expr -1 picks a row, masked here
     fill = np.isnan(data.au) & (row_r > 0)
     au = np.where(fill, 1.0, data.au)
     au_weights = np.where(fill, row_r, data.au_weights)
-    qualifies = indicator_scores(au, r, reweight_observational=False) == 1.0
-    best = np.where(qualifies, (r > 0).sum(axis=1), -1).argmax(axis=1)
+    qualifies = indicator_scores(au, binary) == 1.0
+    best = np.where(qualifies, binary.sum(axis=1), -1).argmax(axis=1)
     expr = np.where(~has_expr & qualifies.any(axis=1), best, data.expr)
     return replace(data, expr=expr, au=au, au_weights=au_weights)
 
@@ -464,6 +462,10 @@ class _Layout:
             raise DataError(f"{path}: no id column")
         fcols = sorted((c for c in col if c[:1] == "f" and c[1:].isdigit()),
                        key=lambda c: int(c[1:]))
+        used = {"id", "feature_file", *fcols, *_LABEL_COLUMNS}  # col keeps a name's last index
+        twice = next((c for i, c in enumerate(header) if c in used and col[c] != i), None)
+        if twice is not None:
+            raise DataError(f"{path}: the header repeats column {twice!r}")
         self.use_files = "feature_file" in col
         if not fcols and not self.use_files:
             raise DataError(f"{path}: no feature columns and no feature_file column")

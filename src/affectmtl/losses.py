@@ -118,21 +118,14 @@ def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
 # -- distribution matching ----------------------------------------------
 
 
-def dm_loss(p_bin, q_bin, eps: float = DEFAULT_EPS) -> float:
-    """Cross entropy with soft targets: sum_i -p_i log q_i, q clamped at eps.
-
-    ``q_bin`` holds the DM targets, one row per row of ``p_bin``: the class
-    predictions times the relatedness weight matrix.
-    """
-    return dm_loss_grad(p_bin, q_bin, eps)[0]
-
-
 def dm_loss_grad(p_bin, q_bin, eps: float = DEFAULT_EPS):
-    """Value plus gradients with respect to predictions and targets."""
+    """Cross entropy with soft targets, sum_i -p_i log q_i with q clamped at eps, and
+    its gradients with respect to the predictions ``p_bin`` and the DM targets ``q_bin``
+    (one row per row of ``p_bin``: the class predictions times the weight matrix)."""
     p = np.asarray(p_bin, float)
     qb = np.asarray(q_bin, float)
     if qb.shape != p.shape:
-        raise DataError("dm_loss: prediction/target length mismatch")
+        raise DataError("dm_loss_grad: prediction/target length mismatch")
     n = len(_rows(p))
     qc = np.clip(qb, eps, None)
     logq = np.log(qc)

@@ -9,6 +9,7 @@ explicit seeds.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -20,6 +21,37 @@ from .relatedness import EMOTIONS, NUM_AUS
 
 # The one head layout, name -> (kind, width): VA pair, the expressions, the AUs.
 DEFAULT_HEADS = {"va": ("tanh", 2), "expr": ("softmax", len(EMOTIONS)), "au": ("sigmoid", NUM_AUS)}
+# Each head's columns of ``head_W`` and ``head_b``, side by side in sorted name order
+_ENDS = itertools.accumulate(DEFAULT_HEADS[name][1] for name in sorted(DEFAULT_HEADS))
+HEAD_COLS = {name: slice(end - DEFAULT_HEADS[name][1], end)
+             for name, end in zip(sorted(DEFAULT_HEADS), _ENDS)}
+
+
+def _activate(head, z):
+    """The outputs of ``head`` from its pre-activations ``z``, one row per sample."""
+    kind = DEFAULT_HEADS[head][0]
+    if kind == "tanh":
+        return np.tanh(z)
+    if kind == "sigmoid":
+        # z is clipped where exp(-z) would overflow (exp(709) < max float)
+        return 1.0 / (1.0 + np.exp(-np.maximum(z, -709.0)))
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def output_jacobian(head, y, g):
+    """d(loss)/d(pre-activation) of ``head``, from its outputs ``y`` and g = d(loss)/d(y).
+
+    It is linear in ``g``, so it may be applied to each loss term's gradient. The
+    per-term results add up to that of the summed gradient only up to rounding, so
+    :meth:`MultiHeadModel.backward` applies it once, to the sum."""
+    kind = DEFAULT_HEADS[head][0]
+    if kind == "tanh":
+        return g * (1.0 - y**2)
+    if kind == "sigmoid":
+        return g * y * (1.0 - y)
+    return y * (g - (g * y).sum(axis=1, keepdims=True))  # the softmax Jacobian, row-wise
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -45,18 +77,10 @@ class MultiHeadModel:
             self.trunk.append({"W": weights(d, h), "b": np.zeros(h)})
             d = h
         self.feature_dim = d
-        # every head's weights side by side, in sorted name order, so that one
-        # product evaluates all heads; each head's W and b are column views
-        names = sorted(DEFAULT_HEADS)
-        self.head_W = np.concatenate([weights(d, DEFAULT_HEADS[n][1]) for n in names], axis=1)
+        # every head's weights side by side (:data:`HEAD_COLS`), so that one
+        # product evaluates all heads
+        self.head_W = np.concatenate([weights(d, DEFAULT_HEADS[n][1]) for n in HEAD_COLS], axis=1)
         self.head_b = np.zeros(self.head_W.shape[1])
-        self.heads, start = {}, 0
-        for name in names:
-            kind, size = DEFAULT_HEADS[name]
-            cols = slice(start, start + size)
-            self.heads[name] = {"W": self.head_W[:, cols], "b": self.head_b[cols],
-                                "kind": kind, "cols": cols}
-            start = cols.stop
 
     # -- parameter iteration --------------------------------------------
 
@@ -66,9 +90,9 @@ class MultiHeadModel:
         for i, layer in enumerate(self.trunk):
             yield f"trunk{i}.W", layer["W"]
             yield f"trunk{i}.b", layer["b"]
-        for name in sorted(self.heads):
-            yield f"{name}.W", self.heads[name]["W"]
-            yield f"{name}.b", self.heads[name]["b"]
+        for name, cols in HEAD_COLS.items():
+            yield f"{name}.W", self.head_W[:, cols]
+            yield f"{name}.b", self.head_b[cols]
 
     # -- forward / backward ---------------------------------------------
 
@@ -92,18 +116,7 @@ class MultiHeadModel:
             acts.append(h)
         z = h @ self.head_W
         z += self.head_b
-        out = {}
-        for name, head in self.heads.items():
-            zc, kind = z[:, head["cols"]], head["kind"]
-            if kind == "tanh":
-                out[name] = np.tanh(zc)
-            elif kind == "sigmoid":
-                # z is clipped where exp(-z) would overflow (exp(709) < max float)
-                out[name] = 1.0 / (1.0 + np.exp(-np.maximum(zc, -709.0)))
-            else:
-                e = np.exp(zc - zc.max(axis=1, keepdims=True))
-                e /= e.sum(axis=1, keepdims=True)
-                out[name] = e
+        out = {name: _activate(name, z[:, cols]) for name, cols in HEAD_COLS.items()}
         return out, {"acts": acts, "out": out}
 
     def backward(self, cache, out_grads: dict):
@@ -116,17 +129,9 @@ class MultiHeadModel:
         acts, out = cache["acts"], cache["out"]
         h = acts[-1]
         gz = np.zeros((len(h), self.head_W.shape[1]))
-        for name, head in self.heads.items():
-            if name not in out_grads:
-                continue
-            y, kind, cols = out[name], head["kind"], head["cols"]
-            g = np.asarray(out_grads[name], dtype=float)
-            if kind == "tanh":
-                gz[:, cols] = g * (1.0 - y**2)
-            elif kind == "sigmoid":
-                gz[:, cols] = g * y * (1.0 - y)
-            else:  # softmax Jacobian applied row-wise
-                gz[:, cols] = y * (g - (g * y).sum(axis=1, keepdims=True))
+        for name, cols in HEAD_COLS.items():
+            if name in out_grads:
+                gz[:, cols] = output_jacobian(name, out[name], np.asarray(out_grads[name], float))
         grads = {}
         if self.trunk:
             gh = gz @ self.head_W.T
@@ -140,8 +145,8 @@ class MultiHeadModel:
                     gh = d @ self.trunk[i]["W"].T
         gW = h.T @ gz
         gb = gz.sum(axis=0)
-        for name, head in self.heads.items():
-            grads[f"{name}.W"], grads[f"{name}.b"] = gW[:, head["cols"]], gb[head["cols"]]
+        for name, cols in HEAD_COLS.items():
+            grads[f"{name}.W"], grads[f"{name}.b"] = gW[:, cols], gb[cols]
         return {name: grads[name] for name, _ in self.named_params()}
 
     # -- checkpoints ------------------------------------------------------

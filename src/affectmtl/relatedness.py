@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, exact_keys, exact_type, unique_keys
+from .errors import DataError, exact_keys, exact_type, read_json
 
 log = logging.getLogger(__name__)
 
@@ -129,14 +129,7 @@ class RelatednessTable:
     @classmethod
     def load(cls, path) -> "RelatednessTable":
         """Read a table file in either form of :meth:`from_dict`."""
-        try:
-            d = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
-        except (OSError, ValueError) as e:  # ValueError: invalid JSON or UTF-8
-            raise DataError(f"cannot read relatedness table {path}: {e}") from e
-        try:
-            return cls.from_dict(d)
-        except DataError as e:
-            raise DataError(f"relatedness table {path}: {e}") from e
+        return read_json(path, "relatedness table", DataError, cls.from_dict)
 
     def __eq__(self, other):
         if not isinstance(other, RelatednessTable):
@@ -174,8 +167,7 @@ def _source_rows(table):
 
 def domain_table() -> RelatednessTable:
     """The bundled emotion -> AU table (six basic emotions plus empty neutral)."""
-    source = resources.files("affectmtl.data").joinpath("emotion_au_relatedness.json")
-    return RelatednessTable.from_dict(json.loads(source.read_text(), object_pairs_hook=unique_keys))
+    return RelatednessTable.load(resources.files("affectmtl.data") / "emotion_au_relatedness.json")
 
 
 def infer_empirical(expr, au, threshold: float = 0.1) -> RelatednessTable:

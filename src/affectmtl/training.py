@@ -18,7 +18,7 @@ import numpy as np
 
 from . import labels as lab
 from . import relatedness as rel
-from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, unique_keys
+from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, read_json
 from .losses import (
     DEFAULT_EPS,
     ccc_loss_grad,
@@ -141,16 +141,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            d = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
-        except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-        try:
-            return cls.from_dict(d)
-        except ConfigError as e:
-            raise ConfigError(f"config {path}: {e}") from e
+        return read_json(path, "config", ConfigError, cls.from_dict)
 
     def to_dict(self) -> dict:
         d: dict = {}
@@ -226,7 +217,7 @@ def build_objective(sets: dict, table, mode: str, weights: dict, epsilon: float 
     r = table.weight_matrix(reweight)
     sca = None
     if mode in SCA_MODES and "au" in sets:
-        sca = lab.soft_label(lab.indicator_scores(sets["au"].au, r, reweight))
+        sca = lab.soft_label(lab.indicator_scores(sets["au"].au, r))
     return sets, Objective(weights, epsilon, r if mode in DM_MODES else None, sca)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, exact_keys, exact_type, unique_keys
+from .errors import DataError, exact_keys, exact_type, read_json
 from .relatedness import CANONICAL_AUS, EMOTIONS, RelatednessTable
 
 _AU_TO_INDEX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -153,16 +153,18 @@ def save_compound_profiles(path, classes) -> None:
 
 def load_compound_profiles(path) -> list[CompoundClass]:
     """Read a profile file as written by :func:`save_compound_profiles`."""
-    try:
-        payload = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
-    except (OSError, ValueError) as e:  # ValueError: invalid JSON or UTF-8
-        raise DataError(f"cannot read compound profiles {path}: {e}") from e
-    try:
-        if not exact_type(payload, list, "the payload", DataError):
-            raise DataError("no compound profiles")
-        return [_profile_from_dict(d, f"entry {i}") for i, d in enumerate(payload)]
-    except DataError as e:
-        raise DataError(f"compound profile file {path}: {e}") from e
+    return read_json(path, "compound profiles", DataError, _profiles)
+
+
+def _profiles(payload) -> list[CompoundClass]:
+    """The classes of a profile file's JSON list, each name once."""
+    if not exact_type(payload, list, "the payload", DataError):
+        raise DataError("no compound profiles")
+    classes = [_profile_from_dict(d, f"entry {i}") for i, d in enumerate(payload)]
+    names = [c.name for c in classes]
+    if len(set(names)) < len(names):
+        raise DataError(f"class name {max(names, key=names.count)!r} is listed more than once")
+    return classes
 
 
 def _profile_from_dict(d, where: str) -> CompoundClass:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from affectmtl import CANONICAL_AUS, EMOTIONS
 from affectmtl.labels import AU_COLUMNS, NUM_AUS, SampleSet
+from affectmtl.model import DEFAULT_HEADS
 from affectmtl.synthdata import VA_MEANS
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -130,29 +131,30 @@ def _reference_forward_backward(model, X, out_grads):
     for layer in model.trunk:
         acts.append(np.tanh(acts[-1] @ layer["W"] + layer["b"]))
     h = acts[-1]
+    params = dict(model.named_params())
     out = {}
-    for name, head in model.heads.items():
-        z = h @ head["W"] + head["b"]
-        if head["kind"] == "tanh":
+    for name, (kind, _) in DEFAULT_HEADS.items():
+        z = h @ params[f"{name}.W"] + params[f"{name}.b"]
+        if kind == "tanh":
             out[name] = np.tanh(z)
-        elif head["kind"] == "sigmoid":
+        elif kind == "sigmoid":
             out[name] = 1.0 / (1.0 + np.exp(-z))
         else:
             e = np.exp(z - z.max(axis=1, keepdims=True))
             out[name] = e / e.sum(axis=1, keepdims=True)
-    grads = {name: np.zeros_like(p) for name, p in model.named_params()}
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
     gh = np.zeros_like(h)
     for name, g in out_grads.items():
-        head, y = model.heads[name], out[name]
-        if head["kind"] == "tanh":
+        kind, y = DEFAULT_HEADS[name][0], out[name]
+        if kind == "tanh":
             gz = g * (1.0 - y**2)
-        elif head["kind"] == "sigmoid":
+        elif kind == "sigmoid":
             gz = g * y * (1.0 - y)
         else:
             gz = y * (g - (g * y).sum(axis=1, keepdims=True))
         grads[f"{name}.W"] += h.T @ gz
         grads[f"{name}.b"] += gz.sum(axis=0)
-        gh += gz @ head["W"].T
+        gh += gz @ params[f"{name}.W"].T
     for i in range(len(model.trunk) - 1, -1, -1):
         gz = gh * (1.0 - acts[i + 1] ** 2)
         grads[f"trunk{i}.W"] += acts[i].T @ gz

@@ -337,6 +337,21 @@ def test_zero_shot_with_compound_truth(workspace, tmp_path):
     assert 0.0 <= metrics["compound_accuracy"] <= 1.0
 
 
+@pytest.mark.parametrize("truth", ["happily_surprized", "Happily_Surprised", "happily_surprised "])
+def test_zero_shot_unknown_compound_truth_exit_code(workspace, tmp_path, capsys, truth):
+    """A compound truth that names no profile class would only lower the
+    accuracy; it is refused before anything is written."""
+    src = (workspace / "data" / "expr.csv").read_text().splitlines()
+    rows = [src[1] + ",happily_surprised", src[2] + f",{truth}", src[3] + ","]
+    data = tmp_path / "compound.csv"
+    data.write_text("\n".join([src[0] + ",compound", *rows]) + "\n")
+    profiles = tmp_path / "profiles.json"
+    save_compound_profiles(profiles, default_compound_classes(TABLE))
+    assert _zero_shot(workspace, profiles, data, tmp_path / "zs") == 2
+    assert f"compound truth {truth!r} names no profile class" in capsys.readouterr().err
+    assert not (tmp_path / "zs").exists()
+
+
 def _zero_shot(workspace, profiles, data, out, checkpoint=None):
     checkpoint = checkpoint or workspace / "run" / "model.bin"
     return main(["zero-shot", "--checkpoint", str(checkpoint), "--profiles", str(profiles),
@@ -386,10 +401,11 @@ def test_zero_shot_compound_truth_after_a_multi_line_cell(workspace, tmp_path):
 def test_zero_shot_scores_csv_matches_row_by_row_writer(
         workspace, reference_write_compound_scores, csv_cells, data):
     """``compound_scores.csv`` holds what the row-by-row csv.writer code writes,
-    for any ids and class names, and for data CSVs in either feature form."""
+    for any ids and distinct class names, and for data CSVs in either feature form."""
     text, floats = csv_cells
     ids = data.draw(st.lists(text, min_size=1, max_size=6), label="ids")
-    names = data.draw(st.lists(text, min_size=1, max_size=4), label="class names")
+    # a profile file names each class once
+    names = data.draw(st.lists(text, min_size=1, max_size=4, unique=True), label="class names")
     n, k = len(ids), len(names)
 
     def matrix(values):
@@ -421,6 +437,7 @@ def test_zero_shot_scores_csv_matches_row_by_row_writer(
 @pytest.mark.parametrize("key, value", [
     ("emo1", -1), ("emo2", 7), ("positive_valence", "false"), ("aus", {"12": "x"}),
     ("aus", {"twelve": 1.0}), ("aus", [12]), ("aus", {"\u0661\u0662": 1.0}), ("aus", {"012": 1.0}),
+    ("name", "happily_disgusted"),  # the name of the second class too
 ])
 def test_zero_shot_malformed_profile_exit_code(workspace, tmp_path, capsys, key, value):
     profiles = tmp_path / "profiles.json"
@@ -430,6 +447,31 @@ def test_zero_shot_malformed_profile_exit_code(workspace, tmp_path, capsys, key,
     profiles.write_text(json.dumps(payload))
     assert _zero_shot(workspace, profiles, workspace / "data" / "expr.csv", tmp_path / "zs") == 2
     assert str(profiles) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "blob", [None, b"{not json", b"\xff[]", b"\xef\xbb\xbf[]", b'{"a": 1, "a": 2}'],
+    ids=["missing", "not JSON", "not UTF-8", "BOM", "repeated key"])
+@pytest.mark.parametrize("what, code", [("config", 1), ("relatedness table", 2),
+                                        ("compound profiles", 2)])
+def test_unreadable_json_input_exit_code(workspace, tmp_path, capsys, what, code, blob):
+    """A JSON input that cannot be read, or is not UTF-8 JSON without a repeated
+    key, is refused in one wording that names the file, and nothing is written."""
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    if blob is not None:
+        bad.write_bytes(blob)
+    args = ["train", "--config", str(bad)]
+    if what == "relatedness table":
+        config = json.loads((workspace / "config.json").read_text())
+        config["relatedness"] = {"source": "file", "path": str(bad)}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = ["train", "--config", str(tmp_path / "config.json")]
+    elif what == "compound profiles":
+        args = ["zero-shot", "--checkpoint", str(workspace / "run" / "model.bin"),
+                "--profiles", str(bad), "--data", str(workspace / "data" / "expr.csv")]
+    assert main([*args, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(f"error: cannot read {what} {bad}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("heads", [

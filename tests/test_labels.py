@@ -56,8 +56,7 @@ def sample(one_row):
 def soft_co_annotate(s, reweight_observational=True):
     """The indicator scores and the soft emotion label of a one-row set's AUs,
     as soft co-annotation makes them."""
-    r = TABLE.weight_matrix(reweight_observational)
-    scores = indicator_scores(s.au[0], r, reweight_observational)
+    scores = indicator_scores(s.au[0], TABLE.weight_matrix(reweight_observational))
     return scores, soft_label(scores)
 
 
@@ -275,12 +274,26 @@ def test_csv_errors_name_the_line(tmp_path):
     (b"id,f0,expr\ns0,0.5,1\x00\n", "line 2"),
     (b"id,f0,expr,valence,arousal\ns0,0.5,1,,0.1\n", "line 2: valence and arousal must both"),
     (b"id,f0,expr\ns0,0.5,\xff\n", "cannot read dataset"),
+    # a column that the reader uses appears once: the last of two would be read
+    (b"id,f0,f0,expr,expr\ns0,1,2,3,5\n", "the header repeats column 'f0'"),
+    (b"id,f0,expr,id\ns0,1,3,s1\n", "the header repeats column 'id'"),
+    (b"id,f0,au_12,expr,au_12\ns0,1,0,3,1\n", "the header repeats column 'au_12'"),
+    (b"id,feature_file,expr,feature_file\ns0,m.npy:0,3,m.npy:1\n",
+     "the header repeats column 'feature_file'"),
+    (b"id,f0,expr,compound,compound\ns0,1,3,a,b\n", "the header repeats column 'compound'"),
 ])
 def test_csv_structure_errors(tmp_path, blob, message):
     p = tmp_path / "d.csv"
     p.write_bytes(blob)
     with pytest.raises(DataError, match=message):
         read_samples_csv(p)
+
+
+def test_a_repeated_column_that_the_reader_ignores_is_allowed(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("id,note,f0,note,expr\ns0,a,0.5,b,3\n")
+    data = read_samples_csv(p)
+    assert data.features.tolist() == [[0.5]] and data.expr.tolist() == [3]
 
 
 def _number(rng, x) -> str:

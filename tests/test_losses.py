@@ -10,7 +10,6 @@ from affectmtl import (
     DataError,
     RelatednessTable,
     ccc,
-    dm_loss,
     domain_table,
 )
 from affectmtl.labels import soft_label
@@ -201,12 +200,12 @@ def test_dm_loss_cases():
     p = np.zeros(17)
     for au in (12, 25, 6):
         p[AU_IDX[au]] = 1.0
-    assert dm_loss(p, q) == pytest.approx(0.0)
+    assert dm_loss_grad(p, q)[0] == pytest.approx(0.0)
     p2 = np.zeros(17)
     p2[0] = 1.0
-    assert dm_loss(p2, np.where(np.arange(17) == 0, 0.5, 0.0)) == pytest.approx(math.log(2))
+    assert dm_loss_grad(p2, np.where(np.arange(17) == 0, 0.5, 0.0))[0] == pytest.approx(math.log(2))
     # q = 0 clamped at eps
-    assert dm_loss(p2, np.zeros(17), eps=1e-7) == pytest.approx(-math.log(1e-7), rel=1e-3)
+    assert dm_loss_grad(p2, np.zeros(17), eps=1e-7)[0] == pytest.approx(-math.log(1e-7), rel=1e-3)
 
 
 # -- soft co-annotation loss ---------------------------------------------
@@ -303,8 +302,8 @@ def test_dm_loss_grad_matches_fd():
         p = rng.uniform(0.05, 0.95, 17)
         qb = rng.uniform(0.05, 1.0, 17)
         _, gp, gq = dm_loss_grad(p, qb)
-        assert rel_err(gp, fd_grad(lambda x: dm_loss(x, qb), p)) < 1e-5
-        assert rel_err(gq, fd_grad(lambda x: dm_loss(p, x), qb)) < 1e-5
+        assert rel_err(gp, fd_grad(lambda x: dm_loss_grad(x, qb)[0], p)) < 1e-5
+        assert rel_err(gq, fd_grad(lambda x: dm_loss_grad(p, x)[0], qb)) < 1e-5
 
 
 def test_sca_loss_grad_matches_fd():

@@ -11,6 +11,7 @@ from affectmtl import (
     DataError, MultiHeadModel, SGDMomentum, gradient_check, median_filter,
 )
 from affectmtl.losses import softmax_ce_grad
+from affectmtl.model import DEFAULT_HEADS, HEAD_COLS, _activate, output_jacobian
 
 
 def small_model(seed=0, hidden=(8,)):
@@ -19,9 +20,9 @@ def small_model(seed=0, hidden=(8,)):
 
 def test_zeroed_heads_give_baseline_outputs():
     m = small_model()
-    for head in m.heads.values():
-        head["W"][:] = 0.0
-        head["b"][:] = 0.0
+    for name, p in m.named_params():
+        if not name.startswith("trunk"):
+            p[...] = 0.0
     out, _ = m.forward(np.random.default_rng(0).normal(size=(4, 5)))
     assert np.allclose(out["expr"], 1 / 7)
     assert np.allclose(out["au"], 0.5)
@@ -48,15 +49,16 @@ def test_output_ranges():
 
 def test_sigmoid_head_does_not_overflow():
     m = small_model()
-    m.heads["au"]["W"][:] = 0.0
-    m.heads["au"]["b"][:] = -1e4
+    params = dict(m.named_params())
+    params["au.W"][:] = 0.0
+    params["au.b"][:] = -1e4
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out, _ = m.forward(np.zeros((2, 5)))
     assert np.all(np.isfinite(out["au"]) & (out["au"] > 0) & (out["au"] < 1e-300))
     # from z = -709 up, every bit is that of 1 / (1 + exp(-z))
     z = np.array([-709.0, -708.5, -30.0, 0.0, 2.5, 40.0])
-    m.heads["au"]["b"][:6] = z
+    params["au.b"][:6] = z
     out, _ = m.forward(np.zeros((1, 5)))
     assert out["au"][0, :6].tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
 
@@ -280,16 +282,23 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     assert digest == "21a060ed4d5ff12839da0c28f740f6003c189ed183c6559d07502ee99d8aca8f"
 
 
+def head_weights(model):
+    """Each head's W, in :data:`HEAD_COLS` order, as ``named_params`` yields it."""
+    params = dict(model.named_params())
+    return [params[f"{name}.W"] for name in HEAD_COLS]
+
+
 def test_head_params_are_views_of_the_fused_arrays(tmp_path):
-    """Each head's W and b are columns of ``head_W`` and ``head_b``, so every way
-    of writing a head parameter moves the forward pass: a write through
-    ``heads``, a load, an SGD step and a gradient-check perturbation."""
+    """Each head's W and b, as ``named_params`` yields them, are its
+    :data:`HEAD_COLS` of ``head_W`` and ``head_b``, so every way of writing a
+    head parameter moves the forward pass: a write through ``named_params``, a
+    load, an SGD step and a gradient-check perturbation."""
     m = small_model(seed=21, hidden=(8, 6))
-    start = 0
-    for name in ("au", "expr", "va"):  # sorted head names, side by side
-        W, b = m.heads[name]["W"], m.heads[name]["b"]
-        cols = slice(start, start + b.size)
-        assert np.shares_memory(W, m.head_W) and np.shares_memory(b, m.head_b)
+    params, start = dict(m.named_params()), 0
+    assert list(HEAD_COLS) == ["au", "expr", "va"]  # sorted head names, side by side
+    for name, cols in HEAD_COLS.items():
+        W, b = params[f"{name}.W"], params[f"{name}.b"]
+        assert cols == slice(start, start + DEFAULT_HEADS[name][1])
         assert W.base is m.head_W and b.base is m.head_b
         assert np.array_equal(W, m.head_W[:, cols]) and np.array_equal(b, m.head_b[cols])
         start = cols.stop
@@ -300,8 +309,8 @@ def test_head_params_are_views_of_the_fused_arrays(tmp_path):
         return np.concatenate([v.ravel() for v in model.forward(X)[0].values()])
 
     before = outputs(m)
-    for name in m.heads:
-        m.heads[name]["W"][0, 0] += 0.5
+    for name, W in zip(HEAD_COLS, head_weights(m)):
+        W[0, 0] += 0.5
         after = outputs(m)
         assert not np.array_equal(after, before), name
         before = after
@@ -309,13 +318,13 @@ def test_head_params_are_views_of_the_fused_arrays(tmp_path):
     m.save(tmp_path / "model.bin")
     loaded = MultiHeadModel.load(tmp_path / "model.bin")
     assert outputs(loaded).tobytes() == before.tobytes()
-    assert all(np.shares_memory(loaded.heads[n]["W"], loaded.head_W) for n in loaded.heads)
+    assert all(W.base is loaded.head_W for W in head_weights(loaded))
 
     opt = SGDMomentum(m, lr=0.1)
     out, cache = m.forward(X)
     opt.step(m, m.backward(cache, {name: np.ones_like(v) for name, v in out.items()}))
     assert not np.array_equal(outputs(m), before)
-    assert all(np.shares_memory(m.heads[n]["W"], m.head_W) for n in m.heads)
+    assert all(W.base is m.head_W for W in head_weights(m))
 
     # a loss on every head: if a perturbation missed head_W, the finite
     # difference would read 0 against a non-zero analytic gradient
@@ -330,3 +339,35 @@ def test_head_params_are_views_of_the_fused_arrays(tmp_path):
     kept = m.head_W.copy()
     assert gradient_check(m, value, grad) < 1e-6
     assert np.array_equal(m.head_W, kept)  # every perturbation was undone
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=st.sampled_from(sorted(HEAD_COLS)), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.1, 5.0))
+def test_output_jacobian_matches_central_differences(head, seed, scale):
+    """``output_jacobian(head, y, g)`` is ``g`` times the Jacobian of the head's
+    activation at ``z``, for each row on its own."""
+    rng = np.random.default_rng(seed)
+    width = DEFAULT_HEADS[head][1]
+    z = rng.normal(scale=scale, size=(3, width))
+    g = rng.normal(size=z.shape)
+    h, fd = 1e-6, np.empty_like(z)
+    for j, step in enumerate(np.eye(width) * h):
+        dy = (_activate(head, z + step) - _activate(head, z - step)) / (2 * h)
+        fd[:, j] = (dy * g).sum(axis=1)
+    np.testing.assert_allclose(output_jacobian(head, _activate(head, z), g), fd,
+                               rtol=1e-6, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(head=st.sampled_from(sorted(HEAD_COLS)), seed=st.integers(0, 2**32 - 1))
+def test_output_jacobian_is_linear_in_g(head, seed):
+    """The Jacobian of a weighted sum of gradients is the weighted sum of their
+    Jacobians, up to rounding."""
+    rng = np.random.default_rng(seed)
+    y = _activate(head, rng.normal(size=(5, DEFAULT_HEADS[head][1])))
+    g1, g2 = rng.normal(size=(2, *y.shape))
+    a, b = rng.normal(size=2)
+    np.testing.assert_allclose(
+        output_jacobian(head, y, a * g1 + b * g2),
+        a * output_jacobian(head, y, g1) + b * output_jacobian(head, y, g2), rtol=1e-10, atol=1e-12)

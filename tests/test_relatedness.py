@@ -285,9 +285,19 @@ def test_a_repeated_key_is_rejected(tmp_path, monkeypatch):
         RelatednessTable.load(p)
     (tmp_path / "emotion_au_relatedness.json").write_text(text)
     monkeypatch.setattr(rel.resources, "files", lambda package: tmp_path)
-    with pytest.raises(ValueError, match="repeated key 'kind'"):
+    with pytest.raises(DataError, match="cannot read relatedness table .*repeated key 'kind'"):
         domain_table()
 
+
+
+@pytest.mark.parametrize("blob", [None, b"{not json", b"[]"], ids=["missing", "not JSON", "a list"])
+def test_a_damaged_bundled_table_is_a_data_error(tmp_path, monkeypatch, blob):
+    """The bundled table is read like any table file: damage is a data error that names it."""
+    if blob is not None:
+        (tmp_path / "emotion_au_relatedness.json").write_bytes(blob)
+    monkeypatch.setattr(rel.resources, "files", lambda package: tmp_path)
+    with pytest.raises(DataError, match=f"relatedness table {tmp_path}"):
+        domain_table()
 
 def _paths(node, path=()):
     """The path of every value in a JSON document, the document's own first."""

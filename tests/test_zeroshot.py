@@ -275,6 +275,8 @@ def test_profile_file_round_trip(tmp_path):
     [{"name": "x", "emo1": "1", "emo2": 2, "aus": {"12": 1.0}}],
     [{"name": "x", "emo1": 1, "emo2": 2, "aus": {"12": 1.0}, "positive_valence": "false"}],
     [{"name": "x", "emo1": 1, "emo2": 2, "aus": {"12": 1.0}, "positive_valance": True}],
+    [{"name": "x", "emo1": 1, "emo2": 2, "aus": {"12": 1.0}},
+     {"name": "x", "emo1": 3, "emo2": 2, "aus": {"12": 1.0}}],
 ])
 def test_malformed_profile_file_is_a_data_error(tmp_path, payload):
     p = tmp_path / "profiles.json"
