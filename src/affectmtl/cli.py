@@ -94,7 +94,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    results = run_eval(args.checkpoint, args.data, args.out, args.median_window)
+    results = run_eval(args.checkpoint, args.data, args.out)
     print(json.dumps(results, indent=2, sort_keys=True))
     return 0
 
@@ -170,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--out", default=None)
-    e.add_argument("--median-window", type=int, default=5)
     e.set_defaults(func=_cmd_eval)
 
     z = sub.add_parser("zero-shot", help="compound-expression scoring")

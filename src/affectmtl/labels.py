@@ -97,7 +97,7 @@ def soft_label(scores) -> np.ndarray:
 def indicator_scores(au, r) -> np.ndarray:
     """Per-emotion indicator scores for AU rows, one row of ``au`` per sample.
 
-    ``r`` is a table's ``weight_matrix(reweight)``, used as given. Per
+    ``r`` is an (emotions, AUs) mixing matrix, used as given. Per
     emotion, the indicator is the ``r``-weighted fraction of its required AUs
     that are active (unannotated AUs count as 0). Emotions with an empty
     relatedness entry get indicator 0.
@@ -120,7 +120,7 @@ def co_annotate(data: SampleSet, table: RelatednessTable) -> SampleSet:
     """
     if table.kind != KIND_DOMAIN:
         raise DataError("co-annotation requires a prototypical/observational table")
-    r, binary = table.weight_matrix(reweight=True), table.weight_matrix(reweight=False)
+    r, binary = table.weights, (table.weights > 0) * 1.0
     has_expr = data.expr >= 0
     row_r = np.where(has_expr[:, None], r[data.expr], 0.0)  # expr -1 picks a row, masked here
     fill = np.isnan(data.au) & (row_r > 0)
@@ -460,8 +460,13 @@ class _Layout:
         col = {name: i for i, name in enumerate(header)}
         if "id" not in col:
             raise DataError(f"{path}: no id column")
+        # in number order: without a leading zero, a longer number is a larger one
         fcols = sorted((c for c in col if c[:1] == "f" and c[1:].isdigit()),
-                       key=lambda c: int(c[1:]))
+                       key=lambda c: (len(c), c))
+        odd = next((c for c in fcols if not c.isascii() or (c[1] == "0" and c != "f0")), None)
+        if odd is not None:  # the writer's f0, f1, ...: one spelling per feature
+            raise DataError(f"{path}: feature column {odd!r} is not f and a number "
+                            "in ASCII digits without a leading zero")
         used = {"id", "feature_file", *fcols, *_LABEL_COLUMNS}  # col keeps a name's last index
         twice = next((c for i, c in enumerate(header) if c in used and col[c] != i), None)
         if twice is not None:

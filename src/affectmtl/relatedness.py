@@ -36,7 +36,8 @@ class RelatednessTable:
 
     ``weights`` is a (len(EMOTIONS), NUM_AUS) array: the weight, in (0, 1], of
     each (emotion, AU) entry, and 0 where an emotion has no entry for an AU.
-    Row k is ``EMOTIONS[k]`` and column b is ``AU_LABELS[b]``.
+    Row k is ``EMOTIONS[k]`` and column b is ``AU_LABELS[b]``. It is the
+    mixing matrix of every coupling that reads the table.
     ``prototypical`` marks the prototypical entries; in a domain table they
     carry weight 1.0. Both arrays are read-only.
     """
@@ -57,15 +58,6 @@ class RelatednessTable:
         if kind == KIND_DOMAIN and (self.prototypical & (self.weights != 1.0)).any():
             raise DataError("prototypical entry must have weight 1.0")
         self.weights.flags.writeable = self.prototypical.flags.writeable = False
-
-    def weight_matrix(self, reweight: bool = False) -> np.ndarray:
-        """(emotions, AUs) matrix r with r[k, b] the mixing coefficient.
-
-        For domain tables, r is 1 for every prototypical/observational entry
-        unless ``reweight`` is set, in which case observational entries use
-        their table weight. Empirical tables always use their weights.
-        """
-        return np.where(reweight or self.kind == KIND_EMPIRICAL, self.weights, self.weights > 0.0)
 
     # -- serialization ---------------------------------------------------
 

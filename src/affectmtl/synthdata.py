@@ -83,7 +83,7 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
         raise DataError(f"cannot draw {n} samples")
     rng = np.random.default_rng(spec.seed)
     k = len(EMOTIONS)
-    r = spec.relatedness.weight_matrix(reweight=True)
+    r = spec.relatedness.weights
     signal_dim = k + NUM_AUS + 2
     map_rng = np.random.default_rng(spec.seed + 104729)
     w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)

@@ -19,14 +19,7 @@ import numpy as np
 from . import labels as lab
 from . import relatedness as rel
 from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, read_json
-from .losses import (
-    DEFAULT_EPS,
-    ccc_loss_grad,
-    dm_loss_grad,
-    masked_bce_grad,
-    sca_loss_grad,
-    softmax_ce_grad,
-)
+from .losses import ccc_loss_grad, dm_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
 from .metrics import ConfusionMatrix, au_metrics, classification_metrics, va_metrics
 from .model import MultiHeadModel, SGDMomentum, gradient_check, median_filter
 from .scheduler import next_joint_batch, plan_epoch
@@ -38,18 +31,21 @@ SET_NAMES = ("va", "au", "expr")
 TASK_NAMES = ("expr", "au", "va")
 COUPLING_NAMES = ("sca", "dm")
 LOSS_NAMES = TASK_NAMES + COUPLING_NAMES  # the loss columns of losses.csv, before "total"
+MEDIAN_WINDOW = 5  # frames in the sliding median of each video's VA predictions
 
 # The JSON object that holds each nested setting; every other setting is a
 # top-level key of the config. A setting's JSON type is its field's annotation.
-SECTION = {"tasks": "loss_weights", "couplings": "loss_weights", "epsilon": "loss_weights",
-           "hidden": "model", "lr": "optimizer", "momentum": "optimizer"}
+SECTION = {"tasks": "loss_weights", "couplings": "loss_weights", "hidden": "model",
+           "lr": "optimizer", "momentum": "optimizer"}
 # The keys allowed in each setting that is itself a JSON object, and the type of each value
 OBJECT_KEYS = {"data": dict.fromkeys(SET_NAMES, str),
                "relatedness": {"source": str, "path": str, "corpus": str, "threshold": float},
                "tasks": dict.fromkeys(TASK_NAMES, float),
                "couplings": dict.fromkeys(COUPLING_NAMES, float)}
-# Each relatedness source, and the keys of the relatedness setting that it requires
-RELATEDNESS_SOURCES = {"domain": (), "file": ("path",), "empirical": ("corpus",)}
+# Each relatedness source, and the keys of the relatedness setting that it requires and
+# that it allows besides them and "source"
+RELATEDNESS_SOURCES = {"domain": ((), ()), "file": (("path",), ()),
+                       "empirical": (("corpus",), ("threshold",))}
 
 
 def _typed(value, kind: type, where: str):
@@ -71,17 +67,14 @@ class ExperimentConfig:
     data: dict = field(default_factory=dict)  # set name -> CSV path
     relatedness: dict = field(default_factory=lambda: {"source": "domain"})
     coupling: str = "none"
-    reweight_observational: bool = True
     tasks: dict = field(default_factory=dict)  # task name -> loss weight
     couplings: dict = field(default_factory=dict)  # coupling name -> loss weight
-    epsilon: float = DEFAULT_EPS
     hidden: list = field(default_factory=lambda: [64, 64])
     max_batch: int = 200
     epochs: int = 10
     lr: float = 1e-4
     momentum: float = 0.9
     holdout_fraction: float = 0.2
-    median_filter_window: int = 5
     seed: int = 0
     out_dir: str = "runs/run"
 
@@ -97,7 +90,8 @@ class ExperimentConfig:
         source = self.relatedness.get("source", "domain")
         if source not in RELATEDNESS_SOURCES:
             raise ConfigError(f"unknown relatedness source {source!r}")
-        exact_keys(self.relatedness, RELATEDNESS_SOURCES[source], OBJECT_KEYS["relatedness"],
+        required, allowed = RELATEDNESS_SOURCES[source]
+        exact_keys(self.relatedness, required, ("source", *allowed),
                    f"config.relatedness with source {source!r}", ConfigError)
         if self.coupling not in COUPLING_MODES:
             raise ConfigError(f"invalid coupling mode {self.coupling!r}")
@@ -112,15 +106,11 @@ class ExperimentConfig:
             raise ConfigError(f"model.hidden must list positive ints, got {self.hidden}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.median_filter_window < 1 or self.median_filter_window % 2 == 0:
-            raise ConfigError("median_filter_window must be odd and >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0 and 0.0 <= self.momentum < 1.0):
             raise ConfigError("optimizer needs a finite lr > 0 and a momentum in [0, 1)")
         for name, w in {**self.tasks, **self.couplings}.items():
             if not 0 <= w < math.inf:  # NaN fails too
                 raise ConfigError(f"loss weight {w!r} for {name!r} is not finite and >= 0")
-        if not 0.0 < self.epsilon <= 1e-3:
-            raise ConfigError(f"loss_weights.epsilon {self.epsilon} outside (0, 1e-3]")
 
     @property
     def loss_weights(self) -> dict:
@@ -188,37 +178,34 @@ def empirical_table(corpus_path, threshold: float = 0.1) -> rel.RelatednessTable
 class Objective:
     """The joint training loss of one run, built once by :func:`build_objective`.
 
-    ``weights`` maps each name of :data:`LOSS_NAMES` to its weight, and
-    ``epsilon`` clamps the probabilities of the cross-entropy terms.
+    ``weights`` maps each name of :data:`LOSS_NAMES` to its weight.
     ``dm_matrix`` is the (classes, AUs) relatedness mixing matrix when
     distribution matching is on. ``sca_targets`` holds one soft emotion label
     per row of the AU set when soft co-annotation is on.
     """
 
     weights: dict
-    epsilon: float
     dm_matrix: np.ndarray | None = None
     sca_targets: np.ndarray | None = None
 
 
-def build_objective(sets: dict, table, mode: str, weights: dict, epsilon: float = DEFAULT_EPS,
-                    reweight: bool = True) -> tuple[dict, Objective]:
+def build_objective(sets: dict, table, mode: str, weights: dict) -> tuple[dict, Objective]:
     """Prepare a run's coupling: returns the label-rewritten sets and the objective.
 
     ``sets`` maps set name to its training :class:`~affectmtl.labels.SampleSet`.
     Co-annotation rewrites every set's labels; the soft modes compute every
-    AU-set row's SCA target; the DM modes keep the mixing matrix.
+    AU-set row's SCA target; the DM modes keep the mixing matrix, the table's
+    ``weights``.
     """
-    if mode == "none":
-        return sets, Objective(weights, epsilon)
     if mode == "co_annotation":
         sets = {name: lab.co_annotate(data, table) for name, data in sets.items()}
-        return sets, Objective(weights, epsilon)
-    r = table.weight_matrix(reweight)
+    if mode in ("none", "co_annotation"):
+        return sets, Objective(weights)
+    r = table.weights
     sca = None
     if mode in SCA_MODES and "au" in sets:
         sca = lab.soft_label(lab.indicator_scores(sets["au"].au, r))
-    return sets, Objective(weights, epsilon, r if mode in DM_MODES else None, sca)
+    return sets, Objective(weights, r if mode in DM_MODES else None, sca)
 
 
 def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
@@ -250,16 +237,15 @@ def _joint_loss(model, sets, batch, objective: Objective):
     data = lab.SampleSet.concat([sets[name].take(rows) for name, rows in batch.items()])
     expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
     out, cache = model.forward(data.features)
-    eps = objective.epsilon
     terms: dict = {}
 
     if expr_rows.size:
-        value, grad = softmax_ce_grad(out["expr"][expr_rows], data.expr[expr_rows], eps)
+        value, grad = softmax_ce_grad(out["expr"][expr_rows], data.expr[expr_rows])
         terms["expr"] = value, [("expr", expr_rows, grad)]
 
     if au_rows.size:
         value, grad = masked_bce_grad(
-            out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows], eps)
+            out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows])
         terms["au"] = value, [("au", au_rows, grad)]
 
     if va_rows.size >= 2:
@@ -270,12 +256,12 @@ def _joint_loss(model, sets, batch, objective: Objective):
         names = list(batch)  # the AU set's rows follow those of the sets before it
         start = sum(len(batch[name]) for name in names[: names.index("au")])
         rows = np.arange(start, start + len(batch["au"]))
-        value, grad = sca_loss_grad(out["expr"][rows], objective.sca_targets[batch["au"]], eps)
+        value, grad = sca_loss_grad(out["expr"][rows], objective.sca_targets[batch["au"]])
         terms["sca"] = value, [("expr", rows, grad)]
 
     r = objective.dm_matrix
     if r is not None:
-        value, grad_p, grad_q = dm_loss_grad(out["au"], out["expr"] @ r, eps)
+        value, grad_p, grad_q = dm_loss_grad(out["au"], out["expr"] @ r)
         terms["dm"] = value, [("au", slice(None), grad_p), ("expr", slice(None), grad_q @ r.T)]
 
     total = 0.0
@@ -326,8 +312,6 @@ def run_train(config: ExperimentConfig) -> dict:
             sets[name], heldout[name] = _holdout_split(
                 lab.read_samples_csv(config.data[name]), config.holdout_fraction,
                 config.seed + 7919 * si)
-    if not sets:
-        raise ConfigError("no datasets configured")
     dims = {data.features.shape[1] for data in sets.values()}
     if len(dims) != 1:
         raise DataError(f"inconsistent feature dimensions across sets: {sorted(dims)}")
@@ -335,8 +319,7 @@ def run_train(config: ExperimentConfig) -> dict:
 
     model = MultiHeadModel(input_dim, hidden=config.hidden, seed=config.seed)
     opt = SGDMomentum(model, lr=config.lr, momentum=config.momentum)
-    sets, objective = build_objective(sets, table, config.coupling, config.loss_weights,
-                                      config.epsilon, config.reweight_observational)
+    sets, objective = build_objective(sets, table, config.coupling, config.loss_weights)
     set_names = list(sets)
     sizes = [len(sets[n]) for n in set_names]
     plan = plan_epoch(sizes, config.max_batch, seed=config.seed)
@@ -367,9 +350,7 @@ def run_train(config: ExperimentConfig) -> dict:
     table.save(out_dir / "relatedness.json")
 
     eval_set = lab.SampleSet.concat(list(heldout.values()))
-    final_metrics = (
-        evaluate_model(model, eval_set, config.median_filter_window) if len(eval_set) else {}
-    )
+    final_metrics = evaluate_model(model, eval_set) if len(eval_set) else {}
     manifest = {
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
@@ -396,9 +377,10 @@ def _versions() -> dict:
 # -- evaluation ----------------------------------------------------------
 
 
-def evaluate_model(model, data, median_window: int = 5) -> dict:
+def evaluate_model(model, data) -> dict:
     """All applicable metrics on a :class:`~affectmtl.labels.SampleSet`; VA gets
-    a median-filtered variant when every VA row has a sequence key."""
+    a variant median-filtered over :data:`MEDIAN_WINDOW` frames when every VA
+    row has a sequence key."""
     if not len(data):
         raise DataError("nothing to evaluate")
     out, _ = model.forward(data.features)
@@ -418,7 +400,7 @@ def evaluate_model(model, data, median_window: int = 5) -> dict:
         pred, va, video = out["va"][va_rows], data.va[va_rows], data.video[va_rows]
         results["va"] = va_metrics(va, pred)
         if (video != "").all():
-            filtered = _median_filter_by_video(video, data.frame[va_rows], pred, median_window)
+            filtered = _median_filter_by_video(video, data.frame[va_rows], pred, MEDIAN_WINDOW)
             results["va_filtered"] = va_metrics(va, filtered)
     return results
 
@@ -430,12 +412,10 @@ def _median_filter_by_video(video, frame, predictions, window):
     return median_filter(predictions[order], window, first, last)[np.argsort(order)]
 
 
-def run_eval(checkpoint, dataset, out_path=None, median_window: int = 5) -> dict:
+def run_eval(checkpoint, dataset, out_path=None) -> dict:
     """Evaluate a checkpoint on a dataset CSV; optionally write the JSON report."""
-    if median_window < 1 or median_window % 2 == 0:
-        raise ConfigError(f"median window must be odd and >= 1, got {median_window}")
     model = MultiHeadModel.load(checkpoint)
-    results = evaluate_model(model, lab.read_samples_csv(dataset), median_window)
+    results = evaluate_model(model, lab.read_samples_csv(dataset))
     if not results:
         raise DataError(f"checkpoint {checkpoint} scores nothing on {dataset}: it has no "
                         "labeled rows (VA needs two)")

@@ -103,10 +103,9 @@ def compound_class_from_emotions(
 
     AUs present in both constituents take the larger weight.
     """
-    for emo in (emo1, emo2):  # before r[emo]: a bool or a float would index r otherwise
+    for emo in (emo1, emo2):  # a bool or a float would index the weights otherwise
         _check_emotion(name, emo)
-    r = table.weight_matrix(reweight=True)
-    row = np.maximum(r[emo1], r[emo2])
+    row = np.maximum(table.weights[emo1], table.weights[emo2])
     profile = {CANONICAL_AUS[i]: float(row[i]) for i in np.flatnonzero(row)}
     return CompoundClass(name, emo1, emo2, profile, positive_valence)
 

@@ -85,8 +85,11 @@ def _reference_read_samples_csv(path):
     cols = {k: [] for k in ("ids", "features", "expr", "au", "va", "video", "frame", "compound")}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        fcols = sorted((c for c in reader.fieldnames if c[:1] == "f" and c[1:].isdigit()),
-                       key=lambda c: int(c[1:]))
+        fcols = [c for c in reader.fieldnames if c[:1] == "f" and c[1:].isdigit()]
+        for c in fcols:  # f0, f1, ...: no padding and no non-ASCII digit
+            if not re.fullmatch("f(0|[1-9][0-9]*)", c):
+                raise ValueError(f"{c!r} is not a feature column name")
+        fcols.sort(key=lambda c: int(c[1:]))
         for row in reader:
             def cell(name):
                 return row.get(name) or ""
@@ -252,7 +255,7 @@ def _reference_draw(spec, n):
     for the label signal. Returns the ``SampleSet`` that ``draw`` must match."""
     rng = np.random.default_rng(spec.seed)
     k = len(EMOTIONS)
-    r = spec.relatedness.weight_matrix(reweight=True)
+    r = spec.relatedness.weights
     signal_dim = k + NUM_AUS + 2
     map_rng = np.random.default_rng(spec.seed + 104729)
     w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)

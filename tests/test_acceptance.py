@@ -64,7 +64,7 @@ def test_criterion_1_gradient_fidelity():
 def test_criterion_2_domain_table_fidelity():
     saved = TABLE.to_dict()  # the bundled file's rows and columns, by name
     ok = (saved["classes"], saved["labels"]) == (list(EMOTIONS), list(AU_LABELS))
-    w = TABLE.weight_matrix(reweight=True)
+    w = TABLE.weights
     for emotion, (proto, obs) in TABLE_1.items():
         k = EMOTIONS.index(emotion)
         is_proto = TABLE.prototypical[k]
@@ -78,23 +78,23 @@ def test_criterion_2_domain_table_fidelity():
 def test_criterion_3_distribution_matching_oracle():
     rng = np.random.default_rng(3)
     worst = 0.0
-    entries = TABLE.to_dict()["entries"]  # the oracle walks the saved form, not weight_matrix
+    entries = TABLE.to_dict()["entries"]  # the oracle walks the saved form, not the array
     for _ in range(100):
         p = rng.dirichlet(np.ones(7))
-        for reweight in (False, True):
-            q = p @ TABLE.weight_matrix(reweight)
-            brute = np.zeros(17)
-            for k, cname in enumerate(EMOTIONS):
-                for label, e in entries.get(cname, {}).items():
-                    brute[AU_LABELS.index(label)] += p[k] * (e["w"] if reweight else 1.0)
-            worst = max(worst, float(np.abs(q - brute).max()))
+        q = p @ TABLE.weights
+        brute = np.zeros(17)
+        for k, cname in enumerate(EMOTIONS):
+            for label, e in entries.get(cname, {}).items():
+                brute[AU_LABELS.index(label)] += p[k] * e["w"]
+        worst = max(worst, float(np.abs(q - brute).max()))
     happy = np.zeros(7)
     happy[EMOTIONS.index("happiness")] = 1.0
-    qh = happy @ TABLE.weight_matrix()
-    identities = all(abs(qh[AU_IDX[au]] - 1.0) <= 1e-12 for au in (12, 25, 6))
+    qh = happy @ TABLE.weights
+    expected = {12: 1.0, 25: 1.0, 6: 0.51}  # AU6 is observational, of weight 0.51
+    identities = all(abs(qh[AU_IDX[au]] - w) <= 1e-12 for au, w in expected.items())
     p = rng.dirichlet(np.ones(7))
-    q2 = (p @ TABLE.weight_matrix())[AU_IDX[2]]
-    expected = p[EMOTIONS.index("surprise")] + p[EMOTIONS.index("fear")]
+    q2 = (p @ TABLE.weights)[AU_IDX[2]]
+    expected = p[EMOTIONS.index("surprise")] + 0.57 * p[EMOTIONS.index("fear")]
     identities = identities and abs(q2 - expected) <= 1e-12
     ok = worst <= 1e-12 and identities
     verdict(3, "DM targets match brute force and worked identities", ok,
@@ -115,10 +115,10 @@ def test_criterion_4_ccc_correctness():
 def test_criterion_5_empirical_relatedness_recovery():
     corpus = draw(GeneratorSpec(relatedness=TABLE, seed=0), 10_000)
     inferred = infer_empirical(corpus.expr, corpus.au, threshold=0.05)
-    r_true = TABLE.weight_matrix(reweight=True)
+    r_true = TABLE.weights
     worst = 0.0
     for k in range(len(EMOTIONS)):
-        got = dict(enumerate(inferred.weight_matrix()[k]))
+        got = dict(enumerate(inferred.weights[k]))
         for b in range(17):
             if r_true[k, b] >= 0.1:
                 worst = max(worst, abs(got.get(b, 0.0) - r_true[k, b]))

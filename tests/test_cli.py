@@ -210,18 +210,23 @@ def test_eval_median_filter_does_not_import_numpy_ma(workspace, tmp_path):
 @pytest.mark.parametrize("window", [4, 0, -3])
 @pytest.mark.parametrize("keyed", [False, True])
 def test_eval_bad_median_window_is_a_usage_error(workspace, tmp_path, capsys, window, keyed):
-    """An even window or one below 1 fails before any data is read, whether
-    the CSV has sequence keys (the filter would run) or not."""
+    """The median window is fixed at ``MEDIAN_WINDOW`` frames: ``--median-window``
+    is no option of eval, so any window (the odd 3 too) is a usage error
+    before any data is read, whether the CSV has sequence keys (the filter
+    runs) or not."""
     data = workspace / "data" / "va.csv"
     if keyed:
         assert main(["gen-data", "--out", str(tmp_path), "--n", "60", "--feature-dim", "10",
                      "--full", "--frames-per-video", "20"]) == 0
         data = tmp_path / "full.csv"
     args = ["eval", "--checkpoint", str(workspace / "run" / "model.bin"), "--data", str(data)]
-    assert main(args + ["--median-window", "3"]) == 0
+    assert main(args) == 0
     capsys.readouterr()
-    assert main(args + ["--median-window", str(window)]) == 1
-    assert "median window" in capsys.readouterr().err
+    for value in ("3", str(window)):
+        with pytest.raises(SystemExit) as e:
+            main(args + ["--median-window", value])
+        assert e.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --median-window" in capsys.readouterr().err
 
 
 def test_infer_relatedness_command(workspace, tmp_path):
@@ -240,6 +245,19 @@ def test_infer_relatedness_without_coannotation(workspace, tmp_path):
         "infer-relatedness", "--corpus", str(workspace / "data" / "va.csv"),
         "--out", str(tmp_path / "x.json"),
     ]) == 2
+
+
+@pytest.mark.parametrize("name", ["f²", "f01", "f١"])
+def test_feature_column_name_exit_code(workspace, tmp_path, capsys, name):
+    """A corpus whose header spells feature 1 otherwise than ``f1`` is a data
+    error naming the column, not a traceback, and nothing is written."""
+    header, *rows = (workspace / "data" / "full.csv").read_text().splitlines()
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("\n".join([header.replace(",f1,", f",{name},"), *rows]) + "\n")
+    assert main(["infer-relatedness", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "t.json")]) == 2
+    assert f"feature column {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 @pytest.mark.parametrize("threshold", ["5", "-1", "NaN", "Infinity"])
@@ -576,6 +594,24 @@ def test_train_bad_loss_weights_exit_code(workspace, tmp_path, loss_weights):
     assert main(["train", "--config", str(tmp_path / "c.json")]) == 1
 
 
+@pytest.mark.parametrize("setting, key", [
+    ({"reweight_observational": True}, "reweight_observational"),
+    ({"median_filter_window": 5}, "median_filter_window"),
+    ({"loss_weights": {"epsilon": 1e-7}}, "epsilon"),
+    ({"relatedness": {"path": "empirical.json"}}, "path"),  # no source: the bundled table
+])
+def test_train_setting_that_nothing_reads_exit_code(workspace, tmp_path, capsys, setting, key):
+    """A setting that the run would not read is refused, naming its key: the
+    median window, epsilon and observational reweighting, which are fixed, and a
+    relatedness key that its source does not read."""
+    config = {**json.loads((workspace / "config.json").read_text()), **setting}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "c.json"),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert f"unknown key(s) {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_seed_override_is_checked(workspace):
     """``--seed`` is checked like the file's seed, in the console entry point."""
     import affectmtl
@@ -780,15 +816,13 @@ def test_train_mutated_config_exit_code(workspace, tmp_path_factory, data):
         "relatedness": {"source": "empirical", "corpus": str(small / "full.csv"),
                         "threshold": 0.1},
         "coupling": "soft_plus_dm",
-        "reweight_observational": True,
         "loss_weights": {"tasks": {"expr": 1.0, "au": 1.0, "va": 1.0},
-                         "couplings": {"sca": 1.0, "dm": 1.0}, "epsilon": 1e-7},
+                         "couplings": {"sca": 1.0, "dm": 1.0}},
         "model": {"hidden": [8]},
         "max_batch": 20,
         "epochs": 1,
         "optimizer": {"lr": 0.01, "momentum": 0.9},
         "holdout_fraction": 0.2,
-        "median_filter_window": 5,
         "seed": 0,
         "out_dir": "unused",
     }
@@ -818,10 +852,9 @@ def _inexact_setting(blob: bytes) -> bool:
         return d[key] if isinstance(d.get(key), dict) else {}
 
     lw = section(d, "loss_weights")
-    ints = [d[k] for k in ("epochs", "max_batch", "median_filter_window", "seed") if k in d]
+    ints = [d[k] for k in ("epochs", "max_batch", "seed") if k in d]
     floats = [*(d[k] for k in ("holdout_fraction",) if k in d),
               *(v for k, v in section(d, "optimizer").items() if k in ("lr", "momentum")),
-              *(v for k, v in lw.items() if k == "epsilon"),
               *section(lw, "tasks").values(), *section(lw, "couplings").values()]
     return (any(type(v) is not int for v in ints) or type(d.get("out_dir", "")) is not str
             or any(type(v) not in (int, float) for v in floats))

@@ -53,10 +53,10 @@ def sample(one_row):
     return build
 
 
-def soft_co_annotate(s, reweight_observational=True):
+def soft_co_annotate(s):
     """The indicator scores and the soft emotion label of a one-row set's AUs,
     as soft co-annotation makes them."""
-    scores = indicator_scores(s.au[0], TABLE.weight_matrix(reweight_observational))
+    scores = indicator_scores(s.au[0], TABLE.weights)
     return scores, soft_label(scores)
 
 
@@ -123,7 +123,7 @@ def test_aus_to_emotion_no_full_requirement(sample):
 
 def test_soft_co_annotate_worked_example(sample):
     s = sample(au_active=[12, 25], au_annotated=[6])
-    scores, q = soft_co_annotate(s, reweight_observational=True)
+    scores, q = soft_co_annotate(s)
     assert scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 2.51)
     assert q.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(q > 0)
@@ -141,12 +141,6 @@ def test_soft_co_annotate_full_happiness(sample):
     scores, q = soft_co_annotate(s)
     assert scores[EMOTIONS.index("happiness")] == pytest.approx(1.0)
     assert np.argmax(q) == EMOTIONS.index("happiness")
-
-
-def test_soft_co_annotate_without_reweighting(sample):
-    s = sample(au_active=[12, 25], au_annotated=[6])
-    scores, _ = soft_co_annotate(s, reweight_observational=False)
-    assert scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 3)
 
 
 @pytest.mark.parametrize(
@@ -281,12 +275,26 @@ def test_csv_errors_name_the_line(tmp_path):
     (b"id,feature_file,expr,feature_file\ns0,m.npy:0,3,m.npy:1\n",
      "the header repeats column 'feature_file'"),
     (b"id,f0,expr,compound,compound\ns0,1,3,a,b\n", "the header repeats column 'compound'"),
+    # a feature column is f and a number spelled as the writer spells it, so no
+    # two names read one feature, and a digit that int() refuses is no traceback
+    (b"id,f1,f01,expr\ns0,1,2,3\n", "feature column 'f01' is not f and a number"),
+    (b"id,f00,expr\ns0,1,3\n", "feature column 'f00'"),
+    ("id,f0,f²,expr\ns0,1,2,3\n".encode(), "feature column 'f²'"),
+    ("id,f0,f1,f١,expr\ns0,1,2,3,4\n".encode(), "feature column 'f١'"),
 ])
 def test_csv_structure_errors(tmp_path, blob, message):
     p = tmp_path / "d.csv"
     p.write_bytes(blob)
     with pytest.raises(DataError, match=message):
         read_samples_csv(p)
+
+
+def test_feature_columns_are_read_in_number_order(tmp_path):
+    """Feature columns are taken by their number, however many digits it has."""
+    p = tmp_path / "d.csv"
+    big = "f" + "9" * 5000  # more digits than int() takes from a string
+    p.write_text(f"id,{big},f10,expr,f2,f0\ns0,4,3,3,2,1\n")
+    assert read_samples_csv(p).features.tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
 
 def test_a_repeated_column_that_the_reader_ignores_is_allowed(tmp_path):

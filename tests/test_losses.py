@@ -142,15 +142,16 @@ def one_hot(emotion):
     return p
 
 
-def targets(p, reweight=False):
+def targets(p):
     """The DM targets of class predictions ``p``: the relatedness mixture of their AUs."""
-    return p @ TABLE.weight_matrix(reweight)
+    return p @ TABLE.weights
 
 
 def test_dm_targets_one_hot_happiness():
     q = targets(one_hot("happiness"))
-    for au in (12, 25, 6):
+    for au in (12, 25):
         assert q[AU_IDX[au]] == pytest.approx(1.0)
+    assert q[AU_IDX[6]] == pytest.approx(0.51)  # observational: its table weight
     others = [i for i in range(17) if CANONICAL_AUS[i] not in (12, 25, 6)]
     assert np.allclose(q[others], 0.0)
 
@@ -158,7 +159,8 @@ def test_dm_targets_one_hot_happiness():
 def test_dm_targets_surprise_fear_mixture():
     p = 0.6 * one_hot("surprise") + 0.4 * one_hot("fear")
     q = targets(p)
-    assert q[AU_IDX[2]] == pytest.approx(1.0)  # AU2: prototypical surprise + observational fear
+    # AU2: prototypical for surprise, observational (0.57) for fear
+    assert q[AU_IDX[2]] == pytest.approx(0.6 + 0.4 * 0.57)
 
 
 def test_dm_targets_uniform_au25():
@@ -166,23 +168,22 @@ def test_dm_targets_uniform_au25():
     assert q[AU_IDX[25]] == pytest.approx(3 / 7)
 
 
-def brute_force_dm(p, table, reweight):
+def brute_force_dm(p, table):
     """The DM targets summed entry by entry over the table's saved form."""
     q = np.zeros(len(AU_LABELS))
     entries = table.to_dict()["entries"]
     for k, cname in enumerate(EMOTIONS):
         for label, e in entries.get(cname, {}).items():
-            q[AU_LABELS.index(label)] += p[k] * (e["w"] if reweight else 1.0)
+            q[AU_LABELS.index(label)] += p[k] * e["w"]
     return q
 
 
-@pytest.mark.parametrize("reweight", [False, True])
-def test_dm_targets_brute_force_oracle(reweight):
+def test_dm_targets_brute_force_oracle():
     rng = np.random.default_rng(7)
     for _ in range(100):
         p = rng.dirichlet(np.ones(7))
-        q = targets(p, reweight)
-        assert np.allclose(q, brute_force_dm(p, TABLE, reweight), atol=1e-12)
+        q = targets(p)
+        assert np.allclose(q, brute_force_dm(p, TABLE), atol=1e-12)
         assert np.all(q >= 0) and np.all(q <= 1 + 1e-12)
 
 
@@ -198,9 +199,11 @@ def test_dm_targets_class_mismatch():
 def test_dm_loss_cases():
     q = targets(one_hot("happiness"))
     p = np.zeros(17)
-    for au in (12, 25, 6):
+    for au in (12, 25):
         p[AU_IDX[au]] = 1.0
     assert dm_loss_grad(p, q)[0] == pytest.approx(0.0)
+    p[AU_IDX[6]] = 1.0  # observational: its target is the table weight 0.51
+    assert dm_loss_grad(p, q)[0] == pytest.approx(-math.log(0.51))
     p2 = np.zeros(17)
     p2[0] = 1.0
     assert dm_loss_grad(p2, np.where(np.arange(17) == 0, 0.5, 0.0))[0] == pytest.approx(math.log(2))

@@ -23,13 +23,13 @@ AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 
 def entries_by_au(table, emotion):
     k = EMOTIONS.index(emotion)
-    w = table.weight_matrix(reweight=True)[k]
+    w = table.weights[k]
     return {CANONICAL_AUS[b]: (w[b], table.prototypical[k, b]) for b in np.flatnonzero(w)}
 
 
 def weights_by_au(table, k):
     """AU number -> weight of each entry of class ``k``."""
-    w = table.weight_matrix(reweight=True)[k]
+    w = table.weights[k]
     return {CANONICAL_AUS[b]: w[b] for b in np.flatnonzero(w)}
 
 
@@ -65,7 +65,7 @@ def test_domain_table_surprise_and_fear():
 def test_neutral_has_empty_entry():
     table = domain_table()
     neutral = EMOTIONS.index("neutral")
-    assert not table.weight_matrix(reweight=True)[neutral].any()
+    assert not table.weights[neutral].any()
     assert not table.prototypical[neutral].any()
 
 
@@ -188,17 +188,6 @@ def test_serialization_round_trip(tmp_path):
     assert table.to_json() == domain_table().to_json()
 
 
-def test_weight_matrix_modes():
-    table = domain_table()
-    r_unit = table.weight_matrix(reweight=False)
-    r_w = table.weight_matrix(reweight=True)
-    happy = EMOTIONS.index("happiness")
-    assert r_unit[happy, AU_IDX[6]] == 1.0
-    assert r_w[happy, AU_IDX[6]] == 0.51
-    assert r_w[happy, AU_IDX[12]] == 1.0
-    assert r_unit[EMOTIONS.index("neutral")].sum() == 0.0
-
-
 # The two file forms that ``RelatednessTable.load`` reads.
 SOURCE = json.loads(
     resources.files("affectmtl.data").joinpath("emotion_au_relatedness.json").read_text())
@@ -214,7 +203,6 @@ def test_load_reads_both_file_forms(tmp_path):
 def test_array_form_matches_the_table_entries():
     table = domain_table()
     assert table.weights.shape == table.prototypical.shape == (7, 17)
-    assert np.array_equal(table.weight_matrix(reweight=False), table.weights > 0)
     with pytest.raises(ValueError):
         table.weights[0, 0] = 1.0  # the arrays are read-only
 

@@ -43,9 +43,9 @@ def test_empirical_recovery():
     spec = GeneratorSpec(relatedness=TABLE, seed=0)
     corpus = draw(spec, 10_000)
     inferred = infer_empirical(corpus.expr, corpus.au, threshold=0.05)
-    r_true = TABLE.weight_matrix(reweight=True)
+    r_true = TABLE.weights
     for k in range(len(EMOTIONS)):  # both tables have one row per emotion, in order
-        got = dict(enumerate(inferred.weight_matrix()[k]))
+        got = dict(enumerate(inferred.weights[k]))
         for b in range(17):
             if r_true[k, b] >= 0.1:
                 assert got.get(b, 0.0) == pytest.approx(r_true[k, b], abs=0.03)

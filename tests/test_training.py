@@ -31,8 +31,8 @@ from affectmtl import training
 from affectmtl.scheduler import plan_epoch
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import (
-    LOSS_NAMES, _joint_loss, _median_filter_by_video, build_objective, run_eval, run_gradcheck,
-    run_train,
+    LOSS_NAMES, SECTION, _joint_loss, _median_filter_by_video, build_objective, run_eval,
+    run_gradcheck, run_train,
 )
 
 TABLE = domain_table()
@@ -213,7 +213,7 @@ def test_run_gradcheck_passes_all_modes():
 # -- batch-form objective --------------------------------------------------
 
 
-def _reference_loss(model, sets, batch, mode, table, weights, eps):
+def _reference_loss(model, sets, batch, mode, table, weights):
     """Per-row loop over the batch: every loss term sample by sample, SCA
     targets from one row's soft label, DM targets from one row at a time."""
     picked = [(name, sets[name], i) for name, rows in batch.items() for i in rows]
@@ -231,12 +231,12 @@ def _reference_loss(model, sets, batch, mode, table, weights, eps):
 
     rows = [j for j, (_, d, i) in enumerate(picked) if d.expr[i] >= 0]
     losses["expr"] = mean_over(
-        rows, lambda j, d, i: softmax_ce_grad(out["expr"][j], d.expr[i], eps),
+        rows, lambda j, d, i: softmax_ce_grad(out["expr"][j], d.expr[i]),
         "expr", weights["expr"],
     )
     rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.au[i]).all()]
     losses["au"] = mean_over(
-        rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], d.au_weights[i], eps),
+        rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], d.au_weights[i]),
         "au", weights["au"],
     )
     rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.va[i]).any()]
@@ -248,15 +248,14 @@ def _reference_loss(model, sets, batch, mode, table, weights, eps):
         losses["sca"] = mean_over(
             rows, lambda j, d, i: sca_loss_grad(
                 out["expr"][j],
-                soft_label(indicator_scores(d.au[i], table.weight_matrix(True))),
-                eps),
+                soft_label(indicator_scores(d.au[i], table.weights))),
             "expr", weights["sca"],
         )
     if mode in ("distr_matching", "soft_plus_dm"):
-        r = table.weight_matrix(True)
+        r = table.weights
         acc = 0.0
         for j in range(len(picked)):
-            v, grad_p, grad_q = dm_loss_grad(out["au"][j], out["expr"][j] @ r, eps)
+            v, grad_p, grad_q = dm_loss_grad(out["au"][j], out["expr"][j] @ r)
             acc += v
             g["au"][j] += weights["dm"] * grad_p / len(picked)
             g["expr"][j] += weights["dm"] * (r @ grad_q) / len(picked)
@@ -273,14 +272,14 @@ def test_batch_objective_matches_per_row_loop(mode):
     sets = {name: group.take(np.arange(size))
             for name, group, size in (("va", va_set, 40), ("au", au_set, 50), ("expr", expr_set, 45))}
     model = MultiHeadModel(8, hidden=(16,), seed=1)
-    sets, objective = build_objective(sets, TABLE, mode, WEIGHTS, 1e-3)
+    sets, objective = build_objective(sets, TABLE, mode, WEIGHTS)
     # rows in a shuffled order, as the epoch plan draws them
     rng = np.random.default_rng(0)
     batch = {name: rng.permutation(len(sets[name])) for name in ("va", "au", "expr")}
     if mode == "co_annotation":
         assert sets["expr"].au_rows.size  # the expr set gained AU labels
     _, terms, g, _ = _joint_loss(model, sets, batch, objective)
-    losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, WEIGHTS, 1e-3)
+    losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, WEIGHTS)
     assert set(terms) == set(losses)
     for name, (v, _) in terms.items():
         assert abs(v - losses[name]) <= 1e-12, name
@@ -288,12 +287,12 @@ def test_batch_objective_matches_per_row_loop(mode):
         assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
 
 
-def _whole_sets_batch(mode, weights, epsilon=1e-7):
+def _whole_sets_batch(mode, weights):
     """The arguments of ``_joint_loss`` for one batch of every row of three small sets."""
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     sets, objective = build_objective(
-        dict(zip(("va", "au", "expr"), split(draw(spec, 90)))), TABLE, mode, weights, epsilon)
+        dict(zip(("va", "au", "expr"), split(draw(spec, 90)))), TABLE, mode, weights)
     return model, sets, {name: np.arange(len(data)) for name, data in sets.items()}, objective
 
 
@@ -320,18 +319,6 @@ def test_joint_total_is_the_weighted_sum():
         assert np.array_equal(g[head], g_none[head]), head
 
 
-def test_objective_epsilon_reaches_every_clamped_term(monkeypatch):
-    seen = []
-    for name in ("softmax_ce_grad", "masked_bce_grad", "sca_loss_grad", "dm_loss_grad"):
-        def spy(*args, loss=getattr(training, name), name=name):
-            seen.append((name, args[-1]))  # eps is the last argument of each call
-            return loss(*args)
-        monkeypatch.setattr(training, name, spy)
-    _joint_loss(*_whole_sets_batch("soft_plus_dm", ONES, 1e-4))
-    assert sorted(seen) == [("dm_loss_grad", 1e-4), ("masked_bce_grad", 1e-4),
-                            ("sca_loss_grad", 1e-4), ("softmax_ce_grad", 1e-4)]
-
-
 def test_non_finite_joint_total_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(training, "ccc_loss_grad",
                         lambda y, y_hat: (float("nan"), np.zeros_like(y_hat)))
@@ -345,7 +332,7 @@ def test_sca_targets_follow_rows_not_ids(one_row):
     sad[[2, 10]] = 1.0  # AU4, AU15
     au_set = SampleSet.concat([one_row("dup", np.zeros(8), au=a) for a in (happy, sad)])
     _, objective = build_objective({"au": au_set}, TABLE, "soft_co_annotation", ONES)
-    r = TABLE.weight_matrix(True)
+    r = TABLE.weights
     for au, q in zip(au_set.au, objective.sca_targets):
         assert np.allclose(q, soft_label(indicator_scores(au, r)), atol=1e-15)
     assert not np.allclose(objective.sca_targets[0], objective.sca_targets[1])
@@ -381,7 +368,7 @@ def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
     manifest = run_train(config)
     table = RelatednessTable.load(tmp_path / "run" / "relatedness.json")
     assert table.to_dict()["classes"] == list(EMOTIONS)
-    assert not table.weight_matrix()[anger].any()
+    assert not table.weights[anger].any()
     assert manifest["steps"] == manifest["epoch_plans"][0]["iteration_count"]
 
 
@@ -390,6 +377,11 @@ def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
     ({"source": "file", "path": "broken.json"}, DataError),
     ({"source": "fiel", "path": "broken.json"}, ConfigError),
     ({"source": "empirical", "path": "broken.json"}, ConfigError),
+    # a key that the source does not read
+    ({"path": "broken.json"}, ConfigError),
+    ({"source": "domain", "corpus": "c.csv"}, ConfigError),
+    ({"source": "file", "path": "broken.json", "threshold": 0.2}, ConfigError),
+    ({"source": "empirical", "corpus": "c.csv", "path": "broken.json"}, ConfigError),
 ])
 def test_relatedness_file_errors_are_typed(dataset_dir, tmp_path, relatedness, error):
     """A source that is unknown or lacks its key is refused where the config is
@@ -411,7 +403,10 @@ def test_relatedness_file_errors_are_typed(dataset_dir, tmp_path, relatedness, e
     {"epsilon": 0.0},
 ])
 def test_loss_weight_errors_are_config_errors(dataset_dir, tmp_path, loss_weights):
-    with pytest.raises(ConfigError, match=r"loss weight -\d\.\d for '\w+'|epsilon 0\.\d outside"):
+    """A negative weight is refused, and so is any epsilon: the loss terms
+    clamp at their fixed ``DEFAULT_EPS``."""
+    refused = r"loss weight -\d\.\d for '\w+'|unknown key\(s\) 'epsilon'"
+    with pytest.raises(ConfigError, match=refused):
         make_config(dataset_dir, tmp_path / "run", loss_weights=loss_weights)
 
 
@@ -481,8 +476,8 @@ def test_config_defaults_are_the_field_defaults(dataset_dir):
 
 def test_config_keys_round_trip(dataset_dir, tmp_path):
     config = make_config(dataset_dir, tmp_path / "run", relatedness={
-        "source": "empirical", "corpus": "c.csv", "threshold": 0.2, "path": "t.json"},
-        loss_weights={"tasks": {"expr": 0.5}, "couplings": {"dm": 2.0}, "epsilon": 1e-6})
+        "source": "empirical", "corpus": "c.csv", "threshold": 0.2},
+        loss_weights={"tasks": {"expr": 0.5}, "couplings": {"dm": 2.0}})
     assert ExperimentConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(["not", "an", "object"])
@@ -513,8 +508,22 @@ def test_config_values_have_their_json_type_exactly(dataset_dir, overrides):
         ExperimentConfig(data={"expr": str(dataset_dir / "expr.csv")}, **overrides)
 
 
+def test_readme_config_table_lists_every_setting():
+    """The README's table of settings has one row per key path that a config writes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| Key path |"):].split("\n\n")[0].splitlines()[2:]
+    documented = [row.split("`")[1] for row in table]
+    d = ExperimentConfig(data={"expr": "expr.csv"}).to_dict()
+    sections = set(SECTION.values())
+    written = [f"{s}.{name}" for s in sections for name in d[s]]
+    written += [key for key in d if key not in sections]
+    assert sorted(documented) == sorted(written)
+    assert len(documented) == len(set(documented))
+
+
 def test_config_hash_is_pinned():
-    """The hash of a config, and so each manifest's, is that of earlier versions."""
+    """The hash of a config, and so each manifest's, does not move between versions
+    unless a setting is added or removed."""
     readme = {
         "data": {"va": "data/va.csv", "au": "data/au.csv", "expr": "data/expr.csv"},
         "coupling": "soft_plus_dm", "model": {"hidden": [64, 64]}, "max_batch": 200,
@@ -523,19 +532,18 @@ def test_config_hash_is_pinned():
     }
     every_key = {
         "data": {"va": "va.csv", "au": "au.csv", "expr": "expr.csv"},
-        "relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": 0.2,
-                        "path": "t.json"},
-        "coupling": "soft_plus_dm", "reweight_observational": False,
+        "relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": 0.2},
+        "coupling": "soft_plus_dm",
         "loss_weights": {"tasks": {"expr": 0.5, "au": 2, "va": 1.0},
-                         "couplings": {"sca": 0.25, "dm": 2.0}, "epsilon": 1e-6},
+                         "couplings": {"sca": 0.25, "dm": 2.0}},
         "model": {"hidden": [8, 4]}, "max_batch": 20, "epochs": 3,
         "optimizer": {"lr": 1, "momentum": 0}, "holdout_fraction": 0.1,
-        "median_filter_window": 3, "seed": 7, "out_dir": "o",
+        "seed": 7, "out_dir": "o",
     }
     assert ExperimentConfig.from_dict(readme).config_hash() \
-        == "6a8e35661852d3772d93332c1b023dfc2feee3dc20c3fe4fcd4db673edf8b216"
+        == "a429493e9da0f4abfb570f69685ea4144e14d19c7d556060932ce9505cc03a50"
     assert ExperimentConfig.from_dict(every_key).config_hash() \
-        == "4a24ac6c6da9b0b57bc846a3399ef32d334205e291e494806ac68253e3a8c655"
+        == "fd0fcf6a31dd86b32c2ceb33738c317e09f3994fa1e735ac41ff9c1cac87f8a9"
     assert ExperimentConfig.from_dict(every_key).to_dict() == every_key
 
 

@@ -215,7 +215,7 @@ def test_profile_union_matches_table_lookup():
     for c in default_compound_classes(TABLE):
         union = {}
         for emo in (c.emo1, c.emo2):
-            w = TABLE.weight_matrix(reweight=True)[emo]
+            w = TABLE.weights[emo]
             for b in np.flatnonzero(w):
                 au = CANONICAL_AUS[b]
                 union[au] = max(union.get(au, 0.0), w[b])
