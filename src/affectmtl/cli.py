@@ -187,8 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, the data-error code
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except AffectMTLError as e:

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import platform
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import labels as lab
 from . import relatedness as rel
 from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, read_json
-from .losses import ccc_loss_grad, dm_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
+from .losses import ccc_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
 from .metrics import ConfusionMatrix, au_metrics, classification_metrics, va_metrics
 from .model import MultiHeadModel, SGDMomentum, gradient_check, median_filter
 from .scheduler import next_joint_batch, plan_epoch
@@ -181,12 +181,14 @@ class Objective:
     ``weights`` maps each name of :data:`LOSS_NAMES` to its weight.
     ``dm_matrix`` is the (classes, AUs) relatedness mixing matrix when
     distribution matching is on. ``sca_targets`` holds one soft emotion label
-    per row of the AU set when soft co-annotation is on.
+    per row of the AU set when soft co-annotation is on. ``dm_targets``, set by
+    :func:`run_gradcheck` alone, holds the DM targets of its one batch fixed.
     """
 
     weights: dict
     dm_matrix: np.ndarray | None = None
     sca_targets: np.ndarray | None = None
+    dm_targets: np.ndarray | None = None
 
 
 def build_objective(sets: dict, table, mode: str, weights: dict) -> tuple[dict, Objective]:
@@ -217,7 +219,7 @@ def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
     gradients of the total.
     """
     total, terms, out_grads, cache = _joint_loss(model, sets, batch, objective)
-    losses = {name: value for name, (value, _) in terms.items()}
+    losses = {name: value for name, (value, *_) in terms.items()}
     return total, losses, model.backward(cache, out_grads)
 
 
@@ -230,9 +232,10 @@ def _joint_loss(model, sets, batch, objective: Objective):
     """(total, terms, output gradients, forward cache) of one joint batch.
 
     ``terms`` maps each term present in the batch, in the order expr, au, va,
-    sca, dm, to its value and its gradient blocks ``(head, rows, grad)``. The
-    total is the sum of weight * value, and each block adds weight * grad
-    to its head's rows; each weight is read once.
+    sca, dm, to ``(value, head, rows, grad)``, the gradient on rows of the one head
+    it writes (DM holds its target ``q``, so it writes the AU head alone). The total
+    is the sum of weight * value, and each term adds weight * grad to its head's
+    rows; each weight is read once.
     """
     data = lab.SampleSet.concat([sets[name].take(rows) for name, rows in batch.items()])
     expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
@@ -241,36 +244,36 @@ def _joint_loss(model, sets, batch, objective: Objective):
 
     if expr_rows.size:
         value, grad = softmax_ce_grad(out["expr"][expr_rows], data.expr[expr_rows])
-        terms["expr"] = value, [("expr", expr_rows, grad)]
+        terms["expr"] = value, "expr", expr_rows, grad
 
     if au_rows.size:
         value, grad = masked_bce_grad(
             out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows])
-        terms["au"] = value, [("au", au_rows, grad)]
+        terms["au"] = value, "au", au_rows, grad
 
     if va_rows.size >= 2:
         value, grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
-        terms["va"] = value, [("va", va_rows, grad)]
+        terms["va"] = value, "va", va_rows, grad
 
     if objective.sca_targets is not None and len(batch.get("au", ())):
         names = list(batch)  # the AU set's rows follow those of the sets before it
         start = sum(len(batch[name]) for name in names[: names.index("au")])
         rows = np.arange(start, start + len(batch["au"]))
         value, grad = sca_loss_grad(out["expr"][rows], objective.sca_targets[batch["au"]])
-        terms["sca"] = value, [("expr", rows, grad)]
+        terms["sca"] = value, "expr", rows, grad
 
     r = objective.dm_matrix
     if r is not None:
-        value, grad_p, grad_q = dm_loss_grad(out["au"], out["expr"] @ r)
-        terms["dm"] = value, [("au", slice(None), grad_p), ("expr", slice(None), grad_q @ r.T)]
+        q = out["expr"] @ r if objective.dm_targets is None else objective.dm_targets
+        value, grad = masked_bce_grad(out["au"], q)
+        terms["dm"] = rel.NUM_AUS * value, "au", slice(None), rel.NUM_AUS * grad
 
     total = 0.0
     g = {h: np.zeros_like(out[h]) for h in out}
-    for name, (value, blocks) in terms.items():
+    for name, (value, head, rows, grad) in terms.items():
         weight = objective.weights[name]
         total += weight * value
-        for head, rows, grad in blocks:
-            g[head][rows] += weight * grad
+        g[head][rows] += weight * grad
     if not np.isfinite(total):
         raise NumericalError("non-finite total loss")
     return float(total), terms, g, cache
@@ -434,9 +437,10 @@ def run_gradcheck(
     """Finite-difference check of the full training gradient for every coupling mode.
 
     Builds a small synthetic joint batch (all three label types), computes the
-    analytic parameter gradients, and compares against central differences.
-    Raises NumericalError if any mode exceeds the tolerance, which must be
-    finite and > 0 for the check to mean anything.
+    analytic parameter gradients, and compares against central differences; both
+    hold the DM target ``q`` at the unperturbed model's value, as training holds it
+    constant. Raises NumericalError if any mode exceeds the tolerance, which must
+    be finite and > 0 for the check to mean anything.
     """
     if not 0 < tolerance < math.inf:  # NaN fails too
         raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
@@ -450,6 +454,9 @@ def run_gradcheck(
     for mode in modes:
         model = MultiHeadModel(input_dim, hidden=hidden, seed=seed)
         mode_sets, objective = build_objective(sets, table, mode, dict.fromkeys(LOSS_NAMES, 1.0))
+        if objective.dm_matrix is not None:  # q of the unperturbed model on the batch's rows
+            out = model.forward(np.concatenate([d.features for d in sets.values()]))[0]
+            objective = replace(objective, dm_targets=out["expr"] @ objective.dm_matrix)
         err = gradient_check(
             model,
             value_fn=lambda m: joint_loss_value(m, mode_sets, batch, objective),

@@ -15,6 +15,7 @@ from affectmtl import (
     CANONICAL_AUS,
     EMOTIONS,
     ExperimentConfig,
+    RelatednessTable,
     ccc,
     clean_va_expr,
     compound_scores,
@@ -27,6 +28,7 @@ from affectmtl import (
     subsample_frames,
 )
 from affectmtl.labels import SampleSet, write_samples_csv
+from affectmtl.relatedness import KIND_DOMAIN
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import run_gradcheck, run_train
 
@@ -273,3 +275,57 @@ def test_criterion_10_determinism(benefit_dataset, tmp_path):
     losses_b, model_b = run(tmp_path / "b")
     ok = losses_a == losses_b and model_a == model_b
     verdict(10, "byte-identical loss logs and checkpoints across reruns", ok)
+
+
+@pytest.fixture(scope="module")
+def walkthrough_dataset(tmp_path_factory):
+    """The README walkthrough's data (``gen-data --n 6000 --feature-dim 32 --seed 0``)
+    and a mismatched table: the domain table's rows rolled by one emotion."""
+    root = tmp_path_factory.mktemp("walkthrough")
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=32, noise_scale=0.3, seed=0)
+    for name, group in zip(("va", "au", "expr"), split(draw(spec, 6000))):
+        write_samples_csv(root / f"{name}.csv", group)
+    rolled = [np.roll(a, 1, axis=0) for a in (TABLE.weights, TABLE.prototypical)]
+    RelatednessTable(*rolled, KIND_DOMAIN).save(root / "rolled.json")
+    return root
+
+
+def _held_out_au_and_expr_f1(root, coupling, seed, table=None):
+    """(AU mean F1, expr macro F1) held out from a README walkthrough run."""
+    d = {
+        "data": {k: str(root / f"{k}.csv") for k in ("va", "au", "expr")},
+        "coupling": coupling,
+        "model": {"hidden": [64, 64]},
+        "max_batch": 200,
+        "epochs": 10,
+        "optimizer": {"lr": 0.01, "momentum": 0.9},
+        "holdout_fraction": 0.2,
+        "seed": seed,
+        "out_dir": str(root / f"run_{coupling}_{seed}_{table is None}"),
+    }
+    if table is not None:
+        d["relatedness"] = {"source": "file", "path": str(table)}
+    final = run_train(ExperimentConfig.from_dict(d))["final_metrics"]
+    return final["au"]["mean_f1"], final["expr"]["macro_f1"]
+
+
+def test_criterion_11_no_negative_transfer_on_au(walkthrough_dataset):
+    """Both DM modes score held-out AU mean F1 and expr macro F1 at least as
+    high as ``none``, less ``none``'s seed-to-seed spread; DM with the
+    mismatched table scores AU F1 below that."""
+    seeds = (0, 1, 2)
+    runs = {
+        label: np.array([_held_out_au_and_expr_f1(walkthrough_dataset, mode, s, table)
+                         for s in seeds])
+        for label, mode, table in [
+            ("none", "none", None), ("distr_matching", "distr_matching", None),
+            ("soft_plus_dm", "soft_plus_dm", None),
+            ("mismatched", "distr_matching", walkthrough_dataset / "rolled.json")]
+    }
+    floor = runs["none"].mean(axis=0) - np.ptp(runs["none"], axis=0)  # per metric
+    ok = all((runs[m].mean(axis=0) >= floor).all() for m in ("distr_matching", "soft_plus_dm"))
+    ok = ok and runs["mismatched"][:, 0].mean() < floor[0]
+    detail = "; ".join(f"{m} AU {'/'.join(f'{v:.3f}' for v in r[:, 0])}, "
+                       f"expr {'/'.join(f'{v:.3f}' for v in r[:, 1])}" for m, r in runs.items())
+    verdict(11, "no negative transfer on AU or expression from distribution matching", ok,
+            f"floor AU {floor[0]:.3f}, expr {floor[1]:.3f}; {detail}")

@@ -223,10 +223,28 @@ def test_eval_bad_median_window_is_a_usage_error(workspace, tmp_path, capsys, wi
     assert main(args) == 0
     capsys.readouterr()
     for value in ("3", str(window)):
-        with pytest.raises(SystemExit) as e:
-            main(args + ["--median-window", value])
-        assert e.value.code == 2  # argparse's usage error
+        assert main(args + ["--median-window", value]) == 1  # a usage error
         assert "unrecognized arguments: --median-window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gen-data", "--out", "d", "--n", "abc"], "invalid int value: 'abc'"),
+    (["eval", "--checkpoint", "x"], "the following arguments are required: --data"),
+    (["gen-data", "--out", "d", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, args, message):
+    """A usage error exits 1, the config-error code, not argparse's 2, which is
+    the data-error code; nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [["--help"], ["gen-data", "--help"]])
+def test_help_exit_code(capsys, args):
+    assert main(args) == 0
+    assert "usage: affectmtl" in capsys.readouterr().out
 
 
 def test_infer_relatedness_command(workspace, tmp_path):

@@ -16,12 +16,11 @@ from affectmtl.labels import soft_label
 from affectmtl.losses import (
     ccc_grad,
     ccc_loss_grad,
-    dm_loss_grad,
     masked_bce_grad,
     sca_loss_grad,
     softmax_ce_grad,
 )
-from affectmtl.relatedness import KIND_DOMAIN
+from affectmtl.relatedness import KIND_DOMAIN, NUM_AUS
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
@@ -196,19 +195,32 @@ def test_dm_targets_class_mismatch():
         RelatednessTable.from_dict(six)
 
 
+def dm_term(p, q):
+    """The DM term as training computes it: NUM_AUS times the AU loss of the AU
+    predictions ``p`` against the soft target ``q``, summed over the AUs."""
+    value, grad = masked_bce_grad(p, q)
+    return NUM_AUS * value, NUM_AUS * grad
+
+
 def test_dm_loss_cases():
     q = targets(one_hot("happiness"))
+    # p == q: only the observational AU6 (target 0.51) has entropy; no gradient
+    value, grad = dm_term(q, q)
+    assert value == pytest.approx(-(0.51 * math.log(0.51) + 0.49 * math.log(0.49)), abs=1e-5)
+    assert (grad == 0).all()
     p = np.zeros(17)
     for au in (12, 25):
         p[AU_IDX[au]] = 1.0
-    assert dm_loss_grad(p, q)[0] == pytest.approx(0.0)
-    p[AU_IDX[6]] = 1.0  # observational: its target is the table weight 0.51
-    assert dm_loss_grad(p, q)[0] == pytest.approx(-math.log(0.51))
-    p2 = np.zeros(17)
-    p2[0] = 1.0
-    assert dm_loss_grad(p2, np.where(np.arange(17) == 0, 0.5, 0.0))[0] == pytest.approx(math.log(2))
-    # q = 0 clamped at eps
-    assert dm_loss_grad(p2, np.zeros(17), eps=1e-7)[0] == pytest.approx(-math.log(1e-7), rel=1e-3)
+    p[AU_IDX[6]] = 1.0  # a sure AU6 against its target 0.51 costs 0.49 of log(1 - p), at eps
+    assert dm_term(p, q)[0] == pytest.approx(-0.49 * math.log(1e-7), rel=1e-6)
+    # orientation: the target weights log p, so p = 0.5 against a sure AU costs log 2,
+    # and a sure AU against a target of 0.5 costs half of -log(eps)
+    sure = np.where(np.arange(17) == 0, 1.0, 0.0)
+    half = np.where(np.arange(17) == 0, 0.5, 0.0)
+    assert dm_term(half, sure)[0] == pytest.approx(math.log(2), abs=1e-5)
+    assert dm_term(sure, half)[0] == pytest.approx(-0.5 * math.log(1e-7), rel=1e-6)
+    # p = 0 clamped at eps
+    assert dm_term(np.zeros(17), sure)[0] == pytest.approx(-math.log(1e-7), rel=1e-3)
 
 
 # -- soft co-annotation loss ---------------------------------------------
@@ -287,6 +299,12 @@ def test_masked_bce_grad_matches_fd():
         p = rng.uniform(0.05, 0.95, 17)
         _, g = masked_bce_grad(p, y, w)
         assert rel_err(g, fd_grad(lambda x: masked_bce_grad(x, y, w)[0], p)) < 1e-5
+    # soft targets in [0, 1], as distribution matching uses them, on every AU and a batch
+    for _ in range(20):
+        q = rng.random((3, 17))
+        p = rng.uniform(0.05, 0.95, (3, 17))
+        _, g = masked_bce_grad(p, q)
+        assert rel_err(g, fd_grad(lambda x: masked_bce_grad(x, q)[0], p)) < 1e-5
 
 
 def test_softmax_ce_grad_matches_fd():
@@ -297,16 +315,6 @@ def test_softmax_ce_grad_matches_fd():
         _, g = softmax_ce_grad(p, hard)
         fd = fd_grad(lambda x: -np.log(np.clip(x, 1e-7, None))[hard], p)
         assert rel_err(g, fd) < 1e-5
-
-
-def test_dm_loss_grad_matches_fd():
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        p = rng.uniform(0.05, 0.95, 17)
-        qb = rng.uniform(0.05, 1.0, 17)
-        _, gp, gq = dm_loss_grad(p, qb)
-        assert rel_err(gp, fd_grad(lambda x: dm_loss_grad(x, qb)[0], p)) < 1e-5
-        assert rel_err(gq, fd_grad(lambda x: dm_loss_grad(p, x)[0], qb)) < 1e-5
 
 
 def test_sca_loss_grad_matches_fd():

@@ -20,13 +20,8 @@ from affectmtl import (
     domain_table,
 )
 from affectmtl.labels import indicator_scores, soft_label, write_samples_csv
-from affectmtl.losses import (
-    ccc_loss_grad,
-    dm_loss_grad,
-    masked_bce_grad,
-    sca_loss_grad,
-    softmax_ce_grad,
-)
+from affectmtl.losses import ccc_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
+from affectmtl.relatedness import NUM_AUS
 from affectmtl import training
 from affectmtl.scheduler import plan_epoch
 from affectmtl.synthdata import GeneratorSpec, draw, split
@@ -215,7 +210,8 @@ def test_run_gradcheck_passes_all_modes():
 
 def _reference_loss(model, sets, batch, mode, table, weights):
     """Per-row loop over the batch: every loss term sample by sample, SCA
-    targets from one row's soft label, DM targets from one row at a time."""
+    targets from one row's soft label, DM targets from one row at a time and
+    held constant, so that DM writes to the AU head alone."""
     picked = [(name, sets[name], i) for name, rows in batch.items() for i in rows]
     out, _ = model.forward(np.stack([d.features[i] for _, d, i in picked]))
     g = {h: np.zeros_like(v) for h, v in out.items()}
@@ -252,14 +248,11 @@ def _reference_loss(model, sets, batch, mode, table, weights):
             "expr", weights["sca"],
         )
     if mode in ("distr_matching", "soft_plus_dm"):
-        r = table.weights
-        acc = 0.0
-        for j in range(len(picked)):
-            v, grad_p, grad_q = dm_loss_grad(out["au"][j], out["expr"][j] @ r)
-            acc += v
-            g["au"][j] += weights["dm"] * grad_p / len(picked)
-            g["expr"][j] += weights["dm"] * (r @ grad_q) / len(picked)
-        losses["dm"] = acc / len(picked)
+        def dm(j, d, i):
+            v, grad = masked_bce_grad(out["au"][j], out["expr"][j] @ table.weights)
+            return NUM_AUS * v, NUM_AUS * grad
+
+        losses["dm"] = mean_over(range(len(picked)), dm, "au", weights["dm"])
     return losses, g
 
 
@@ -281,7 +274,7 @@ def test_batch_objective_matches_per_row_loop(mode):
     _, terms, g, _ = _joint_loss(model, sets, batch, objective)
     losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, WEIGHTS)
     assert set(terms) == set(losses)
-    for name, (v, _) in terms.items():
+    for name, (v, *_) in terms.items():
         assert abs(v - losses[name]) <= 1e-12, name
     for head in g_ref:
         assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
@@ -306,9 +299,9 @@ def test_joint_total_is_the_weighted_sum():
 
     total, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", Counted(WEIGHTS)))
     assert list(terms) == reads == ["expr", "au", "va", "sca", "dm"]  # each weight read once
-    assert total == pytest.approx(sum(WEIGHTS[n] * v for n, (v, _) in terms.items()))
+    assert total == pytest.approx(sum(WEIGHTS[n] * v for n, (v, *_) in terms.items()))
     total, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", ONES))
-    assert total == pytest.approx(sum(v for v, _ in terms.values()))
+    assert total == pytest.approx(sum(v for v, *_ in terms.values()))
     # a coupling term of weight 0 adds 0 to the total and to every gradient
     zero = {**ONES, "dm": 0.0, "sca": 0.0}
     total, terms, g, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", zero))
@@ -317,6 +310,35 @@ def test_joint_total_is_the_weighted_sum():
     assert total == total_none
     for head in g_none:
         assert np.array_equal(g[head], g_none[head]), head
+
+
+def test_every_term_writes_one_head():
+    """DM holds its target constant: in distr_matching the expr head's output
+    gradient is that of none on the same batch, and DM writes the AU head alone."""
+    _, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", WEIGHTS))
+    heads = {name: head for name, (_, head, _, _) in terms.items()}
+    assert heads == {"expr": "expr", "au": "au", "va": "va", "sca": "expr", "dm": "au"}
+    _, _, g_none, _ = _joint_loss(*_whole_sets_batch("none", WEIGHTS))
+    _, _, g_dm, _ = _joint_loss(*_whole_sets_batch("distr_matching", WEIGHTS))
+    assert np.array_equal(g_dm["expr"], g_none["expr"])
+    assert np.array_equal(g_dm["va"], g_none["va"])
+    assert not np.array_equal(g_dm["au"], g_none["au"])
+
+
+def test_dm_gradient_pulls_p_toward_q():
+    """The DM gradient on each AU probability p has the sign of p - q, so a
+    descent step moves p toward its target q, and it is 0 where p == q."""
+    model, sets, batch, objective = _whole_sets_batch("distr_matching", ONES)
+    _, terms, _, cache = _joint_loss(model, sets, batch, objective)
+    p, q = cache["out"]["au"], cache["out"]["expr"] @ TABLE.weights
+    grad = terms["dm"][3]
+    assert (p != q).all() and (q < p).any() and (q > p).any()
+    assert np.array_equal(np.sign(grad), np.sign(p - q))
+    # a target equal to p on half the entries: the gradient is 0 there alone
+    half = np.random.default_rng(0).random(p.shape) < 0.5
+    held = replace(objective, dm_targets=np.where(half, p, q))
+    grad = _joint_loss(model, sets, batch, held)[1]["dm"][3]
+    assert (grad[half] == 0).all() and (grad[~half] != 0).all()
 
 
 def test_non_finite_joint_total_is_a_numerical_error(monkeypatch):
