@@ -80,13 +80,15 @@ def _load_config(args) -> ExperimentConfig:
                    **{key: value for key, value in overrides.items() if value is not None})
 
 
+# The held-out metric that ``train`` prints for each task it evaluated
+SUMMARY_METRICS = {"expr": "macro_f1", "au": "mean_f1", "va": "mean_ccc", "va_filtered": "mean_ccc"}
+
+
 def _cmd_train(args) -> int:
     manifest = run_train(_load_config(args))
-    final = manifest.get("final_metrics", {})
-    line = ", ".join(
-        f"{task} {sorted(m)[0]}={m[sorted(m)[0]]:.4f}" if isinstance(m, dict) else task
-        for task, m in final.items()
-    )
+    final = manifest["final_metrics"]
+    line = ", ".join(f"{task} {name}={final[task][name]:.4f}"
+                     for task, name in SUMMARY_METRICS.items() if task in final)
     print(f"run complete: {manifest['steps']} steps -> {manifest['config']['out_dir']}")
     if line:
         print(f"held-out: {line}")
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("infer-relatedness", help="infer an empirical relatedness table")
     r.add_argument("--corpus", required=True)
-    r.add_argument("--threshold", type=float, default=0.1)
+    r.add_argument("--threshold", type=float, default=rel.EMPIRICAL_THRESHOLD)
     r.add_argument("--out", required=True)
     r.set_defaults(func=_cmd_infer_relatedness)
 

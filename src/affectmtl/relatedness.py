@@ -1,9 +1,10 @@
 """Task-relatedness tables: the seven emotions -> weighted sets of the 17 AUs.
 
-Two kinds of table exist. Domain-knowledge tables distinguish prototypical
-entries (weight exactly 1.0) from observational entries (weight = annotator
-agreement fraction). Empirical tables are inferred from the co-annotated rows
-of a corpus as per-class activation frequencies.
+Two kinds of table exist, each one (emotions, AUs) weight matrix. In a
+domain-knowledge table an entry of weight exactly 1.0 is prototypical and any
+other is observational (its weight is the annotator agreement fraction).
+Empirical tables are inferred from the co-annotated rows of a corpus as
+per-class activation frequencies.
 """
 
 from __future__ import annotations
@@ -29,48 +30,41 @@ NUM_AUS = len(CANONICAL_AUS)
 
 KIND_DOMAIN = "prototypical_observational"
 KIND_EMPIRICAL = "empirical"
+# The default threshold of an inferred table: entries with a lower activation frequency are dropped
+EMPIRICAL_THRESHOLD = 0.1
 
 
 class RelatednessTable:
     """Immutable mapping from the emotions to weighted AUs.
 
-    ``weights`` is a (len(EMOTIONS), NUM_AUS) array: the weight, in (0, 1], of
-    each (emotion, AU) entry, and 0 where an emotion has no entry for an AU.
-    Row k is ``EMOTIONS[k]`` and column b is ``AU_LABELS[b]``. It is the
-    mixing matrix of every coupling that reads the table.
-    ``prototypical`` marks the prototypical entries; in a domain table they
-    carry weight 1.0. Both arrays are read-only.
+    ``weights`` is a read-only (len(EMOTIONS), NUM_AUS) array: the weight, in
+    (0, 1], of each (emotion, AU) entry, and 0 where an emotion has no entry
+    for an AU. Row k is ``EMOTIONS[k]`` and column b is ``AU_LABELS[b]``. It is
+    the mixing matrix of every coupling that reads the table. In a domain table
+    an entry of weight 1.0 is prototypical and any other is observational.
     """
 
-    def __init__(self, weights, prototypical, kind):
+    def __init__(self, weights, kind):
         if kind not in (KIND_DOMAIN, KIND_EMPIRICAL):
             raise DataError(f"unknown table kind: {kind!r}")
         self.kind = kind
         self.weights = np.array(weights, dtype=float)
-        self.prototypical = np.array(prototypical, dtype=bool)
         shape = (len(EMOTIONS), NUM_AUS)
-        if self.weights.shape != shape or self.prototypical.shape != shape:
-            raise DataError(f"weights and prototypical mask must have shape {shape}")
+        if self.weights.shape != shape:
+            raise DataError(f"weights must have shape {shape}")
         if not ((self.weights >= 0.0) & (self.weights <= 1.0)).all():
             raise DataError("weights outside [0, 1] (0 is no entry)")
-        if (self.prototypical & (self.weights == 0.0)).any():
-            raise DataError("prototypical mark on a missing entry")
-        if kind == KIND_DOMAIN and (self.prototypical & (self.weights != 1.0)).any():
-            raise DataError("prototypical entry must have weight 1.0")
-        self.weights.flags.writeable = self.prototypical.flags.writeable = False
+        self.weights.flags.writeable = False
 
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The saved form: every entry by class and label name; empty classes are left out."""
+        """The file form: each entry's weight by class and label name; empty classes left out."""
         return {
             "classes": list(EMOTIONS),
             "labels": list(AU_LABELS),
-            "entries": {
-                cls: {label: {"w": w, "proto": p} for label, w, p in zip(AU_LABELS, ws, ps) if w}
-                for cls, ws, ps in zip(EMOTIONS, self.weights.tolist(), self.prototypical.tolist())
-                if any(ws)
-            },
+            "entries": {cls: {label: w for label, w in zip(AU_LABELS, ws) if w}
+                        for cls, ws in zip(EMOTIONS, self.weights.tolist()) if any(ws)},
             "kind": self.kind,
         }
 
@@ -79,54 +73,38 @@ class RelatednessTable:
 
     @classmethod
     def from_dict(cls, d) -> "RelatednessTable":
-        """A table from the saved form (``entries`` and ``kind``, as :meth:`to_dict`
-        writes it) or the source form (``table``, as the bundled file holds it).
+        """A table from the form that :meth:`to_dict` writes.
 
-        Both forms list ``classes`` and ``labels``, which must be
-        :data:`EMOTIONS` and :data:`AU_LABELS` in that order. A source row lists
-        a class's prototypical label names and its observational (label,
-        weight) pairs; a class without a row (neutral) has no entries. Anything
-        malformed is a :class:`DataError`.
+        ``classes`` and ``labels`` must be :data:`EMOTIONS` and
+        :data:`AU_LABELS` in that order, ``entries`` maps a class name to
+        ``{label: weight}`` with each weight in (0, 1], and ``kind`` is
+        :data:`KIND_DOMAIN` or :data:`KIND_EMPIRICAL`. A class without entries
+        (neutral) has an empty row. Anything malformed is a :class:`DataError`.
         """
-        exact_type(d, dict, "a relatedness table", DataError)
-        form = ("table",) if "table" in d else ("entries", "kind")
-        exact_keys(d, ("classes", "labels", *form), (), "a relatedness table", DataError)
+        exact_keys(d, ("classes", "labels", "entries", "kind"), (), "a relatedness table",
+                   DataError)
         for key, names in (("classes", EMOTIONS), ("labels", AU_LABELS)):
             if d[key] != list(names):
                 raise DataError(f"{key} must be {list(names)}, in that order; got {d[key]!r}")
         weights = np.zeros((len(EMOTIONS), NUM_AUS))
-        proto = np.zeros(weights.shape, dtype=bool)
-        if "table" in d:
-            for k, row in _source_rows(d["table"]):
-                protos = exact_type(row.get("prototypical", []), list, "prototypical", DataError)
-                obs = exact_type(row.get("observational", {}), dict, "observational", DataError)
-                for name, p in [*((n, True) for n in protos), *((n, False) for n in obs)]:
-                    b = _index(AU_LABELS, name, "label")
-                    if weights[k, b]:  # an entry has a weight > 0
-                        raise DataError(f"class {row['class']!r} names {name} more than once")
-                    weights[k, b], proto[k, b] = 1.0 if p else _weight(obs[name]), p
-            return cls(weights, proto, KIND_DOMAIN)
         for cname, row in exact_type(d["entries"], dict, "entries", DataError).items():
             k = _index(EMOTIONS, cname, "class")
-            for name, e in exact_type(row, dict, f"entries of {cname!r}", DataError).items():
-                b = _index(AU_LABELS, name, "label")
-                exact_keys(e, ("w", "proto"), (), f"entry {cname!r}/{name}", DataError)
-                weights[k, b] = _weight(e["w"])
-                proto[k, b] = exact_type(e["proto"], bool, f"proto of {cname!r}/{name}", DataError)
-        return cls(weights, proto, d["kind"])
+            for name, w in exact_type(row, dict, f"entries of {cname!r}", DataError).items():
+                weights[k, _index(AU_LABELS, name, "label")] = _weight(w)
+        return cls(weights, d["kind"])
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path) -> "RelatednessTable":
-        """Read a table file in either form of :meth:`from_dict`."""
+        """Read a table file in the form of :meth:`from_dict`."""
         return read_json(path, "relatedness table", DataError, cls.from_dict)
 
     def __eq__(self, other):
         if not isinstance(other, RelatednessTable):
             return NotImplemented
-        return self.to_dict() == other.to_dict()
+        return self.kind == other.kind and np.array_equal(self.weights, other.weights)
 
     def __repr__(self):
         return f"RelatednessTable(kind={self.kind!r})"
@@ -145,24 +123,12 @@ def _weight(w) -> float:
     return w
 
 
-def _source_rows(table):
-    """(class index, row) of each row of a source-form ``table``, each class once."""
-    seen = set()
-    for row in exact_type(table, list, "table", DataError):
-        exact_keys(row, ("class",), ("prototypical", "observational"), "a table row", DataError)
-        k = _index(EMOTIONS, row["class"], "class")
-        if k in seen:
-            raise DataError(f"duplicate class {row['class']!r}")
-        seen.add(k)
-        yield k, row
-
-
 def domain_table() -> RelatednessTable:
     """The bundled emotion -> AU table (six basic emotions plus empty neutral)."""
     return RelatednessTable.load(resources.files("affectmtl.data") / "emotion_au_relatedness.json")
 
 
-def infer_empirical(expr, au, threshold: float = 0.1) -> RelatednessTable:
+def infer_empirical(expr, au, threshold: float = EMPIRICAL_THRESHOLD) -> RelatednessTable:
     """Infer an emotion -> AU table from activation frequencies in a corpus.
 
     ``expr`` holds one emotion index per row (-1 counts for no emotion) and
@@ -185,4 +151,4 @@ def infer_empirical(expr, au, threshold: float = 0.1) -> RelatednessTable:
     keep = (annotated > 0) & (weights >= threshold) & (weights > 0.0)
     for k in np.flatnonzero(~annotated.any(axis=1)):
         log.warning("class %r has no annotated binary labels; its row is empty", EMOTIONS[k])
-    return RelatednessTable(np.where(keep, weights, 0.0), np.zeros_like(keep), KIND_EMPIRICAL)
+    return RelatednessTable(np.where(keep, weights, 0.0), KIND_EMPIRICAL)

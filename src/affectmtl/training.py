@@ -46,6 +46,7 @@ OBJECT_KEYS = {"data": dict.fromkeys(SET_NAMES, str),
 # that it allows besides them and "source"
 RELATEDNESS_SOURCES = {"domain": ((), ()), "file": (("path",), ()),
                        "empirical": (("corpus",), ("threshold",))}
+DEFAULT_SOURCE = "domain"  # the relatedness source of a config that names none
 
 
 def _typed(value, kind: type, where: str):
@@ -65,7 +66,7 @@ class ExperimentConfig:
     of the JSON config, placed by :data:`SECTION` and checked on construction."""
 
     data: dict = field(default_factory=dict)  # set name -> CSV path
-    relatedness: dict = field(default_factory=lambda: {"source": "domain"})
+    relatedness: dict = field(default_factory=lambda: {"source": DEFAULT_SOURCE})
     coupling: str = "none"
     tasks: dict = field(default_factory=dict)  # task name -> loss weight
     couplings: dict = field(default_factory=dict)  # coupling name -> loss weight
@@ -87,7 +88,7 @@ class ExperimentConfig:
                 d = exact_keys(getattr(self, f.name), (), shape, f"config.{where}", ConfigError)
                 for key, value in d.items():
                     _typed(value, shape[key], f"{where}.{key}")
-        source = self.relatedness.get("source", "domain")
+        source = self.relatedness.get("source", DEFAULT_SOURCE)
         if source not in RELATEDNESS_SOURCES:
             raise ConfigError(f"unknown relatedness source {source!r}")
         required, allowed = RELATEDNESS_SOURCES[source]
@@ -101,7 +102,7 @@ class ExperimentConfig:
             raise ConfigError("holdout_fraction must be in [0, 1)")
         if self.epochs < 1 or self.max_batch < 1:
             raise ConfigError("epochs and max_batch must be >= 1")
-        _check_threshold(float(self.relatedness.get("threshold", 0.1)))
+        _check_threshold(float(self.relatedness.get("threshold", rel.EMPIRICAL_THRESHOLD)))
         if not all(exact_type(h, int, "model.hidden", ConfigError) > 0 for h in self.hidden):
             raise ConfigError(f"model.hidden must list positive ints, got {self.hidden}")
         if self.seed < 0:
@@ -147,11 +148,11 @@ class ExperimentConfig:
 def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
     """The relatedness table of ``config``, whose source and keys its construction checked."""
     r = config.relatedness
-    src = r.get("source", "domain")
+    src = r.get("source", DEFAULT_SOURCE)
     if src == "file":
         return rel.RelatednessTable.load(r["path"])
     if src == "empirical":
-        return empirical_table(r["corpus"], float(r.get("threshold", 0.1)))
+        return empirical_table(r["corpus"], float(r.get("threshold", rel.EMPIRICAL_THRESHOLD)))
     return rel.domain_table()
 
 
@@ -160,7 +161,7 @@ def _check_threshold(threshold: float) -> None:
         raise ConfigError(f"relatedness threshold must be in [0, 1], got {threshold}")
 
 
-def empirical_table(corpus_path, threshold: float = 0.1) -> rel.RelatednessTable:
+def empirical_table(corpus_path, threshold: float) -> rel.RelatednessTable:
     """Infer a relatedness table from the rows of an annotation CSV that carry
     both an expression and AU labels; the threshold is checked before the read."""
     _check_threshold(threshold)

@@ -69,11 +69,10 @@ def test_criterion_2_domain_table_fidelity():
     w = TABLE.weights
     for emotion, (proto, obs) in TABLE_1.items():
         k = EMOTIONS.index(emotion)
-        is_proto = TABLE.prototypical[k]
+        is_proto = w[k] == 1.0  # the prototypical entries are exactly those of weight 1.0
         got_proto = {CANONICAL_AUS[b] for b in np.flatnonzero(is_proto)}
         got_obs = {CANONICAL_AUS[b]: w[k, b] for b in np.flatnonzero((w[k] > 0) & ~is_proto)}
         ok = ok and got_proto == proto and got_obs == obs
-        ok = ok and bool((w[k, is_proto] == 1.0).all())
     verdict(2, "bundled relatedness table matches every published entry", ok)
 
 
@@ -86,8 +85,8 @@ def test_criterion_3_distribution_matching_oracle():
         q = p @ TABLE.weights
         brute = np.zeros(17)
         for k, cname in enumerate(EMOTIONS):
-            for label, e in entries.get(cname, {}).items():
-                brute[AU_LABELS.index(label)] += p[k] * e["w"]
+            for label, weight in entries.get(cname, {}).items():
+                brute[AU_LABELS.index(label)] += p[k] * weight
         worst = max(worst, float(np.abs(q - brute).max()))
     happy = np.zeros(7)
     happy[EMOTIONS.index("happiness")] = 1.0
@@ -285,8 +284,7 @@ def walkthrough_dataset(tmp_path_factory):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=32, noise_scale=0.3, seed=0)
     for name, group in zip(("va", "au", "expr"), split(draw(spec, 6000))):
         write_samples_csv(root / f"{name}.csv", group)
-    rolled = [np.roll(a, 1, axis=0) for a in (TABLE.weights, TABLE.prototypical)]
-    RelatednessTable(*rolled, KIND_DOMAIN).save(root / "rolled.json")
+    RelatednessTable(np.roll(TABLE.weights, 1, axis=0), KIND_DOMAIN).save(root / "rolled.json")
     return root
 
 

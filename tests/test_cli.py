@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectmtl import AU_LABELS, EMOTIONS
 from affectmtl import domain_table, save_compound_profiles, default_compound_classes
 from affectmtl import cli
 from affectmtl.cli import main
@@ -320,6 +321,56 @@ def test_train_table_in_another_class_order_exit_code(workspace, tmp_path, capsy
     (tmp_path / "c.json").write_text(json.dumps(config))
     assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 2
     assert "in that order" in capsys.readouterr().err
+
+
+def _old_table_forms():
+    """The domain table in the two file forms that earlier versions read: each
+    saved entry a {"w", "proto"} object, and the bundled file's rows of
+    prototypical labels and observational weights."""
+    names = {"classes": list(EMOTIONS), "labels": list(AU_LABELS)}
+    entries = {c: {a: w for a, w in zip(AU_LABELS, ws) if w}
+               for c, ws in zip(EMOTIONS, TABLE.weights.tolist()) if any(ws)}
+    saved = {c: {a: {"w": w, "proto": w == 1.0} for a, w in row.items()}
+             for c, row in entries.items()}
+    rows = [{"class": c, "prototypical": [a for a, w in row.items() if w == 1.0],
+             "observational": {a: w for a, w in row.items() if w < 1.0}}
+            for c, row in entries.items()]
+    return {"w_proto": {**names, "entries": saved, "kind": "prototypical_observational"},
+            "source": {**names, "table": rows}}
+
+
+@pytest.mark.parametrize("form", ["w_proto", "source"])
+def test_train_on_an_old_table_file_form_exit_code(workspace, tmp_path, capsys, form):
+    """A table file in a form of earlier versions is a data error that names
+    the file, and the run makes no directory."""
+    table = tmp_path / "old.json"
+    table.write_text(json.dumps(_old_table_forms()[form]))
+    config = json.loads((workspace / "config.json").read_text())
+    config["relatedness"] = {"source": "file", "path": str(table)}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 2
+    assert f"error: relatedness table {table}: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("frames", [[], ["--frames-per-video", "20"]], ids=["frames", "videos"])
+def test_train_prints_the_headline_metric_of_each_task(workspace, tmp_path, capsys, frames):
+    """The held-out line gives the expression macro F1, the AU mean F1, the
+    mean VA CCC and, when every held-out VA row is in a video, the mean CCC of
+    the median-filtered VA."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--n", "240", "--feature-dim", "10", *frames]) == 0
+    config = json.loads((workspace / "config.json").read_text())
+    config["data"] = {name: str(data / f"{name}.csv") for name in ("va", "au", "expr")}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 0
+    final = json.loads((tmp_path / "run" / "manifest.json").read_text())["final_metrics"]
+    headline = [("expr", "macro_f1"), ("au", "mean_f1"), ("va", "mean_ccc"),
+                *([("va_filtered", "mean_ccc")] if frames else [])]
+    assert sorted(final) == sorted(task for task, _ in headline)
+    line = ", ".join(f"{task} {name}={final[task][name]:.4f}" for task, name in headline)
+    assert capsys.readouterr().out.endswith(f"\nheld-out: {line}\n")
 
 
 def test_zero_shot_command(workspace, tmp_path):

@@ -172,8 +172,8 @@ def brute_force_dm(p, table):
     q = np.zeros(len(AU_LABELS))
     entries = table.to_dict()["entries"]
     for k, cname in enumerate(EMOTIONS):
-        for label, e in entries.get(cname, {}).items():
-            q[AU_LABELS.index(label)] += p[k] * e["w"]
+        for label, weight in entries.get(cname, {}).items():
+            q[AU_LABELS.index(label)] += p[k] * weight
     return q
 
 
@@ -189,7 +189,7 @@ def test_dm_targets_brute_force_oracle():
 def test_dm_targets_class_mismatch():
     # a six-class table never reaches the DM targets: it is refused as it is made or read
     with pytest.raises(DataError, match="shape"):
-        RelatednessTable(TABLE.weights[1:], TABLE.prototypical[1:], KIND_DOMAIN)
+        RelatednessTable(TABLE.weights[1:], KIND_DOMAIN)
     six = {**TABLE.to_dict(), "classes": list(EMOTIONS[1:])}
     with pytest.raises(DataError, match="in that order"):
         RelatednessTable.from_dict(six)

@@ -22,9 +22,10 @@ AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 
 
 def entries_by_au(table, emotion):
-    k = EMOTIONS.index(emotion)
-    w = table.weights[k]
-    return {CANONICAL_AUS[b]: (w[b], table.prototypical[k, b]) for b in np.flatnonzero(w)}
+    """AU number -> (weight, prototypical) of each entry of ``emotion``; in a
+    domain table an entry is prototypical exactly when its weight is 1.0."""
+    w = table.weights[EMOTIONS.index(emotion)]
+    return {CANONICAL_AUS[b]: (w[b], w[b] == 1.0) for b in np.flatnonzero(w)}
 
 
 def weights_by_au(table, k):
@@ -66,53 +67,46 @@ def test_neutral_has_empty_entry():
     table = domain_table()
     neutral = EMOTIONS.index("neutral")
     assert not table.weights[neutral].any()
-    assert not table.prototypical[neutral].any()
+    assert "neutral" not in table.to_dict()["entries"]
+
+
+def _table_file(tmp_path, entries: str):
+    """A domain table file whose ``entries`` object is the JSON text ``entries``,
+    written as is so that it may repeat a key."""
+    head = json.dumps({"classes": list(EMOTIONS), "labels": list(AU_LABELS),
+                       "kind": "prototypical_observational"})
+    p = tmp_path / "t.json"
+    p.write_text(head[:-1] + ', "entries": ' + entries + "}")
+    return p
 
 
 def test_load_domain_table_rejects_unknown_class(tmp_path):
-    src = {
-        "classes": list(EMOTIONS),
-        "labels": list(AU_LABELS),
-        "table": [{"class": "joy", "prototypical": ["AU12"], "observational": {}}],
-    }
-    p = tmp_path / "t.json"
-    p.write_text(json.dumps(src))
+    p = _table_file(tmp_path, '{"joy": {"AU12": 1.0}}')
     with pytest.raises(DataError, match="unknown class 'joy'"):
         RelatednessTable.load(p)
 
 
 def test_load_domain_table_rejects_bad_weight_and_duplicates(tmp_path):
-    base = {
-        "classes": list(EMOTIONS),
-        "labels": list(AU_LABELS),
-        "table": [{"class": "happiness", "prototypical": [], "observational": {"AU6": 1.3}}],
-    }
-    p = tmp_path / "t.json"
-    p.write_text(json.dumps(base))
+    p = _table_file(tmp_path, '{"happiness": {"AU6": 1.3}}')
     with pytest.raises(DataError, match="weight 1.3"):
         RelatednessTable.load(p)
-    base["table"] = [
-        {"class": "happiness", "prototypical": ["AU12"], "observational": {}},
-        {"class": "happiness", "prototypical": ["AU25"], "observational": {}},
-    ]
-    p.write_text(json.dumps(base))
-    with pytest.raises(DataError, match="duplicate class 'happiness'"):
+    # a class given twice is a repeated key, refused before any entry is read
+    p = _table_file(tmp_path, '{"happiness": {"AU12": 1.0}, "happiness": {"AU25": 1.0}}')
+    with pytest.raises(DataError, match="repeated key 'happiness'"):
         RelatednessTable.load(p)
-    base["table"] = [{"class": "happiness", "prototypical": ["AU99"], "observational": {}}]
-    p.write_text(json.dumps(base))
+    p = _table_file(tmp_path, '{"happiness": {"AU99": 1.0}}')
     with pytest.raises(DataError, match="unknown label 'AU99'"):
         RelatednessTable.load(p)
 
 
 @pytest.mark.parametrize("row", [
-    {"class": "happiness", "prototypical": ["AU6", "AU12"], "observational": {"AU6": 0.5}},
-    {"class": "happiness", "prototypical": ["AU6", "AU6"], "observational": {}},
+    [("AU6", 1.0), ("AU12", 1.0), ("AU6", 0.5)],
+    [("AU6", 1.0), ("AU6", 1.0)],
 ])
 def test_load_domain_table_rejects_an_au_named_twice_in_a_row(tmp_path, row):
-    """A row names each AU once: else the later list would win without a word."""
-    p = tmp_path / "t.json"
-    p.write_text(json.dumps({"classes": list(EMOTIONS), "labels": list(AU_LABELS), "table": [row]}))
-    with pytest.raises(DataError, match=f"{p}: class 'happiness' names AU6 more than once"):
+    """A class names each AU once: else the later weight would win without a word."""
+    p = _table_file(tmp_path, '{"happiness": {%s}}' % ", ".join(f'"{a}": {w}' for a, w in row))
+    with pytest.raises(DataError, match=f"cannot read relatedness table {p}: repeated key 'AU6'"):
         RelatednessTable.load(p)
 
 
@@ -188,23 +182,34 @@ def test_serialization_round_trip(tmp_path):
     assert table.to_json() == domain_table().to_json()
 
 
-# The two file forms that ``RelatednessTable.load`` reads.
-SOURCE = json.loads(
-    resources.files("affectmtl.data").joinpath("emotion_au_relatedness.json").read_text())
+# The one file form that ``RelatednessTable.load`` reads, as the bundled file
+# holds it (SOURCE) and as ``save`` writes it (SAVED)
+BUNDLED = resources.files("affectmtl.data").joinpath("emotion_au_relatedness.json")
+SOURCE = json.loads(BUNDLED.read_text())
 SAVED = domain_table().to_dict()
 
 
+def test_bundled_file_is_what_save_writes(tmp_path):
+    domain_table().save(tmp_path / "saved.json")
+    assert BUNDLED.read_bytes() == (tmp_path / "saved.json").read_bytes()
+
+
 def test_load_reads_both_file_forms(tmp_path):
-    for name, form in (("source.json", SOURCE), ("saved.json", SAVED)):
-        (tmp_path / name).write_text(json.dumps(form))
-        assert RelatednessTable.load(tmp_path / name) == domain_table()
+    """The bundled file and a saved table of either kind load back equal."""
+    empirical = infer_empirical(np.array([4, 4]), np.array([np.eye(17)[9], np.zeros(17)]))
+    for name, table in (("domain.json", domain_table()), ("empirical.json", empirical)):
+        table.save(tmp_path / name)
+        assert RelatednessTable.load(tmp_path / name) == table
+    assert RelatednessTable.from_dict(SOURCE) == domain_table()
+    assert empirical != domain_table() and empirical.weights[4, 9] == 0.5
 
 
 def test_array_form_matches_the_table_entries():
     table = domain_table()
-    assert table.weights.shape == table.prototypical.shape == (7, 17)
+    assert table.weights.shape == (7, 17)
+    assert not hasattr(table, "prototypical")  # a prototypical entry is one of weight 1.0
     with pytest.raises(ValueError):
-        table.weights[0, 0] = 1.0  # the arrays are read-only
+        table.weights[0, 0] = 1.0  # the array is read-only
 
 
 def _set(form: dict, path: tuple, value) -> dict:
@@ -224,21 +229,21 @@ def _set(form: dict, path: tuple, value) -> dict:
     (SAVED, (), {"entries": []}),
     (SAVED, ("entries",), []),
     (SAVED, ("entries", "happiness"), []),
-    (SAVED, ("entries", "happiness", "AU12", "w"), True),
-    (SAVED, ("entries", "happiness", "AU12", "w"), "0.5"),
-    (SAVED, ("entries", "happiness", "AU6", "w"), 0.0),
-    (SAVED, ("entries", "happiness", "AU12", "proto"), "no"),
-    (SAVED, ("entries", "happiness", "AU6", "proto"), True),  # a prototypical weight below 1
+    (SAVED, ("entries", "happiness", "AU12"), True),
+    (SAVED, ("entries", "happiness", "AU12"), "0.5"),
+    (SAVED, ("entries", "happiness", "AU6"), 0.0),
+    (SAVED, ("entries", "happiness", "AU12"), {"w": 1.0, "proto": True}),  # an old entry
+    (SAVED, ("entries", "happiness", "AU6"), float("nan")),
     (SAVED, ("entries", "joy"), {}),
     (SAVED, ("kind",), "expert"),
     (SAVED, ("classes",), ["neutral", "neutral"]),
     (SAVED, ("extra",), 1),
-    (SOURCE, ("table", 0, "observational"), ["AU6"]),
-    (SOURCE, ("table", 0, "observational", "AU6"), False),
-    (SOURCE, ("table", 0, "prototypical"), "AU12"),
-    (SOURCE, ("table", 0), ["happiness"]),
-    (SOURCE, ("labels",), "AU1"),
-    (SOURCE, ("labels", 0), 1),
+    (SAVED, ("entries", "happiness"), ["AU6"]),
+    (SAVED, ("entries", "happiness", "AU6"), False),
+    (SAVED, ("entries", "happiness"), "AU12"),
+    (SAVED, ("entries",), ["happiness"]),
+    (SAVED, ("labels",), "AU1"),
+    (SAVED, ("labels", 0), 1),
     ([], (), "not a table"),
 ])
 def test_load_rejects_a_malformed_value(tmp_path, form, path, value):
@@ -308,13 +313,11 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_load_mutated_file(tmp_path_factory, data):
-    """Whatever one value of a valid file of either form is replaced by,
-    ``load`` returns a table that round-trips, or raises a DataError naming
-    the file."""
-    form = data.draw(st.sampled_from([SOURCE, SAVED]))
-    path = data.draw(st.sampled_from(list(_paths(form))))
+    """Whatever one value of a valid table file is replaced by, ``load``
+    returns a table that round-trips, or raises a DataError naming the file."""
+    path = data.draw(st.sampled_from(list(_paths(SAVED))))
     p = tmp_path_factory.getbasetemp() / "mutated_table.json"
-    p.write_text(json.dumps(_set(form, path, data.draw(JSON_VALUES))))
+    p.write_text(json.dumps(_set(SAVED, path, data.draw(JSON_VALUES))))
     try:
         table = RelatednessTable.load(p)
     except DataError as e:

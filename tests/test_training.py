@@ -364,7 +364,7 @@ def test_table_head_mismatch_is_a_data_error(dataset_dir, tmp_path):
     six = [c for c in EMOTIONS if c != "anger"]
     (tmp_path / "six.json").write_text(json.dumps({
         "classes": six, "labels": list(AU_LABELS), "kind": "empirical",
-        "entries": {"happiness": {"AU12": {"w": 0.9, "proto": False}}},
+        "entries": {"happiness": {"AU12": 0.9}},
     }))
     config = make_config(
         dataset_dir, tmp_path / "run", epochs=1, coupling="distr_matching",

@@ -229,12 +229,12 @@ def test_profile_needs_the_canonical_au_labels(tmp_path):
     # it is refused where it is read, so no profile is built from it
     happy = EMOTIONS.index("happiness")
     d = {**TABLE.to_dict(), "labels": ["AU12", "AU25"],
-         "entries": {"happiness": {"AU12": {"w": 1.0, "proto": True}}}}
+         "entries": {"happiness": {"AU12": 1.0}}}
     (tmp_path / "two.json").write_text(json.dumps(d))
     with pytest.raises(DataError, match="labels must be .* in that order"):
         RelatednessTable.load(tmp_path / "two.json")
     with pytest.raises(DataError, match="shape"):
-        RelatednessTable(np.eye(7, 2), np.eye(7, 2) > 0, KIND_DOMAIN)
+        RelatednessTable(np.eye(7, 2), KIND_DOMAIN)
     profile = compound_class_from_emotions("x", happy, 6, TABLE).au_profile
     assert {12, 25} <= profile.keys()
 
