@@ -18,9 +18,9 @@ from . import labels as lab
 from . import relatedness as rel
 from .errors import AffectMTLError, DataError
 from .model import MultiHeadModel
-from .synthdata import GeneratorSpec, draw, partition_fractions, split
+from .synthdata import GeneratorSpec, draw, partition_cuts, split
 from .training import (
-    ExperimentConfig, empirical_table, run_eval, run_gradcheck, run_train, _versions,
+    SET_NAMES, ExperimentConfig, empirical_table, run_eval, run_gradcheck, run_train, _versions,
 )
 from .zeroshot import compound_scores, load_compound_profiles
 
@@ -44,13 +44,19 @@ def _cmd_gen_data(args) -> int:
         fractions = tuple(float(x) for x in args.partition.split(","))
     except ValueError as e:
         raise DataError(f"--partition must list three numbers, got {args.partition!r}") from e
-    partition_fractions(fractions)  # before the draw, which takes long for a large --n
+    # before the draw, which takes long for a large --n, and before anything is written
+    cuts = partition_cuts(args.n, fractions)
+    sizes = {name: b - a for name, a, b in zip(SET_NAMES, cuts, cuts[1:])}
+    empty = [name for name, size in sizes.items() if not size]
+    if empty:
+        raise DataError(f"--n {args.n} with --partition {args.partition} leaves no samples "
+                        f"in the set {', '.join(empty)}")
     full = draw(spec, args.n)
-    va_set, au_set, expr_set = split(full, fractions)
-    text = lab.feature_text(full.features)  # formatted once: split's sets are runs of full's rows
-    a, b = len(va_set), len(va_set) + len(au_set)
-    sets = {"va": (va_set, text[:a]), "au": (au_set, text[a:b]), "expr": (expr_set, text[b:]),
-            **({"full": (full, text)} if args.full else {})}
+    text = lab.float_text(full.features)  # formatted once: split's sets are runs of full's rows
+    sets = {name: (data, text[a:b]) for name, data, a, b
+            in zip(SET_NAMES, split(full, fractions), cuts, cuts[1:])}
+    if args.full:
+        sets["full"] = (full, text)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, (data, features_text) in sets.items():
@@ -60,9 +66,9 @@ def _cmd_gen_data(args) -> int:
         {"n": args.n, "feature_dim": args.feature_dim, "noise": args.noise,
          "seed": args.seed, "partition": args.partition,
          "frames_per_video": args.frames_per_video},
-        {"set_sizes": {"va": len(va_set), "au": len(au_set), "expr": len(expr_set)}},
+        {"set_sizes": sizes},
     )
-    print(f"wrote {len(va_set)}/{len(au_set)}/{len(expr_set)} va/au/expr samples to {out}")
+    print(f"wrote {'/'.join(map(str, sizes.values()))} va/au/expr samples to {out}")
     return 0
 
 

@@ -188,23 +188,149 @@ def write_csv_columns(path, header, columns) -> None:
     column is an array: of floats, written as their ``repr``, or of finished cells."""
     with open(path, "w", newline="") as f:
         f.write(",".join(text_cells(header)) + "\r\n")
-        for i in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [(c[i : i + _BLOCK_ROWS].tolist(), c.dtype.kind == "f") for c in columns]
-            block = [list(map(repr, cells)) if floats else cells for cells, floats in block]
+        for i in range(0, len(columns[0]), _FORMAT_VALUES):
+            block = [c[i : i + _FORMAT_VALUES] for c in columns]
+            block = [(float_text(c[:, None]) if c.dtype.kind == "f" else c).tolist() for c in block]
             f.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
-def feature_text(features) -> np.ndarray:
-    """Each row of ``features`` as the feature cells of an annotation CSV row:
-    the ``repr`` of every value, joined by commas."""
-    cells = map(repr, features.ravel().tolist())
-    return np.array(list(map(",".join, zip(*[cells] * features.shape[1]))), dtype=object)
+def float_text(values) -> np.ndarray:
+    """The ``repr`` of every value of the float array ``values``, those along its
+    last axis joined by commas: one string per row, in an array of the other axes'
+    shape. ``values[..., None]`` gives one cell per value.
+
+    Each value with 1e-4 <= |x| < 10, where ``repr`` writes fixed notation with
+    one digit before the point, is formatted by exact uint64 arithmetic, in the
+    line of Ryū (Adams, PLDI 2018): |x| = m * 2**e, and its rounding interval
+    (the reals that read back as x) is scaled by 10**s, s = 16 - floor(log10 |x|),
+    as a 128-bit product of 32-bit limbs with 5**s. The shortest digits are those
+    of the roundest integer in the scaled interval, and among the integers of
+    that roundness the one nearest x is taken. No interval edge is such an
+    integer, so none needs a rule. Every other value, and a value halfway between
+    two nearest integers, is written by ``repr`` itself.
+    """
+    values = np.asarray(values, dtype=float)
+    width = values.shape[-1]
+    step = max(1, _FORMAT_VALUES // width) * width  # whole rows, so each ends in the block
+    sep = np.tile([ord(",")] * (width - 1) + [ord("\n")], step // width).astype("<u8")
+    flat = values.ravel()
+    text = b"".join(_float_bytes(flat[i : i + step], sep) for i in range(0, flat.size, step))
+    return np.array(text.decode("ascii").split("\n")[:-1], dtype=object).reshape(values.shape[:-1])
+
+
+def _float_bytes(x, sep) -> bytes:
+    """The cells of the values ``x``, each followed by its byte of ``sep``."""
+    # 32 bytes per value, NULs dropped at the end: 0 NUL, 1 sign, 2 the first digit
+    # if |x| >= 1 else "0", 3 ".", 4-6 the "0"s after "0.", 7 the first digit if
+    # |x| < 1, 8-23 the other digits, 24 the separator
+    words = np.empty((x.size, 4), dtype="<u8")
+    zeros, digits, count, ok = _shortest_digits(np.abs(x))
+    first = digits // _U64(10**16)
+    rest = digits - first * _U64(10**16)
+    lead = zeros == 0
+    words[:, 0] = (_HEADS[zeros + 5 * np.signbit(x)]
+                   | (first + _U64(48)) << np.where(lead, _U64(16), _U64(56)))
+    hi8 = rest // _U64(10**8)
+    lo8 = rest - hi8 * _U64(10**8)
+    quads = words.view("<u4")
+    for col, eight in ((2, hi8), (4, lo8)):
+        four = eight // _U64(10**4)
+        quads[:, col] = _DIGITS4[four.astype(np.intp)]
+        quads[:, col + 1] = _DIGITS4[(eight - four * _U64(10**4)).astype(np.intp)]
+    kept = np.maximum(count - 1, lead)  # digits after the first: "1.0" keeps a "0"
+    words[:, 1] &= _KEEP[0][kept]
+    words[:, 2] &= _KEEP[1][kept]
+    words[:, 3] = sep[: x.size]
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        cells = [repr(v).encode() for v in x[slow].tolist()]
+        words.view("u1")[slow, :24] = np.array(cells, dtype="S24").view("u1").reshape(-1, 24)
+    return words.tobytes().translate(None, b"\0")
+
+
+def _shortest_digits(a):
+    """For each a = |x|: the number of "0"s that start its decimal digits (4 for
+    1e-4 <= a < 1e-3 down to 0 for a >= 1), its shortest digits padded with "0"s
+    to 17, their count, and whether these hold: only for 1e-4 <= a < 10 and no
+    tie. Where they do not, the other results mean nothing but raise nothing."""
+    bits = a.view(_U64)
+    decades = np.searchsorted(_DECADES, a, side="right")  # floor(log10 a) + 4, exact
+    s = 20 - decades
+    # a = m4 * 2**(e - 2) with m4 = 4 * mantissa, so a * 10**s = m4 * 5**s / 2**shift
+    shift = (1077 - s - (bits >> _U64(52)).astype(np.intp)).astype(_U64)  # 35 .. 48
+    m4 = ((bits & _U64(2**52 - 1)) | _U64(2**52)) << _U64(2)
+    p5 = _POW5[s]
+    m_lo, m_hi = m4 & _U64(2**32 - 1), m4 >> _U64(32)  # m4 < 2**55 and p5 < 2**47
+    p_lo, p_hi = p5 & _U64(2**32 - 1), p5 >> _U64(32)
+    low = m_lo * p_lo
+    mid = m_lo * p_hi + m_hi * p_lo
+    lo = low + (mid << _U64(32))
+    hi = m_hi * p_hi + (mid >> _U64(32)) + (lo < low)
+    # the scaled value is q + f / 2**shift, in [10**16, 10**17); its rounding
+    # interval reaches reach = 2 * 5**s (in those units) each way. From a power of
+    # two it reaches half as far down, but each one in range is a decimal of at most
+    # 10 significant digits, which nothing shorter is as near. An edge, (m4 +- 2) *
+    # 5**s / 2**shift, is never an integer: the interval holds the integers in
+    # (q_down, q_up]
+    mask = (_U64(1) << shift) - _U64(1)
+    q, f = (hi << (_U64(64) - shift)) | (lo >> shift), lo & mask
+    reach = p5 << _U64(1)
+    q_up = q + ((f + reach) >> shift)
+    q_down = q - (reach >> shift) - (f < (reach & mask))
+    # the shortest digits are those of the roundest integer in the interval; it is
+    # < 24 wide, so it holds at most one multiple of 100
+    hundreds = q_up // _U64(100) * _U64(100)
+    places = (q_up // _U64(10) > q_down // _U64(10)).astype(np.intp)
+    round100 = np.flatnonzero(hundreds > q_down)
+    places[round100] = 2 + _trailing_zeros(hundreds[round100] // _U64(100))
+    unit = _POW10[places]
+    # the multiple of unit nearest the scaled value: as the interval is symmetric
+    # about that value, it holds the nearest multiple whenever it holds one
+    c = q // unit
+    twice = (q - c * unit) << _U64(1) | f >> (shift - _U64(1))  # 2 * remainder, rounded down
+    below = f & (mask >> _U64(1))  # what that rounding dropped
+    c += (twice > unit) | ((twice == unit) & (below > _U64(0)))
+    tie = (twice == unit) & (below == _U64(0))
+    return 4 - decades, c * unit, 17 - places, (a >= 1e-4) & (a < 10.0) & ~tie
+
+
+def _trailing_zeros(y):
+    """The number of trailing decimal zeros of each of ``y`` (< 10**16)."""
+    zeros = np.zeros(y.size, dtype=np.intp)
+    for p in (8, 4, 2, 1):
+        z = y // _U64(10**p)
+        whole = z * _U64(10**p) == y
+        y = np.where(whole, z, y)
+        zeros += whole * p
+    return zeros
+
+
+_U64 = np.uint64
+# The tables below are built without arithmetic on arrays, which at import would
+# touch ufunc loops that most commands never use: about 1 MiB more peak RSS in each
+# process
+_POW5 = np.array([5**s for s in range(21)], dtype=_U64)
+_POW10 = np.array([10**r for r in range(18)], dtype=_U64)
+# The float that 10**-3 .. 10**0 read as; each is >= the power, so a >= it exactly when a >= 10**k
+_DECADES = np.array([1e-3, 1e-2, 1e-1, 1.0])
+# "0000" .. "9999", each as the little-endian word of its four ASCII digits
+_DIGITS4 = np.frombuffer(b"0123456789", dtype="u1")
+_DIGITS4 = np.stack([np.tile(np.repeat(_DIGITS4, 10**p), 1000 // 10**p) for p in (3, 2, 1, 0)],
+                    axis=1).view("<u4")[:, 0]
+# bytes 0-7 of a cell by zeros + 5 * sign: NUL, "-", "0." (or NUL "." for |x| >= 1) and the "0"s
+_HEADS = np.frombuffer(b"".join(b"\0" + sign + (b"0." if z else b"\0.") + (b"0" * (z - 1)).ljust(4, b"\0")
+                                for sign in (b"\0", b"-") for z in range(5)), dtype="<u8")
+# the masks of bytes 8-15 and 16-23 of a cell that keep its first 0 .. 16 of those digits
+_KEEP = np.frombuffer(b"".join(b"\xff" * i + b"\0" * (16 - i) for i in range(17)), dtype="<u8")
+_KEEP = _KEEP.reshape(17, 2).T.copy()
+# Values formatted at a time: amortises numpy's per-call cost and bounds the arrays
+_FORMAT_VALUES = 4096
 
 
 def write_samples_csv(path, data: SampleSet, features_text=None) -> None:
     """Write a :class:`SampleSet` in the annotation CSV format, one row per
     sample; a missing label or sequence key is an empty cell. ``features_text``
-    is :func:`feature_text` of ``data.features``, for a caller that has it.
+    is :func:`float_text` of ``data.features``, for a caller that has it.
 
     The file's parsed sibling (see :func:`read_samples_csv`) is written too,
     built from ``data`` as a parse of the written bytes would give it, so a
@@ -230,12 +356,12 @@ def write_samples_csv(path, data: SampleSet, features_text=None) -> None:
         raise DataError(f"cannot write {path}: {e}") from e
     header = ["id", "video_id", "frame_idx", *(f"f{i}" for i in range(data.features.shape[1])),
               "valence", "arousal", "expr", *AU_COLUMNS]
-    va = np.array(list(map(repr, data.va.ravel().tolist())), dtype=object).reshape(-1, 2)
+    va = float_text(data.va[:, :, None])
     au = np.nan_to_num(data.au, nan=2).astype(int)  # the AU cells "0", "1" and ""
     columns = [
         text_cells(data.ids), text_cells(data.video),
         np.where(data.frame < 0, "", data.frame.astype(str)),
-        feature_text(data.features) if features_text is None else features_text,
+        float_text(data.features) if features_text is None else features_text,
         *np.where(np.isnan(data.va), "", va).T,
         np.where(data.expr < 0, "", data.expr.astype(str)),
         *np.array(["0", "1", ""], dtype=object)[au].T,
@@ -426,7 +552,7 @@ def _sample_set(**columns) -> SampleSet:
     return SampleSet(au_weights=np.where(np.isnan(columns["au"]), np.nan, 1.0), **columns)
 
 
-# Rows converted at a time: bounds the cell text held while a file is read or written.
+# Rows converted at a time: bounds the cell text held while a file is read.
 _BLOCK_ROWS = 256
 # Label columns as the converter lays them out; the VA and AU columns are floats.
 _LABEL_COLUMNS = ("valence", "arousal", *AU_COLUMNS, "expr", "video_id", "frame_idx", "compound")

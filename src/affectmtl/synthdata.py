@@ -73,17 +73,18 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     """``n`` samples carrying all three label types, drawn row by row from
     ``spec.seed``.
 
-    Each row makes these calls on one generator, in this order, and so fixes
-    every generated byte: ``random()`` for the emotion (what
-    ``choice(7, p=prior)`` draws), ``random(17)`` for the AUs, two
-    ``uniform(-cap, cap)`` calls for valence and arousal, and
-    ``normal(size=feature_dim)`` for the feature noise.
+    Each row makes two calls on one generator, in this order, and so fixes
+    every generated byte: ``random(20)`` and ``normal(size=feature_dim)``.
+    The 20 uniforms are the emotion's (what ``choice(7, p=prior)`` draws),
+    the 17 AUs' and the valence and arousal noise's, and the normals are the
+    feature noise. A ``uniform(-cap, cap)`` call is ``-cap + (cap - -cap) *
+    random()``, and ``cap - -cap`` is ``2 * cap`` exactly, so the noise is that
+    of one ``uniform`` call per axis. All the rest runs once over every row.
     """
     if n < 1:
         raise DataError(f"cannot draw {n} samples")
     rng = np.random.default_rng(spec.seed)
     k = len(EMOTIONS)
-    r = spec.relatedness.weights
     signal_dim = k + NUM_AUS + 2
     map_rng = np.random.default_rng(spec.seed + 104729)
     w = map_rng.normal(size=(spec.feature_dim, signal_dim)) / np.sqrt(signal_dim)
@@ -91,24 +92,18 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     prior = prior / prior.sum()  # the emotion draws depend on these exact bits
     cdf = prior.cumsum()  # as Generator.choice builds it for p=prior
     cdf /= cdf[-1]
-    # per emotion: (valence mean, arousal mean, valence cap, arousal cap)
-    va_draw = [(*VA_MEANS[e], *_va_noise_caps(e, spec.noise_scale)) for e in EMOTIONS]
-    expr = np.empty(n, dtype=int)
-    au, va = np.empty((n, NUM_AUS)), np.empty((n, 2))
-    features = np.empty((n, w.shape[0]))
-    signal = np.zeros(signal_dim)  # one-hot emotion, AUs, VA
+    uniforms, noise = np.empty((n, 1 + NUM_AUS + 2)), np.empty((n, spec.feature_dim))
     for i in range(n):
-        emo = expr[i] = int(cdf.searchsorted(rng.random(), side="right"))
-        au[i] = rng.random(NUM_AUS) < r[emo]
-        mv, ma, cap_v, cap_a = va_draw[emo]
-        va[i, 0] = min(max(mv + rng.uniform(-cap_v, cap_v), -1.0), 1.0)
-        va[i, 1] = min(max(ma + rng.uniform(-cap_a, cap_a), -1.0), 1.0)
-        signal[:k] = 0.0
-        signal[emo] = 1.0
-        signal[k:k + NUM_AUS] = au[i]
-        signal[k + NUM_AUS:] = va[i]
-        # one product per row: a batched w @ signals differs in the last bit
-        features[i] = w @ signal + spec.noise_scale * rng.normal(size=w.shape[0])
+        uniforms[i] = rng.random(1 + NUM_AUS + 2)
+        noise[i] = rng.normal(size=spec.feature_dim)
+    expr = cdf.searchsorted(uniforms[:, 0], side="right")
+    au = (uniforms[:, 1:1 + NUM_AUS] < spec.relatedness.weights[expr]) * 1.0
+    mean = np.array([VA_MEANS[e] for e in EMOTIONS])[expr]
+    cap = np.array([_va_noise_caps(e, spec.noise_scale) for e in EMOTIONS])[expr]
+    va = np.clip(mean + (-cap + 2 * cap * uniforms[:, 1 + NUM_AUS:]), -1.0, 1.0)
+    signal = np.concatenate([np.eye(k)[expr], au, va], axis=1)  # one-hot emotion, AUs, VA
+    # a stacked product runs the per-row product w @ signal[i], so the bits match it
+    features = np.matmul(w, signal[:, :, None])[:, :, 0] + spec.noise_scale * noise
     fpv = spec.frames_per_video
     return SampleSet(
         ids=np.array([f"s{i:06d}" for i in range(n)], dtype=object),
@@ -119,20 +114,19 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     )
 
 
-def partition_fractions(partition) -> np.ndarray:
-    """``partition`` as an array, checked to hold three nonnegative fractions summing to 1."""
+def partition_cuts(n: int, partition) -> list[int]:
+    """Where :func:`split` cuts ``n`` rows: ``[0, end of VA, end of AU, n]``, by
+    the ``partition`` fractions, checked to be three nonnegative values summing to 1."""
     fr = np.asarray(partition, dtype=float)
     if fr.size != 3 or not (fr >= 0).all() or not abs(fr.sum() - 1.0) <= 1e-9:  # NaN fails
         raise DataError("partition fractions must be 3 nonnegative values summing to 1")
-    return fr
+    return [0, int(round(n * fr[0])), int(round(n * (fr[0] + fr[1]))), n]
 
 
 def split(full: SampleSet, partition=(1 / 3, 1 / 3, 1 / 3)):
     """Three disjoint runs of ``full``'s rows, in order and sized by the
     ``partition`` fractions, keeping only VA, only AU and only expression labels."""
-    fr = partition_fractions(partition)
-    n = len(full)
-    cuts = [0, int(round(n * fr[0])), int(round(n * (fr[0] + fr[1]))), n]
+    cuts = partition_cuts(len(full), partition)
     no_expr = np.full_like(full.expr, -1)
     no_va, no_au = np.full_like(full.va, np.nan), np.full_like(full.au, np.nan)
     stripped = (replace(full, expr=no_expr, au=no_au, au_weights=no_au),

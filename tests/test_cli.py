@@ -178,6 +178,11 @@ def test_gen_data_checks_the_partition_before_the_draw(tmp_path, capsys, monkeyp
         assert main(["gen-data", "--out", str(out), f"--partition={partition}"]) == 2
         assert "partition fractions" in capsys.readouterr().err
     assert not out.exists()
+    # a set with no rows, which the writer would refuse after the others were written
+    for args in (["--n", "2"], ["--n", "10", "--partition", "0.5,0,0.5"]):
+        assert main(["gen-data", "--out", str(out), *args]) == 2
+        assert "no samples in the set au" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_eval_command(workspace, tmp_path):

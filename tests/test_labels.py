@@ -27,11 +27,13 @@ from affectmtl import labels
 from affectmtl.labels import (
     AU_COLUMNS,
     SampleSet,
+    float_text,
     indicator_scores,
     read_samples_csv,
     soft_label,
     write_samples_csv,
 )
+from affectmtl.synthdata import GeneratorSpec, draw
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
@@ -643,3 +645,73 @@ def test_csv_malformed_file_with_an_older_sibling_names_the_line(cached_csv):
     with pytest.raises(DataError, match=r"d\.csv, line 2: expression index 9 outside"):
         read_samples_csv(path)
     assert sibling.read_bytes() == blob
+
+
+# -- float cells -----------------------------------------------------------
+
+
+def _repr_cells(values):
+    """``float_text`` of one cell per value, and what ``repr`` writes for each."""
+    values = np.asarray(values, dtype=float)
+    return float_text(values[:, None]).tolist(), list(map(repr, values.tolist()))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_float_text_is_repr(values):
+    """NaN, +-inf, +-0.0, subnormals and huge values included."""
+    got, want = _repr_cells(values)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=8)))
+def test_float_text_joins_each_row_with_commas(rows):
+    assert float_text(np.array(rows)).tolist() == [",".join(map(repr, row)) for row in rows]
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+
+
+_SHORT = np.random.default_rng(0)
+# Values that reach each rule of the fast path and of its fallback to repr
+FLOAT_FAMILIES = {
+    # the rounding interval reaches half as far down from a power of two
+    "powers of two": _neighbours(2.0 ** np.arange(-20, 5)),
+    # exact decimals of 20 digits, some halfway between two 17-digit ones: the tie rule
+    "17-digit ties": np.arange(100, 20001) * 2.0**-20,
+    # where the decimal exponent changes
+    "powers of ten": _neighbours(10.0 ** np.arange(-5, 3)),
+    # the ends of the fast path's range
+    "range edges": _neighbours([1e-4, 10.0]),
+    "1 to 17 significant digits": np.array([
+        float(f"{m}e{e - d}") for d in range(1, 18)
+        for m in _SHORT.integers(10 ** (d - 1), 10**d, 40).tolist() for e in range(-4, 3)]),
+}
+
+
+@pytest.mark.parametrize("family", FLOAT_FAMILIES)
+def test_float_text_matches_repr_on(family):
+    values = FLOAT_FAMILIES[family]
+    got, want = _repr_cells(np.concatenate([values, -values]))
+    assert got == want
+
+
+def test_float_text_takes_the_fast_path(monkeypatch):
+    """Under 1% of the generator's feature values fall back to ``repr``; a tie
+    does, and so does every value outside 1e-4 <= |x| < 10."""
+    calls = []  # the values that float_text hands to repr
+    monkeypatch.setattr(labels, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    features = draw(GeneratorSpec(relatedness=TABLE, seed=0), 4000).features
+    float_text(features)
+    assert 0 < len(calls) < 0.01 * features.size
+    calls.clear()
+    float_text(FLOAT_FAMILIES["17-digit ties"][:, None])
+    assert any(1e-4 <= v < 10 for v in calls)
+    calls.clear()
+    outside = [0.0, -0.0, 5e-324, np.nextafter(1e-4, 0), -10.0, 1e16, math.nan, -math.inf]
+    float_text(np.array(outside)[:, None])
+    assert len(calls) == len(outside)

@@ -51,6 +51,17 @@ def test_empirical_recovery():
                 assert got.get(b, 0.0) == pytest.approx(r_true[k, b], abs=0.03)
 
 
+def _assert_same_draw(got, want):
+    """Every field bit for bit: np.array_equal would pass a 0.0 for a -0.0."""
+    for f in fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        if a.dtype == object:
+            assert a.tolist() == b.tolist(), f.name
+        else:
+            assert a.tobytes() == b.tobytes(), f.name
+
+
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("n", [1, 7, 500])
 @pytest.mark.parametrize("frames_per_video", [None, 10])
@@ -58,10 +69,15 @@ def test_empirical_recovery():
 def test_draw_matches_the_reference_draw(reference_draw, seed, n, frames_per_video, noise):
     spec = GeneratorSpec(relatedness=TABLE, noise_scale=noise, seed=seed,
                          frames_per_video=frames_per_video)
-    got, want = draw(spec, n), reference_draw(spec, n)
-    for f in fields(got):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    _assert_same_draw(draw(spec, n), reference_draw(spec, n))
+
+
+@pytest.mark.parametrize("feature_dim", [1, 32, 512])
+@pytest.mark.parametrize("noise", [0.0, 0.3, 2.0])
+def test_draw_matches_the_reference_draw_at_any_feature_dim(reference_draw, feature_dim, noise):
+    """The stacked product ``w @ signal`` of every row has the per-row product's bits."""
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=feature_dim, noise_scale=noise, seed=5)
+    _assert_same_draw(draw(spec, 300), reference_draw(spec, 300))
 
 
 def test_determinism():
