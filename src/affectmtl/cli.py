@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import labels as lab
+from . import csvio
 from . import relatedness as rel
 from .errors import AffectMTLError, DataError
 from .model import MultiHeadModel
@@ -52,7 +52,7 @@ def _cmd_gen_data(args) -> int:
         raise DataError(f"--n {args.n} with --partition {args.partition} leaves no samples "
                         f"in the set {', '.join(empty)}")
     full = draw(spec, args.n)
-    text = lab.float_text(full.features)  # formatted once: split's sets are runs of full's rows
+    text = csvio.float_text(full.features)  # formatted once: split's sets are runs of full's rows
     sets = {name: (data, text[a:b]) for name, data, a, b
             in zip(SET_NAMES, split(full, fractions), cuts, cuts[1:])}
     if args.full:
@@ -60,7 +60,7 @@ def _cmd_gen_data(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, (data, features_text) in sets.items():
-        lab.write_samples_csv(out / f"{name}.csv", data, features_text)
+        csvio.write_samples_csv(out / f"{name}.csv", data, features_text)
     _write_manifest(
         out, "gen-data",
         {"n": args.n, "feature_dim": args.feature_dim, "noise": args.noise,
@@ -110,22 +110,22 @@ def _cmd_eval(args) -> int:
 def _cmd_zero_shot(args) -> int:
     model = MultiHeadModel.load(args.checkpoint)
     classes = load_compound_profiles(args.profiles)
-    data = lab.read_samples_csv(args.data)
+    data = csvio.read_samples_csv(args.data)
     unknown = set(data.compound) - {"", *(c.name for c in classes)}
     if unknown:
         raise DataError(f"{args.data}: compound truth {min(unknown)!r} names no profile class")
     scores = compound_scores(model.forward(data.features)[0], classes)
     # one CSV row per (sample, class); d_va is 0.0 or 1.0
     picked = np.arange(len(classes)) == scores.predicted[:, None]
-    columns = [np.repeat(lab.text_cells(data.ids), len(classes)),
-               np.tile(lab.text_cells([c.name for c in classes]), len(data)),
+    columns = [np.repeat(csvio.text_cells(data.ids), len(classes)),
+               np.tile(csvio.text_cells([c.name for c in classes]), len(data)),
                scores.i_au.ravel(), scores.f_emo.ravel(),
                np.where(scores.d_va.ravel() > 0, "1.0", "0.0"), scores.total.ravel(),
                np.where(picked.ravel(), "1", "0")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lab.write_csv_columns(out / "compound_scores.csv",
-                          ["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"], columns)
+    csvio.write_csv_columns(out / "compound_scores.csv",
+                            ["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"], columns)
     extra = {}
     hits = [classes[p].name == t for p, t in zip(scores.predicted.tolist(), data.compound) if t]
     if hits:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import csvio
 from . import labels as lab
 from . import relatedness as rel
 from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, read_json
@@ -165,7 +166,7 @@ def empirical_table(corpus_path, threshold: float) -> rel.RelatednessTable:
     """Infer a relatedness table from the rows of an annotation CSV that carry
     both an expression and AU labels; the threshold is checked before the read."""
     _check_threshold(threshold)
-    data = lab.read_samples_csv(corpus_path)
+    data = csvio.read_samples_csv(corpus_path)
     rows = np.intersect1d(data.expr_rows, data.au_rows)
     if not rows.size:
         raise DataError(f"corpus {corpus_path} has no co-annotated samples")
@@ -314,7 +315,7 @@ def run_train(config: ExperimentConfig) -> dict:
     for si, name in enumerate(SET_NAMES):
         if name in config.data:
             sets[name], heldout[name] = _holdout_split(
-                lab.read_samples_csv(config.data[name]), config.holdout_fraction,
+                csvio.read_samples_csv(config.data[name]), config.holdout_fraction,
                 config.seed + 7919 * si)
     dims = {data.features.shape[1] for data in sets.values()}
     if len(dims) != 1:
@@ -419,7 +420,7 @@ def _median_filter_by_video(video, frame, predictions, window):
 def run_eval(checkpoint, dataset, out_path=None) -> dict:
     """Evaluate a checkpoint on a dataset CSV; optionally write the JSON report."""
     model = MultiHeadModel.load(checkpoint)
-    results = evaluate_model(model, lab.read_samples_csv(dataset))
+    results = evaluate_model(model, csvio.read_samples_csv(dataset))
     if not results:
         raise DataError(f"checkpoint {checkpoint} scores nothing on {dataset}: it has no "
                         "labeled rows (VA needs two)")

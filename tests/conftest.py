@@ -7,7 +7,9 @@ import pytest
 from hypothesis import strategies as st
 
 from affectmtl import CANONICAL_AUS, EMOTIONS
-from affectmtl.labels import AU_COLUMNS, NUM_AUS, SampleSet
+from affectmtl.csvio import AU_COLUMNS
+from affectmtl.labels import SampleSet
+from affectmtl.relatedness import NUM_AUS
 from affectmtl.model import DEFAULT_HEADS
 from affectmtl.synthdata import VA_MEANS
 

@@ -27,7 +27,8 @@ from affectmtl import (
     plan_epoch,
     subsample_frames,
 )
-from affectmtl.labels import SampleSet, write_samples_csv
+from affectmtl.csvio import write_samples_csv
+from affectmtl.labels import SampleSet
 from affectmtl.relatedness import KIND_DOMAIN
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import run_gradcheck, run_train

@@ -18,7 +18,7 @@ from affectmtl import domain_table, save_compound_profiles, default_compound_cla
 from affectmtl import cli
 from affectmtl.cli import main
 from affectmtl.zeroshot import CompoundScores
-from affectmtl.labels import read_samples_csv, write_samples_csv
+from affectmtl.csvio import read_samples_csv, write_samples_csv
 from affectmtl.synthdata import GeneratorSpec, split
 
 TABLE = domain_table()
@@ -156,7 +156,7 @@ def test_gen_data_leaves_the_siblings_that_a_read_writes(tmp_path, monkeypatch):
               "model": {"hidden": [8]}, "epochs": 1, "out_dir": str(tmp_path / "run")}
     (tmp_path / "config.json").write_text(json.dumps(config))
     with monkeypatch.context() as m:
-        m.setattr(cli.lab, "_parse", None)  # any parse fails
+        m.setattr(cli.csvio, "_parse", None)  # any parse fails
         assert main(["train", "--config", str(tmp_path / "config.json")]) == 0
         assert main(["eval", "--checkpoint", str(tmp_path / "run" / "model.bin"),
                      "--data", str(data / "full.csv"), "--out", str(tmp_path / "eval.json")]) == 0

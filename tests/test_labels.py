@@ -2,6 +2,8 @@ import csv
 import hashlib
 import math
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -23,16 +25,9 @@ from affectmtl import (
     domain_table,
     subsample_frames,
 )
-from affectmtl import labels
-from affectmtl.labels import (
-    AU_COLUMNS,
-    SampleSet,
-    float_text,
-    indicator_scores,
-    read_samples_csv,
-    soft_label,
-    write_samples_csv,
-)
+from affectmtl import csvio
+from affectmtl.csvio import AU_COLUMNS, float_text, read_samples_csv, write_samples_csv
+from affectmtl.labels import SampleSet, indicator_scores, soft_label
 from affectmtl.synthdata import GeneratorSpec, draw
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -506,7 +501,7 @@ def test_write_samples_csv_sibling_is_what_a_cold_read_gives(
             return
 
         written = sibling.read_bytes()
-        with patch.object(labels, "_parse", None):
+        with patch.object(csvio, "_parse", None):
             via_sibling = read_samples_csv(path)  # parses nothing: the writer left a sibling
         sibling.unlink()
         assert_matches(via_sibling, fields_of(read_samples_csv(path)))
@@ -536,7 +531,7 @@ def cached_csv(tmp_path, one_row):
 
 def test_csv_second_read_loads_the_sibling(cached_csv, monkeypatch):
     path, sibling, blob, data = cached_csv
-    monkeypatch.setattr(labels, "_parse", None)  # a hit never parses
+    monkeypatch.setattr(csvio, "_parse", None)  # a hit never parses
     assert_matches(read_samples_csv(path), fields_of(data))
     assert sibling.read_bytes() == blob
 
@@ -554,7 +549,7 @@ def test_csv_changed_byte_is_a_miss(cached_csv):
 def _resaved(path, data, **columns):
     """Overwrite the sibling of ``path`` with a file whose key and payload
     digest are valid for its bytes, holding ``data`` with ``columns`` replaced."""
-    labels._save_parsed(path, labels._parse_key(path.read_bytes()), replace(data, **columns))
+    csvio._save_parsed(path, csvio._parse_key(path.read_bytes()), replace(data, **columns))
 
 
 @pytest.mark.parametrize("damage", [
@@ -613,7 +608,7 @@ def test_csv_read_succeeds_when_the_sibling_cannot_be_written(cached_csv, monkey
         finally:
             path.parent.chmod(0o755)
     else:
-        monkeypatch.setattr(labels.tempfile if fail == "mkstemp" else labels.os, fail, refuse)
+        monkeypatch.setattr(csvio.tempfile if fail == "mkstemp" else csvio.os, fail, refuse)
         read = read_samples_csv(path)
     assert_matches(read, fields_of(data))
     written = [".d.csv.affectmtl"] if fail == "read-only directory" and os.geteuid() == 0 else []
@@ -635,7 +630,7 @@ def test_csv_strings_round_trip_through_the_sibling(tmp_path, monkeypatch):
     assert list(parsed.ids) == ["a\0", "\n", "", "\0\x01"]
     assert list(parsed.video) == ["v\0", "", "é\0\0", ""]
     assert list(parsed.compound) == ["x\0", "", "\0", "a,b"]
-    monkeypatch.setattr(labels, "_parse", None)
+    monkeypatch.setattr(csvio, "_parse", None)
     assert_matches(read_samples_csv(path), fields_of(parsed))
 
 
@@ -645,6 +640,51 @@ def test_csv_malformed_file_with_an_older_sibling_names_the_line(cached_csv):
     with pytest.raises(DataError, match=r"d\.csv, line 2: expression index 9 outside"):
         read_samples_csv(path)
     assert sibling.read_bytes() == blob
+
+
+# Reads the CSVs argv[2:] with the package copy in argv[1]; prints how often it parsed.
+_READ_WITH_COPY = """import sys
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+from affectmtl import csvio
+assert Path(csvio.__file__).is_relative_to(sys.argv[1]), csvio.__file__
+parse, calls = csvio._parse, []
+csvio._parse = lambda *args: calls.append(args) or parse(*args)
+for path in sys.argv[2:]:
+    csvio.read_samples_csv(path)
+print(len(calls))
+"""
+
+
+def test_only_an_edit_of_the_csv_module_re_keys_the_siblings(tmp_path):
+    """The sibling key covers ``csvio.py`` alone: after an edit of ``labels.py``
+    every sibling loads as it is, and after an edit of ``csvio.py`` each read
+    parses again and rewrites its sibling with only the 32-byte key changed."""
+    copy = tmp_path / "src" / "affectmtl"
+    shutil.copytree(Path(csvio.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    full = draw(GeneratorSpec(relatedness=TABLE, seed=0), 60)
+    csvs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, rows in zip(csvs, (np.arange(30), np.arange(30, 60))):
+        write_samples_csv(path, full.take(rows))
+    siblings = [path.with_name(f".{path.name}.affectmtl") for path in csvs]
+
+    def read_with_copy(edit=None):
+        if edit:
+            with open(copy / edit, "a") as f:
+                f.write("# an edit\n")
+        run = subprocess.run([sys.executable, "-c", _READ_WITH_COPY, str(copy.parent), *map(str, csvs)],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return int(run.stdout), [sibling.read_bytes() for sibling in siblings]
+
+    # read once by the unedited copy, as a child may name the text encoding
+    # otherwise than this process does ("UTF-8" where this is "utf-8")
+    _, written = read_with_copy()
+    assert read_with_copy("labels.py") == (0, written)
+    parses, rewritten = read_with_copy("csvio.py")
+    assert parses == len(csvs)
+    for new, old in zip(rewritten, written):
+        assert new[:32] != old[:32] and new[32:] == old[32:]
 
 
 # -- float cells -----------------------------------------------------------
@@ -704,7 +744,7 @@ def test_float_text_takes_the_fast_path(monkeypatch):
     """Under 1% of the generator's feature values fall back to ``repr``; a tie
     does, and so does every value outside 1e-4 <= |x| < 10."""
     calls = []  # the values that float_text hands to repr
-    monkeypatch.setattr(labels, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     features = draw(GeneratorSpec(relatedness=TABLE, seed=0), 4000).features
     float_text(features)
     assert 0 < len(calls) < 0.01 * features.size

@@ -19,7 +19,8 @@ from affectmtl import (
     SampleSet,
     domain_table,
 )
-from affectmtl.labels import indicator_scores, soft_label, write_samples_csv
+from affectmtl.csvio import write_samples_csv
+from affectmtl.labels import indicator_scores, soft_label
 from affectmtl.losses import ccc_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
 from affectmtl.relatedness import NUM_AUS
 from affectmtl import training
