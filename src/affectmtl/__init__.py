@@ -32,7 +32,7 @@ from .relatedness import (
 from .scheduler import EpochPlan, next_joint_batch, plan_epoch
 from .training import ExperimentConfig, run_eval, run_gradcheck, run_train
 from .zeroshot import (
-    CompoundClass,
+    CompoundProfiles,
     CompoundScores,
     compound_scores,
     default_compound_classes,

@@ -109,16 +109,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_zero_shot(args) -> int:
     model = MultiHeadModel.load(args.checkpoint)
-    classes = load_compound_profiles(args.profiles)
+    profiles = load_compound_profiles(args.profiles)
     data = csvio.read_samples_csv(args.data)
-    unknown = set(data.compound) - {"", *(c.name for c in classes)}
+    unknown = set(data.compound) - {"", *profiles.names}
     if unknown:
         raise DataError(f"{args.data}: compound truth {min(unknown)!r} names no profile class")
-    scores = compound_scores(model.forward(data.features)[0], classes)
+    scores = compound_scores(model.forward(data.features)[0], profiles)
     # one CSV row per (sample, class); d_va is 0.0 or 1.0
-    picked = np.arange(len(classes)) == scores.predicted[:, None]
-    columns = [np.repeat(csvio.text_cells(data.ids), len(classes)),
-               np.tile(csvio.text_cells([c.name for c in classes]), len(data)),
+    picked = np.arange(len(profiles.names)) == scores.predicted[:, None]
+    columns = [np.repeat(csvio.text_cells(data.ids), len(profiles.names)),
+               np.tile(csvio.text_cells(profiles.names), len(data)),
                scores.i_au.ravel(), scores.f_emo.ravel(),
                np.where(scores.d_va.ravel() > 0, "1.0", "0.0"), scores.total.ravel(),
                np.where(picked.ravel(), "1", "0")]
@@ -127,14 +127,15 @@ def _cmd_zero_shot(args) -> int:
     csvio.write_csv_columns(out / "compound_scores.csv",
                             ["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"], columns)
     extra = {}
-    hits = [classes[p].name == t for p, t in zip(scores.predicted.tolist(), data.compound) if t]
-    if hits:
-        extra["compound_accuracy"] = sum(hits) / len(hits)
+    truth = data.compound != ""
+    if truth.any():
+        hits = (np.array(profiles.names, dtype=object)[scores.predicted] == data.compound)[truth]
+        extra["compound_accuracy"] = int(hits.sum()) / len(hits)
         (out / "metrics.json").write_text(json.dumps(extra, indent=2, sort_keys=True))
     _write_manifest(out, "zero-shot",
                     {"checkpoint": args.checkpoint, "profiles": args.profiles,
                      "data": args.data}, extra)
-    print(f"scored {len(data)} samples over {len(classes)} compound classes -> {out}")
+    print(f"scored {len(data)} samples over {len(profiles.names)} compound classes -> {out}")
     return 0
 
 

@@ -12,6 +12,7 @@ cells of this format and of every other CSV file the package writes.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -287,10 +288,10 @@ def _parse(raw: bytes, path: Path) -> tuple[SampleSet, bool]:
 
 
 def _parse_key(raw: bytes) -> bytes:
-    """What a parse of the CSV bytes ``raw`` depends on: those bytes, the text
-    encoding that decodes them and the source of this module, hashed."""
+    """What a parse of the CSV bytes ``raw`` depends on: those bytes, the codec
+    name of the text encoding that decodes them and the source of this module, hashed."""
     h = hashlib.sha256(Path(__file__).read_bytes())
-    h.update(locale.getpreferredencoding(False).encode() + b"\0")
+    h.update(codecs.lookup(locale.getpreferredencoding(False)).name.encode() + b"\0")
     h.update(raw)
     return h.digest()
 

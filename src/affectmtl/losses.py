@@ -121,8 +121,8 @@ def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
 
 
 def sca_loss_grad(p_emo, q_emo, eps: float = DEFAULT_EPS):
-    """Soft co-annotation loss, the cross entropy of predictions against the
-    soft label, and its gradient with respect to the predicted distribution."""
+    """Soft co-annotation loss ``-Σ p log q / n`` of predictions ``p`` against soft labels ``q``.
+    Linear in ``p``, it drives ``p`` toward the one-hot at ``argmax q``; gradient ``-log q / n``."""
     p = np.asarray(p_emo, float)
     q = np.asarray(q_emo, float)
     if p.shape != q.shape:

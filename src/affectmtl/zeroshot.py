@@ -15,49 +15,56 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, exact_keys, exact_type, read_json
-from .relatedness import CANONICAL_AUS, EMOTIONS, RelatednessTable
+from .relatedness import CANONICAL_AUS, EMOTIONS, NUM_AUS, RelatednessTable
 
-_AU_TO_INDEX = {au: i for i, au in enumerate(CANONICAL_AUS)}
-# A profile file's AU keys, as save_compound_profiles writes them: "12" for AU12
-_AU_KEYS = {str(au): au for au in CANONICAL_AUS}
-
-
-def _check_emotion(name, emo) -> None:
-    # built in Python, a profile may hold the NumPy scalars of an argmax or a table row
-    exact_type(emo, (int, np.int64), f"compound {name!r}: emotion index", DataError)
-    if not 0 <= emo < len(EMOTIONS):
-        raise DataError(f"compound {name!r}: emotion index {emo!r} outside 0..{len(EMOTIONS) - 1}")
+# A profile file's AU keys, as save_compound_profiles writes them ("12" for AU12), to columns
+_AU_KEYS = {str(au): b for b, au in enumerate(CANONICAL_AUS)}
 
 
-@dataclass
-class CompoundClass:
-    """A blend of two basic emotions with an AU activation profile.
+@dataclass(frozen=True, eq=False)
+class CompoundProfiles:
+    """Compound classes, one row each: a blend of two basic emotions with an AU profile.
 
-    ``au_profile`` maps AU number (canonical set) -> p(au | compound) in (0, 1].
+    ``names``: distinct, non-empty strings. ``pairs``: (C, 2) integers, two
+    different ``EMOTIONS`` indices per class. ``weights``: (C, NUM_AUS) floats in
+    ``AU_LABELS`` column order, p(au | compound) in (0, 1] and 0 where a class has
+    no AU, at least one AU per class. ``positive``: (C,) bools, true where a class
+    needs positive valence. The arrays are read-only copies of those passed.
     """
 
-    name: str
-    emo1: int
-    emo2: int
-    au_profile: dict[int, float]
-    requires_positive_valence: bool = False
+    names: tuple
+    pairs: np.ndarray
+    weights: np.ndarray
+    positive: np.ndarray
 
     def __post_init__(self):
-        exact_type(self.name, (str, np.str_), "a compound name", DataError)
-        for emo in (self.emo1, self.emo2):
-            _check_emotion(self.name, emo)
-        if self.emo1 == self.emo2:
-            raise DataError(f"compound {self.name!r}: constituent emotions must differ")
-        exact_type(self.requires_positive_valence, bool,
-                   f"compound {self.name!r}: positive valence flag", DataError)
-        if not self.au_profile:
-            raise DataError(f"compound {self.name!r}: empty AU profile")
-        for au, w in self.au_profile.items():
-            if au not in _AU_TO_INDEX:
-                raise DataError(f"compound {self.name!r}: AU{au} outside the canonical set")
-            where = f"compound {self.name!r}: weight"
-            if not 0.0 < exact_type(w, (int, float, np.float64), where, DataError) <= 1.0:
-                raise DataError(f"compound {self.name!r}: weight {w!r} outside (0, 1]")
+        names = tuple(self.names)
+        for name in names:
+            if not exact_type(name, (str, np.str_), "a compound name", DataError):
+                raise DataError("a compound name must not be empty")
+        if not names:
+            raise DataError("no compound classes")
+        if len(set(names)) < len(names):
+            raise DataError(f"class name {max(names, key=names.count)!r} is listed more than once")
+        object.__setattr__(self, "names", names)
+        c = len(names)
+        for field, shape, kind in (("pairs", (c, 2), np.integer), ("positive", (c,), np.bool_),
+                                   ("weights", (c, NUM_AUS), np.floating)):
+            a = np.array(getattr(self, field))
+            if a.shape != shape or not np.issubdtype(a.dtype, kind):
+                raise DataError(f"compound {field} must be {kind.__name__} of shape {shape}, "
+                                f"got dtype {a.dtype} and shape {a.shape}")
+            a.flags.writeable = False
+            object.__setattr__(self, field, a)
+        pairs, w, k = self.pairs, self.weights, len(EMOTIONS)
+        for what, bad in {
+            f"emotion index outside 0..{k - 1}": ((pairs < 0) | (pairs >= k)).any(1),
+            "constituent emotions must differ": pairs[:, 0] == pairs[:, 1],
+            "weight outside (0, 1] (0 is no AU)": ~((w >= 0.0) & (w <= 1.0)).all(1),
+            "empty AU profile": ~w.any(1),
+        }.items():
+            if bad.any():
+                raise DataError(f"compound {names[bad.argmax()]!r}: {what}")
 
 
 @dataclass(frozen=True)
@@ -74,40 +81,17 @@ class CompoundScores:
     predicted: np.ndarray
 
 
-def compound_scores(out: dict, classes) -> CompoundScores:
+def compound_scores(out: dict, profiles: CompoundProfiles) -> CompoundScores:
     """Score every compound class for every row of ``MultiHeadModel.forward`` outputs.
 
     ``out`` maps each head name to its (n, width) outputs.
     """
-    classes = list(classes)
-    if not classes:
-        raise DataError("no compound classes to score")
-    profiles = np.array([[c.au_profile.get(au, 0.0) for au in CANONICAL_AUS] for c in classes])
-    pairs = np.array([(c.emo1, c.emo2) for c in classes])
-    positive = np.array([c.requires_positive_valence for c in classes])
-    i_au = out["au"] @ profiles.T / profiles.sum(axis=1)
+    w, pairs = profiles.weights, profiles.pairs
+    i_au = out["au"] @ w.T / w.sum(axis=1)
     f_emo = out["expr"][:, pairs[:, 0]] + out["expr"][:, pairs[:, 1]]
-    d_va = ((out["va"][:, :1] > 0) & positive).astype(float)
+    d_va = ((out["va"][:, :1] > 0) & profiles.positive).astype(float)
     total = i_au + f_emo + d_va
     return CompoundScores(i_au, f_emo, d_va, total, total.argmax(axis=1))
-
-
-def compound_class_from_emotions(
-    name: str,
-    emo1: int,
-    emo2: int,
-    table: RelatednessTable,
-    positive_valence: bool = False,
-) -> CompoundClass:
-    """Build a compound profile as the union of two emotions' table entries.
-
-    AUs present in both constituents take the larger weight.
-    """
-    for emo in (emo1, emo2):  # a bool or a float would index the weights otherwise
-        _check_emotion(name, emo)
-    row = np.maximum(table.weights[emo1], table.weights[emo2])
-    profile = {CANONICAL_AUS[i]: float(row[i]) for i in np.flatnonzero(row)}
-    return CompoundClass(name, emo1, emo2, profile, positive_valence)
 
 
 # (emo1, emo2, positive valence) for the standard eleven blends.
@@ -126,49 +110,41 @@ _DEFAULT_BLENDS = [
 ]
 
 
-def default_compound_classes(table: RelatednessTable) -> list[CompoundClass]:
-    """The standard eleven two-emotion blends, profiled from the domain table."""
-    return [
-        compound_class_from_emotions(
-            name, EMOTIONS.index(e1), EMOTIONS.index(e2), table, pos
-        )
-        for name, e1, e2, pos in _DEFAULT_BLENDS
-    ]
+def default_compound_classes(table: RelatednessTable) -> CompoundProfiles:
+    """The standard eleven two-emotion blends, each profiled as the union of its
+    two emotions' table rows: an AU in both takes the larger weight."""
+    names, first, second, positive = zip(*_DEFAULT_BLENDS)
+    pairs = np.array([[EMOTIONS.index(e1), EMOTIONS.index(e2)] for e1, e2 in zip(first, second)])
+    weights = np.maximum(table.weights[pairs[:, 0]], table.weights[pairs[:, 1]])
+    return CompoundProfiles(names, pairs, weights, positive)
 
 
-def save_compound_profiles(path, classes) -> None:
-    payload = [
-        {
-            "name": c.name,
-            "emo1": c.emo1,
-            "emo2": c.emo2,
-            "aus": {str(au): w for au, w in sorted(c.au_profile.items())},
-            "positive_valence": c.requires_positive_valence,
-        }
-        for c in classes
-    ]
+def save_compound_profiles(path, profiles: CompoundProfiles) -> None:
+    rows = zip(profiles.names, profiles.pairs.tolist(), profiles.weights.tolist(),
+               profiles.positive.tolist())
+    payload = [{"name": name, "emo1": e1, "emo2": e2, "positive_valence": positive,
+                "aus": {str(au): w for au, w in zip(CANONICAL_AUS, ws) if w}}
+               for name, (e1, e2), ws, positive in rows]
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def load_compound_profiles(path) -> list[CompoundClass]:
+def load_compound_profiles(path) -> CompoundProfiles:
     """Read a profile file as written by :func:`save_compound_profiles`."""
     return read_json(path, "compound profiles", DataError, _profiles)
 
 
-def _profiles(payload) -> list[CompoundClass]:
+def _profiles(payload) -> CompoundProfiles:
     """The classes of a profile file's JSON list, each name once."""
-    if not exact_type(payload, list, "the payload", DataError):
-        raise DataError("no compound profiles")
-    classes = [_profile_from_dict(d, f"entry {i}") for i, d in enumerate(payload)]
-    names = [c.name for c in classes]
-    if len(set(names)) < len(names):
-        raise DataError(f"class name {max(names, key=names.count)!r} is listed more than once")
-    return classes
-
-
-def _profile_from_dict(d, where: str) -> CompoundClass:
-    exact_keys(d, ("name", "emo1", "emo2", "aus"), ("positive_valence",), where, DataError)
-    exact_keys(d["aus"], (), _AU_KEYS, f"{where}: aus", DataError)
-    profile = {_AU_KEYS[au]: w for au, w in d["aus"].items()}
-    return CompoundClass(d["name"], d["emo1"], d["emo2"], profile,
-                         d.get("positive_valence", False))
+    exact_type(payload, list, "the payload", DataError)
+    weights = np.zeros((len(payload), NUM_AUS))
+    for i, d in enumerate(payload):
+        where = f"entry {i}"
+        exact_keys(d, ("name", "emo1", "emo2", "aus"), ("positive_valence",), where, DataError)
+        for key, kind in (("emo1", int), ("emo2", int), ("positive_valence", bool)):
+            exact_type(d.get(key, False), kind, f"{where}: {key}", DataError)
+        for au, w in exact_keys(d["aus"], (), _AU_KEYS, f"{where}: aus", DataError).items():
+            if not 0.0 < exact_type(w, (int, float), f"{where}: AU{au} weight", DataError) <= 1.0:
+                raise DataError(f"{where}: AU{au} weight {w!r} outside (0, 1]")
+            weights[i, _AU_KEYS[au]] = w
+    return CompoundProfiles([d["name"] for d in payload], [[d["emo1"], d["emo2"]] for d in payload],
+                            weights, [d.get("positive_valence", False) for d in payload])

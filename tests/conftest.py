@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from affectmtl import CANONICAL_AUS, EMOTIONS
+from affectmtl import EMOTIONS
 from affectmtl.csvio import AU_COLUMNS
 from affectmtl.labels import SampleSet
 from affectmtl.relatedness import NUM_AUS
 from affectmtl.model import DEFAULT_HEADS
 from affectmtl.synthdata import VA_MEANS
-
-AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 
 
 def _one_row(id="s0", features=(0.0, 0.0, 0.0, 0.0), va=None, expr=None, au=None,
@@ -38,19 +36,20 @@ def one_row():
     return _one_row
 
 
-def _reference_compound_scores(out, classes):
-    """Per-row, per-class loop over the compound score terms.
+def _reference_compound_scores(out, profiles):
+    """Per-row, per-class loop over the compound score terms of ``CompoundProfiles``.
 
     Returns an (n, C, 4) array holding i_au, f_emo, d_va and total.
     """
-    ref = np.zeros((len(out["au"]), len(classes), 4))
+    ref = np.zeros((len(out["au"]), len(profiles.names), 4))
     for i in range(len(out["au"])):
-        for k, c in enumerate(classes):
-            w = np.array(list(c.au_profile.values()))
-            idx = [AU_IDX[au] for au in c.au_profile]
+        for k in range(len(profiles.names)):
+            idx = np.flatnonzero(profiles.weights[k])
+            w = profiles.weights[k, idx]
             i_au = w @ out["au"][i, idx] / w.sum()
-            f_emo = out["expr"][i, c.emo1] + out["expr"][i, c.emo2]
-            d_va = 1.0 if c.requires_positive_valence and out["va"][i, 0] > 0 else 0.0
+            emo1, emo2 = profiles.pairs[k]
+            f_emo = out["expr"][i, emo1] + out["expr"][i, emo2]
+            d_va = 1.0 if profiles.positive[k] and out["va"][i, 0] > 0 else 0.0
             ref[i, k] = i_au, f_emo, d_va, i_au + f_emo + d_va
     return ref
 

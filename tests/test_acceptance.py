@@ -209,10 +209,10 @@ def test_criterion_8_zero_shot_mechanics(reference_compound_scores):
     ok = ok and np.array_equal(s.total, s.i_au + s.f_emo + s.d_va)
     terms = np.stack([s.i_au, s.f_emo, s.d_va, s.total], axis=2)
     ok = ok and np.abs(terms - reference_compound_scores(out, classes)).max() <= 1e-12
-    flagged = next(c for c in classes if c.requires_positive_valence)
+    flagged = int(np.flatnonzero(classes.positive)[0])
     va = np.array([[-1e-9, 0.0], [0.0, 0.0], [1e-9, 0.0]])
     flat = {"va": va, "expr": np.full((3, 7), 1 / 7), "au": np.full((3, 17), 0.5)}
-    ok = ok and compound_scores(flat, [flagged]).d_va[:, 0].tolist() == [0.0, 0.0, 1.0]
+    ok = ok and compound_scores(flat, classes).d_va[:, flagged].tolist() == [0.0, 0.0, 1.0]
     verdict(8, "compound score ranges and valence-sign flip at zero", ok)
 
 

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -14,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectmtl import AU_LABELS, EMOTIONS
-from affectmtl import domain_table, save_compound_profiles, default_compound_classes
+from affectmtl import CompoundProfiles, domain_table, save_compound_profiles
+from affectmtl import default_compound_classes
 from affectmtl import cli
 from affectmtl.cli import main
 from affectmtl.zeroshot import CompoundScores
@@ -459,7 +459,7 @@ def test_zero_shot_accuracy_lines_up_truth_by_row(workspace, tmp_path):
     assert _zero_shot(workspace, profiles, tmp_path / "one.csv", tmp_path / "probe") == 0
     with open(tmp_path / "probe" / "compound_scores.csv") as f:
         picked = next(r["class"] for r in csv.DictReader(f) if r["predicted"] == "1")
-    other = next(c.name for c in default_compound_classes(TABLE) if c.name != picked)
+    other = next(name for name in default_compound_classes(TABLE).names if name != picked)
     data = tmp_path / "twice.csv"
     data.write_text(f"{header},compound\n{row},{picked}\n{row},{other}\n")
     assert _zero_shot(workspace, profiles, data, tmp_path / "zs") == 0
@@ -476,7 +476,7 @@ def test_zero_shot_compound_truth_after_a_multi_line_cell(workspace, tmp_path):
     assert _zero_shot(workspace, profiles, tmp_path / "probe.csv", tmp_path / "probe") == 0
     with open(tmp_path / "probe" / "compound_scores.csv", newline="") as f:
         picked = [r["class"] for r in csv.DictReader(f) if r["predicted"] == "1"]
-    other = next(c.name for c in default_compound_classes(TABLE) if c.name != picked[2])
+    other = next(name for name in default_compound_classes(TABLE).names if name != picked[2])
     truth = [picked[0], picked[1], other]
     note = '"two\nlines, one ""quoted"""'
     data = tmp_path / "noted.csv"
@@ -496,8 +496,9 @@ def test_zero_shot_scores_csv_matches_row_by_row_writer(
     for any ids and distinct class names, and for data CSVs in either feature form."""
     text, floats = csv_cells
     ids = data.draw(st.lists(text, min_size=1, max_size=6), label="ids")
-    # a profile file names each class once
-    names = data.draw(st.lists(text, min_size=1, max_size=4, unique=True), label="class names")
+    # a profile file names each class once, and no class ""
+    names = data.draw(st.lists(text.filter(bool), min_size=1, max_size=4, unique=True),
+                      label="class names")
     n, k = len(ids), len(names)
 
     def matrix(values):
@@ -506,7 +507,8 @@ def test_zero_shot_scores_csv_matches_row_by_row_writer(
     total = matrix(floats)
     scores = CompoundScores(matrix(floats), matrix(floats), matrix(st.sampled_from([0.0, 1.0])),
                             total, total.argmax(axis=1))
-    classes = [replace(c, name=name) for c, name in zip(default_compound_classes(TABLE), names)]
+    default = default_compound_classes(TABLE)
+    classes = CompoundProfiles(names, default.pairs[:k], default.weights[:k], default.positive[:k])
     features = np.random.default_rng(0).normal(size=(n, 10))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -530,6 +532,7 @@ def test_zero_shot_scores_csv_matches_row_by_row_writer(
     ("emo1", -1), ("emo2", 7), ("positive_valence", "false"), ("aus", {"12": "x"}),
     ("aus", {"twelve": 1.0}), ("aus", [12]), ("aus", {"\u0661\u0662": 1.0}), ("aus", {"012": 1.0}),
     ("name", "happily_disgusted"),  # the name of the second class too
+    ("name", ""),  # an empty compound cell is "no truth", so this class could never be scored
 ])
 def test_zero_shot_malformed_profile_exit_code(workspace, tmp_path, capsys, key, value):
     profiles = tmp_path / "profiles.json"

@@ -642,6 +642,17 @@ def test_csv_malformed_file_with_an_older_sibling_names_the_line(cached_csv):
     assert sibling.read_bytes() == blob
 
 
+def test_sibling_key_names_the_encoding_by_its_codec(monkeypatch):
+    """A Python in UTF-8 mode spells the locale's encoding "utf-8", and its child
+    without that mode "UTF-8": both spellings give one key, another encoding another."""
+    keys = {}
+    for spelling in ("UTF-8", "utf-8", "utf8", "latin-1"):
+        monkeypatch.setattr(csvio.locale, "getpreferredencoding",
+                            lambda do_setlocale=True, spelling=spelling: spelling)
+        keys[spelling] = csvio._parse_key(b"id,f0,expr\ns0,1.5,3\n")
+    assert keys["UTF-8"] == keys["utf-8"] == keys["utf8"] != keys["latin-1"]
+
+
 # Reads the CSVs argv[2:] with the package copy in argv[1]; prints how often it parsed.
 _READ_WITH_COPY = """import sys
 sys.path.insert(0, sys.argv[1])
