@@ -16,11 +16,11 @@ import numpy as np
 
 from . import csvio
 from . import relatedness as rel
-from .errors import AffectMTLError, DataError
+from .errors import AffectMTLError, ConfigError, DataError
 from .model import MultiHeadModel
 from .synthdata import GeneratorSpec, draw, partition_cuts, split
 from .training import (
-    SET_NAMES, ExperimentConfig, empirical_table, run_eval, run_gradcheck, run_train, _versions,
+    SET_NAMES, ExperimentConfig, run_eval, run_gradcheck, run_train, _versions,
 )
 from .zeroshot import compound_scores, load_compound_profiles
 
@@ -73,7 +73,13 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_infer_relatedness(args) -> int:
-    table = empirical_table(args.corpus, args.threshold)
+    if not 0.0 <= args.threshold <= 1.0:  # NaN fails too; before the corpus is read
+        raise ConfigError(f"relatedness threshold must be in [0, 1], got {args.threshold}")
+    data = csvio.read_samples_csv(args.corpus)
+    try:  # a row without an expression or without AU labels adds no count
+        table = rel.infer_empirical(data.expr, data.au, args.threshold)
+    except DataError as e:
+        raise DataError(f"corpus {args.corpus}: {e}") from e
     table.save(args.out)
     print(f"inferred empirical table over {len(rel.EMOTIONS)} classes -> {args.out}")
     return 0
@@ -202,9 +208,9 @@ def main(argv=None) -> int:
         return 1 if e.code else 0
     try:
         return args.func(args)
-    except AffectMTLError as e:
+    except (AffectMTLError, OSError) as e:  # OSError: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)
-        return e.exit_code
+        return e.exit_code if isinstance(e, AffectMTLError) else 1  # a failed read is a DataError
 
 
 if __name__ == "__main__":

@@ -542,8 +542,10 @@ class _Layout:
     def _matrix(self, name: str) -> np.ndarray:
         if name not in self.npy:
             m = np.load(self.path.parent / name)  # an .npz loads as an NpzFile
-            if not isinstance(m, np.ndarray) or m.ndim != 2 or not len(m):
+            if not isinstance(m, np.ndarray) or m.ndim != 2 or not len(m) or not m.shape[1]:
                 raise ValueError(f"{name!r} holds no 2-D feature matrix")
+            if m.dtype.kind not in "fiu":  # astype would drop an imaginary part, read text...
+                raise ValueError(f"{name!r} holds {m.dtype} values, not real numbers")
             m = m.astype(float, copy=False)
             widths = {x.shape[1] for x in self.npy.values()}
             if widths and m.shape[1] not in widths:

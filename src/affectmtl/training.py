@@ -40,14 +40,9 @@ SECTION = {"tasks": "loss_weights", "couplings": "loss_weights", "hidden": "mode
            "lr": "optimizer", "momentum": "optimizer"}
 # The keys allowed in each setting that is itself a JSON object, and the type of each value
 OBJECT_KEYS = {"data": dict.fromkeys(SET_NAMES, str),
-               "relatedness": {"source": str, "path": str, "corpus": str, "threshold": float},
+               "relatedness": {"path": str},
                "tasks": dict.fromkeys(TASK_NAMES, float),
                "couplings": dict.fromkeys(COUPLING_NAMES, float)}
-# Each relatedness source, and the keys of the relatedness setting that it requires and
-# that it allows besides them and "source"
-RELATEDNESS_SOURCES = {"domain": ((), ()), "file": (("path",), ()),
-                       "empirical": (("corpus",), ("threshold",))}
-DEFAULT_SOURCE = "domain"  # the relatedness source of a config that names none
 
 
 def _typed(value, kind: type, where: str):
@@ -67,7 +62,7 @@ class ExperimentConfig:
     of the JSON config, placed by :data:`SECTION` and checked on construction."""
 
     data: dict = field(default_factory=dict)  # set name -> CSV path
-    relatedness: dict = field(default_factory=lambda: {"source": DEFAULT_SOURCE})
+    relatedness: dict = field(default_factory=dict)  # {"path": table file}; {}: the bundled table
     coupling: str = "none"
     tasks: dict = field(default_factory=dict)  # task name -> loss weight
     couplings: dict = field(default_factory=dict)  # coupling name -> loss weight
@@ -89,12 +84,6 @@ class ExperimentConfig:
                 d = exact_keys(getattr(self, f.name), (), shape, f"config.{where}", ConfigError)
                 for key, value in d.items():
                     _typed(value, shape[key], f"{where}.{key}")
-        source = self.relatedness.get("source", DEFAULT_SOURCE)
-        if source not in RELATEDNESS_SOURCES:
-            raise ConfigError(f"unknown relatedness source {source!r}")
-        required, allowed = RELATEDNESS_SOURCES[source]
-        exact_keys(self.relatedness, required, ("source", *allowed),
-                   f"config.relatedness with source {source!r}", ConfigError)
         if self.coupling not in COUPLING_MODES:
             raise ConfigError(f"invalid coupling mode {self.coupling!r}")
         if not self.data:
@@ -103,7 +92,6 @@ class ExperimentConfig:
             raise ConfigError("holdout_fraction must be in [0, 1)")
         if self.epochs < 1 or self.max_batch < 1:
             raise ConfigError("epochs and max_batch must be >= 1")
-        _check_threshold(float(self.relatedness.get("threshold", rel.EMPIRICAL_THRESHOLD)))
         if not all(exact_type(h, int, "model.hidden", ConfigError) > 0 for h in self.hidden):
             raise ConfigError(f"model.hidden must list positive ints, got {self.hidden}")
         if self.seed < 0:
@@ -147,30 +135,9 @@ class ExperimentConfig:
 
 
 def load_relatedness(config: ExperimentConfig) -> rel.RelatednessTable:
-    """The relatedness table of ``config``, whose source and keys its construction checked."""
-    r = config.relatedness
-    src = r.get("source", DEFAULT_SOURCE)
-    if src == "file":
-        return rel.RelatednessTable.load(r["path"])
-    if src == "empirical":
-        return empirical_table(r["corpus"], float(r.get("threshold", rel.EMPIRICAL_THRESHOLD)))
-    return rel.domain_table()
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:  # NaN fails too
-        raise ConfigError(f"relatedness threshold must be in [0, 1], got {threshold}")
-
-
-def empirical_table(corpus_path, threshold: float) -> rel.RelatednessTable:
-    """Infer a relatedness table from the rows of an annotation CSV that carry
-    both an expression and AU labels; the threshold is checked before the read."""
-    _check_threshold(threshold)
-    data = csvio.read_samples_csv(corpus_path)
-    rows = np.intersect1d(data.expr_rows, data.au_rows)
-    if not rows.size:
-        raise DataError(f"corpus {corpus_path} has no co-annotated samples")
-    return rel.infer_empirical(data.expr[rows], data.au[rows], threshold)
+    """The table file of ``config``, or the bundled domain table when it names none."""
+    path = config.relatedness.get("path")
+    return rel.domain_table() if path is None else rel.RelatednessTable.load(path)
 
 
 # -- joint objective -----------------------------------------------------

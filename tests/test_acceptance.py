@@ -303,7 +303,7 @@ def _held_out_au_and_expr_f1(root, coupling, seed, table=None):
         "out_dir": str(root / f"run_{coupling}_{seed}_{table is None}"),
     }
     if table is not None:
-        d["relatedness"] = {"source": "file", "path": str(table)}
+        d["relatedness"] = {"path": str(table)}
     final = run_train(ExperimentConfig.from_dict(d))["final_metrics"]
     return final["au"]["mean_f1"], final["expr"]["macro_f1"]
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from affectmtl import AU_LABELS, EMOTIONS
 from affectmtl import CompoundProfiles, domain_table, save_compound_profiles
-from affectmtl import default_compound_classes
+from affectmtl import default_compound_classes, infer_empirical
 from affectmtl import cli
 from affectmtl.cli import main
 from affectmtl.zeroshot import CompoundScores
@@ -133,7 +133,7 @@ def test_train_config_with_a_repeated_key_exit_code(workspace, tmp_path, capsys)
 @pytest.mark.parametrize("setting, message", [
     ({"epochs": True}, "epochs must be of type int, got True"),
     ({"epochz": 5}, "unknown key(s) 'epochz'"),
-    ({"relatedness": {"source": "file"}}, "missing key(s) 'path'"),
+    ({"relatedness": {"source": "file"}}, "unknown key(s) 'source'"),
 ])
 def test_train_config_error_names_the_config_file(workspace, tmp_path, capsys, setting, message):
     config = json.loads((workspace / "config.json").read_text())
@@ -263,12 +263,12 @@ def test_infer_relatedness_command(workspace, tmp_path):
     assert table["kind"] == "empirical"
 
 
-def test_infer_relatedness_without_coannotation(workspace, tmp_path):
-    # the VA-only set has no (expr, au) pairs: a data error, as in train
-    assert main([
-        "infer-relatedness", "--corpus", str(workspace / "data" / "va.csv"),
-        "--out", str(tmp_path / "x.json"),
-    ]) == 2
+def test_infer_relatedness_without_coannotation(workspace, tmp_path, capsys):
+    # the VA-only set has no (expr, au) pairs: a data error that names the corpus
+    corpus = workspace / "data" / "va.csv"
+    assert main(["infer-relatedness", "--corpus", str(corpus),
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: corpus {corpus}: ")
 
 
 @pytest.mark.parametrize("name", ["f²", "f01", "f١"])
@@ -293,26 +293,48 @@ def test_relatedness_threshold_outside_0_1_exit_code(workspace, tmp_path, capsys
                  "--out", str(tmp_path / "t.json")]) == 1
     assert "threshold must be in [0, 1]" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
+    # a config infers no table: a threshold there is a key of earlier versions
     config = json.loads((workspace / "config.json").read_text())
-    config["relatedness"] = {"source": "empirical", "corpus": missing,
-                             "threshold": json.loads(threshold)}
+    config["relatedness"] = {"threshold": json.loads(threshold)}
     (tmp_path / "c.json").write_text(json.dumps(config))  # NaN and Infinity as written
     assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 1
-    assert "threshold must be in [0, 1]" in capsys.readouterr().err
+    assert "unknown key(s) 'threshold'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("corpus, code", [("full.csv", 0), ("va.csv", 2)])
-def test_train_empirical_relatedness_matches_infer_relatedness(workspace, tmp_path, corpus, code):
-    corpus = workspace / "data" / corpus
+@pytest.mark.parametrize("corpus, code", [("full.csv", 0), ("mixed.csv", 0), ("va.csv", 2)])
+def test_infer_relatedness_counts_the_co_annotated_rows_alone(workspace, tmp_path, corpus, code):
+    """``infer-relatedness`` writes the bytes of ``infer_empirical`` over the rows
+    that carry both an expression and AU labels, among rows that carry one or
+    neither; a run that names the file trains on those bytes."""
+    data = workspace / "data"
+    if corpus == "mixed.csv":  # full.csv's rows shuffled in among single-label rows
+        header, *rows = (data / "full.csv").read_text().splitlines()
+        for name in ("va", "au", "expr"):
+            lines = (data / f"{name}.csv").read_text().splitlines()
+            assert lines[0] == header
+            rows += lines[1:]
+        order = np.random.default_rng(0).permutation(len(rows))
+        (tmp_path / corpus).write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+        corpus = tmp_path / corpus
+    else:
+        corpus = data / corpus
     inferred = tmp_path / "inferred.json"
     assert main(["infer-relatedness", "--corpus", str(corpus), "--out", str(inferred)]) == code
+    if code:
+        assert not inferred.exists()
+        return
+    samples = read_samples_csv(corpus)
+    both = np.intersect1d(samples.expr_rows, samples.au_rows)
+    full = corpus.name == "full.csv"  # every row co-annotated; mixed.csv mixes the kinds
+    assert len(both) == len(samples) if full else 0 < len(both) < len(samples)
+    infer_empirical(samples.expr[both], samples.au[both]).save(tmp_path / "reference.json")
+    assert inferred.read_bytes() == (tmp_path / "reference.json").read_bytes()
     config = json.loads((workspace / "config.json").read_text())
-    config["relatedness"] = {"source": "empirical", "corpus": str(corpus)}
+    config["relatedness"] = {"path": str(inferred)}
     (tmp_path / "c.json").write_text(json.dumps(config))
-    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == code
-    if code == 0:
-        assert (tmp_path / "run" / "relatedness.json").read_text() == inferred.read_text()
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "relatedness.json").read_bytes() == inferred.read_bytes()
 
 
 def test_train_table_in_another_class_order_exit_code(workspace, tmp_path, capsys):
@@ -322,7 +344,7 @@ def test_train_table_in_another_class_order_exit_code(workspace, tmp_path, capsy
     d["classes"] = d["classes"][::-1]
     (tmp_path / "reversed.json").write_text(json.dumps(d))
     config = json.loads((workspace / "config.json").read_text())
-    config["relatedness"] = {"source": "file", "path": str(tmp_path / "reversed.json")}
+    config["relatedness"] = {"path": str(tmp_path / "reversed.json")}
     (tmp_path / "c.json").write_text(json.dumps(config))
     assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 2
     assert "in that order" in capsys.readouterr().err
@@ -351,7 +373,7 @@ def test_train_on_an_old_table_file_form_exit_code(workspace, tmp_path, capsys, 
     table = tmp_path / "old.json"
     table.write_text(json.dumps(_old_table_forms()[form]))
     config = json.loads((workspace / "config.json").read_text())
-    config["relatedness"] = {"source": "file", "path": str(table)}
+    config["relatedness"] = {"path": str(table)}
     (tmp_path / "c.json").write_text(json.dumps(config))
     assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 2
     assert f"error: relatedness table {table}: " in capsys.readouterr().err
@@ -558,7 +580,7 @@ def test_unreadable_json_input_exit_code(workspace, tmp_path, capsys, what, code
     args = ["train", "--config", str(bad)]
     if what == "relatedness table":
         config = json.loads((workspace / "config.json").read_text())
-        config["relatedness"] = {"source": "file", "path": str(bad)}
+        config["relatedness"] = {"path": str(bad)}
         (tmp_path / "config.json").write_text(json.dumps(config))
         args = ["train", "--config", str(tmp_path / "config.json")]
     elif what == "compound profiles":
@@ -675,12 +697,14 @@ def test_train_bad_loss_weights_exit_code(workspace, tmp_path, loss_weights):
     ({"reweight_observational": True}, "reweight_observational"),
     ({"median_filter_window": 5}, "median_filter_window"),
     ({"loss_weights": {"epsilon": 1e-7}}, "epsilon"),
-    ({"relatedness": {"path": "empirical.json"}}, "path"),  # no source: the bundled table
+    ({"relatedness": {"source": "file", "path": "empirical.json"}}, "source"),
+    ({"relatedness": {"corpus": "full.csv"}}, "corpus"),
 ])
 def test_train_setting_that_nothing_reads_exit_code(workspace, tmp_path, capsys, setting, key):
     """A setting that the run would not read is refused, naming its key: the
-    median window, epsilon and observational reweighting, which are fixed, and a
-    relatedness key that its source does not read."""
+    median window, epsilon and observational reweighting, which are fixed, and
+    the relatedness source and corpus of earlier versions (a table file is
+    named by ``path`` alone, and ``infer-relatedness`` infers a table)."""
     config = {**json.loads((workspace / "config.json").read_text()), **setting}
     (tmp_path / "c.json").write_text(json.dumps(config))
     assert main(["train", "--config", str(tmp_path / "c.json"),
@@ -842,7 +866,7 @@ def test_eval_mutated_checkpoint_exit_code(workspace, data):
 CONFIG_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-2.0, 30.0)
     | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e-7, 2.7, 20.9, 2.0, "none",
-                       "soft_plus_dm", "domain", "file", "empirical"])
+                       "soft_plus_dm", "path", "table.json"])
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3) | st.sampled_from(["va", "expr", "au", "dm", "sca"]),
@@ -888,10 +912,11 @@ def test_train_mutated_config_exit_code(workspace, tmp_path_factory, data):
         for name in ("va", "au", "expr", "full"):
             lines = (workspace / "data" / f"{name}.csv").read_text().splitlines()[:41]
             (small / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        assert main(["infer-relatedness", "--corpus", str(small / "full.csv"),
+                     "--out", str(small / "table.json")]) == 0
     config = {
         "data": {name: str(small / f"{name}.csv") for name in ("va", "au", "expr")},
-        "relatedness": {"source": "empirical", "corpus": str(small / "full.csv"),
-                        "threshold": 0.1},
+        "relatedness": {"path": str(small / "table.json")},
         "coupling": "soft_plus_dm",
         "loss_weights": {"tasks": {"expr": 1.0, "au": 1.0, "va": 1.0},
                          "couplings": {"sca": 1.0, "dm": 1.0}},
@@ -979,7 +1004,9 @@ def test_eval_malformed_csv_cell_exit_code(workspace, tmp_path, capsys, cells):
     "ref",
     ["missing.npy:0", "empty.npy:0", "feats.npy:7", "feats.npy:-1", "feats.npy:x", "feats.npy",
      "wide.npy:0", "feats.npz:0", "inf.npy:1", "feats.npy:0_1", "feats.npy: 1",
-     "feats.npy:\u0661", "feats.npy:+1"],
+     "feats.npy:\u0661", "feats.npy:+1",
+     # a matrix that is not of real numbers, which astype(float) would read anyway
+     "complex.npy:0", "bool.npy:0", "text.npy:0", "date.npy:0", "struct.npy:0"],
 )
 def test_eval_bad_feature_file_reference_exit_code(workspace, tmp_path, capsys, ref):
     np.save(tmp_path / "feats.npy", np.zeros((2, 10)))
@@ -987,10 +1014,67 @@ def test_eval_bad_feature_file_reference_exit_code(workspace, tmp_path, capsys, 
     np.save(tmp_path / "wide.npy", np.zeros((2, 11)))
     np.savez(tmp_path / "feats.npz", x=np.zeros((2, 10)))
     (tmp_path / "empty.npy").write_bytes(b"")
+    np.save(tmp_path / "complex.npy", np.full((2, 10), 1 + 2j))
+    np.save(tmp_path / "bool.npy", np.ones((2, 10), dtype=bool))
+    np.save(tmp_path / "text.npy", np.full((2, 10), "1"))
+    np.save(tmp_path / "date.npy", np.zeros((2, 10), dtype="datetime64[D]"))
+    np.save(tmp_path / "struct.npy", np.zeros((2, 10), dtype=[("x", float)]))
     data = tmp_path / "npy.csv"
     data.write_text(f"id,feature_file,expr\na,feats.npy:0,1\nb,{ref},2\n")
     assert _eval(workspace, data) == 2
-    assert f"{data}, line 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{data}, line 3" in err
+    if ref[:-2] in ("complex.npy", "bool.npy", "text.npy", "date.npy", "struct.npy"):
+        assert f"{ref[:-2]!r} holds " in err and "not real numbers" in err
+
+
+def test_eval_zero_width_feature_file_exit_code(workspace, tmp_path, capsys):
+    """A matrix with rows but no columns is no feature matrix, though every
+    row of the CSV names it, so no width differs."""
+    np.save(tmp_path / "zero.npy", np.zeros((40, 0)))
+    data = tmp_path / "npy.csv"
+    data.write_text("id,feature_file,expr\n" + "".join(f"r{i},zero.npy:{i},{i % 7}\n"
+                                                      for i in range(40)))
+    assert _eval(workspace, data) == 2
+    err = capsys.readouterr().err
+    assert f"{data}, line 2" in err and "'zero.npy' holds no 2-D feature matrix" in err
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
+def test_feature_file_of_real_numbers_reads_as_float64(tmp_path, dtype):
+    m = (np.arange(20).reshape(2, 10) / (10 if dtype is np.float32 else 1)).astype(dtype)
+    np.save(tmp_path / "m.npy", m)
+    data = tmp_path / "npy.csv"
+    data.write_text("id,feature_file,expr\na,m.npy:1,1\nb,m.npy:0,2\n")
+    features = read_samples_csv(data).features
+    assert features.dtype == np.float64
+    assert np.array_equal(features, m[[1, 0]].astype(np.float64))
+
+
+@pytest.mark.parametrize("command", ["gen-data", "infer-relatedness", "train", "eval",
+                                     "zero-shot"])
+def test_unwritable_output_exit_code(workspace, tmp_path, capsys, command):
+    """An output path that cannot be written, under a directory that does not
+    exist or under a regular file, is a usage error with one line, not a traceback."""
+    (tmp_path / "afile").write_text("")
+    nodir, under_file = str(tmp_path / "nodir" / "o.json"), str(tmp_path / "afile" / "x")
+    data, profiles = workspace / "data", tmp_path / "profiles.json"
+    save_compound_profiles(profiles, default_compound_classes(TABLE))
+    args = {
+        "gen-data": ["gen-data", "--n", "30", "--out", under_file],
+        "infer-relatedness": ["infer-relatedness", "--corpus", str(data / "full.csv"),
+                              "--out", nodir],
+        "train": ["train", "--config", str(workspace / "config.json"), "--out", under_file],
+        "eval": ["eval", "--checkpoint", str(workspace / "run" / "model.bin"),
+                 "--data", str(data / "expr.csv"), "--out", nodir],
+        "zero-shot": ["zero-shot", "--checkpoint", str(workspace / "run" / "model.bin"),
+                      "--profiles", str(profiles),
+                      "--data", str(data / "expr.csv"), "--out", under_file],
+    }[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "nodir").exists()
 
 
 @st.composite

@@ -24,6 +24,7 @@ from affectmtl.labels import indicator_scores, soft_label
 from affectmtl.losses import ccc_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
 from affectmtl.relatedness import NUM_AUS
 from affectmtl import training
+from affectmtl.cli import main
 from affectmtl.scheduler import plan_epoch
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import (
@@ -183,20 +184,24 @@ def test_run_eval_with_and_without_sequence_keys(tmp_path):
 
 
 def test_empirical_relatedness_source(tmp_path):
+    """A run trains on the table that ``infer-relatedness`` wrote, named by its path."""
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=3)
     corpus_csv = tmp_path / "corpus.csv"
     write_samples_csv(corpus_csv, draw(spec, 400))
     va_set, au_set, expr_set = split(draw(spec, 120))
     for name, group in [("va", va_set), ("au", au_set), ("expr", expr_set)]:
         write_samples_csv(tmp_path / f"{name}.csv", group)
+    assert main(["infer-relatedness", "--corpus", str(corpus_csv), "--threshold", "0.1",
+                 "--out", str(tmp_path / "empirical.json")]) == 0
     config = make_config(
         tmp_path, tmp_path / "run", epochs=1,
-        relatedness={"source": "empirical", "corpus": str(corpus_csv), "threshold": 0.1},
+        relatedness={"path": str(tmp_path / "empirical.json")},
         coupling="distr_matching",
     )
     manifest = run_train(config)
-    saved = json.loads((tmp_path / "run" / "relatedness.json").read_text())
-    assert saved["kind"] == "empirical"
+    saved = (tmp_path / "run" / "relatedness.json").read_text()
+    assert saved == (tmp_path / "empirical.json").read_text()
+    assert json.loads(saved)["kind"] == "empirical"
     assert manifest["steps"] > 0
 
 
@@ -369,7 +374,7 @@ def test_table_head_mismatch_is_a_data_error(dataset_dir, tmp_path):
     }))
     config = make_config(
         dataset_dir, tmp_path / "run", epochs=1, coupling="distr_matching",
-        relatedness={"source": "file", "path": str(tmp_path / "six.json")},
+        relatedness={"path": str(tmp_path / "six.json")},
     )
     with pytest.raises(DataError, match=f"{tmp_path / 'six.json'}: classes .* in that order"):
         run_train(config)
@@ -384,9 +389,11 @@ def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
     write_samples_csv(tmp_path / "corpus.csv", corpus)
     for name, group in zip(("va", "au", "expr"), split(draw(spec, 120))):
         write_samples_csv(tmp_path / f"{name}.csv", group)
+    assert main(["infer-relatedness", "--corpus", str(tmp_path / "corpus.csv"),
+                 "--out", str(tmp_path / "empirical.json")]) == 0
     config = make_config(
         tmp_path, tmp_path / "run", epochs=1, coupling="soft_plus_dm",
-        relatedness={"source": "empirical", "corpus": str(tmp_path / "corpus.csv")},
+        relatedness={"path": str(tmp_path / "empirical.json")},
     )
     manifest = run_train(config)
     table = RelatednessTable.load(tmp_path / "run" / "relatedness.json")
@@ -396,24 +403,25 @@ def test_empirical_table_keeps_a_class_missing_from_the_corpus(tmp_path):
 
 
 @pytest.mark.parametrize("relatedness, error", [
+    # the keys of earlier versions: a source, its corpus and threshold
     ({"source": "file"}, ConfigError),
-    ({"source": "file", "path": "broken.json"}, DataError),
+    ({"path": "broken.json"}, DataError),
     ({"source": "fiel", "path": "broken.json"}, ConfigError),
     ({"source": "empirical", "path": "broken.json"}, ConfigError),
-    # a key that the source does not read
-    ({"path": "broken.json"}, ConfigError),
+    ({"corpus": "c.csv"}, ConfigError),
     ({"source": "domain", "corpus": "c.csv"}, ConfigError),
-    ({"source": "file", "path": "broken.json", "threshold": 0.2}, ConfigError),
+    ({"path": "broken.json", "threshold": 0.2}, ConfigError),
     ({"source": "empirical", "corpus": "c.csv", "path": "broken.json"}, ConfigError),
 ])
 def test_relatedness_file_errors_are_typed(dataset_dir, tmp_path, relatedness, error):
-    """A source that is unknown or lacks its key is refused where the config is
-    built; a file that is not a table, where the run reads it."""
+    """A relatedness key other than ``path`` is refused by name where the config
+    is built; a file that is not a table, where the run reads it."""
     (tmp_path / "broken.json").write_text("{not json")
     if "path" in relatedness:
         relatedness = {**relatedness, "path": str(tmp_path / relatedness["path"])}
     if error is ConfigError:
-        with pytest.raises(ConfigError, match="relatedness"):
+        old = ", ".join(repr(key) for key in relatedness if key != "path")
+        with pytest.raises(ConfigError, match=f"config.relatedness: unknown key\\(s\\) {old}$"):
             make_config(dataset_dir, tmp_path / "run", relatedness=relatedness)
         return
     config = make_config(dataset_dir, tmp_path / "run", relatedness=relatedness)
@@ -441,7 +449,7 @@ def test_loss_weight_errors_are_config_errors(dataset_dir, tmp_path, loss_weight
     {"loss_weights": {"tasks": {"expresion": 0.0}}},
     {"loss_weights": {"couplings": {"dms": 0.5}}},
     {"loss_weights": {"eps": 1e-6}},
-    {"relatedness": {"source": "file", "file": "table.json"}},
+    {"relatedness": {"file": "table.json"}},
 ])
 def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides):
     with pytest.raises(ConfigError, match="config"):
@@ -458,12 +466,12 @@ def test_unknown_config_keys_are_config_errors(dataset_dir, tmp_path, overrides)
     {"optimizer": {"lr": float("nan")}},
     {"optimizer": {"momentum": 1.0}},
     {"data": {"va": 5}},
-    {"relatedness": {"source": "empirical", "corpus": None}},
-    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": "high"}},
-    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": 5}},
-    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": -1}},
-    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": float("nan")}},
-    {"relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": float("inf")}},
+    {"relatedness": {"path": None}},
+    {"relatedness": {"path": 5}},
+    {"relatedness": {"path": True}},
+    {"relatedness": {"path": ["t.json"]}},
+    {"relatedness": "t.json"},
+    {"relatedness": None},
     {"reweight_observational": "false"},
     {"epochs": 2.7},
     {"max_batch": 20.9},
@@ -498,8 +506,7 @@ def test_config_defaults_are_the_field_defaults(dataset_dir):
 
 
 def test_config_keys_round_trip(dataset_dir, tmp_path):
-    config = make_config(dataset_dir, tmp_path / "run", relatedness={
-        "source": "empirical", "corpus": "c.csv", "threshold": 0.2},
+    config = make_config(dataset_dir, tmp_path / "run", relatedness={"path": "t.json"},
         loss_weights={"tasks": {"expr": 0.5}, "couplings": {"dm": 2.0}})
     assert ExperimentConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ConfigError):
@@ -555,7 +562,7 @@ def test_config_hash_is_pinned():
     }
     every_key = {
         "data": {"va": "va.csv", "au": "au.csv", "expr": "expr.csv"},
-        "relatedness": {"source": "empirical", "corpus": "c.csv", "threshold": 0.2},
+        "relatedness": {"path": "t.json"},
         "coupling": "soft_plus_dm",
         "loss_weights": {"tasks": {"expr": 0.5, "au": 2, "va": 1.0},
                          "couplings": {"sca": 0.25, "dm": 2.0}},
@@ -564,9 +571,9 @@ def test_config_hash_is_pinned():
         "seed": 7, "out_dir": "o",
     }
     assert ExperimentConfig.from_dict(readme).config_hash() \
-        == "a429493e9da0f4abfb570f69685ea4144e14d19c7d556060932ce9505cc03a50"
+        == "6b126fbbd7b5dd89742fc4752b8c9c741c9531038ebb5de1a4b77e88dd314081"
     assert ExperimentConfig.from_dict(every_key).config_hash() \
-        == "fd0fcf6a31dd86b32c2ceb33738c317e09f3994fa1e735ac41ff9c1cac87f8a9"
+        == "70f962f59f9b386acf1375e4f65afbfdeb4962b4a16d34f5fd71b7762dd82a19"
     assert ExperimentConfig.from_dict(every_key).to_dict() == every_key
 
 
