@@ -29,7 +29,7 @@ from .relatedness import (
     domain_table,
     infer_empirical,
 )
-from .scheduler import EpochPlan, next_joint_batch, plan_epoch
+from .scheduler import plan_epoch
 from .training import ExperimentConfig, run_eval, run_gradcheck, run_train
 from .zeroshot import (
     CompoundProfiles,

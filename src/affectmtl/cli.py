@@ -20,16 +20,9 @@ from .errors import AffectMTLError, ConfigError, DataError
 from .model import MultiHeadModel
 from .synthdata import GeneratorSpec, draw, partition_cuts, split
 from .training import (
-    SET_NAMES, ExperimentConfig, run_eval, run_gradcheck, run_train, _versions,
+    SET_NAMES, ExperimentConfig, run_eval, run_gradcheck, run_train, write_manifest,
 )
 from .zeroshot import compound_scores, load_compound_profiles
-
-
-def _write_manifest(out_dir: Path, command: str, args: dict, extra: dict | None = None):
-    manifest = {"command": command, "args": args, "versions": _versions()}
-    if extra:
-        manifest.update(extra)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _cmd_gen_data(args) -> int:
@@ -61,13 +54,13 @@ def _cmd_gen_data(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, (data, features_text) in sets.items():
         csvio.write_samples_csv(out / f"{name}.csv", data, features_text)
-    _write_manifest(
-        out, "gen-data",
-        {"n": args.n, "feature_dim": args.feature_dim, "noise": args.noise,
-         "seed": args.seed, "partition": args.partition,
-         "frames_per_video": args.frames_per_video},
-        {"set_sizes": sizes},
-    )
+    write_manifest(out, {
+        "command": "gen-data",
+        "args": {"n": args.n, "feature_dim": args.feature_dim, "noise": args.noise,
+                 "seed": args.seed, "partition": args.partition,
+                 "frames_per_video": args.frames_per_video},
+        "set_sizes": sizes,
+    })
     print(f"wrote {'/'.join(map(str, sizes.values()))} va/au/expr samples to {out}")
     return 0
 
@@ -138,9 +131,9 @@ def _cmd_zero_shot(args) -> int:
         hits = (np.array(profiles.names, dtype=object)[scores.predicted] == data.compound)[truth]
         extra["compound_accuracy"] = int(hits.sum()) / len(hits)
         (out / "metrics.json").write_text(json.dumps(extra, indent=2, sort_keys=True))
-    _write_manifest(out, "zero-shot",
-                    {"checkpoint": args.checkpoint, "profiles": args.profiles,
-                     "data": args.data}, extra)
+    write_manifest(out, {"command": "zero-shot", **extra,
+                         "args": {"checkpoint": args.checkpoint, "profiles": args.profiles,
+                                  "data": args.data}})
     print(f"scored {len(data)} samples over {len(profiles.names)} compound classes -> {out}")
     return 0
 

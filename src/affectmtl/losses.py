@@ -20,16 +20,16 @@ CCC_EPS = 1e-8
 # -- concordance correlation --------------------------------------------
 
 
-def ccc(y, y_hat, eps: float = CCC_EPS) -> float:
+def ccc(y, y_hat) -> float:
     """Concordance correlation coefficient with population moments.
 
     2*cov(y, y_hat) / (var(y) + var(y_hat) + (mean(y) - mean(y_hat))^2), with
-    the denominator clamped below at ``eps`` so degenerate inputs stay finite.
+    the denominator clamped below at :data:`CCC_EPS` so degenerate inputs stay finite.
     """
-    return _ccc(np.asarray(y, float), np.asarray(y_hat, float), eps)[0]
+    return _ccc(np.asarray(y, float), np.asarray(y_hat, float))[0]
 
 
-def _ccc(y, yh, eps):
+def _ccc(y, yh):
     if y.shape != yh.shape or y.ndim != 1:
         raise DataError("ccc inputs must be 1-D sequences of equal length")
     n = y.size
@@ -37,17 +37,17 @@ def _ccc(y, yh, eps):
         raise DataError("ccc needs at least 2 points")
     my, mh = y.mean(), yh.mean()
     cov = ((y - my) * (yh - mh)).mean()
-    denom = max(y.var() + yh.var() + (my - mh) ** 2, eps)
+    denom = max(y.var() + yh.var() + (my - mh) ** 2, CCC_EPS)
     return 2.0 * cov / denom, (n, my, mh, cov, denom)
 
 
-def ccc_grad(y, y_hat, eps: float = CCC_EPS):
+def ccc_grad(y, y_hat):
     """CCC value and its gradient with respect to ``y_hat``."""
     y = np.asarray(y, float)
     yh = np.asarray(y_hat, float)
-    val, (n, my, mh, cov, denom) = _ccc(y, yh, eps)
+    val, (n, my, mh, cov, denom) = _ccc(y, yh)
     dcov = (y - my) / n
-    if denom <= eps:  # clamp active: denominator locally constant
+    if denom <= CCC_EPS:  # clamp active: denominator locally constant
         ddenom = np.zeros_like(yh)
     else:
         ddenom = (2.0 * (yh - mh) - 2.0 * (my - mh)) / n
@@ -55,15 +55,15 @@ def ccc_grad(y, y_hat, eps: float = CCC_EPS):
     return val, grad
 
 
-def ccc_loss_grad(y_va, y_hat_va, eps: float = CCC_EPS):
+def ccc_loss_grad(y_va, y_hat_va):
     """1 - mean of per-dimension CCC over a batch of (valence, arousal) pairs,
     and its gradient with respect to the predicted VA matrix."""
     y = np.asarray(y_va, float)
     yh = np.asarray(y_hat_va, float)
     if y.ndim != 2 or y.shape[1] != 2 or y.shape != yh.shape:
         raise DataError("ccc_loss_grad expects (n, 2) truth and prediction arrays")
-    cv, gv = ccc_grad(y[:, 0], yh[:, 0], eps)
-    ca, ga = ccc_grad(y[:, 1], yh[:, 1], eps)
+    cv, gv = ccc_grad(y[:, 0], yh[:, 0])
+    ca, ga = ccc_grad(y[:, 1], yh[:, 1])
     grad = np.stack([-gv / 2.0, -ga / 2.0], axis=1)
     return 1.0 - (cv + ca) / 2.0, grad
 
@@ -76,7 +76,7 @@ def _rows(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, float))
 
 
-def masked_bce_grad(p_au, y_au, weights=None, eps: float = DEFAULT_EPS):
+def masked_bce_grad(p_au, y_au, weights=None):
     """Binary cross entropy over annotated AUs, normalized by each row's mask
     weight, and its gradient. Targets are hard or soft, in [0, 1] (NaN: not annotated).
 
@@ -95,7 +95,7 @@ def masked_bce_grad(p_au, y_au, weights=None, eps: float = DEFAULT_EPS):
         w = mask.astype(float)
     else:
         w = np.where(mask, np.nan_to_num(_rows(weights), nan=0.0), 0.0)
-    pc = np.clip(p, eps, 1.0 - eps)
+    pc = np.clip(p, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
     ys = np.where(mask, y, 0.0)
     terms = ys * np.log(pc) + (1.0 - ys) * np.log(1.0 - pc)
     wsum = w.sum(axis=1, keepdims=True) * len(p)
@@ -104,7 +104,7 @@ def masked_bce_grad(p_au, y_au, weights=None, eps: float = DEFAULT_EPS):
     return val, grad.reshape(np.shape(p_au))
 
 
-def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
+def softmax_ce_grad(p, y):
     """Mean cross entropy of probability rows against hard labels, one class
     index per row, and its gradient."""
     P = _rows(p)
@@ -114,13 +114,13 @@ def softmax_ce_grad(p, y, eps: float = DEFAULT_EPS):
     if len(labels) != len(P) or np.any((labels < 0) | (labels >= P.shape[1])):
         raise DataError("softmax_ce_grad: need one label index in range per row")
     q = np.eye(P.shape[1])[labels]
-    pc = np.clip(P, eps, None)
+    pc = np.clip(P, DEFAULT_EPS, None)
     val = -float((q * np.log(pc)).sum() / len(P))
     grad = np.where(P == pc, -q / pc / len(P), 0.0)
     return val, grad.reshape(np.shape(p))
 
 
-def sca_loss_grad(p_emo, q_emo, eps: float = DEFAULT_EPS):
+def sca_loss_grad(p_emo, q_emo):
     """Soft co-annotation loss ``-Σ p log q / n`` of predictions ``p`` against soft labels ``q``.
     Linear in ``p``, it drives ``p`` toward the one-hot at ``argmax q``; gradient ``-log q / n``."""
     p = np.asarray(p_emo, float)
@@ -128,6 +128,6 @@ def sca_loss_grad(p_emo, q_emo, eps: float = DEFAULT_EPS):
     if p.shape != q.shape:
         raise DataError("sca_loss_grad: dimensionality mismatch")
     n = len(_rows(p))
-    logq = np.log(np.clip(q, eps, None))
+    logq = np.log(np.clip(q, DEFAULT_EPS, None))
     return -float((p * logq).sum() / n), -logq / n
 

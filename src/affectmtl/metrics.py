@@ -69,10 +69,10 @@ def classification_metrics(cm: ConfusionMatrix) -> dict:
     }
 
 
-def au_metrics(predictions, truth, threshold: float = 0.5) -> dict:
+def au_metrics(predictions, truth) -> dict:
     """Per-AU F1 and accuracy over annotated entries, plus their combined average.
 
-    ``predictions`` holds probabilities (thresholded here) or hard labels;
+    ``predictions`` holds probabilities (thresholded at 0.5 here) or hard labels;
     ``truth`` uses NaN for unannotated entries. AUs with no annotated entries
     are excluded from the means with a warning. ``afa`` = (mean F1 + mean acc)/2.
     """
@@ -80,7 +80,7 @@ def au_metrics(predictions, truth, threshold: float = 0.5) -> dict:
     t = np.atleast_2d(np.asarray(truth, dtype=float))
     if p.shape != t.shape:
         raise DataError("au_metrics: shape mismatch")
-    hard = p >= threshold
+    hard = p >= 0.5
     annotated = ~np.isnan(t)
     scored = annotated.any(axis=0)
     for j in np.flatnonzero(~scored):

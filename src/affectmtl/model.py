@@ -207,12 +207,9 @@ class MultiHeadModel:
 
 def _header_fields(spec, path):
     """(input_dim, hidden, seed) of a checkpoint header: sizes are positive ints, the seed
-    a non-negative int, and ``heads`` the one layout. Older files also hold
-    ``"trunk_frozen": false``; any other key or value is an error."""
+    a non-negative int, and ``heads`` the one layout; any other key or value is an error."""
     where, keys = f"checkpoint {path}", ("input_dim", "hidden", "heads", "seed")
-    exact_keys(spec, keys, ("trunk_frozen",), where, DataError)
-    if spec.get("trunk_frozen", False) is not False:
-        raise DataError(f"{where}: trunk_frozen must be false, got {spec['trunk_frozen']!r}")
+    exact_keys(spec, keys, (), where, DataError)
     input_dim, hidden, heads, seed = (spec[k] for k in keys)
     sizes = [input_dim, *exact_type(hidden, list, f"{where}: hidden", DataError)]
     if not all(exact_type(n, int, f"{where}: each size", DataError) > 0 for n in sizes):
@@ -246,13 +243,14 @@ class SGDMomentum:
             p -= self.lr * v
 
 
-def gradient_check(model, value_fn, grad_fn, n_per_layer=20, h=1e-5, rng=None):
+def gradient_check(model, value_fn, grad_fn, rng=None):
     """Max relative error between analytic and central finite-difference gradients.
 
     ``value_fn(model) -> float`` and ``grad_fn(model) -> {param name: array}``
-    must evaluate the same loss. Samples up to ``n_per_layer`` entries per
-    parameter tensor.
+    must evaluate the same loss. Samples up to 20 entries per parameter tensor and
+    steps each by ``h`` = 1e-5 both ways.
     """
+    h = 1e-5
     if not np.isfinite(value_fn(model)):
         raise NumericalError("non-finite loss in gradient check")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -260,9 +258,7 @@ def gradient_check(model, value_fn, grad_fn, n_per_layer=20, h=1e-5, rng=None):
     max_err = 0.0
     for name, p in model.named_params():
         flat = p.flat  # writes through to p, a view or not
-        k = min(n_per_layer, p.size)
-        idxs = rng.choice(p.size, size=k, replace=False)
-        for i in idxs:
+        for i in rng.choice(p.size, size=min(20, p.size), replace=False):
             orig = flat[i]
             flat[i] = orig + h
             up = value_fn(model)

@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_ty
 from .losses import ccc_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
 from .metrics import ConfusionMatrix, au_metrics, classification_metrics, va_metrics
 from .model import MultiHeadModel, SGDMomentum, gradient_check, median_filter
-from .scheduler import next_joint_batch, plan_epoch
+from .scheduler import plan_epoch
 
 COUPLING_MODES = ("none", "co_annotation", "soft_co_annotation", "distr_matching", "soft_plus_dm")
 SCA_MODES = ("soft_co_annotation", "soft_plus_dm")
@@ -182,8 +182,8 @@ def build_objective(sets: dict, table, mode: str, weights: dict) -> tuple[dict, 
 def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
     """Compute all loss terms on one joint batch.
 
-    ``batch`` maps set name to the rows of ``sets[name]`` in the batch, as
-    :func:`~affectmtl.scheduler.next_joint_batch` draws them. Returns the
+    ``batch`` maps set name to the rows of ``sets[name]`` in the batch, one
+    entry of :func:`~affectmtl.scheduler.plan_epoch`'s list. Returns the
     weighted total, each present term's value by name, and the parameter
     gradients of the total.
     """
@@ -260,21 +260,11 @@ def _holdout_split(data, fraction, seed):
     return data.take(np.flatnonzero(~held)), data.take(np.flatnonzero(held))
 
 
-def _validate_va_plan(plan, va):
-    """Refuse a plan with a VA batch of one row. The VA set's batches hold its
-    batch size of rows, then the rest of the set, if any, in one short batch."""
-    if 1 in (plan.batch_sizes[va], plan.set_sizes[va] % plan.batch_sizes[va]):
-        raise ConfigError(
-            "epoch plan produces a VA batch of size 1; CCC needs at least 2 "
-            "(adjust max_batch or the VA set size)"
-        )
-
-
 def run_train(config: ExperimentConfig) -> dict:
     """Train per the config; write checkpoint, loss CSV, and manifest. Returns the manifest.
 
     ``out_dir`` is made only once the table, the data, the objective and the
-    first epoch's plan are built, so a run that fails its set-up leaves no
+    first epoch's batches are built, so a run that fails its set-up leaves no
     directory behind."""
     table = load_relatedness(config)
 
@@ -294,10 +284,15 @@ def run_train(config: ExperimentConfig) -> dict:
     sets, objective = build_objective(sets, table, config.coupling, config.loss_weights)
     set_names = list(sets)
     sizes = [len(sets[n]) for n in set_names]
-    plan = plan_epoch(sizes, config.max_batch, seed=config.seed)
-    if "va" in set_names:  # the batch sizes depend on the set sizes and max_batch alone
-        _validate_va_plan(plan, set_names.index("va"))
-    plan_summaries = [plan.summary()]
+    batches = plan_epoch(sizes, config.max_batch, seed=config.seed)
+    # the batch sizes depend on the set sizes and max_batch alone: every epoch has these
+    if "va" in sets and any(len(rows[set_names.index("va")]) == 1 for rows in batches):
+        raise ConfigError(
+            "epoch plan produces a VA batch of size 1; CCC needs at least 2 "
+            "(adjust max_batch or the VA set size)"
+        )
+    plan = {"set_sizes": sizes, "batch_sizes": [len(rows) for rows in batches[0]],
+            "iteration_count": len(batches), "seed": config.seed}
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,9 +303,9 @@ def run_train(config: ExperimentConfig) -> dict:
         w.writerow(["step", "epoch", "iteration", *LOSS_NAMES, "total"])
         for epoch in range(config.epochs):
             if epoch:
-                plan = plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * epoch)
-            for it in range(plan.iteration_count):
-                batch = dict(zip(set_names, next_joint_batch(plan, it)))
+                batches = plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * epoch)
+            for it, rows in enumerate(batches):
+                batch = dict(zip(set_names, rows))
                 total, losses, grads = joint_loss_and_grads(model, sets, batch, objective)
                 opt.step(model, grads)
                 values = [losses.get(name, 0.0) for name in LOSS_NAMES] + [total]
@@ -323,27 +318,26 @@ def run_train(config: ExperimentConfig) -> dict:
 
     eval_set = lab.SampleSet.concat(list(heldout.values()))
     final_metrics = evaluate_model(model, eval_set) if len(eval_set) else {}
-    manifest = {
+    return write_manifest(out_dir, {
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "seed": config.seed,
-        "epoch_plans": plan_summaries,
+        "epoch_plans": [plan],
         "steps": step,
         "final_metrics": final_metrics,
-        "versions": _versions(),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return manifest
+    })
 
 
-def _versions() -> dict:
+def write_manifest(out_dir, fields: dict) -> dict:
+    """Write ``fields`` and the ``versions`` that made them to ``out_dir``/manifest.json,
+    as sorted, indented JSON. Returns the manifest."""
     from . import __version__
 
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "affectmtl": __version__,
-    }
+    versions = {"python": platform.python_version(), "numpy": np.__version__,
+                "affectmtl": __version__}
+    manifest = {**fields, "versions": versions}
+    (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return manifest
 
 
 # -- evaluation ----------------------------------------------------------
@@ -413,6 +407,8 @@ def run_gradcheck(
     """
     if not 0 < tolerance < math.inf:  # NaN fails too
         raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     from .synthdata import GeneratorSpec, draw, split
 
     table = rel.domain_table()

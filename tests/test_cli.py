@@ -667,13 +667,16 @@ def test_gradcheck_failure_exit_code(monkeypatch):
     assert main(["gradcheck"]) == 3
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
-def test_gradcheck_tolerance_that_checks_nothing_exit_code(monkeypatch, capsys, tolerance):
+@pytest.mark.parametrize("flags, message", [
+    *((["--tolerance", t], "tolerance must be finite and > 0") for t in ("nan", "inf", "0", "-1")),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),  # the message of train --seed -1
+], ids=["nan", "inf", "0", "-1", "--seed -1"])
+def test_gradcheck_tolerance_that_checks_nothing_exit_code(monkeypatch, capsys, flags, message):
     import affectmtl.training as training
 
     monkeypatch.setattr(training, "gradient_check", None)  # rejected before any work
-    assert main(["gradcheck", "--tolerance", tolerance]) == 1
-    assert "error: tolerance must be finite and > 0" in capsys.readouterr().err
+    assert main(["gradcheck", *flags]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_train_prints_the_output_directory(workspace, tmp_path, capsys):
@@ -748,7 +751,7 @@ def _join_checkpoint(header, params):
     ("heads", {"expr": ["softmax"]}), ("heads", {"expr": ["relu", 7]}), ("heads", []),
     ("heads", {"expr": ["softmax", 10**12]}), ("seed", -1), ("seed", 0.5),
     ("trunk_frozen", "no"), ("header", [1, 2]), "repeated_key", ("dropout", 0.5),
-    ("trunk_frozen", True),
+    ("trunk_frozen", True), ("trunk_frozen", False),
 ], ids=str)
 def test_eval_malformed_checkpoint_exit_code(workspace, tmp_path, capsys, damage):
     header, params = _split_checkpoint((workspace / "run" / "model.bin").read_bytes())

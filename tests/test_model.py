@@ -1,5 +1,4 @@
 import hashlib
-import json
 import warnings
 
 import numpy as np
@@ -227,27 +226,6 @@ def test_checkpoint_loads_bit_identical(tmp_path, build):
     grads = m.backward(cache, out)
     for name, g in loaded.backward(loaded_cache, loaded_out).items():
         assert g.tobytes() == grads[name].tobytes()
-
-
-def test_checkpoint_with_a_legacy_trunk_frozen_false_loads(tmp_path):
-    # older files hold "trunk_frozen": false in the header; save no longer writes it
-    m = MultiHeadModel(5, hidden=(8, 6), seed=27)
-    m.save(tmp_path / "model.bin")
-    blob = (tmp_path / "model.bin").read_bytes()
-    hlen = int.from_bytes(blob[:8], "little")
-    header = json.loads(blob[8 : 8 + hlen])
-    assert sorted(header) == ["heads", "hidden", "input_dim", "seed"]
-    raw = json.dumps({**header, "trunk_frozen": False}, sort_keys=True).encode()
-    (tmp_path / "legacy.bin").write_bytes(len(raw).to_bytes(8, "little") + raw + blob[8 + hlen :])
-    loaded = MultiHeadModel.load(tmp_path / "legacy.bin")
-    assert [k for k, _ in loaded.named_params()] == [k for k, _ in m.named_params()]
-    for (_, p), (_, q) in zip(m.named_params(), loaded.named_params()):
-        assert p.tobytes() == q.tobytes()
-    X = np.random.default_rng(28).normal(size=(7, 5))
-    out, _ = m.forward(X)
-    loaded_out, _ = loaded.forward(X)
-    for name in out:
-        assert out[name].tobytes() == loaded_out[name].tobytes()
 
 
 @pytest.mark.parametrize("build, heads", [
