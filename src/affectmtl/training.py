@@ -1,9 +1,9 @@
 """Experiment configuration, the joint training loop, and evaluation runs.
 
 The coupling mode is pure configuration: co-annotation rewrites labels before
-training, soft co-annotation precomputes soft emotion targets for AU-labeled
-samples, and distribution matching adds a prediction-alignment term each step.
-:func:`build_objective` does all of that once per run.
+training, soft co-annotation scores each step's AU-labelled rows against their
+soft emotion labels, and distribution matching adds a prediction-alignment term
+each step. :func:`build_objective` prepares a run's coupling once.
 """
 
 import csv
@@ -149,42 +149,40 @@ class Objective:
 
     ``weights`` maps each name of :data:`LOSS_NAMES` to its weight.
     ``dm_matrix`` is the (classes, AUs) relatedness mixing matrix when
-    distribution matching is on. ``sca_targets`` holds one soft emotion label
-    per row of the AU set when soft co-annotation is on. ``dm_targets``, set by
-    :func:`run_gradcheck` alone, holds the DM targets of its one batch fixed.
+    distribution matching is on. ``sca_matrix`` is the same matrix when soft
+    co-annotation is on: each step scores its AU-labelled rows' soft emotion
+    labels with it. ``dm_targets``, set by :func:`run_gradcheck` alone, holds
+    the DM targets of its one batch fixed.
     """
 
     weights: dict
     dm_matrix: np.ndarray | None = None
-    sca_targets: np.ndarray | None = None
+    sca_matrix: np.ndarray | None = None
     dm_targets: np.ndarray | None = None
 
 
-def build_objective(sets: dict, table, mode: str, weights: dict) -> tuple[dict, Objective]:
+def build_objective(sets, table, mode: str, weights: dict) -> tuple[tuple, Objective]:
     """Prepare a run's coupling: returns the label-rewritten sets and the objective.
 
-    ``sets`` maps set name to its training :class:`~affectmtl.labels.SampleSet`.
-    Co-annotation rewrites every set's labels; the soft modes compute every
-    AU-set row's SCA target; the DM modes keep the mixing matrix, the table's
-    ``weights``.
+    ``sets`` is a sequence of training sets, each a
+    :class:`~affectmtl.labels.SampleSet`, returned as a tuple in the same
+    order. Co-annotation rewrites every set's labels; the soft and the DM
+    modes keep the table's ``weights`` for SCA and for DM.
     """
     if mode == "co_annotation":
-        sets = {name: lab.co_annotate(data, table) for name, data in sets.items()}
-    if mode in ("none", "co_annotation"):
-        return sets, Objective(weights)
+        sets = [lab.co_annotate(data, table) for data in sets]
     r = table.weights
-    sca = None
-    if mode in SCA_MODES and "au" in sets:
-        sca = lab.soft_label(lab.indicator_scores(sets["au"].au, r))
-    return sets, Objective(weights, r if mode in DM_MODES else None, sca)
+    return tuple(sets), Objective(weights, r if mode in DM_MODES else None,
+                                  r if mode in SCA_MODES else None)
 
 
-def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
+def joint_loss_and_grads(model, sets, batch, objective: Objective):
     """Compute all loss terms on one joint batch.
 
-    ``batch`` maps set name to the rows of ``sets[name]`` in the batch, one
-    entry of :func:`~affectmtl.scheduler.plan_epoch`'s list. Returns the
-    weighted total, each present term's value by name, and the parameter
+    ``batch`` holds, for each set of ``sets`` in order, the rows of that set in
+    the batch: one entry of :func:`~affectmtl.scheduler.plan_epoch`'s list.
+    Each row's terms follow the labels it carries, whatever its set. Returns
+    the weighted total, each present term's value by name, and the parameter
     gradients of the total.
     """
     total, terms, out_grads, cache = _joint_loss(model, sets, batch, objective)
@@ -192,7 +190,7 @@ def joint_loss_and_grads(model, sets: dict, batch: dict, objective: Objective):
     return total, losses, model.backward(cache, out_grads)
 
 
-def joint_loss_value(model, sets: dict, batch: dict, objective: Objective) -> float:
+def joint_loss_value(model, sets, batch, objective: Objective) -> float:
     """The weighted total of :func:`joint_loss_and_grads` alone, with no backward pass."""
     return _joint_loss(model, sets, batch, objective)[0]
 
@@ -206,7 +204,7 @@ def _joint_loss(model, sets, batch, objective: Objective):
     is the sum of weight * value, and each term adds weight * grad to its head's
     rows; each weight is read once.
     """
-    data = lab.SampleSet.concat([sets[name].take(rows) for name, rows in batch.items()])
+    data = lab.SampleSet.concat([d.take(rows) for d, rows in zip(sets, batch)])
     expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
     out, cache = model.forward(data.features)
     terms: dict = {}
@@ -220,16 +218,14 @@ def _joint_loss(model, sets, batch, objective: Objective):
             out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows])
         terms["au"] = value, "au", au_rows, grad
 
-    if va_rows.size >= 2:
+    if va_rows.size:
         value, grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
         terms["va"] = value, "va", va_rows, grad
 
-    if objective.sca_targets is not None and len(batch.get("au", ())):
-        names = list(batch)  # the AU set's rows follow those of the sets before it
-        start = sum(len(batch[name]) for name in names[: names.index("au")])
-        rows = np.arange(start, start + len(batch["au"]))
-        value, grad = sca_loss_grad(out["expr"][rows], objective.sca_targets[batch["au"]])
-        terms["sca"] = value, "expr", rows, grad
+    if objective.sca_matrix is not None and au_rows.size:
+        q = lab.soft_label(lab.indicator_scores(data.au[au_rows], objective.sca_matrix))
+        value, grad = sca_loss_grad(out["expr"][au_rows], q)
+        terms["sca"] = value, "expr", au_rows, grad
 
     r = objective.dm_matrix
     if r is not None:
@@ -263,18 +259,15 @@ def _holdout_split(data, fraction, seed):
 def run_train(config: ExperimentConfig) -> dict:
     """Train per the config; write checkpoint, loss CSV, and manifest. Returns the manifest.
 
-    ``out_dir`` is made only once the table, the data, the objective and the
-    first epoch's batches are built, so a run that fails its set-up leaves no
+    ``out_dir`` is made only once the table, the data, the objective and every
+    epoch's batches are built, so a run that fails its set-up leaves no
     directory behind."""
     table = load_relatedness(config)
 
-    sets, heldout = {}, {}
-    for si, name in enumerate(SET_NAMES):
-        if name in config.data:
-            sets[name], heldout[name] = _holdout_split(
-                csvio.read_samples_csv(config.data[name]), config.holdout_fraction,
-                config.seed + 7919 * si)
-    dims = {data.features.shape[1] for data in sets.values()}
+    sets, heldout = zip(*(_holdout_split(csvio.read_samples_csv(config.data[name]),
+                                         config.holdout_fraction, config.seed + 7919 * si)
+                          for si, name in enumerate(SET_NAMES) if name in config.data))
+    dims = {data.features.shape[1] for data in sets}
     if len(dims) != 1:
         raise DataError(f"inconsistent feature dimensions across sets: {sorted(dims)}")
     input_dim = dims.pop()
@@ -282,30 +275,29 @@ def run_train(config: ExperimentConfig) -> dict:
     model = MultiHeadModel(input_dim, hidden=config.hidden, seed=config.seed)
     opt = SGDMomentum(model, lr=config.lr, momentum=config.momentum)
     sets, objective = build_objective(sets, table, config.coupling, config.loss_weights)
-    set_names = list(sets)
-    sizes = [len(sets[n]) for n in set_names]
-    batches = plan_epoch(sizes, config.max_batch, seed=config.seed)
-    # the batch sizes depend on the set sizes and max_batch alone: every epoch has these
-    if "va" in sets and any(len(rows[set_names.index("va")]) == 1 for rows in batches):
+    sizes = [len(data) for data in sets]
+    plans = [plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * e)
+             for e in range(config.epochs)]
+    has_va = [~np.isnan(data.va[:, 0]) for data in sets]
+    if any(sum(np.count_nonzero(va[rows]) for va, rows in zip(has_va, batch)) == 1
+           for batches in plans for batch in batches):
         raise ConfigError(
             "epoch plan produces a VA batch of size 1; CCC needs at least 2 "
             "(adjust max_batch or the VA set size)"
         )
-    plan = {"set_sizes": sizes, "batch_sizes": [len(rows) for rows in batches[0]],
-            "iteration_count": len(batches), "seed": config.seed}
+    plan = {"set_sizes": sizes, "batch_sizes": [len(rows) for rows in plans[0][0]],
+            "iteration_count": len(plans[0]), "seed": config.seed}
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     loss_csv = out_dir / "losses.csv"
     step = 0
-    with open(loss_csv, "w", newline="") as f:
+    # a diverging run stops on its non-finite total alone, with no NumPy warning first
+    with open(loss_csv, "w", newline="") as f, np.errstate(over="ignore", invalid="ignore"):
         w = csv.writer(f)
         w.writerow(["step", "epoch", "iteration", *LOSS_NAMES, "total"])
-        for epoch in range(config.epochs):
-            if epoch:
-                batches = plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * epoch)
-            for it, rows in enumerate(batches):
-                batch = dict(zip(set_names, rows))
+        for epoch, batches in enumerate(plans):
+            for it, batch in enumerate(batches):
                 total, losses, grads = joint_loss_and_grads(model, sets, batch, objective)
                 opt.step(model, grads)
                 values = [losses.get(name, 0.0) for name in LOSS_NAMES] + [total]
@@ -316,7 +308,7 @@ def run_train(config: ExperimentConfig) -> dict:
     model.save(ckpt)
     table.save(out_dir / "relatedness.json")
 
-    eval_set = lab.SampleSet.concat(list(heldout.values()))
+    eval_set = lab.SampleSet.concat(heldout)
     final_metrics = evaluate_model(model, eval_set) if len(eval_set) else {}
     return write_manifest(out_dir, {
         "config": config.to_dict(),
@@ -413,14 +405,14 @@ def run_gradcheck(
 
     table = rel.domain_table()
     spec = GeneratorSpec(relatedness=table, feature_dim=input_dim, seed=seed)
-    sets = dict(zip(SET_NAMES, split(draw(spec, 3 * max(2, batch_size // 3)))))
-    batch = {name: np.arange(len(data)) for name, data in sets.items()}
+    sets = split(draw(spec, 3 * max(2, batch_size // 3)))
+    batch = tuple(np.arange(len(data)) for data in sets)
     report = {}
     for mode in modes:
         model = MultiHeadModel(input_dim, hidden=hidden, seed=seed)
         mode_sets, objective = build_objective(sets, table, mode, dict.fromkeys(LOSS_NAMES, 1.0))
         if objective.dm_matrix is not None:  # q of the unperturbed model on the batch's rows
-            out = model.forward(np.concatenate([d.features for d in sets.values()]))[0]
+            out = model.forward(np.concatenate([d.features for d in sets]))[0]
             objective = replace(objective, dm_targets=out["expr"] @ objective.dm_matrix)
         err = gradient_check(
             model,

@@ -716,6 +716,37 @@ def test_train_setting_that_nothing_reads_exit_code(workspace, tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def test_train_refuses_a_lone_va_row_in_any_set(workspace, tmp_path, capsys):
+    """One VA label in a set other than ``va`` would be a batch of one VA row,
+    whose CCC term trains nothing: the run is refused before it writes."""
+    data = workspace / "data"
+    _rewrite_first_row(data / "expr.csv", tmp_path / "x.csv", valence="0.5", arousal="-0.25")
+    config = {**json.loads((workspace / "config.json").read_text()), "holdout_fraction": 0,
+              "data": {"au": str(data / "au.csv"), "expr": str(tmp_path / "x.csv")}}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "c.json"),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "VA batch of size 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_divergence_prints_only_its_error(workspace, tmp_path):
+    """A run whose loss overflows exits 3 with its one ``error:`` line, and
+    no NumPy warning before it."""
+    import affectmtl
+
+    config = {**json.loads((workspace / "config.json").read_text()), "coupling": "none",
+              "max_batch": 20, "epochs": 2, "optimizer": {"lr": 1e308, "momentum": 0.9}}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    # in a child process: pytest would record the warnings before they reach stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(affectmtl.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "affectmtl.cli", "train", "--config", str(tmp_path / "c.json"),
+         "--out", str(tmp_path / "run")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: non-finite total loss\n"
+
+
 def test_train_seed_override_is_checked(workspace):
     """``--seed`` is checked like the file's seed, in the console entry point."""
     import affectmtl

@@ -199,40 +199,40 @@ def test_run_gradcheck_passes_all_modes():
 
 
 def _reference_loss(model, sets, batch, mode, table, weights):
-    """Per-row loop over the batch: every loss term sample by sample, SCA
-    targets from one row's soft label, DM targets from one row at a time and
-    held constant, so that DM writes to the AU head alone."""
-    picked = [(name, sets[name], i) for name, rows in batch.items() for i in rows]
-    out, _ = model.forward(np.stack([d.features[i] for _, d, i in picked]))
+    """Per-row loop over the batch: every loss term sample by sample, each over
+    the rows that carry its label whatever their set, SCA targets from one
+    row's soft label, DM targets from one row at a time and held constant, so
+    that DM writes to the AU head alone."""
+    picked = [(d, i) for d, rows in zip(sets, batch) for i in rows]
+    out, _ = model.forward(np.stack([d.features[i] for d, i in picked]))
     g = {h: np.zeros_like(v) for h, v in out.items()}
     losses = {}
 
     def mean_over(rows, term, head, weight):
         acc = 0.0
         for j in rows:
-            v, grad = term(j, *picked[j][1:])
+            v, grad = term(j, *picked[j])
             acc += v
             g[head][j] += weight * grad / len(rows)
         return acc / len(rows)
 
-    rows = [j for j, (_, d, i) in enumerate(picked) if d.expr[i] >= 0]
+    rows = [j for j, (d, i) in enumerate(picked) if d.expr[i] >= 0]
     losses["expr"] = mean_over(
         rows, lambda j, d, i: softmax_ce_grad(out["expr"][j], d.expr[i]),
         "expr", weights["expr"],
     )
-    rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.au[i]).all()]
+    au_rows = [j for j, (d, i) in enumerate(picked) if not np.isnan(d.au[i]).all()]
     losses["au"] = mean_over(
-        rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], d.au_weights[i]),
+        au_rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], d.au_weights[i]),
         "au", weights["au"],
     )
-    rows = [j for j, (_, d, i) in enumerate(picked) if not np.isnan(d.va[i]).any()]
-    va = np.array([picked[j][1].va[picked[j][2]] for j in rows])
+    rows = [j for j, (d, i) in enumerate(picked) if not np.isnan(d.va[i]).any()]
+    va = np.array([d.va[i] for d, i in (picked[j] for j in rows)])
     losses["va"], grad = ccc_loss_grad(va, out["va"][rows])
     g["va"][rows] += weights["va"] * grad
     if mode in ("soft_co_annotation", "soft_plus_dm"):
-        rows = [j for j, (name, _, _) in enumerate(picked) if name == "au"]
         losses["sca"] = mean_over(
-            rows, lambda j, d, i: sca_loss_grad(
+            au_rows, lambda j, d, i: sca_loss_grad(
                 out["expr"][j],
                 soft_label(indicator_scores(d.au[i], table.weights))),
             "expr", weights["sca"],
@@ -251,16 +251,15 @@ def _reference_loss(model, sets, batch, mode, table, weights):
 )
 def test_batch_objective_matches_per_row_loop(mode):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
-    va_set, au_set, expr_set = split(draw(spec, 180))
-    sets = {name: group.take(np.arange(size))
-            for name, group, size in (("va", va_set, 40), ("au", au_set, 50), ("expr", expr_set, 45))}
+    sets = tuple(group.take(np.arange(size))
+                 for group, size in zip(split(draw(spec, 180)), (40, 50, 45)))
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     sets, objective = build_objective(sets, TABLE, mode, WEIGHTS)
     # rows in a shuffled order, as the epoch plan draws them
     rng = np.random.default_rng(0)
-    batch = {name: rng.permutation(len(sets[name])) for name in ("va", "au", "expr")}
+    batch = tuple(rng.permutation(len(data)) for data in sets)
     if mode == "co_annotation":
-        assert sets["expr"].au_rows.size  # the expr set gained AU labels
+        assert sets[2].au_rows.size  # the expr set gained AU labels
     _, terms, g, _ = _joint_loss(model, sets, batch, objective)
     losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, WEIGHTS)
     assert set(terms) == set(losses)
@@ -274,9 +273,8 @@ def _whole_sets_batch(mode, weights):
     """The arguments of ``_joint_loss`` for one batch of every row of three small sets."""
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
     model = MultiHeadModel(8, hidden=(16,), seed=1)
-    sets, objective = build_objective(
-        dict(zip(("va", "au", "expr"), split(draw(spec, 90)))), TABLE, mode, weights)
-    return model, sets, {name: np.arange(len(data)) for name, data in sets.items()}, objective
+    sets, objective = build_objective(split(draw(spec, 90)), TABLE, mode, weights)
+    return model, sets, tuple(np.arange(len(data)) for data in sets), objective
 
 
 def test_joint_total_is_the_weighted_sum():
@@ -338,16 +336,41 @@ def test_non_finite_joint_total_is_a_numerical_error(monkeypatch):
         _joint_loss(*_whole_sets_batch("none", ONES))
 
 
-def test_sca_targets_follow_rows_not_ids(one_row):
-    happy, sad = np.zeros(17), np.zeros(17)
-    happy[[4, 9, 15]] = 1.0  # AU6, AU12, AU25
-    sad[[2, 10]] = 1.0  # AU4, AU15
-    au_set = SampleSet.concat([one_row("dup", np.zeros(8), au=a) for a in (happy, sad)])
-    _, objective = build_objective({"au": au_set}, TABLE, "soft_co_annotation", ONES)
-    r = TABLE.weights
-    for au, q in zip(au_set.au, objective.sca_targets):
-        assert np.allclose(q, soft_label(indicator_scores(au, r)), atol=1e-15)
-    assert not np.allclose(objective.sca_targets[0], objective.sca_targets[1])
+def test_sca_scores_the_rows_that_carry_au_labels():
+    """SCA follows the labels a row carries, not its set: VA-set rows with AU
+    labels are scored, and an AU-set row without one is not. Each scored row's
+    gradient is that of its own soft label, whatever the row's id."""
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
+    full = draw(spec, 90)
+    va_set, au_set, expr_set = split(full)
+    n_va = len(va_set)
+    va_set = replace(va_set, au=full.au[:n_va], au_weights=full.au_weights[:n_va],
+                     ids=np.full(n_va, "dup", dtype=object))
+    no_au = np.arange(len(au_set)) == 3
+    au_set = replace(au_set, au=np.where(no_au[:, None], np.nan, au_set.au),
+                     au_weights=np.where(no_au[:, None], np.nan, au_set.au_weights))
+    model = MultiHeadModel(8, hidden=(16,), seed=1)
+    sets, objective = build_objective((va_set, au_set, expr_set), TABLE, "soft_co_annotation",
+                                      WEIGHTS)
+    batch = tuple(np.random.default_rng(0).permutation(len(data)) for data in sets)
+    _, terms, g, _ = _joint_loss(model, sets, batch, objective)
+    data = SampleSet.concat([d.take(rows) for d, rows in zip(sets, batch)])
+    _, head, rows, grad = terms["sca"]
+    assert head == "expr"
+    assert np.array_equal(rows, data.au_rows)
+    lone = n_va + np.flatnonzero(batch[1] == 3)[0]  # the AU-set row without an AU label
+    assert set(range(n_va)) < set(rows.tolist()) and lone not in rows
+    for j, row_grad in zip(rows, grad):
+        q = soft_label(indicator_scores(data.au[j], TABLE.weights))
+        assert np.allclose(row_grad, -np.log(q) / len(rows), rtol=1e-12, atol=0)
+    assert len({row_grad.tobytes() for row_grad in grad}) > 1
+    # the whole objective matches the per-row loop, which picks rows by label too
+    losses, g_ref = _reference_loss(model, sets, batch, "soft_co_annotation", TABLE, WEIGHTS)
+    assert set(terms) == set(losses)
+    for name, (v, *_) in terms.items():
+        assert abs(v - losses[name]) <= 1e-12, name
+    for head in g_ref:
+        assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
 
 
 def test_table_head_mismatch_is_a_data_error(dataset_dir, tmp_path):
