@@ -45,15 +45,15 @@ def _cmd_gen_data(args) -> int:
         raise DataError(f"--n {args.n} with --partition {args.partition} leaves no samples "
                         f"in the set {', '.join(empty)}")
     full = draw(spec, args.n)
-    text = csvio.float_text(full.features)  # formatted once: split's sets are runs of full's rows
-    sets = {name: (data, text[a:b]) for name, data, a, b
+    cells = csvio.float_cells(full.features)  # formatted once: split's sets are runs of full's rows
+    sets = {name: (data, cells[a:b]) for name, data, a, b
             in zip(SET_NAMES, split(full, fractions), cuts, cuts[1:])}
     if args.full:
-        sets["full"] = (full, text)
+        sets["full"] = (full, cells)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, (data, features_text) in sets.items():
-        csvio.write_samples_csv(out / f"{name}.csv", data, features_text)
+    for name, (data, feature_cells) in sets.items():
+        csvio.write_samples_csv(out / f"{name}.csv", data, feature_cells)
     write_manifest(out, {
         "command": "gen-data",
         "args": {"n": args.n, "feature_dim": args.feature_dim, "noise": args.noise,
@@ -116,11 +116,10 @@ def _cmd_zero_shot(args) -> int:
     scores = compound_scores(model.forward(data.features)[0], profiles)
     # one CSV row per (sample, class); d_va is 0.0 or 1.0
     picked = np.arange(len(profiles.names)) == scores.predicted[:, None]
-    columns = [np.repeat(csvio.text_cells(data.ids), len(profiles.names)),
-               np.tile(csvio.text_cells(profiles.names), len(data)),
-               scores.i_au.ravel(), scores.f_emo.ravel(),
-               np.where(scores.d_va.ravel() > 0, "1.0", "0.0"), scores.total.ravel(),
-               np.where(picked.ravel(), "1", "0")]
+    sample, klass = np.indices(picked.shape).reshape(2, -1)  # of each row
+    columns = [(data.ids, sample), (profiles.names, klass), scores.i_au.ravel(),
+               scores.f_emo.ravel(), (["0.0", "1.0"], scores.d_va.ravel() > 0),
+               scores.total.ravel(), (["0", "1"], picked.ravel())]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csvio.write_csv_columns(out / "compound_scores.csv",

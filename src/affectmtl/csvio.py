@@ -6,7 +6,7 @@ reads the format back, its features from ``f`` columns or from rows of .npy
 files; a malformed file is a :class:`DataError` naming its line. Both keep each
 file's parsed columns in a hidden sibling file, keyed by the CSV bytes and the
 source of this module alone, so that a read of the same bytes skips the parse.
-:func:`float_text`, :func:`text_cells` and :func:`write_csv_columns` write the
+:func:`float_cells`, :func:`text_cells` and :func:`write_csv_columns` write the
 cells of this format and of every other CSV file the package writes.
 """
 
@@ -20,6 +20,7 @@ import itertools
 import locale
 import math
 import operator
+import re
 import os
 import stat
 import tempfile
@@ -35,29 +36,84 @@ from .relatedness import AU_LABELS, EMOTIONS, NUM_AUS
 AU_COLUMNS = tuple(lab.lower().replace("au", "au_") for lab in AU_LABELS)
 
 
-def text_cells(values) -> np.ndarray:
-    """Each of ``values`` as ``csv.writer`` writes it in a row of cells; each is quoted once."""
-    distinct, rows = dict.fromkeys(values), []
-    csv.writer(SimpleNamespace(write=rows.append)).writerows(("", v) for v in distinct)
-    cell = dict(zip(distinct, (row[1:-2] for row in rows)))  # each row is ",<cell>\r\n"
-    return np.array(list(map(cell.__getitem__, values)), dtype=object)
+def text_cells(values) -> list:
+    """Each of ``values`` as ``csv.writer`` writes it in a row of cells: a value with
+    none of ``,"\\r\\n`` is its own cell, and ``csv.writer`` quotes each other distinct
+    value once (and the empty one, and one with a NUL, which it refuses before 3.11)."""
+    cells, rows = dict.fromkeys(values), []  # None: the value is its own cell
+    quoted = [v for v in cells if not v or _QUOTE_CHARS(v)]
+    csv.writer(SimpleNamespace(write=rows.append)).writerows(("", v) for v in quoted)
+    cells.update(zip(quoted, (row[1:-2] for row in rows)))  # each row is ",<cell>\r\n"
+    return [cells[v] or v for v in values]
+
+
+_QUOTE_CHARS = re.compile('[,"\r\n\0]').search
 
 
 def write_csv_columns(path, header, columns) -> None:
-    """Write ``header`` and the rows of ``columns`` as ``csv.writer`` would. Each
-    column is an array: of floats, written as their ``repr``, or of finished cells."""
-    with open(path, "w", newline="") as f:
-        f.write(",".join(text_cells(header)) + "\r\n")
-        for i in range(0, len(columns[0]), _FORMAT_VALUES):
-            block = [c[i : i + _FORMAT_VALUES] for c in columns]
-            block = [(float_text(c[:, None]) if c.dtype.kind == "f" else c).tolist() for c in block]
-            f.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+    """Write ``header`` and the rows of ``columns`` as ``csv.writer`` writes them to
+    ``open(path, "w", newline="")``. A column gives each row k >= 1 cells: floats,
+    (n,) or (n, k), written as their ``repr``; their :func:`float_cells`, a cell of
+    NULs written empty; or (values, codes), text values and each row's index of its
+    value, (n,) or (n, k). Each text value is quoted and encoded once, with the
+    codec of ``open``. Each block of rows is laid out in one byte grid, a slot of
+    fixed width per cell, padded with the first byte that no cell or separator
+    holds, and written with that byte dropped. (If every byte is held, it is laid
+    out padded with 0 and with 1, and the bytes where the two differ are dropped.)
+    """
+    codec = locale.getpreferredencoding(False)
+    texts = [[t.encode(codec) for t in text_cells(c[0])] if isinstance(c, tuple) else None
+             for c in columns]
+    # the bytes of the separators and of any float cell, and those of the text
+    held = set(b",\r\n+-.0123456789aefin").union(*itertools.chain(*filter(None, texts)))
+    pads = [b for b in range(256) if b not in held][:1] or [0, 1]
+    n = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    sources = []  # each column's cells: (n, k) floats or (n, k, 24) float cells, or (n, k)
+    for c, t in zip(columns, texts):  # text codes and, per padding byte, the padded values
+        if t is None:
+            cells = c.reshape(n, -1, 24) if c.dtype == np.uint8 else c.reshape(n, -1)
+            sources.append((cells, None))
+        else:
+            sources.append((np.asarray(c[1], dtype=np.intp).reshape(n, -1),
+                            [_padded(t, pad) for pad in pads]))
+    widths = [s.shape[1] * (1 + (24 if t is None else t[0].shape[1])) for s, t in sources]
+    block = max(1, min(n, _FORMAT_VALUES, _GRID_BYTES // sum(widths)))
+    grids = np.full((len(pads), block, sum(widths) + 1), ord(","), dtype="u1")  # one per padding
+    grids[..., -2:] = np.frombuffer(b"\r\n", dtype="u1")
+    with open(path, "wb") as f:
+        f.write((",".join(text_cells(header)) + "\r\n").encode(codec))
+        for i in range(0, n, block):
+            m = min(block, n - i)
+            for g, (grid, pad) in enumerate(zip(grids[:, :m], pads)):
+                ends = itertools.accumulate(widths)
+                for (source, tables), end, width in zip(sources, ends, widths):
+                    part = source[i : i + m]
+                    slot = grid[:, end - width : end].reshape(m, part.shape[1], -1)[..., :-1]
+                    if tables is not None:
+                        slot[...] = tables[g][part]
+                    else:
+                        slot[...] = part if part.dtype == np.uint8 else float_cells(part)
+                        if pad:
+                            slot[slot == 0] = pad
+            first, last = grids[0, :m], grids[-1, :m]
+            f.write(first.tobytes().translate(None, bytes(pads)) if len(pads) == 1
+                    else first[first == last].tobytes())
 
 
-def float_text(values) -> np.ndarray:
-    """The ``repr`` of every value of the float array ``values``, those along its
-    last axis joined by commas: one string per row, in an array of the other axes'
-    shape. ``values[..., None]`` gives one cell per value.
+def _padded(cells, pad: int) -> np.ndarray:
+    """The byte strings ``cells`` as the rows of a matrix, each padded with ``pad``
+    to the longest."""
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    table = np.full((len(cells), lengths.max(initial=0)), pad, dtype="u1")
+    filled = np.arange(table.shape[1]) < lengths[:, None]
+    table[filled] = np.frombuffer(b"".join(cells), dtype="u1")
+    return table
+
+
+def float_cells(values) -> np.ndarray:
+    """The ``repr`` of each value of the float array ``values``: uint8 cells of
+    shape ``values.shape + (24,)``, each its text's bytes with NULs among and
+    after them.
 
     Each value with 1e-4 <= |x| < 10, where ``repr`` writes fixed notation with
     one digit before the point, is formatted by exact uint64 arithmetic, in the
@@ -70,20 +126,18 @@ def float_text(values) -> np.ndarray:
     two nearest integers, is written by ``repr`` itself.
     """
     values = np.asarray(values, dtype=float)
-    width = values.shape[-1]
-    step = max(1, _FORMAT_VALUES // width) * width  # whole rows, so each ends in the block
-    sep = np.tile([ord(",")] * (width - 1) + [ord("\n")], step // width).astype("<u8")
     flat = values.ravel()
-    text = b"".join(_float_bytes(flat[i : i + step], sep) for i in range(0, flat.size, step))
-    return np.array(text.decode("ascii").split("\n")[:-1], dtype=object).reshape(values.shape[:-1])
+    words = np.empty((flat.size, 3), dtype="<u8")
+    for i in range(0, flat.size, _FORMAT_VALUES):
+        _float_words(flat[i : i + _FORMAT_VALUES], words[i : i + _FORMAT_VALUES])
+    return words.view("u1").reshape(*values.shape, 24)
 
 
-def _float_bytes(x, sep) -> bytes:
-    """The cells of the values ``x``, each followed by its byte of ``sep``."""
-    # 32 bytes per value, NULs dropped at the end: 0 NUL, 1 sign, 2 the first digit
-    # if |x| >= 1 else "0", 3 ".", 4-6 the "0"s after "0.", 7 the first digit if
-    # |x| < 1, 8-23 the other digits, 24 the separator
-    words = np.empty((x.size, 4), dtype="<u8")
+def _float_words(x, words) -> None:
+    """Write the cells of the values ``x`` to ``words``, three uint64 a value."""
+    # 24 bytes per value, NUL where nothing is written: 0 NUL, 1 sign, 2 the first
+    # digit if |x| >= 1 else "0", 3 ".", 4-6 the "0"s after "0.", 7 the first digit
+    # if |x| < 1, 8-23 the other digits
     zeros, digits, count, ok = _shortest_digits(np.abs(x))
     first = digits // _U64(10**16)
     rest = digits - first * _U64(10**16)
@@ -100,12 +154,10 @@ def _float_bytes(x, sep) -> bytes:
     kept = np.maximum(count - 1, lead)  # digits after the first: "1.0" keeps a "0"
     words[:, 1] &= _KEEP[0][kept]
     words[:, 2] &= _KEEP[1][kept]
-    words[:, 3] = sep[: x.size]
     slow = np.flatnonzero(~ok)
     if slow.size:
         cells = [repr(v).encode() for v in x[slow].tolist()]
-        words.view("u1")[slow, :24] = np.array(cells, dtype="S24").view("u1").reshape(-1, 24)
-    return words.tobytes().translate(None, b"\0")
+        words.view("u1")[slow] = np.array(cells, dtype="S24").view("u1").reshape(-1, 24)
 
 
 def _shortest_digits(a):
@@ -185,12 +237,14 @@ _KEEP = np.frombuffer(b"".join(b"\xff" * i + b"\0" * (16 - i) for i in range(17)
 _KEEP = _KEEP.reshape(17, 2).T.copy()
 # Values formatted at a time: amortises numpy's per-call cost and bounds the arrays
 _FORMAT_VALUES = 4096
+# The bytes of a block's grid, about: it and the bytes written from it stay in cache
+_GRID_BYTES = 2**19
 
 
-def write_samples_csv(path, data: SampleSet, features_text=None) -> None:
+def write_samples_csv(path, data: SampleSet, feature_cells=None) -> None:
     """Write a :class:`SampleSet` in the annotation CSV format, one row per
-    sample; a missing label or sequence key is an empty cell. ``features_text``
-    is :func:`float_text` of ``data.features``, for a caller that has it.
+    sample; a missing label or sequence key is an empty cell. ``feature_cells``
+    is :func:`float_cells` of ``data.features``, for a caller that has it.
 
     The file's parsed sibling (see :func:`read_samples_csv`) is written too,
     built from ``data`` as a parse of the written bytes would give it, so a
@@ -216,20 +270,22 @@ def write_samples_csv(path, data: SampleSet, features_text=None) -> None:
         raise DataError(f"cannot write {path}: {e}") from e
     header = ["id", "video_id", "frame_idx", *(f"f{i}" for i in range(data.features.shape[1])),
               "valence", "arousal", "expr", *AU_COLUMNS]
-    va = np.full(data.va.shape, "", dtype=object)
-    va[has_va] = float_text(data.va[has_va][:, None])
+    va = np.zeros((*data.va.shape, 24), dtype=np.uint8)  # a cell of NULs is empty
+    va[has_va] = float_cells(data.va[has_va])
+    frames, frame_codes = np.unique(data.frame, return_inverse=True)
     au = np.nan_to_num(data.au, nan=2).astype(int)  # the AU cells "0", "1" and ""
     columns = [
-        text_cells(data.ids), text_cells(data.video),
-        np.where(data.frame < 0, "", data.frame.astype(str)),
-        float_text(data.features) if features_text is None else features_text,
-        *va.T,
-        np.where(data.expr < 0, "", data.expr.astype(str)),
-        *np.array(["0", "1", ""], dtype=object)[au].T,
+        (data.ids, np.arange(len(data))), (data.video, np.arange(len(data))),
+        (["" if f < 0 else str(f) for f in frames.tolist()], frame_codes),
+        float_cells(data.features) if feature_cells is None else feature_cells, va,
+        (["", *map(str, range(len(EMOTIONS)))], np.maximum(data.expr, -1) + 1),
+        (["0", "1", ""], au),
     ]
     write_csv_columns(path, header, columns)
     col["au"] = np.array([0.0, 1.0, np.nan])[au]  # AU -0.0 reads 0.0, and NaN its bits
-    _save_parsed(path, _parse_key(path.read_bytes()), _sample_set(**col))
+    with open(path, "rb") as f:
+        key = _parse_key(f)
+    _save_parsed(path, key, _sample_set(**col))
 
 
 def read_samples_csv(path) -> SampleSet:
@@ -248,15 +304,16 @@ def read_samples_csv(path) -> SampleSet:
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            data = _load_parsed(path, _parse_key(f))
+        if data is not None:
+            return data
+        raw = path.read_bytes()  # parsed, and keyed anew: the file may have changed since
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
-    key = _parse_key(raw)
-    data = _load_parsed(path, key)
-    if data is None:
-        data, use_files = _parse(raw, path)
-        if not use_files:  # the key does not cover the .npy files
-            _save_parsed(path, key, data)
+    data, use_files = _parse(raw, path)
+    if not use_files:  # the key does not cover the .npy files
+        _save_parsed(path, _parse_key(io.BytesIO(raw)), data)
     return data
 
 
@@ -287,12 +344,15 @@ def _parse(raw: bytes, path: Path) -> tuple[SampleSet, bool]:
     return layout.assemble(blocks), layout.use_files
 
 
-def _parse_key(raw: bytes) -> bytes:
-    """What a parse of the CSV bytes ``raw`` depends on: those bytes, the codec
-    name of the text encoding that decodes them and the source of this module, hashed."""
+def _parse_key(f) -> bytes:
+    """What a parse of the CSV bytes in the binary file ``f`` depends on: those
+    bytes, the codec name of the text encoding that decodes them and the source of
+    this module, hashed. The bytes are read a chunk at a time, into one buffer."""
     h = hashlib.sha256(Path(__file__).read_bytes())
     h.update(codecs.lookup(locale.getpreferredencoding(False)).name.encode() + b"\0")
-    h.update(raw)
+    chunk = memoryview(bytearray(2**18))
+    while size := f.readinto(chunk):
+        h.update(chunk[:size])
     return h.digest()
 
 

@@ -230,6 +230,8 @@ def _joint_loss(model, sets, batch, objective: Objective):
     r = objective.dm_matrix
     if r is not None:
         q = out["expr"] @ r if objective.dm_targets is None else objective.dm_targets
+        if not np.isfinite(q).all():  # a NaN target would read as an unannotated AU
+            raise NumericalError("non-finite total loss")
         value, grad = masked_bce_grad(out["au"], q)
         terms["dm"] = rel.NUM_AUS * value, "au", slice(None), rel.NUM_AUS * grad
 

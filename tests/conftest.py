@@ -1,5 +1,6 @@
 import csv
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,9 +242,11 @@ def reference_median_filter_by_video():
 def csv_cells():
     """Hypothesis strategies for (cell text, floats) that a CSV writer gets wrong
     most easily: text with separators, quotes, line breaks, spaces or nothing at
-    all; floats whose shortest repr is subtle."""
-    text = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "7", "é"]),
-                   max_size=6)
+    all, a NUL (which ``csv.writer`` writes from Python 3.11 on), the Latin-1 byte
+    0xFF and a character outside the BMP; floats whose shortest repr is subtle."""
+    nul = ["\0"] if sys.version_info >= (3, 11) else []
+    text = st.text(alphabet=st.sampled_from(
+        [",", '"', "\r", "\n", " ", "a", "Z", "7", "é", "\xff", "\U0001f600", *nul]), max_size=6)
     floats = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5,
                               0.30000000000000004, -1.5, 123456789.125]) | st.floats(
         allow_nan=False, allow_infinity=False)

@@ -730,21 +730,32 @@ def test_train_refuses_a_lone_va_row_in_any_set(workspace, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_train_divergence_prints_only_its_error(workspace, tmp_path):
-    """A run whose loss overflows exits 3 with its one ``error:`` line, and
-    no NumPy warning before it."""
+def _train_diverging(workspace, tmp_path, coupling):
+    """The exit code and stderr of a ``train`` at lr 1e308, in a child process:
+    pytest would record NumPy's warnings before they reach stderr."""
     import affectmtl
 
-    config = {**json.loads((workspace / "config.json").read_text()), "coupling": "none",
+    config = {**json.loads((workspace / "config.json").read_text()), "coupling": coupling,
               "max_batch": 20, "epochs": 2, "optimizer": {"lr": 1e308, "momentum": 0.9}}
     (tmp_path / "c.json").write_text(json.dumps(config))
-    # in a child process: pytest would record the warnings before they reach stderr
     env = {**os.environ, "PYTHONPATH": str(Path(affectmtl.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "affectmtl.cli", "train", "--config", str(tmp_path / "c.json"),
          "--out", str(tmp_path / "run")], capture_output=True, text=True, env=env)
-    assert proc.returncode == 3
-    assert proc.stderr == "error: non-finite total loss\n"
+    return proc.returncode, proc.stderr
+
+
+def test_train_divergence_prints_only_its_error(workspace, tmp_path):
+    """A run whose loss overflows exits 3 with its one ``error:`` line, and
+    no NumPy warning before it."""
+    assert _train_diverging(workspace, tmp_path, "none") == (3, "error: non-finite total loss\n")
+
+
+@pytest.mark.parametrize("coupling", ["distr_matching", "soft_plus_dm"])
+def test_train_divergence_in_a_dm_mode_is_numerical(workspace, tmp_path, coupling):
+    """A DM run that diverges exits 3 with the same line: the NaN DM target of a
+    NaN expression output is not read as a row without AU labels (exit 2)."""
+    assert _train_diverging(workspace, tmp_path, coupling) == (3, "error: non-finite total loss\n")
 
 
 def test_train_seed_override_is_checked(workspace):

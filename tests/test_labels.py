@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 import os
 import shutil
@@ -26,7 +27,9 @@ from affectmtl import (
     subsample_frames,
 )
 from affectmtl import csvio
-from affectmtl.csvio import AU_COLUMNS, float_text, read_samples_csv, write_samples_csv
+from affectmtl.csvio import (
+    AU_COLUMNS, float_cells, read_samples_csv, write_csv_columns, write_samples_csv,
+)
 from affectmtl.labels import SampleSet, indicator_scores, soft_label
 from affectmtl.synthdata import GeneratorSpec, draw
 
@@ -549,7 +552,8 @@ def test_csv_changed_byte_is_a_miss(cached_csv):
 def _resaved(path, data, **columns):
     """Overwrite the sibling of ``path`` with a file whose key and payload
     digest are valid for its bytes, holding ``data`` with ``columns`` replaced."""
-    csvio._save_parsed(path, csvio._parse_key(path.read_bytes()), replace(data, **columns))
+    key = csvio._parse_key(io.BytesIO(path.read_bytes()))
+    csvio._save_parsed(path, key, replace(data, **columns))
 
 
 @pytest.mark.parametrize("damage", [
@@ -649,7 +653,7 @@ def test_sibling_key_names_the_encoding_by_its_codec(monkeypatch):
     for spelling in ("UTF-8", "utf-8", "utf8", "latin-1"):
         monkeypatch.setattr(csvio.locale, "getpreferredencoding",
                             lambda do_setlocale=True, spelling=spelling: spelling)
-        keys[spelling] = csvio._parse_key(b"id,f0,expr\ns0,1.5,3\n")
+        keys[spelling] = csvio._parse_key(io.BytesIO(b"id,f0,expr\ns0,1.5,3\n"))
     assert keys["UTF-8"] == keys["utf-8"] == keys["utf8"] != keys["latin-1"]
 
 
@@ -698,13 +702,43 @@ def test_only_an_edit_of_the_csv_module_re_keys_the_siblings(tmp_path):
         assert new[:32] != old[:32] and new[32:] == old[32:]
 
 
+# -- text cells ------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_text_cells_are_what_csv_writer_writes(csv_cells, data):
+    """A value that needs no quotes is its own cell; every other is quoted as
+    ``csv.writer`` quotes it, in a row of several cells."""
+    values = data.draw(st.lists(csv_cells[0], max_size=8))
+    row = io.StringIO(newline="")
+    csv.writer(row).writerow(["x", *values])
+    assert ",".join(["x", *csvio.text_cells(values)]) + "\r\n" == row.getvalue()
+
+
+def test_write_csv_columns_encodes_text_with_the_locale_codec(tmp_path):
+    """Text is encoded with the codec that ``open`` uses, here Latin-1. From
+    Python 3.11 on, the values hold every byte but "5", which a float cell
+    holds, so no padding byte is free."""
+    values = [c for c in map(chr, range(sys.version_info < (3, 11), 256)) if c != "5"]
+    values += ["a,b", 'say "hi"', ""]
+    floats = np.linspace(-3.0, 3.0, len(values))
+    with patch("locale.getpreferredencoding", return_value="latin-1"):
+        write_csv_columns(tmp_path / "got.csv", ["text", "\xff"],
+                          [(values[::-1], np.arange(len(values))[::-1]), floats])
+    with open(tmp_path / "want.csv", "w", newline="", encoding="latin-1") as f:
+        csv.writer(f).writerows([["text", "\xff"], *zip(values, map(repr, floats.tolist()))])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # -- float cells -----------------------------------------------------------
 
 
 def _repr_cells(values):
-    """``float_text`` of one cell per value, and what ``repr`` writes for each."""
+    """The text of the ``float_cells`` of ``values``, and what ``repr`` writes for each."""
     values = np.asarray(values, dtype=float)
-    return float_text(values[:, None]).tolist(), list(map(repr, values.tolist()))
+    cells = [bytes(cell).replace(b"\0", b"").decode() for cell in float_cells(values)]
+    return cells, list(map(repr, values.tolist()))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -719,7 +753,12 @@ def test_float_text_is_repr(values):
 @given(st.integers(1, 6).flatmap(lambda width: st.lists(
     st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=8)))
 def test_float_text_joins_each_row_with_commas(rows):
-    assert float_text(np.array(rows)).tolist() == [",".join(map(repr, row)) for row in rows]
+    """A float column of several cells a row, laid out in the grid of ``write_csv_columns``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        write_csv_columns(path, ["x"], [np.array(rows)])
+        lines = ["x", *(",".join(map(repr, row)) for row in rows)]
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
 
 def _neighbours(values):
@@ -754,15 +793,15 @@ def test_float_text_matches_repr_on(family):
 def test_float_text_takes_the_fast_path(monkeypatch):
     """Under 1% of the generator's feature values fall back to ``repr``; a tie
     does, and so does every value outside 1e-4 <= |x| < 10."""
-    calls = []  # the values that float_text hands to repr
+    calls = []  # the values that float_cells hands to repr
     monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     features = draw(GeneratorSpec(relatedness=TABLE, seed=0), 4000).features
-    float_text(features)
+    float_cells(features)
     assert 0 < len(calls) < 0.01 * features.size
     calls.clear()
-    float_text(FLOAT_FAMILIES["17-digit ties"][:, None])
+    float_cells(FLOAT_FAMILIES["17-digit ties"])
     assert any(1e-4 <= v < 10 for v in calls)
     calls.clear()
     outside = [0.0, -0.0, 5e-324, np.nextafter(1e-4, 0), -10.0, 1e16, math.nan, -math.inf]
-    float_text(np.array(outside)[:, None])
+    float_cells(np.array(outside))
     assert len(calls) == len(outside)
