@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +19,8 @@ from .errors import AffectMTLError, ConfigError, DataError
 from .model import MultiHeadModel
 from .synthdata import GeneratorSpec, draw, partition_cuts, split
 from .training import (
-    SET_NAMES, ExperimentConfig, run_eval, run_gradcheck, run_train, write_manifest,
+    SET_NAMES, ExperimentConfig, make_out_dir, run_eval, run_gradcheck, run_train,
+    write_manifest,
 )
 from .zeroshot import compound_scores, load_compound_profiles
 
@@ -50,8 +50,7 @@ def _cmd_gen_data(args) -> int:
             in zip(SET_NAMES, split(full, fractions), cuts, cuts[1:])}
     if args.full:
         sets["full"] = (full, cells)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(args.out)
     for name, (data, feature_cells) in sets.items():
         csvio.write_samples_csv(out / f"{name}.csv", data, feature_cells)
     write_manifest(out, {
@@ -120,8 +119,7 @@ def _cmd_zero_shot(args) -> int:
     columns = [(data.ids, sample), (profiles.names, klass), scores.i_au.ravel(),
                scores.f_emo.ravel(), (["0.0", "1.0"], scores.d_va.ravel() > 0),
                scores.total.ravel(), (["0", "1"], picked.ravel())]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(args.out, "metrics.json")
     csvio.write_csv_columns(out / "compound_scores.csv",
                             ["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"], columns)
     extra = {}

@@ -7,7 +7,8 @@ files; a malformed file is a :class:`DataError` naming its line. Both keep each
 file's parsed columns in a hidden sibling file, keyed by the CSV bytes and the
 source of this module alone, so that a read of the same bytes skips the parse.
 :func:`float_cells`, :func:`text_cells` and :func:`write_csv_columns` write the
-cells of this format and of every other CSV file the package writes.
+cells of this format and of ``zero-shot``'s scores; ``losses.csv``, one row per
+training step, is written by :mod:`csv` alone.
 """
 
 from __future__ import annotations

@@ -118,10 +118,10 @@ def co_annotate(data: SampleSet, table: RelatednessTable) -> SampleSet:
     return replace(data, expr=expr, au=au, au_weights=au_weights)
 
 
-# Emotion indices for the valence/arousal consistency rules.
-_NEUTRAL, _ANGER, _HAPPY = (EMOTIONS.index(e) for e in ("neutral", "anger", "happiness"))
-_NEG_VALENCE = [EMOTIONS.index(e) for e in ("anger", "disgust", "fear", "sadness")]
-
+# The sign that each emotion's valence and arousal must have, one row per
+# emotion in EMOTIONS order; 0 allows either sign. The generator reads it too.
+VA_SIGNS = np.array([(0, 0), (-1, 1), (-1, 0), (-1, 0), (1, 0), (-1, 0), (0, 0)])
+NEUTRAL = EMOTIONS.index("neutral")  # whose VA must also lie within NEUTRAL_RADIUS
 NEUTRAL_RADIUS = 0.15
 
 
@@ -129,15 +129,16 @@ def clean_va_expr(expr, va) -> np.ndarray:
     """Row mask of the rows that the VA/expression consistency rules keep.
 
     ``expr`` and ``va`` are a :class:`SampleSet`'s columns. Only rows carrying
-    both VA and an expression can be removed: neutral needs VA radius < 0.15;
-    angry, disgusted, fearful and sad need negative valence; angry also needs
-    positive arousal; happy needs positive valence.
+    both VA and an expression can be removed: each nonzero sign of the
+    expression's :data:`VA_SIGNS` row must hold (angry, disgusted, fearful and
+    sad need negative valence, angry also positive arousal, happy positive
+    valence), and neutral needs VA radius < 0.15.
     """
-    expr, (v, a) = np.asarray(expr), np.asarray(va, dtype=float).T
-    ok = (expr != _NEUTRAL) | (np.hypot(v, a) < NEUTRAL_RADIUS)
-    ok &= ~np.isin(expr, _NEG_VALENCE) | (v < 0)
-    ok &= ((expr != _ANGER) | (a > 0)) & ((expr != _HAPPY) | (v > 0))
-    return ok | (expr < 0) | np.isnan(v)
+    expr, va = np.asarray(expr), np.asarray(va, dtype=float)
+    signs = VA_SIGNS[expr]  # expr -1 picks a row, masked below
+    ok = ((signs == 0) | (np.sign(va) == signs)).all(axis=1)
+    ok &= (expr != NEUTRAL) | (np.hypot(va[:, 0], va[:, 1]) < NEUTRAL_RADIUS)
+    return ok | (expr < 0) | np.isnan(va[:, 0])
 
 
 def frame_order(video, frame) -> tuple[np.ndarray, np.ndarray]:

@@ -41,20 +41,6 @@ def _ccc(y, yh):
     return 2.0 * cov / denom, (n, my, mh, cov, denom)
 
 
-def ccc_grad(y, y_hat):
-    """CCC value and its gradient with respect to ``y_hat``."""
-    y = np.asarray(y, float)
-    yh = np.asarray(y_hat, float)
-    val, (n, my, mh, cov, denom) = _ccc(y, yh)
-    dcov = (y - my) / n
-    if denom <= CCC_EPS:  # clamp active: denominator locally constant
-        ddenom = np.zeros_like(yh)
-    else:
-        ddenom = (2.0 * (yh - mh) - 2.0 * (my - mh)) / n
-    grad = (2.0 * dcov * denom - 2.0 * cov * ddenom) / denom**2
-    return val, grad
-
-
 def ccc_loss_grad(y_va, y_hat_va):
     """1 - mean of per-dimension CCC over a batch of (valence, arousal) pairs,
     and its gradient with respect to the predicted VA matrix."""
@@ -62,10 +48,17 @@ def ccc_loss_grad(y_va, y_hat_va):
     yh = np.asarray(y_hat_va, float)
     if y.ndim != 2 or y.shape[1] != 2 or y.shape != yh.shape:
         raise DataError("ccc_loss_grad expects (n, 2) truth and prediction arrays")
-    cv, gv = ccc_grad(y[:, 0], yh[:, 0])
-    ca, ga = ccc_grad(y[:, 1], yh[:, 1])
-    grad = np.stack([-gv / 2.0, -ga / 2.0], axis=1)
-    return 1.0 - (cv + ca) / 2.0, grad
+    values, grad = [], np.empty_like(yh)
+    for j in range(2):
+        val, (n, my, mh, cov, denom) = _ccc(y[:, j], yh[:, j])
+        dcov = (y[:, j] - my) / n
+        if denom <= CCC_EPS:  # clamp active: denominator locally constant
+            ddenom = 0.0
+        else:
+            ddenom = (2.0 * (yh[:, j] - mh) - 2.0 * (my - mh)) / n
+        grad[:, j] = -((2.0 * dcov * denom - 2.0 * cov * ddenom) / denom**2) / 2.0
+        values.append(val)
+    return 1.0 - (values[0] + values[1]) / 2.0, grad
 
 
 # -- cross-entropy family ------------------------------------------------

@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .labels import SampleSet
+from .labels import NEUTRAL, VA_SIGNS, SampleSet
 from .relatedness import EMOTIONS, NUM_AUS, RelatednessTable
 
-# Per-emotion (valence, arousal) means; signs chosen so the cleaning rules of
-# clean_va_expr hold with margin for noise up to the component magnitude.
+# Per-emotion (valence, arousal) means, with the signs of VA_SIGNS, so the
+# cleaning rules of clean_va_expr hold for noise below each signed magnitude.
 VA_MEANS = {
     "neutral": (0.0, 0.0),
     "anger": (-0.6, 0.6),
@@ -31,9 +31,7 @@ VA_MEANS = {
     "sadness": (-0.6, -0.3),
     "surprise": (0.1, 0.7),
 }
-
-# Neutral VA stays inside the cleaning radius 0.15: per-axis cap 0.15/sqrt(2).
-_NEUTRAL_CAP = 0.105
+_VA_MEAN_ROWS = np.array([VA_MEANS[e] for e in EMOTIONS])
 
 
 @dataclass
@@ -54,19 +52,6 @@ class GeneratorSpec:
             raise DataError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
         if self.frames_per_video is not None and self.frames_per_video < 1:
             raise DataError(f"frames per video must be >= 1, got {self.frames_per_video}")
-
-
-def _va_noise_caps(emotion: str, noise_scale: float):
-    """Per-axis noise bounds keeping the sample inside its cleaning region."""
-    if emotion == "neutral":
-        return min(noise_scale, _NEUTRAL_CAP), min(noise_scale, _NEUTRAL_CAP)
-    mean_v, mean_a = VA_MEANS[emotion]
-    cap_v = cap_a = noise_scale
-    if emotion in ("sadness", "disgust", "fear", "anger", "happiness"):
-        cap_v = min(noise_scale, abs(mean_v) * 0.99)
-    if emotion == "anger":
-        cap_a = min(noise_scale, abs(mean_a) * 0.99)
-    return cap_v, cap_a
 
 
 def draw(spec: GeneratorSpec, n: int) -> SampleSet:
@@ -98,9 +83,11 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
         noise[i] = rng.normal(size=spec.feature_dim)
     expr = cdf.searchsorted(uniforms[:, 0], side="right")
     au = (uniforms[:, 1:1 + NUM_AUS] < spec.relatedness.weights[expr]) * 1.0
-    mean = np.array([VA_MEANS[e] for e in EMOTIONS])[expr]
-    cap = np.array([_va_noise_caps(e, spec.noise_scale) for e in EMOTIONS])[expr]
-    va = np.clip(mean + (-cap + 2 * cap * uniforms[:, 1 + NUM_AUS:]), -1.0, 1.0)
+    # each axis's noise bound keeps a sample inside its cleaning region
+    bound = np.where(VA_SIGNS != 0, np.abs(_VA_MEAN_ROWS) * 0.99, np.inf)
+    bound[NEUTRAL] = 0.105  # on both axes: below NEUTRAL_RADIUS / sqrt(2)
+    cap = np.minimum(spec.noise_scale, bound)[expr]
+    va = np.clip(_VA_MEAN_ROWS[expr] + (-cap + 2 * cap * uniforms[:, 1 + NUM_AUS:]), -1.0, 1.0)
     signal = np.concatenate([np.eye(k)[expr], au, va], axis=1)  # one-hot emotion, AUs, VA
     # a stacked product runs the per-row product w @ signal[i], so the bits match it
     features = np.matmul(w, signal[:, :, None])[:, :, 0] + spec.noise_scale * noise

@@ -290,18 +290,20 @@ def run_train(config: ExperimentConfig) -> dict:
     plan = {"set_sizes": sizes, "batch_sizes": [len(rows) for rows in plans[0][0]],
             "iteration_count": len(plans[0]), "seed": config.seed}
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(config.out_dir)
     loss_csv = out_dir / "losses.csv"
     step = 0
-    # a diverging run stops on its non-finite total alone, with no NumPy warning first
-    with open(loss_csv, "w", newline="") as f, np.errstate(over="ignore", invalid="ignore"):
+    # a diverging run stops on its first overflow or non-finite total, with no warning
+    with open(loss_csv, "w", newline="") as f, np.errstate(over="raise", invalid="ignore"):
         w = csv.writer(f)
         w.writerow(["step", "epoch", "iteration", *LOSS_NAMES, "total"])
         for epoch, batches in enumerate(plans):
             for it, batch in enumerate(batches):
-                total, losses, grads = joint_loss_and_grads(model, sets, batch, objective)
-                opt.step(model, grads)
+                try:
+                    total, losses, grads = joint_loss_and_grads(model, sets, batch, objective)
+                    opt.step(model, grads)
+                except FloatingPointError as e:
+                    raise NumericalError("non-finite total loss") from e
                 values = [losses.get(name, 0.0) for name in LOSS_NAMES] + [total]
                 w.writerow([step, epoch, it, *(repr(float(v)) for v in values)])
                 step += 1
@@ -320,6 +322,17 @@ def run_train(config: ExperimentConfig) -> dict:
         "steps": step,
         "final_metrics": final_metrics,
     })
+
+
+def make_out_dir(out_dir, *stale) -> Path:
+    """Make ``out_dir`` and remove its ``manifest.json`` and the ``stale`` files
+    of an earlier run: the manifest is written last, so a directory without one
+    holds an unfinished run."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("manifest.json", *stale):
+        (out_dir / name).unlink(missing_ok=True)
+    return out_dir
 
 
 def write_manifest(out_dir, fields: dict) -> dict:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -134,6 +135,10 @@ def test_train_config_with_a_repeated_key_exit_code(workspace, tmp_path, capsys)
     ({"epochs": True}, "epochs must be of type int, got True"),
     ({"epochz": 5}, "unknown key(s) 'epochz'"),
     ({"relatedness": {"source": "file"}}, "unknown key(s) 'source'"),
+    ({"holdout_fraction": 1.0}, "holdout_fraction must be in [0, 1)"),
+    ({"holdout_fraction": -0.1}, "holdout_fraction must be in [0, 1)"),
+    ({"epochs": 0}, "epochs and max_batch must be >= 1"),
+    ({"max_batch": 0}, "epochs and max_batch must be >= 1"),
 ])
 def test_train_config_error_names_the_config_file(workspace, tmp_path, capsys, setting, message):
     config = json.loads((workspace / "config.json").read_text())
@@ -337,6 +342,20 @@ def test_infer_relatedness_counts_the_co_annotated_rows_alone(workspace, tmp_pat
     assert (tmp_path / "run" / "relatedness.json").read_bytes() == inferred.read_bytes()
 
 
+def test_co_annotation_on_an_empirical_table_exit_code(workspace, tmp_path, capsys):
+    """Co-annotation reads the prototypical/observational split, which an
+    ``infer-relatedness`` table does not have: refused before the run directory."""
+    assert main(["infer-relatedness", "--corpus", str(workspace / "data" / "full.csv"),
+                 "--out", str(tmp_path / "empirical.json")]) == 0
+    config = {**json.loads((workspace / "config.json").read_text()), "coupling": "co_annotation",
+              "relatedness": {"path": str(tmp_path / "empirical.json")}}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")]) == 2
+    assert ("co-annotation requires a prototypical/observational table"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_table_in_another_class_order_exit_code(workspace, tmp_path, capsys):
     """A table file whose classes are not in the canonical order is a data
     error, though its shape matches the heads: index 0 would be surprise."""
@@ -449,6 +468,9 @@ def test_zero_shot_with_compound_truth(workspace, tmp_path):
     ]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert 0.0 <= metrics["compound_accuracy"] <= 1.0
+    # a rerun on data without truth leaves no accuracy of the earlier data behind
+    assert _zero_shot(workspace, profiles, workspace / "data" / "expr.csv", out) == 0
+    assert not (out / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("truth", ["happily_surprized", "Happily_Surprised", "happily_surprised "])
@@ -730,13 +752,13 @@ def test_train_refuses_a_lone_va_row_in_any_set(workspace, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def _train_diverging(workspace, tmp_path, coupling):
-    """The exit code and stderr of a ``train`` at lr 1e308, in a child process:
-    pytest would record NumPy's warnings before they reach stderr."""
+def _train_diverging(workspace, tmp_path, **setting):
+    """The exit code and stderr of a ``train`` at lr 1e308 into ``tmp_path``/run,
+    in a child process: pytest would record NumPy's warnings before they reach stderr."""
     import affectmtl
 
-    config = {**json.loads((workspace / "config.json").read_text()), "coupling": coupling,
-              "max_batch": 20, "epochs": 2, "optimizer": {"lr": 1e308, "momentum": 0.9}}
+    config = {**json.loads((workspace / "config.json").read_text()), "max_batch": 20,
+              "epochs": 2, "optimizer": {"lr": 1e308, "momentum": 0.9}, **setting}
     (tmp_path / "c.json").write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(Path(affectmtl.__file__).parents[1])}
     proc = subprocess.run(
@@ -748,14 +770,33 @@ def _train_diverging(workspace, tmp_path, coupling):
 def test_train_divergence_prints_only_its_error(workspace, tmp_path):
     """A run whose loss overflows exits 3 with its one ``error:`` line, and
     no NumPy warning before it."""
-    assert _train_diverging(workspace, tmp_path, "none") == (3, "error: non-finite total loss\n")
+    assert _train_diverging(workspace, tmp_path, coupling="none") == (
+        3, "error: non-finite total loss\n")
 
 
 @pytest.mark.parametrize("coupling", ["distr_matching", "soft_plus_dm"])
 def test_train_divergence_in_a_dm_mode_is_numerical(workspace, tmp_path, coupling):
     """A DM run that diverges exits 3 with the same line: the NaN DM target of a
     NaN expression output is not read as a row without AU labels (exit 2)."""
-    assert _train_diverging(workspace, tmp_path, coupling) == (3, "error: non-finite total loss\n")
+    assert _train_diverging(workspace, tmp_path, coupling=coupling) == (
+        3, "error: non-finite total loss\n")
+
+
+def test_train_divergence_that_overflows_the_trunk_alone_is_numerical(workspace, tmp_path):
+    """A run whose trunk overflows while its losses stay finite (each loss
+    column constant from the first step) is diverged too: it exits 3 with the
+    same line, not 0 with a model that overflows on every forward pass."""
+    assert _train_diverging(workspace, tmp_path, max_batch=40, epochs=3) == (
+        3, "error: non-finite total loss\n")
+
+
+def test_train_that_fails_leaves_no_manifest_of_an_earlier_run(workspace, tmp_path):
+    """A run into a finished run's directory removes its manifest first: a
+    directory without a manifest holds an unfinished run."""
+    shutil.copytree(workspace / "run", tmp_path / "run")
+    assert _train_diverging(workspace, tmp_path, coupling="none")[0] == 3
+    assert (tmp_path / "run" / "losses.csv").exists()
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_train_seed_override_is_checked(workspace):

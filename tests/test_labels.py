@@ -180,6 +180,30 @@ def test_clean_va_expr_fixpoint_and_untouched(sample):
     assert clean_va_expr(kept.expr, kept.va).all()  # a second pass removes nothing
 
 
+def _clean_va_expr_by_name(expr, va):
+    """The cleaning rules written out emotion by emotion, as the sign table must keep them."""
+    neutral, anger, happy = (EMOTIONS.index(e) for e in ("neutral", "anger", "happiness"))
+    neg_valence = [EMOTIONS.index(e) for e in ("anger", "disgust", "fear", "sadness")]
+    expr, (v, a) = np.asarray(expr), np.asarray(va, dtype=float).T
+    ok = (expr != neutral) | (np.hypot(v, a) < 0.15)
+    ok &= ~np.isin(expr, neg_valence) | (v < 0)
+    ok &= ((expr != anger) | (a > 0)) & ((expr != happy) | (v > 0))
+    return ok | (expr < 0) | np.isnan(v)
+
+
+_VA_VALUES = st.sampled_from([0.0, -0.0, math.nan, 0.149, -0.149, 0.15, 1e-300]) | st.floats(
+    min_value=-1.0, max_value=1.0)
+
+
+@given(st.lists(st.tuples(st.integers(-1, len(EMOTIONS) - 1), _VA_VALUES, _VA_VALUES),
+                min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_clean_va_expr_matches_the_rules_by_name(rows):
+    expr, v, a = map(list, zip(*rows))
+    va = np.column_stack([v, a])
+    assert clean_va_expr(np.array(expr), va).tolist() == _clean_va_expr_by_name(expr, va).tolist()
+
+
 def test_subsample_frames(sample):
     vid = SampleSet.concat([sample(va=(0, 0), sid=f"a{i}", seq=("v0", i)) for i in range(12)])
     out = subsample(vid)

@@ -14,7 +14,6 @@ from affectmtl import (
 )
 from affectmtl.labels import soft_label
 from affectmtl.losses import (
-    ccc_grad,
     ccc_loss_grad,
     masked_bce_grad,
     sca_loss_grad,
@@ -270,15 +269,6 @@ def rel_err(a, b):
     return np.max(np.abs(a - b) / denom)
 
 
-def test_ccc_grad_matches_fd():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        y = rng.uniform(-1, 1, size=8)
-        yh = rng.uniform(-0.9, 0.9, size=8)
-        _, g = ccc_grad(y, yh)
-        assert rel_err(g, fd_grad(lambda x: ccc(y, x), yh)) < 1e-5
-
-
 def test_ccc_loss_grad_matches_fd():
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -287,6 +277,21 @@ def test_ccc_loss_grad_matches_fd():
         _, g = ccc_loss_grad(y, yh)
         fd = fd_grad(lambda x: ccc_loss_grad(y, x.reshape(6, 2))[0], yh.copy())
         assert rel_err(g, fd.reshape(6, 2)) < 1e-5
+
+
+def test_ccc_loss_grad_matches_fd_where_the_denominator_is_clamped():
+    """Constant truth and prediction with equal means: the CCC denominator is
+    clamped at ``CCC_EPS``, and the value stays finite. So it does for spreads
+    small enough to keep the clamp, where the gradient is nonzero."""
+    y = np.full((6, 2), 0.3)
+    value, g = ccc_loss_grad(y, y.copy())
+    assert value == 1.0 and np.isfinite(g).all()
+    assert rel_err(g, fd_grad(lambda x: ccc_loss_grad(y, x.reshape(6, 2))[0], y.copy())) < 1e-5
+    rng = np.random.default_rng(17)
+    y, yh = 0.3 + 1e-5 * rng.uniform(-1, 1, (6, 2)), 0.3 + 1e-5 * rng.uniform(-1, 1, (6, 2))
+    _, g = ccc_loss_grad(y, yh)
+    assert np.abs(g).max() > 1.0  # the covariance term, not a zero gradient
+    assert rel_err(g, fd_grad(lambda x: ccc_loss_grad(y, x.reshape(6, 2))[0], yh.copy())) < 1e-5
 
 
 def test_masked_bce_grad_matches_fd():
