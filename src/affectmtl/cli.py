@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +51,8 @@ def _cmd_gen_data(args) -> int:
             in zip(SET_NAMES, split(full, fractions), cuts, cuts[1:])}
     if args.full:
         sets["full"] = (full, cells)
-    out = make_out_dir(args.out)
+    csvs = [f"{name}.csv" for name in sets]
+    out = make_out_dir(args.out, *csvs, *(csvio.sibling(Path(c)).name for c in csvs))
     for name, (data, feature_cells) in sets.items():
         csvio.write_samples_csv(out / f"{name}.csv", data, feature_cells)
     write_manifest(out, {
@@ -119,7 +121,7 @@ def _cmd_zero_shot(args) -> int:
     columns = [(data.ids, sample), (profiles.names, klass), scores.i_au.ravel(),
                scores.f_emo.ravel(), (["0.0", "1.0"], scores.d_va.ravel() > 0),
                scores.total.ravel(), (["0", "1"], picked.ravel())]
-    out = make_out_dir(args.out, "metrics.json")
+    out = make_out_dir(args.out, "compound_scores.csv", "metrics.json")
     csvio.write_csv_columns(out / "compound_scores.csv",
                             ["id", "class", "i_au", "f_emo", "d_va", "total", "predicted"], columns)
     extra = {}

@@ -6,6 +6,8 @@ reads the format back, its features from ``f`` columns or from rows of .npy
 files; a malformed file is a :class:`DataError` naming its line. Both keep each
 file's parsed columns in a hidden sibling file, keyed by the CSV bytes and the
 source of this module alone, so that a read of the same bytes skips the parse.
+The sibling of a ``feature_file`` CSV keeps its references, not its features:
+every read gathers those from the .npy files as they are then.
 :func:`float_cells`, :func:`text_cells` and :func:`write_csv_columns` write the
 cells of this format and of ``zero-shot``'s scores; ``losses.csv``, one row per
 training step, is written by :mod:`csv` alone.
@@ -14,6 +16,7 @@ training step, is written by :mod:`csv` alone.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import hashlib
 import io
@@ -25,8 +28,10 @@ import re
 import os
 import stat
 import tempfile
+import zipfile
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,7 +291,7 @@ def write_samples_csv(path, data: SampleSet, feature_cells=None) -> None:
     col["au"] = np.array([0.0, 1.0, np.nan])[au]  # AU -0.0 reads 0.0, and NaN its bits
     with open(path, "rb") as f:
         key = _parse_key(f)
-    _save_parsed(path, key, _sample_set(**col))
+    _save_parsed(path, key, col)
 
 
 def read_samples_csv(path) -> SampleSet:
@@ -297,39 +302,46 @@ def read_samples_csv(path) -> SampleSet:
     ``path:row`` (paths resolved relative to the CSV). Every malformed row is
     a :class:`DataError` naming the file and its line.
 
-    A file with ``f`` columns is parsed once per content: the parsed columns
-    go to the sibling file ``.<name>.affectmtl`` (see :func:`_save_parsed`),
-    and a later read of the same bytes loads them from there.
+    A file is parsed once per content: the parsed columns go to the sibling
+    file ``.<name>.affectmtl`` (see :func:`_save_parsed`), and a later read of
+    the same bytes loads them from there. For a ``feature_file`` column these
+    are the references, and each read gathers their rows (:func:`_gather`).
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
     try:
         with open(path, "rb") as f:
-            data = _load_parsed(path, _parse_key(f))
-        if data is not None:
-            return data
+            col = _load_parsed(path, _parse_key(f))
+        if col is not None:
+            with contextlib.suppress(_BadReference):  # parsed below, which names its line
+                return _sample_set(path.parent, **col)
         raw = path.read_bytes()  # parsed, and keyed anew: the file may have changed since
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
-    data, use_files = _parse(raw, path)
-    if not use_files:  # the key does not cover the .npy files
-        _save_parsed(path, _parse_key(io.BytesIO(raw)), data)
-    return data
+    col = _parse(raw, path)
+    _save_parsed(path, _parse_key(io.BytesIO(raw)), col)
+    try:
+        return _sample_set(path.parent, **col)
+    except _BadReference as e:
+        row, error = e.args
+        raise DataError(f"{path}, line {_line_of(_text(raw), row)}: {error}") from error
 
 
-def _parse(raw: bytes, path: Path) -> tuple[SampleSet, bool]:
-    """The set that the CSV bytes ``raw`` of ``path`` hold, and whether its
-    features come from .npy files."""
-    def text():  # decoded and split into lines as ``open(path, newline="")`` would
-        return io.TextIOWrapper(io.BytesIO(raw), newline="")
+def _text(raw: bytes):
+    """The CSV bytes ``raw``, decoded and split into lines as ``open(path, newline="")`` would."""
+    return io.TextIOWrapper(io.BytesIO(raw), newline="")
 
-    reader = csv.reader(text())
+
+def _parse(raw: bytes, path: Path) -> dict:
+    """The columns that the CSV bytes ``raw`` of ``path`` hold, the features as
+    :class:`_References` when they come from .npy files."""
+    reader = csv.reader(_text(raw))
     try:
         header = next(reader, None)
         if header is None:
             raise DataError(f"empty dataset file: {path}")
-        layout = _Layout(header, path, text)
+        layout = _Layout(header, path, raw)
         blocks, done = [], 0
         while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
             rows = [r for r in chunk if r]  # a blank line holds no row
@@ -342,7 +354,7 @@ def _parse(raw: bytes, path: Path) -> tuple[SampleSet, bool]:
         raise DataError(f"cannot read dataset {path}: {e}") from e
     if not blocks:
         raise DataError(f"no samples in {path}")
-    return layout.assemble(blocks), layout.use_files
+    return layout.assemble(blocks)
 
 
 def _parse_key(f) -> bytes:
@@ -357,60 +369,74 @@ def _parse_key(f) -> bytes:
     return h.digest()
 
 
-def _sibling(path: Path) -> Path:
-    """The file that keeps the parsed set of the CSV ``path``."""
+def sibling(path: Path) -> Path:
+    """The hidden file that keeps the parsed columns of the CSV ``path``."""
     return path.with_name(f".{path.name}.affectmtl")
 
 
-# The numeric columns of a sibling file, in order, and their little-endian 8-byte types.
-_STORED = {"features": "<f8", "va": "<f8", "au": "<f8", "expr": "<i8", "frame": "<i8"}
+# The numeric columns of a sibling file after the features, and their little-endian types.
+_STORED = {"va": "<f8", "au": "<f8", "expr": "<i8", "frame": "<i8"}
 
 
-def _save_parsed(path: Path, key: bytes, data: SampleSet) -> None:
-    """Write ``data``, parsed from the CSV ``path``, to its :func:`_sibling`
-    for :func:`_load_parsed`; a failed write is ignored.
+class _References(NamedTuple):
+    """The ``path:row`` cells of a ``feature_file`` column: the distinct paths as
+    written, in order of first use, and each row's index into them and row number."""
+    files: list
+    file: np.ndarray
+    row: np.ndarray
+
+
+def _save_parsed(path: Path, key: bytes, col: dict) -> None:
+    """Write the columns ``col``, parsed from the CSV ``path``, to its
+    :func:`sibling` for :func:`_load_parsed`; a failed write is ignored.
 
     The file is the 32-byte ``key``, the sha256 of the payload, then the
     payload: the row count and the feature dimension as two little-endian
-    int64, the bytes of each :data:`_STORED` column, and the UTF-8 bytes of
-    every ``ids``, ``video`` and ``compound`` string, each one preceded by a
-    separator: the first character that none of them holds. (A NumPy ``U``
-    array would drop trailing NULs.) The file holds no time, path or process
-    id, so the same inputs give the same bytes. It is written to a temporary
-    file, with the CSV's permissions, that then replaces the sibling, so a
-    reader sees the old file or the new one, never a part.
+    int64, the features as ``<f8``, the bytes of each :data:`_STORED` column,
+    and the UTF-8 bytes of every ``ids``, ``video`` and ``compound`` string,
+    each one preceded by a separator: the first character that none of them
+    holds. (A NumPy ``U`` array would drop trailing NULs.) :class:`_References`
+    have the dimension -1, ``file`` and ``row`` as ``<i8`` for features, and
+    ``files`` after the strings. The file holds no time, path or process id,
+    so the same inputs give the same bytes. It is written to a temporary file,
+    with the CSV's permissions, that then replaces the sibling, so a reader
+    sees the old file or the new one, never a part.
     """
-    strings = [*data.ids, *data.video, *data.compound]
+    features, files = col["features"], []
+    if isinstance(features, _References):
+        features, files = np.stack(features[1:]), features.files
+    strings = [*col["ids"], *col["video"], *col["compound"], *files]
     joined = "".join(strings)
     sep = next(c for c in map(chr, itertools.count()) if c not in joined)
-    payload = [np.array(data.features.shape, dtype="<i8"),
-               *(np.ascontiguousarray(getattr(data, c), dtype=t) for c, t in _STORED.items()),
+    payload = [np.array((len(col["ids"]), -1) if files else features.shape, dtype="<i8"),
+               np.ascontiguousarray(features, dtype="<i8" if files else "<f8"),
+               *(np.ascontiguousarray(col[c], dtype=t) for c, t in _STORED.items()),
                (sep + sep.join(strings)).encode("utf-8", "surrogatepass")]
     digest = hashlib.sha256()
     for part in payload:
         digest.update(part)
-    sibling = _sibling(path)
+    target = sibling(path)
     try:
-        fd, tmp = tempfile.mkstemp(prefix=sibling.name + ".", dir=sibling.parent)
+        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", dir=target.parent)
     except OSError:
         return  # a read-only directory, say
     try:
         with os.fdopen(fd, "wb") as out:
             os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
             out.writelines((key, digest.digest(), *payload))
-        os.replace(tmp, sibling)
+        os.replace(tmp, target)
     except OSError:
         Path(tmp).unlink(missing_ok=True)
 
 
-def _load_parsed(path: Path, key: bytes) -> SampleSet | None:
-    """The set that :func:`_save_parsed` wrote for the CSV ``path`` under
+def _load_parsed(path: Path, key: bytes) -> dict | None:
+    """The columns that :func:`_save_parsed` wrote for the CSV ``path`` under
     ``key``, or None when the sibling is missing, was written under another
     key, is damaged, or holds columns that the CSV reader would not produce.
     The numeric columns are views of the bytes read, so nothing is unpickled
     or copied."""
     try:
-        with open(_sibling(path), "rb") as f:  # a bytearray: the views are writable
+        with open(sibling(path), "rb") as f:  # a bytearray: the views are writable
             blob = bytearray(os.fstat(f.fileno()).st_size)
             if f.readinto(blob) != len(blob):
                 return None
@@ -420,11 +446,14 @@ def _load_parsed(path: Path, key: bytes) -> SampleSet | None:
             or blob[32:64] != hashlib.sha256(memoryview(blob)[64:]).digest()):
         return None
     n, d = (int(x) for x in np.frombuffer(blob, "<i8", 2, 64))
-    shapes = {"features": (n, d), "va": (n, 2), "au": (n, NUM_AUS), "expr": (n,), "frame": (n,)}
-    if not (n > 0 and d > 0 and 80 + 8 * sum(map(math.prod, shapes.values())) <= len(blob)):
+    refs = d == -1  # features from .npy rows: each row's file index and row number
+    shapes = {"features": (2, n) if refs else (n, d), "va": (n, 2), "au": (n, NUM_AUS),
+              "expr": (n,), "frame": (n,)}
+    end = 80 + 8 * sum(map(math.prod, shapes.values()))
+    if not (n > 0 and (d > 0 or refs) and end <= len(blob)):
         return None
     columns, pos = {}, 80
-    for name, dtype in _STORED.items():
+    for name, dtype in {"features": "<i8" if refs else "<f8", **_STORED}.items():
         size = math.prod(shapes[name])
         columns[name] = np.frombuffer(blob, dtype, size, pos).reshape(shapes[name])
         pos += 8 * size
@@ -433,16 +462,22 @@ def _load_parsed(path: Path, key: bytes) -> SampleSet | None:
         cells = text[1:].split(text[:1])  # ValueError if there is no separator
     except ValueError:  # not UTF-8, or no text at all
         return None
-    if len(cells) != 3 * n:
+    files = cells[3 * n :]
+    if len(cells) < 3 * n or refs != bool(files):
         return None
     for i, name in enumerate(("ids", "video", "compound")):
         columns[name] = np.array(cells[i * n : (i + 1) * n], dtype=object)
+    if refs:
+        file, row = columns["features"]
+        if file.min() < 0 or file.max() >= len(files) or row.min() < 0:
+            return None
+        columns["features"] = _References(files, file, row)
     try:  # a label is stored as -1 or NaN where a row has none
         _check_columns(columns, ~np.isnan(columns["va"]), columns["expr"] != -1,
                        ~np.isnan(columns["au"]))
     except (ValueError, DataError):
         return None
-    return _sample_set(**columns)
+    return columns
 
 
 def _check_columns(col: dict, has_va, has_expr, has_au) -> None:
@@ -450,8 +485,8 @@ def _check_columns(col: dict, has_va, has_expr, has_au) -> None:
     columns ``col`` break: a ValueError, or a DataError for a row without a
     label. ``has_va`` (n, 2), ``has_expr`` (n,) and ``has_au`` (n, 17) mark
     the label cells that each row fills."""
-    va, expr, au = col["va"], col["expr"], col["au"]
-    if not np.isfinite(col["features"]).all():
+    va, expr, au, features = col["va"], col["expr"], col["au"], col["features"]
+    if isinstance(features, np.ndarray) and not np.isfinite(features).all():  # else references
         raise ValueError("non-finite feature value")
     if (has_va[:, 0] != has_va[:, 1]).any():
         raise ValueError("valence and arousal must both be filled or both be empty")
@@ -469,9 +504,53 @@ def _check_columns(col: dict, has_va, has_expr, has_au) -> None:
         raise DataError(f"sample {col['ids'][unlabelled.argmax()]!r} carries no label")
 
 
-def _sample_set(**columns) -> SampleSet:
-    """The set of the CSV reader's columns, with the loss weight 1 on every annotated AU."""
-    return SampleSet(au_weights=np.where(np.isnan(columns["au"]), np.nan, 1.0), **columns)
+def _sample_set(directory: Path, features, **columns) -> SampleSet:
+    """The set of the CSV reader's columns, with the loss weight 1 on every
+    annotated AU; :class:`_References` are gathered from ``directory``."""
+    if isinstance(features, _References):
+        features = _gather(directory, features)
+    return SampleSet(features=features, au_weights=np.where(np.isnan(columns["au"]), np.nan, 1.0),
+                     **columns)
+
+
+class _BadReference(ValueError):
+    """A ``feature_file`` reference that fails a check: ``args`` are its data row and the error."""
+
+
+def _gather(directory: Path, refs: _References) -> np.ndarray:
+    """The rows that ``refs`` name, as float64. The files are loaded now, in order
+    of first use: each must hold a 2-D matrix of real numbers, with a row and a
+    column, as wide as the earlier ones and holding every row that is referenced
+    in it; then each row must be finite. The first failed check raises a :class:`_BadReference`
+    for the first reference it concerns. Each row is copied once from its loaded
+    matrix."""
+    features = None
+    for j in dict.fromkeys(refs.file.tolist()):
+        where, name = np.flatnonzero(refs.file == j), refs.files[j]
+        try:
+            m = np.load(directory / name)  # an .npz loads as an NpzFile
+            if not isinstance(m, np.ndarray) or m.ndim != 2 or not len(m) or not m.shape[1]:
+                raise ValueError(f"{name!r} holds no 2-D feature matrix")
+            if m.dtype.kind not in "fiu":  # astype would drop an imaginary part, read text...
+                raise ValueError(f"{name!r} holds {m.dtype} values, not real numbers")
+            width = m.shape[1] if features is None else features.shape[1]
+            if m.shape[1] != width:
+                raise ValueError(f"{name!r} has {m.shape[1]} features, earlier rows {width}")
+        except _CELL_ERRORS as e:
+            raise _BadReference(where[0], e) from e
+        beyond = where[refs.row[where] >= len(m)]
+        if beyond.size:
+            raise _BadReference(beyond[0], ValueError(f"{name!r} has no row {refs.row[beyond[0]]}"))
+        m = m.astype(float, copy=False)
+        if features is None:
+            features = np.empty((len(refs.row), width))
+        for run in np.split(where, np.flatnonzero(np.diff(where) != 1) + 1):  # rows of one file
+            lo, hi = run[0], run[-1] + 1  # "clip": no bounds check, and no buffered copy
+            np.take(m, refs.row[lo:hi], axis=0, out=features[lo:hi], mode="clip")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise _BadReference(finite.argmin(), ValueError("non-finite feature value"))
+    return features
 
 
 # Rows converted at a time: bounds the cell text held while a file is read.
@@ -481,7 +560,8 @@ _LABEL_COLUMNS = ("valence", "arousal", *AU_COLUMNS, "expr", "video_id", "frame_
 _FLOATS = 2 + NUM_AUS
 _EXPR, _VIDEO, _FRAME = (_LABEL_COLUMNS.index(c) for c in ("expr", "video_id", "frame_idx"))
 # What converting a malformed cell or .npy reference raises.
-_CELL_ERRORS = (DataError, ValueError, TypeError, OverflowError, OSError, EOFError)
+_CELL_ERRORS = (DataError, ValueError, TypeError, OverflowError, OSError, EOFError,
+                zipfile.BadZipFile)  # np.load reads a file that begins "PK\3\4" as a zip
 # The characters of a number cell: ASCII digits; in a float also a sign, a point, an
 # exponent and nan, which only an AU cell may read (any other NaN is refused as not finite)
 _DIGITS, _FLOAT_CHARS = b"0123456789", b"0123456789+-.eEna"
@@ -504,7 +584,7 @@ def _line_of(text, row: int) -> int:
 class _Layout:
     """Where one CSV header keeps each column, and the conversion of row blocks."""
 
-    def __init__(self, header, path: Path, text):
+    def __init__(self, header, path: Path, raw: bytes):
         col = {name: i for i, name in enumerate(header)}
         if "id" not in col:
             raise DataError(f"{path}: no id column")
@@ -523,15 +603,14 @@ class _Layout:
         if not fcols and not self.use_files:
             raise DataError(f"{path}: no feature columns and no feature_file column")
         feature_idx = [col["feature_file"]] if self.use_files else [col[c] for c in fcols]
-        self.path, self.text = path, text  # text(): the CSV as a new file object
+        self.path, self.raw = path, raw
         self.id = operator.itemgetter(col["id"])
         self.features = operator.itemgetter(*feature_idx)
         # every label column, an absent one read from the id column and then blanked
         self.labels = operator.itemgetter(*(col.get(c, col["id"]) for c in _LABEL_COLUMNS))
         self.absent = [j for j, c in enumerate(_LABEL_COLUMNS) if c not in col]
         self.width = 1 + max(col["id"], *feature_idx, *(col[c] for c in _LABEL_COLUMNS if c in col))
-        self.npy: dict[str, np.ndarray] = {}  # feature_file name -> its matrix
-        self.finite: dict[str, np.ndarray] = {}  # and which of its rows are finite
+        self.files: dict[str, int] = {}  # feature_file name -> its index, in order of first use
 
     def convert_block(self, rows, start: int) -> dict:
         """Arrays for ``rows``, data rows ``start`` on; a bad row raises a
@@ -543,7 +622,7 @@ class _Layout:
                 try:
                     self._convert(rows[i : i + 1])
                 except _CELL_ERRORS as e:
-                    line = _line_of(self.text(), start + i)
+                    line = _line_of(_text(self.raw), start + i)
                     raise DataError(f"{self.path}, line {line}: {e}") from e
             raise
 
@@ -576,54 +655,28 @@ class _Layout:
         col = {"ids": np.array(list(map(self.id, rows)), dtype=object), "features": features,
                "expr": expr, "au": va_au[:, 2:], "va": va_au[:, :2], "frame": frame,
                "video": np.where(keyed, cells[:, _VIDEO], ""), "compound": cells[:, -1]}
-        # an AU cell reading nan is unannotated; .npy references are checked by _references
-        _check_columns(dict(col, features=np.empty((n, 0))) if self.use_files else col,
-                       filled[:, :2], filled[:, _EXPR], ~np.isnan(col["au"]))
+        # an AU cell reading nan is unannotated
+        _check_columns(col, filled[:, :2], filled[:, _EXPR], ~np.isnan(col["au"]))
         return col
 
     def _references(self, refs) -> tuple:
-        """Check ``path:row`` references; returns their (file names, rows)."""
-        names, rows = [], []
+        """The file indices and row numbers of ``path:row`` references."""
+        files, rows = [], []
         for ref in refs:
             name, _, row = ref.rpartition(":")
-            if not name or not (row.isascii() and row.isdigit()):  # int() takes " 2", "1_0", "٣"
+            # int() takes " 2", "1_0", "٣"; and no matrix has 2**63 rows
+            if not name or not (row.isascii() and row.isdigit()) or int(row) >= 2**63:
                 raise ValueError(f"malformed feature_file reference {ref!r}")
-            names.append(name)
+            files.append(self.files.setdefault(name, len(self.files)))
             rows.append(int(row))
-        names, rows = np.array(names, dtype=object), np.array(rows)
-        for name in dict.fromkeys(names):
-            m = self._matrix(name)
-            picked = rows[names == name]
-            if (picked >= len(m)).any():
-                raise ValueError(f"{name!r} has no row {picked.max()}")
-            if not self.finite[name][picked].all():
-                raise ValueError("non-finite feature value")
-        return names, rows
+        return np.array(files), np.array(rows)
 
-    def _matrix(self, name: str) -> np.ndarray:
-        if name not in self.npy:
-            m = np.load(self.path.parent / name)  # an .npz loads as an NpzFile
-            if not isinstance(m, np.ndarray) or m.ndim != 2 or not len(m) or not m.shape[1]:
-                raise ValueError(f"{name!r} holds no 2-D feature matrix")
-            if m.dtype.kind not in "fiu":  # astype would drop an imaginary part, read text...
-                raise ValueError(f"{name!r} holds {m.dtype} values, not real numbers")
-            m = m.astype(float, copy=False)
-            widths = {x.shape[1] for x in self.npy.values()}
-            if widths and m.shape[1] not in widths:
-                raise ValueError(f"{name!r} has {m.shape[1]} features, earlier rows {widths.pop()}")
-            self.npy[name], self.finite[name] = m, np.isfinite(m).all(axis=1)
-        return self.npy[name]
-
-    def assemble(self, blocks) -> SampleSet:
-        """One :class:`SampleSet` from the converted blocks, in file order."""
+    def assemble(self, blocks) -> dict:
+        """The columns of the converted blocks, in file order."""
         parts = [b.pop("features") for b in blocks]
         col = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-        if self.use_files:  # gather each matrix's rows once
-            names, rows = (np.concatenate(x) for x in zip(*parts))
-            features = np.empty((len(rows), next(iter(self.npy.values())).shape[1]))
-            for name, m in self.npy.items():
-                picked = names == name
-                features[picked] = m[rows[picked]]
+        if self.use_files:
+            col["features"] = _References(list(self.files), *map(np.concatenate, zip(*parts)))
         else:
-            features = np.concatenate(parts)
-        return _sample_set(features=features, **col)
+            col["features"] = np.concatenate(parts)
+        return col

@@ -290,7 +290,7 @@ def run_train(config: ExperimentConfig) -> dict:
     plan = {"set_sizes": sizes, "batch_sizes": [len(rows) for rows in plans[0][0]],
             "iteration_count": len(plans[0]), "seed": config.seed}
 
-    out_dir = make_out_dir(config.out_dir)
+    out_dir = make_out_dir(config.out_dir, "losses.csv", "model.bin", "relatedness.json")
     loss_csv = out_dir / "losses.csv"
     step = 0
     # a diverging run stops on its first overflow or non-finite total, with no warning
@@ -324,13 +324,14 @@ def run_train(config: ExperimentConfig) -> dict:
     })
 
 
-def make_out_dir(out_dir, *stale) -> Path:
-    """Make ``out_dir`` and remove its ``manifest.json`` and the ``stale`` files
-    of an earlier run: the manifest is written last, so a directory without one
-    holds an unfinished run."""
+def make_out_dir(out_dir, *outputs) -> Path:
+    """Make ``out_dir`` and remove its ``manifest.json`` and the other
+    ``outputs`` that an earlier run may have left there: the manifest is written
+    last, so a directory without one holds an unfinished run, and with none of
+    an earlier run's files beside it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("manifest.json", *stale):
+    for name in ("manifest.json", *outputs):
         (out_dir / name).unlink(missing_ok=True)
     return out_dir
 
@@ -341,10 +342,36 @@ def write_manifest(out_dir, fields: dict) -> dict:
     from . import __version__
 
     versions = {"python": platform.python_version(), "numpy": np.__version__,
-                "affectmtl": __version__}
+                "affectmtl": __version__, **_blas_versions()}
     manifest = {**fields, "versions": versions}
     (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
+
+
+def _blas_versions() -> dict:
+    """NumPy's BLAS build, and the CPU core and thread count that its bundled
+    OpenBLAS runs with now: the bytes of a run depend on all three. Each is None
+    where NumPy does not say it or the library does not export the function."""
+    import ctypes
+    from numpy.linalg import _umath_linalg  # linked against NumPy's BLAS
+
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    try:  # a handle to the module's library reaches the symbols of the libraries it links
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        lib = None
+
+    def call(name, restype):
+        f = getattr(lib, name, None)
+        if f is None:
+            return None
+        f.argtypes, f.restype = [], restype
+        return f()
+
+    core = call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return {"blas": " ".join(filter(None, (blas.get("name"), blas.get("version")))) or None,
+            "blas_core": core.decode() if core else None,
+            "blas_threads": call("scipy_openblas_get_num_threads64_", ctypes.c_int)}
 
 
 # -- evaluation ----------------------------------------------------------

@@ -106,6 +106,32 @@ def test_train_artifacts_and_manifest(workspace):
     assert manifest["versions"]["numpy"]
 
 
+# Writes a manifest into argv[1] and prints its versions.
+_WRITE_MANIFEST = """import json, sys
+from affectmtl.training import write_manifest
+print(json.dumps(write_manifest(sys.argv[1], {})["versions"]))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_manifest_records_the_blas_build_core_and_threads(tmp_path, threads):
+    """A run's bytes depend on the BLAS build, core and thread count, so each
+    manifest records them: null where the library does not say."""
+    import affectmtl
+
+    env = {**os.environ, "PYTHONPATH": str(Path(affectmtl.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": str(threads)}
+    proc = subprocess.run([sys.executable, "-c", _WRITE_MANIFEST, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    versions = json.loads(proc.stdout)
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    assert versions["blas"] == (f"{blas['name']} {blas['version']}" if blas else None)
+    assert versions["blas_threads"] in (threads, None)
+    assert versions["blas_core"] is None or versions["blas_core"].isprintable()
+    if blas.get("name") == "scipy-openblas":  # NumPy's bundled build exports both
+        assert versions["blas_threads"] == threads and versions["blas_core"]
+
+
 def test_train_missing_dataset_exit_code(workspace, tmp_path):
     config = json.loads((workspace / "config.json").read_text())
     config["data"]["va"] = str(tmp_path / "missing.csv")
@@ -791,12 +817,38 @@ def test_train_divergence_that_overflows_the_trunk_alone_is_numerical(workspace,
 
 
 def test_train_that_fails_leaves_no_manifest_of_an_earlier_run(workspace, tmp_path):
-    """A run into a finished run's directory removes its manifest first: a
-    directory without a manifest holds an unfinished run."""
+    """A run into a finished run's directory first removes the files it writes:
+    a directory without a manifest holds an unfinished run, and no checkpoint
+    or table of an earlier one."""
     shutil.copytree(workspace / "run", tmp_path / "run")
+    (tmp_path / "run" / "notes.txt").write_text("kept")
     assert _train_diverging(workspace, tmp_path, coupling="none")[0] == 3
-    assert (tmp_path / "run" / "losses.csv").exists()
-    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["losses.csv", "notes.txt"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "zero-shot"])
+def test_a_failed_write_leaves_no_file_of_an_earlier_run(workspace, tmp_path, command):
+    """``gen-data`` removes each CSV it writes and that CSV's sibling, and
+    ``zero-shot`` its scores and metrics, before it writes the first of them."""
+    out = tmp_path / "out"
+    profiles = tmp_path / "profiles.json"
+    save_compound_profiles(profiles, default_compound_classes(TABLE))
+    args = {"gen-data": ["gen-data", "--n", "60", "--out", str(out)],
+            "zero-shot": ["zero-shot", "--checkpoint", str(workspace / "run" / "model.bin"),
+                          "--profiles", str(profiles),
+                          "--data", str(workspace / "data" / "expr.csv"), "--out", str(out)]}[command]
+    assert main(args) == 0
+    if command == "zero-shot":  # as a run on data with compound truth writes it
+        (out / "metrics.json").write_text("{}")
+    (out / "notes.txt").write_text("kept")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("the disk is full")
+
+    writer = "write_samples_csv" if command == "gen-data" else "write_csv_columns"
+    with patch.object(cli.csvio, writer, refuse):
+        assert main(args) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
 
 def test_train_seed_override_is_checked(workspace):
@@ -1090,7 +1142,7 @@ def test_eval_malformed_csv_cell_exit_code(workspace, tmp_path, capsys, cells):
     "ref",
     ["missing.npy:0", "empty.npy:0", "feats.npy:7", "feats.npy:-1", "feats.npy:x", "feats.npy",
      "wide.npy:0", "feats.npz:0", "inf.npy:1", "feats.npy:0_1", "feats.npy: 1",
-     "feats.npy:\u0661", "feats.npy:+1",
+     "feats.npy:\u0661", "feats.npy:+1", "badzip.npy:0",
      # a matrix that is not of real numbers, which astype(float) would read anyway
      "complex.npy:0", "bool.npy:0", "text.npy:0", "date.npy:0", "struct.npy:0"],
 )
@@ -1100,6 +1152,7 @@ def test_eval_bad_feature_file_reference_exit_code(workspace, tmp_path, capsys, 
     np.save(tmp_path / "wide.npy", np.zeros((2, 11)))
     np.savez(tmp_path / "feats.npz", x=np.zeros((2, 10)))
     (tmp_path / "empty.npy").write_bytes(b"")
+    (tmp_path / "badzip.npy").write_bytes(b"PK\x03\x04" + bytes(40))  # np.load opens a zip
     np.save(tmp_path / "complex.npy", np.full((2, 10), 1 + 2j))
     np.save(tmp_path / "bool.npy", np.ones((2, 10), dtype=bool))
     np.save(tmp_path / "text.npy", np.full((2, 10), "1"))
@@ -1135,6 +1188,20 @@ def test_feature_file_of_real_numbers_reads_as_float64(tmp_path, dtype):
     features = read_samples_csv(data).features
     assert features.dtype == np.float64
     assert np.array_equal(features, m[[1, 0]].astype(np.float64))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_feature_file_read_whole_and_in_order_is_c_ordered_float64(tmp_path, dtype, order):
+    """A matrix read whole and in order, in either memory order, reads as
+    C-ordered float64."""
+    m = np.array(np.arange(20).reshape(2, 10) / 10, dtype=dtype, order=order)
+    np.save(tmp_path / "m.npy", m)
+    data = tmp_path / "npy.csv"
+    data.write_text("id,feature_file,expr\na,m.npy:0,1\nb,m.npy:1,2\n")
+    features = read_samples_csv(data).features
+    assert features.dtype == np.float64 and features.flags.c_contiguous
+    assert np.array_equal(features, m.astype(np.float64))
 
 
 @pytest.mark.parametrize("command", ["gen-data", "infer-relatedness", "train", "eval",

@@ -392,8 +392,8 @@ def annotation_csvs(draw, directory: Path) -> Path:
 @given(data=st.data())
 def test_csv_reader_matches_per_row_reference(reference_read_samples_csv, data):
     """Both reads match: the first parses the file, and the second loads the
-    sibling that the first wrote (none for ``feature_file`` CSVs). A number
-    cell that the reference refuses is a data error naming its line."""
+    sibling that the first wrote, which every valid CSV leaves. A number cell
+    that the reference refuses is a data error naming its line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = data.draw(annotation_csvs(Path(tmp)))
         try:
@@ -405,7 +405,7 @@ def test_csv_reader_matches_per_row_reference(reference_read_samples_csv, data):
         first = read_samples_csv(path)
         cached = (path.parent / ".data.csv.affectmtl").exists()
         got = read_samples_csv(path)
-        assert cached == ("feature_file" not in path.read_text().partition("\n")[0])
+        assert cached
     for read in (first, got):
         assert_matches(read, want)
 
@@ -577,7 +577,7 @@ def _resaved(path, data, **columns):
     """Overwrite the sibling of ``path`` with a file whose key and payload
     digest are valid for its bytes, holding ``data`` with ``columns`` replaced."""
     key = csvio._parse_key(io.BytesIO(path.read_bytes()))
-    csvio._save_parsed(path, key, replace(data, **columns))
+    csvio._save_parsed(path, key, fields_of(replace(data, **columns)))
 
 
 @pytest.mark.parametrize("damage", [
@@ -668,6 +668,79 @@ def test_csv_malformed_file_with_an_older_sibling_names_the_line(cached_csv):
     with pytest.raises(DataError, match=r"d\.csv, line 2: expression index 9 outside"):
         read_samples_csv(path)
     assert sibling.read_bytes() == blob
+
+
+@pytest.fixture
+def feature_file_csv(tmp_path):
+    """A ``feature_file`` CSV whose rows take runs of rows from two .npy files,
+    read once, so that its sibling holds the references; returns the CSV path,
+    the sibling path and the two matrices."""
+    a, b = np.arange(12.0).reshape(4, 3) / 8, -np.arange(6.0).reshape(2, 3)
+    np.save(tmp_path / "a.npy", a)
+    np.save(tmp_path / "b.npy", b)
+    path = tmp_path / "d.csv"
+    path.write_text("id,expr,feature_file\ns0,1,a.npy:2\ns1,2,b.npy:0\ns2,3,a.npy:0\n"
+                    "s3,4,a.npy:1\ns4,5,b.npy:1\n")
+    read_samples_csv(path)
+    return path, tmp_path / ".d.csv.affectmtl", a, b
+
+
+def test_feature_file_second_read_loads_the_sibling(feature_file_csv, monkeypatch):
+    path, sibling, a, b = feature_file_csv
+    monkeypatch.setattr(csvio, "_parse", None)  # a hit never parses
+    data = read_samples_csv(path)
+    assert data.features.tobytes() == np.stack([a[2], b[0], a[0], a[1], b[1]]).tobytes()
+    assert data.expr.tolist() == [1, 2, 3, 4, 5]
+
+
+def test_feature_file_sibling_gathers_the_npy_as_it_is_now(feature_file_csv, monkeypatch):
+    """A read after the .npy files changed returns their new rows, from the
+    sibling, which holds no feature: a cold read writes the same bytes."""
+    path, sibling, a, b = feature_file_csv
+    blob = sibling.read_bytes()
+    np.save(path.parent / "a.npy", np.vstack([a, a]) * 3)  # new values, and more rows
+    np.save(path.parent / "b.npy", b.astype(np.float32) + 0.5)
+    with monkeypatch.context() as m:
+        m.setattr(csvio, "_parse", None)
+        via_sibling = read_samples_csv(path)
+    want = np.stack([a[2] * 3, b[0] + 0.5, a[0] * 3, a[1] * 3, b[1] + 0.5])
+    assert via_sibling.features.tobytes() == want.tobytes()
+    sibling.unlink()
+    assert read_samples_csv(path).features.tobytes() == want.tobytes()
+    assert sibling.read_bytes() == blob
+
+
+@pytest.mark.parametrize("damage, line, message", [
+    ("truncated", 2, ""),
+    ("NaN in a referenced row", 5, "non-finite feature value"),
+    ("changed width", 3, "'b.npy' has 4 features, earlier rows 3"),
+    ("deleted file", 3, "No such file"),
+])
+def test_feature_file_sibling_names_a_bad_npy_as_a_cold_read(feature_file_csv, monkeypatch,
+                                                             damage, line, message):
+    """A read through the sibling after a referenced .npy went bad is the data
+    error, line and message, that a read without the sibling gives."""
+    path, sibling, a, b = feature_file_csv
+    load, loaded = csvio._load_parsed, []
+    monkeypatch.setattr(csvio, "_load_parsed", lambda *args: loaded.append(load(*args)) or loaded[-1])
+    if damage == "truncated":
+        blob = (path.parent / "a.npy").read_bytes()
+        (path.parent / "a.npy").write_bytes(blob[: len(blob) - 20])
+    elif damage == "NaN in a referenced row":
+        a[1, 2] = np.nan
+        np.save(path.parent / "a.npy", a)
+    elif damage == "changed width":
+        np.save(path.parent / "b.npy", np.zeros((2, 4)))
+    else:
+        (path.parent / "b.npy").unlink()
+    with pytest.raises(DataError) as via_sibling:
+        read_samples_csv(path)
+    sibling.unlink()
+    with pytest.raises(DataError) as cold:
+        read_samples_csv(path)
+    assert loaded[0] is not None and loaded[-1] is None
+    assert str(via_sibling.value) == str(cold.value)
+    assert str(cold.value).startswith(f"{path}, line {line}: ") and message in str(cold.value)
 
 
 def test_sibling_key_names_the_encoding_by_its_codec(monkeypatch):
