@@ -51,7 +51,7 @@ def _cmd_gen_data(args) -> int:
             in zip(SET_NAMES, split(full, fractions), cuts, cuts[1:])}
     if args.full:
         sets["full"] = (full, cells)
-    csvs = [f"{name}.csv" for name in sets]
+    csvs = [f"{name}.csv" for name in (*SET_NAMES, "full")]  # an earlier --full run's too
     out = make_out_dir(args.out, *csvs, *(csvio.sibling(Path(c)).name for c in csvs))
     for name, (data, feature_cells) in sets.items():
         csvio.write_samples_csv(out / f"{name}.csv", data, feature_cells)

@@ -1,4 +1,4 @@
-"""Data sets, co-annotation, soft labels, cleaning and frame subsampling.
+"""Data sets, co-annotation, SCA targets, cleaning and frame subsampling.
 
 A sample carries a feature vector plus any subset of the three label types:
 valence/arousal, a basic-expression index, and a partially-annotated AU vector
@@ -71,13 +71,6 @@ class SampleSet:
         return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
 
 
-def soft_label(scores) -> np.ndarray:
-    """Softmax of indicator scores over the last axis: one soft emotion label per row."""
-    scores = np.asarray(scores, dtype=float)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def indicator_scores(au, r) -> np.ndarray:
     """Per-emotion indicator scores for AU rows, one row of ``au`` per sample.
 
@@ -89,6 +82,14 @@ def indicator_scores(au, r) -> np.ndarray:
     need = r.sum(axis=1)
     active = np.nan_to_num(np.asarray(au, dtype=float), nan=0.0) @ r.T
     return np.divide(active, need, out=np.zeros_like(active), where=need > 0)
+
+
+def top_emotion(au, r) -> np.ndarray:
+    """Each AU row's emotion of highest :func:`indicator_scores`, or -1 where another
+    scores within 1e-9 of it, as in an all-zero row: rounding breaks no tie."""
+    scores = indicator_scores(au, r)
+    ranked = np.sort(scores, axis=1)
+    return np.where(ranked[:, -1] - ranked[:, -2] > 1e-9, scores.argmax(axis=1), -1)
 
 
 def co_annotate(data: SampleSet, table: RelatednessTable) -> SampleSet:

@@ -1,4 +1,5 @@
-"""Loss terms for heterogeneous multi-task training, with analytic gradients.
+"""The three task losses and the concordance correlation, with analytic gradients;
+each coupling term (SCA, DM) reuses a task loss against a target built from the table.
 
 Every gradient here is taken with respect to the model's post-activation
 outputs (probabilities, VA values); chaining through the output nonlinearities
@@ -111,16 +112,4 @@ def softmax_ce_grad(p, y):
     val = -float((q * np.log(pc)).sum() / len(P))
     grad = np.where(P == pc, -q / pc / len(P), 0.0)
     return val, grad.reshape(np.shape(p))
-
-
-def sca_loss_grad(p_emo, q_emo):
-    """Soft co-annotation loss ``-Σ p log q / n`` of predictions ``p`` against soft labels ``q``.
-    Linear in ``p``, it drives ``p`` toward the one-hot at ``argmax q``; gradient ``-log q / n``."""
-    p = np.asarray(p_emo, float)
-    q = np.asarray(q_emo, float)
-    if p.shape != q.shape:
-        raise DataError("sca_loss_grad: dimensionality mismatch")
-    n = len(_rows(p))
-    logq = np.log(np.clip(q, DEFAULT_EPS, None))
-    return -float((p * logq).sum() / n), -logq / n
 

@@ -2,8 +2,8 @@
 
 The coupling mode is pure configuration: co-annotation rewrites labels before
 training, soft co-annotation scores each step's AU-labelled rows against their
-soft emotion labels, and distribution matching adds a prediction-alignment term
-each step. :func:`build_objective` prepares a run's coupling once.
+top emotion, and distribution matching adds a prediction-alignment term each
+step. :func:`build_objective` prepares a run's coupling once.
 """
 
 import csv
@@ -20,7 +20,7 @@ from . import csvio
 from . import labels as lab
 from . import relatedness as rel
 from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, read_json
-from .losses import ccc_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
+from .losses import ccc_loss_grad, masked_bce_grad, softmax_ce_grad
 from .metrics import ConfusionMatrix, au_metrics, classification_metrics, va_metrics
 from .model import MultiHeadModel, SGDMomentum, gradient_check, median_filter
 from .scheduler import plan_epoch
@@ -150,8 +150,8 @@ class Objective:
     ``weights`` maps each name of :data:`LOSS_NAMES` to its weight.
     ``dm_matrix`` is the (classes, AUs) relatedness mixing matrix when
     distribution matching is on. ``sca_matrix`` is the same matrix when soft
-    co-annotation is on: each step scores its AU-labelled rows' soft emotion
-    labels with it. ``dm_targets``, set by :func:`run_gradcheck` alone, holds
+    co-annotation is on: each step picks its AU-labelled rows' target emotions
+    with it. ``dm_targets``, set by :func:`run_gradcheck` alone, holds
     the DM targets of its one batch fixed.
     """
 
@@ -222,10 +222,12 @@ def _joint_loss(model, sets, batch, objective: Objective):
         value, grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
         terms["va"] = value, "va", va_rows, grad
 
-    if objective.sca_matrix is not None and au_rows.size:
-        q = lab.soft_label(lab.indicator_scores(data.au[au_rows], objective.sca_matrix))
-        value, grad = sca_loss_grad(out["expr"][au_rows], q)
-        terms["sca"] = value, "expr", au_rows, grad
+    if objective.sca_matrix is not None:
+        target = lab.top_emotion(data.au[au_rows], objective.sca_matrix)
+        rows = au_rows[target >= 0]
+        if rows.size:
+            value, grad = softmax_ce_grad(out["expr"][rows], target[target >= 0])
+            terms["sca"] = value, "expr", rows, grad
 
     r = objective.dm_matrix
     if r is not None:
@@ -249,12 +251,15 @@ def _joint_loss(model, sets, batch, objective: Objective):
 # -- training ------------------------------------------------------------
 
 
-def _holdout_split(data, fraction, seed):
-    """(training rows, held-out rows) of ``data``, each in file order."""
+def _holdout_split(path, fraction, seed):
+    """(training rows, held-out rows) of the CSV at ``path``, each in file order."""
+    data = csvio.read_samples_csv(path)
     held = np.zeros(len(data), dtype=bool)
     if fraction:
         n_eval = int(round(len(data) * fraction))
         held[np.random.default_rng(seed).permutation(len(data))[:n_eval]] = True
+    if held.all():
+        raise ConfigError(f"holdout_fraction {fraction} holds out all {len(data)} rows of {path}")
     return data.take(np.flatnonzero(~held)), data.take(np.flatnonzero(held))
 
 
@@ -266,8 +271,8 @@ def run_train(config: ExperimentConfig) -> dict:
     directory behind."""
     table = load_relatedness(config)
 
-    sets, heldout = zip(*(_holdout_split(csvio.read_samples_csv(config.data[name]),
-                                         config.holdout_fraction, config.seed + 7919 * si)
+    sets, heldout = zip(*(_holdout_split(config.data[name], config.holdout_fraction,
+                                         config.seed + 7919 * si)
                           for si, name in enumerate(SET_NAMES) if name in config.data))
     dims = {data.features.shape[1] for data in sets}
     if len(dims) != 1:

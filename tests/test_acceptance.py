@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines as
 they print; without ``-s`` they appear in pytest's captured output on failure.
 """
 
+import functools
 import math
 from collections import Counter
 
@@ -30,7 +31,7 @@ from affectmtl.csvio import write_samples_csv
 from affectmtl.labels import SampleSet
 from affectmtl.relatedness import KIND_DOMAIN
 from affectmtl.synthdata import GeneratorSpec, draw, split
-from affectmtl.training import run_gradcheck, run_train
+from affectmtl.training import SET_NAMES, run_eval, run_gradcheck, run_train
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
 TABLE = domain_table()
@@ -154,21 +155,27 @@ def benefit_dataset(tmp_path_factory):
     return root
 
 
-def _held_out_expr_accuracy(root, coupling, seed, sets, loss_weights=None):
+def _benefit_run(root, coupling, seed, sets, loss_weights=None, epochs=1):
+    """Train on the named sets of ``root``; returns the manifest and the run directory."""
+    out_dir = root / f"run_{coupling}_{seed}_{len(sets)}_{epochs}"
     d = {
         "data": {k: str(root / f"{k}.csv") for k in sets},
         "coupling": coupling,
         "model": {"hidden": [32, 32]},
         "max_batch": 200,
-        "epochs": 1,
+        "epochs": epochs,
         "optimizer": {"lr": 0.015, "momentum": 0.9},
         "holdout_fraction": 0.2,
         "seed": seed,
-        "out_dir": str(root / f"run_{coupling}_{seed}_{len(sets)}"),
+        "out_dir": str(out_dir),
     }
     if loss_weights:
         d["loss_weights"] = {"couplings": loss_weights}
-    manifest = run_train(ExperimentConfig.from_dict(d))
+    return run_train(ExperimentConfig.from_dict(d)), out_dir
+
+
+def _held_out_expr_accuracy(root, coupling, seed, sets, loss_weights=None):
+    manifest, _ = _benefit_run(root, coupling, seed, sets, loss_weights)
     return manifest["final_metrics"]["expr"]["accuracy"]
 
 
@@ -326,3 +333,46 @@ def test_criterion_11_no_negative_transfer_on_au(walkthrough_dataset):
                        f"expr {'/'.join(f'{v:.3f}' for v in r[:, 1])}" for m, r in runs.items())
     verdict(11, "no negative transfer on AU or expression from distribution matching", ok,
             f"floor AU {floor[0]:.3f}, expr {floor[1]:.3f}; {detail}")
+
+
+@pytest.fixture(scope="module")
+def scarce_expr_runs(benefit_dataset):
+    """Criterion 7's expr-scarce data trained for 10 epochs, scored on 3000 fresh
+    rows (rows 6000-8999 of a 9000-row draw of the same generator, whose first
+    6000 rows are the training draw): the held-out expr set has only 24 rows.
+    Returns a function of a run's label that gives its (expr accuracy, AU mean
+    F1) per seed; "single" trains on the expr set alone."""
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=32, noise_scale=0.3, seed=0)
+    fresh = benefit_dataset / "fresh.csv"
+    write_samples_csv(fresh, draw(spec, 9000).take(np.arange(6000, 9000)))
+
+    @functools.cache
+    def scores(label):
+        coupling, sets = ("none", ("expr",)) if label == "single" else (label, SET_NAMES)
+        rows = []
+        for seed in (0, 1, 2):
+            _, out_dir = _benefit_run(benefit_dataset, coupling, seed, sets, epochs=10)
+            r = run_eval(out_dir / "model.bin", fresh)
+            rows.append((r["expr"]["accuracy"], r["au"]["mean_f1"]))
+        return np.array(rows)
+    return scores
+
+
+@pytest.mark.parametrize("mode", [
+    pytest.param("co_annotation", marks=pytest.mark.xfail(strict=True, reason=(
+        "the AU-to-emotion rule's pseudo-labels set the expr class prior where "
+        "expr labels are scarce: expr accuracy 0.906/0.948/0.942 against none's "
+        "0.993/0.990/0.991"))),
+    "soft_co_annotation", "distr_matching", "soft_plus_dm",
+])
+def test_criterion_12_no_negative_transfer_on_scarce_expression(scarce_expr_runs, mode):
+    """Where expression labels are scarce (96 training rows), each coupled mode
+    scores mean expr accuracy and mean AU F1 at least as high as the better of
+    ``none`` and single-task, less ``none``'s seed-to-seed range."""
+    none, single, runs = (scarce_expr_runs(m) for m in ("none", "single", mode))
+    floor = np.maximum(none.mean(axis=0), single.mean(axis=0)) - np.ptp(none, axis=0)
+    ok = bool((runs.mean(axis=0) >= floor).all())
+    verdict(12, f"no negative transfer from {mode} where expression labels are scarce", ok,
+            f"floor expr {floor[0]:.3f}, AU {floor[1]:.3f}; {mode} expr "
+            f"{'/'.join(f'{v:.3f}' for v in runs[:, 0])}, AU "
+            f"{'/'.join(f'{v:.3f}' for v in runs[:, 1])}")

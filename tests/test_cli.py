@@ -851,6 +851,33 @@ def test_a_failed_write_leaves_no_file_of_an_earlier_run(workspace, tmp_path, co
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
 
+def test_gen_data_without_full_removes_an_earlier_full_csv(tmp_path):
+    """A ``gen-data`` run without ``--full`` into a directory of a ``--full``
+    run leaves no ``full.csv`` of that run beside its own sets."""
+    out = tmp_path / "data"
+    assert main(["gen-data", "--n", "60", "--seed", "0", "--full", "--out", str(out)]) == 0
+    assert main(["gen-data", "--n", "90", "--seed", "1", "--out", str(out)]) == 0
+    csvs = ["au.csv", "expr.csv", "va.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.json", *csvs, *(f".{c}.affectmtl" for c in csvs)])
+
+
+def test_train_holdout_that_empties_a_set_is_a_config_error(tmp_path, capsys):
+    """A ``holdout_fraction`` that holds out every row of a set is refused
+    (exit 1) with a line that names the setting and the CSV, and no run
+    directory is made."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--n", "60", "--feature-dim", "4", "--out", str(data)]) == 0
+    capsys.readouterr()
+    config = {"data": {name: str(data / f"{name}.csv") for name in ("va", "au", "expr")},
+              "holdout_fraction": 0.99, "out_dir": str(tmp_path / "run")}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["train", "--config", str(tmp_path / "config.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: holdout_fraction 0.99 holds out all 20 rows of {data / 'va.csv'}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_seed_override_is_checked(workspace):
     """``--seed`` is checked like the file's seed, in the console entry point."""
     import affectmtl

@@ -30,7 +30,7 @@ from affectmtl import csvio
 from affectmtl.csvio import (
     AU_COLUMNS, float_cells, read_samples_csv, write_csv_columns, write_samples_csv,
 )
-from affectmtl.labels import SampleSet, indicator_scores, soft_label
+from affectmtl.labels import SampleSet, indicator_scores, top_emotion
 from affectmtl.synthdata import GeneratorSpec, draw
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -53,11 +53,9 @@ def sample(one_row):
     return build
 
 
-def soft_co_annotate(s):
-    """The indicator scores and the soft emotion label of a one-row set's AUs,
-    as soft co-annotation makes them."""
-    scores = indicator_scores(s.au[0], TABLE.weights)
-    return scores, soft_label(scores)
+def sca_target(s):
+    """The indicator scores and the SCA target of a one-row set's AUs."""
+    return indicator_scores(s.au, TABLE.weights)[0], top_emotion(s.au, TABLE.weights)[0]
 
 
 def subsample(data):
@@ -123,24 +121,33 @@ def test_aus_to_emotion_no_full_requirement(sample):
 
 def test_soft_co_annotate_worked_example(sample):
     s = sample(au_active=[12, 25], au_annotated=[6])
-    scores, q = soft_co_annotate(s)
+    scores, target = sca_target(s)
     assert scores[EMOTIONS.index("happiness")] == pytest.approx(2 / 2.51)
-    assert q.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(q > 0)
+    assert target == EMOTIONS.index("happiness")
 
 
-def test_soft_co_annotate_all_zero_uniform(sample):
+def test_soft_co_annotate_all_zero_is_a_tie(sample):
     s = sample(au_annotated=list(CANONICAL_AUS))
-    scores, q = soft_co_annotate(s)
+    scores, target = sca_target(s)
     assert np.allclose(scores, 0.0)
-    assert np.allclose(q, 1 / 7, atol=1e-12)
+    assert target == -1
 
 
 def test_soft_co_annotate_full_happiness(sample):
     s = sample(au_active=[12, 25, 6])
-    scores, q = soft_co_annotate(s)
+    scores, target = sca_target(s)
     assert scores[EMOTIONS.index("happiness")] == pytest.approx(1.0)
-    assert np.argmax(q) == EMOTIONS.index("happiness")
+    assert target == EMOTIONS.index("happiness")
+
+
+def test_soft_co_annotate_two_full_emotions_tie(sample):
+    """Every AU of disgust and of happiness: both score 1 up to rounding, and
+    the row gets no target."""
+    s = sample(au_active=[4, 9, 10, 17, 24, 6, 12, 25], au_annotated=list(CANONICAL_AUS))
+    scores, target = sca_target(s)
+    assert np.flatnonzero(scores > 0.99).tolist() == [EMOTIONS.index("disgust"),
+                                                      EMOTIONS.index("happiness")]
+    assert target == -1
 
 
 @pytest.mark.parametrize(

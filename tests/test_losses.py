@@ -12,11 +12,9 @@ from affectmtl import (
     ccc,
     domain_table,
 )
-from affectmtl.labels import soft_label
 from affectmtl.losses import (
     ccc_loss_grad,
     masked_bce_grad,
-    sca_loss_grad,
     softmax_ce_grad,
 )
 from affectmtl.relatedness import KIND_DOMAIN, NUM_AUS
@@ -222,35 +220,6 @@ def test_dm_loss_cases():
     assert dm_term(np.zeros(17), sure)[0] == pytest.approx(-math.log(1e-7), rel=1e-3)
 
 
-# -- soft co-annotation loss ---------------------------------------------
-
-
-def test_sca_loss_entropy_bound():
-    q = soft_label([0.5, 0.1, 0.9, 0.0, 0.3, 0.2, 0.7])
-    assert sca_loss_grad(q, q)[0] == pytest.approx(-np.sum(q * np.log(q)))
-
-
-def test_sca_loss_uniform_target():
-    q = soft_label(np.zeros(7))
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        p = rng.dirichlet(np.ones(7))
-        assert sca_loss_grad(p, q)[0] == pytest.approx(math.log(7))
-
-
-def test_sca_loss_one_hot_prediction():
-    q = soft_label([1.0, 0.2, 0.0, 0.1, 0.6, 0.0, 0.0])
-    p = np.zeros(7)
-    p[np.argmax(q)] = 1.0
-    assert sca_loss_grad(p, q)[0] == pytest.approx(-math.log(q.max()))
-
-
-def test_sca_loss_dim_mismatch():
-    q = soft_label(np.zeros(7))
-    with pytest.raises(DataError):
-        sca_loss_grad(np.full(6, 1 / 6), q)
-
-
 # -- gradients vs central finite differences -----------------------------
 
 
@@ -321,11 +290,3 @@ def test_softmax_ce_grad_matches_fd():
         fd = fd_grad(lambda x: -np.log(np.clip(x, 1e-7, None))[hard], p)
         assert rel_err(g, fd) < 1e-5
 
-
-def test_sca_loss_grad_matches_fd():
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(7))
-        q = soft_label(rng.uniform(0, 1, 7))
-        _, g = sca_loss_grad(p, q)
-        assert rel_err(g, fd_grad(lambda x: sca_loss_grad(x, q)[0], p)) < 1e-5

@@ -20,8 +20,8 @@ from affectmtl import (
     domain_table,
 )
 from affectmtl.csvio import write_samples_csv
-from affectmtl.labels import indicator_scores, soft_label
-from affectmtl.losses import ccc_loss_grad, masked_bce_grad, sca_loss_grad, softmax_ce_grad
+from affectmtl.labels import indicator_scores
+from affectmtl.losses import ccc_loss_grad, masked_bce_grad, softmax_ce_grad
 from affectmtl.relatedness import NUM_AUS
 from affectmtl import training
 from affectmtl.cli import main
@@ -201,8 +201,8 @@ def test_run_gradcheck_passes_all_modes():
 def _reference_loss(model, sets, batch, mode, table, weights):
     """Per-row loop over the batch: every loss term sample by sample, each over
     the rows that carry its label whatever their set, SCA targets from one
-    row's soft label, DM targets from one row at a time and held constant, so
-    that DM writes to the AU head alone."""
+    row's unique top indicator score, DM targets from one row at a time and held
+    constant, so that DM writes to the AU head alone."""
     picked = [(d, i) for d, rows in zip(sets, batch) for i in rows]
     out, _ = model.forward(np.stack([d.features[i] for d, i in picked]))
     g = {h: np.zeros_like(v) for h, v in out.items()}
@@ -231,10 +231,13 @@ def _reference_loss(model, sets, batch, mode, table, weights):
     losses["va"], grad = ccc_loss_grad(va, out["va"][rows])
     g["va"][rows] += weights["va"] * grad
     if mode in ("soft_co_annotation", "soft_plus_dm"):
+        def top(d, i):
+            scores = indicator_scores(d.au[i], table.weights)
+            return np.flatnonzero(scores >= scores.max() - 1e-9)  # ties up to rounding
+
+        sca_rows = [j for j in au_rows if len(top(*picked[j])) == 1]
         losses["sca"] = mean_over(
-            au_rows, lambda j, d, i: sca_loss_grad(
-                out["expr"][j],
-                soft_label(indicator_scores(d.au[i], table.weights))),
+            sca_rows, lambda j, d, i: softmax_ce_grad(out["expr"][j], top(d, i)[0]),
             "expr", weights["sca"],
         )
     if mode in ("distr_matching", "soft_plus_dm"):
@@ -338,8 +341,10 @@ def test_non_finite_joint_total_is_a_numerical_error(monkeypatch):
 
 def test_sca_scores_the_rows_that_carry_au_labels():
     """SCA follows the labels a row carries, not its set: VA-set rows with AU
-    labels are scored, and an AU-set row without one is not. Each scored row's
-    gradient is that of its own soft label, whatever the row's id."""
+    labels are scored, and an AU-set row without one is not, nor is a row whose
+    top indicator score is shared: an all-zero row, and a row with every AU of
+    two emotions. Each scored row's gradient is the cross entropy's against its
+    own top emotion, whatever the row's id."""
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
     full = draw(spec, 90)
     va_set, au_set, expr_set = split(full)
@@ -347,22 +352,31 @@ def test_sca_scores_the_rows_that_carry_au_labels():
     va_set = replace(va_set, au=full.au[:n_va], au_weights=full.au_weights[:n_va],
                      ids=np.full(n_va, "dup", dtype=object))
     no_au = np.arange(len(au_set)) == 3
-    au_set = replace(au_set, au=np.where(no_au[:, None], np.nan, au_set.au),
-                     au_weights=np.where(no_au[:, None], np.nan, au_set.au_weights))
+    pair = [EMOTIONS.index("disgust"), EMOTIONS.index("happiness")]
+    tied = np.stack([np.zeros(NUM_AUS), (TABLE.weights[pair] > 0).any(axis=0)])
+    tie_scores = indicator_scores(tied, TABLE.weights)
+    assert (tie_scores[0] == 0).all()
+    assert np.flatnonzero(tie_scores[1] > 1 - 1e-12).tolist() == pair  # 1 up to rounding
+    au = np.where(no_au[:, None], np.nan, au_set.au)
+    au_weights = np.where(no_au[:, None], np.nan, au_set.au_weights)
+    au[4:6], au_weights[4:6] = tied, 1.0
+    au_set = replace(au_set, au=au, au_weights=au_weights)
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     sets, objective = build_objective((va_set, au_set, expr_set), TABLE, "soft_co_annotation",
                                       WEIGHTS)
     batch = tuple(np.random.default_rng(0).permutation(len(data)) for data in sets)
-    _, terms, g, _ = _joint_loss(model, sets, batch, objective)
+    _, terms, g, cache = _joint_loss(model, sets, batch, objective)
     data = SampleSet.concat([d.take(rows) for d, rows in zip(sets, batch)])
     _, head, rows, grad = terms["sca"]
     assert head == "expr"
-    assert np.array_equal(rows, data.au_rows)
-    lone = n_va + np.flatnonzero(batch[1] == 3)[0]  # the AU-set row without an AU label
-    assert set(range(n_va)) < set(rows.tolist()) and lone not in rows
-    for j, row_grad in zip(rows, grad):
-        q = soft_label(indicator_scores(data.au[j], TABLE.weights))
-        assert np.allclose(row_grad, -np.log(q) / len(rows), rtol=1e-12, atol=0)
+    at = {k: n_va + np.flatnonzero(batch[1] == k)[0] for k in (3, 4, 5)}  # AU-set row k's place
+    assert at[3] not in data.au_rows and at[4] in data.au_rows and at[5] in data.au_rows
+    assert set(rows.tolist()) <= set(data.au_rows.tolist()) - {at[4], at[5]}
+    assert set(rows.tolist()) & set(range(n_va))  # VA-set rows with AU labels are scored
+    scores = indicator_scores(data.au[rows], TABLE.weights)
+    onehot = np.eye(len(EMOTIONS))[scores.argmax(axis=1)]
+    p = cache["out"]["expr"][rows]
+    assert np.allclose(grad, -onehot / p / len(rows), rtol=1e-12, atol=0)
     assert len({row_grad.tobytes() for row_grad in grad}) > 1
     # the whole objective matches the per-row loop, which picks rows by label too
     losses, g_ref = _reference_loss(model, sets, batch, "soft_co_annotation", TABLE, WEIGHTS)
