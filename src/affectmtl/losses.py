@@ -82,19 +82,23 @@ def masked_bce_grad(p_au, y_au, weights=None):
     """
     p = _rows(p_au)
     y = _rows(y_au)
-    mask = ~np.isnan(y)
-    if not mask.any(axis=1).all():
-        raise DataError("masked_bce_grad: no annotated AUs")
-    if weights is None:
-        w = mask.astype(float)
-    else:
-        w = np.where(mask, np.nan_to_num(_rows(weights), nan=0.0), 0.0)
     pc = np.clip(p, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
-    ys = np.where(mask, y, 0.0)
-    terms = ys * np.log(pc) + (1.0 - ys) * np.log(1.0 - pc)
-    wsum = w.sum(axis=1, keepdims=True) * len(p)
-    val = -float(((w * np.where(mask, terms, 0.0)).sum(axis=1, keepdims=True) / wsum).sum())
-    grad = np.where(mask & (p == pc), -w * (ys / pc - (1.0 - ys) / (1.0 - pc)) / wsum, 0.0)
+    terms = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)  # NaN where y is
+    keep = p == pc  # where the clip passes the gradient
+    mask = ~np.isnan(y)
+    if weights is None and mask.all():  # as DM calls it: nothing to mask, every weight 1
+        w, wsum = 1.0, float(y.shape[1] * len(p))
+    else:
+        if not mask.any(axis=1).all():
+            raise DataError("masked_bce_grad: no annotated AUs")
+        if weights is None:
+            w = mask.astype(float)
+        else:
+            w = np.where(mask, np.nan_to_num(_rows(weights), nan=0.0), 0.0)
+        terms, keep = np.where(mask, terms, 0.0), mask & keep
+        wsum = w.sum(axis=1, keepdims=True) * len(p)
+    val = -float(((w * terms).sum(axis=1, keepdims=True) / wsum).sum())
+    grad = np.where(keep, -w * (y / pc - (1.0 - y) / (1.0 - pc)) / wsum, 0.0)
     return val, grad.reshape(np.shape(p_au))
 
 

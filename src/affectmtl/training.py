@@ -1,9 +1,9 @@
 """Experiment configuration, the joint training loop, and evaluation runs.
 
-The coupling mode is pure configuration: co-annotation rewrites labels before
-training, soft co-annotation scores each step's AU-labelled rows against their
-top emotion, and distribution matching adds a prediction-alignment term each
-step. :func:`build_objective` prepares a run's coupling once.
+The coupling mode is pure configuration: co-annotation rewrites labels, and soft
+co-annotation picks each AU-labelled row's target emotion, once before training;
+distribution matching adds a prediction-alignment term each step.
+:func:`build_objective` prepares a run's coupling once.
 """
 
 import csv
@@ -149,15 +149,16 @@ class Objective:
 
     ``weights`` maps each name of :data:`LOSS_NAMES` to its weight.
     ``dm_matrix`` is the (classes, AUs) relatedness mixing matrix when
-    distribution matching is on. ``sca_matrix`` is the same matrix when soft
-    co-annotation is on: each step picks its AU-labelled rows' target emotions
-    with it. ``dm_targets``, set by :func:`run_gradcheck` alone, holds
-    the DM targets of its one batch fixed.
+    distribution matching is on. ``sca_targets`` holds, when soft co-annotation
+    is on, one array per training set: each row's SCA target emotion, built
+    once per run from the table's mixing matrix, or -1 where the row has no AU
+    label or its top emotion is tied. ``dm_targets``, set by :func:`run_gradcheck` alone,
+    holds the DM targets of its one batch fixed.
     """
 
     weights: dict
     dm_matrix: np.ndarray | None = None
-    sca_matrix: np.ndarray | None = None
+    sca_targets: tuple | None = None
     dm_targets: np.ndarray | None = None
 
 
@@ -166,14 +167,15 @@ def build_objective(sets, table, mode: str, weights: dict) -> tuple[tuple, Objec
 
     ``sets`` is a sequence of training sets, each a
     :class:`~affectmtl.labels.SampleSet`, returned as a tuple in the same
-    order. Co-annotation rewrites every set's labels; the soft and the DM
-    modes keep the table's ``weights`` for SCA and for DM.
+    order. Co-annotation rewrites every set's labels, the soft modes give each
+    row its SCA target (:func:`~affectmtl.labels.top_emotion`), and the DM
+    modes keep the table's ``weights``.
     """
     if mode == "co_annotation":
         sets = [lab.co_annotate(data, table) for data in sets]
     r = table.weights
-    return tuple(sets), Objective(weights, r if mode in DM_MODES else None,
-                                  r if mode in SCA_MODES else None)
+    sca = tuple(lab.top_emotion(data.au, r) for data in sets) if mode in SCA_MODES else None
+    return tuple(sets), Objective(weights, r if mode in DM_MODES else None, sca)
 
 
 def joint_loss_and_grads(model, sets, batch, objective: Objective):
@@ -204,29 +206,33 @@ def _joint_loss(model, sets, batch, objective: Objective):
     is the sum of weight * value, and each term adds weight * grad to its head's
     rows; each weight is read once.
     """
-    data = lab.SampleSet.concat([d.take(rows) for d, rows in zip(sets, batch)])
-    expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
-    out, cache = model.forward(data.features)
+    def gather(columns):  # the batch's rows of a column held as one array per set
+        return np.concatenate([c[rows] for c, rows in zip(columns, batch)])
+
+    features, expr, au, au_weights, va = (gather([getattr(d, name) for d in sets]) for name in
+                                          ("features", "expr", "au", "au_weights", "va"))
+    expr_rows, au_rows = np.flatnonzero(expr >= 0), np.flatnonzero(~np.isnan(au).all(axis=1))
+    va_rows = np.flatnonzero(~np.isnan(va[:, 0]))
+    out, cache = model.forward(features)
     terms: dict = {}
 
     if expr_rows.size:
-        value, grad = softmax_ce_grad(out["expr"][expr_rows], data.expr[expr_rows])
+        value, grad = softmax_ce_grad(out["expr"][expr_rows], expr[expr_rows])
         terms["expr"] = value, "expr", expr_rows, grad
 
     if au_rows.size:
-        value, grad = masked_bce_grad(
-            out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows])
+        value, grad = masked_bce_grad(out["au"][au_rows], au[au_rows], au_weights[au_rows])
         terms["au"] = value, "au", au_rows, grad
 
     if va_rows.size:
-        value, grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
+        value, grad = ccc_loss_grad(va[va_rows], out["va"][va_rows])
         terms["va"] = value, "va", va_rows, grad
 
-    if objective.sca_matrix is not None:
-        target = lab.top_emotion(data.au[au_rows], objective.sca_matrix)
-        rows = au_rows[target >= 0]
+    if objective.sca_targets is not None:
+        target = gather(objective.sca_targets)
+        rows = np.flatnonzero(target >= 0)
         if rows.size:
-            value, grad = softmax_ce_grad(out["expr"][rows], target[target >= 0])
+            value, grad = softmax_ce_grad(out["expr"][rows], target[rows])
             terms["sca"] = value, "expr", rows, grad
 
     r = objective.dm_matrix

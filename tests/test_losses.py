@@ -110,6 +110,36 @@ def test_masked_bce_requires_annotation():
         masked_bce_grad(np.full(17, 0.5), np.full(17, np.nan))
 
 
+def test_masked_bce_without_nan_or_weights_skips_only_the_mask():
+    """A NaN-free target with no weights, as DM passes it, gives the bits of the
+    same call with all-ones weights, the clip's zero gradient included; a target
+    with NaN still masks them out of the loss and the gradient."""
+    rng = np.random.default_rng(5)
+    p, q = rng.random((6, 17)), rng.random((6, 17))
+    p[0, :3] = [0.0, 1.0, 1e-9]  # clipped: no gradient
+    value, grad = masked_bce_grad(p, q)
+    ones_value, ones_grad = masked_bce_grad(p, q, np.ones_like(q))
+    assert value == ones_value and np.array_equal(grad, ones_grad)
+    assert (grad[0, :3] == 0).all() and (grad[:, 3:] != 0).all()
+    one_row = masked_bce_grad(p[1], q[1])
+    assert one_row[0] == masked_bce_grad(p[1], q[1], np.ones(17))[0]
+    assert one_row[1].shape == (17,)
+
+    y = q.copy()
+    y[:, 4] = np.nan
+    y[2, 5:] = np.nan
+    value, grad = masked_bce_grad(p, y)
+    ones_value, ones_grad = masked_bce_grad(p, y, np.ones_like(y))
+    assert value == ones_value and np.array_equal(grad, ones_grad)
+    assert np.isfinite(value) and (grad[np.isnan(y)] == 0).all()
+    pc = np.clip(p, 1e-7, 1 - 1e-7)
+    bce = -(y * np.log(pc) + (1 - y) * np.log(1 - pc))  # NaN where y is
+    assert value == pytest.approx(np.nanmean(bce, axis=1).mean(), rel=1e-12)
+    y[3] = np.nan
+    with pytest.raises(DataError, match="no annotated AUs"):
+        masked_bce_grad(p, y)
+
+
 # -- softmax ce ----------------------------------------------------------
 
 

@@ -20,15 +20,17 @@ from affectmtl import (
     domain_table,
 )
 from affectmtl.csvio import write_samples_csv
-from affectmtl.labels import indicator_scores
+from affectmtl import labels
+from affectmtl.labels import indicator_scores, top_emotion
 from affectmtl.losses import ccc_loss_grad, masked_bce_grad, softmax_ce_grad
 from affectmtl.relatedness import NUM_AUS
+from affectmtl.scheduler import plan_epoch
 from affectmtl import training
 from affectmtl.cli import main
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import (
-    LOSS_NAMES, SECTION, _joint_loss, _median_filter_by_video, build_objective, run_eval,
-    run_gradcheck, run_train,
+    COUPLING_MODES, LOSS_NAMES, SCA_MODES, SECTION, _joint_loss, _median_filter_by_video,
+    build_objective, joint_loss_and_grads, run_eval, run_gradcheck, run_train,
 )
 
 TABLE = domain_table()
@@ -385,6 +387,127 @@ def test_sca_scores_the_rows_that_carry_au_labels():
         assert abs(v - losses[name]) <= 1e-12, name
     for head in g_ref:
         assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
+
+
+# -- the joint step's bytes ------------------------------------------------
+
+
+def _masked_bce_grad_with_mask(p_au, y_au, weights=None):
+    """``masked_bce_grad`` as it was when every call built its NaN mask and weights."""
+    p, y = np.atleast_2d(np.asarray(p_au, float)), np.atleast_2d(np.asarray(y_au, float))
+    mask = ~np.isnan(y)
+    if weights is None:
+        w = mask.astype(float)
+    else:
+        w = np.where(mask, np.nan_to_num(np.atleast_2d(np.asarray(weights, float)), nan=0.0), 0.0)
+    pc = np.clip(p, 1e-7, 1.0 - 1e-7)
+    ys = np.where(mask, y, 0.0)
+    terms = ys * np.log(pc) + (1.0 - ys) * np.log(1.0 - pc)
+    wsum = w.sum(axis=1, keepdims=True) * len(p)
+    val = -float(((w * np.where(mask, terms, 0.0)).sum(axis=1, keepdims=True) / wsum).sum())
+    grad = np.where(mask & (p == pc), -w * (ys / pc - (1.0 - ys) / (1.0 - pc)) / wsum, 0.0)
+    return val, grad.reshape(np.shape(p_au))
+
+
+def _per_step_sca_joint_loss(model, sets, batch, objective, sca_matrix):
+    """The joint step as it was when each step gathered a whole SampleSet of its
+    rows and picked the SCA targets of its AU rows with ``sca_matrix``."""
+    data = SampleSet.concat([d.take(rows) for d, rows in zip(sets, batch)])
+    expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
+    out, cache = model.forward(data.features)
+    terms: dict = {}
+    if expr_rows.size:
+        value, grad = softmax_ce_grad(out["expr"][expr_rows], data.expr[expr_rows])
+        terms["expr"] = value, "expr", expr_rows, grad
+    if au_rows.size:
+        value, grad = _masked_bce_grad_with_mask(
+            out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows])
+        terms["au"] = value, "au", au_rows, grad
+    if va_rows.size:
+        value, grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
+        terms["va"] = value, "va", va_rows, grad
+    if sca_matrix is not None:
+        target = top_emotion(data.au[au_rows], sca_matrix)
+        rows = au_rows[target >= 0]
+        if rows.size:
+            value, grad = softmax_ce_grad(out["expr"][rows], target[target >= 0])
+            terms["sca"] = value, "expr", rows, grad
+    r = objective.dm_matrix
+    if r is not None:
+        q = out["expr"] @ r if objective.dm_targets is None else objective.dm_targets
+        value, grad = _masked_bce_grad_with_mask(out["au"], q)
+        terms["dm"] = NUM_AUS * value, "au", slice(None), NUM_AUS * grad
+    total = 0.0
+    g = {h: np.zeros_like(out[h]) for h in out}
+    for name, (value, head, rows, grad) in terms.items():
+        weight = objective.weights[name]
+        total += weight * value
+        g[head][rows] += weight * grad
+    return float(total), terms, g, cache
+
+
+@pytest.mark.parametrize("mode", COUPLING_MODES)
+def test_joint_step_keeps_the_bytes_of_the_per_step_form(mode):
+    """Per-run SCA targets, a gather of the loss columns alone and DM without
+    mask work change no bit of the total, of a term or of a head gradient, on
+    shuffled batches of two epochs and with a held DM target."""
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=6)
+    model = MultiHeadModel(8, hidden=(16,), seed=2)
+    sets, objective = build_objective(split(draw(spec, 240)), TABLE, mode, WEIGHTS)
+    sca_matrix = TABLE.weights if mode in SCA_MODES else None
+    batches = [batch for seed in (3, 4)
+               for batch in plan_epoch([len(d) for d in sets], 30, seed=seed)]
+    assert len(batches) >= 6
+    rng = np.random.default_rng(1)
+    for batch in batches:
+        held = replace(objective, dm_targets=rng.random((sum(map(len, batch)), NUM_AUS)))
+        for obj in (objective, held) if objective.dm_matrix is not None else (objective,):
+            total, terms, g, _ = _joint_loss(model, sets, batch, obj)
+            ref_total, ref_terms, ref_g, _ = _per_step_sca_joint_loss(
+                model, sets, batch, obj, sca_matrix)
+            assert total == ref_total
+            assert list(terms) == list(ref_terms)
+            assert ("sca" in terms) == (mode in SCA_MODES)
+            for name, (value, head, rows, grad) in terms.items():
+                ref_value, ref_head, ref_rows, ref_grad = ref_terms[name]
+                assert value == ref_value and head == ref_head, name
+                assert np.array_equal(np.arange(len(g[head]))[rows],
+                                      np.arange(len(g[head]))[ref_rows]), name
+                assert np.array_equal(grad, ref_grad), name
+            assert set(g) == set(ref_g)
+            for head in g:
+                assert np.array_equal(g[head], ref_g[head]), head
+
+
+@pytest.mark.parametrize("mode", COUPLING_MODES)
+def test_sca_targets_are_built_once_per_run(mode, monkeypatch):
+    """``build_objective`` calls ``top_emotion`` once per training set in the SCA
+    modes and never otherwise; no step calls it. Each set's targets are its
+    rows' top emotions, -1 on every row without an AU label."""
+    calls = []
+    monkeypatch.setattr(labels, "top_emotion", lambda au, r: calls.append(len(au)) or
+                        top_emotion(au, r))
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
+    sets, objective = build_objective(split(draw(spec, 180)), TABLE, mode, WEIGHTS)
+    sca = mode in SCA_MODES
+    assert calls == ([len(d) for d in sets] if sca else [])
+    model = MultiHeadModel(8, hidden=(16,), seed=1)
+    batches = plan_epoch([len(d) for d in sets], 20, seed=0)
+    assert len(batches) >= 3
+    for batch in batches:
+        joint_loss_and_grads(model, sets, batch, objective)
+    assert len(calls) == (len(sets) if sca else 0)
+    if not sca:
+        assert objective.sca_targets is None
+        return
+    assert len(objective.sca_targets) == len(sets)
+    unlabelled = 0
+    for data, target in zip(sets, objective.sca_targets):
+        assert np.array_equal(target, top_emotion(data.au, TABLE.weights))
+        no_au = np.isnan(data.au).all(axis=1)
+        assert (target[no_au] == -1).all()
+        unlabelled += no_au.sum()
+    assert unlabelled and (objective.sca_targets[1] >= 0).any()
 
 
 def test_table_head_mismatch_is_a_data_error(dataset_dir, tmp_path):
