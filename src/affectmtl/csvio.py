@@ -271,7 +271,7 @@ def write_samples_csv(path, data: SampleSet, feature_cells=None) -> None:
            "video": np.where(keyed, data.video, ""), "frame": np.where(keyed, data.frame, -1),
            "compound": np.full(len(data), "", dtype=object)}
     try:
-        _check_columns(col, has_va, col["expr"] != -1, ~np.isnan(data.au))
+        _check_columns(col)
     except ValueError as e:
         raise DataError(f"cannot write {path}: {e}") from e
     header = ["id", "video_id", "frame_idx", *(f"f{i}" for i in range(data.features.shape[1])),
@@ -473,19 +473,20 @@ def _load_parsed(path: Path, key: bytes) -> dict | None:
             return None
         columns["features"] = _References(files, file, row)
     try:  # a label is stored as -1 or NaN where a row has none
-        _check_columns(columns, ~np.isnan(columns["va"]), columns["expr"] != -1,
-                       ~np.isnan(columns["au"]))
+        _check_columns(columns)
     except (ValueError, DataError):
         return None
     return columns
 
 
-def _check_columns(col: dict, has_va, has_expr, has_au) -> None:
+def _check_columns(col: dict, has_va=None) -> None:
     """Raise for the first rule of the annotation CSV format that the reader's
     columns ``col`` break: a ValueError, or a DataError for a row without a
-    label. ``has_va`` (n, 2), ``has_expr`` (n,) and ``has_au`` (n, 17) mark
-    the label cells that each row fills."""
+    label. A filled cell holds an expr other than -1, or an AU or VA other than
+    NaN; ``has_va`` (n, 2), when given, marks the filled VA cells instead."""
     va, expr, au, features = col["va"], col["expr"], col["au"], col["features"]
+    has_va = ~np.isnan(va) if has_va is None else has_va
+    has_expr, has_au = expr != -1, ~np.isnan(au)
     if isinstance(features, np.ndarray) and not np.isfinite(features).all():  # else references
         raise ValueError("non-finite feature value")
     if (has_va[:, 0] != has_va[:, 1]).any():
@@ -505,12 +506,10 @@ def _check_columns(col: dict, has_va, has_expr, has_au) -> None:
 
 
 def _sample_set(directory: Path, features, **columns) -> SampleSet:
-    """The set of the CSV reader's columns, with the loss weight 1 on every
-    annotated AU; :class:`_References` are gathered from ``directory``."""
+    """The set of the CSV reader's columns, :class:`_References` gathered from ``directory``."""
     if isinstance(features, _References):
         features = _gather(directory, features)
-    return SampleSet(features=features, au_weights=np.where(np.isnan(columns["au"]), np.nan, 1.0),
-                     **columns)
+    return SampleSet(features=features, **columns)
 
 
 class _BadReference(ValueError):
@@ -655,8 +654,8 @@ class _Layout:
         col = {"ids": np.array(list(map(self.id, rows)), dtype=object), "features": features,
                "expr": expr, "au": va_au[:, 2:], "va": va_au[:, :2], "frame": frame,
                "video": np.where(keyed, cells[:, _VIDEO], ""), "compound": cells[:, -1]}
-        # an AU cell reading nan is unannotated
-        _check_columns(col, filled[:, :2], filled[:, _EXPR], ~np.isnan(col["au"]))
+        # an AU cell reading nan is unannotated, a VA cell reading nan is an error
+        _check_columns(col, filled[:, :2])
         return col
 
     def _references(self, refs) -> tuple:

@@ -2,12 +2,13 @@
 
 A sample carries a feature vector plus any subset of the three label types:
 valence/arousal, a basic-expression index, and a partially-annotated AU vector
-(NaN marks unannotated AUs). A data set, however its labels overlap, is one
-:class:`SampleSet`: one array per field, a missing label held as -1 or NaN.
-The CSV reader of :mod:`affectmtl.csvio` and the synthetic generator make one,
-and every operation here is a pure function of its columns: co-annotation
-rewrites them, and cleaning and frame subsampling return row masks for
-:meth:`SampleSet.take`.
+(NaN marks unannotated AUs); :func:`label_masks` says which rows carry each. A
+data set, however its labels overlap, is one :class:`SampleSet`: one array per
+CSV column, a missing label held as -1 or NaN. The CSV reader of
+:mod:`affectmtl.csvio` and the synthetic generator make one, and every
+operation here is a pure function of its columns: co-annotation rewrites them
+and weighs the AUs it fills, and cleaning and frame subsampling return row
+masks for :meth:`SampleSet.take`.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ class SampleSet:
     """A data set held column by column: row ``i`` of every field is sample ``i``.
 
     ``expr`` holds class indices with -1 for "none"; ``va`` (n, 2) and ``au``
-    (n, 17) hold NaN where a sample carries no such label, and ``au_weights``
-    holds the per-AU loss weights, NaN exactly where ``au`` is. ``video`` and
+    (n, 17) hold NaN where a sample carries no such label. ``video`` and
     ``compound`` (a CSV's optional compound-expression truth) hold "" and
-    ``frame`` -1 where a sample has no such value.
+    ``frame`` -1 where a sample has no such value. The fields are the CSV
+    reader's columns and nothing more.
     """
 
     ids: np.ndarray
     features: np.ndarray
     expr: np.ndarray
     au: np.ndarray
-    au_weights: np.ndarray
     va: np.ndarray
     video: np.ndarray
     frame: np.ndarray
@@ -44,20 +44,9 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def expr_rows(self) -> np.ndarray:
-        """Indices of the rows that carry an expression label."""
-        return np.flatnonzero(self.expr >= 0)
-
-    @property
-    def au_rows(self) -> np.ndarray:
-        """Indices of the rows with at least one annotated AU."""
-        return np.flatnonzero(~np.isnan(self.au).all(axis=1))
-
-    @property
-    def va_rows(self) -> np.ndarray:
-        """Indices of the rows that carry a valence/arousal label."""
-        return np.flatnonzero(~np.isnan(self.va[:, 0]))
+    def label_rows(self) -> tuple:
+        """The indices of the rows of each of :func:`label_masks`."""
+        return tuple(map(np.flatnonzero, label_masks(self.expr, self.au, self.va)))
 
     def take(self, rows) -> "SampleSet":
         """The rows ``rows`` (an index array, in that order, or a row mask)."""
@@ -69,6 +58,12 @@ class SampleSet:
     def concat(cls, sets) -> "SampleSet":
         """The rows of every set in ``sets``, one set after another."""
         return cls(*(np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(cls)))
+
+
+def label_masks(expr, au, va) -> tuple:
+    """Row masks of the rows of a set's ``expr``, ``au`` and ``va`` columns that
+    carry an expression (``expr`` >= 0), at least one annotated AU, and VA."""
+    return expr >= 0, ~np.isnan(au).all(axis=1), ~np.isnan(va[:, 0])
 
 
 def indicator_scores(au, r) -> np.ndarray:
@@ -92,31 +87,32 @@ def top_emotion(au, r) -> np.ndarray:
     return np.where(ranked[:, -1] - ranked[:, -2] > 1e-9, scores.argmax(axis=1), -1)
 
 
-def co_annotate(data: SampleSet, table: RelatednessTable) -> SampleSet:
-    """Both co-annotation rules over every row of ``data`` at once.
+def co_annotate(data: SampleSet, table: RelatednessTable) -> tuple[SampleSet, np.ndarray]:
+    """Both co-annotation rules over every row of ``data`` at once: returns the
+    rewritten set and its AU loss weights.
 
     Emotion to AUs: a row with an expression gets its unannotated
     prototypical and observational AUs set active, each with its table weight
-    as the loss weight (1.0 for a prototypical entry); annotated AUs keep
-    their label and weight. AUs to emotion: a row without an expression gets
-    the emotion whose every prototypical and observational AU is annotated
-    active; among qualifying emotions the one with the largest requirement
-    wins, ties breaking to the lowest class index. An emotion without table
-    entries, such as neutral in :func:`~affectmtl.relatedness.domain_table`,
-    never qualifies, and a row of it gets no AU filled.
+    as the loss weight (1.0 for a prototypical entry); every other AU weighs 1,
+    though no loss reads an unannotated AU's weight. AUs to emotion: a row
+    without an expression gets the emotion whose every prototypical and
+    observational AU is annotated active; among qualifying emotions the one
+    with the largest requirement wins, ties breaking to the lowest class index.
+    An emotion without table entries, such as neutral in
+    :func:`~affectmtl.relatedness.domain_table`, never qualifies, and a row of
+    it gets no AU filled.
     """
     if table.kind != KIND_DOMAIN:
         raise DataError("co-annotation requires a prototypical/observational table")
     r, binary = table.weights, (table.weights > 0) * 1.0
-    has_expr = data.expr >= 0
+    has_expr = label_masks(data.expr, data.au, data.va)[0]
     row_r = np.where(has_expr[:, None], r[data.expr], 0.0)  # expr -1 picks a row, masked here
     fill = np.isnan(data.au) & (row_r > 0)
     au = np.where(fill, 1.0, data.au)
-    au_weights = np.where(fill, row_r, data.au_weights)
     qualifies = indicator_scores(au, binary) == 1.0
     best = np.where(qualifies, binary.sum(axis=1), -1).argmax(axis=1)
     expr = np.where(~has_expr & qualifies.any(axis=1), best, data.expr)
-    return replace(data, expr=expr, au=au, au_weights=au_weights)
+    return replace(data, expr=expr, au=au), np.where(fill, row_r, 1.0)
 
 
 # The sign that each emotion's valence and arousal must have, one row per

@@ -86,7 +86,7 @@ def masked_bce_grad(p_au, y_au, weights=None):
     terms = y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)  # NaN where y is
     keep = p == pc  # where the clip passes the gradient
     mask = ~np.isnan(y)
-    if weights is None and mask.all():  # as DM calls it: nothing to mask, every weight 1
+    if weights is None and mask.all():  # DM, or a fully annotated AU term: every weight 1
         w, wsum = 1.0, float(y.shape[1] * len(p))
     else:
         if not mask.any(axis=1).all():

@@ -94,7 +94,7 @@ def draw(spec: GeneratorSpec, n: int) -> SampleSet:
     fpv = spec.frames_per_video
     return SampleSet(
         ids=np.array([f"s{i:06d}" for i in range(n)], dtype=object),
-        features=features, expr=expr, au=au, au_weights=np.ones_like(au), va=va,
+        features=features, expr=expr, au=au, va=va,
         video=np.array([f"vid{i // fpv:05d}" if fpv else "" for i in range(n)], dtype=object),
         frame=np.arange(n) % fpv if fpv else np.full(n, -1),
         compound=np.full(n, "", dtype=object),
@@ -116,7 +116,7 @@ def split(full: SampleSet, partition=(1 / 3, 1 / 3, 1 / 3)):
     cuts = partition_cuts(len(full), partition)
     no_expr = np.full_like(full.expr, -1)
     no_va, no_au = np.full_like(full.va, np.nan), np.full_like(full.au, np.nan)
-    stripped = (replace(full, expr=no_expr, au=no_au, au_weights=no_au),
+    stripped = (replace(full, expr=no_expr, au=no_au),
                 replace(full, expr=no_expr, va=no_va),
-                replace(full, va=no_va, au=no_au, au_weights=no_au))
+                replace(full, va=no_va, au=no_au))
     return tuple(s.take(np.arange(a, b)) for s, a, b in zip(stripped, cuts, cuts[1:]))

@@ -1,9 +1,10 @@
 """Experiment configuration, the joint training loop, and evaluation runs.
 
-The coupling mode is pure configuration: co-annotation rewrites labels, and soft
-co-annotation picks each AU-labelled row's target emotion, once before training;
-distribution matching adds a prediction-alignment term each step.
-:func:`build_objective` prepares a run's coupling once.
+The coupling mode is pure configuration: co-annotation rewrites labels and
+weighs the AUs it fills, and soft co-annotation picks each AU-labelled row's
+target emotion, once before training (:func:`build_objective`); distribution
+matching adds a prediction-alignment term each step. Every term and metric runs
+over the rows that :func:`~affectmtl.labels.label_masks` gives its label.
 """
 
 import csv
@@ -149,16 +150,18 @@ class Objective:
 
     ``weights`` maps each name of :data:`LOSS_NAMES` to its weight.
     ``dm_matrix`` is the (classes, AUs) relatedness mixing matrix when
-    distribution matching is on. ``sca_targets`` holds, when soft co-annotation
-    is on, one array per training set: each row's SCA target emotion, built
-    once per run from the table's mixing matrix, or -1 where the row has no AU
-    label or its top emotion is tied. ``dm_targets``, set by :func:`run_gradcheck` alone,
-    holds the DM targets of its one batch fixed.
+    distribution matching is on. ``sca_targets`` (soft co-annotation) and
+    ``au_weights`` (co-annotation) hold one array per training set, built once
+    per run: each row's SCA target emotion from the table's mixing matrix (-1
+    where the row has no AU label or its top emotion is tied), and the AU loss
+    weights of :func:`~affectmtl.labels.co_annotate`. ``dm_targets``, set by
+    :func:`run_gradcheck` alone, holds the DM targets of its one batch fixed.
     """
 
     weights: dict
     dm_matrix: np.ndarray | None = None
     sca_targets: tuple | None = None
+    au_weights: tuple | None = None
     dm_targets: np.ndarray | None = None
 
 
@@ -167,15 +170,16 @@ def build_objective(sets, table, mode: str, weights: dict) -> tuple[tuple, Objec
 
     ``sets`` is a sequence of training sets, each a
     :class:`~affectmtl.labels.SampleSet`, returned as a tuple in the same
-    order. Co-annotation rewrites every set's labels, the soft modes give each
-    row its SCA target (:func:`~affectmtl.labels.top_emotion`), and the DM
-    modes keep the table's ``weights``.
+    order. Co-annotation rewrites every set's labels and weighs its AUs, the soft
+    modes give each row its SCA target (:func:`~affectmtl.labels.top_emotion`),
+    and the DM modes keep the table's ``weights``.
     """
+    au_weights = None
     if mode == "co_annotation":
-        sets = [lab.co_annotate(data, table) for data in sets]
+        sets, au_weights = zip(*(lab.co_annotate(data, table) for data in sets))
     r = table.weights
     sca = tuple(lab.top_emotion(data.au, r) for data in sets) if mode in SCA_MODES else None
-    return tuple(sets), Objective(weights, r if mode in DM_MODES else None, sca)
+    return tuple(sets), Objective(weights, r if mode in DM_MODES else None, sca, au_weights)
 
 
 def joint_loss_and_grads(model, sets, batch, objective: Objective):
@@ -209,10 +213,9 @@ def _joint_loss(model, sets, batch, objective: Objective):
     def gather(columns):  # the batch's rows of a column held as one array per set
         return np.concatenate([c[rows] for c, rows in zip(columns, batch)])
 
-    features, expr, au, au_weights, va = (gather([getattr(d, name) for d in sets]) for name in
-                                          ("features", "expr", "au", "au_weights", "va"))
-    expr_rows, au_rows = np.flatnonzero(expr >= 0), np.flatnonzero(~np.isnan(au).all(axis=1))
-    va_rows = np.flatnonzero(~np.isnan(va[:, 0]))
+    features, expr, au, va = (gather([getattr(d, name) for d in sets])
+                              for name in ("features", "expr", "au", "va"))
+    expr_rows, au_rows, va_rows = map(np.flatnonzero, lab.label_masks(expr, au, va))
     out, cache = model.forward(features)
     terms: dict = {}
 
@@ -221,7 +224,8 @@ def _joint_loss(model, sets, batch, objective: Objective):
         terms["expr"] = value, "expr", expr_rows, grad
 
     if au_rows.size:
-        value, grad = masked_bce_grad(out["au"][au_rows], au[au_rows], au_weights[au_rows])
+        weights = None if objective.au_weights is None else gather(objective.au_weights)[au_rows]
+        value, grad = masked_bce_grad(out["au"][au_rows], au[au_rows], weights)
         terms["au"] = value, "au", au_rows, grad
 
     if va_rows.size:
@@ -291,7 +295,7 @@ def run_train(config: ExperimentConfig) -> dict:
     sizes = [len(data) for data in sets]
     plans = [plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * e)
              for e in range(config.epochs)]
-    has_va = [~np.isnan(data.va[:, 0]) for data in sets]
+    has_va = [lab.label_masks(data.expr, data.au, data.va)[2] for data in sets]
     if any(sum(np.count_nonzero(va[rows]) for va, rows in zip(has_va, batch)) == 1
            for batches in plans for batch in batches):
         raise ConfigError(
@@ -395,7 +399,7 @@ def evaluate_model(model, data) -> dict:
     if not len(data):
         raise DataError("nothing to evaluate")
     out, _ = model.forward(data.features)
-    expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
+    expr_rows, au_rows, va_rows = data.label_rows()
     results: dict = {}
 
     if expr_rows.size:

@@ -17,14 +17,12 @@ from affectmtl.synthdata import VA_MEANS
 
 def _one_row(id="s0", features=(0.0, 0.0, 0.0, 0.0), va=None, expr=None, au=None,
              sequence_key=None) -> SampleSet:
-    """A one-row ``SampleSet``; a label left at None is absent (-1 or NaN), and
-    each annotated AU has loss weight 1, as the CSV reader gives it."""
+    """A one-row ``SampleSet``; a label left at None is absent (-1 or NaN)."""
     au = np.full(NUM_AUS, np.nan) if au is None else np.asarray(au, dtype=float)
     video, frame = sequence_key or ("", -1)
     return SampleSet(
         ids=np.array([id], dtype=object), features=np.array([features], dtype=float),
         expr=np.array([-1 if expr is None else expr]), au=au[None, :],
-        au_weights=np.where(np.isnan(au), np.nan, 1.0)[None, :],
         va=np.array([(np.nan, np.nan) if va is None else va], dtype=float),
         video=np.array([video], dtype=object), frame=np.array([frame]),
         compound=np.array([""], dtype=object),
@@ -119,7 +117,6 @@ def _reference_read_samples_csv(path):
     out = {k: np.array(v, dtype=object if k in ("ids", "video", "compound") else None)
            for k, v in cols.items()}
     out["features"] = out["features"].astype(float)
-    out["au_weights"] = np.where(np.isnan(out["au"]), np.nan, 1.0)
     return out
 
 
@@ -288,7 +285,7 @@ def _reference_draw(spec, n):
     fpv = spec.frames_per_video
     return SampleSet(
         ids=np.array([f"s{i:06d}" for i in range(n)], dtype=object),
-        features=features, expr=expr, au=au, au_weights=np.ones_like(au), va=va,
+        features=features, expr=expr, au=au, va=va,
         video=np.array([f"vid{i // fpv:05d}" if fpv else "" for i in range(n)], dtype=object),
         frame=np.arange(n) % fpv if fpv else np.full(n, -1),
         compound=np.full(n, "", dtype=object),

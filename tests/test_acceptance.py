@@ -5,7 +5,6 @@ they print; without ``-s`` they appear in pytest's captured output on failure.
 """
 
 import functools
-import math
 from collections import Counter
 
 import numpy as np

@@ -60,7 +60,7 @@ def test_gen_data_full_rows_carry_the_unstripped_labels(workspace):
     """``full.csv`` holds each sample of ``va.csv``, ``au.csv`` and ``expr.csv``
     once, with the same features and that set's label, plus the other two."""
     full = read_samples_csv(workspace / "data" / "full.csv")
-    assert len(full.expr_rows) == len(full.au_rows) == len(full.va_rows) == len(full)
+    assert all(len(rows) == len(full) for rows in full.label_rows())
     index = {sid: i for i, sid in enumerate(full.ids)}
     seen = []
     for name in ("va", "au", "expr"):
@@ -356,7 +356,7 @@ def test_infer_relatedness_counts_the_co_annotated_rows_alone(workspace, tmp_pat
         assert not inferred.exists()
         return
     samples = read_samples_csv(corpus)
-    both = np.intersect1d(samples.expr_rows, samples.au_rows)
+    both = np.intersect1d(*samples.label_rows()[:2])
     full = corpus.name == "full.csv"  # every row co-annotated; mixed.csv mixes the kinds
     assert len(both) == len(samples) if full else 0 < len(both) < len(samples)
     infer_empirical(samples.expr[both], samples.au[both]).save(tmp_path / "reference.json")

@@ -62,6 +62,18 @@ def subsample(data):
     return data.take(subsample_frames(data.video, data.frame))
 
 
+def test_sample_set_holds_the_csv_columns_alone(tmp_path):
+    """A ``SampleSet``'s fields are the columns that the CSV parse returns, with
+    f columns and with .npy references: no field is held beside them."""
+    np.save(tmp_path / "x.npy", np.zeros((1, 2)))
+    names = {f.name for f in fields(SampleSet)}
+    for text in ("id,f0,expr\nx,0.5,1\n", "id,feature_file,expr\nx,x.npy:0,1\n"):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert set(csvio._parse(text.encode(), path)) == names
+    assert len(names) == 8
+
+
 def test_sample_requires_some_label(tmp_path):
     p = tmp_path / "d.csv"
     for text in ("id,f0,expr\nx,0.5,\n", "id,f0,expr,au_1\nx,0.5,,nan\n"):  # nan: unannotated
@@ -71,8 +83,8 @@ def test_sample_requires_some_label(tmp_path):
 
 
 def test_co_annotate_happiness(sample):
-    s = co_annotate(sample(expr=EMOTIONS.index("happiness")), TABLE)
-    au, w = s.au[0], s.au_weights[0]
+    s, weights = co_annotate(sample(expr=EMOTIONS.index("happiness")), TABLE)
+    au, w = s.au[0], weights[0]
     assert au[AU_IDX[12]] == 1.0 and w[AU_IDX[12]] == 1.0
     assert au[AU_IDX[25]] == 1.0 and w[AU_IDX[25]] == 1.0
     assert au[AU_IDX[6]] == 1.0 and w[AU_IDX[6]] == 0.51
@@ -81,42 +93,44 @@ def test_co_annotate_happiness(sample):
 
 
 def test_co_annotate_disgust(sample):
-    s = co_annotate(sample(expr=EMOTIONS.index("disgust")), TABLE)
-    weights = {n: s.au_weights[0, AU_IDX[n]] for n in (9, 10, 17, 4, 24)}
+    _, w = co_annotate(sample(expr=EMOTIONS.index("disgust")), TABLE)
+    weights = {n: w[0, AU_IDX[n]] for n in (9, 10, 17, 4, 24)}
     assert weights == {9: 1.0, 10: 1.0, 17: 1.0, 4: 0.31, 24: 0.26}
 
 
 def test_co_annotate_neutral_unchanged(sample):
     s = sample(expr=EMOTIONS.index("neutral"))
-    out = co_annotate(s, TABLE)
+    out, weights = co_annotate(s, TABLE)
     assert np.array_equal(out.au, s.au, equal_nan=True)
-    assert np.array_equal(out.au_weights, s.au_weights, equal_nan=True)
+    assert (weights == 1.0).all()
     assert np.array_equal(out.expr, s.expr)
 
 
 def test_co_annotate_never_overwrites_and_is_idempotent(sample):
     s = sample(expr=EMOTIONS.index("happiness"), au_annotated=[12])  # AU12 annotated 0
-    out = co_annotate(s, TABLE)
+    out, weights = co_annotate(s, TABLE)
     assert out.au[0, AU_IDX[12]] == 0.0  # pre-existing label wins
     assert out.au[0, AU_IDX[25]] == 1.0
-    again = co_annotate(out, TABLE)
+    # a real AU weighs 1 and a filled AU its table weight
+    assert weights[0, AU_IDX[12]] == 1.0 and weights[0, AU_IDX[6]] == 0.51
+    again, weights = co_annotate(out, TABLE)
     assert np.array_equal(again.au, out.au, equal_nan=True)
-    assert np.array_equal(again.au_weights, out.au_weights, equal_nan=True)
+    assert (weights == 1.0).all()  # nothing left to fill
 
 
 def test_aus_to_emotion_surprise(sample):
-    s = co_annotate(sample(au_active=[1, 2, 5, 25, 26]), TABLE)
+    s, _ = co_annotate(sample(au_active=[1, 2, 5, 25, 26]), TABLE)
     assert s.expr[0] == EMOTIONS.index("surprise")
 
 
 def test_aus_to_emotion_happiness(sample):
-    s = co_annotate(sample(au_active=[12, 25, 6]), TABLE)
+    s, _ = co_annotate(sample(au_active=[12, 25, 6]), TABLE)
     assert s.expr[0] == EMOTIONS.index("happiness")
 
 
 def test_aus_to_emotion_no_full_requirement(sample):
     s = sample(au_active=[4])
-    assert co_annotate(s, TABLE).expr[0] == -1
+    assert co_annotate(s, TABLE)[0].expr[0] == -1
 
 
 def test_soft_co_annotate_worked_example(sample):

@@ -22,12 +22,9 @@ def test_partition_disjoint_and_label_stripping():
     va_set, au_set, expr_set = split(draw(spec, 300))
     ids = [i for group in (va_set, au_set, expr_set) for i in group.ids]
     assert len(ids) == len(set(ids)) == 300
-    assert len(va_set.va_rows) == len(va_set) and not va_set.expr_rows.size
-    assert not va_set.au_rows.size
-    assert len(au_set.au_rows) == len(au_set) and not au_set.va_rows.size
-    assert not au_set.expr_rows.size
-    assert len(expr_set.expr_rows) == len(expr_set) and not expr_set.va_rows.size
-    assert not expr_set.au_rows.size
+    # the rows carrying (expr, AU, VA) labels: each set carries its own label alone
+    for data, carried in zip((va_set, au_set, expr_set), ((0, 0, 1), (0, 1, 0), (1, 0, 0))):
+        assert [len(rows) for rows in data.label_rows()] == [c * len(data) for c in carried]
 
 
 def test_prototypical_au_always_active():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affectmtl import (
@@ -23,14 +23,16 @@ from affectmtl.csvio import write_samples_csv
 from affectmtl import labels
 from affectmtl.labels import indicator_scores, top_emotion
 from affectmtl.losses import ccc_loss_grad, masked_bce_grad, softmax_ce_grad
+from affectmtl.metrics import au_metrics, va_metrics
 from affectmtl.relatedness import NUM_AUS
 from affectmtl.scheduler import plan_epoch
 from affectmtl import training
 from affectmtl.cli import main
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import (
-    COUPLING_MODES, LOSS_NAMES, SCA_MODES, SECTION, _joint_loss, _median_filter_by_video,
-    build_objective, joint_loss_and_grads, run_eval, run_gradcheck, run_train,
+    COUPLING_MODES, LOSS_NAMES, SCA_MODES, SECTION, TASK_NAMES, _joint_loss,
+    _median_filter_by_video, build_objective, joint_loss_and_grads, run_eval, run_gradcheck,
+    run_train,
 )
 
 TABLE = domain_table()
@@ -200,12 +202,15 @@ def test_run_gradcheck_passes_all_modes():
 # -- batch-form objective --------------------------------------------------
 
 
-def _reference_loss(model, sets, batch, mode, table, weights):
+def _reference_loss(model, sets, batch, mode, table, weights, au_weights=None):
     """Per-row loop over the batch: every loss term sample by sample, each over
-    the rows that carry its label whatever their set, SCA targets from one
-    row's unique top indicator score, DM targets from one row at a time and held
-    constant, so that DM writes to the AU head alone."""
+    the rows that carry its label whatever their set, AU loss weights from
+    ``au_weights`` (one array per set; None: every AU weighs 1), SCA targets
+    from one row's unique top indicator score, DM targets from one row at a
+    time and held constant, so that DM writes to the AU head alone."""
     picked = [(d, i) for d, rows in zip(sets, batch) for i in rows]
+    unit = [np.ones_like(d.au) for d in sets]
+    row_weights = [w[i] for w, rows in zip(au_weights or unit, batch) for i in rows]
     out, _ = model.forward(np.stack([d.features[i] for d, i in picked]))
     g = {h: np.zeros_like(v) for h, v in out.items()}
     losses = {}
@@ -225,7 +230,7 @@ def _reference_loss(model, sets, batch, mode, table, weights):
     )
     au_rows = [j for j, (d, i) in enumerate(picked) if not np.isnan(d.au[i]).all()]
     losses["au"] = mean_over(
-        au_rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], d.au_weights[i]),
+        au_rows, lambda j, d, i: masked_bce_grad(out["au"][j], d.au[i], row_weights[j]),
         "au", weights["au"],
     )
     rows = [j for j, (d, i) in enumerate(picked) if not np.isnan(d.va[i]).any()]
@@ -264,9 +269,10 @@ def test_batch_objective_matches_per_row_loop(mode):
     rng = np.random.default_rng(0)
     batch = tuple(rng.permutation(len(data)) for data in sets)
     if mode == "co_annotation":
-        assert sets[2].au_rows.size  # the expr set gained AU labels
+        assert sets[2].label_rows()[1].size  # the expr set gained AU labels
     _, terms, g, _ = _joint_loss(model, sets, batch, objective)
-    losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, WEIGHTS)
+    losses, g_ref = _reference_loss(model, sets, batch, mode, TABLE, WEIGHTS,
+                                    objective.au_weights)
     assert set(terms) == set(losses)
     for name, (v, *_) in terms.items():
         assert abs(v - losses[name]) <= 1e-12, name
@@ -351,8 +357,7 @@ def test_sca_scores_the_rows_that_carry_au_labels():
     full = draw(spec, 90)
     va_set, au_set, expr_set = split(full)
     n_va = len(va_set)
-    va_set = replace(va_set, au=full.au[:n_va], au_weights=full.au_weights[:n_va],
-                     ids=np.full(n_va, "dup", dtype=object))
+    va_set = replace(va_set, au=full.au[:n_va], ids=np.full(n_va, "dup", dtype=object))
     no_au = np.arange(len(au_set)) == 3
     pair = [EMOTIONS.index("disgust"), EMOTIONS.index("happiness")]
     tied = np.stack([np.zeros(NUM_AUS), (TABLE.weights[pair] > 0).any(axis=0)])
@@ -360,9 +365,8 @@ def test_sca_scores_the_rows_that_carry_au_labels():
     assert (tie_scores[0] == 0).all()
     assert np.flatnonzero(tie_scores[1] > 1 - 1e-12).tolist() == pair  # 1 up to rounding
     au = np.where(no_au[:, None], np.nan, au_set.au)
-    au_weights = np.where(no_au[:, None], np.nan, au_set.au_weights)
-    au[4:6], au_weights[4:6] = tied, 1.0
-    au_set = replace(au_set, au=au, au_weights=au_weights)
+    au[4:6] = tied
+    au_set = replace(au_set, au=au)
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     sets, objective = build_objective((va_set, au_set, expr_set), TABLE, "soft_co_annotation",
                                       WEIGHTS)
@@ -372,8 +376,9 @@ def test_sca_scores_the_rows_that_carry_au_labels():
     _, head, rows, grad = terms["sca"]
     assert head == "expr"
     at = {k: n_va + np.flatnonzero(batch[1] == k)[0] for k in (3, 4, 5)}  # AU-set row k's place
-    assert at[3] not in data.au_rows and at[4] in data.au_rows and at[5] in data.au_rows
-    assert set(rows.tolist()) <= set(data.au_rows.tolist()) - {at[4], at[5]}
+    au_rows = data.label_rows()[1]
+    assert at[3] not in au_rows and at[4] in au_rows and at[5] in au_rows
+    assert set(rows.tolist()) <= set(au_rows.tolist()) - {at[4], at[5]}
     assert set(rows.tolist()) & set(range(n_va))  # VA-set rows with AU labels are scored
     scores = indicator_scores(data.au[rows], TABLE.weights)
     onehot = np.eye(len(EMOTIONS))[scores.argmax(axis=1)]
@@ -411,9 +416,15 @@ def _masked_bce_grad_with_mask(p_au, y_au, weights=None):
 
 def _per_step_sca_joint_loss(model, sets, batch, objective, sca_matrix):
     """The joint step as it was when each step gathered a whole SampleSet of its
-    rows and picked the SCA targets of its AU rows with ``sca_matrix``."""
+    rows, with the AU loss weights in it (1 on each annotated AU outside
+    co-annotation), and picked the SCA targets of its AU rows with ``sca_matrix``."""
     data = SampleSet.concat([d.take(rows) for d, rows in zip(sets, batch)])
-    expr_rows, au_rows, va_rows = data.expr_rows, data.au_rows, data.va_rows
+    if objective.au_weights is None:
+        au_weights = np.where(np.isnan(data.au), np.nan, 1.0)
+    else:
+        au_weights = np.concatenate([w[rows] for w, rows in zip(objective.au_weights, batch)])
+    expr_rows, au_rows = np.flatnonzero(data.expr >= 0), np.flatnonzero(~np.isnan(data.au).all(1))
+    va_rows = np.flatnonzero(~np.isnan(data.va[:, 0]))
     out, cache = model.forward(data.features)
     terms: dict = {}
     if expr_rows.size:
@@ -421,7 +432,7 @@ def _per_step_sca_joint_loss(model, sets, batch, objective, sca_matrix):
         terms["expr"] = value, "expr", expr_rows, grad
     if au_rows.size:
         value, grad = _masked_bce_grad_with_mask(
-            out["au"][au_rows], data.au[au_rows], data.au_weights[au_rows])
+            out["au"][au_rows], data.au[au_rows], au_weights[au_rows])
         terms["au"] = value, "au", au_rows, grad
     if va_rows.size:
         value, grad = ccc_loss_grad(data.va[va_rows], out["va"][va_rows])
@@ -508,6 +519,59 @@ def test_sca_targets_are_built_once_per_run(mode, monkeypatch):
         assert (target[no_au] == -1).all()
         unlabelled += no_au.sum()
     assert unlabelled and (objective.sca_targets[1] >= 0).any()
+
+
+def _mixed_label_set(rng, n, dim):
+    """``n`` rows, each carrying a non-empty random mix of an expression,
+    partially annotated AUs (at least one) and VA."""
+    carried = rng.random((n, 3)) < 0.5
+    carried[~carried.any(axis=1), rng.integers(3)] = True
+    annotated = rng.random((n, NUM_AUS)) < 0.3
+    annotated[np.arange(n), rng.integers(NUM_AUS, size=n)] = True
+    au = np.where(annotated & carried[:, 1:2], rng.integers(0, 2, (n, NUM_AUS)), np.nan)
+    return SampleSet(
+        ids=np.array([f"r{i}" for i in range(n)], dtype=object),
+        features=rng.normal(size=(n, dim)),
+        expr=np.where(carried[:, 0], rng.integers(0, len(EMOTIONS), n), -1), au=au,
+        va=np.where(carried[:, 2:], rng.uniform(-1, 1, (n, 2)), np.nan),
+        video=np.full(n, "", dtype=object), frame=np.full(n, -1),
+        compound=np.full(n, "", dtype=object))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_training_and_evaluation_score_the_rows_of_label_masks(data):
+    """Whatever mix of labels the rows carry, each task term of the joint step
+    runs over the rows of the gathered batch that ``label_masks`` gives its
+    label, and ``evaluate_model`` scores those same rows: VA only with two."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    mode = data.draw(st.sampled_from(COUPLING_MODES))
+    sets, objective = build_objective([_mixed_label_set(rng, n, 4) for n in sizes], TABLE,
+                                      mode, WEIGHTS)
+    batch = tuple(rng.permutation(n)[: rng.integers(n + 1)] for n in sizes)
+    batched = SampleSet.concat([d.take(rows) for d, rows in zip(sets, batch)])
+    masks = labels.label_masks(batched.expr, batched.au, batched.va)
+    assume(len(batched) and np.count_nonzero(masks[2]) != 1)  # CCC needs 2 rows
+    model = MultiHeadModel(4, hidden=(5,), seed=0)
+    _, terms, _, _ = _joint_loss(model, sets, batch, objective)
+    for name, mask in zip(TASK_NAMES, masks):
+        assert (name in terms) == mask.any(), name
+        if mask.any():
+            assert np.array_equal(terms[name][2], np.flatnonzero(mask)), name
+
+    results = training.evaluate_model(model, batched)
+    out, _ = model.forward(batched.features)
+    expr_rows, au_rows, va_rows = map(np.flatnonzero, masks)
+    assert ("expr" in results) == bool(expr_rows.size)
+    if expr_rows.size:
+        assert np.sum(results["expr"]["confusion"]) == expr_rows.size
+    assert ("au" in results) == bool(au_rows.size)
+    if au_rows.size:
+        assert results["au"] == au_metrics(out["au"][au_rows], batched.au[au_rows])
+    assert ("va" in results) == (va_rows.size >= 2)
+    if va_rows.size >= 2:
+        assert results["va"] == va_metrics(batched.va[va_rows], out["va"][va_rows])
 
 
 def test_table_head_mismatch_is_a_data_error(dataset_dir, tmp_path):
