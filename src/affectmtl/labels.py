@@ -63,7 +63,15 @@ class SampleSet:
 def label_masks(expr, au, va) -> tuple:
     """Row masks of the rows of a set's ``expr``, ``au`` and ``va`` columns that
     carry an expression (``expr`` >= 0), at least one annotated AU, and VA."""
-    return expr >= 0, ~np.isnan(au).all(axis=1), ~np.isnan(va[:, 0])
+    return _has_expr(expr), ~np.isnan(au).all(axis=1), _has_va(va)
+
+
+def _has_expr(expr):
+    return expr >= 0
+
+
+def _has_va(va):
+    return ~np.isnan(va[:, 0])
 
 
 def indicator_scores(au, r) -> np.ndarray:
@@ -135,7 +143,7 @@ def clean_va_expr(expr, va) -> np.ndarray:
     signs = VA_SIGNS[expr]  # expr -1 picks a row, masked below
     ok = ((signs == 0) | (np.sign(va) == signs)).all(axis=1)
     ok &= (expr != NEUTRAL) | (np.hypot(va[:, 0], va[:, 1]) < NEUTRAL_RADIUS)
-    return ok | (expr < 0) | np.isnan(va[:, 0])
+    return ok | ~(_has_expr(expr) & _has_va(va))
 
 
 def frame_order(video, frame) -> tuple[np.ndarray, np.ndarray]:

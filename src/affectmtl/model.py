@@ -40,20 +40,6 @@ def _activate(head, z):
     return e
 
 
-def output_jacobian(head, y, g):
-    """d(loss)/d(pre-activation) of ``head``, from its outputs ``y`` and g = d(loss)/d(y).
-
-    It is linear in ``g``, so it may be applied to each loss term's gradient. The
-    per-term results add up to that of the summed gradient only up to rounding, so
-    :meth:`MultiHeadModel.backward` applies it once, to the sum."""
-    kind = DEFAULT_HEADS[head][0]
-    if kind == "tanh":
-        return g * (1.0 - y**2)
-    if kind == "sigmoid":
-        return g * y * (1.0 - y)
-    return y * (g - (g * y).sum(axis=1, keepdims=True))  # the softmax Jacobian, row-wise
-
-
 def _glorot(rng, fan_in, fan_out):
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=(fan_in, fan_out))
@@ -97,7 +83,8 @@ class MultiHeadModel:
     # -- forward / backward ---------------------------------------------
 
     def forward(self, X):
-        """Batch forward pass. Returns (outputs dict, cache for backward).
+        """Batch forward pass. Returns (outputs dict, cache for backward): the
+        cache is the input and each trunk layer's output.
 
         Outputs are post-activation: tanh heads in (-1, 1), softmax heads on
         the simplex, sigmoid heads in (0, 1).
@@ -117,21 +104,17 @@ class MultiHeadModel:
         z = h @ self.head_W
         z += self.head_b
         out = {name: _activate(name, z[:, cols]) for name, cols in HEAD_COLS.items()}
-        return out, {"acts": acts, "out": out}
+        return out, acts
 
-    def backward(self, cache, out_grads: dict):
-        """Backprop loss gradients on head outputs to parameter gradients.
+    def backward(self, acts, gz):
+        """Backprop the loss gradient at the heads' input to parameter gradients.
 
-        ``out_grads`` maps head name -> array of d(loss)/d(output); missing
-        heads contribute nothing. Returns {param name -> gradient array}. No
-        gradient with respect to the input is formed.
+        ``acts`` is the cache of :meth:`forward`, and ``gz`` one (n, 26) array of
+        d(loss)/d(pre-activation), each head's columns at its :data:`HEAD_COLS`.
+        Returns {param name -> gradient array}. No gradient with respect to the
+        input is formed.
         """
-        acts, out = cache["acts"], cache["out"]
         h = acts[-1]
-        gz = np.zeros((len(h), self.head_W.shape[1]))
-        for name, cols in HEAD_COLS.items():
-            if name in out_grads:
-                gz[:, cols] = output_jacobian(name, out[name], np.asarray(out_grads[name], float))
         grads = {}
         if self.trunk:
             gh = gz @ self.head_W.T

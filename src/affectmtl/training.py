@@ -23,7 +23,7 @@ from . import relatedness as rel
 from .errors import ConfigError, DataError, NumericalError, exact_keys, exact_type, read_json
 from .losses import ccc_loss_grad, masked_bce_grad, softmax_ce_grad
 from .metrics import ConfusionMatrix, au_metrics, classification_metrics, va_metrics
-from .model import MultiHeadModel, SGDMomentum, gradient_check, median_filter
+from .model import HEAD_COLS, MultiHeadModel, SGDMomentum, gradient_check, median_filter
 from .scheduler import plan_epoch
 
 COUPLING_MODES = ("none", "co_annotation", "soft_co_annotation", "distr_matching", "soft_plus_dm")
@@ -191,9 +191,9 @@ def joint_loss_and_grads(model, sets, batch, objective: Objective):
     the weighted total, each present term's value by name, and the parameter
     gradients of the total.
     """
-    total, terms, out_grads, cache = _joint_loss(model, sets, batch, objective)
+    total, terms, gz, cache = _joint_loss(model, sets, batch, objective)
     losses = {name: value for name, (value, *_) in terms.items()}
-    return total, losses, model.backward(cache, out_grads)
+    return total, losses, model.backward(cache, gz)
 
 
 def joint_loss_value(model, sets, batch, objective: Objective) -> float:
@@ -202,13 +202,14 @@ def joint_loss_value(model, sets, batch, objective: Objective) -> float:
 
 
 def _joint_loss(model, sets, batch, objective: Objective):
-    """(total, terms, output gradients, forward cache) of one joint batch.
+    """(total, terms, gradient at the heads' input, forward cache) of one joint batch.
 
     ``terms`` maps each term present in the batch, in the order expr, au, va,
-    sca, dm, to ``(value, head, rows, grad)``, the gradient on rows of the one head
-    it writes (DM holds its target ``q``, so it writes the AU head alone). The total
-    is the sum of weight * value, and each term adds weight * grad to its head's
-    rows; each weight is read once.
+    sca, dm, to ``(value, head, rows, grad)``, the gradient on rows at the input of
+    the one head it writes (DM holds its target ``q``, so it writes the AU head
+    alone). The total is the sum of weight * value, and each term adds weight *
+    grad to its rows of its head's :data:`~affectmtl.model.HEAD_COLS`; each weight
+    is read once.
     """
     def gather(columns):  # the batch's rows of a column held as one array per set
         return np.concatenate([c[rows] for c, rows in zip(columns, batch)])
@@ -248,14 +249,14 @@ def _joint_loss(model, sets, batch, objective: Objective):
         terms["dm"] = rel.NUM_AUS * value, "au", slice(None), rel.NUM_AUS * grad
 
     total = 0.0
-    g = {h: np.zeros_like(out[h]) for h in out}
+    gz = np.zeros((len(features), model.head_W.shape[1]))
     for name, (value, head, rows, grad) in terms.items():
         weight = objective.weights[name]
         total += weight * value
-        g[head][rows] += weight * grad
+        gz[rows, HEAD_COLS[head]] += weight * grad
     if not np.isfinite(total):
         raise NumericalError("non-finite total loss")
-    return float(total), terms, g, cache
+    return float(total), terms, gz, cache
 
 
 # -- training ------------------------------------------------------------

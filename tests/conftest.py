@@ -11,7 +11,7 @@ from affectmtl import EMOTIONS
 from affectmtl.csvio import AU_COLUMNS
 from affectmtl.labels import SampleSet
 from affectmtl.relatedness import NUM_AUS
-from affectmtl.model import DEFAULT_HEADS
+from affectmtl.model import DEFAULT_HEADS, HEAD_COLS
 from affectmtl.synthdata import VA_MEANS
 
 
@@ -126,9 +126,10 @@ def reference_read_samples_csv():
     return _reference_read_samples_csv
 
 
-def _reference_forward_backward(model, X, out_grads):
+def _reference_forward_backward(model, X, gz):
     """Forward and backward pass with one product per head and the full trunk
-    backward. Returns (outputs, gradients)."""
+    backward, from ``gz``, the (n, 26) gradient at the heads' input. Returns
+    (outputs, gradients)."""
     acts = [X]
     for layer in model.trunk:
         acts.append(np.tanh(acts[-1] @ layer["W"] + layer["b"]))
@@ -146,22 +147,16 @@ def _reference_forward_backward(model, X, out_grads):
             out[name] = e / e.sum(axis=1, keepdims=True)
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     gh = np.zeros_like(h)
-    for name, g in out_grads.items():
-        kind, y = DEFAULT_HEADS[name][0], out[name]
-        if kind == "tanh":
-            gz = g * (1.0 - y**2)
-        elif kind == "sigmoid":
-            gz = g * y * (1.0 - y)
-        else:
-            gz = y * (g - (g * y).sum(axis=1, keepdims=True))
-        grads[f"{name}.W"] += h.T @ gz
-        grads[f"{name}.b"] += gz.sum(axis=0)
-        gh += gz @ params[f"{name}.W"].T
+    for name, cols in HEAD_COLS.items():
+        g = gz[:, cols]
+        grads[f"{name}.W"] += h.T @ g
+        grads[f"{name}.b"] += g.sum(axis=0)
+        gh += g @ params[f"{name}.W"].T
     for i in range(len(model.trunk) - 1, -1, -1):
-        gz = gh * (1.0 - acts[i + 1] ** 2)
-        grads[f"trunk{i}.W"] += acts[i].T @ gz
-        grads[f"trunk{i}.b"] += gz.sum(axis=0)
-        gh = gz @ model.trunk[i]["W"].T
+        g = gh * (1.0 - acts[i + 1] ** 2)
+        grads[f"trunk{i}.W"] += acts[i].T @ g
+        grads[f"trunk{i}.b"] += g.sum(axis=0)
+        gh = g @ model.trunk[i]["W"].T
     return out, grads
 
 

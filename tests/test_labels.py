@@ -30,7 +30,8 @@ from affectmtl import csvio
 from affectmtl.csvio import (
     AU_COLUMNS, float_cells, read_samples_csv, write_csv_columns, write_samples_csv,
 )
-from affectmtl.labels import SampleSet, indicator_scores, top_emotion
+from affectmtl.labels import SampleSet, indicator_scores, label_masks, top_emotion
+from affectmtl.relatedness import NUM_AUS
 from affectmtl.synthdata import GeneratorSpec, draw
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -223,6 +224,18 @@ def test_clean_va_expr_matches_the_rules_by_name(rows):
     expr, v, a = map(list, zip(*rows))
     va = np.column_stack([v, a])
     assert clean_va_expr(np.array(expr), va).tolist() == _clean_va_expr_by_name(expr, va).tolist()
+
+
+@given(st.lists(st.tuples(st.integers(-1, len(EMOTIONS) - 1), _VA_VALUES, _VA_VALUES),
+                min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_clean_va_expr_keeps_every_row_without_an_expression_or_va(rows):
+    """The cleaning reads the rows that carry an expression and VA from
+    ``label_masks``: every row that it gives no expression or no VA is kept."""
+    expr, v, a = map(np.array, zip(*rows))
+    va = np.column_stack([v, a])
+    has_expr, _, has_va = label_masks(expr, np.full((len(expr), NUM_AUS), np.nan), va)
+    assert clean_va_expr(expr, va)[~(has_expr & has_va)].all()
 
 
 def test_subsample_frames(sample):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affectmtl import (
     AU_LABELS,
@@ -17,6 +19,7 @@ from affectmtl.losses import (
     masked_bce_grad,
     softmax_ce_grad,
 )
+from affectmtl.model import _activate
 from affectmtl.relatedness import KIND_DOMAIN, NUM_AUS
 
 AU_IDX = {au: i for i, au in enumerate(CANONICAL_AUS)}
@@ -251,6 +254,9 @@ def test_dm_loss_cases():
 
 
 # -- gradients vs central finite differences -----------------------------
+#
+# Each gradient is taken at the head's input, so each check differentiates the
+# loss of the head's activation of logits ``z``, as the model computes it.
 
 
 def fd_grad(f, x, h=1e-6):
@@ -268,14 +274,33 @@ def rel_err(a, b):
     return np.max(np.abs(a - b) / denom)
 
 
-def test_ccc_loss_grad_matches_fd():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        y = rng.uniform(-1, 1, size=(6, 2))
-        yh = rng.uniform(-0.9, 0.9, size=(6, 2))
-        _, g = ccc_loss_grad(y, yh)
-        fd = fd_grad(lambda x: ccc_loss_grad(y, x.reshape(6, 2))[0], yh.copy())
-        assert rel_err(g, fd.reshape(6, 2)) < 1e-5
+def assert_matches_fd(loss, z):
+    """The gradient that ``loss(z)`` returns is its central difference at ``z``."""
+    _, g = loss(z)
+    fd = fd_grad(lambda x: loss(x)[0], z, h=1e-5)
+    np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+    return g
+
+
+def drawn_rows(data, n, width, values):
+    """An (n, width) float array of entries drawn from the strategy ``values``."""
+    return np.array(data.draw(st.lists(values, min_size=n * width, max_size=n * width)),
+                    dtype=float).reshape(n, width)
+
+
+# logits whose sigmoid lies well inside the clip at DEFAULT_EPS, and far beyond it
+# both ways (from |z| > 16.1 the clip holds), so that no difference step crosses it
+SIGMOID_LOGITS = st.floats(-8, 8) | st.floats(25, 40) | st.floats(-40, -25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ccc_loss_grad_matches_fd(data):
+    n = data.draw(st.integers(2, 6))
+    z = drawn_rows(data, n, 2, st.floats(-3, 3))
+    y = drawn_rows(data, n, 2, st.floats(-1, 1))
+    assume(np.ptp(z, axis=0).min() > 0.5)  # far from the clamp of the denominator
+    assert_matches_fd(lambda x: ccc_loss_grad(y, _activate("va", x)), z)
 
 
 def test_ccc_loss_grad_matches_fd_where_the_denominator_is_clamped():
@@ -283,40 +308,55 @@ def test_ccc_loss_grad_matches_fd_where_the_denominator_is_clamped():
     clamped at ``CCC_EPS``, and the value stays finite. So it does for spreads
     small enough to keep the clamp, where the gradient is nonzero."""
     y = np.full((6, 2), 0.3)
-    value, g = ccc_loss_grad(y, y.copy())
+    z = np.arctanh(y)
+    value, g = ccc_loss_grad(y, np.tanh(z))
     assert value == 1.0 and np.isfinite(g).all()
-    assert rel_err(g, fd_grad(lambda x: ccc_loss_grad(y, x.reshape(6, 2))[0], y.copy())) < 1e-5
+    fd = fd_grad(lambda x: ccc_loss_grad(y, np.tanh(x))[0], z)
+    assert rel_err(g, fd) < 1e-5
     rng = np.random.default_rng(17)
     y, yh = 0.3 + 1e-5 * rng.uniform(-1, 1, (6, 2)), 0.3 + 1e-5 * rng.uniform(-1, 1, (6, 2))
-    _, g = ccc_loss_grad(y, yh)
+    z = np.arctanh(yh)
+    _, g = ccc_loss_grad(y, np.tanh(z))
     assert np.abs(g).max() > 1.0  # the covariance term, not a zero gradient
-    assert rel_err(g, fd_grad(lambda x: ccc_loss_grad(y, x.reshape(6, 2))[0], yh.copy())) < 1e-5
+    assert rel_err(g, fd_grad(lambda x: ccc_loss_grad(y, np.tanh(x))[0], z)) < 1e-5
 
 
-def test_masked_bce_grad_matches_fd():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        y = np.where(rng.random(17) < 0.6, (rng.random(17) < 0.5).astype(float), np.nan)
-        if np.all(np.isnan(y)):
-            y[0] = 1.0
-        w = np.where(np.isnan(y), np.nan, rng.uniform(0.2, 1.0, 17))
-        p = rng.uniform(0.05, 0.95, 17)
-        _, g = masked_bce_grad(p, y, w)
-        assert rel_err(g, fd_grad(lambda x: masked_bce_grad(x, y, w)[0], p)) < 1e-5
-    # soft targets in [0, 1], as distribution matching uses them, on every AU and a batch
-    for _ in range(20):
-        q = rng.random((3, 17))
-        p = rng.uniform(0.05, 0.95, (3, 17))
-        _, g = masked_bce_grad(p, q)
-        assert rel_err(g, fd_grad(lambda x: masked_bce_grad(x, q)[0], p)) < 1e-5
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_masked_bce_grad_matches_fd(data):
+    """Hard or soft targets, NaN on the AUs a row does not annotate (none, as DM
+    passes them, or some), and no weights or co-annotation's: a table weight or
+    1 on each annotated AU, and 1 or NaN on the others, which no loss reads. An
+    entry whose probability the clip holds gets no gradient."""
+    n = data.draw(st.integers(1, 4))
+    z = drawn_rows(data, n, NUM_AUS, SIGMOID_LOGITS)
+    hard = data.draw(st.booleans())
+    y = drawn_rows(data, n, NUM_AUS, st.sampled_from([0.0, 1.0]) if hard else st.floats(0, 1))
+    if data.draw(st.booleans()):
+        annotated = drawn_rows(data, n, NUM_AUS, st.booleans()).astype(bool)
+        annotated[np.arange(n), data.draw(st.integers(0, NUM_AUS - 1))] = True
+        y[~annotated] = np.nan
+    weights = None
+    if data.draw(st.booleans()):
+        weights = drawn_rows(data, n, NUM_AUS, st.sampled_from([1.0, 0.51, 0.57, 0.2]))
+        weights[np.isnan(y)] = data.draw(st.sampled_from([1.0, np.nan]))
+    g = assert_matches_fd(lambda x: masked_bce_grad(_activate("au", x), y, weights), z)
+    assert (g[np.abs(z) >= 25] == 0).all() and (g[np.isnan(y)] == 0).all()
 
 
-def test_softmax_ce_grad_matches_fd():
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(7))
-        hard = int(rng.integers(0, 7))
-        _, g = softmax_ce_grad(p, hard)
-        fd = fd_grad(lambda x: -np.log(np.clip(x, 1e-7, None))[hard], p)
-        assert rel_err(g, fd) < 1e-5
-
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_softmax_ce_grad_matches_fd(data):
+    """Rows whose label probability lies well inside the clip at DEFAULT_EPS,
+    and rows whose label logit is set 30 below the row's largest, where the clip
+    holds and the row gets no gradient."""
+    n = data.draw(st.integers(1, 4))
+    z = drawn_rows(data, n, len(EMOTIONS), st.floats(-5, 5))
+    labels = np.array(data.draw(st.lists(st.integers(0, len(EMOTIONS) - 1),
+                                         min_size=n, max_size=n)))
+    clipped = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rows = np.arange(n)
+    z[rows[clipped], labels[clipped]] = z[clipped].max(axis=1) - 30.0
+    g = assert_matches_fd(lambda x: softmax_ce_grad(_activate("expr", x), labels), z)
+    assert (g[clipped] == 0).all()
+    assert (g[~clipped] != 0).any(axis=1).all()

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from affectmtl import (
     DataError, MultiHeadModel, SGDMomentum, gradient_check, median_filter,
 )
-from affectmtl.losses import softmax_ce_grad
-from affectmtl.model import DEFAULT_HEADS, HEAD_COLS, _activate, output_jacobian
+from affectmtl.losses import ccc_loss_grad, masked_bce_grad, softmax_ce_grad
+from affectmtl.model import DEFAULT_HEADS, HEAD_COLS
 
 
 def small_model(seed=0, hidden=(8,)):
@@ -67,25 +67,36 @@ def test_shape_mismatch():
         small_model().forward(np.zeros((2, 7)))
 
 
+def head_input_grads(n, **by_head):
+    """One (n, 26) gradient at the heads' input: each named head's array at its
+    :data:`HEAD_COLS`, and 0 for every other head."""
+    gz = np.zeros((n, max(cols.stop for cols in HEAD_COLS.values())))
+    for name, g in by_head.items():
+        gz[:, HEAD_COLS[name]] = g
+    return gz
+
+
 def test_backward_zero_gradients():
     m = small_model()
     X = np.random.default_rng(3).normal(size=(4, 5))
-    out, cache = m.forward(X)
-    grads = m.backward(cache, {k: np.zeros_like(v) for k, v in out.items()})
+    _, cache = m.forward(X)
+    grads = m.backward(cache, head_input_grads(4))
     assert all(np.all(g == 0) for g in grads.values())
 
 
 def test_backward_matches_analytic_formula_for_tanh_head():
-    # no trunk layers: va output is tanh(X W + b); squared-error gradient has
-    # the closed form X^T [(out - y) * (1 - out^2)]; the other heads get no gradient
+    # no trunk layers: va output is tanh(X W + b); the squared error's gradient
+    # at the head's input is (out - y) * (1 - out^2), so va.W gets X^T times it
+    # and the other heads get no gradient
     m = MultiHeadModel(input_dim=5, hidden=(), seed=4)
     rng = np.random.default_rng(4)
     X = rng.normal(size=(8, 5))
     y = rng.uniform(-0.5, 0.5, size=(8, 2))
     out, cache = m.forward(X)
-    grads = m.backward(cache, {"va": out["va"] - y})
-    expected_W = X.T @ ((out["va"] - y) * (1 - out["va"] ** 2))
-    assert np.allclose(grads["va.W"], expected_W, atol=1e-12)
+    gz_va = (out["va"] - y) * (1 - out["va"] ** 2)
+    grads = m.backward(cache, head_input_grads(8, va=gz_va))
+    assert np.allclose(grads["va.W"], X.T @ gz_va, atol=1e-12)
+    assert not grads["expr.W"].any() and not grads["au.W"].any()
 
 
 def test_sgd_momentum_zero_is_plain_gd():
@@ -126,7 +137,7 @@ def _ce_loss_fns(X, y):
         g = np.zeros_like(out["expr"])
         for i in range(len(y)):
             g[i] = softmax_ce_grad(out["expr"][i], y[i])[1] / len(y)
-        return m.backward(cache, {"expr": g})
+        return m.backward(cache, head_input_grads(len(y), expr=g))
 
     return value, grad
 
@@ -223,8 +234,9 @@ def test_checkpoint_loads_bit_identical(tmp_path, build):
     loaded_out, loaded_cache = loaded.forward(X)
     for name in out:
         assert out[name].tobytes() == loaded_out[name].tobytes()
-    grads = m.backward(cache, out)
-    for name, g in loaded.backward(loaded_cache, loaded_out).items():
+    gz = np.concatenate([out[name] for name in HEAD_COLS], axis=1)
+    grads = m.backward(cache, gz)
+    for name, g in loaded.backward(loaded_cache, gz).items():
         assert g.tobytes() == grads[name].tobytes()
 
 
@@ -241,9 +253,10 @@ def test_forward_backward_match_per_head_reference(reference_forward_backward, b
     rng = np.random.default_rng(20)
     X = rng.normal(size=(9, 5), scale=2.0)
     out, cache = m.forward(X)
-    out_grads = {k: rng.normal(size=v.shape) for k, v in out.items() if heads is None or k in heads}
-    grads = m.backward(cache, out_grads)
-    ref_out, ref_grads = reference_forward_backward(m, X, out_grads)
+    gz = head_input_grads(len(X), **{k: rng.normal(size=v.shape) for k, v in out.items()
+                                     if heads is None or k in heads})
+    grads = m.backward(cache, gz)
+    ref_out, ref_grads = reference_forward_backward(m, X, gz)
     assert out.keys() == ref_out.keys()
     for k in out:
         np.testing.assert_allclose(out[k], ref_out[k], rtol=0, atol=1e-12)
@@ -298,54 +311,27 @@ def test_head_params_are_views_of_the_fused_arrays(tmp_path):
     assert outputs(loaded).tobytes() == before.tobytes()
     assert all(W.base is loaded.head_W for W in head_weights(loaded))
 
-    opt = SGDMomentum(m, lr=0.1)
-    out, cache = m.forward(X)
-    opt.step(m, m.backward(cache, {name: np.ones_like(v) for name, v in out.items()}))
-    assert not np.array_equal(outputs(m), before)
-    assert all(W.base is m.head_W for W in head_weights(m))
-
     # a loss on every head: if a perturbation missed head_W, the finite
     # difference would read 0 against a non-zero analytic gradient
-    C = {name: np.random.default_rng(22).normal(size=v.shape) for name, v in out.items()}
+    rng = np.random.default_rng(22)
+    expr, au, va = rng.integers(0, 7, len(X)), rng.random((len(X), 17)), rng.random((len(X), 2))
+
+    def terms(out):
+        return (softmax_ce_grad(out["expr"], expr), masked_bce_grad(out["au"], au),
+                ccc_loss_grad(va, out["va"]))
 
     def value(model):
-        return float(sum((model.forward(X)[0][name] * C[name]).sum() for name in C))
+        return float(sum(v for v, _ in terms(model.forward(X)[0])))
 
     def grad(model):
-        return model.backward(model.forward(X)[1], C)
+        out, cache = model.forward(X)
+        (_, g_expr), (_, g_au), (_, g_va) = terms(out)
+        return model.backward(cache, head_input_grads(len(X), expr=g_expr, au=g_au, va=g_va))
+
+    SGDMomentum(m, lr=0.1).step(m, grad(m))
+    assert not np.array_equal(outputs(m), before)
+    assert all(W.base is m.head_W for W in head_weights(m))
 
     kept = m.head_W.copy()
     assert gradient_check(m, value, grad) < 1e-6
     assert np.array_equal(m.head_W, kept)  # every perturbation was undone
-
-
-@settings(max_examples=60, deadline=None)
-@given(head=st.sampled_from(sorted(HEAD_COLS)), seed=st.integers(0, 2**32 - 1),
-       scale=st.floats(0.1, 5.0))
-def test_output_jacobian_matches_central_differences(head, seed, scale):
-    """``output_jacobian(head, y, g)`` is ``g`` times the Jacobian of the head's
-    activation at ``z``, for each row on its own."""
-    rng = np.random.default_rng(seed)
-    width = DEFAULT_HEADS[head][1]
-    z = rng.normal(scale=scale, size=(3, width))
-    g = rng.normal(size=z.shape)
-    h, fd = 1e-6, np.empty_like(z)
-    for j, step in enumerate(np.eye(width) * h):
-        dy = (_activate(head, z + step) - _activate(head, z - step)) / (2 * h)
-        fd[:, j] = (dy * g).sum(axis=1)
-    np.testing.assert_allclose(output_jacobian(head, _activate(head, z), g), fd,
-                               rtol=1e-6, atol=1e-8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(head=st.sampled_from(sorted(HEAD_COLS)), seed=st.integers(0, 2**32 - 1))
-def test_output_jacobian_is_linear_in_g(head, seed):
-    """The Jacobian of a weighted sum of gradients is the weighted sum of their
-    Jacobians, up to rounding."""
-    rng = np.random.default_rng(seed)
-    y = _activate(head, rng.normal(size=(5, DEFAULT_HEADS[head][1])))
-    g1, g2 = rng.normal(size=(2, *y.shape))
-    a, b = rng.normal(size=2)
-    np.testing.assert_allclose(
-        output_jacobian(head, y, a * g1 + b * g2),
-        a * output_jacobian(head, y, g1) + b * output_jacobian(head, y, g2), rtol=1e-10, atol=1e-12)

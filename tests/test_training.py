@@ -24,6 +24,7 @@ from affectmtl import labels
 from affectmtl.labels import indicator_scores, top_emotion
 from affectmtl.losses import ccc_loss_grad, masked_bce_grad, softmax_ce_grad
 from affectmtl.metrics import au_metrics, va_metrics
+from affectmtl.model import HEAD_COLS
 from affectmtl.relatedness import NUM_AUS
 from affectmtl.scheduler import plan_epoch
 from affectmtl import training
@@ -207,7 +208,8 @@ def _reference_loss(model, sets, batch, mode, table, weights, au_weights=None):
     the rows that carry its label whatever their set, AU loss weights from
     ``au_weights`` (one array per set; None: every AU weighs 1), SCA targets
     from one row's unique top indicator score, DM targets from one row at a
-    time and held constant, so that DM writes to the AU head alone."""
+    time and held constant, so that DM writes to the AU head alone. Returns
+    the terms' values and each head's gradient at its input."""
     picked = [(d, i) for d, rows in zip(sets, batch) for i in rows]
     unit = [np.ones_like(d.au) for d in sets]
     row_weights = [w[i] for w, rows in zip(au_weights or unit, batch) for i in rows]
@@ -277,7 +279,7 @@ def test_batch_objective_matches_per_row_loop(mode):
     for name, (v, *_) in terms.items():
         assert abs(v - losses[name]) <= 1e-12, name
     for head in g_ref:
-        assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
+        assert np.max(np.abs(g[:, HEAD_COLS[head]] - g_ref[head])) <= 1e-12, head
 
 
 def _whole_sets_batch(mode, weights):
@@ -307,29 +309,29 @@ def test_joint_total_is_the_weighted_sum():
     total_none, _, g_none, _ = _joint_loss(*_whole_sets_batch("none", zero))
     assert terms["sca"][0] > 0 and terms["dm"][0] > 0
     assert total == total_none
-    for head in g_none:
-        assert np.array_equal(g[head], g_none[head]), head
+    assert np.array_equal(g, g_none)
 
 
 def test_every_term_writes_one_head():
-    """DM holds its target constant: in distr_matching the expr head's output
+    """DM holds its target constant: in distr_matching the expr head's input
     gradient is that of none on the same batch, and DM writes the AU head alone."""
     _, terms, _, _ = _joint_loss(*_whole_sets_batch("soft_plus_dm", WEIGHTS))
     heads = {name: head for name, (_, head, _, _) in terms.items()}
     assert heads == {"expr": "expr", "au": "au", "va": "va", "sca": "expr", "dm": "au"}
     _, _, g_none, _ = _joint_loss(*_whole_sets_batch("none", WEIGHTS))
     _, _, g_dm, _ = _joint_loss(*_whole_sets_batch("distr_matching", WEIGHTS))
-    assert np.array_equal(g_dm["expr"], g_none["expr"])
-    assert np.array_equal(g_dm["va"], g_none["va"])
-    assert not np.array_equal(g_dm["au"], g_none["au"])
+    for head in ("expr", "va"):
+        assert np.array_equal(g_dm[:, HEAD_COLS[head]], g_none[:, HEAD_COLS[head]]), head
+    assert not np.array_equal(g_dm[:, HEAD_COLS["au"]], g_none[:, HEAD_COLS["au"]])
 
 
 def test_dm_gradient_pulls_p_toward_q():
-    """The DM gradient on each AU probability p has the sign of p - q, so a
-    descent step moves p toward its target q, and it is 0 where p == q."""
+    """The DM gradient at each AU logit has the sign of p - q, so a descent
+    step moves the probability p toward its target q, and it is 0 where p == q."""
     model, sets, batch, objective = _whole_sets_batch("distr_matching", ONES)
-    _, terms, _, cache = _joint_loss(model, sets, batch, objective)
-    p, q = cache["out"]["au"], cache["out"]["expr"] @ TABLE.weights
+    _, terms, _, _ = _joint_loss(model, sets, batch, objective)
+    out, _ = model.forward(np.concatenate([d.features for d in sets]))
+    p, q = out["au"], out["expr"] @ TABLE.weights
     grad = terms["dm"][3]
     assert (p != q).all() and (q < p).any() and (q > p).any()
     assert np.array_equal(np.sign(grad), np.sign(p - q))
@@ -371,7 +373,7 @@ def test_sca_scores_the_rows_that_carry_au_labels():
     sets, objective = build_objective((va_set, au_set, expr_set), TABLE, "soft_co_annotation",
                                       WEIGHTS)
     batch = tuple(np.random.default_rng(0).permutation(len(data)) for data in sets)
-    _, terms, g, cache = _joint_loss(model, sets, batch, objective)
+    _, terms, g, _ = _joint_loss(model, sets, batch, objective)
     data = SampleSet.concat([d.take(rows) for d, rows in zip(sets, batch)])
     _, head, rows, grad = terms["sca"]
     assert head == "expr"
@@ -382,8 +384,8 @@ def test_sca_scores_the_rows_that_carry_au_labels():
     assert set(rows.tolist()) & set(range(n_va))  # VA-set rows with AU labels are scored
     scores = indicator_scores(data.au[rows], TABLE.weights)
     onehot = np.eye(len(EMOTIONS))[scores.argmax(axis=1)]
-    p = cache["out"]["expr"][rows]
-    assert np.allclose(grad, -onehot / p / len(rows), rtol=1e-12, atol=0)
+    p = model.forward(data.features)[0]["expr"][rows]
+    assert np.allclose(grad, (p - onehot) / len(rows), rtol=1e-12, atol=0)
     assert len({row_grad.tobytes() for row_grad in grad}) > 1
     # the whole objective matches the per-row loop, which picks rows by label too
     losses, g_ref = _reference_loss(model, sets, batch, "soft_co_annotation", TABLE, WEIGHTS)
@@ -391,14 +393,15 @@ def test_sca_scores_the_rows_that_carry_au_labels():
     for name, (v, *_) in terms.items():
         assert abs(v - losses[name]) <= 1e-12, name
     for head in g_ref:
-        assert np.max(np.abs(g[head] - g_ref[head])) <= 1e-12, head
+        assert np.max(np.abs(g[:, HEAD_COLS[head]] - g_ref[head])) <= 1e-12, head
 
 
 # -- the joint step's bytes ------------------------------------------------
 
 
 def _masked_bce_grad_with_mask(p_au, y_au, weights=None):
-    """``masked_bce_grad`` as it was when every call built its NaN mask and weights."""
+    """``masked_bce_grad`` as it was when every call built its NaN mask and
+    weights, with its gradient at the head's input."""
     p, y = np.atleast_2d(np.asarray(p_au, float)), np.atleast_2d(np.asarray(y_au, float))
     mask = ~np.isnan(y)
     if weights is None:
@@ -410,7 +413,7 @@ def _masked_bce_grad_with_mask(p_au, y_au, weights=None):
     terms = ys * np.log(pc) + (1.0 - ys) * np.log(1.0 - pc)
     wsum = w.sum(axis=1, keepdims=True) * len(p)
     val = -float(((w * np.where(mask, terms, 0.0)).sum(axis=1, keepdims=True) / wsum).sum())
-    grad = np.where(mask & (p == pc), -w * (ys / pc - (1.0 - ys) / (1.0 - pc)) / wsum, 0.0)
+    grad = np.where(mask & (p == pc), w * (p - ys) / wsum, 0.0)
     return val, grad.reshape(np.shape(p_au))
 
 
@@ -449,12 +452,12 @@ def _per_step_sca_joint_loss(model, sets, batch, objective, sca_matrix):
         value, grad = _masked_bce_grad_with_mask(out["au"], q)
         terms["dm"] = NUM_AUS * value, "au", slice(None), NUM_AUS * grad
     total = 0.0
-    g = {h: np.zeros_like(out[h]) for h in out}
+    gz = np.zeros((len(data), model.head_W.shape[1]))
     for name, (value, head, rows, grad) in terms.items():
         weight = objective.weights[name]
         total += weight * value
-        g[head][rows] += weight * grad
-    return float(total), terms, g, cache
+        gz[rows, HEAD_COLS[head]] += weight * grad
+    return float(total), terms, gz, cache
 
 
 @pytest.mark.parametrize("mode", COUPLING_MODES)
@@ -482,12 +485,9 @@ def test_joint_step_keeps_the_bytes_of_the_per_step_form(mode):
             for name, (value, head, rows, grad) in terms.items():
                 ref_value, ref_head, ref_rows, ref_grad = ref_terms[name]
                 assert value == ref_value and head == ref_head, name
-                assert np.array_equal(np.arange(len(g[head]))[rows],
-                                      np.arange(len(g[head]))[ref_rows]), name
+                assert np.array_equal(np.arange(len(g))[rows], np.arange(len(g))[ref_rows]), name
                 assert np.array_equal(grad, ref_grad), name
-            assert set(g) == set(ref_g)
-            for head in g:
-                assert np.array_equal(g[head], ref_g[head]), head
+            assert np.array_equal(g, ref_g)
 
 
 @pytest.mark.parametrize("mode", COUPLING_MODES)
