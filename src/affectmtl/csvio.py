@@ -16,7 +16,6 @@ training step, is written by :mod:`csv` alone.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
 import hashlib
 import io
@@ -36,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .labels import SampleSet
+from .labels import SampleSet, label_masks
 from .relatedness import AU_LABELS, EMOTIONS, NUM_AUS
 
 AU_COLUMNS = tuple(lab.lower().replace("au", "au_") for lab in AU_LABELS)
@@ -313,41 +312,33 @@ def read_samples_csv(path) -> SampleSet:
     try:
         with open(path, "rb") as f:
             col = _load_parsed(path, _parse_key(f))
-        if col is not None:
-            with contextlib.suppress(_BadReference):  # parsed below, which names its line
-                return _sample_set(path.parent, **col)
-        raw = path.read_bytes()  # parsed, and keyed anew: the file may have changed since
+        raw = path.read_bytes() if col is None else None  # keyed anew: it may have changed
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from e
-    col = _parse(raw, path)
-    _save_parsed(path, _parse_key(io.BytesIO(raw)), col)
-    try:
-        return _sample_set(path.parent, **col)
-    except _BadReference as e:
-        row, error = e.args
-        raise DataError(f"{path}, line {_line_of(_text(raw), row)}: {error}") from error
-
-
-def _text(raw: bytes):
-    """The CSV bytes ``raw``, decoded and split into lines as ``open(path, newline="")`` would."""
-    return io.TextIOWrapper(io.BytesIO(raw), newline="")
+    if col is None:
+        col = _parse(raw, path)
+        _save_parsed(path, _parse_key(io.BytesIO(raw)), col)
+    features = col.pop("features")
+    if isinstance(features, _References):
+        features = _gather(path, features)
+    return SampleSet(features=features, **col)
 
 
 def _parse(raw: bytes, path: Path) -> dict:
     """The columns that the CSV bytes ``raw`` of ``path`` hold, the features as
     :class:`_References` when they come from .npy files."""
-    reader = csv.reader(_text(raw))
+    # decoded and split into lines as open(path, newline="") would
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline=""))
     try:
         header = next(reader, None)
         if header is None:
             raise DataError(f"empty dataset file: {path}")
-        layout = _Layout(header, path, raw)
-        blocks, done = [], 0
-        while chunk := list(itertools.islice(reader, _BLOCK_ROWS)):
-            rows = [r for r in chunk if r]  # a blank line holds no row
-            if rows:
-                blocks.append(layout.convert_block(rows, done))
-                done += len(rows)
+        layout = _Layout(header, path)
+        # each data row with the line it ends on; a blank line holds no row
+        rows = ((row, reader.line_num) for row in reader if row)
+        blocks = []
+        while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
+            blocks.append(layout.convert_block(*zip(*chunk)))
     except csv.Error as e:
         raise DataError(f"{path}, line {reader.line_num}: {e}") from e
     except UnicodeDecodeError as e:
@@ -380,10 +371,12 @@ _STORED = {"va": "<f8", "au": "<f8", "expr": "<i8", "frame": "<i8"}
 
 class _References(NamedTuple):
     """The ``path:row`` cells of a ``feature_file`` column: the distinct paths as
-    written, in order of first use, and each row's index into them and row number."""
+    written, in order of first use, and each row's index into them, row number
+    and the CSV line that the row ends on."""
     files: list
     file: np.ndarray
     row: np.ndarray
+    line: np.ndarray
 
 
 def _save_parsed(path: Path, key: bytes, col: dict) -> None:
@@ -396,11 +389,12 @@ def _save_parsed(path: Path, key: bytes, col: dict) -> None:
     and the UTF-8 bytes of every ``ids``, ``video`` and ``compound`` string,
     each one preceded by a separator: the first character that none of them
     holds. (A NumPy ``U`` array would drop trailing NULs.) :class:`_References`
-    have the dimension -1, ``file`` and ``row`` as ``<i8`` for features, and
-    ``files`` after the strings. The file holds no time, path or process id,
-    so the same inputs give the same bytes. It is written to a temporary file,
-    with the CSV's permissions, that then replaces the sibling, so a reader
-    sees the old file or the new one, never a part.
+    have the dimension -1, for features a (3, n) ``<i8`` array of the rows
+    ``file``, ``row`` and ``line``, and ``files`` after the strings. The file
+    holds no time, path or process id, so the same inputs give the same bytes.
+    It is written to a temporary file, with the CSV's permissions, that then
+    replaces the sibling, so a reader sees the old file or the new one, never a
+    part.
     """
     features, files = col["features"], []
     if isinstance(features, _References):
@@ -432,7 +426,8 @@ def _save_parsed(path: Path, key: bytes, col: dict) -> None:
 def _load_parsed(path: Path, key: bytes) -> dict | None:
     """The columns that :func:`_save_parsed` wrote for the CSV ``path`` under
     ``key``, or None when the sibling is missing, was written under another
-    key, is damaged, or holds columns that the CSV reader would not produce.
+    key, is damaged, or holds columns that the CSV reader would not produce
+    (references whose lines do not rise strictly from 2, say).
     The numeric columns are views of the bytes read, so nothing is unpickled
     or copied."""
     try:
@@ -446,8 +441,8 @@ def _load_parsed(path: Path, key: bytes) -> dict | None:
             or blob[32:64] != hashlib.sha256(memoryview(blob)[64:]).digest()):
         return None
     n, d = (int(x) for x in np.frombuffer(blob, "<i8", 2, 64))
-    refs = d == -1  # features from .npy rows: each row's file index and row number
-    shapes = {"features": (2, n) if refs else (n, d), "va": (n, 2), "au": (n, NUM_AUS),
+    refs = d == -1  # features from .npy rows: each row's file index, row number and line
+    shapes = {"features": (3, n) if refs else (n, d), "va": (n, 2), "au": (n, NUM_AUS),
               "expr": (n,), "frame": (n,)}
     end = 80 + 8 * sum(map(math.prod, shapes.values()))
     if not (n > 0 and (d > 0 or refs) and end <= len(blob)):
@@ -468,10 +463,11 @@ def _load_parsed(path: Path, key: bytes) -> dict | None:
     for i, name in enumerate(("ids", "video", "compound")):
         columns[name] = np.array(cells[i * n : (i + 1) * n], dtype=object)
     if refs:
-        file, row = columns["features"]
-        if file.min() < 0 or file.max() >= len(files) or row.min() < 0:
+        file, row, line = columns["features"]
+        if (file.min() < 0 or file.max() >= len(files) or row.min() < 0 or line[0] < 2
+                or (np.diff(line) <= 0).any()):
             return None
-        columns["features"] = _References(files, file, row)
+        columns["features"] = _References(files, file, row, line)
     try:  # a label is stored as -1 or NaN where a row has none
         _check_columns(columns)
     except (ValueError, DataError):
@@ -500,34 +496,27 @@ def _check_columns(col: dict, has_va=None) -> None:
         raise ValueError("AU labels must be 0 or 1")
     if ((col["video"] == "") & (col["frame"] != -1)).any():
         raise ValueError("frame index without a video id")
-    unlabelled = ~(has_va[:, 0] | has_expr | has_au.any(axis=1))
+    unlabelled = ~np.logical_or.reduce(label_masks(expr, au, va))  # a filled cell is a label now
     if unlabelled.any():
         raise DataError(f"sample {col['ids'][unlabelled.argmax()]!r} carries no label")
 
 
-def _sample_set(directory: Path, features, **columns) -> SampleSet:
-    """The set of the CSV reader's columns, :class:`_References` gathered from ``directory``."""
-    if isinstance(features, _References):
-        features = _gather(directory, features)
-    return SampleSet(features=features, **columns)
+def _gather(path: Path, refs: _References) -> np.ndarray:
+    """The rows that ``refs``, read from the CSV ``path``, name, as float64. The
+    files are loaded now, in order of first use: each must hold a 2-D matrix of
+    real numbers, with a row and a column, as wide as the earlier ones and holding
+    every row that is referenced in it; then each row must be finite. The first
+    failed check raises a :class:`DataError` naming the line of the first reference
+    it concerns. Each row is copied once from its loaded matrix."""
 
+    def bad(i, error) -> DataError:
+        return DataError(f"{path}, line {refs.line[i]}: {error}")
 
-class _BadReference(ValueError):
-    """A ``feature_file`` reference that fails a check: ``args`` are its data row and the error."""
-
-
-def _gather(directory: Path, refs: _References) -> np.ndarray:
-    """The rows that ``refs`` name, as float64. The files are loaded now, in order
-    of first use: each must hold a 2-D matrix of real numbers, with a row and a
-    column, as wide as the earlier ones and holding every row that is referenced
-    in it; then each row must be finite. The first failed check raises a :class:`_BadReference`
-    for the first reference it concerns. Each row is copied once from its loaded
-    matrix."""
     features = None
     for j in dict.fromkeys(refs.file.tolist()):
         where, name = np.flatnonzero(refs.file == j), refs.files[j]
         try:
-            m = np.load(directory / name)  # an .npz loads as an NpzFile
+            m = np.load(path.parent / name)  # an .npz loads as an NpzFile
             if not isinstance(m, np.ndarray) or m.ndim != 2 or not len(m) or not m.shape[1]:
                 raise ValueError(f"{name!r} holds no 2-D feature matrix")
             if m.dtype.kind not in "fiu":  # astype would drop an imaginary part, read text...
@@ -536,10 +525,10 @@ def _gather(directory: Path, refs: _References) -> np.ndarray:
             if m.shape[1] != width:
                 raise ValueError(f"{name!r} has {m.shape[1]} features, earlier rows {width}")
         except _CELL_ERRORS as e:
-            raise _BadReference(where[0], e) from e
+            raise bad(where[0], e) from e
         beyond = where[refs.row[where] >= len(m)]
         if beyond.size:
-            raise _BadReference(beyond[0], ValueError(f"{name!r} has no row {refs.row[beyond[0]]}"))
+            raise bad(beyond[0], f"{name!r} has no row {refs.row[beyond[0]]}")
         m = m.astype(float, copy=False)
         if features is None:
             features = np.empty((len(refs.row), width))
@@ -548,7 +537,7 @@ def _gather(directory: Path, refs: _References) -> np.ndarray:
             np.take(m, refs.row[lo:hi], axis=0, out=features[lo:hi], mode="clip")
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
-        raise _BadReference(finite.argmin(), ValueError("non-finite feature value"))
+        raise bad(finite.argmin(), "non-finite feature value")
     return features
 
 
@@ -572,18 +561,10 @@ def _check_spelling(text: str, chars: bytes, what: str) -> None:
         raise ValueError(f"a {what} cell holds a character other than {chars.decode()}")
 
 
-def _line_of(text, row: int) -> int:
-    """The line of the CSV ``text`` (a file object) on which data row ``row`` ends."""
-    reader = csv.reader(text)
-    next(reader)
-    next(itertools.islice((r for r in reader if r), row, None))
-    return reader.line_num
-
-
 class _Layout:
     """Where one CSV header keeps each column, and the conversion of row blocks."""
 
-    def __init__(self, header, path: Path, raw: bytes):
+    def __init__(self, header, path: Path):
         col = {name: i for i, name in enumerate(header)}
         if "id" not in col:
             raise DataError(f"{path}: no id column")
@@ -602,7 +583,7 @@ class _Layout:
         if not fcols and not self.use_files:
             raise DataError(f"{path}: no feature columns and no feature_file column")
         feature_idx = [col["feature_file"]] if self.use_files else [col[c] for c in fcols]
-        self.path, self.raw = path, raw
+        self.path = path
         self.id = operator.itemgetter(col["id"])
         self.features = operator.itemgetter(*feature_idx)
         # every label column, an absent one read from the id column and then blanked
@@ -611,27 +592,26 @@ class _Layout:
         self.width = 1 + max(col["id"], *feature_idx, *(col[c] for c in _LABEL_COLUMNS if c in col))
         self.files: dict[str, int] = {}  # feature_file name -> its index, in order of first use
 
-    def convert_block(self, rows, start: int) -> dict:
-        """Arrays for ``rows``, data rows ``start`` on; a bad row raises a
-        :class:`DataError` naming the line of the earliest one."""
+    def convert_block(self, rows, lines) -> dict:
+        """Arrays for ``rows``, which end on the CSV lines ``lines``; a bad row
+        raises a :class:`DataError` naming the line of the earliest one."""
         try:
-            return self._convert(rows)
+            return self._convert(rows, lines)
         except _CELL_ERRORS:
-            for i in range(len(rows)):  # find the row, and the first check it fails
+            for row, line in zip(rows, lines):  # find the row, and the first check it fails
                 try:
-                    self._convert(rows[i : i + 1])
+                    self._convert([row], [line])
                 except _CELL_ERRORS as e:
-                    line = _line_of(_text(self.raw), start + i)
                     raise DataError(f"{self.path}, line {line}: {e}") from e
             raise
 
-    def _convert(self, rows) -> dict:
+    def _convert(self, rows, lines) -> dict:
         n = len(rows)
         short = min(map(len, rows))
         if short < self.width:
             raise DataError(f"row has {short} cells where the header needs {self.width}")
         if self.use_files:
-            features = self._references(list(map(self.features, rows)))
+            features = (*self._references(list(map(self.features, rows))), np.array(lines))
         else:
             features = list(map(self.features, rows))
             _check_spelling("".join(map("".join, features)), _FLOAT_CHARS, "feature")

@@ -26,9 +26,9 @@ from .metrics import ConfusionMatrix, au_metrics, classification_metrics, va_met
 from .model import HEAD_COLS, MultiHeadModel, SGDMomentum, gradient_check, median_filter
 from .scheduler import plan_epoch
 
-COUPLING_MODES = ("none", "co_annotation", "soft_co_annotation", "distr_matching", "soft_plus_dm")
-SCA_MODES = ("soft_co_annotation", "soft_plus_dm")
-DM_MODES = ("distr_matching", "soft_plus_dm")
+# Each coupling mode and the coupling terms it runs
+COUPLING_TERMS = {"none": (), "co_annotation": (), "soft_co_annotation": ("sca",),
+                  "distr_matching": ("dm",), "soft_plus_dm": ("sca", "dm")}
 SET_NAMES = ("va", "au", "expr")
 TASK_NAMES = ("expr", "au", "va")
 COUPLING_NAMES = ("sca", "dm")
@@ -85,7 +85,7 @@ class ExperimentConfig:
                 d = exact_keys(getattr(self, f.name), (), shape, f"config.{where}", ConfigError)
                 for key, value in d.items():
                     _typed(value, shape[key], f"{where}.{key}")
-        if self.coupling not in COUPLING_MODES:
+        if self.coupling not in COUPLING_TERMS:
             raise ConfigError(f"invalid coupling mode {self.coupling!r}")
         if not self.data:
             raise ConfigError("no datasets configured")
@@ -102,6 +102,10 @@ class ExperimentConfig:
         for name, w in {**self.tasks, **self.couplings}.items():
             if not 0 <= w < math.inf:  # NaN fails too
                 raise ConfigError(f"loss weight {w!r} for {name!r} is not finite and >= 0")
+        idle = [name for name in self.couplings if name not in COUPLING_TERMS[self.coupling]]
+        if idle:
+            raise ConfigError(f"loss_weights.couplings.{idle[0]} weighs a term that coupling "
+                              f"mode {self.coupling!r} does not run")
 
     @property
     def loss_weights(self) -> dict:
@@ -174,12 +178,12 @@ def build_objective(sets, table, mode: str, weights: dict) -> tuple[tuple, Objec
     modes give each row its SCA target (:func:`~affectmtl.labels.top_emotion`),
     and the DM modes keep the table's ``weights``.
     """
-    au_weights = None
+    au_weights, terms = None, COUPLING_TERMS[mode]
     if mode == "co_annotation":
         sets, au_weights = zip(*(lab.co_annotate(data, table) for data in sets))
     r = table.weights
-    sca = tuple(lab.top_emotion(data.au, r) for data in sets) if mode in SCA_MODES else None
-    return tuple(sets), Objective(weights, r if mode in DM_MODES else None, sca, au_weights)
+    sca = tuple(lab.top_emotion(data.au, r) for data in sets) if "sca" in terms else None
+    return tuple(sets), Objective(weights, r if "dm" in terms else None, sca, au_weights)
 
 
 def joint_loss_and_grads(model, sets, batch, objective: Objective):
@@ -444,7 +448,7 @@ def run_eval(checkpoint, dataset, out_path=None) -> dict:
 
 
 def run_gradcheck(
-    input_dim=16, hidden=(32, 32), batch_size=16, seed=0, modes=COUPLING_MODES,
+    input_dim=16, hidden=(32, 32), batch_size=16, seed=0, modes=tuple(COUPLING_TERMS),
     tolerance=1e-5,
 ):
     """Finite-difference check of the full training gradient for every coupling mode.

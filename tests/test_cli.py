@@ -165,6 +165,8 @@ def test_train_config_with_a_repeated_key_exit_code(workspace, tmp_path, capsys)
     ({"holdout_fraction": -0.1}, "holdout_fraction must be in [0, 1)"),
     ({"epochs": 0}, "epochs and max_batch must be >= 1"),
     ({"max_batch": 0}, "epochs and max_batch must be >= 1"),
+    ({"coupling": "none", "loss_weights": {"couplings": {"dm": 5, "sca": 3}}},
+     "loss_weights.couplings.dm weighs a term that coupling mode 'none' does not run"),
 ])
 def test_train_config_error_names_the_config_file(workspace, tmp_path, capsys, setting, message):
     config = json.loads((workspace / "config.json").read_text())
@@ -173,6 +175,7 @@ def test_train_config_error_names_the_config_file(workspace, tmp_path, capsys, s
     assert main(["train", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {p}: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_data_leaves_the_siblings_that_a_read_writes(tmp_path, monkeypatch):

@@ -753,7 +753,8 @@ def test_feature_file_sibling_gathers_the_npy_as_it_is_now(feature_file_csv, mon
 def test_feature_file_sibling_names_a_bad_npy_as_a_cold_read(feature_file_csv, monkeypatch,
                                                              damage, line, message):
     """A read through the sibling after a referenced .npy went bad is the data
-    error, line and message, that a read without the sibling gives."""
+    error, line and message, that a read without the sibling gives, and it
+    parses nothing: the sibling keeps each row's line."""
     path, sibling, a, b = feature_file_csv
     load, loaded = csvio._load_parsed, []
     monkeypatch.setattr(csvio, "_load_parsed", lambda *args: loaded.append(load(*args)) or loaded[-1])
@@ -767,7 +768,8 @@ def test_feature_file_sibling_names_a_bad_npy_as_a_cold_read(feature_file_csv, m
         np.save(path.parent / "b.npy", np.zeros((2, 4)))
     else:
         (path.parent / "b.npy").unlink()
-    with pytest.raises(DataError) as via_sibling:
+    with monkeypatch.context() as m, pytest.raises(DataError) as via_sibling:
+        m.setattr(csvio, "_parse", None)
         read_samples_csv(path)
     sibling.unlink()
     with pytest.raises(DataError) as cold:
@@ -775,6 +777,51 @@ def test_feature_file_sibling_names_a_bad_npy_as_a_cold_read(feature_file_csv, m
     assert loaded[0] is not None and loaded[-1] is None
     assert str(via_sibling.value) == str(cold.value)
     assert str(cold.value).startswith(f"{path}, line {line}: ") and message in str(cold.value)
+
+
+def test_feature_file_sibling_names_the_line_that_a_row_ends_on(tmp_path, monkeypatch,
+                                                                reference_read_samples_csv):
+    """Quoted cells that span lines and blank lines move a row's line away from
+    its index; the line that a read through the sibling names is the one on which
+    the reference reader, which reads row by row, finds the same row."""
+    np.save(tmp_path / "a.npy", np.arange(6.0).reshape(2, 3))
+    np.save(tmp_path / "b.npy", np.ones((2, 3)))
+    path, sibling = tmp_path / "d.csv", tmp_path / ".d.csv.affectmtl"
+    text = ('id,note,expr,feature_file\ns0,"two\nlines",1,a.npy:0\n\ns1,,2,a.npy:1\n'
+            's2,"x\ny\nz",3,b.npy:0\n\n{}\n')
+    path.write_text(text.format("s3,,4,b.npy:1"))
+    read_samples_csv(path)
+    np.save(tmp_path / "b.npy", np.array([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0]]))
+    with monkeypatch.context() as m, pytest.raises(DataError) as via_sibling:
+        m.setattr(csvio, "_parse", None)
+        read_samples_csv(path)
+    # the same row with an expr cell that the reference reader refuses, on the same lines
+    path.write_text(text.format("s3,,x,b.npy:1"))
+    with pytest.raises(ValueError, match=r"^line (\d+): 'x' is not a number cell") as reference:
+        reference_read_samples_csv(path)
+    line = reference.value.args[0].split(":")[0]
+    assert line == "line 10"
+    assert str(via_sibling.value) == f"{path}, {line}: non-finite feature value"
+
+
+@pytest.mark.parametrize("lines", [[2, 3, 4, 6, 5], [2, 3, 3, 4, 5], [1, 2, 3, 4, 5],
+                                   [0, 3, 4, 5, 6], [-4, 3, 4, 5, 6]])
+def test_feature_file_sibling_with_lines_that_do_not_rise_is_parsed_again(
+        feature_file_csv, lines):
+    """A sibling whose references name lines that no parse gives, lines that do
+    not rise strictly from 2, is not loaded: the CSV is parsed again, and the
+    sibling rewritten to the bytes of that parse."""
+    path, sibling, a, b = feature_file_csv
+    blob = sibling.read_bytes()
+    key = csvio._parse_key(io.BytesIO(path.read_bytes()))
+    col = csvio._load_parsed(path, key)
+    col["features"] = col["features"]._replace(line=np.array(lines))
+    csvio._save_parsed(path, key, col)
+    assert sibling.read_bytes() != blob
+    assert csvio._load_parsed(path, key) is None
+    data = read_samples_csv(path)
+    assert data.features.tobytes() == np.stack([a[2], b[0], a[0], a[1], b[1]]).tobytes()
+    assert sibling.read_bytes() == blob
 
 
 def test_sibling_key_names_the_encoding_by_its_codec(monkeypatch):

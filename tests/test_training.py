@@ -31,7 +31,7 @@ from affectmtl import training
 from affectmtl.cli import main
 from affectmtl.synthdata import GeneratorSpec, draw, split
 from affectmtl.training import (
-    COUPLING_MODES, LOSS_NAMES, SCA_MODES, SECTION, TASK_NAMES, _joint_loss,
+    COUPLING_TERMS, LOSS_NAMES, SECTION, TASK_NAMES, _joint_loss,
     _median_filter_by_video, build_objective, joint_loss_and_grads, run_eval, run_gradcheck,
     run_train,
 )
@@ -460,7 +460,7 @@ def _per_step_sca_joint_loss(model, sets, batch, objective, sca_matrix):
     return float(total), terms, gz, cache
 
 
-@pytest.mark.parametrize("mode", COUPLING_MODES)
+@pytest.mark.parametrize("mode", tuple(COUPLING_TERMS))
 def test_joint_step_keeps_the_bytes_of_the_per_step_form(mode):
     """Per-run SCA targets, a gather of the loss columns alone and DM without
     mask work change no bit of the total, of a term or of a head gradient, on
@@ -468,7 +468,7 @@ def test_joint_step_keeps_the_bytes_of_the_per_step_form(mode):
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=6)
     model = MultiHeadModel(8, hidden=(16,), seed=2)
     sets, objective = build_objective(split(draw(spec, 240)), TABLE, mode, WEIGHTS)
-    sca_matrix = TABLE.weights if mode in SCA_MODES else None
+    sca_matrix = TABLE.weights if "sca" in COUPLING_TERMS[mode] else None
     batches = [batch for seed in (3, 4)
                for batch in plan_epoch([len(d) for d in sets], 30, seed=seed)]
     assert len(batches) >= 6
@@ -481,7 +481,7 @@ def test_joint_step_keeps_the_bytes_of_the_per_step_form(mode):
                 model, sets, batch, obj, sca_matrix)
             assert total == ref_total
             assert list(terms) == list(ref_terms)
-            assert ("sca" in terms) == (mode in SCA_MODES)
+            assert ("sca" in terms) == ("sca" in COUPLING_TERMS[mode])
             for name, (value, head, rows, grad) in terms.items():
                 ref_value, ref_head, ref_rows, ref_grad = ref_terms[name]
                 assert value == ref_value and head == ref_head, name
@@ -490,7 +490,7 @@ def test_joint_step_keeps_the_bytes_of_the_per_step_form(mode):
             assert np.array_equal(g, ref_g)
 
 
-@pytest.mark.parametrize("mode", COUPLING_MODES)
+@pytest.mark.parametrize("mode", tuple(COUPLING_TERMS))
 def test_sca_targets_are_built_once_per_run(mode, monkeypatch):
     """``build_objective`` calls ``top_emotion`` once per training set in the SCA
     modes and never otherwise; no step calls it. Each set's targets are its
@@ -500,7 +500,7 @@ def test_sca_targets_are_built_once_per_run(mode, monkeypatch):
                         top_emotion(au, r))
     spec = GeneratorSpec(relatedness=TABLE, feature_dim=8, seed=4)
     sets, objective = build_objective(split(draw(spec, 180)), TABLE, mode, WEIGHTS)
-    sca = mode in SCA_MODES
+    sca = "sca" in COUPLING_TERMS[mode]
     assert calls == ([len(d) for d in sets] if sca else [])
     model = MultiHeadModel(8, hidden=(16,), seed=1)
     batches = plan_epoch([len(d) for d in sets], 20, seed=0)
@@ -546,7 +546,7 @@ def test_training_and_evaluation_score_the_rows_of_label_masks(data):
     label, and ``evaluate_model`` scores those same rows: VA only with two."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     sizes = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
-    mode = data.draw(st.sampled_from(COUPLING_MODES))
+    mode = data.draw(st.sampled_from(tuple(COUPLING_TERMS)))
     sets, objective = build_objective([_mixed_label_set(rng, n, 4) for n in sizes], TABLE,
                                       mode, WEIGHTS)
     batch = tuple(rng.permutation(n)[: rng.integers(n + 1)] for n in sizes)
@@ -715,12 +715,27 @@ def test_config_defaults_are_the_field_defaults(dataset_dir):
 
 def test_config_keys_round_trip(dataset_dir, tmp_path):
     config = make_config(dataset_dir, tmp_path / "run", relatedness={"path": "t.json"},
-        loss_weights={"tasks": {"expr": 0.5}, "couplings": {"dm": 2.0}})
+        coupling="distr_matching", loss_weights={"tasks": {"expr": 0.5}, "couplings": {"dm": 2.0}})
     assert ExperimentConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(["not", "an", "object"])
     with pytest.raises(ConfigError, match="out_dir must be of type str"):
         ExperimentConfig.from_dict({**config.to_dict(), "out_dir": 5})
+
+
+@pytest.mark.parametrize("mode", tuple(COUPLING_TERMS))
+def test_a_coupling_weight_outside_its_mode_is_refused(dataset_dir, tmp_path, mode):
+    """A weight for a coupling term that the mode does not run would change the
+    config hash and nothing else, so it is refused, naming the key and the mode."""
+    for name in ("sca", "dm"):
+        weights = {"couplings": {name: 5}}
+        if name in COUPLING_TERMS[mode]:
+            config = make_config(dataset_dir, tmp_path, coupling=mode, loss_weights=weights)
+            assert config.loss_weights[name] == 5.0
+        else:
+            with pytest.raises(ConfigError, match=f"couplings.{name} weighs a term that "
+                                                  f"coupling mode '{mode}' does not run$"):
+                make_config(dataset_dir, tmp_path, coupling=mode, loss_weights=weights)
 
 
 def test_direct_and_replaced_configs_are_checked(dataset_dir):
