@@ -68,6 +68,17 @@ class MultiHeadModel:
         self.head_W = np.concatenate([weights(d, DEFAULT_HEADS[n][1]) for n in HEAD_COLS], axis=1)
         self.head_b = np.zeros(self.head_W.shape[1])
 
+    @classmethod
+    def _empty(cls, input_dim, hidden, seed) -> "MultiHeadModel":
+        model = cls.__new__(cls)  # no random init: every parameter is written before it is read
+        model._allocate(input_dim, hidden, seed, lambda a, b: np.empty((a, b)))
+        return model
+
+    def empty_like(self) -> "MultiHeadModel":
+        """A model of this one's layout with unset parameters, such as the
+        gradient holder of :meth:`backward`."""
+        return self._empty(self.input_dim, self.hidden, self.seed)
+
     # -- parameter iteration --------------------------------------------
 
     def named_params(self):
@@ -106,31 +117,39 @@ class MultiHeadModel:
         out = {name: _activate(name, z[:, cols]) for name, cols in HEAD_COLS.items()}
         return out, acts
 
-    def backward(self, acts, gz):
+    def backward(self, acts, gz, grads=None):
         """Backprop the loss gradient at the heads' input to parameter gradients.
 
         ``acts`` is the cache of :meth:`forward`, and ``gz`` one (n, 26) array of
         d(loss)/d(pre-activation), each head's columns at its :data:`HEAD_COLS`.
-        Returns {param name -> gradient array}. No gradient with respect to the
-        input is formed.
+        ``grads`` is a model of this one's layout (:meth:`empty_like`) whose
+        parameters receive the gradients, written in place; a new one when
+        None. A caller that passes the same holder every step allocates no
+        gradient array. Returns {param name -> gradient array}: views of
+        ``grads``, in :meth:`named_params` order. The pass consumes ``acts``:
+        it takes each layer's output from the list and overwrites it with the
+        gradient at that layer's pre-activation, and it refuses a cache that is
+        consumed or not of this model's depth with a ValueError. No gradient
+        with respect to the input is formed.
         """
-        h = acts[-1]
-        grads = {}
-        if self.trunk:
-            gh = gz @ self.head_W.T
-            for i in range(len(self.trunk) - 1, -1, -1):
-                d = acts[i + 1] * acts[i + 1]
-                np.subtract(1.0, d, out=d)
-                d *= gh  # the gradient at layer i's pre-activation
-                grads[f"trunk{i}.W"] = acts[i].T @ d
-                grads[f"trunk{i}.b"] = d.sum(axis=0)
-                if i:
-                    gh = d @ self.trunk[i]["W"].T
-        gW = h.T @ gz
-        gb = gz.sum(axis=0)
-        for name, cols in HEAD_COLS.items():
-            grads[f"{name}.W"], grads[f"{name}.b"] = gW[:, cols], gb[cols]
-        return {name: grads[name] for name, _ in self.named_params()}
+        if len(acts) != len(self.trunk) + 1:
+            raise ValueError(f"backward needs an unconsumed forward cache of {len(self.trunk) + 1} "
+                             f"arrays, got {len(acts)}")
+        grads = self.empty_like() if grads is None else grads
+        np.matmul(acts[-1].T, gz, out=grads.head_W)
+        np.sum(gz, axis=0, out=grads.head_b)
+        gh = gz @ self.head_W.T if self.trunk else None
+        for i in range(len(self.trunk) - 1, -1, -1):
+            d = acts.pop()  # layer i's output, which becomes the gradient at its pre-activation
+            d *= d
+            np.subtract(1.0, d, out=d)
+            d *= gh
+            np.matmul(acts[-1].T, d, out=grads.trunk[i]["W"])
+            np.sum(d, axis=0, out=grads.trunk[i]["b"])
+            if i:
+                gh = d @ self.trunk[i]["W"].T
+        acts.pop()  # the input
+        return dict(grads.named_params())
 
     # -- checkpoints ------------------------------------------------------
 
@@ -171,8 +190,7 @@ class MultiHeadModel:
                         f"checkpoint {path} holds {left} parameter bytes, "
                         f"its header declares {8 * n_params}"
                     )
-                model = cls.__new__(cls)  # every parameter is read below: no random init
-                model._allocate(input_dim, hidden, seed, lambda a, b: np.empty((a, b)))
+                model = cls._empty(input_dim, hidden, seed)
                 for name, p in model.named_params():
                     buf = f.read(p.size * 8)
                     if len(buf) != p.size * 8:

@@ -186,18 +186,19 @@ def build_objective(sets, table, mode: str, weights: dict) -> tuple[tuple, Objec
     return tuple(sets), Objective(weights, r if "dm" in terms else None, sca, au_weights)
 
 
-def joint_loss_and_grads(model, sets, batch, objective: Objective):
+def joint_loss_and_grads(model, sets, batch, objective: Objective, grads=None):
     """Compute all loss terms on one joint batch.
 
     ``batch`` holds, for each set of ``sets`` in order, the rows of that set in
     the batch: one entry of :func:`~affectmtl.scheduler.plan_epoch`'s list.
     Each row's terms follow the labels it carries, whatever its set. Returns
     the weighted total, each present term's value by name, and the parameter
-    gradients of the total.
+    gradients of the total, written into ``grads``, the gradient holder of
+    :meth:`~affectmtl.model.MultiHeadModel.backward` (a new one when None).
     """
     total, terms, gz, cache = _joint_loss(model, sets, batch, objective)
     losses = {name: value for name, (value, *_) in terms.items()}
-    return total, losses, model.backward(cache, gz)
+    return total, losses, model.backward(cache, gz, grads)
 
 
 def joint_loss_value(model, sets, batch, objective: Objective) -> float:
@@ -283,9 +284,32 @@ def run_train(config: ExperimentConfig) -> dict:
 
     ``out_dir`` is made only once the table, the data, the objective and every
     epoch's batches are built, so a run that fails its set-up leaves no
-    directory behind."""
+    directory behind. The checkpoint is saved and the held-out rows scored
+    once :func:`_fit` has returned, so the training sets, the objective, the
+    optimizer, the gradient holder and the epoch plans are released by then."""
     table = load_relatedness(config)
+    model, heldout, plan, steps, out_dir = _fit(config, table)
+    model.save(out_dir / "model.bin")
+    table.save(out_dir / "relatedness.json")
 
+    eval_set = lab.SampleSet.concat(heldout)
+    final_metrics = evaluate_model(model, eval_set) if len(eval_set) else {}
+    return write_manifest(out_dir, {
+        "config": config.to_dict(),
+        "config_hash": config.config_hash(),
+        "seed": config.seed,
+        "epoch_plans": [plan],
+        "steps": steps,
+        "final_metrics": final_metrics,
+    })
+
+
+def _fit(config: ExperimentConfig, table):
+    """Set up a run, make its ``out_dir`` and train, writing ``losses.csv``.
+
+    Returns (model, held-out sets, the manifest's epoch plan, steps, out_dir);
+    the rest of the training state goes with this call's locals. Every step
+    writes its gradients into the one holder of the run."""
     sets, heldout = zip(*(_holdout_split(config.data[name], config.holdout_fraction,
                                          config.seed + 7919 * si)
                           for si, name in enumerate(SET_NAMES) if name in config.data))
@@ -296,6 +320,7 @@ def run_train(config: ExperimentConfig) -> dict:
 
     model = MultiHeadModel(input_dim, hidden=config.hidden, seed=config.seed)
     opt = SGDMomentum(model, lr=config.lr, momentum=config.momentum)
+    holder = model.empty_like()
     sets, objective = build_objective(sets, table, config.coupling, config.loss_weights)
     sizes = [len(data) for data in sets]
     plans = [plan_epoch(sizes, config.max_batch, seed=config.seed + 1000003 * e)
@@ -320,28 +345,15 @@ def run_train(config: ExperimentConfig) -> dict:
         for epoch, batches in enumerate(plans):
             for it, batch in enumerate(batches):
                 try:
-                    total, losses, grads = joint_loss_and_grads(model, sets, batch, objective)
+                    total, losses, grads = joint_loss_and_grads(model, sets, batch, objective,
+                                                                holder)
                     opt.step(model, grads)
                 except FloatingPointError as e:
                     raise NumericalError("non-finite total loss") from e
                 values = [losses.get(name, 0.0) for name in LOSS_NAMES] + [total]
                 w.writerow([step, epoch, it, *(repr(float(v)) for v in values)])
                 step += 1
-
-    ckpt = out_dir / "model.bin"
-    model.save(ckpt)
-    table.save(out_dir / "relatedness.json")
-
-    eval_set = lab.SampleSet.concat(heldout)
-    final_metrics = evaluate_model(model, eval_set) if len(eval_set) else {}
-    return write_manifest(out_dir, {
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "epoch_plans": [plan],
-        "steps": step,
-        "final_metrics": final_metrics,
-    })
+    return model, heldout, plan, step, out_dir
 
 
 def make_out_dir(out_dir, *outputs) -> Path:

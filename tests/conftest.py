@@ -166,6 +166,36 @@ def reference_forward_backward():
     return _reference_forward_backward
 
 
+def _reference_backward(model, acts, gz):
+    """``MultiHeadModel.backward`` as it was when every call allocated its
+    gradients and left the cache as it found it: a fresh dict per call, the
+    head gradients column views of one fused product."""
+    h = acts[-1]
+    grads = {}
+    if model.trunk:
+        gh = gz @ model.head_W.T
+        for i in range(len(model.trunk) - 1, -1, -1):
+            d = acts[i + 1] * acts[i + 1]
+            np.subtract(1.0, d, out=d)
+            d *= gh  # the gradient at layer i's pre-activation
+            grads[f"trunk{i}.W"] = acts[i].T @ d
+            grads[f"trunk{i}.b"] = d.sum(axis=0)
+            if i:
+                gh = d @ model.trunk[i]["W"].T
+    gW = h.T @ gz
+    gb = gz.sum(axis=0)
+    for name, cols in HEAD_COLS.items():
+        grads[f"{name}.W"], grads[f"{name}.b"] = gW[:, cols], gb[cols]
+    return {name: grads[name] for name, _ in model.named_params()}
+
+
+@pytest.fixture(scope="session")
+def reference_backward():
+    """The allocate-per-call backward pass whose bytes ``MultiHeadModel.backward``
+    must keep when it writes into a gradient holder."""
+    return _reference_backward
+
+
 def _reference_write_samples_csv(path, data):
     """Row-by-row ``csv.writer`` code that writes the rows of a ``SampleSet`` in
     the annotation CSV format; ``write_samples_csv`` must match it byte for byte."""

@@ -99,6 +99,27 @@ def test_backward_matches_analytic_formula_for_tanh_head():
     assert not grads["expr.W"].any() and not grads["au.W"].any()
 
 
+@pytest.mark.parametrize("hidden", [(), (8, 6)])
+def test_backward_consumes_its_cache_and_refuses_a_consumed_one(hidden):
+    """A pass empties its cache, so a second pass on it is a ValueError, not
+    gradients from the wrong arrays; so is a cache of another depth, which is
+    left as it was."""
+    m = small_model(hidden=hidden)
+    X = np.random.default_rng(5).normal(size=(6, 5))
+    gz = head_input_grads(6, va=np.ones((6, 2)))
+    _, cache = m.forward(X)
+    m.backward(cache, gz)
+    assert cache == []
+    with pytest.raises(ValueError, match="unconsumed forward cache"):
+        m.backward(cache, gz)
+    _, cache = m.forward(X)
+    for wrong in (cache[:-1], cache + [cache[-1]], small_model(hidden=(4, 4, 4)).forward(X)[1]):
+        n = len(wrong)
+        with pytest.raises(ValueError, match="unconsumed forward cache"):
+            m.backward(wrong, gz)
+        assert len(wrong) == n
+
+
 def test_sgd_momentum_zero_is_plain_gd():
     m = small_model()
     opt = SGDMomentum(m, lr=0.1, momentum=0.0)

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from affectmtl import labels
 from affectmtl.labels import indicator_scores, top_emotion
 from affectmtl.losses import ccc_loss_grad, masked_bce_grad, softmax_ce_grad
 from affectmtl.metrics import au_metrics, va_metrics
-from affectmtl.model import HEAD_COLS
+from affectmtl.model import HEAD_COLS, SGDMomentum
 from affectmtl.relatedness import NUM_AUS
 from affectmtl.scheduler import plan_epoch
 from affectmtl import training
@@ -519,6 +520,60 @@ def test_sca_targets_are_built_once_per_run(mode, monkeypatch):
         assert (target[no_au] == -1).all()
         unlabelled += no_au.sum()
     assert unlabelled and (objective.sca_targets[1] >= 0).any()
+
+
+@pytest.mark.parametrize("hidden", [(), (64,), (96, 64, 48)])
+def test_one_gradient_holder_keeps_the_reference_bytes(reference_backward, hidden):
+    """Every step of two shuffled epochs, with an optimizer update between
+    steps, writes its gradients into the holder's arrays, the same arrays at
+    every step, and they hold the bytes of the allocate-per-call backward pass."""
+    spec = GeneratorSpec(relatedness=TABLE, feature_dim=32, seed=9)
+    sets, objective = build_objective(split(draw(spec, 600)), TABLE, "soft_plus_dm", WEIGHTS)
+    model = MultiHeadModel(32, hidden=hidden, seed=3)
+    opt = SGDMomentum(model, lr=0.05, momentum=0.9)
+    holder = model.empty_like()
+    batches = [batch for seed in (5, 6)
+               for batch in plan_epoch([len(d) for d in sets], 80, seed=seed)]
+    assert len(batches) == 6 and len({sum(map(len, batch)) for batch in batches}) == 2
+    arrays = {name: g.__array_interface__ for name, g in holder.named_params()}
+    for batch in batches:
+        _, _, gz, cache = _joint_loss(model, sets, batch, objective)
+        expected = reference_backward(model, cache, gz)
+        _, _, grads = joint_loss_and_grads(model, sets, batch, objective, holder)
+        assert list(grads) == list(expected)
+        for name, g in grads.items():
+            assert g.__array_interface__ == arrays[name], name
+            assert g.tobytes() == expected[name].tobytes(), name
+        opt.step(model, grads)
+
+
+def test_training_state_is_released_before_the_evaluation(dataset_dir, tmp_path, monkeypatch):
+    """When ``run_train`` scores the held-out rows, the optimizer, the gradient
+    holder, the objective, the epoch plans and the training sets are gone."""
+    refs, alive = {}, []
+    step, evaluate = training.joint_loss_and_grads, training.evaluate_model
+
+    class Optimizer(SGDMomentum):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs["optimizer"] = weakref.ref(self)
+
+    def spied_step(model, sets, batch, objective, holder):
+        refs.update(features=weakref.ref(sets[0].features), plan=weakref.ref(batch[0]),
+                    objective=weakref.ref(objective), holder=weakref.ref(holder))
+        return step(model, sets, batch, objective, holder)
+
+    def spied_evaluate(model, data):
+        alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+        return evaluate(model, data)
+
+    monkeypatch.setattr(training, "SGDMomentum", Optimizer)
+    monkeypatch.setattr(training, "joint_loss_and_grads", spied_step)
+    monkeypatch.setattr(training, "evaluate_model", spied_evaluate)
+    manifest = run_train(make_config(dataset_dir, tmp_path / "run", coupling="co_annotation"))
+    assert sorted(refs) == ["features", "holder", "objective", "optimizer", "plan"]
+    assert alive == [[]]
+    assert "expr" in manifest["final_metrics"]
 
 
 def _mixed_label_set(rng, n, dim):
